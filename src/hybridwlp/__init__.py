@@ -26,6 +26,7 @@ from .expr import (
     Sin,
     Sub,
     SymConst,
+    TimeQuant,
     TimeVar,
     TRUE,
     TruePred,
@@ -63,7 +64,7 @@ from .hprog import (
     run_sampled,
     store_update,
 )
-from .vcgen import Obligation, TimeQuant, VerifySpec, dc_split, ds_closed_form, dw_check, verify, wlp
+from .vcgen import Obligation, VerifySpec, dc_split, ds_closed_form, dw_check, verify, wlp
 from .discharge import (
     DischargeBudget,
     Lemma,

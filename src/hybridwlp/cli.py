@@ -178,6 +178,7 @@ def cmd_verify(args) -> int:
         parser = _Parser(tokenize(args.dc))
         parser.vars, parser.consts = spec.vars, spec.consts
         cut = parser.parse_pred()
+        parser.expect_end()
         vspec, dc_obs = dc_split(spec.to_verify_spec(), cut)
         spec = replace(spec, program=vspec.program)
         extra = tuple(dc_obs)

@@ -19,17 +19,21 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .expr import (
     And,
     Cmp,
-    Expr,
     FalsePred,
     Not,
     Or,
     Pred,
     Sub,
+    TimeQuant,
     TruePred,
+    Var,
+    const as econst,
     eval_pred,
+    fresh_time_binders,
     negate_cmp,
     nnf,
     pred_free_names,
+    substitute_pred,
 )
 from .polynorm import (
     Mono,
@@ -42,13 +46,7 @@ from .polynorm import (
     solve_linear_system,
 )
 from .sampling import check_valuation, flatten_conj, sample_valuation
-from .vcgen import (
-    Obligation,
-    TimeQuant,
-    eval_pred_ext,
-    pred_free_names_ext,
-    substitute_pred_ext,
-)
+from .vcgen import Obligation, eval_pred_ext
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,6 @@ def _set_status(lemma: Lemma, status: str, trials: int, witness) -> Lemma:
 
 # ---------------------------------------------------------------------------
 # Canonical comparison forms
-
-
-def cmp_diff(c: Cmp) -> Expr:
-    return Sub(c.lhs, c.rhs)
 
 
 def canonical_cmp(c: Cmp) -> Optional[tuple]:
@@ -518,9 +512,14 @@ class _Goal:
 
 
 def _unfold_timequant(tq: TimeQuant, hyps: list) -> _Goal:
+    # the bound end time becomes a free name, so it must not clash with
+    # one the hypotheses already read
+    taken = set().union(*(pred_free_names(h) for h in hyps))
     t = tq.t_name
-    from .expr import Var, const as econst
-
+    body = tq.body
+    if t in taken:
+        t, _ = fresh_time_binders(taken | pred_free_names(tq), 2)
+        body = substitute_pred(body, {tq.t_name: Var(t)})
     extra: list[Pred] = []
     dom = tq.dom
     if dom.kind == "nonneg":
@@ -530,10 +529,11 @@ def _unfold_timequant(tq: TimeQuant, hyps: list) -> _Goal:
         extra.append(Cmp("<=", Var(t), econst(Fraction(dom.hi))))
     # sound instances of the prefix hypothesis: the guard at the endpoint,
     # and at time zero when the domain is forward-only
-    extra.append(substitute_pred_ext(tq.prefix, {tq.tau_name: Var(t)}))
+    at_end = {tq.t_name: Var(t), tq.tau_name: Var(t)}
+    extra.append(substitute_pred(tq.prefix, at_end))
     if not dom.includes_negative():
-        extra.append(substitute_pred_ext(tq.prefix, {tq.tau_name: econst(0)}))
-    return _Goal(hyps + extra, tq.body)
+        extra.append(substitute_pred(tq.prefix, {**at_end, tq.tau_name: econst(0)}))
+    return _Goal(hyps + extra, body)
 
 
 def _split_goals(hyps: list, concl: Pred) -> Optional[list]:
@@ -625,8 +625,8 @@ class _Prover:
             i, name, rest = binding
             expr = poly_to_expr(rest)
             del hyps[i]
-            hyps = [substitute_pred_ext(h, {name: expr}) for h in hyps]
-            concl = substitute_pred_ext(concl, {name: expr})
+            hyps = [substitute_pred(h, {name: expr}) for h in hyps]
+            concl = substitute_pred(concl, {name: expr})
         return hyps, concl
 
     def prove_contradiction(self, hyps: list) -> bool:
@@ -794,11 +794,9 @@ def _constant_truth(c: Cmp) -> Optional[bool]:
 def _refute(
     ob: Obligation, budget: DischargeBudget, ranges: Mapping[str, tuple] = {}
 ) -> Optional[dict]:
-    names: set = set()
-    for h in ob.hyps:
-        names |= pred_free_names_ext(h)
-    names |= pred_free_names_ext(ob.concl)
-    names = sorted(names)
+    names = sorted(
+        set().union(*(pred_free_names(h) for h in ob.hyps + (ob.concl,)))
+    )
     rng = random.Random(budget.seed)
 
     def concl_false(v) -> bool:

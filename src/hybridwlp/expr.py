@@ -380,6 +380,22 @@ class Not(Pred):
     arg: Pred
 
 
+@dataclass(frozen=True)
+class TimeQuant(Pred):
+    """For all t in dom: (for all tau in dom with tau <= t: prefix) -> body.
+
+    wlp emits one per evolution command.  prefix is a predicate in tau,
+    body a predicate in t; both already have the flow substituted for the
+    store variables.  dom is an hprog.TimeDomain.
+    """
+
+    t_name: str
+    tau_name: str
+    dom: object
+    prefix: Pred
+    body: Pred
+
+
 TRUE = TruePred()
 FALSE = FalsePred()
 
@@ -443,7 +459,19 @@ def nnf(p: Pred) -> Pred:
     raise TypeError(f"not a Pred node: {p!r}")
 
 
+def fresh_time_binders(avoid: set[str], k: int) -> tuple[str, str]:
+    """The first pair of the binder sequence t/tau, t2/tau2, ..., from the k-th
+    on, whose names are not in avoid."""
+    while True:
+        pair = ("t", "tau") if k == 1 else (f"t{k}", f"tau{k}")
+        if not avoid & set(pair):
+            return pair
+        k += 1
+
+
 def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
+    """Capture-avoiding simultaneous substitution: a TimeQuant shadows its
+    binders, and renames them apart when a substituted term mentions one."""
     if isinstance(p, (TruePred, FalsePred)):
         return p
     if isinstance(p, Cmp):
@@ -454,6 +482,18 @@ def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
         return Or(substitute_pred(p.lhs, binding), substitute_pred(p.rhs, binding))
     if isinstance(p, Not):
         return Not(substitute_pred(p.arg, binding))
+    if isinstance(p, TimeQuant):
+        bound = {p.t_name, p.tau_name}
+        inner = {k: e for k, e in binding.items() if k not in bound}
+        used = set().union(*(free_names(e) for e in inner.values()))
+        t_name, tau_name = p.t_name, p.tau_name
+        if used & bound:
+            t_name, tau_name = fresh_time_binders(used | pred_free_names(p), 2)
+            inner[p.t_name], inner[p.tau_name] = Var(t_name), Var(tau_name)
+        return TimeQuant(
+            t_name, tau_name, p.dom,
+            substitute_pred(p.prefix, inner), substitute_pred(p.body, inner),
+        )
     raise TypeError(f"not a Pred node: {p!r}")
 
 
@@ -490,18 +530,28 @@ def eval_pred(p: Pred, valuation: Mapping[str, float], eq_tol: float = 0.0) -> b
     raise TypeError(f"not a Pred node: {p!r}")
 
 
-def pred_atoms(p: Pred) -> Iterator[Cmp]:
-    if isinstance(p, Cmp):
-        yield p
-    elif isinstance(p, (And, Or)):
-        yield from pred_atoms(p.lhs)
-        yield from pred_atoms(p.rhs)
-    elif isinstance(p, Not):
-        yield from pred_atoms(p.arg)
-
-
 def pred_free_names(p: Pred) -> set[str]:
-    names: set[str] = set()
-    for atom in pred_atoms(p):
-        names |= free_names(atom.lhs) | free_names(atom.rhs)
-    return names
+    if isinstance(p, (TruePred, FalsePred)):
+        return set()
+    if isinstance(p, Cmp):
+        return free_names(p.lhs) | free_names(p.rhs)
+    if isinstance(p, (And, Or)):
+        return pred_free_names(p.lhs) | pred_free_names(p.rhs)
+    if isinstance(p, Not):
+        return pred_free_names(p.arg)
+    if isinstance(p, TimeQuant):
+        inner = pred_free_names(p.prefix) | pred_free_names(p.body)
+        return inner - {p.t_name, p.tau_name}
+    raise TypeError(f"not a Pred node: {p!r}")
+
+
+def pred_bound_names(p: Pred) -> set[str]:
+    """Every name a TimeQuant binds anywhere inside the predicate."""
+    if isinstance(p, (And, Or)):
+        return pred_bound_names(p.lhs) | pred_bound_names(p.rhs)
+    if isinstance(p, Not):
+        return pred_bound_names(p.arg)
+    if isinstance(p, TimeQuant):
+        inner = pred_bound_names(p.prefix) | pred_bound_names(p.body)
+        return inner | {p.t_name, p.tau_name}
+    return set()

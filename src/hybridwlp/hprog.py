@@ -288,7 +288,6 @@ class RunConfig:
     fuel: int = 12
     step: float = 0.1
     horizon: float = 6.0
-    seed: int = 0
     max_states: int = 4000
     eq_tol: float = 1e-6  # relative tolerance for = atoms along sampled runs
     consts: Mapping[str, float] = field(default_factory=dict)
@@ -478,15 +477,3 @@ def find_violation(
             return path
     return None
 
-
-def discrete_only(p: HybridProgram) -> bool:
-    """True when the program contains no evolution command."""
-    if isinstance(p, (Skip, Abort, Assign, Test)):
-        return True
-    if isinstance(p, (Seq, Choice)):
-        return all(discrete_only(q) for q in p.items)
-    if isinstance(p, IfThenElse):
-        return discrete_only(p.then) and discrete_only(p.els)
-    if isinstance(p, Loop):
-        return discrete_only(p.body)
-    return False

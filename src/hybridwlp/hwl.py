@@ -48,6 +48,7 @@ from .expr import (
     Sin,
     Sub,
     SymConst,
+    TimeQuant,
     TimeVar,
     TruePred,
     TRUE,
@@ -197,6 +198,11 @@ class _Parser:
             return True
         return False
 
+    def expect_end(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.error(f"unexpected trailing input {tok.text!r}")
+
     def ident(self, what: str = "identifier") -> str:
         tok = self.peek()
         if tok.kind != "id" or tok.text in KEYWORDS:
@@ -298,9 +304,7 @@ class _Parser:
                     break
             self.accept(";")
 
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.error(f"unexpected trailing input {tok.text!r}")
+        self.expect_end()
         return SpecFile(
             name=name,
             vars=self.vars,
@@ -646,8 +650,6 @@ _PRED_ATOM, _PRED_NOT, _PRED_AND, _PRED_OR = 4, 3, 2, 1
 
 
 def format_pred(p: Pred, prec: int = 0) -> str:
-    from .vcgen import TimeQuant
-
     if isinstance(p, TruePred):
         return "true"
     if isinstance(p, FalsePred):

@@ -53,6 +53,8 @@ from .discharge import DischargeBudget, LemmaDB, Verdict, discharge
 
 SUP_TOL_RK4 = 1e-6
 SUP_TOL_MONOID = 1e-9
+MONOID_SAMPLES = 200
+RK4_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +224,6 @@ def certify_flow(
     dom: TimeDomain,
     const_valuations: Optional[Sequence[Mapping[str, float]]] = None,
     seed: int = 0,
-    monoid_samples: int = 200,
-    rk4_step: float = 1e-3,
-    allow_likely_equal: bool = False,
 ) -> FlowCertificate:
     """Certify a flow against a vector field.
 
@@ -247,8 +246,6 @@ def certify_flow(
         res = expr_eq(lhs, rhs, seed=seed)
         if res.is_equal:
             checks[f"derivative[{v}]"] = CheckResult(True, "symbolic identity")
-        elif res.kind == "unknown" and res.note == "likely-equal" and allow_likely_equal:
-            checks[f"derivative[{v}]"] = CheckResult(True, "numeric agreement only (warning)")
         else:
             detail = "counterexample " + str(res.witness) if res.kind == "not-equal" else res.note
             checks[f"derivative[{v}]"] = CheckResult(False, detail)
@@ -282,7 +279,7 @@ def certify_flow(
     rng = random.Random(seed)
     if not refusal:
         residual = 0.0
-        for _ in range(monoid_samples):
+        for _ in range(MONOID_SAMPLES):
             cv = const_valuations[rng.randrange(len(const_valuations))]
             s = {v: rng.uniform(-2.0, 2.0) for v in names}
             if dom.effective_query().includes_negative():
@@ -308,10 +305,10 @@ def certify_flow(
         horizon = 1.0
         if dom.effective_query().kind == "interval":
             horizon = min(horizon, dom.effective_query().hi)
-        steps = max(1, int(round(horizon / rk4_step)))
+        steps = max(1, int(round(horizon / RK4_STEP)))
         for cv in const_valuations:
             s = {v: rng.uniform(-1.5, 1.5) for v in names}
-            traj, divergent = rk4_integrate(field, s, rk4_step, steps, cv)
+            traj, divergent = rk4_integrate(field, s, RK4_STEP, steps, cv)
             if divergent:
                 checks["rk4"] = CheckResult(False, "integrator diverged")
                 refusal = "rk4 cross-check failed"

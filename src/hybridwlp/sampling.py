@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .expr import (
     And,
@@ -27,6 +27,7 @@ from .expr import (
 from .polynorm import NormalizeError, normalize
 
 EQ_CHECK_TOL = 1e-7
+BASE_WIDTH = 10.0  # initial half-width of the sampling window
 
 
 def flatten_conj(preds) -> list[Pred]:
@@ -126,13 +127,10 @@ def sample_valuation(
     rng: random.Random,
     ranges: Mapping[str, tuple] = {},
     attempts: int = 300,
-    base_width: float = 10.0,
-    eval_constraints: Optional[Callable[[Mapping[str, float]], bool]] = None,
 ) -> Optional[dict]:
     """One valuation of the given names satisfying all hypotheses, or None.
 
-    ranges may pin per-name sampling intervals; eval_constraints, when
-    given, is an extra acceptance check on candidate valuations.
+    ranges may pin per-name sampling intervals.
     """
     flat = flatten_conj(hyps)
     if any(isinstance(h, FalsePred) for h in flat):
@@ -159,7 +157,7 @@ def sample_valuation(
         plan.append((diff, chosen, how))
 
     free = [n for n in names if n not in determined]
-    width = base_width
+    width = BASE_WIDTH
     for attempt in range(attempts):
         if attempt and attempt % 60 == 0 and width < 1e5:
             width *= 2.0
@@ -184,8 +182,6 @@ def sample_valuation(
         if not ok:
             continue
         if not check_valuation(flat, v):
-            continue
-        if eval_constraints is not None and not eval_constraints(v):
             continue
         return v
     return None

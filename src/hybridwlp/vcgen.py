@@ -3,9 +3,9 @@
 wlp returns a symbolic precondition plus side obligations.  Evolution
 commands with a certified flow produce a two-level quantified predicate
 (for all end times, if the guard held along the prefix then the
-postcondition holds at the end time), represented by the internal
-TimeQuant node; annotated commands return their invariant and defer the
-premises as obligations.
+postcondition holds at the end time), represented by expr.TimeQuant;
+annotated commands return their invariant and defer the premises as
+obligations.
 """
 
 from __future__ import annotations
@@ -14,18 +14,24 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .expr import (
+    TIME_NAME,
     And,
     Expr,
     Not,
     Or,
     Pred,
+    TimeQuant,
     TimeVar,
     TRUE,
     Var,
     eval_pred,
+    free_consts,
     free_names,
+    free_vars,
+    fresh_time_binders,
     implies,
     pred_and,
+    pred_bound_names,
     pred_free_names,
     substitute,
     substitute_pred,
@@ -46,21 +52,6 @@ from .hprog import (
     Test,
     TimeDomain,
 )
-
-
-@dataclass(frozen=True)
-class TimeQuant(Pred):
-    """For all t in dom: (for all tau in dom with tau <= t: prefix) -> body.
-
-    prefix is a predicate in tau, body a predicate in t; both already have
-    the flow substituted for the store variables.
-    """
-
-    t_name: str
-    tau_name: str
-    dom: TimeDomain
-    prefix: Pred
-    body: Pred
 
 
 @dataclass(frozen=True)
@@ -112,6 +103,8 @@ class VerifySpec:
         object.__setattr__(self, "consts", tuple(self.consts))
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
         declared = set(self.vars) | set(self.consts)
+        if TIME_NAME in declared:
+            raise ValueError(f"{TIME_NAME!r} is reserved for the time symbol")
         for label, pred in (("pre", self.pre), ("post", self.post)):
             extra = pred_free_names(pred) - declared
             if extra:
@@ -119,48 +112,7 @@ class VerifySpec:
 
 
 # ---------------------------------------------------------------------------
-# Extended predicate traversals (the base ones live in expr.py)
-
-
-def substitute_pred_ext(p: Pred, binding: Mapping[str, Expr]) -> Pred:
-    if isinstance(p, TimeQuant):
-        shadowed = {p.t_name, p.tau_name}
-        inner = {k: v for k, v in binding.items() if k not in shadowed}
-        return replace(
-            p,
-            prefix=substitute_pred_ext(p.prefix, inner),
-            body=substitute_pred_ext(p.body, inner),
-        )
-    if isinstance(p, And):
-        return And(substitute_pred_ext(p.lhs, binding), substitute_pred_ext(p.rhs, binding))
-    if isinstance(p, Or):
-        return Or(substitute_pred_ext(p.lhs, binding), substitute_pred_ext(p.rhs, binding))
-    if isinstance(p, Not):
-        return Not(substitute_pred_ext(p.arg, binding))
-    return substitute_pred(p, binding)
-
-
-def pred_free_names_ext(p: Pred) -> set:
-    if isinstance(p, TimeQuant):
-        inner = pred_free_names_ext(p.prefix) | pred_free_names_ext(p.body)
-        return inner - {p.t_name, p.tau_name}
-    if isinstance(p, (And, Or)):
-        return pred_free_names_ext(p.lhs) | pred_free_names_ext(p.rhs)
-    if isinstance(p, Not):
-        return pred_free_names_ext(p.arg)
-    return pred_free_names(p)
-
-
-def pred_time_quants(p: Pred):
-    if isinstance(p, TimeQuant):
-        yield p
-        yield from pred_time_quants(p.prefix)
-        yield from pred_time_quants(p.body)
-    elif isinstance(p, (And, Or)):
-        yield from pred_time_quants(p.lhs)
-        yield from pred_time_quants(p.rhs)
-    elif isinstance(p, Not):
-        yield from pred_time_quants(p.arg)
+# Grid evaluation
 
 
 def eval_pred_ext(
@@ -229,15 +181,17 @@ class _ProtoObligation:
 
 
 class _WlpPass:
-    def __init__(self):
+    def __init__(self, reserved=frozenset()):
         self.protos: list[_ProtoObligation] = []
         self.time_counter = 0
+        # declared names, which binders never take even where q does not read them
+        self.reserved = frozenset(reserved)
 
-    def fresh_times(self) -> tuple[str, str]:
-        self.time_counter += 1
-        if self.time_counter == 1:
-            return "t", "tau"
-        return f"t{self.time_counter}", f"tau{self.time_counter}"
+    def fresh_times(self, avoid: set) -> tuple[str, str]:
+        """Next pair of t/tau, t2/tau2, ... whose names are not in avoid."""
+        t_name, tau_name = fresh_time_binders(avoid, self.time_counter + 1)
+        self.time_counter = int(t_name[1:] or 1)
+        return t_name, tau_name
 
     def emit(self, hyps, concl, provenance, kind="arith", payload=None):
         self.protos.append(_ProtoObligation(tuple(hyps), concl, provenance, kind, payload))
@@ -248,7 +202,7 @@ class _WlpPass:
         if isinstance(p, Abort):
             return TRUE
         if isinstance(p, Assign):
-            return substitute_pred_ext(q, {p.var: p.expr})
+            return substitute_pred(q, {p.var: p.expr})
         if isinstance(p, Test):
             return implies(p.cond, q)
         if isinstance(p, Seq):
@@ -287,7 +241,12 @@ class _WlpPass:
         raise TypeError(f"not a HybridProgram node: {p!r}")
 
     def flow_wlp(self, flow: Flow, guard: Pred, dom: TimeDomain, q: Pred) -> Pred:
-        t_name, tau_name = self.fresh_times()
+        # the flow's time symbol is substituted away, so it need not be avoided
+        avoid = self.reserved | pred_free_names(q) | pred_free_names(guard)
+        avoid |= set(flow.components)
+        for e in flow.components.values():
+            avoid |= free_vars(e) | free_consts(e)
+        t_name, tau_name = self.fresh_times(avoid)
         u = dom.effective_query()
         at_t = {
             x: substitute(e, {"t": Var(t_name)}) for x, e in flow.components.items()
@@ -299,14 +258,17 @@ class _WlpPass:
             t_name=t_name,
             tau_name=tau_name,
             dom=u,
-            prefix=substitute_pred_ext(guard, at_tau),
-            body=substitute_pred_ext(q, at_t),
+            prefix=substitute_pred(guard, at_tau),
+            body=substitute_pred(q, at_t),
         )
 
 
 def wlp(p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:
     """Weakest liberal precondition of q under p, plus side obligations."""
-    run = _WlpPass()
+    return _run_wlp(_WlpPass(), p, q)
+
+
+def _run_wlp(run: _WlpPass, p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:
     pred = run.wlp(p, q, "program")
     obligations = [
         Obligation(
@@ -325,22 +287,15 @@ def wlp(p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:
 
 def _with_context(ob: Obligation, spec: VerifySpec, ident: str) -> Obligation:
     hyps = tuple(spec.assumptions) + ob.hyps
-    names = set()
-    for h in hyps:
-        names |= pred_free_names_ext(h)
-    names |= pred_free_names_ext(ob.concl)
-    time_names = set()
-    for h in list(hyps) + [ob.concl]:
-        for tq in pred_time_quants(h):
-            time_names.add(tq.t_name)
-            time_names.add(tq.tau_name)
+    time_names = set().union(*(pred_bound_names(h) for h in hyps + (ob.concl,)))
     quantified = list(spec.vars) + sorted(time_names)
     return replace(ob, id=ident, hyps=hyps, forall=tuple(quantified))
 
 
 def verify(spec: VerifySpec) -> list[Obligation]:
     """Generate all proof obligations; no discharge is attempted here."""
-    pred, side = wlp(spec.program, spec.post)
+    run = _WlpPass(set(spec.vars) | set(spec.consts))
+    pred, side = _run_wlp(run, spec.program, spec.post)
     main = Obligation(
         id="ob0",
         forall=(),

@@ -85,6 +85,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "dc-invariance" in out
 
+    def test_differential_cut_rejects_trailing_input(self, capsys):
+        code, _, err = run(
+            capsys, "verify", str(PROBLEMS / "pendulum.hwl"),
+            "--dc", "x*x + y*y >= 0 zzz ) (",
+        )
+        assert code == 2
+        assert "trailing input 'zzz'" in err
+
 
 class TestCertifyCommand:
     def test_pendulum_flow(self, capsys):

@@ -13,6 +13,8 @@ from hybridwlp.expr import (
     Or,
     Sin,
     SymConst,
+    TRUE,
+    TimeQuant,
     TimeVar,
     Var,
     const,
@@ -21,9 +23,12 @@ from hybridwlp.expr import (
     evaluate,
     lie_derivative,
     nnf,
+    pred_bound_names,
+    pred_free_names,
     substitute,
     substitute_pred,
 )
+from hybridwlp.hprog import NONNEG
 from hybridwlp.polynorm import expr_eq, normalize
 
 x, y, v = Var("x"), Var("y"), Var("v")
@@ -182,6 +187,51 @@ class TestSubstitute:
             lhs = evaluate(substitute(e, {"x": u}), valuation)
             rhs = evaluate(e, {**valuation, "x": evaluate(u, valuation)})
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+
+
+def _quant(t_name, tau_name, prefix, body):
+    return TimeQuant(t_name, tau_name, NONNEG, prefix, body)
+
+
+class TestTimeQuantBinders:
+    # for all t2 >= 0 (guard x + tau2 >= 0 on the prefix): y <= x + t2
+    TQ = _quant(
+        "t2", "tau2",
+        Cmp(">=", x + Var("tau2"), const(0)),
+        Cmp("<=", y, x + Var("t2")),
+    )
+
+    def test_free_names_exclude_binders(self):
+        assert pred_free_names(self.TQ) == {"x", "y"}
+        assert pred_bound_names(And(self.TQ, Cmp("=", x, y))) == {"t2", "tau2"}
+
+    def test_binder_shadows_substitution(self):
+        assert substitute_pred(self.TQ, {"t2": const(7), "tau2": const(7)}) == self.TQ
+
+    def test_substitution_without_capture_keeps_binders(self):
+        out = substitute_pred(self.TQ, {"y": Var("z")})
+        assert out == _quant(
+            "t2", "tau2", self.TQ.prefix, Cmp("<=", Var("z"), x + Var("t2"))
+        )
+
+    def test_captured_binders_are_renamed_apart(self):
+        # y := t2 must mean the free t2, not the bound end time
+        out = substitute_pred(self.TQ, {"y": Var("t2"), "x": Var("t3")})
+        assert (out.t_name, out.tau_name) == ("t4", "tau4")
+        assert out.prefix == Cmp(">=", Var("t3") + Var("tau4"), const(0))
+        assert out.body == Cmp("<=", Var("t2"), Var("t3") + Var("t4"))
+        assert pred_free_names(out) == {"t2", "t3"}
+
+    def test_renaming_reaches_nested_binders(self):
+        nested = _quant("t", "tau", TRUE, And(self.TQ, Cmp(">=", Var("t"), y)))
+        out = substitute_pred(nested, {"y": Var("t")})
+        # the outer binder becomes t2, so the inner t2 moves on to t3
+        inner = _quant(
+            "t3", "tau3",
+            Cmp(">=", x + Var("tau3"), const(0)),
+            Cmp("<=", Var("t"), x + Var("t3")),
+        )
+        assert out == _quant("t2", "tau2", TRUE, And(inner, Cmp(">=", Var("t2"), Var("t"))))
 
 
 class TestNnf:

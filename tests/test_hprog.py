@@ -18,7 +18,6 @@ from hybridwlp.hprog import (
     Test,
     TimeDomain,
     VectorField,
-    discrete_only,
     guarded_orbit_field,
     guarded_orbit_flow,
     run_sampled,
@@ -223,9 +222,3 @@ class TestRunSampled:
                 for st in run_sampled(prog, {"x": float(i)}, self.CFG).states
             }
             assert direct == set(composed.successors[i])
-
-    def test_discrete_only_detector(self):
-        assert discrete_only(Seq((Skip(), Assign("x", x + 1))))
-        assert not discrete_only(
-            Seq((Skip(), Evolve(BALL_FIELD, TRUE, NONNEG, flow=BALL_FLOW)))
-        )

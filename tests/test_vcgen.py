@@ -3,7 +3,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hybridwlp.cli import run_verify
+from hybridwlp.discharge import discharge
 from hybridwlp.expr import (
     And,
     Cmp,
@@ -35,7 +38,8 @@ from hybridwlp.hprog import (
     guarded_orbit_flow,
     run_sampled,
 )
-from hybridwlp.hwl import format_pred
+from hybridwlp.hwl import format_pred, parse_spec
+from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
     TimeQuant,
     VerifySpec,
@@ -367,14 +371,14 @@ def _walk(p):
 
 class TestObligationWellFormedness:
     def test_free_names_within_quantified_or_constants(self):
-        from hybridwlp.vcgen import pred_free_names_ext
+        from hybridwlp.expr import pred_free_names
 
         spec = ball_spec()
         for ob in verify(spec):
             names = set()
             for hh in ob.hyps:
-                names |= pred_free_names_ext(hh)
-            names |= pred_free_names_ext(ob.concl)
+                names |= pred_free_names(hh)
+            names |= pred_free_names(ob.concl)
             assert names <= set(ob.forall) | set(spec.consts)
 
 
@@ -423,3 +427,106 @@ class TestGridEvaluatorSemantics:
             body=Cmp("<=", Var("t"), const(2)),
         )
         assert not eval_pred_ext(tq, {}, step=0.5, horizon=6.0)
+
+
+# A user variable named like the binder of the second evolution command.
+CAPTURE_PROBE = """problem probe_binder_capture
+vars x t2
+pre x = 0 & t2 = -1
+post t2 >= 0
+program
+  evolve x' = 1 & true on [0,inf) flow x = x + t ;
+  evolve x' = 1 & true on [0,inf) flow x = x + t
+"""
+
+# (assign c := b first?, post, verdict of the main obligation).  The flow
+# moves only a, so b can share a name with a time binder: read by the post
+# (case 0), by the precondition only (case 1), or by an assignment made
+# after wlp chose the binders (case 2).
+HYGIENE_CASES = [
+    (False, lambda a, b, c: Cmp(">=", b, const(0)), "refuted"),
+    (False, lambda a, b, c: Cmp(">=", c, const(0)), "refuted"),
+    (True, lambda a, b, c: Cmp(">=", c, const(0)), "refuted"),
+    (False, lambda a, b, c: Cmp("<=", a, const(1)), "refuted"),
+    (False, lambda a, b, c: Cmp(">=", a, const(0)), "proved"),
+    (True, lambda a, b, c: Cmp("<=", c, const(0)), "proved"),
+]
+
+
+def _hygiene_spec(names, case):
+    """pre a = 0 & b = -1 & c = -1; [c := b;] twice evolve a' = 1 & a >= 0."""
+    assign, post, _ = HYGIENE_CASES[case]
+    a, b, c = (Var(n) for n in names)
+    ev = Evolve(
+        VectorField({names[0]: const(1)}), Cmp(">=", a, const(0)), NONNEG,
+        flow=Flow({names[0]: a + t}),
+    )
+    program = Seq(((Assign(names[2], b),) if assign else ()) + (ev, ev))
+    pre = And(Cmp("=", a, const(0)), And(Cmp("=", b, const(-1)), Cmp("=", c, const(-1))))
+    return VerifySpec(
+        name="hygiene", vars=names, pre=pre, post=post(a, b, c), program=program
+    )
+
+
+def _verdict_kinds(spec):
+    kinds = []
+    for ob in verify(spec):
+        if ob.kind == "arith":
+            kinds.append(discharge(ob).kind)
+        else:
+            ev = ob.payload
+            kinds.append("proved" if certify_flow(ev.field, ev.flow, ev.dom).issued else "unknown")
+    return kinds
+
+
+def _expected_kinds(case):
+    return [HYGIENE_CASES[case][2], "proved", "proved"]
+
+
+class TestBinderHygiene:
+    def test_capture_probe_refuted_and_falsified(self):
+        spec = parse_spec(CAPTURE_PROBE)
+        report = run_verify(spec)
+        assert report["summary"]["exit"] == 2
+        assert report["obligations"][0]["verdict"]["status"] == "refuted"
+        assert falsify(spec.to_verify_spec()) is not None
+
+    @pytest.mark.parametrize("names", [("a", "b", "c"), ("a", "t2", "c"), ("tau2", "t2", "tau")])
+    @pytest.mark.parametrize("case", range(len(HYGIENE_CASES)))
+    def test_binder_named_user_variables(self, case, names):
+        assert _verdict_kinds(_hygiene_spec(names, case)) == _expected_kinds(case)
+
+    def test_binders_avoid_declared_names(self):
+        # t2 is read only by the precondition, so the post alone would not
+        # keep the second evolution's binder off it
+        obs = verify(_hygiene_spec(("a", "t2", "c"), 1))
+        assert obs[0].forall == ("a", "t2", "c", "t", "t3", "tau", "tau3")
+        for ob in obs:
+            assert len(set(ob.forall)) == len(ob.forall)
+
+    @given(
+        st.sampled_from(range(len(HYGIENE_CASES))),
+        st.permutations(("x", "y", "t2", "t3", "t10", "tau", "tau2", "tau3")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_renaming_user_variables_keeps_verdicts(self, case, pool):
+        spec = _hygiene_spec(tuple(pool[:3]), case)
+        assert _verdict_kinds(spec) == _expected_kinds(case)
+
+    def test_time_symbol_reserved_in_api(self):
+        # Flow.at binds t to the time, so a store variable t would be
+        # silently replaced along every orbit
+        tv = Var("t")
+        with pytest.raises(ValueError, match="reserved"):
+            VerifySpec(
+                name="reserved",
+                vars=("x", "t"),
+                pre=And(Cmp("=", x, const(0)), Cmp("=", tv, const(5))),
+                post=Cmp("=", tv, const(5)),
+                program=Evolve(
+                    VectorField({"x": const(1), "t": const(0)}), TRUE, NONNEG,
+                    flow=Flow({"x": x + t, "t": tv}),
+                ),
+            )
+        with pytest.raises(ValueError, match="reserved"):
+            VerifySpec(name="reserved", vars=("x",), consts=("t",))
