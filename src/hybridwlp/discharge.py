@@ -3,9 +3,10 @@
 The pipeline, in order: syntactic match, equality-hypothesis substitution,
 polynomial-identity reduction (conclusion difference as an exact rational
 combination of hypothesis differences), Fourier-Motzkin elimination on the
-linear fragment, a square-nonnegativity rule with sign-directed
-multipliers, lemma lookup, then randomized refutation.  Unknown is an
-acceptable verdict; Proved and Refuted are both re-checkable.
+linear fragment, a square-nonnegativity rule with positive multipliers,
+lemma lookup, then randomized refutation.  Every method reads a comparison
+through `polynorm.atom_form`.  Unknown is an acceptable verdict; Proved and
+Refuted are both re-checkable.
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .expr import (
+    EVAL_FAILURES,
     And,
     Cmp,
     FalsePred,
     Not,
     Or,
     Pred,
-    Sub,
     TimeQuant,
     TruePred,
     Var,
@@ -36,11 +37,11 @@ from .expr import (
     substitute_pred,
 )
 from .polynorm import (
+    P_ONE,
     Mono,
     mono_key,
-    NormalizeError,
     Poly,
-    normalize,
+    atom_form,
     poly_to_expr,
     rational_combination,
     solve_linear_system,
@@ -75,13 +76,15 @@ class Verdict:
 class DischargeBudget:
     refute_trials: int = 60
     seed: int = 0
-    fm_max_eliminations: int = 6
-    fm_max_atoms: int = 400
     grid_step: float = 0.25
     grid_horizon: float = 8.0
-    # refutation treats = atoms with this relative tolerance, so float
-    # noise along sampled trajectories cannot masquerade as a violation
-    refute_eq_tol: float = 1e-6
+
+
+FM_MAX_ELIMINATIONS = 6
+FM_MAX_ATOMS = 400
+# refutation treats = atoms with this relative tolerance, so float
+# noise along sampled trajectories cannot masquerade as a violation
+REFUTE_EQ_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,9 @@ class LemmaDB:
 
 def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
     """Randomized validation: sample hypothesis-satisfying valuations and
-    look for a conclusion violation."""
+    look for a conclusion violation.  Only valuations at which the
+    conclusion evaluates count as trials; with none the lemma stays
+    inconclusive."""
     rng = random.Random(seed)
     names: set = set(pred_free_names(lemma.concl))
     for h in lemma.hyps:
@@ -122,12 +127,13 @@ def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
         v = sample_valuation(ordered, lemma.hyps, rng, attempts=20)
         if v is None:
             continue
-        found += 1
         try:
-            if not eval_pred(lemma.concl, v, eq_tol=1e-7):
-                return _set_status(lemma, "rejected", found, v)
-        except Exception:
+            holds = eval_pred(lemma.concl, v, eq_tol=1e-7)
+        except EVAL_FAILURES:
             continue
+        found += 1
+        if not holds:
+            return _set_status(lemma, "rejected", found, v)
     if found == 0:
         return _set_status(lemma, "inconclusive", 0, None)
     return _set_status(lemma, "accepted", found, None)
@@ -145,28 +151,20 @@ def _set_status(lemma: Lemma, status: str, trials: int, witness) -> Lemma:
 
 
 def canonical_cmp(c: Cmp) -> Optional[tuple]:
-    """Orient a comparison as (poly, relation-to-zero) with a stable sign.
+    """Key of a comparison's atom form, with (in)equations sign-normalized.
 
     Relations: ">=0", ">0", "=0", "!=0".  Returns None when normalization
     fails.
     """
-    try:
-        if c.op in ("<", "<="):
-            p = normalize(Sub(c.rhs, c.lhs)).poly
-            op = ">0" if c.op == "<" else ">=0"
-        elif c.op in (">", ">="):
-            p = normalize(Sub(c.lhs, c.rhs)).poly
-            op = ">0" if c.op == ">" else ">=0"
-        else:
-            p = normalize(Sub(c.lhs, c.rhs)).poly
-            op = "=0" if c.op == "=" else "!=0"
-    except NormalizeError:
+    form = atom_form(c)
+    if form is None:
         return None
-    if op in ("=0", "!=0") and p.terms:
+    p, rel = form
+    if rel in ("=", "!=") and p.terms:
         first = min(p.terms.items(), key=lambda it: mono_key(it[0]))
         if first[1] < 0:
             p = p.neg()
-    return (p.key(), op)
+    return (p.key(), rel + "0")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ class LinIneq:
         return Fraction(0)
 
 
-def _lin_from_poly(p: Poly, strict: bool, negated: bool = False) -> Optional[LinIneq]:
+def _lin_from_poly(p: Poly, strict: bool) -> Optional[LinIneq]:
     coeffs: dict[str, Fraction] = {}
     constant = Fraction(0)
     for mono, c in p.terms.items():
@@ -204,9 +202,6 @@ def _lin_from_poly(p: Poly, strict: bool, negated: bool = False) -> Optional[Lin
         if k != 1 or atom.kind not in ("var", "const", "time"):
             return None
         coeffs[atom.name] = coeffs.get(atom.name, Fraction(0)) + c
-    if negated:
-        coeffs = {n: -c for n, c in coeffs.items()}
-        constant = -constant
     return LinIneq(tuple(sorted(coeffs.items())), constant, strict)
 
 
@@ -215,23 +210,13 @@ def linearize(c: Cmp) -> Optional[list]:
 
     Equalities become two inequalities; disequalities have no linear form.
     """
-    try:
-        if c.op in ("<", "<="):
-            p = normalize(Sub(c.rhs, c.lhs)).poly
-            lin = _lin_from_poly(p, strict=(c.op == "<"))
-            return None if lin is None else [lin]
-        if c.op in (">", ">="):
-            p = normalize(Sub(c.lhs, c.rhs)).poly
-            lin = _lin_from_poly(p, strict=(c.op == ">"))
-            return None if lin is None else [lin]
-        if c.op == "=":
-            p = normalize(Sub(c.lhs, c.rhs)).poly
-            a = _lin_from_poly(p, strict=False)
-            b = _lin_from_poly(p, strict=False, negated=True)
-            return None if a is None or b is None else [a, b]
-    except NormalizeError:
+    form = atom_form(c)
+    if form is None or form[1] == "!=":
         return None
-    return None
+    p, rel = form
+    sides = [p, p.neg()] if rel == "=" else [p]
+    lins = [_lin_from_poly(q, strict=(rel == ">")) for q in sides]
+    return None if any(l is None for l in lins) else lins
 
 
 @dataclass(frozen=True)
@@ -240,18 +225,13 @@ class FMResult:
     witness: Mapping[str, Fraction] = field(default_factory=dict)
 
 
-def fourier_motzkin(
-    atoms: Sequence[LinIneq],
-    eliminate: Sequence[str],
-    max_eliminations: int = 6,
-    max_atoms: int = 400,
-) -> FMResult:
+def fourier_motzkin(atoms: Sequence[LinIneq], eliminate: Sequence[str]) -> FMResult:
     """Exact feasibility of a linear system by eliminating the given names.
 
     The caller interprets the result: an infeasible hypothesis-and-negated-
     conclusion system means the implication is valid.
     """
-    if len(eliminate) > max_eliminations:
+    if len(eliminate) > FM_MAX_ELIMINATIONS:
         return FMResult("too-large")
     system = list(dict.fromkeys(atoms))
     order = sorted(
@@ -287,7 +267,7 @@ def fourier_motzkin(
             )
             new.append(combined)
         system = list(dict.fromkeys(new))
-        if len(system) > max_atoms:
+        if len(system) > FM_MAX_ATOMS:
             return FMResult("too-large")
     # variable-free residue plus any names we were not asked to eliminate
     residual_names = set()
@@ -299,9 +279,7 @@ def fourier_motzkin(
         if all(_holds_at(a, {}) for a in system):
             witness_tail = {n: Fraction(0) for n in residual_names}
         else:
-            inner = fourier_motzkin(
-                system, sorted(residual_names), max_eliminations, max_atoms
-            )
+            inner = fourier_motzkin(system, sorted(residual_names))
             if inner.kind != "feasible":
                 return inner
             witness_tail = dict(inner.witness)
@@ -353,39 +331,36 @@ def _pick_between(lo_vals, up_vals) -> Optional[Fraction]:
     return (lo[0] + up[0]) / 2
 
 
-def fm_implication(
-    hyps: Iterable[Cmp], concl: Cmp, budget: DischargeBudget = DischargeBudget()
-) -> tuple[str, dict]:
+def _fm_feasibility(cmps: Sequence[Cmp]) -> Optional[FMResult]:
+    """Fourier-Motzkin on the linear forms of the atoms, eliminating every
+    name; `!=` atoms are dropped (sound for hypotheses).  None when an atom
+    is non-linear."""
+    atoms: list[LinIneq] = []
+    for c in cmps:
+        if c.op == "!=":
+            continue
+        lin = linearize(c)
+        if lin is None:
+            return None
+        atoms.extend(lin)
+    names = set().union(*(a.names() for a in atoms))
+    return fourier_motzkin(atoms, sorted(names))
+
+
+def fm_implication(hyps: Sequence[Cmp], concl: Cmp) -> tuple[str, dict]:
     """Validity of (and hyps) -> concl over the reals, linear fragment only.
 
     Returns ("valid"|"invalid"|"too-large"|"non-linear", witness).
     """
-    atoms: list[LinIneq] = []
-    for h in hyps:
-        if h.op == "!=":
-            continue  # sound to drop a hypothesis
-        lin = linearize(h)
-        if lin is None:
-            return ("non-linear", {})
-        atoms.extend(lin)
     if concl.op == "=":
         for side in (Cmp("<=", concl.lhs, concl.rhs), Cmp(">=", concl.lhs, concl.rhs)):
-            status, wit = fm_implication(hyps, side, budget)
+            status, wit = fm_implication(hyps, side)
             if status != "valid":
                 return (status, wit)
         return ("valid", {})
-    neg = negate_cmp(concl)
-    if neg.op == "!=":
+    res = _fm_feasibility([*hyps, negate_cmp(concl)])
+    if res is None:
         return ("non-linear", {})
-    neg_lin = linearize(neg)
-    if neg_lin is None:
-        return ("non-linear", {})
-    names = set()
-    for a in atoms + neg_lin:
-        names |= a.names()
-    res = fourier_motzkin(
-        atoms + neg_lin, sorted(names), budget.fm_max_eliminations, budget.fm_max_atoms
-    )
     if res.kind == "infeasible":
         return ("valid", {})
     if res.kind == "feasible":
@@ -420,23 +395,6 @@ def square_nonneg(p: Poly) -> bool:
     return not odd and all(c >= 0 for c in even.values())
 
 
-def _sign_multipliers(hyps: Sequence[Cmp]) -> list[tuple[Poly, int]]:
-    """Strict-sign facts usable as multipliers: (poly, +1 | -1)."""
-    from .polynorm import P_ONE
-
-    out = [(P_ONE, 1)]
-    for h in hyps:
-        if h.op not in ("<", ">"):
-            continue
-        try:
-            p = normalize(Sub(h.lhs, h.rhs)).poly
-        except NormalizeError:
-            continue
-        if len(p.terms) == 1:
-            out.append((p, -1 if h.op == "<" else 1))
-    return out
-
-
 def _reduce_to_even(q: Poly, eq_polys: Sequence[Poly]) -> Optional[Poly]:
     """q - sum(lam_i * h_i) with all odd monomials cancelled, if solvable."""
     odd_monos: set[Mono] = set()
@@ -465,38 +423,18 @@ def _reduce_to_even(q: Poly, eq_polys: Sequence[Poly]) -> Optional[Poly]:
 
 def square_rule(goal: Cmp, hyps: Sequence[Cmp]) -> bool:
     """Prove a nonstrict inequality via sums of even monomials, optionally
-    multiplying by a hypothesis of known strict sign."""
-    if goal.op in ("<=", "<", ">", ">="):
-        if goal.op in ("<=", "<"):
-            target = Sub(goal.rhs, goal.lhs)
-        else:
-            target = Sub(goal.lhs, goal.rhs)
-        strict = goal.op in ("<", ">")
-        if strict:
-            return False
-    else:
+    multiplying by a hypothesis of known positive sign."""
+    form = atom_form(goal)
+    if form is None or form[1] != ">=":
         return False
-    try:
-        p = normalize(target).poly  # want p >= 0
-    except NormalizeError:
-        return False
-    eq_polys = []
-    for h in hyps:
-        if h.op == "=":
-            try:
-                hp = normalize(Sub(h.lhs, h.rhs)).poly
-            except NormalizeError:
-                continue
-            if not hp.is_zero():
-                eq_polys.append(hp)
-    for mult, sign in _sign_multipliers(hyps):
-        q = p.mul(mult)
-        reduced = _reduce_to_even(q, eq_polys)
-        if reduced is None:
-            continue
-        if sign > 0 and all(c >= 0 for c in reduced.terms.values()):
-            return True
-        if sign < 0 and all(c <= 0 for c in reduced.terms.values()):
+    p = form[0]  # want p >= 0
+    forms = [f for f in map(atom_form, hyps) if f is not None]
+    eq_polys = [hp for hp, rel in forms if rel == "=" and not hp.is_zero()]
+    # multipliers: 1 and every single monomial that a hypothesis makes positive
+    mults = [P_ONE] + [hp for hp, rel in forms if rel == ">" and len(hp.terms) == 1]
+    for mult in mults:
+        reduced = _reduce_to_even(p.mul(mult), eq_polys)
+        if reduced is not None and all(c >= 0 for c in reduced.terms.values()):
             return True
     return False
 
@@ -557,9 +495,8 @@ def _split_goals(hyps: list, concl: Pred) -> Optional[list]:
 
 
 class _Prover:
-    def __init__(self, db: LemmaDB, budget: DischargeBudget):
+    def __init__(self, db: LemmaDB):
         self.db = db
-        self.budget = budget
         self.methods: list[str] = []
         self.failure: str = ""
 
@@ -611,11 +548,10 @@ class _Prover:
             for i, h in enumerate(hyps):
                 if not (isinstance(h, Cmp) and h.op == "="):
                     continue
-                try:
-                    p = normalize(Sub(h.lhs, h.rhs)).poly
-                except NormalizeError:
+                form = atom_form(h)
+                if form is None:
                     continue
-                solved = _solve_poly_for_name(p)
+                solved = _solve_poly_for_name(form[0])
                 if solved is not None:
                     name, rest = solved
                     binding = (i, name, rest)
@@ -630,22 +566,10 @@ class _Prover:
         return hyps, concl
 
     def prove_contradiction(self, hyps: list) -> bool:
-        atoms = [h for h in hyps if isinstance(h, Cmp)]
-        lin: list[LinIneq] = []
-        for a in atoms:
-            if a.op == "!=":
-                continue
-            l = linearize(a)
-            if l is None:
-                self.failure = "non-linear hypotheses for contradiction goal"
-                return False
-            lin.extend(l)
-        names = set()
-        for a in lin:
-            names |= a.names()
-        res = fourier_motzkin(
-            lin, sorted(names), self.budget.fm_max_eliminations, self.budget.fm_max_atoms
-        )
+        res = _fm_feasibility([h for h in hyps if isinstance(h, Cmp)])
+        if res is None:
+            self.failure = "non-linear hypotheses for contradiction goal"
+            return False
         if res.kind == "infeasible":
             self.methods.append("fourier-motzkin")
             return True
@@ -686,7 +610,7 @@ class _Prover:
             self.methods.append("poly-identity")
             return True
 
-        status, _ = fm_implication(atoms, concl, self.budget)
+        status, _ = fm_implication(atoms, concl)
         if status == "valid":
             self.methods.append("fourier-motzkin")
             return True
@@ -704,22 +628,14 @@ class _Prover:
         return False
 
     def _poly_identity(self, atoms: list, concl: Cmp) -> bool:
-        try:
-            target = normalize(Sub(concl.lhs, concl.rhs)).poly
-        except NormalizeError:
+        form = atom_form(concl)
+        if form is None:
             return False
+        target = form[0]
         if target.is_zero():
             return True
-        basis = []
-        for h in atoms:
-            if h.op != "=":
-                continue
-            try:
-                p = normalize(Sub(h.lhs, h.rhs)).poly
-            except NormalizeError:
-                continue
-            if not p.is_zero():
-                basis.append(p)
+        forms = [f for f in map(atom_form, atoms) if f is not None]
+        basis = [p for p, rel in forms if rel == "=" and not p.is_zero()]
         if not basis:
             return False
         return rational_combination(target, basis) is not None
@@ -770,21 +686,11 @@ def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:
 
 
 def _constant_truth(c: Cmp) -> Optional[bool]:
-    try:
-        p = normalize(Sub(c.lhs, c.rhs)).poly
-    except NormalizeError:
-        return None
-    val = p.constant_value()
+    form = atom_form(c)
+    val = None if form is None else form[0].constant_value()
     if val is None:
         return None
-    return {
-        "=": val == 0,
-        "!=": val != 0,
-        "<": val < 0,
-        "<=": val <= 0,
-        ">": val > 0,
-        ">=": val >= 0,
-    }[c.op]
+    return {"=": val == 0, "!=": val != 0, ">": val > 0, ">=": val >= 0}[form[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +709,9 @@ def _refute(
         try:
             return not eval_pred_ext(
                 ob.concl, v, step=budget.grid_step, horizon=budget.grid_horizon,
-                eq_tol=budget.refute_eq_tol,
+                eq_tol=REFUTE_EQ_TOL,
             )
-        except Exception:
+        except EVAL_FAILURES:
             return False
 
     flat_hyps = flatten_conj(ob.hyps)
@@ -831,7 +737,7 @@ def discharge(
     if ob.kind != "arith":
         raise ValueError(f"discharge expects arithmetic obligations, got {ob.kind!r}")
     db = db or LemmaDB()
-    prover = _Prover(db, budget)
+    prover = _Prover(db)
     if prover.prove(list(ob.hyps), ob.concl):
         seen = list(dict.fromkeys(prover.methods)) or ["trivial"]
         return Verdict("proved", method="+".join(seen))

@@ -25,6 +25,11 @@ class EvalError(Exception):
         self.subterm = subterm
 
 
+# What evaluate can raise at a valuation: EvalError, OverflowError from a
+# float power, ValueError from a math domain error (sin of an infinity).
+EVAL_FAILURES = (EvalError, OverflowError, ValueError)
+
+
 def _as_expr(x) -> "Expr":
     if isinstance(x, Expr):
         return x

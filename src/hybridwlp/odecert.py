@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .expr import (
+    EVAL_FAILURES,
     And,
     Cmp,
     Expr,
@@ -159,7 +160,7 @@ def lipschitz_estimate(
         try:
             f1, f2 = apply(s1), apply(s2)
             df = max(abs(f1[v] - f2[v]) for v in names)
-        except Exception:
+        except EVAL_FAILURES:
             continue
         best = max(best, df / dx)
     return LipschitzEstimate(best, "sampled")

@@ -25,6 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from .expr import (
     Add,
+    Cmp,
     Const,
     Cos,
     Div,
@@ -323,6 +324,23 @@ def _norm(e: Expr) -> tuple[Poly, bool]:
             return pn.mul(inv), on or od
         return poly_atom(Atom("div", args=(pn, pd))), True
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+_ATOM_REL = {"<": ">", "<=": ">=", ">": ">", ">=": ">=", "=": "=", "!=": "!="}
+
+
+def atom_form(c: Cmp) -> Optional[tuple[Poly, str]]:
+    """A comparison as (p, rel), read "p rel 0" with rel in >=, >, =, !=.
+
+    `<` and `<=` read as rhs - lhs, every other operator as lhs - rhs; the
+    sign of an (in)equation is left as written.  None when normalization
+    fails.
+    """
+    diff = Sub(c.rhs, c.lhs) if c.op in ("<", "<=") else Sub(c.lhs, c.rhs)
+    try:
+        return normalize(diff).poly, _ATOM_REL[c.op]
+    except NormalizeError:
+        return None
 
 
 def atom_to_expr(atom: Atom) -> Expr:

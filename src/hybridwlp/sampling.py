@@ -24,7 +24,7 @@ from .expr import (
     evaluate,
     pred_free_names,
 )
-from .polynorm import NormalizeError, normalize
+from .polynorm import Poly, atom_form
 
 EQ_CHECK_TOL = 1e-7
 BASE_WIDTH = 10.0  # initial half-width of the sampling window
@@ -46,16 +46,14 @@ def flatten_conj(preds) -> list[Pred]:
     return out
 
 
-def _linear_in(cmp_diff, name: str) -> bool:
-    try:
-        nf = normalize(cmp_diff)
-    except NormalizeError:
+def _linear_in(form: Optional[tuple[Poly, str]], name: str) -> bool:
+    if form is None:
         return False
-    deg = nf.poly.degree_in(name)
-    if deg != 1:
+    poly = form[0]
+    if poly.degree_in(name) != 1:
         return False
     # reject powers hiding inside transcendental or opaque atoms
-    for atom in nf.poly.atoms():
+    for atom in poly.atoms():
         if atom.kind in ("sin", "cos", "exp", "div"):
             inner = set()
             for arg in atom.args:
@@ -142,19 +140,19 @@ def sample_valuation(
     plan = []
     determined: set[str] = set()
     for eq in eqs:
-        diff = Sub(eq.lhs, eq.rhs)
         eq_names = sorted(pred_free_names(eq) & set(names))
         candidates = [n for n in eq_names if n not in determined]
         if not candidates:
             others.append(eq)
             continue
-        linear = [n for n in candidates if _linear_in(diff, n)]
+        form = atom_form(eq)
+        linear = [n for n in candidates if _linear_in(form, n)]
         if linear:
             chosen, how = linear[-1], "linear"
         else:
             chosen, how = candidates[-1], "bisect"
         determined.add(chosen)
-        plan.append((diff, chosen, how))
+        plan.append((Sub(eq.lhs, eq.rhs), chosen, how))
 
     free = [n for n in names if n not in determined]
     width = BASE_WIDTH

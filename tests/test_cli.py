@@ -56,6 +56,25 @@ class TestVerifyCommand:
         assert code == 2
         jsonschema.validate(json.loads(out), SCHEMA)
 
+    def test_unevaluable_lemma_proves_nothing(self, capsys, tmp_path):
+        from hybridwlp.cli import run_verify
+        from hybridwlp.hwl import parse_spec
+
+        text = (
+            "problem lemma_probe\nvars x\npre x >= 0\n"
+            "post exp(exp(exp(x) + 10)) <= 0\nprogram skip\n"
+            "lemma bad: x >= 0 => exp(exp(exp(x) + 10)) <= 0\n"
+        )
+        report = run_verify(parse_spec(text))
+        assert report["lemmas"] == [{"name": "bad", "status": "inconclusive", "trials": 0}]
+        assert [o["verdict"]["status"] for o in report["obligations"]] == ["unknown"]
+        assert report["summary"]["exit"] == 1
+        f = tmp_path / "lemma_probe.hwl"
+        f.write_text(text)
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 1
+        assert "lemma:bad" not in out
+
     def test_deterministic_given_seed(self, capsys):
         args = ("verify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json", "--seed", "5")
         code1, out1, _ = run(capsys, *args)

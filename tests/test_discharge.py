@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hybridwlp.expr import (
     And,
     Cmp,
     Cos,
+    Exp,
     Or,
     Not,
     Sin,
@@ -297,6 +299,27 @@ class TestValidateLemma:
         db = LemmaDB()
         db.add(Lemma("raw", (), Cmp("=", const(0), const(0))))
         assert db.usable() == []
+
+    def test_unevaluable_conclusion_is_not_accepted(self):
+        # exp(exp(exp(x) + 10)) overflows at every sample, and exp is
+        # positive anyway: no trial may count in the lemma's favour
+        concl = Cmp("<=", Exp(Exp(Exp(x) + 10)), const(0))
+        lem = validate_lemma(Lemma("bad", (Cmp(">=", x, const(0)),), concl), trials=200)
+        assert (lem.status, lem.trials) == ("inconclusive", 0)
+        db = LemmaDB([lem])
+        vd = discharge(arith([Cmp(">=", x, const(0))], concl, forall=("x",)), db)
+        assert vd.kind == "unknown"
+
+    def test_non_arithmetic_error_propagates(self, monkeypatch):
+        # the package's `discharge` function shadows the module's name
+        dmod = importlib.import_module("hybridwlp.discharge")
+
+        def broken(*args, **kwargs):
+            raise TypeError("not an evaluation failure")
+
+        monkeypatch.setattr(dmod, "eval_pred", broken)
+        with pytest.raises(TypeError):
+            validate_lemma(Lemma("sq", (), Cmp(">=", x * x, const(0))), trials=5)
 
 
 class TestCanonicalCmp:

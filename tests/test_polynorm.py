@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridwlp.expr import (
+    Cmp,
     Cos,
     Div,
     EvalError,
@@ -14,14 +15,19 @@ from hybridwlp.expr import (
     SymConst,
     TimeVar,
     Var,
+    compare,
     const,
+    eval_pred,
     evaluate,
     free_names,
+    swap_cmp,
 )
 from hybridwlp.polynorm import (
     NormalizeError,
+    atom_form,
     expr_eq,
     normalize,
+    poly_to_expr,
     rational_combination,
     solve_linear_system,
 )
@@ -174,3 +180,66 @@ class TestLinearAlgebra:
         hyp = normalize(x + y).poly
         target = normalize(x * y).poly
         assert rational_combination(target, [hyp]) is None
+
+
+OPS = ("<", "<=", ">", ">=", "=", "!=")
+
+
+def _random_side(rng: random.Random):
+    """A random polynomial in x, v and the constant c, as an expression."""
+    out = const(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+    for _ in range(rng.randint(0, 3)):
+        term = const(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+        for base in (x, v, c):
+            k = rng.randint(0, 2)
+            if k:
+                term = term * base ** k
+        out = out + term
+    return out
+
+
+class TestAtomForm:
+    @pytest.mark.parametrize("op, diff, rel", [
+        ("<", const(1) - x, ">"),
+        ("<=", const(1) - x, ">="),
+        (">", x - const(1), ">"),
+        (">=", x - const(1), ">="),
+        ("=", x - const(1), "="),
+        ("!=", x - const(1), "!="),
+    ])
+    def test_orientation_table(self, op, diff, rel):
+        assert atom_form(Cmp(op, x, const(1))) == (normalize(diff).poly, rel)
+
+    def test_normalization_failure_is_none(self):
+        assert atom_form(Cmp("<", x / (x - x), const(0))) is None
+
+    def test_equations_keep_their_sign(self):
+        p, _ = atom_form(Cmp("=", x, const(1)))
+        q, _ = atom_form(Cmp("=", const(1), x))
+        assert q == p.neg()
+
+    def test_swapped_comparison_same_form(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            cmp = Cmp(rng.choice(OPS), _random_side(rng), _random_side(rng))
+            p, rel = atom_form(cmp)
+            q, rel_swapped = atom_form(swap_cmp(cmp))
+            assert rel_swapped == rel
+            # orderings give the very same polynomial; (in)equations read
+            # lhs - rhs, so swapping their sides flips its sign
+            assert q == (p.neg() if rel in ("=", "!=") else p)
+
+    def test_form_agrees_with_evaluation(self):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(300):
+            cmp = Cmp(rng.choice(OPS), _random_side(rng), _random_side(rng))
+            p, rel = atom_form(cmp)
+            expr = poly_to_expr(p)
+            for _ in range(4):
+                val = {n: rng.uniform(-3, 3) for n in ("x", "v", "c")}
+                value = evaluate(expr, val)
+                if abs(value) > 1e-9:
+                    assert compare(rel, value, 0.0) == eval_pred(cmp, val)
+                    checked += 1
+        assert checked > 1000
