@@ -8,9 +8,10 @@ Predicates are boolean trees over comparisons of expressions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 TIME_NAME = "t"
 
@@ -204,45 +205,118 @@ def free_names(e: Expr) -> set[str]:
     return names
 
 
-def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
-    """Evaluate recursively; unbound names and division by zero raise EvalError."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, (SymConst, Var)):
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+#
+# Each node compiles once into a closure over its children's closures; the
+# closure is cached in the node's instance __dict__ (under its own key for
+# expressions and for predicates), which is not a dataclass field, so ==,
+# hash and repr do not see it.  The closures perform the float
+# operations of a left-to-right tree walk, in the same order.  Children are
+# compiled through map, so compiling takes one Python frame per tree level,
+# as evaluating does.  A child that is not a node compiles to a closure that
+# raises TypeError when it is reached.
+
+_EXPR_FN, _PRED_FN = "_expr_fn", "_pred_fn"
+
+
+def compile_expr(e: Expr) -> Callable[[Mapping[str, float]], float]:
+    """f(valuation) -> float for e; unbound names, division by zero and exp
+    overflow raise EvalError, a float power may raise OverflowError and a
+    math domain error ValueError."""
+    try:
+        return e.__dict__[_EXPR_FN]
+    except (KeyError, AttributeError):
+        pass
+    build = _EXPR_COMPILERS.get(type(e))
+    if build is None:
+        return _not_a_node(e, "an Expr")
+    fn = build(e, *map(compile_expr, children(e)))
+    e.__dict__[_EXPR_FN] = fn
+    return fn
+
+
+def _not_a_node(x, kind: str):
+    def fn(*_):
+        raise TypeError(f"not {kind} node: {x!r}")
+    return fn
+
+
+def _compile_const(e: Const):
+    value = float(e.value)
+    return lambda v: value
+
+
+def _compile_name(e: Expr):
+    name = e.name
+
+    def fn(v):
         try:
-            return float(valuation[e.name])
+            return float(v[name])
         except KeyError:
-            raise EvalError(f"unbound name {e.name!r}", e) from None
-    if isinstance(e, TimeVar):
+            raise EvalError(f"unbound name {name!r}", e) from None
+    return fn
+
+
+def _compile_time(e: TimeVar):
+    def fn(v):
         try:
-            return float(valuation[TIME_NAME])
+            return float(v[TIME_NAME])
         except KeyError:
             raise EvalError("unbound time symbol 't'", e) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, valuation)
-    if isinstance(e, Add):
-        return evaluate(e.lhs, valuation) + evaluate(e.rhs, valuation)
-    if isinstance(e, Sub):
-        return evaluate(e.lhs, valuation) - evaluate(e.rhs, valuation)
-    if isinstance(e, Mul):
-        return evaluate(e.lhs, valuation) * evaluate(e.rhs, valuation)
-    if isinstance(e, Div):
-        den = evaluate(e.den, valuation)
-        if den == 0.0:
+    return fn
+
+
+def _compile_div(e: Div, num, den):
+    def fn(v):
+        d = den(v)
+        if d == 0.0:
             raise EvalError("division by zero", e)
-        return evaluate(e.num, valuation) / den
-    if isinstance(e, Pow):
-        return evaluate(e.base, valuation) ** e.exp
-    if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, valuation))
-    if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, valuation))
-    if isinstance(e, Exp):
+        return num(v) / d
+    return fn
+
+
+def _compile_exp(e: Exp, a):
+    exp = math.exp
+
+    def fn(v):
         try:
-            return math.exp(evaluate(e.arg, valuation))
+            return exp(a(v))
         except OverflowError:
             raise EvalError("exp overflow", e) from None
-    raise TypeError(f"not an Expr node: {e!r}")
+    return fn
+
+
+def _compile_pow(e: Pow, a):
+    n = e.exp
+    return lambda v: a(v) ** n
+
+
+def _compile_unary(f):
+    return lambda e, a: lambda v: f(a(v))
+
+
+_EXPR_COMPILERS = {
+    Const: _compile_const,
+    SymConst: _compile_name,
+    Var: _compile_name,
+    TimeVar: _compile_time,
+    Neg: lambda e, a: lambda v: -a(v),
+    Add: lambda e, a, b: lambda v: a(v) + b(v),
+    Sub: lambda e, a, b: lambda v: a(v) - b(v),
+    Mul: lambda e, a, b: lambda v: a(v) * b(v),
+    Div: _compile_div,
+    Pow: _compile_pow,
+    Sin: _compile_unary(math.sin),
+    Cos: _compile_unary(math.cos),
+    Exp: _compile_exp,
+}
+
+
+def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
+    """Evaluate at a valuation through e's compiled closure; unbound names
+    and division by zero raise EvalError."""
+    return compile_expr(e)(valuation)
 
 
 def is_zero_const(e: Expr) -> bool:
@@ -502,37 +576,69 @@ def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
     raise TypeError(f"not a Pred node: {p!r}")
 
 
+def _eq(a: float, b: float, eq_tol: float) -> bool:
+    return abs(a - b) <= eq_tol * (1.0 + max(abs(a), abs(b)))
+
+
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def compare(op: str, a: float, b: float, eq_tol: float = 0.0) -> bool:
     if op == "=":
-        return abs(a - b) <= eq_tol * (1.0 + max(abs(a), abs(b)))
+        return _eq(a, b, eq_tol)
     if op == "!=":
-        return not compare("=", a, b, eq_tol)
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
+        return not _eq(a, b, eq_tol)
+    if op in _ORDER:
+        return _ORDER[op](a, b)
     raise ValueError(f"unknown comparison operator {op!r}")
+
+
+def compile_pred(p: Pred) -> Callable[[Mapping[str, float], float], bool]:
+    """f(valuation, eq_tol) -> bool for p; And and Or short-circuit, and a
+    TimeQuant raises TypeError when it is reached."""
+    try:
+        return p.__dict__[_PRED_FN]
+    except (KeyError, AttributeError):
+        pass
+    build = _PRED_COMPILERS.get(type(p))
+    if build is None:
+        return _not_a_node(p, "a Pred")
+    fn = build(p, *map(compile_pred, _subpreds(p)))
+    p.__dict__[_PRED_FN] = fn
+    return fn
+
+
+def _subpreds(p: Pred) -> tuple:
+    if isinstance(p, (And, Or)):
+        return (p.lhs, p.rhs)
+    if isinstance(p, Not):
+        return (p.arg,)
+    return ()
+
+
+def _compile_cmp(p: Cmp):
+    a, b = compile_expr(p.lhs), compile_expr(p.rhs)
+    if p.op == "=":
+        return lambda v, eq_tol: _eq(a(v), b(v), eq_tol)
+    if p.op == "!=":
+        return lambda v, eq_tol: not _eq(a(v), b(v), eq_tol)
+    rel = _ORDER[p.op]
+    return lambda v, eq_tol: rel(a(v), b(v))
+
+
+_PRED_COMPILERS = {
+    TruePred: lambda p: lambda v, eq_tol: True,
+    FalsePred: lambda p: lambda v, eq_tol: False,
+    Cmp: _compile_cmp,
+    And: lambda p, a, b: lambda v, eq_tol: a(v, eq_tol) and b(v, eq_tol),
+    Or: lambda p, a, b: lambda v, eq_tol: a(v, eq_tol) or b(v, eq_tol),
+    Not: lambda p, a: lambda v, eq_tol: not a(v, eq_tol),
+}
 
 
 def eval_pred(p: Pred, valuation: Mapping[str, float], eq_tol: float = 0.0) -> bool:
     """Evaluate a predicate; equality is exact unless eq_tol is given."""
-    if isinstance(p, TruePred):
-        return True
-    if isinstance(p, FalsePred):
-        return False
-    if isinstance(p, Cmp):
-        return compare(p.op, evaluate(p.lhs, valuation), evaluate(p.rhs, valuation), eq_tol)
-    if isinstance(p, And):
-        return eval_pred(p.lhs, valuation, eq_tol) and eval_pred(p.rhs, valuation, eq_tol)
-    if isinstance(p, Or):
-        return eval_pred(p.lhs, valuation, eq_tol) or eval_pred(p.rhs, valuation, eq_tol)
-    if isinstance(p, Not):
-        return not eval_pred(p.arg, valuation, eq_tol)
-    raise TypeError(f"not a Pred node: {p!r}")
+    return compile_pred(p)(valuation, eq_tol)
 
 
 def pred_free_names(p: Pred) -> set[str]:

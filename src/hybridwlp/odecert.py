@@ -290,7 +290,7 @@ def certify_flow(
             try:
                 one_shot = flow.at(t1 + t2, s, cv)
                 two_step = flow.at(t1, flow.at(t2, s, cv), cv)
-            except Exception as exc:
+            except EVAL_FAILURES as exc:
                 checks["monoid"] = CheckResult(False, f"evaluation failed: {exc}")
                 refusal = refusal or "monoid-action check failed"
                 break

@@ -29,7 +29,7 @@ from .expr import (
     Const,
     Cos,
     Div,
-    EvalError,
+    EVAL_FAILURES,
     Exp,
     Expr,
     Mul,
@@ -435,7 +435,7 @@ def expr_eq(
         try:
             fa = evaluate(a, v)
             fb = evaluate(b, v)
-        except (EvalError, OverflowError):
+        except EVAL_FAILURES:
             continue
         if abs(fa - fb) > rel_tol * max(1.0, abs(fa), abs(fb)):
             return EqResult("not-equal", witness=v)

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from .expr import (
     And,
     Cmp,
-    EvalError,
+    EVAL_FAILURES,
     FalsePred,
     Pred,
     Sub,
@@ -69,7 +69,7 @@ def _solve_linear(cmp_diff, name: str, valuation: dict) -> Optional[float]:
     try:
         f0 = evaluate(cmp_diff, {**valuation, name: 0.0})
         f1 = evaluate(cmp_diff, {**valuation, name: 1.0})
-    except (EvalError, OverflowError):
+    except EVAL_FAILURES:
         return None
     a = f1 - f0
     if abs(a) < 1e-12:
@@ -81,7 +81,7 @@ def _solve_bisect(cmp_diff, name: str, valuation: dict, width: float) -> Optiona
     def residual(x: float) -> Optional[float]:
         try:
             return evaluate(cmp_diff, {**valuation, name: x})
-        except (EvalError, OverflowError):
+        except EVAL_FAILURES:
             return None
 
     pts = [width * (k / 12.0) for k in range(-12, 13)]
@@ -115,8 +115,56 @@ def check_valuation(hyps: Sequence[Pred], valuation: Mapping[str, float],
                     eq_tol: float = EQ_CHECK_TOL) -> bool:
     try:
         return all(eval_pred(h, valuation, eq_tol) for h in hyps)
-    except (EvalError, OverflowError):
+    except EVAL_FAILURES:
         return False
+
+
+# Plans of the latest hypothesis sets, keyed by the names and the identities
+# of the hypotheses: a key is as cheap to build for a 15,000-node obligation
+# as for one atom, and each entry holds its hypotheses, so no key's
+# identities can be reused while the entry lives.
+_PLANS: dict = {}
+_PLANS_KEPT = 32
+
+
+def _plan(names: tuple, hyps: tuple) -> Optional[tuple]:
+    """(flat, plan, free) for sampling names under hyps, built once per
+    hypothesis set, or None when a conjunct is false."""
+    key = (names, tuple(map(id, hyps)))
+    entry = _PLANS.get(key)
+    if entry is None:
+        if len(_PLANS) >= _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+        entry = _PLANS[key] = (hyps, _build_plan(names, hyps))
+    return entry[1]
+
+
+def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:
+    """flat lists the conjuncts, plan solves one determined name per
+    equation in turn, and the free names are drawn."""
+    flat = flatten_conj(hyps)
+    if any(isinstance(h, FalsePred) for h in flat):
+        return None
+    plan = []
+    determined: set[str] = set()
+    for eq in flat:
+        if not (isinstance(eq, Cmp) and eq.op == "="):
+            continue
+        candidates = [n for n in sorted(pred_free_names(eq) & set(names))
+                      if n not in determined]
+        if not candidates:
+            continue
+        form = atom_form(eq)
+        linear = [n for n in candidates if _linear_in(form, n)]
+        if linear:
+            chosen, how = linear[-1], "linear"
+        else:
+            chosen, how = candidates[-1], "bisect"
+        determined.add(chosen)
+        # one Sub node per equation, so its compiled closure serves every sample
+        plan.append((Sub(eq.lhs, eq.rhs), chosen, how))
+    free = tuple(n for n in names if n not in determined)
+    return tuple(flat), tuple(plan), free
 
 
 def sample_valuation(
@@ -130,31 +178,10 @@ def sample_valuation(
 
     ranges may pin per-name sampling intervals.
     """
-    flat = flatten_conj(hyps)
-    if any(isinstance(h, FalsePred) for h in flat):
+    planned = _plan(tuple(names), tuple(hyps))
+    if planned is None:
         return None
-    eqs = [h for h in flat if isinstance(h, Cmp) and h.op == "="]
-    others = [h for h in flat if h not in eqs]
-
-    # assign one determined name per equality constraint
-    plan = []
-    determined: set[str] = set()
-    for eq in eqs:
-        eq_names = sorted(pred_free_names(eq) & set(names))
-        candidates = [n for n in eq_names if n not in determined]
-        if not candidates:
-            others.append(eq)
-            continue
-        form = atom_form(eq)
-        linear = [n for n in candidates if _linear_in(form, n)]
-        if linear:
-            chosen, how = linear[-1], "linear"
-        else:
-            chosen, how = candidates[-1], "bisect"
-        determined.add(chosen)
-        plan.append((Sub(eq.lhs, eq.rhs), chosen, how))
-
-    free = [n for n in names if n not in determined]
+    flat, plan, free = planned
     width = BASE_WIDTH
     for attempt in range(attempts):
         if attempt and attempt % 60 == 0 and width < 1e5:

@@ -175,6 +175,17 @@ class TestFalsifyCommand:
         doc = json.loads(out)
         assert doc["counterexample"]["violating"]
 
+    def test_math_domain_error_is_no_counterexample(self, capsys, tmp_path):
+        path = tmp_path / "domain_probe.hwl"
+        path.write_text(
+            "problem domain_probe\nvars x\nconsts c in [400, 500]\n"
+            "assume sin(exp(c)*exp(c)) <= 2\npre x = 0\npost x >= 0\n"
+            "program x := x + 1\n"
+        )
+        code, out, _ = run(capsys, "falsify", str(path))
+        assert code == 0
+        assert "no counterexample" in out
+
 
 class TestLawsCommand:
     def test_exhaustive_default_pass(self, capsys):

@@ -1,22 +1,38 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridwlp import expr as expr_module, sampling
 from hybridwlp.expr import (
+    CMP_OPS,
+    FALSE,
+    Add,
     And,
     Cmp,
+    Const,
     Cos,
+    Div,
     EvalError,
     Exp,
+    FalsePred,
+    Mul,
+    Neg,
     Not,
     Or,
+    Pow,
     Sin,
+    Sub,
     SymConst,
     TRUE,
     TimeQuant,
     TimeVar,
+    TruePred,
     Var,
+    compare,
+    compile_expr,
     const,
     diff,
     eval_pred,
@@ -27,9 +43,10 @@ from hybridwlp.expr import (
     pred_free_names,
     substitute,
     substitute_pred,
+    subterms,
 )
 from hybridwlp.hprog import NONNEG
-from hybridwlp.polynorm import expr_eq, normalize
+from hybridwlp.polynorm import atom_form, expr_eq, normalize
 
 x, y, v = Var("x"), Var("y"), Var("v")
 t = TimeVar()
@@ -284,3 +301,232 @@ class TestLieAgainstTrajectory:
                 mid = traj[1][1]
                 symbolic = evaluate(lie, {**consts, **mid})
                 assert abs(symbolic - numeric) <= 1e-4 * (1 + abs(symbolic))
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against a reference tree walk
+
+
+def _ref_evaluate(e, val):
+    """The tree-walking evaluator the compiled kernel must agree with."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, (SymConst, Var)):
+        try:
+            return float(val[e.name])
+        except KeyError:
+            raise EvalError(f"unbound name {e.name!r}", e) from None
+    if isinstance(e, TimeVar):
+        try:
+            return float(val["t"])
+        except KeyError:
+            raise EvalError("unbound time symbol 't'", e) from None
+    if isinstance(e, Neg):
+        return -_ref_evaluate(e.arg, val)
+    if isinstance(e, Add):
+        return _ref_evaluate(e.lhs, val) + _ref_evaluate(e.rhs, val)
+    if isinstance(e, Sub):
+        return _ref_evaluate(e.lhs, val) - _ref_evaluate(e.rhs, val)
+    if isinstance(e, Mul):
+        return _ref_evaluate(e.lhs, val) * _ref_evaluate(e.rhs, val)
+    if isinstance(e, Div):
+        den = _ref_evaluate(e.den, val)
+        if den == 0.0:
+            raise EvalError("division by zero", e)
+        return _ref_evaluate(e.num, val) / den
+    if isinstance(e, Pow):
+        return _ref_evaluate(e.base, val) ** e.exp
+    if isinstance(e, Sin):
+        return math.sin(_ref_evaluate(e.arg, val))
+    if isinstance(e, Cos):
+        return math.cos(_ref_evaluate(e.arg, val))
+    if isinstance(e, Exp):
+        try:
+            return math.exp(_ref_evaluate(e.arg, val))
+        except OverflowError:
+            raise EvalError("exp overflow", e) from None
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _ref_eval_pred(p, val, eq_tol):
+    if isinstance(p, TruePred):
+        return True
+    if isinstance(p, FalsePred):
+        return False
+    if isinstance(p, Cmp):
+        return compare(p.op, _ref_evaluate(p.lhs, val), _ref_evaluate(p.rhs, val), eq_tol)
+    if isinstance(p, And):
+        return _ref_eval_pred(p.lhs, val, eq_tol) and _ref_eval_pred(p.rhs, val, eq_tol)
+    if isinstance(p, Or):
+        return _ref_eval_pred(p.lhs, val, eq_tol) or _ref_eval_pred(p.rhs, val, eq_tol)
+    if isinstance(p, Not):
+        return not _ref_eval_pred(p.arg, val, eq_tol)
+    raise TypeError(f"not a Pred node: {p!r}")
+
+
+_NAMES = ("x", "y", "g")
+_LEAVES = ("const", "var", "symconst", "time")
+_INNER = ("neg", "add", "sub", "mul", "div", "pow", "sin", "cos", "exp")
+
+
+def _random_expr(rng, depth):
+    kind = rng.choice(_LEAVES if depth == 0 else _LEAVES + _INNER + _INNER)
+    if kind == "const":
+        return const(Fraction(rng.randint(-400, 400), rng.randint(1, 4)))
+    if kind == "var":
+        return Var(rng.choice(_NAMES[:2]))
+    if kind == "symconst":
+        return SymConst("g")
+    if kind == "time":
+        return t
+    d = depth - 1
+    if kind == "neg":
+        return Neg(_random_expr(rng, d))
+    if kind in ("add", "sub", "mul"):
+        return {"add": Add, "sub": Sub, "mul": Mul}[kind](_random_expr(rng, d), _random_expr(rng, d))
+    if kind == "div":
+        den = _random_expr(rng, d)
+        while isinstance(den, Const) and den.value == 0:
+            den = _random_expr(rng, d)
+        return Div(_random_expr(rng, d), den)
+    if kind == "pow":
+        return Pow(_random_expr(rng, d), rng.randint(0, 40))
+    return {"sin": Sin, "cos": Cos, "exp": Exp}[kind](_random_expr(rng, d))
+
+
+def _random_pred(rng, depth):
+    kind = rng.choice(("cmp", "cmp", "true", "false") if depth == 0
+                      else ("cmp", "and", "or", "not"))
+    if kind == "true":
+        return TRUE
+    if kind == "false":
+        return FALSE
+    if kind == "cmp":
+        return Cmp(rng.choice(CMP_OPS), _random_expr(rng, 2), _random_expr(rng, 2))
+    if kind == "not":
+        return Not(_random_pred(rng, depth - 1))
+    return (And if kind == "and" else Or)(
+        _random_pred(rng, depth - 1), _random_pred(rng, depth - 1))
+
+
+def _random_valuation(rng):
+    val = {}
+    for name in _NAMES + ("t",):
+        roll = rng.random()
+        if roll < 0.1:
+            continue  # unbound
+        if roll < 0.2:
+            val[name] = 0
+        elif roll < 0.3:
+            val[name] = rng.choice((1e300, -1e300, 750.0))
+        else:
+            val[name] = rng.uniform(-3.0, 3.0)
+    return val
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (EvalError, OverflowError, ValueError, TypeError) as exc:
+        return "raise", exc
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "value":
+        a, b = got[1], want[1]
+        assert a == b or (math.isnan(a) and math.isnan(b)), (a, b)
+        return
+    a, b = got[1], want[1]
+    assert type(a) is type(b) and str(a) == str(b), (a, b)
+    if isinstance(b, EvalError):
+        assert a.subterm is b.subterm
+
+
+class TestCompiledEvaluation:
+    def test_matches_reference_walk_on_random_trees(self):
+        rng = random.Random(4)
+        kinds, raised = set(), set()
+        for _ in range(400):
+            e = _random_expr(rng, rng.randint(0, 5))
+            kinds |= {type(s) for s in subterms(e)}
+            for _ in range(6):
+                val = _random_valuation(rng)
+                got = _outcome(evaluate, e, val)
+                _assert_same(got, _outcome(_ref_evaluate, e, val))
+                if got[0] == "raise":
+                    raised.add(type(got[1]))
+        assert len(kinds) == 13  # every Expr node type was exercised
+        assert raised == {EvalError, OverflowError, ValueError}
+
+    def test_predicates_match_reference_walk(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            p = _random_pred(rng, rng.randint(0, 3))
+            for _ in range(4):
+                val = _random_valuation(rng)
+                tol = rng.choice((0.0, 1e-7, 0.5))
+                _assert_same(_outcome(eval_pred, p, val, tol),
+                             _outcome(_ref_eval_pred, p, val, tol))
+
+    def test_and_short_circuits(self):
+        p = And(Cmp("<", x, const(0)), Cmp(">", const(1) / x, const(0)))
+        assert eval_pred(p, {"x": 0.0}) is False
+
+    def test_or_short_circuits(self):
+        p = Or(Cmp(">=", x, const(0)), Cmp(">", const(1) / x, const(0)))
+        assert eval_pred(p, {"x": 0.0}) is True
+
+    def test_time_quant_is_a_type_error(self):
+        q = TimeQuant("t", "tau", NONNEG, TRUE, Cmp(">=", x, const(0)))
+        with pytest.raises(TypeError, match="not a Pred node"):
+            eval_pred(q, {"x": 1.0})
+        # reached only when the walk gets there, as before
+        assert eval_pred(And(FALSE, q), {}) is False
+
+    def test_non_node_is_a_type_error_when_reached(self):
+        with pytest.raises(TypeError, match="not an Expr node: 5"):
+            evaluate(Add(x, 5), {"x": 1.0})
+        with pytest.raises(EvalError):  # the walk fails on x before reaching 5
+            evaluate(Add(x, 5), {})
+        with pytest.raises(TypeError, match="not a Pred node"):
+            eval_pred(And(TRUE, x), {"x": 1.0})
+
+    def test_each_node_compiles_once(self, monkeypatch):
+        calls = []
+        add = expr_module._EXPR_COMPILERS[Add]
+
+        def counting(*args):
+            calls.append(args[0])
+            return add(*args)
+
+        monkeypatch.setitem(expr_module._EXPR_COMPILERS, Add, counting)
+        e = x + y
+        assert evaluate(e, {"x": 1.0, "y": 2.0}) == 3.0
+        assert evaluate(e, {"x": 3.0, "y": 4.0}) == 7.0
+        assert calls == [e]
+        assert compile_expr(e) is compile_expr(e)
+
+    def test_compiled_node_equals_fresh_node(self):
+        a, b = Cmp("<=", x * x, y + const(1)), Cmp("<=", x * x, y + const(1))
+        eval_pred(a, {"x": 1.0, "y": 1.0})
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.lhs == b.lhs and hash(a.lhs) == hash(b.lhs)
+
+
+class TestSamplingPlan:
+    def test_atom_form_runs_once_per_equation(self, monkeypatch):
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return atom_form(c)
+
+        monkeypatch.setattr(sampling, "atom_form", counting)
+        sampling._PLANS.clear()
+        hyps = [Cmp("=", y, x * const(2) + const(1)), Cmp(">=", x, const(0)),
+                Cmp("=", g, x * x)]
+        rng = random.Random(0)
+        found = [sampling.sample_valuation(["g", "x", "y"], hyps, rng) for _ in range(100)]
+        assert all(v is not None for v in found)
+        assert len(calls) == 2

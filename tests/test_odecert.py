@@ -7,6 +7,7 @@ from hybridwlp.expr import (
     And,
     Cmp,
     Cos,
+    EvalError,
     Sin,
     SymConst,
     TimeVar,
@@ -27,6 +28,7 @@ from hybridwlp.hprog import (
     TimeDomain,
     VectorField,
 )
+from hybridwlp.hwl import parse_spec
 from hybridwlp.odecert import (
     FalsifyBudget,
     certify_flow,
@@ -45,6 +47,14 @@ BALL_FIELD = VectorField({"x": v, "v": g})
 BALL_FLOW = Flow({"x": g * t ** 2 / const(2) + v * t + x, "v": g * t + v})
 PEND_FIELD = VectorField({"x": y, "y": -x})
 PEND_FLOW = Flow({"x": x * Cos(t) + y * Sin(t), "y": y * Cos(t) - x * Sin(t)})
+DOMAIN_PROBE = """problem domain_probe
+vars x
+consts c in [400, 500]
+assume sin(exp(c)*exp(c)) <= 2
+pre x = 0
+post x >= 0
+program x := x + 1
+"""
 
 
 class TestRk4:
@@ -183,6 +193,24 @@ class TestCertifyFlow:
         with pytest.raises(ValueError):
             certify_flow(BALL_FIELD, Flow({"x": x}), NONNEG)
 
+    def test_monoid_evaluation_failure_refuses(self, monkeypatch):
+        def failing(self, t, s, consts):
+            raise EvalError("unbound name 'q'")
+
+        monkeypatch.setattr(Flow, "at", failing)
+        cert = certify_flow(BALL_FIELD, BALL_FLOW, NONNEG, const_valuations=[{"g": -1.0}])
+        assert not cert.issued
+        assert cert.refusal == "monoid-action check failed"
+        assert cert.checks["monoid"].detail == "evaluation failed: unbound name 'q'"
+
+    def test_monoid_programming_error_propagates(self, monkeypatch):
+        def broken(self, t, s, consts):
+            raise TypeError("not an evaluation failure")
+
+        monkeypatch.setattr(Flow, "at", broken)
+        with pytest.raises(TypeError, match="not an evaluation failure"):
+            certify_flow(BALL_FIELD, BALL_FLOW, NONNEG, const_valuations=[{"g": -1.0}])
+
 
 class TestDiffInvariant:
     def test_ball_energy_equality(self):
@@ -308,6 +336,12 @@ class TestFalsify:
             name="void", vars=("x",), pre=FALSE, post=Cmp("=", x, x), program=Skip()
         )
         assert falsify(spec, FalsifyBudget(trials=20)) is None
+
+    def test_math_domain_error_rejects_the_start(self):
+        # exp(c)*exp(c) overflows to inf and sin(inf) is a math domain
+        # error: no start satisfies the assumption, so there is no witness
+        spec = parse_spec(DOMAIN_PROBE).to_verify_spec()
+        assert falsify(spec, FalsifyBudget(trials=40)) is None
 
     def test_deterministic_given_seed(self):
         a = falsify(_ball_mutant_spec(), FalsifyBudget(trials=40, seed=3))
