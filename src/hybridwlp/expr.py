@@ -8,7 +8,6 @@ Predicates are boolean trees over comparisons of expressions.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Union
@@ -243,7 +242,12 @@ def _not_a_node(x, kind: str):
 
 
 def _compile_const(e: Const):
-    value = float(e.value)
+    try:
+        value = float(e.value)
+    except OverflowError:
+        # out of float range: raise when reached, as the tree walk does
+        big = e.value
+        return lambda v: float(big)
     return lambda v: value
 
 
@@ -580,17 +584,21 @@ def _eq(a: float, b: float, eq_tol: float) -> bool:
     return abs(a - b) <= eq_tol * (1.0 + max(abs(a), abs(b)))
 
 
-_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# op -> rel(a, b, eq_tol), read by compare and by compiled comparisons
+_REL = {
+    "=": _eq,
+    "!=": lambda a, b, eq_tol: not _eq(a, b, eq_tol),
+    "<": lambda a, b, eq_tol: a < b,
+    "<=": lambda a, b, eq_tol: a <= b,
+    ">": lambda a, b, eq_tol: a > b,
+    ">=": lambda a, b, eq_tol: a >= b,
+}
 
 
 def compare(op: str, a: float, b: float, eq_tol: float = 0.0) -> bool:
-    if op == "=":
-        return _eq(a, b, eq_tol)
-    if op == "!=":
-        return not _eq(a, b, eq_tol)
-    if op in _ORDER:
-        return _ORDER[op](a, b)
-    raise ValueError(f"unknown comparison operator {op!r}")
+    if op not in _REL:
+        raise ValueError(f"unknown comparison operator {op!r}")
+    return _REL[op](a, b, eq_tol)
 
 
 def compile_pred(p: Pred) -> Callable[[Mapping[str, float], float], bool]:
@@ -617,13 +625,8 @@ def _subpreds(p: Pred) -> tuple:
 
 
 def _compile_cmp(p: Cmp):
-    a, b = compile_expr(p.lhs), compile_expr(p.rhs)
-    if p.op == "=":
-        return lambda v, eq_tol: _eq(a(v), b(v), eq_tol)
-    if p.op == "!=":
-        return lambda v, eq_tol: not _eq(a(v), b(v), eq_tol)
-    rel = _ORDER[p.op]
-    return lambda v, eq_tol: rel(a(v), b(v))
+    a, b, rel = compile_expr(p.lhs), compile_expr(p.rhs), _REL[p.op]
+    return lambda v, eq_tol: rel(a(v), b(v), eq_tol)
 
 
 _PRED_COMPILERS = {

@@ -119,24 +119,22 @@ def check_valuation(hyps: Sequence[Pred], valuation: Mapping[str, float],
         return False
 
 
-# Plans of the latest hypothesis sets, keyed by the names and the identities
-# of the hypotheses: a key is as cheap to build for a 15,000-node obligation
-# as for one atom, and each entry holds its hypotheses, so no key's
-# identities can be reused while the entry lives.
-_PLANS: dict = {}
-_PLANS_KEPT = 32
+# The plan of the latest hypothesis set, after the key it was built for: the
+# names and the identities of the hypotheses.  A key is as cheap to build for
+# a 15,000-node obligation as for one atom, and the entry holds its
+# hypotheses, so no key's identities can be reused while it is kept.  Every
+# caller samples one set in a loop, so one entry serves it.
+_last_plan: tuple = (None, (), None)
 
 
 def _plan(names: tuple, hyps: tuple) -> Optional[tuple]:
     """(flat, plan, free) for sampling names under hyps, built once per
     hypothesis set, or None when a conjunct is false."""
+    global _last_plan
     key = (names, tuple(map(id, hyps)))
-    entry = _PLANS.get(key)
-    if entry is None:
-        if len(_PLANS) >= _PLANS_KEPT:
-            del _PLANS[next(iter(_PLANS))]
-        entry = _PLANS[key] = (hyps, _build_plan(names, hyps))
-    return entry[1]
+    if _last_plan[0] != key:
+        _last_plan = (key, hyps, _build_plan(names, hyps))
+    return _last_plan[2]
 
 
 def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:

@@ -348,13 +348,29 @@ def _ref_evaluate(e, val):
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+def _ref_compare(op, a, b, eq_tol):
+    if op == "=":
+        return abs(a - b) <= eq_tol * (1.0 + max(abs(a), abs(b)))
+    if op == "!=":
+        return not _ref_compare("=", a, b, eq_tol)
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    if op == ">=":
+        return a >= b
+    raise ValueError(f"unknown comparison operator {op!r}")
+
+
 def _ref_eval_pred(p, val, eq_tol):
     if isinstance(p, TruePred):
         return True
     if isinstance(p, FalsePred):
         return False
     if isinstance(p, Cmp):
-        return compare(p.op, _ref_evaluate(p.lhs, val), _ref_evaluate(p.rhs, val), eq_tol)
+        return _ref_compare(p.op, _ref_evaluate(p.lhs, val), _ref_evaluate(p.rhs, val), eq_tol)
     if isinstance(p, And):
         return _ref_eval_pred(p.lhs, val, eq_tol) and _ref_eval_pred(p.rhs, val, eq_tol)
     if isinstance(p, Or):
@@ -372,7 +388,10 @@ _INNER = ("neg", "add", "sub", "mul", "div", "pow", "sin", "cos", "exp")
 def _random_expr(rng, depth):
     kind = rng.choice(_LEAVES if depth == 0 else _LEAVES + _INNER + _INNER)
     if kind == "const":
-        return const(Fraction(rng.randint(-400, 400), rng.randint(1, 4)))
+        value = Fraction(rng.randint(-400, 400), rng.randint(1, 4))
+        if rng.random() < 0.02:
+            value *= 10 ** 400  # out of float range
+        return const(value)
     if kind == "var":
         return Var(rng.choice(_NAMES[:2]))
     if kind == "symconst":
@@ -469,6 +488,27 @@ class TestCompiledEvaluation:
                 _assert_same(_outcome(eval_pred, p, val, tol),
                              _outcome(_ref_eval_pred, p, val, tol))
 
+    def test_compare_matches_reference(self):
+        values = (-2.0, 0.0, 1e-9, 1.0, 1.0 + 1e-8, math.inf, math.nan)
+        for op in CMP_OPS:
+            for a in values:
+                for b in values:
+                    for tol in (0.0, 1e-7):
+                        assert compare(op, a, b, tol) == _ref_compare(op, a, b, tol)
+        with pytest.raises(ValueError, match="unknown comparison operator"):
+            compare("<>", 1.0, 2.0)
+
+    def test_out_of_range_constant_raises_when_reached(self):
+        huge = const(10 ** 400)
+        p = Or(Cmp("<=", x, const(0)), Cmp(">=", x, huge))
+        assert eval_pred(p, {"x": -1.0}) is True
+        with pytest.raises(OverflowError):
+            eval_pred(p, {"x": 1.0})
+        with pytest.raises(EvalError, match="unbound name 'x'") as info:
+            evaluate(x + huge, {})
+        assert info.value.subterm is x
+        assert compile_expr(huge) is compile_expr(huge)
+
     def test_and_short_circuits(self):
         p = And(Cmp("<", x, const(0)), Cmp(">", const(1) / x, const(0)))
         assert eval_pred(p, {"x": 0.0}) is False
@@ -523,7 +563,6 @@ class TestSamplingPlan:
             return atom_form(c)
 
         monkeypatch.setattr(sampling, "atom_form", counting)
-        sampling._PLANS.clear()
         hyps = [Cmp("=", y, x * const(2) + const(1)), Cmp(">=", x, const(0)),
                 Cmp("=", g, x * x)]
         rng = random.Random(0)
