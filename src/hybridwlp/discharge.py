@@ -662,12 +662,14 @@ class _Prover:
 
 
 def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:
-    """Pick the last name whose occurrences are exactly one linear monomial
-    with a rational coefficient; return (name, solved right-hand side)."""
+    """Pick the last variable (or the time symbol) whose occurrences are
+    exactly one linear monomial with a rational coefficient; return (name,
+    solved right-hand side).  A symbolic constant is never picked, because
+    substitution does not replace it."""
     occurrences: dict[str, list] = {}
     for mono, c in p.terms.items():
         for atom, k in mono:
-            if atom.kind in ("var", "const", "time"):
+            if atom.kind in ("var", "time"):
                 occurrences.setdefault(atom.name, []).append((mono, k, c))
             else:
                 for arg in atom.args:

@@ -8,6 +8,7 @@ Predicates are boolean trees over comparisons of expressions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Union
@@ -198,10 +199,43 @@ def uses_time(e: Expr) -> bool:
 
 def free_names(e: Expr) -> set[str]:
     """All names the expression reads, with the time symbol under ``t``."""
-    names = free_vars(e) | free_consts(e)
-    if uses_time(e):
-        names.add(TIME_NAME)
+    return set(_names(e))
+
+
+# Each node caches the frozenset of names it reads in its instance __dict__
+# (under its own key for expressions and for predicates), beside its
+# compiled closure and outside ==, hash and repr.  A composite node reuses a
+# child's set when that child reads every name, so a spine of nodes over one
+# subtree holds one set.  Like compiling, computing a set takes one Python
+# frame per tree level.
+
+_NAMES, _PRED_NAMES = "_names", "_pred_names"
+
+
+def _names(e: Expr) -> frozenset:
+    try:
+        return e.__dict__[_NAMES]
+    except (KeyError, AttributeError):
+        pass
+    if isinstance(e, (Var, SymConst)):
+        names = frozenset((e.name,))
+    elif isinstance(e, TimeVar):
+        names = frozenset((TIME_NAME,))
+    else:
+        names = frozenset()
+        for c in children(e):
+            names = _merged(names, _names(c))
+    e.__dict__[_NAMES] = names
     return names
+
+
+def _merged(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing a or b when it holds the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +396,42 @@ def diff(e: Expr, wrt: str) -> Expr:
 
 
 def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
-    """Simultaneous substitution of variables (and ``t``) by expressions."""
-    if isinstance(e, Var):
-        return binding.get(e.name, e)
-    if isinstance(e, TimeVar):
-        return binding.get(TIME_NAME, e)
-    if isinstance(e, (Const, SymConst)):
+    """Simultaneous substitution of variables (and ``t``) by expressions.
+
+    Sharing is kept: a node in which no key of the binding is free comes
+    back as itself, only the spine above a replaced name is rebuilt, and a
+    node shared within e is substituted once, so its result is shared too.
+    """
+    return _subst(e, binding, {})
+
+
+def _subst(e: Expr, binding: Mapping[str, Expr], memo: dict) -> Expr:
+    # one Python frame per tree level (no comprehension), so a tree deep
+    # enough to reach the recursion limit here would reach it when compiled
+    if binding.keys().isdisjoint(_names(e)):
         return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, binding))
-    if isinstance(e, Add):
-        return Add(substitute(e.lhs, binding), substitute(e.rhs, binding))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.lhs, binding), substitute(e.rhs, binding))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.lhs, binding), substitute(e.rhs, binding))
-    if isinstance(e, Div):
-        return Div(substitute(e.num, binding), substitute(e.den, binding))
+    if isinstance(e, Var):
+        return binding[e.name]
+    if isinstance(e, TimeVar):
+        return binding[TIME_NAME]
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    kids = children(e)
+    new = []
+    for c in kids:
+        new.append(_subst(c, binding, memo))
+    out = e if all(map(operator.is_, new, kids)) else _rebuild(e, new)
+    memo[id(e)] = out
+    return out
+
+
+def _rebuild(e: Expr, kids: list) -> Expr:
+    """A node of e's type over new children; Div still rejects a constant
+    zero denominator."""
     if isinstance(e, Pow):
-        return Pow(substitute(e.base, binding), e.exp)
-    if isinstance(e, Sin):
-        return Sin(substitute(e.arg, binding))
-    if isinstance(e, Cos):
-        return Cos(substitute(e.arg, binding))
-    if isinstance(e, Exp):
-        return Exp(substitute(e.arg, binding))
-    raise TypeError(f"not an Expr node: {e!r}")
+        return Pow(kids[0], e.exp)
+    return type(e)(*kids)
 
 
 def lie_derivative(mu: Expr, field: Mapping[str, Expr]) -> Expr:
@@ -554,30 +598,44 @@ def fresh_time_binders(avoid: set[str], k: int) -> tuple[str, str]:
 
 def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
     """Capture-avoiding simultaneous substitution: a TimeQuant shadows its
-    binders, and renames them apart when a substituted term mentions one."""
-    if isinstance(p, (TruePred, FalsePred)):
+    binders, and renames them apart when a substituted term mentions one.
+    Sharing is kept as by substitute; a TimeQuant in which no key of the
+    binding is free comes back as itself, binders and all."""
+    return _subst_pred(p, binding, {})
+
+
+def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:
+    if binding.keys().isdisjoint(_pred_names(p)):
         return p
+    out = memo.get(id(p))
+    if out is not None:
+        return out
     if isinstance(p, Cmp):
-        return Cmp(p.op, substitute(p.lhs, binding), substitute(p.rhs, binding))
-    if isinstance(p, And):
-        return And(substitute_pred(p.lhs, binding), substitute_pred(p.rhs, binding))
-    if isinstance(p, Or):
-        return Or(substitute_pred(p.lhs, binding), substitute_pred(p.rhs, binding))
-    if isinstance(p, Not):
-        return Not(substitute_pred(p.arg, binding))
-    if isinstance(p, TimeQuant):
+        lhs, rhs = _subst(p.lhs, binding, memo), _subst(p.rhs, binding, memo)
+        out = p if lhs is p.lhs and rhs is p.rhs else Cmp(p.op, lhs, rhs)
+    elif isinstance(p, TimeQuant):
         bound = {p.t_name, p.tau_name}
         inner = {k: e for k, e in binding.items() if k not in bound}
-        used = set().union(*(free_names(e) for e in inner.values()))
+        used = frozenset().union(*map(_names, inner.values()))
         t_name, tau_name = p.t_name, p.tau_name
-        if used & bound:
-            t_name, tau_name = fresh_time_binders(used | pred_free_names(p), 2)
+        if not used.isdisjoint(bound):
+            t_name, tau_name = fresh_time_binders(used | _pred_names(p), 2)
             inner[p.t_name], inner[p.tau_name] = Var(t_name), Var(tau_name)
-        return TimeQuant(
-            t_name, tau_name, p.dom,
-            substitute_pred(p.prefix, inner), substitute_pred(p.body, inner),
-        )
-    raise TypeError(f"not a Pred node: {p!r}")
+        inner_memo: dict = {}  # the binding differs under the binders
+        prefix = _subst_pred(p.prefix, inner, inner_memo)
+        body = _subst_pred(p.body, inner, inner_memo)
+        if t_name == p.t_name and prefix is p.prefix and body is p.body:
+            out = p
+        else:
+            out = TimeQuant(t_name, tau_name, p.dom, prefix, body)
+    else:
+        kids = _subpreds(p)
+        new = []
+        for c in kids:
+            new.append(_subst_pred(c, binding, memo))
+        out = p if all(map(operator.is_, new, kids)) else type(p)(*new)
+    memo[id(p)] = out
+    return out
 
 
 def _eq(a: float, b: float, eq_tol: float) -> bool:
@@ -645,18 +703,28 @@ def eval_pred(p: Pred, valuation: Mapping[str, float], eq_tol: float = 0.0) -> b
 
 
 def pred_free_names(p: Pred) -> set[str]:
-    if isinstance(p, (TruePred, FalsePred)):
-        return set()
+    return set(_pred_names(p))
+
+
+def _pred_names(p: Pred) -> frozenset:
+    """The free names of p, cached on each node as _names caches them."""
+    try:
+        return p.__dict__[_PRED_NAMES]
+    except (KeyError, AttributeError):
+        pass
     if isinstance(p, Cmp):
-        return free_names(p.lhs) | free_names(p.rhs)
-    if isinstance(p, (And, Or)):
-        return pred_free_names(p.lhs) | pred_free_names(p.rhs)
-    if isinstance(p, Not):
-        return pred_free_names(p.arg)
-    if isinstance(p, TimeQuant):
-        inner = pred_free_names(p.prefix) | pred_free_names(p.body)
-        return inner - {p.t_name, p.tau_name}
-    raise TypeError(f"not a Pred node: {p!r}")
+        names = _merged(_names(p.lhs), _names(p.rhs))
+    elif isinstance(p, TimeQuant):
+        inner = _merged(_pred_names(p.prefix), _pred_names(p.body))
+        names = inner - {p.t_name, p.tau_name}
+    elif isinstance(p, (TruePred, FalsePred, And, Or, Not)):
+        names = frozenset()
+        for c in _subpreds(p):
+            names = _merged(names, _pred_names(c))
+    else:
+        raise TypeError(f"not a Pred node: {p!r}")
+    p.__dict__[_PRED_NAMES] = names
+    return names
 
 
 def pred_bound_names(p: Pred) -> set[str]:

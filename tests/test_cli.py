@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from hybridwlp.cli import main
 
@@ -75,6 +76,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "lemma:bad" not in out
 
+    def test_equation_pinning_a_constant_is_kept(self):
+        # solving c = 2 for the constant c used to drop the hypothesis,
+        # because substitution replaces variables and t, never constants
+        from hybridwlp.cli import run_verify
+        from hybridwlp.hwl import parse_spec
+
+        report = run_verify(parse_spec(
+            "problem const_eq\nvars x\nconsts c\nassume c = 2\n"
+            "pre x = 0\npost x = 2\nprogram x := x + c\n"
+        ))
+        assert [o["verdict"]["status"] for o in report["obligations"]] == ["proved"]
+        assert report["obligations"][0]["verdict"]["method"] == "hypothesis-match"
+        assert report["summary"]["exit"] == 0
+
     def test_deterministic_given_seed(self, capsys):
         args = ("verify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json", "--seed", "5")
         code1, out1, _ = run(capsys, *args)
@@ -111,6 +126,21 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "trailing input 'zzz'" in err
+
+
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "verify"
+
+
+class TestGoldenReports:
+    """`verify --json` on every shipped problem prints its stored report
+    byte for byte, so a change that should leave verdicts alone shows that
+    it did."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.hwl")))
+    def test_report_matches_golden(self, capsys, name):
+        code, out, _ = run(capsys, "verify", str(PROBLEMS / f"{name}.hwl"), "--json")
+        assert out == (GOLDEN_REPORTS / f"{name}.json").read_text(encoding="utf-8")
+        assert code == json.loads(out)["summary"]["exit"]
 
 
 class TestCertifyCommand:

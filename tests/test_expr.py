@@ -17,12 +17,14 @@ from hybridwlp.expr import (
     Div,
     EvalError,
     Exp,
+    Expr,
     FalsePred,
     Mul,
     Neg,
     Not,
     Or,
     Pow,
+    Pred,
     Sin,
     Sub,
     SymConst,
@@ -37,6 +39,8 @@ from hybridwlp.expr import (
     diff,
     eval_pred,
     evaluate,
+    free_names,
+    fresh_time_binders,
     lie_derivative,
     nnf,
     pred_bound_names,
@@ -569,3 +573,218 @@ class TestSamplingPlan:
         found = [sampling.sample_valuation(["g", "x", "y"], hyps, rng) for _ in range(100)]
         assert all(v is not None for v in found)
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Sharing-preserving substitution against a reference tree walk
+
+
+def _ref_free(p):
+    """Free names by a tree walk, binders removed."""
+    if isinstance(p, (Var, SymConst)):
+        return {p.name}
+    if isinstance(p, TimeVar):
+        return {"t"}
+    if isinstance(p, Const):
+        return set()
+    if isinstance(p, Pow):
+        return _ref_free(p.base)
+    if isinstance(p, TimeQuant):
+        return (_ref_free(p.prefix) | _ref_free(p.body)) - {p.t_name, p.tau_name}
+    out = set()
+    for part in vars(p).values():
+        if isinstance(part, (Expr, Pred)):
+            out |= _ref_free(part)
+    return out
+
+
+def _ref_substitute(e, binding):
+    """The tree walk substitute must agree with: it rebuilds every node."""
+    if isinstance(e, Var):
+        return binding.get(e.name, e)
+    if isinstance(e, TimeVar):
+        return binding.get("t", e)
+    if isinstance(e, (Const, SymConst)):
+        return e
+    if isinstance(e, Pow):
+        return Pow(_ref_substitute(e.base, binding), e.exp)
+    if isinstance(e, (Neg, Sin, Cos, Exp)):
+        return type(e)(_ref_substitute(e.arg, binding))
+    if isinstance(e, Div):
+        return Div(_ref_substitute(e.num, binding), _ref_substitute(e.den, binding))
+    return type(e)(_ref_substitute(e.lhs, binding), _ref_substitute(e.rhs, binding))
+
+
+def _ref_substitute_pred(p, binding):
+    """Capture-avoiding tree walk; a TimeQuant in which no key of the
+    binding is free is left as it is."""
+    if isinstance(p, (TruePred, FalsePred)):
+        return p
+    if isinstance(p, Cmp):
+        return Cmp(p.op, _ref_substitute(p.lhs, binding), _ref_substitute(p.rhs, binding))
+    if isinstance(p, Not):
+        return Not(_ref_substitute_pred(p.arg, binding))
+    if isinstance(p, (And, Or)):
+        return type(p)(_ref_substitute_pred(p.lhs, binding),
+                       _ref_substitute_pred(p.rhs, binding))
+    if not set(binding) & _ref_free(p):
+        return p
+    bound = {p.t_name, p.tau_name}
+    inner = {k: e for k, e in binding.items() if k not in bound}
+    used = set().union(*(_ref_free(e) for e in inner.values()))
+    t_name, tau_name = p.t_name, p.tau_name
+    if used & bound:
+        t_name, tau_name = fresh_time_binders(used | _ref_free(p), 2)
+        inner[p.t_name], inner[p.tau_name] = Var(t_name), Var(tau_name)
+    return TimeQuant(t_name, tau_name, p.dom, _ref_substitute_pred(p.prefix, inner),
+                     _ref_substitute_pred(p.body, inner))
+
+
+_SUBST_NAMES = ("x", "y", "t", "t2", "tau", "tau2")
+
+
+def _random_shared_expr(rng, depth, pool):
+    """A random expression whose subtrees are often taken from pool, so the
+    result is a DAG."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        e = rng.choice((Var(rng.choice(_SUBST_NAMES)), t, g, const(rng.randint(-3, 3))))
+    elif roll < 0.4:
+        e = rng.choice((Neg, Sin, Cos, Exp))(_random_shared_expr(rng, depth - 1, pool))
+    elif roll < 0.5:
+        e = Pow(_random_shared_expr(rng, depth - 1, pool), rng.randint(0, 3))
+    else:
+        a = _random_shared_expr(rng, depth - 1, pool)
+        b = _random_shared_expr(rng, depth - 1, pool)
+        if isinstance(b, Const) and b.value == 0:
+            b = const(2)
+        e = rng.choice((Add, Sub, Mul, Div))(a, b)
+    pool.append(e)
+    return e
+
+
+def _random_shared_pred(rng, depth, pool):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Cmp(rng.choice(CMP_OPS), _random_shared_expr(rng, 2, pool),
+                   _random_shared_expr(rng, 2, pool))
+    if roll < 0.4:
+        return Not(_random_shared_pred(rng, depth - 1, pool))
+    if roll < 0.7:
+        a = _random_shared_pred(rng, depth - 1, pool)
+        return (And if rng.random() < 0.5 else Or)(a, rng.choice(
+            (a, _random_shared_pred(rng, depth - 1, pool))))
+    t_name, tau_name = rng.choice((("t", "tau"), ("t2", "tau2")))
+    return _quant(t_name, tau_name, _random_shared_pred(rng, depth - 1, pool),
+                  _random_shared_pred(rng, depth - 1, pool))
+
+
+def _random_binding(rng):
+    keys = rng.sample(_SUBST_NAMES + ("g",), rng.randint(0, 3))
+    return {k: _random_shared_expr(rng, 2, []) for k in keys}
+
+
+class TestSharingSubstitution:
+    def test_expressions_match_reference_walk(self):
+        rng = random.Random(6)
+        raised = 0
+        for _ in range(400):
+            e = _random_shared_expr(rng, rng.randint(0, 5), [])
+            binding = _random_binding(rng)
+            if rng.random() < 0.2:
+                binding["y"] = const(0)  # may zero a denominator
+            got = _outcome(substitute, e, binding)
+            _assert_same(got, _outcome(_ref_substitute, e, binding))
+            raised += got[0] == "raise"
+        assert raised  # a denominator became the constant zero
+
+    def test_predicates_match_reference_walk(self):
+        rng = random.Random(7)
+        renamed = shadowed = 0
+        for _ in range(600):
+            p = _random_shared_pred(rng, rng.randint(0, 4), [])
+            binding = _random_binding(rng)
+            got = _outcome(substitute_pred, p, binding)
+            _assert_same(got, _outcome(_ref_substitute_pred, p, binding))
+            if got[0] == "value" and isinstance(p, TimeQuant):
+                renamed += got[1].t_name != p.t_name
+                shadowed += p.t_name in binding and got[1] is p
+        assert renamed and shadowed
+
+    def test_binding_to_time_replaces_the_time_symbol(self):
+        e = x * t + Var("t")
+        assert substitute(e, {"t": const(3)}) == x * const(3) + const(3)
+        assert substitute(e, {"t": y}) == _ref_substitute(e, {"t": y})
+
+    def test_untouched_subtree_is_the_same_object(self):
+        left = x * x + Sin(g)
+        e = Add(left, Cos(y))
+        fn = compile_expr(left)
+        out = substitute(e, {"y": v})
+        assert out == Add(left, Cos(v))
+        assert out.lhs is left
+        assert out.lhs.__dict__["_expr_fn"] is fn
+        assert substitute(e, {"z": v}) is e
+        assert substitute(e, {}) is e
+        p = And(Cmp("<=", left, g), Cmp(">", y, const(0)))
+        got = substitute_pred(p, {"y": v})
+        assert got.lhs is p.lhs
+        assert substitute_pred(p, {"z": v}) is p
+
+    def test_shared_subtree_is_substituted_once(self, monkeypatch):
+        rebuilt = []
+        rebuild = expr_module._rebuild
+
+        def counting(e, kids):
+            rebuilt.append(e)
+            return rebuild(e, kids)
+
+        monkeypatch.setattr(expr_module, "_rebuild", counting)
+        shared = x * (x + const(1))
+        e = shared + Neg(shared)
+        out = substitute(e, {"x": y})
+        assert out == y * (y + const(1)) + Neg(y * (y + const(1)))
+        assert out.rhs.arg is out.lhs
+        # x + 1, the product, Neg and the sum: the tree has six nodes over x
+        assert len(rebuilt) == 4
+
+    def test_shared_predicate_is_substituted_once(self):
+        atom = Cmp(">=", x * x, const(0))
+        p = And(Or(Not(atom), atom), atom)
+        out = substitute_pred(p, {"x": y + const(1)})
+        assert out == _ref_substitute_pred(p, {"x": y + const(1)})
+        assert out.lhs.lhs.arg is out.lhs.rhs is out.rhs
+
+    def test_zero_denominator_still_raises(self):
+        with pytest.raises(ValueError, match="division by the constant zero"):
+            substitute(Div(x, y) + x, {"y": const(0)})
+        with pytest.raises(ValueError, match="division by the constant zero"):
+            substitute_pred(Cmp("<", x / y, const(1)), {"y": const(0)})
+
+    def test_deep_chain_within_the_recursion_limit(self):
+        # 600 levels at the default limit of 1000: a substitution taking
+        # two Python frames per level would overflow here
+        e = x
+        for i in range(600):
+            e = Add(e, const(i))
+        for out in (substitute(e, {"x": y}),
+                    substitute_pred(Cmp(">=", e, const(0)), {"x": y}).lhs):
+            old = e
+            while isinstance(old, Add):  # == itself recurses too deep here
+                assert out is not old and out.rhs is old.rhs
+                old, out = old.lhs, out.lhs
+            assert out == y
+
+    def test_free_names_are_cached_and_copied(self):
+        e = x * g + t
+        assert free_names(e) == {"x", "g", "t"}
+        free_names(e).add("zzz")
+        assert free_names(e) == {"x", "g", "t"}
+        q = _quant("t", "tau", Cmp(">=", Var("tau"), x), Cmp("<=", Var("t"), y))
+        names = pred_free_names(q)
+        names.add("zzz")
+        assert pred_free_names(q) == {"x", "y"}
+        with pytest.raises(TypeError, match="not a Pred node"):
+            pred_free_names(x)

@@ -11,9 +11,11 @@ from hybridwlp.expr import (
     And,
     Cmp,
     Cos,
+    Expr,
     Neg,
     Or,
     Not,
+    Pred,
     Sin,
     SymConst,
     TimeVar,
@@ -165,6 +167,41 @@ class TestWlpRules:
         inner = outer.body
         assert isinstance(inner, TimeQuant)
         assert outer.t_name != inner.t_name
+
+
+def _dag_and_tree_size(root):
+    """(distinct node objects, tree size counting every occurrence)."""
+    sizes = {}
+
+    def size(n):
+        if id(n) not in sizes:
+            kids = [c for c in vars(n).values() if isinstance(c, (Expr, Pred))]
+            sizes[id(n)] = 1 + sum(map(size, kids))
+        return sizes[id(n)]
+
+    tree = size(root)
+    return len(sizes), tree
+
+
+class TestWlpSharing:
+    def test_sequential_ifs_build_a_linear_dag(self):
+        # each if doubles the tree; its branches differ only under z, and
+        # the assignments to x reach the shared copies once
+        z = Var("z")
+        q = And(Cmp(">=", x, const(0)), Cmp(">=", z, const(0)))
+        counts = []
+        for k in range(1, 11):
+            items = []
+            for i in range(k):
+                items += [Assign("x", x + const(1)),
+                          IfThenElse(Cmp(">", x, const(i)), Assign("z", x), Assign("z", -x))]
+            pred, obs = wlp(Seq(tuple(items)), q)
+            assert obs == []
+            counts.append(_dag_and_tree_size(pred))
+        dag = [d for d, _ in counts]
+        steps = {b - a for a, b in zip(dag, dag[1:])}
+        assert len(steps) == 1  # a fixed number of new nodes per two statements
+        assert all(b >= 2 * a for (_, a), (_, b) in zip(counts, counts[1:]))  # 2^k
 
 
 class TestVerifyStructure:
