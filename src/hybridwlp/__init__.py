@@ -46,7 +46,6 @@ from .hprog import (
     Assign,
     Choice,
     Evolve,
-    EvolFlow,
     Flow,
     HybridProgram,
     IfThenElse,
@@ -70,7 +69,6 @@ from .discharge import (
     Lemma,
     LemmaDB,
     Verdict,
-    discharge,
     fm_implication,
     fourier_motzkin,
     linearize,

@@ -2,7 +2,9 @@
 
 Exit codes for verify: 0 when every obligation is proved, 2 when any is
 refuted, 1 when any is unknown.  falsify exits 2 when a counterexample is
-found.  All commands accept --json for machine-readable reports.
+found, and 1 (undecided, as for verify) when a run reaches a store where
+the post, a test, a branch condition or an assignment cannot be evaluated.
+All commands accept --json for machine-readable reports.
 """
 
 from __future__ import annotations
@@ -258,12 +260,17 @@ def cmd_falsify(args) -> int:
         if cex is None:
             print(f"{spec.name}: no counterexample within {budget.trials} trials")
         else:
-            print(f"{spec.name}: counterexample found")
+            if cex.undefined is not None:
+                print(f"{spec.name}: undefined at a reached store: {cex.undefined}")
+            else:
+                print(f"{spec.name}: counterexample found")
             print(f"  consts  {cex.consts}")
             print(f"  initial {cex.initial}")
             for label, store in cex.steps[-4:]:
                 print(f"  {label:<16} {store}")
-    return 2 if cex is not None else 0
+    if cex is None:
+        return 0
+    return 1 if cex.undefined is not None else 2
 
 
 def cmd_laws(args) -> int:

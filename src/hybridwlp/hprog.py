@@ -3,15 +3,19 @@
 The sampler approximates the state-transformer semantics on a time grid.
 It checks guards only at grid points, so it can falsify specifications but
 never prove them; the sound path goes through wlp generation and discharge.
+An evolution command's orbit, from a flow or from RK4 on its field, is the
+longest prefix of grid points whose states evaluate, are finite and satisfy
+the guard.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from math import isfinite
 from typing import Iterator, Mapping, Optional
 
-from .expr import Expr, Pred, evaluate, eval_pred, free_vars, uses_time
+from .expr import EVAL_FAILURES, Expr, Pred, evaluate, eval_pred, free_vars, uses_time
 
 Store = dict[str, float]
 
@@ -180,30 +184,30 @@ class Loop(HybridProgram):
 
 @dataclass(frozen=True)
 class Evolve(HybridProgram):
-    """ODE evolution under a guard, with at most one designated proof strategy."""
+    """ODE evolution under a guard, with at most one designated proof strategy.
 
-    field: VectorField
+    Without a vector field (`evol` in the input language) the command
+    follows its flow and carries no side conditions.
+    """
+
+    field: Optional[VectorField]
     guard: Pred
     dom: TimeDomain
     flow: Optional[Flow] = None
     dinv: Optional[Pred] = None
 
     def __post_init__(self):
+        if self.field is None and self.flow is None:
+            raise ValueError("evolution command needs a vector field or a flow")
         if self.flow is not None and self.dinv is not None:
             raise ValueError("evolution command cannot carry both a flow and a dinv")
 
 
-@dataclass(frozen=True)
-class EvolFlow(HybridProgram):
-    """Flow-based evolution command: no vector field, no side conditions."""
-
-    flow: Flow
-    guard: Pred
-    dom: TimeDomain
-
-
 # ---------------------------------------------------------------------------
 # Executable semantics
+
+EQ_TOL = 1e-6  # relative tolerance for = atoms along sampled runs
+MAX_STATES = 4000  # run_sampled keeps the first of a larger set of stores
 
 
 def store_update(s: Store, var: str, e: Expr, consts: Mapping[str, float] = {}) -> Store:
@@ -212,6 +216,21 @@ def store_update(s: Store, var: str, e: Expr, consts: Mapping[str, float] = {}) 
         raise KeyError(f"unknown variable {var!r}")
     out = dict(s)
     out[var] = evaluate(e, {**consts, **s})
+    return out
+
+
+def _guarded_prefix(grid, states, guard: Pred, consts, eq_tol: float) -> list[tuple[float, Store]]:
+    """The orbit rule: the longest prefix of grid points whose states
+    evaluate, are finite and satisfy the guard."""
+    out: list[tuple[float, Store]] = []
+    try:
+        for t, state in zip(grid, states):
+            finite = all(map(isfinite, state.values()))
+            if not (finite and eval_pred(guard, {**consts, **state}, eq_tol)):
+                break
+            out.append((t, state))
+    except EVAL_FAILURES:
+        pass
     return out
 
 
@@ -225,19 +244,10 @@ def guarded_orbit_flow(
     horizon: float = 10.0,
     eq_tol: float = 0.0,
 ) -> list[tuple[float, Store]]:
-    """Grid sample of the guarded orbit: the longest prefix of grid points
-    whose every point satisfies the guard."""
-    out: list[tuple[float, Store]] = []
-    for t in dom.effective_query().grid(h, horizon):
-        try:
-            state = flow.at(t, s, consts)
-            ok = eval_pred(guard, {**consts, **state}, eq_tol)
-        except Exception as exc:
-            raise RuntimeError(f"orbit evaluation failed at t={t}: {exc}") from exc
-        if not ok:
-            break
-        out.append((t, state))
-    return out
+    """Grid sample of the guarded orbit of a flow from s (see _guarded_prefix)."""
+    grid = dom.effective_query().grid(h, horizon)
+    states = map(flow.at, grid, repeat(s), repeat(consts))
+    return _guarded_prefix(grid, states, guard, consts, eq_tol)
 
 
 def _rk4_step(field: VectorField, s: Store, h: float, consts: Mapping[str, float]) -> Store:
@@ -260,6 +270,17 @@ def _rk4_step(field: VectorField, s: Store, h: float, consts: Mapping[str, float
     return out
 
 
+def rk4_states(
+    field: VectorField, s: Store, h: float, consts: Mapping[str, float] = {}
+) -> Iterator[Store]:
+    """Classical fixed-step RK4 states at times 0, h, 2h, ... without end;
+    each step is taken only when its state is asked for."""
+    state = dict(s)
+    while True:
+        yield state
+        state = _rk4_step(field, state, h, consts)
+
+
 def guarded_orbit_field(
     field: VectorField,
     guard: Pred,
@@ -270,17 +291,9 @@ def guarded_orbit_field(
     horizon: float = 10.0,
     eq_tol: float = 0.0,
 ) -> list[tuple[float, Store]]:
-    """Same prefix semantics as guarded_orbit_flow, integrating with RK4."""
-    out: list[tuple[float, Store]] = []
-    state = dict(s)
-    for t in dom.effective_query().grid(h, horizon):
-        if not all(math.isfinite(v) for v in state.values()):
-            break
-        if not eval_pred(guard, {**consts, **state}, eq_tol):
-            break
-        out.append((t, dict(state)))
-        state = _rk4_step(field, state, h, consts)
-    return out
+    """Same orbit rule as guarded_orbit_flow, integrating the field with RK4."""
+    grid = dom.effective_query().grid(h, horizon)
+    return _guarded_prefix(grid, rk4_states(field, s, h, consts), guard, consts, eq_tol)
 
 
 @dataclass(frozen=True)
@@ -288,9 +301,13 @@ class RunConfig:
     fuel: int = 12
     step: float = 0.1
     horizon: float = 6.0
-    max_states: int = 4000
-    eq_tol: float = 1e-6  # relative tolerance for = atoms along sampled runs
     consts: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # checked here, so that find_violation reads every ValueError from a
+        # run as an evaluation failure
+        if self.step <= 0:
+            raise ValueError("grid step must be positive")
 
 
 @dataclass
@@ -310,6 +327,29 @@ def _from_key(k: tuple) -> Store:
     return dict(k)
 
 
+def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[Optional[str], Store]]:
+    """(label, store) successors of a leaf node from s; the label None marks
+    a step that keeps the store (skip, a passed test), which a run does not
+    record.  The one place that picks an evolution command's orbit provider."""
+    if isinstance(node, Skip):
+        return [(None, s)]
+    if isinstance(node, Abort):
+        return []
+    if isinstance(node, Assign):
+        return [(f"{node.var} := ...", store_update(s, node.var, node.expr, cfg.consts))]
+    if isinstance(node, Test):
+        return [(None, s)] if eval_pred(node.cond, {**cfg.consts, **s}, EQ_TOL) else []
+    if isinstance(node, Evolve):
+        if node.flow is not None:
+            orbit = guarded_orbit_flow(node.flow, node.guard, node.dom, s, cfg.step,
+                                       cfg.consts, cfg.horizon, EQ_TOL)
+        else:
+            orbit = guarded_orbit_field(node.field, node.guard, node.dom, s, cfg.step,
+                                        cfg.consts, cfg.horizon, EQ_TOL)
+        return [(f"evolve t={t:.4g}", state) for t, state in orbit]
+    raise TypeError(f"not a HybridProgram node: {node!r}")
+
+
 def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
     """Set of reachable end stores at grid resolution; evolution commands
     contribute every orbit point, loops unroll up to the fuel bound."""
@@ -317,24 +357,9 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
 
     def go(node: HybridProgram, keys: frozenset) -> frozenset:
         nonlocal complete
-        if len(keys) > cfg.max_states:
+        if len(keys) > MAX_STATES:
             complete = False
-            keys = frozenset(sorted(keys)[: cfg.max_states])
-        if isinstance(node, Skip):
-            return keys
-        if isinstance(node, Abort):
-            return frozenset()
-        if isinstance(node, Assign):
-            return frozenset(
-                _key(store_update(_from_key(k), node.var, node.expr, cfg.consts))
-                for k in keys
-            )
-        if isinstance(node, Test):
-            return frozenset(
-                k
-                for k in keys
-                if eval_pred(node.cond, {**cfg.consts, **_from_key(k)}, cfg.eq_tol)
-            )
+            keys = frozenset(sorted(keys)[:MAX_STATES])
         if isinstance(node, Seq):
             for item in node.items:
                 keys = go(item, keys)
@@ -348,7 +373,7 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
             taken = frozenset(
                 k
                 for k in keys
-                if eval_pred(node.cond, {**cfg.consts, **_from_key(k)}, cfg.eq_tol)
+                if eval_pred(node.cond, {**cfg.consts, **_from_key(k)}, EQ_TOL)
             )
             other = keys - taken
             return go(node.then, taken) | go(node.els, other)
@@ -364,116 +389,76 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
                 if frontier:
                     complete = False
             return reached
-        if isinstance(node, Evolve):
-            out = set()
-            for k in keys:
-                store = _from_key(k)
-                if node.flow is not None:
-                    orbit = guarded_orbit_flow(
-                        node.flow, node.guard, node.dom, store, cfg.step,
-                        cfg.consts, cfg.horizon, cfg.eq_tol,
-                    )
-                else:
-                    orbit = guarded_orbit_field(
-                        node.field, node.guard, node.dom, store, cfg.step,
-                        cfg.consts, cfg.horizon, cfg.eq_tol,
-                    )
-                for _, state in orbit:
-                    out.add(_key(state))
-            return frozenset(out)
-        if isinstance(node, EvolFlow):
-            out = set()
-            for k in keys:
-                store = _from_key(k)
-                orbit = guarded_orbit_flow(
-                    node.flow, node.guard, node.dom, store, cfg.step,
-                    cfg.consts, cfg.horizon, cfg.eq_tol,
-                )
-                for _, state in orbit:
-                    out.add(_key(state))
-            return frozenset(out)
-        raise TypeError(f"not a HybridProgram node: {node!r}")
+        return frozenset(
+            _key(nxt) for k in keys for _, nxt in _steps(node, _from_key(k), cfg)
+        )
 
     final = go(p, frozenset([_key(s)]))
     return RunResult([_from_key(k) for k in sorted(final)], complete)
 
 
+class _Undefined(Exception):
+    """Carries (path, message) of a run stopped by an evaluation failure."""
+
+
 def find_violation(
     p: HybridProgram, s: Store, post: Pred, cfg: RunConfig
-) -> Optional[list[tuple[str, Store]]]:
+) -> Optional[tuple[list[tuple[str, Store]], Optional[str]]]:
     """Depth-first search for a run whose end store violates the postcondition.
 
-    Returns the witness path as (step label, store) pairs, or None.
+    A run is a path of (step label, store) pairs.  Returns (path, None) for
+    the first violating run, or (path, message) for the first run that
+    reaches a store where the post, a test, a branch condition or an
+    assignment cannot be evaluated; None when neither occurs.
     """
 
-    def ok(state: Store) -> bool:
-        return eval_pred(post, {**cfg.consts, **state}, cfg.eq_tol)
+    def runs(node: HybridProgram, path) -> Iterator[list]:
+        try:
+            if isinstance(node, Seq):
+                def chain(items, pth):
+                    if not items:
+                        yield pth
+                        return
+                    for pth2 in runs(items[0], pth):
+                        yield from chain(items[1:], pth2)
 
-    def runs(node: HybridProgram, state: Store, path) -> Iterator[list]:
-        if isinstance(node, Skip):
-            yield path
-        elif isinstance(node, Abort):
-            return
-        elif isinstance(node, Assign):
-            nxt = store_update(state, node.var, node.expr, cfg.consts)
-            yield path + [(f"{node.var} := ...", nxt)]
-        elif isinstance(node, Test):
-            if eval_pred(node.cond, {**cfg.consts, **state}, cfg.eq_tol):
+                yield from chain(list(node.items), path)
+            elif isinstance(node, Choice):
+                for item in node.items:
+                    yield from runs(item, path)
+            elif isinstance(node, IfThenElse):
+                taken = eval_pred(node.cond, {**cfg.consts, **path[-1][1]}, EQ_TOL)
+                yield from runs(node.then if taken else node.els, path)
+            elif isinstance(node, Loop):
                 yield path
-        elif isinstance(node, Seq):
-            def chain(items, st, pth):
-                if not items:
-                    yield pth
-                    return
-                for pth2 in runs(items[0], st, pth):
-                    st2 = pth2[-1][1] if pth2 else st
-                    yield from chain(items[1:], st2, pth2)
+                seen = {_key(path[-1][1])}
 
-            yield from chain(list(node.items), state, path)
-        elif isinstance(node, Choice):
-            for item in node.items:
-                yield from runs(item, state, path)
-        elif isinstance(node, IfThenElse):
-            taken = eval_pred(node.cond, {**cfg.consts, **state}, cfg.eq_tol)
-            branch = node.then if taken else node.els
-            yield from runs(branch, state, path)
-        elif isinstance(node, Loop):
-            yield path
-            seen = {_key(state)}
+                def unroll(pth, fuel):
+                    if fuel <= 0:
+                        return
+                    for pth2 in runs(node.body, pth):
+                        k = _key(pth2[-1][1])
+                        if k in seen:
+                            continue
+                        seen.add(k)
+                        yield pth2
+                        yield from unroll(pth2, fuel - 1)
 
-            def unroll(st, pth, fuel):
-                if fuel <= 0:
-                    return
-                for pth2 in runs(node.body, st, pth):
-                    st2 = pth2[-1][1] if pth2 else st
-                    k = _key(st2)
-                    if k in seen:
-                        continue
-                    seen.add(k)
-                    yield pth2
-                    yield from unroll(st2, pth2, fuel - 1)
-
-            yield from unroll(state, path, cfg.fuel)
-        elif isinstance(node, (Evolve, EvolFlow)):
-            if isinstance(node, EvolFlow) or node.flow is not None:
-                flow = node.flow
-                orbit = guarded_orbit_flow(
-                    flow, node.guard, node.dom, state, cfg.step, cfg.consts,
-                    cfg.horizon, cfg.eq_tol,
-                )
+                yield from unroll(path, cfg.fuel)
             else:
-                orbit = guarded_orbit_field(
-                    node.field, node.guard, node.dom, state, cfg.step,
-                    cfg.consts, cfg.horizon, cfg.eq_tol,
-                )
-            for t, st2 in orbit:
-                yield path + [(f"evolve t={t:.4g}", st2)]
-        else:
-            raise TypeError(f"not a HybridProgram node: {node!r}")
+                for step in _steps(node, path[-1][1], cfg):
+                    yield path if step[0] is None else path + [step]
+        except EVAL_FAILURES as exc:
+            # a failure from a nested run arrives here as _Undefined already
+            raise _Undefined(path, str(exc)) from None
 
-    for path in runs(p, s, [("init", dict(s))]):
-        end = path[-1][1]
-        if not ok(end):
-            return path
+    try:
+        for path in runs(p, [("init", dict(s))]):
+            try:
+                if not eval_pred(post, {**cfg.consts, **path[-1][1]}, EQ_TOL):
+                    return path, None
+            except EVAL_FAILURES as exc:
+                return path, str(exc)
+    except _Undefined as exc:
+        return exc.args
     return None
-

@@ -60,7 +60,6 @@ from .hprog import (
     Assign,
     Choice,
     Evolve,
-    EvolFlow,
     Flow,
     HybridProgram,
     IfThenElse,
@@ -367,7 +366,7 @@ class _Parser:
             guard = self.parse_pred()
             self.expect("on")
             dom = self.parse_domain()
-            return EvolFlow(Flow(comps, REALS), guard, dom)
+            return Evolve(None, guard, dom, flow=Flow(comps, REALS))
         if tok.kind == "id" and tok.text not in KEYWORDS:
             name = self.ident()
             if name not in self.vars:
@@ -725,16 +724,16 @@ def format_program(p: HybridProgram) -> str:
     if isinstance(p, Loop):
         return f"loop {_fmt_stmt(p.body)} inv {format_pred(p.inv)}"
     if isinstance(p, Evolve):
+        tail = f"& {format_pred(p.guard)} on {format_domain(p.dom)}"
+        if p.field is None:
+            return f"evol {_fmt_components(dict(p.flow.components), ' = ')} {tail}"
         odes = _fmt_components(dict(p.field.components), "' = ")
-        s = f"evolve {odes} & {format_pred(p.guard)} on {format_domain(p.dom)}"
+        s = f"evolve {odes} {tail}"
         if p.flow is not None:
             s += f" flow {_fmt_components(dict(p.flow.components), ' = ')}"
         if p.dinv is not None:
             s += f" dinv {format_pred(p.dinv)}"
         return s
-    if isinstance(p, EvolFlow):
-        comps = _fmt_components(dict(p.flow.components), " = ")
-        return f"evol {comps} & {format_pred(p.guard)} on {format_domain(p.dom)}"
     raise TypeError(f"not a HybridProgram node: {p!r}")
 
 

@@ -44,8 +44,8 @@ from .hprog import (
     Store,
     TimeDomain,
     VectorField,
-    _rk4_step,
     find_violation,
+    rk4_states,
 )
 from .polynorm import NormalizeError, expr_eq, normalize
 from .sampling import sample_valuation
@@ -69,17 +69,15 @@ def rk4_integrate(
     n: int,
     consts: Mapping[str, float] = {},
 ) -> tuple[list, bool]:
-    """Classical fixed-step RK4 trajectory [(t, store)]; the flag reports
-    divergence (non-finite values truncate the trajectory)."""
+    """Classical fixed-step RK4 trajectory [(t, store)] of n steps; the flag
+    reports divergence (non-finite values truncate the trajectory)."""
     if h <= 0:
         raise ValueError("step must be positive")
-    out = [(0.0, dict(s0))]
-    state = dict(s0)
-    for k in range(1, n + 1):
-        state = _rk4_step(field, state, h, consts)
-        if not all(math.isfinite(v) for v in state.values()):
+    out = []
+    for k, state in zip(range(n + 1), rk4_states(field, s0, h, consts)):
+        if not all(map(math.isfinite, state.values())):
             return out, True
-        out.append((k * h, dict(state)))
+        out.append((k * h, state))
     return out, False
 
 
@@ -540,23 +538,33 @@ class FalsifyBudget:
 
 @dataclass
 class CounterexampleTrace:
+    """A run from a sampled start.  undefined holds the evaluation error
+    when the run stops at a store where it cannot evaluate the post, a
+    test, a branch condition or an assignment; the run is then undecided
+    rather than violating."""
+
     consts: dict
     initial: Store
     steps: list
     violating: Store
+    undefined: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "consts": self.consts,
             "initial": self.initial,
             "steps": [{"label": lbl, "store": st} for lbl, st in self.steps],
             "violating": self.violating,
         }
+        if self.undefined is not None:
+            out["undefined"] = self.undefined
+        return out
 
 
 def falsify(spec: VerifySpec, budget: FalsifyBudget = FalsifyBudget()) -> Optional[CounterexampleTrace]:
     """Search for an assumption-and-precondition-satisfying start whose
-    sampled run violates the postcondition; None within budget otherwise."""
+    sampled run violates the postcondition, or reaches a store where it is
+    undefined (see CounterexampleTrace); None within budget otherwise."""
     rng = random.Random(budget.seed)
     names = list(spec.consts) + list(spec.vars)
     hyps = tuple(spec.assumptions) + (spec.pre,)
@@ -572,12 +580,8 @@ def falsify(spec: VerifySpec, budget: FalsifyBudget = FalsifyBudget()) -> Option
             horizon=budget.horizon,
             consts=consts,
         )
-        trace = find_violation(spec.program, store, spec.post, cfg)
-        if trace is not None:
-            return CounterexampleTrace(
-                consts=consts,
-                initial=store,
-                steps=trace,
-                violating=trace[-1][1],
-            )
+        found = find_violation(spec.program, store, spec.post, cfg)
+        if found is not None:
+            trace, undefined = found
+            return CounterexampleTrace(consts, store, trace, trace[-1][1], undefined)
     return None

@@ -42,7 +42,6 @@ from .hprog import (
     Assign,
     Choice,
     Evolve,
-    EvolFlow,
     Flow,
     HybridProgram,
     IfThenElse,
@@ -224,9 +223,10 @@ class _WlpPass:
             return p.inv
         if isinstance(p, Evolve):
             if p.flow is not None:
-                self.emit(
-                    (), TRUE, f"flow-cert@{path}", kind="flow_cert", payload=p
-                )
+                if p.field is not None:
+                    self.emit(
+                        (), TRUE, f"flow-cert@{path}", kind="flow_cert", payload=p
+                    )
                 return self.flow_wlp(p.flow, p.guard, p.dom, q)
             if p.dinv is not None:
                 self.emit(
@@ -236,8 +236,6 @@ class _WlpPass:
                 return p.dinv
             self.emit((), TRUE, f"no-certificate@{path}", kind="opaque", payload=p)
             return TRUE
-        if isinstance(p, EvolFlow):
-            return self.flow_wlp(p.flow, p.guard, p.dom, q)
         raise TypeError(f"not a HybridProgram node: {p!r}")
 
     def flow_wlp(self, flow: Flow, guard: Pred, dom: TimeDomain, q: Pred) -> Pred:
@@ -312,8 +310,10 @@ def verify(spec: VerifySpec) -> list[Obligation]:
 
 
 def _find_evolves(p: HybridProgram, path: str = "program"):
+    """(path, node) of every evolution command that has a vector field."""
     if isinstance(p, Evolve):
-        yield path, p
+        if p.field is not None:
+            yield path, p
     elif isinstance(p, Seq):
         for i, item in enumerate(p.items):
             yield from _find_evolves(item, f"{path}.{i}")

@@ -216,6 +216,20 @@ class TestFalsifyCommand:
         assert code == 0
         assert "no counterexample" in out
 
+    def test_undefined_post_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "divz.hwl"
+        path.write_text(
+            "problem divz\nvars x\nconsts c in [-1, 1]\npre c = 0\n"
+            "post c*(1/c) = 1\nprogram skip\n"
+        )
+        code, out, err = run(capsys, "falsify", str(path))
+        assert code == 1
+        assert "divz: undefined at a reached store: division by zero" in out
+        assert "counterexample found" not in out and err == ""
+        code, out, _ = run(capsys, "falsify", str(path), "--json")
+        assert code == 1
+        assert json.loads(out)["counterexample"]["undefined"] == "division by zero"
+
 
 class TestLawsCommand:
     def test_exhaustive_default_pass(self, capsys):
@@ -244,13 +258,19 @@ class TestLawsCommand:
 
 
 class TestFmtCommand:
-    def test_canonical_output_reparses(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "fmt", str(PROBLEMS / "bouncing_ball.hwl"))
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.hwl")))
+    def test_canonical_output_reparses(self, capsys, tmp_path, name):
+        code, out, _ = run(capsys, "fmt", str(PROBLEMS / f"{name}.hwl"))
         assert code == 0
         from hybridwlp.hwl import parse_spec
 
         spec = parse_spec(out)
-        assert spec.name == "bouncing_ball"
+        assert spec.name == name
+        # fmt is a fixed point on its own output
+        again = tmp_path / f"{name}.hwl"
+        again.write_text(out, encoding="utf-8")
+        code, out2, _ = run(capsys, "fmt", str(again))
+        assert code == 0 and out2 == out
 
 
 class TestReportDetailEmbedding:

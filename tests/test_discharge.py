@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 
@@ -311,8 +310,7 @@ class TestValidateLemma:
         assert vd.kind == "unknown"
 
     def test_non_arithmetic_error_propagates(self, monkeypatch):
-        # the package's `discharge` function shadows the module's name
-        dmod = importlib.import_module("hybridwlp.discharge")
+        import hybridwlp.discharge as dmod
 
         def broken(*args, **kwargs):
             raise TypeError("not an evaluation failure")
@@ -320,6 +318,16 @@ class TestValidateLemma:
         monkeypatch.setattr(dmod, "eval_pred", broken)
         with pytest.raises(TypeError):
             validate_lemma(Lemma("sq", (), Cmp(">=", x * x, const(0))), trials=5)
+
+
+def test_package_attribute_is_the_submodule():
+    import types
+
+    import hybridwlp
+    import hybridwlp.discharge as m
+
+    assert isinstance(m, types.ModuleType) and hybridwlp.discharge is m
+    assert m.discharge is discharge
 
 
 class TestCanonicalCmp:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hybridwlp.expr import Cmp, FALSE, SymConst, TimeVar, TRUE, Var, const
+from hybridwlp.cli import main
+from hybridwlp.expr import Cmp, Const, FALSE, Mul, SymConst, TimeVar, TRUE, Var, const
 from hybridwlp.hprog import (
     Abort,
     Assign,
@@ -23,6 +24,7 @@ from hybridwlp.hprog import (
     run_sampled,
     store_update,
 )
+from hybridwlp.hwl import parse_spec
 
 x, v, y = Var("x"), Var("v"), Var("y")
 t = TimeVar()
@@ -30,6 +32,13 @@ g = SymConst("g")
 
 BALL_FLOW = Flow({"x": g * t ** 2 / const(2) + v * t + x, "v": g * t + v})
 BALL_FIELD = VectorField({"x": v, "v": g})
+# the guard cannot be evaluated where the orbit reaches x = 1/2 (t = 0.5)
+ORBDIV = """problem orbdiv
+vars x
+pre x = 1
+post x >= 0
+program evol x = x - t & 1/(x - 1/2) >= -100 on [0,inf)
+"""
 
 
 def random_discrete_program(rng: random.Random, depth: int = 3):
@@ -125,6 +134,32 @@ class TestGuardedOrbit:
         )
         assert worst <= 1e-6
 
+    def test_undefined_guard_falsify_exits_zero(self, capsys, tmp_path):
+        path = tmp_path / "orbdiv.hwl"
+        path.write_text(ORBDIV)
+        assert main(["falsify", str(path)]) == 0
+        assert "no counterexample" in capsys.readouterr().out
+
+    def test_undefined_guard_ends_flow_orbit(self):
+        ev = parse_spec(ORBDIV).program
+        orbit = guarded_orbit_flow(ev.flow, ev.guard, ev.dom, {"x": 1.0}, 0.05, horizon=6)
+        ts = [tt for tt, _ in orbit]
+        assert ts and max(ts) < 0.5
+
+    def test_undefined_guard_ends_field_orbit(self):
+        ev = parse_spec(ORBDIV).program
+        # at step 1/8, RK4 on x' = -1 reaches x = 1/2 exactly at t = 0.5
+        field = VectorField({"x": const(-1)})
+        orbit = guarded_orbit_field(field, ev.guard, ev.dom, {"x": 1.0}, 0.125, horizon=6)
+        assert [tt for tt, _ in orbit] == [0.0, 0.125, 0.25, 0.375]
+
+    def test_flow_overflow_ends_orbit(self):
+        # 1e300 * t * 1e300 is finite only at t = 0
+        big = Const(10**300)
+        flow = Flow({"x": Mul(Mul(big, t), big)})
+        orbit = guarded_orbit_flow(flow, TRUE, NONNEG, {"x": 0.0}, 0.5, horizon=3)
+        assert orbit == [(0.0, {"x": 0.0})]
+
 
 class TestRunSampled:
     CFG = RunConfig()
@@ -176,6 +211,10 @@ class TestRunSampled:
         out = run_sampled(Loop(body, TRUE), {"x": 0.0}, RunConfig(fuel=3))
         assert not out.complete
         assert len(out.states) == 4  # 0 through 3 iterations
+
+    def test_nonpositive_step_rejected(self):
+        with pytest.raises(ValueError, match="step must be positive"):
+            RunConfig(step=0.0)
 
     def test_evolve_contributes_every_orbit_point(self):
         prog = Evolve(BALL_FIELD, Cmp(">=", x, const(0)), NONNEG, flow=BALL_FLOW)

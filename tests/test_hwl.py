@@ -8,7 +8,6 @@ from hybridwlp.hprog import (
     Assign,
     Choice,
     Evolve,
-    EvolFlow,
     IfThenElse,
     Loop,
     NONNEG,
@@ -68,7 +67,8 @@ class TestParsing:
 
     def test_evol_flow_command(self):
         prog = parse_program_text("evol x = x + t & true on [0,2]")
-        assert isinstance(prog, EvolFlow)
+        assert isinstance(prog, Evolve) and prog.field is None
+        assert set(prog.flow.components) == {"x"}
         assert prog.dom == TimeDomain("interval", 0.0, 2.0)
 
     def test_flow_and_dinv_are_mutually_exclusive(self):

@@ -349,3 +349,46 @@ class TestFalsify:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.initial == b.initial and a.consts == b.consts
+
+
+def _undefined_probe(program: str, post: str = "x >= 0") -> str:
+    return f"problem undef\nvars x\npre x = 0\npost {post}\nprogram {program}\n"
+
+
+class TestFalsifyUndefined:
+    """A run that reaches a store where something it must evaluate is
+    undefined ends the search with that run, marked undefined."""
+
+    @pytest.mark.parametrize(
+        "program, post",
+        [
+            ("skip", "1/x >= 0"),
+            ("? 1/x >= 0 ; x := 1", "x >= 0"),
+            ("if 1/x >= 0 then skip else skip", "x >= 0"),
+            ("x := 1/x", "x >= 0"),
+        ],
+        ids=["post", "test", "branch", "assignment"],
+    )
+    def test_reported_at_the_reached_store(self, program, post):
+        spec = parse_spec(_undefined_probe(program, post)).to_verify_spec()
+        cex = falsify(spec, FalsifyBudget(trials=5))
+        assert cex is not None
+        assert cex.undefined == "division by zero"
+        assert cex.steps == [("init", {"x": 0.0})]
+        assert cex.violating == {"x": 0.0}
+        assert cex.to_json()["undefined"] == "division by zero"
+
+    def test_search_stops_at_the_first_undefined_run(self):
+        # the first branch is undefined, the second would violate the post
+        spec = parse_spec(_undefined_probe("x := 1/x ++ x := x - 1")).to_verify_spec()
+        assert falsify(spec, FalsifyBudget(trials=5)).undefined == "division by zero"
+
+    def test_runs_before_it_are_checked_first(self):
+        spec = parse_spec(_undefined_probe("x := x + 1 ++ x := 1/x")).to_verify_spec()
+        cex = falsify(spec, FalsifyBudget(trials=5))
+        assert cex.undefined == "division by zero" and cex.violating == {"x": 0.0}
+
+    def test_violation_carries_no_undefined_key(self):
+        spec = parse_spec(_undefined_probe("x := x - 1")).to_verify_spec()
+        cex = falsify(spec, FalsifyBudget(trials=5))
+        assert cex.undefined is None and "undefined" not in cex.to_json()

@@ -421,13 +421,21 @@ class TestObligationWellFormedness:
 
 class TestEvolFlowCommand:
     def test_no_side_conditions(self):
-        from hybridwlp.hprog import EvolFlow
-
         flow = Flow({"x": x + t})
-        node = EvolFlow(flow, Cmp(">=", x, const(0)), NONNEG)
+        node = Evolve(None, Cmp(">=", x, const(0)), NONNEG, flow=flow)
         pred, obs = wlp(node, Cmp("<=", x, const(5)))
         assert obs == []
         assert isinstance(pred, TimeQuant)
+
+    def test_needs_a_field_or_a_flow(self):
+        with pytest.raises(ValueError, match="vector field or a flow"):
+            Evolve(None, TRUE, NONNEG)
+
+    def test_differential_cut_finds_no_target(self):
+        node = Evolve(None, TRUE, NONNEG, flow=Flow({"x": x + t}))
+        spec = VerifySpec(name="e", vars=("x",), program=node)
+        with pytest.raises(ValueError, match="no evolution command"):
+            dc_split(spec, TRUE)
 
 
 class TestObligationSerialization:
