@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Convergence study: RK4 error against the rotation flow at t = 1."""
+"""Convergence study: RK4 error against the rotation flow at t = 1.
+
+Exits 1 when a successive error ratio falls outside RATIO_BAND: halving
+the step of a fourth-order method divides its error by about 2**4 = 16.
+"""
 
 import math
 import sys
@@ -13,6 +17,7 @@ from hybridwlp.odecert import rk4_integrate
 
 x, y = Var("x"), Var("y")
 FIELD = VectorField({"x": y, "y": -x})
+RATIO_BAND = (14.0, 18.0)
 
 
 def error_at(step: float) -> float:
@@ -25,12 +30,19 @@ def error_at(step: float) -> float:
 def main() -> int:
     print(f"{'h':>10} {'error':>14} {'ratio':>8}")
     prev = None
+    bad = []
     for k in range(3, 10):
         h = 2.0 ** -k
         err = error_at(h)
         ratio = f"{prev / err:8.2f}" if prev else "        "
         print(f"{h:10.5f} {err:14.3e} {ratio}")
+        if prev and not RATIO_BAND[0] <= prev / err <= RATIO_BAND[1]:
+            bad.append(h)
         prev = err
+    if bad:
+        lo, hi = RATIO_BAND
+        print(f"error ratio outside [{lo:g}, {hi:g}] at h = {', '.join(f'{h:g}' for h in bad)}")
+        return 1
     return 0
 
 

@@ -499,6 +499,8 @@ class _Prover:
         self.db = db
         self.methods: list[str] = []
         self.failure: str = ""
+        # id-tuple of a hypothesis list -> (the list, solved hyps, bindings)
+        self.solved: dict = {}
 
     def prove(self, hyps: list, concl: Pred, depth: int = 0) -> bool:
         goals = _split_goals(hyps, concl)
@@ -539,29 +541,15 @@ class _Prover:
     # -- hypothesis preparation ------------------------------------------
 
     def _substituted(self, hyps: list, concl: Cmp):
-        """Iteratively substitute solved equality hypotheses (the
-        lexicographically last name with a lone rational-coefficient
-        occurrence wins)."""
-        hyps = list(hyps)
-        for _ in range(len(hyps) + 2):
-            binding = None
-            for i, h in enumerate(hyps):
-                if not (isinstance(h, Cmp) and h.op == "="):
-                    continue
-                form = atom_form(h)
-                if form is None:
-                    continue
-                solved = _solve_poly_for_name(form[0])
-                if solved is not None:
-                    name, rest = solved
-                    binding = (i, name, rest)
-                    break
-            if binding is None:
-                break
-            i, name, rest = binding
-            expr = poly_to_expr(rest)
-            del hyps[i]
-            hyps = [substitute_pred(h, {name: expr}) for h in hyps]
+        """Substitute the equality hypotheses' solved bindings into the
+        remaining hypotheses and the conclusion.  The bindings depend on
+        the hypotheses only, so each list is solved once per prover; its
+        entry holds the hypotheses, so no id in the key is reused."""
+        key = tuple(map(id, hyps))
+        if key not in self.solved:
+            self.solved[key] = (tuple(hyps), *_solve_equalities(hyps))
+        _, hyps, bindings = self.solved[key]
+        for name, expr in bindings:
             concl = substitute_pred(concl, {name: expr})
         return hyps, concl
 
@@ -659,6 +647,36 @@ class _Prover:
             if ok:
                 return lemma.name
         return None
+
+
+def _solve_equalities(hyps: list) -> tuple[list, list]:
+    """Iteratively solve equality hypotheses (the lexicographically last
+    name with a lone rational-coefficient occurrence wins) and substitute
+    each into the others; returns the remaining hypotheses and the
+    (name, expr) bindings in the order they were made."""
+    hyps = list(hyps)
+    bindings = []
+    for _ in range(len(hyps) + 2):
+        binding = None
+        for i, h in enumerate(hyps):
+            if not (isinstance(h, Cmp) and h.op == "="):
+                continue
+            form = atom_form(h)
+            if form is None:
+                continue
+            solved = _solve_poly_for_name(form[0])
+            if solved is not None:
+                name, rest = solved
+                binding = (i, name, rest)
+                break
+        if binding is None:
+            break
+        i, name, rest = binding
+        expr = poly_to_expr(rest)
+        del hyps[i]
+        hyps = [substitute_pred(h, {name: expr}) for h in hyps]
+        bindings.append((name, expr))
+    return hyps, bindings
 
 
 def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:

@@ -11,11 +11,13 @@ the guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from math import isfinite
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .expr import EVAL_FAILURES, Expr, Pred, evaluate, eval_pred, free_vars, uses_time
+from .expr import (
+    EVAL_FAILURES, Expr, Pred, compile_expr, compile_pred, evaluate, eval_pred, free_vars,
+    uses_time,
+)
 
 Store = dict[str, float]
 
@@ -60,13 +62,6 @@ class TimeDomain:
                 raise ValueError("interval domain must satisfy lo <= 0 <= hi")
         if self.query is not None and not self.contains_domain(self.query):
             raise ValueError("query sub-domain not contained in the domain")
-
-    def contains(self, t: float) -> bool:
-        if self.kind == "reals":
-            return True
-        if self.kind == "nonneg":
-            return t >= 0.0
-        return self.lo <= t <= self.hi
 
     def contains_domain(self, other: "TimeDomain") -> bool:
         if self.kind == "reals":
@@ -119,6 +114,17 @@ class Flow:
     def at(self, t: float, s: Store, consts: Mapping[str, float]) -> Store:
         env = {**consts, **s, "t": t}
         return {x: evaluate(e, env) for x, e in self.components.items()}
+
+    def states(
+        self, times: Iterable[float], s: Store, consts: Mapping[str, float]
+    ) -> Iterator[Store]:
+        """The states at(t, s, consts) for t in times, each computed when
+        asked for, over one environment whose time entry is rebound."""
+        comps = [(x, compile_expr(e)) for x, e in self.components.items()]
+        env = {**consts, **s}
+        for t in times:
+            env["t"] = t
+            yield {x: f(env) for x, f in comps}
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +228,14 @@ def store_update(s: Store, var: str, e: Expr, consts: Mapping[str, float] = {}) 
 def _guarded_prefix(grid, states, guard: Pred, consts, eq_tol: float) -> list[tuple[float, Store]]:
     """The orbit rule: the longest prefix of grid points whose states
     evaluate, are finite and satisfy the guard."""
+    holds = compile_pred(guard)
+    env = dict(consts)  # the states of one orbit share their keys
     out: list[tuple[float, Store]] = []
     try:
         for t, state in zip(grid, states):
             finite = all(map(isfinite, state.values()))
-            if not (finite and eval_pred(guard, {**consts, **state}, eq_tol)):
+            env.update(state)
+            if not (finite and holds(env, eq_tol)):
                 break
             out.append((t, state))
     except EVAL_FAILURES:
@@ -246,39 +255,35 @@ def guarded_orbit_flow(
 ) -> list[tuple[float, Store]]:
     """Grid sample of the guarded orbit of a flow from s (see _guarded_prefix)."""
     grid = dom.effective_query().grid(h, horizon)
-    states = map(flow.at, grid, repeat(s), repeat(consts))
-    return _guarded_prefix(grid, states, guard, consts, eq_tol)
-
-
-def _rk4_step(field: VectorField, s: Store, h: float, consts: Mapping[str, float]) -> Store:
-    names = list(field.components)
-
-    def deriv(state: Store) -> dict[str, float]:
-        env = {**consts, **state}
-        return {x: evaluate(field.components[x], env) for x in names}
-
-    k1 = deriv(s)
-    s2 = {x: s[x] + 0.5 * h * k1[x] for x in names}
-    k2 = deriv(s2)
-    s3 = {x: s[x] + 0.5 * h * k2[x] for x in names}
-    k3 = deriv(s3)
-    s4 = {x: s[x] + h * k3[x] for x in names}
-    k4 = deriv(s4)
-    out = dict(s)
-    for x in names:
-        out[x] = s[x] + (h / 6.0) * (k1[x] + 2 * k2[x] + 2 * k3[x] + k4[x])
-    return out
+    return _guarded_prefix(grid, flow.states(grid, s, consts), guard, consts, eq_tol)
 
 
 def rk4_states(
     field: VectorField, s: Store, h: float, consts: Mapping[str, float] = {}
 ) -> Iterator[Store]:
     """Classical fixed-step RK4 states at times 0, h, 2h, ... without end;
-    each step is taken only when its state is asked for."""
+    each step is taken only when its state is asked for.  The stages
+    evaluate the compiled components over one environment, in which the
+    field's variables are rebound; other store variables pass through."""
+    names = list(field.components)
+    fs = [compile_expr(e) for e in field.components.values()]
+    half, sixth = 0.5 * h, h / 6.0
+    env = {**consts, **s}
     state = dict(s)
     while True:
         yield state
-        state = _rk4_step(field, state, h, consts)
+        base = [state[x] for x in names]
+        k1 = [f(env) for f in fs]
+        env.update({x: b + half * k for x, b, k in zip(names, base, k1)})
+        k2 = [f(env) for f in fs]
+        env.update({x: b + half * k for x, b, k in zip(names, base, k2)})
+        k3 = [f(env) for f in fs]
+        env.update({x: b + h * k for x, b, k in zip(names, base, k3)})
+        k4 = [f(env) for f in fs]
+        state = dict(state)
+        for x, b, a1, a2, a3, a4 in zip(names, base, k1, k2, k3, k4):
+            state[x] = b + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+        env.update(state)
 
 
 def guarded_orbit_field(

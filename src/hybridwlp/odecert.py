@@ -312,8 +312,7 @@ def certify_flow(
                 checks["rk4"] = CheckResult(False, "integrator diverged")
                 refusal = "rk4 cross-check failed"
                 break
-            for t, st in traj:
-                target = flow.at(t, s, cv)
+            for (_, st), target in zip(traj, flow.states([t for t, _ in traj], s, cv)):
                 worst = max(worst, max(abs(target[v] - st[v]) for v in names))
         else:
             ok = worst <= SUP_TOL_RK4

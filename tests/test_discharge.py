@@ -1,5 +1,7 @@
 import itertools
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +15,12 @@ from hybridwlp.expr import (
     Sin,
     SymConst,
     TimeVar,
+    TRUE,
     Var,
     const,
     eval_pred,
+    pred_and,
+    substitute_pred,
 )
 from hybridwlp.discharge import (
     DischargeBudget,
@@ -30,8 +35,10 @@ from hybridwlp.discharge import (
     square_rule,
     validate_lemma,
 )
+import hybridwlp.discharge as dmod
+from hybridwlp.hprog import Assign, IfThenElse, Seq
 from hybridwlp.polynorm import normalize
-from hybridwlp.vcgen import Obligation
+from hybridwlp.vcgen import Obligation, VerifySpec, verify
 
 x, y, z, v = Var("x"), Var("y"), Var("z"), Var("v")
 t = TimeVar()
@@ -328,6 +335,154 @@ def test_package_attribute_is_the_submodule():
 
     assert isinstance(m, types.ModuleType) and hybridwlp.discharge is m
     assert m.discharge is discharge
+
+
+# ---------------------------------------------------------------------------
+# Solved-hypothesis memo
+
+
+def per_goal_substituted(hyps, concl):
+    """Reference: solve and substitute the equality hypotheses afresh for
+    every goal."""
+    hyps = list(hyps)
+    for _ in range(len(hyps) + 2):
+        binding = None
+        for i, hyp in enumerate(hyps):
+            if not (isinstance(hyp, Cmp) and hyp.op == "="):
+                continue
+            form = dmod.atom_form(hyp)
+            if form is None:
+                continue
+            solved = dmod._solve_poly_for_name(form[0])
+            if solved is not None:
+                binding = (i, *solved)
+                break
+        if binding is None:
+            break
+        i, name, rest = binding
+        expr = dmod.poly_to_expr(rest)
+        del hyps[i]
+        hyps = [substitute_pred(hyp, {name: expr}) for hyp in hyps]
+        concl = substitute_pred(concl, {name: expr})
+    return hyps, concl
+
+
+def discrete_obligation(n: int, n_ifs: int, off_by_one: bool = False, seed: int = 0):
+    """pre pins x1..x4, n assignments (n_ifs of them `if`s whose condition
+    holds, so the then-branch runs), post states a bound per variable and
+    the one final store; returns the main obligation, whose conclusion
+    splits into 8 goals per combination of `if` branches."""
+    rng = random.Random(seed)
+    names = ["x1", "x2", "x3", "x4"]
+    store = {nm: Fraction(rng.randint(-5, 5)) for nm in names}
+    init = dict(store)
+
+    def step():
+        nm, c = rng.choice(names), rng.randint(1, 3)
+        e, val = [
+            (Var(nm) + const(c), store[nm] + c),
+            (const(2) * Var(nm), 2 * store[nm]),
+            (const(c) - Var(nm), c - store[nm]),
+        ][rng.randrange(3)]
+        return Assign(nm, e), nm, val
+
+    if_at = {(i + 1) * n // (n_ifs + 1) for i in range(n_ifs)}
+    stmts = []
+    for i in range(n):
+        if i in if_at:
+            nm = rng.choice(names)
+            cond = Cmp(">", Var(nm), const(store[nm] - 1))
+            then, tgt, val = step()
+            els, _, _ = step()
+            store[tgt] = val
+            stmts.append(IfThenElse(cond, then, els))
+        else:
+            stmt, tgt, val = step()
+            store[tgt] = val
+            stmts.append(stmt)
+    final = dict(store)
+    if off_by_one:
+        final["x4"] += 1
+    # the prover stops at the first goal it cannot prove, so the one that
+    # fails when off_by_one comes last
+    post = [Cmp(">=", Var(nm), const(final[nm] - 1)) for nm in names]
+    post += [Cmp("=", Var(nm), const(final[nm])) for nm in names]
+    spec = VerifySpec(
+        "discrete", tuple(names),
+        pre=pred_and([Cmp("=", Var(nm), const(init[nm])) for nm in names]),
+        post=pred_and(post), program=Seq(tuple(stmts)),
+    )
+    return verify(spec)[0]
+
+
+def count_solves(fn):
+    """(fn(), number of _solve_poly_for_name calls it made)."""
+    calls = []
+    solve = dmod._solve_poly_for_name
+    dmod._solve_poly_for_name = lambda p: calls.append(p) or solve(p)
+    try:
+        return fn(), len(calls)
+    finally:
+        dmod._solve_poly_for_name = solve
+
+
+def run_prover(prover_class, ob):
+    prover = prover_class(LemmaDB())
+    return prover, prover.prove(list(ob.hyps), ob.concl)
+
+
+class TestSolvedHypothesisMemo:
+    @staticmethod
+    def reference_class(lists):
+        """A prover that solves per goal and records each goal's hypothesis
+        list under its id key (kept alive, so no id is reused)."""
+        class PerGoal(dmod._Prover):
+            def _substituted(self, hyps, concl):
+                lists.append((tuple(map(id, hyps)), tuple(hyps)))
+                return per_goal_substituted(hyps, concl)
+
+        return PerGoal
+
+    @pytest.mark.parametrize("n_ifs", [0, 3])
+    @pytest.mark.parametrize("off_by_one", [False, True])
+    def test_once_per_distinct_list_same_outcome(self, n_ifs, off_by_one):
+        ob = discrete_obligation(50, n_ifs, off_by_one)
+        lists = []
+        (ref, ref_proved), ref_calls = count_solves(
+            lambda: run_prover(self.reference_class(lists), ob))
+        (memo, proved), calls = count_solves(lambda: run_prover(dmod._Prover, ob))
+        assert proved == ref_proved == (not off_by_one)
+        assert memo.methods == ref.methods and memo.failure == ref.failure
+        distinct = dict(lists)
+        assert len(memo.solved) == len(distinct)
+        assert len(lists) >= 8 and (n_ifs > 0 or len(distinct) == 1)
+        once_each = sum(
+            count_solves(lambda: per_goal_substituted(hyps, TRUE))[1]
+            for hyps in distinct.values()
+        )
+        assert calls == once_each < ref_calls
+
+    def test_or_branch_list_gets_its_own_entry(self):
+        base = [Cmp("=", x, const(1)), Cmp("=", y, const(2))]
+        branch = Or(Not(Cmp(">", x, const(0))), Cmp("=", y * x, const(2)))
+        concl = And(Cmp(">=", x + y, const(3)), And(branch, Cmp("<=", x, y)))
+        prover = dmod._Prover(LemmaDB())
+        assert prover.prove(list(base), concl)
+        lists = sorted((entry[0] for entry in prover.solved.values()), key=len)
+        # the two plain goals share the base list; the disjunct is proved
+        # under the base list extended by the negated other disjunct
+        assert len(lists) == 2 and list(lists[0]) == base
+        assert all(map(operator.is_, lists[1][:2], lists[0]))
+        assert lists[1][2] == Cmp(">", x, const(0))
+
+    @pytest.mark.parametrize("off_by_one", [False, True])
+    def test_verdict_matches_per_goal_reference(self, monkeypatch, off_by_one):
+        ob = discrete_obligation(50, 3, off_by_one)
+        want = discharge(ob)
+        monkeypatch.setattr(dmod._Prover, "_substituted",
+                            lambda self, hyps, concl: per_goal_substituted(hyps, concl))
+        assert discharge(ob) == want
+        assert want.kind == ("refuted" if off_by_one else "proved")
 
 
 class TestCanonicalCmp:

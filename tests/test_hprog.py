@@ -1,9 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from hybridwlp.cli import main
-from hybridwlp.expr import Cmp, Const, FALSE, Mul, SymConst, TimeVar, TRUE, Var, const
+from hybridwlp.expr import (
+    Cmp, Const, Cos, EvalError, FALSE, Mul, Sin, SymConst, TimeVar, TRUE, Var, const, evaluate,
+)
 from hybridwlp.hprog import (
     Abort,
     Assign,
@@ -21,6 +25,7 @@ from hybridwlp.hprog import (
     VectorField,
     guarded_orbit_field,
     guarded_orbit_flow,
+    rk4_states,
     run_sampled,
     store_update,
 )
@@ -261,3 +266,144 @@ class TestRunSampled:
                 for st in run_sampled(prog, {"x": float(i)}, self.CFG).states
             }
             assert direct == set(composed.successors[i])
+
+
+# ---------------------------------------------------------------------------
+# Reference numeric loops: the RK4 step that built a merged environment and
+# a derivative dict per stage, and Flow.at called once per time.
+
+
+def ref_rk4_step(field, s, h, consts):
+    names = list(field.components)
+
+    def deriv(state):
+        env = {**consts, **state}
+        return {x: evaluate(field.components[x], env) for x in names}
+
+    k1 = deriv(s)
+    s2 = {x: s[x] + 0.5 * h * k1[x] for x in names}
+    k2 = deriv(s2)
+    s3 = {x: s[x] + 0.5 * h * k2[x] for x in names}
+    k3 = deriv(s3)
+    s4 = {x: s[x] + h * k3[x] for x in names}
+    k4 = deriv(s4)
+    out = dict(s)
+    for x in names:
+        out[x] = s[x] + (h / 6.0) * (k1[x] + 2 * k2[x] + 2 * k3[x] + k4[x])
+    return out
+
+
+def ref_rk4_states(field, s, h, consts):
+    state = dict(s)
+    while True:
+        yield state
+        state = ref_rk4_step(field, state, h, consts)
+
+
+def take(states, n):
+    """The first n states as reprs (exact for floats, ints stay ints), and
+    the (type, message) of the exception that ended them early, if any."""
+    out = []
+    try:
+        for s in itertools.islice(states, n):
+            out.append({k: repr(val) for k, val in s.items()})
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def random_expr(rng, names, consts, depth):
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(3)
+        if pick == 0:
+            return Var(rng.choice(names))
+        if pick == 1 and consts:
+            return SymConst(rng.choice(consts))
+        return const(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+    a = random_expr(rng, names, consts, depth - 1)
+    op = rng.randrange(6)
+    if op == 3:
+        return -a
+    if op == 4:
+        return Sin(a)
+    if op == 5:
+        return Cos(a)
+    b = random_expr(rng, names, consts, depth - 1)
+    return (a + b, a - b, a * b)[op]
+
+
+class TestRk4StatesBitIdentity:
+    def test_random_fields_match_reference(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+            consts = rng.sample(["a", "b"], rng.randint(0, 2))
+            field = VectorField({n: random_expr(rng, names, consts, 3) for n in names})
+            cv = {c: rng.uniform(-2, 2) for c in consts}
+            # n and w are store variables outside the field
+            s = {**{n: rng.uniform(-2, 2) for n in names}, "n": 7, "w": 0.5}
+            h = rng.choice([0.1, 0.05, 0.125])
+            got = take(rk4_states(field, s, h, cv), 40)
+            assert got == take(ref_rk4_states(field, s, h, cv), 40)
+            assert all(st["n"] == "7" and st["w"] == "0.5" for st in got[0])
+
+    def test_blow_up_matches_reference(self):
+        # x' = x*x from 5 overflows to inf, then inf - inf gives nan; sin of
+        # an infinity raises ValueError at the stage that first reads it
+        square = VectorField({"x": x * x})
+        with_sin = VectorField({"x": x * x, "y": Sin(x)})
+        a = take(rk4_states(square, {"x": 5.0}, 0.5), 60)
+        b = take(rk4_states(with_sin, {"x": 5.0, "y": 0.0}, 0.5), 60)
+        assert a == take(ref_rk4_states(square, {"x": 5.0}, 0.5, {}), 60)
+        assert b == take(ref_rk4_states(with_sin, {"x": 5.0, "y": 0.0}, 0.5, {}), 60)
+        assert a[1] is None and any(st["x"] in ("inf", "nan") for st in a[0])
+        assert b[1] == (ValueError, "math domain error")
+
+    @pytest.mark.parametrize("pole", [1.25, 1.3125, 1.65625], ids=["stage2", "stage3", "stage4"])
+    def test_stage_failure_ends_at_the_same_point(self, pole):
+        # x' = x from x = 1 at h = 1/2 reads x = 1, 1.25, 1.3125, 1.65625 at
+        # the four stages of the first step, so y' = 1/(x - pole) fails at one
+        field = VectorField({"x": x, "y": const(1) / (x - const(Fraction(pole)))})
+        s = {"x": 1.0, "y": 0.0}
+        got = take(rk4_states(field, s, 0.5), 5)
+        assert got == take(ref_rk4_states(field, s, 0.5, {}), 5)
+        assert got == ([{"x": "1.0", "y": "0.0"}], (EvalError, "division by zero"))
+        orbit = guarded_orbit_field(field, TRUE, NONNEG, s, 0.5, horizon=2)
+        assert orbit == [(0.0, s)]
+
+    def test_orbit_matches_reference_points(self):
+        guard = Cmp(">=", x, const(0))
+        s = {"x": 1.0, "v": 0.5}
+        orbit = guarded_orbit_field(BALL_FIELD, guard, NONNEG, s, 0.05, {"g": -1.0}, horizon=6)
+        ref = ref_rk4_states(BALL_FIELD, s, 0.05, {"g": -1.0})
+        assert [st for _, st in orbit] == list(itertools.islice(ref, len(orbit)))
+        assert 0 < len(orbit) < 121
+
+
+class TestFlowStates:
+    def test_matches_flow_at(self):
+        rng = random.Random(7)
+        flows = [
+            BALL_FLOW,
+            Flow({"x": x * Cos(t) + y * Sin(t), "y": y * Cos(t) - x * Sin(t)}),
+            Flow({"x": x + g * t * t, "v": v * Const(Fraction(3, 2))}),
+        ]
+        for flow in flows:
+            for _ in range(5):
+                s = {"x": rng.uniform(-2, 2), "v": rng.uniform(-2, 2),
+                     "y": rng.uniform(-2, 2), "n": 3}
+                cv = {"g": rng.uniform(-2, 2)}
+                times = [0.05 * k for k in range(50)]
+                got = list(flow.states(times, s, cv))
+                want = [flow.at(tt, s, cv) for tt in times]
+                assert take(got, 50) == take(want, 50)
+
+    def test_error_at_a_later_time_raises_on_that_element(self):
+        flow = Flow({"x": x + const(1) / (t - const(1))})
+        times = [0.0, 0.5, 1.0, 1.5]
+        states = flow.states(times, {"x": 2.0}, {})
+        assert next(states) == flow.at(0.0, {"x": 2.0}, {})
+        assert next(states) == flow.at(0.5, {"x": 2.0}, {})
+        with pytest.raises(EvalError, match="division by zero"):
+            next(states)
+        assert flow.at(1.5, {"x": 2.0}, {}) == {"x": 4.0}

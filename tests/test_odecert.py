@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,6 +28,7 @@ from hybridwlp.hprog import (
     Skip,
     TimeDomain,
     VectorField,
+    rk4_states,
 )
 from hybridwlp.hwl import parse_spec
 from hybridwlp.odecert import (
@@ -84,6 +86,16 @@ class TestRk4:
         traj, divergent = rk4_integrate(field, {"x": 5.0}, 0.5, 60)
         assert divergent
         assert len(traj) < 61
+
+    def test_overflow_to_inf_truncates_and_flags(self):
+        # the store variable n lies outside the field and passes through
+        field = VectorField({"x": x * x})
+        traj, divergent = rk4_integrate(field, {"x": 5.0, "n": 3}, 0.5, 60)
+        assert divergent and 0 < len(traj) < 61
+        assert [tt for tt, _ in traj] == [0.5 * k for k in range(len(traj))]
+        assert all(math.isfinite(s["x"]) and s["n"] == 3 for _, s in traj)
+        nxt = list(itertools.islice(rk4_states(field, {"x": 5.0, "n": 3}, 0.5), len(traj) + 1))
+        assert nxt[:-1] == [s for _, s in traj] and not math.isfinite(nxt[-1]["x"])
 
     def test_convergence_order(self):
         def err(step):
