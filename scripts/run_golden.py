@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Verify every shipped problem and print a one-line result per file.
+"""Verify and certify every shipped problem; print a one-line result per file.
 
-Valid problems must come out all-proved; mutants must be refuted.
+Valid problems must come out all-proved; mutants must be refuted.  certify
+must succeed exactly when verify proves every flow-certificate and
+differential-invariance obligation.
 """
 
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hybridwlp.cli import run_verify
+from hybridwlp.cli import run_certify, run_verify
 from hybridwlp.hwl import parse_spec
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -26,12 +28,20 @@ def main() -> int:
         summary = report["summary"]
         expect_refuted = path.name.startswith("mutant_")
         ok = (summary["exit"] == 2) if expect_refuted else (summary["exit"] == 0)
+        side_proved = all(
+            e["verdict"]["status"] == "proved"
+            for e in report["obligations"]
+            if e["kind"] in ("flow_cert", "diff_inv")
+        )
+        certified = run_certify(spec, seed=0)["ok"]
+        ok = ok and certified == side_proved
         status = "ok" if ok else "UNEXPECTED"
         failures += not ok
         print(
             f"{path.name:<32} exit={summary['exit']} "
             f"proved={summary['proved']} refuted={summary['refuted']} "
-            f"unknown={summary['unknown']} ({elapsed:.2f}s) {status}"
+            f"unknown={summary['unknown']} certify={'OK' if certified else 'FAILED'} "
+            f"({elapsed:.2f}s) {status}"
         )
     return 1 if failures else 0
 

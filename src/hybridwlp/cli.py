@@ -57,11 +57,20 @@ def _const_valuations(spec: SpecFile, seed: int, k: int = 3) -> list:
     return out or [{c: 1.0 for c in spec.consts}]
 
 
-def _lemma_db(spec: SpecFile, seed: int, trials: int) -> LemmaDB:
+def _deciders(spec: SpecFile, seed: int, trials=None, step=None, horizon=None):
+    """The validated lemma DB and the discharge budget that decide a
+    problem's obligations."""
+    budget = DischargeBudget(
+        seed=seed,
+        refute_trials=int(trials) if trials is not None else DischargeBudget.refute_trials,
+        grid_step=float(step) if step is not None else DischargeBudget.grid_step,
+        grid_horizon=float(horizon) if horizon is not None else DischargeBudget.grid_horizon,
+    )
     db = LemmaDB()
+    lemma_trials = int(spec.config.get("lemma_trials", 2000))
     for lemma in spec.lemmas:
-        db.add(validate_lemma(lemma, trials=trials, seed=seed))
-    return db
+        db.add(validate_lemma(lemma, trials=lemma_trials, seed=seed))
+    return db, budget
 
 
 def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget,
@@ -154,13 +163,7 @@ def run_verify(
     extra_obligations: tuple = (),
 ) -> dict:
     """Full pipeline on a parsed problem; returns the report dict."""
-    budget = DischargeBudget(
-        seed=seed,
-        refute_trials=int(trials) if trials is not None else DischargeBudget.refute_trials,
-        grid_step=float(step) if step is not None else DischargeBudget.grid_step,
-        grid_horizon=float(horizon) if horizon is not None else DischargeBudget.grid_horizon,
-    )
-    db = _lemma_db(spec, seed, trials=int(spec.config.get("lemma_trials", 2000)))
+    db, budget = _deciders(spec, seed, trials, step, horizon)
     obligations = verify(spec.to_verify_spec()) + list(extra_obligations)
     results = [(ob, *_route(ob, spec, db, budget, seed)) for ob in obligations]
     report = _verify_report(spec, results)
@@ -210,37 +213,50 @@ def cmd_verify(args) -> int:
     return report["summary"]["exit"]
 
 
-def cmd_certify(args) -> int:
-    spec = _load(args.file)
-    seed = int(_setting("seed", 0, spec, args.seed))
-    from .vcgen import _find_evolves
+_CERTIFY_KINDS = {"flow_cert": "flow", "diff_inv": "dinv"}
 
+
+def run_certify(
+    spec: SpecFile,
+    seed: int = 0,
+    kinds: tuple = ("flow", "dinv"),
+    step: Optional[float] = None,
+    horizon: Optional[float] = None,
+) -> dict:
+    """verify restricted to side conditions: each flow certificate and
+    differential-invariance obligation whose kind is in kinds, decided as
+    run_verify decides it; ok when every one of them is proved."""
+    db, budget = _deciders(spec, seed, step=step, horizon=horizon)
     entries = []
     ok = True
-    for path, ev in _find_evolves(spec.program):
-        if ev.flow is not None and not args.dinv_only:
-            cert = certify_flow(
-                ev.field, ev.flow, ev.dom,
-                const_valuations=_const_valuations(spec, seed), seed=seed,
-            )
-            entries.append({"at": path, "kind": "flow", "report": cert.to_json()})
-            ok = ok and cert.issued
-        if ev.dinv is not None and not args.flow_only:
-            rep = check_diff_invariant(
-                ev.dinv, ev.field, ev.dom, assumptions=spec.assumptions,
-            )
-            entries.append({"at": path, "kind": "dinv", "report": rep.to_json()})
-            ok = ok and rep.overall.proved
-    doc = {"problem": spec.name, "certificates": entries, "ok": ok}
+    for ob in verify(spec.to_verify_spec()):
+        kind = _CERTIFY_KINDS.get(ob.kind)
+        if kind not in kinds:
+            continue
+        verdict, detail = _route(ob, spec, db, budget, seed)
+        entries.append({"at": ob.provenance.split("@", 1)[1], "kind": kind, "report": detail})
+        ok = ok and verdict.kind == "proved"
+    return {"problem": spec.name, "certificates": entries, "ok": ok}
+
+
+def cmd_certify(args) -> int:
+    spec = _load(args.file)
+    doc = run_certify(
+        spec,
+        seed=int(_setting("seed", 0, spec, args.seed)),
+        kinds=("flow",) if args.flow_only else ("dinv",) if args.dinv_only else ("flow", "dinv"),
+        step=spec.config.get("step"),
+        horizon=spec.config.get("horizon"),
+    )
     if args.json:
         print(json.dumps(doc, indent=2, default=str))
     else:
         print(f"problem {spec.name}")
-        for e in entries:
+        for e in doc["certificates"]:
             status = e["report"].get("issued", e["report"].get("verdict", {}).get("status"))
             print(f"  {e['kind']} at {e['at']}: {status}")
-        print("certification", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+        print("certification", "OK" if doc["ok"] else "FAILED")
+    return 0 if doc["ok"] else 1
 
 
 def cmd_falsify(args) -> int:

@@ -15,8 +15,8 @@ from math import isfinite
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .expr import (
-    EVAL_FAILURES, Expr, Pred, compile_expr, compile_pred, evaluate, eval_pred, free_vars,
-    uses_time,
+    EVAL_FAILURES, Expr, Pred, Var, compile_expr, compile_pred, evaluate, eval_pred,
+    free_vars, uses_time,
 )
 
 Store = dict[str, float]
@@ -47,12 +47,11 @@ class VectorField:
 
 @dataclass(frozen=True)
 class TimeDomain:
-    """Interval of times containing 0, with an optional query sub-domain."""
+    """Interval of times containing 0."""
 
     kind: str  # "reals" | "nonneg" | "interval"
     lo: Optional[float] = None
     hi: Optional[float] = None
-    query: Optional["TimeDomain"] = None
 
     def __post_init__(self):
         if self.kind not in ("reals", "nonneg", "interval"):
@@ -60,8 +59,6 @@ class TimeDomain:
         if self.kind == "interval":
             if self.lo is None or self.hi is None or not (self.lo <= 0.0 <= self.hi):
                 raise ValueError("interval domain must satisfy lo <= 0 <= hi")
-        if self.query is not None and not self.contains_domain(self.query):
-            raise ValueError("query sub-domain not contained in the domain")
 
     def contains_domain(self, other: "TimeDomain") -> bool:
         if self.kind == "reals":
@@ -73,9 +70,6 @@ class TimeDomain:
         if other.kind != "interval":
             return False
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def effective_query(self) -> "TimeDomain":
-        return self.query if self.query is not None else self
 
     def includes_negative(self) -> bool:
         if self.kind == "reals":
@@ -103,7 +97,8 @@ NONNEG = TimeDomain("nonneg")
 
 @dataclass(frozen=True)
 class Flow:
-    """Claimed solution family: per-variable expressions in state and time."""
+    """Claimed solution family: per-variable expressions in state and time.
+    A store variable the flow does not name keeps its value."""
 
     components: Mapping[str, Expr]
     domain: TimeDomain = REALS
@@ -111,16 +106,22 @@ class Flow:
     def __post_init__(self):
         object.__setattr__(self, "components", dict(self.components))
 
+    def _over(self, s: Store) -> dict:
+        """The components, then the identity on the store variables of s
+        that the flow does not name."""
+        rest = {x: Var(x) for x in s if x not in self.components}
+        return {**self.components, **rest} if rest else self.components
+
     def at(self, t: float, s: Store, consts: Mapping[str, float]) -> Store:
         env = {**consts, **s, "t": t}
-        return {x: evaluate(e, env) for x, e in self.components.items()}
+        return {x: evaluate(e, env) for x, e in self._over(s).items()}
 
     def states(
         self, times: Iterable[float], s: Store, consts: Mapping[str, float]
     ) -> Iterator[Store]:
         """The states at(t, s, consts) for t in times, each computed when
         asked for, over one environment whose time entry is rebound."""
-        comps = [(x, compile_expr(e)) for x, e in self.components.items()]
+        comps = [(x, compile_expr(e)) for x, e in self._over(s).items()]
         env = {**consts, **s}
         for t in times:
             env["t"] = t
@@ -254,7 +255,7 @@ def guarded_orbit_flow(
     eq_tol: float = 0.0,
 ) -> list[tuple[float, Store]]:
     """Grid sample of the guarded orbit of a flow from s (see _guarded_prefix)."""
-    grid = dom.effective_query().grid(h, horizon)
+    grid = dom.grid(h, horizon)
     return _guarded_prefix(grid, flow.states(grid, s, consts), guard, consts, eq_tol)
 
 
@@ -297,7 +298,7 @@ def guarded_orbit_field(
     eq_tol: float = 0.0,
 ) -> list[tuple[float, Store]]:
     """Same orbit rule as guarded_orbit_flow, integrating the field with RK4."""
-    grid = dom.effective_query().grid(h, horizon)
+    grid = dom.grid(h, horizon)
     return _guarded_prefix(grid, rk4_states(field, s, h, consts), guard, consts, eq_tol)
 
 

@@ -263,7 +263,7 @@ def certify_flow(
         if not ok:
             refusal = refusal or f"initial-value check failed for {v!r}"
 
-    dom_ok = flow.domain.contains_domain(dom.effective_query())
+    dom_ok = flow.domain.contains_domain(dom)
     checks["domain"] = CheckResult(dom_ok, "query domain within interval of existence" if dom_ok else "query domain exceeds the flow's interval of existence")
     if not dom_ok:
         refusal = refusal or "domain check failed"
@@ -281,7 +281,7 @@ def certify_flow(
         for _ in range(MONOID_SAMPLES):
             cv = const_valuations[rng.randrange(len(const_valuations))]
             s = {v: rng.uniform(-2.0, 2.0) for v in names}
-            if dom.effective_query().includes_negative():
+            if dom.includes_negative():
                 t1, t2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             else:
                 t1, t2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
@@ -302,8 +302,8 @@ def certify_flow(
     if not refusal:
         worst = 0.0
         horizon = 1.0
-        if dom.effective_query().kind == "interval":
-            horizon = min(horizon, dom.effective_query().hi)
+        if dom.kind == "interval":
+            horizon = min(horizon, dom.hi)
         steps = max(1, int(round(horizon / RK4_STEP)))
         for cv in const_valuations:
             s = {v: rng.uniform(-1.5, 1.5) for v in names}

@@ -170,18 +170,9 @@ def eval_pred_ext(
 # The predicate transformer
 
 
-@dataclass
-class _ProtoObligation:
-    hyps: tuple
-    concl: Pred
-    provenance: str
-    kind: str = "arith"
-    payload: object = None
-
-
 class _WlpPass:
     def __init__(self, reserved=frozenset()):
-        self.protos: list[_ProtoObligation] = []
+        self.obligations: list[Obligation] = []
         self.time_counter = 0
         # declared names, which binders never take even where q does not read them
         self.reserved = frozenset(reserved)
@@ -193,7 +184,10 @@ class _WlpPass:
         return t_name, tau_name
 
     def emit(self, hyps, concl, provenance, kind="arith", payload=None):
-        self.protos.append(_ProtoObligation(tuple(hyps), concl, provenance, kind, payload))
+        ident = f"ob{len(self.obligations) + 1}"
+        self.obligations.append(
+            Obligation(ident, (), tuple(hyps), concl, provenance, kind, payload)
+        )
 
     def wlp(self, p: HybridProgram, q: Pred, path: str) -> Pred:
         if isinstance(p, Skip):
@@ -245,7 +239,6 @@ class _WlpPass:
         for e in flow.components.values():
             avoid |= free_vars(e) | free_consts(e)
         t_name, tau_name = self.fresh_times(avoid)
-        u = dom.effective_query()
         at_t = {
             x: substitute(e, {"t": Var(t_name)}) for x, e in flow.components.items()
         }
@@ -255,7 +248,7 @@ class _WlpPass:
         return TimeQuant(
             t_name=t_name,
             tau_name=tau_name,
-            dom=u,
+            dom=dom,
             prefix=substitute_pred(guard, at_tau),
             body=substitute_pred(q, at_t),
         )
@@ -263,89 +256,61 @@ class _WlpPass:
 
 def wlp(p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:
     """Weakest liberal precondition of q under p, plus side obligations."""
-    return _run_wlp(_WlpPass(), p, q)
+    run = _WlpPass()
+    return run.wlp(p, q, "program"), run.obligations
 
 
-def _run_wlp(run: _WlpPass, p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:
-    pred = run.wlp(p, q, "program")
-    obligations = [
-        Obligation(
-            id=f"ob{i+1}",
-            forall=(),
-            hyps=proto.hyps,
-            concl=proto.concl,
-            provenance=proto.provenance,
-            kind=proto.kind,
-            payload=proto.payload,
-        )
-        for i, proto in enumerate(run.protos)
-    ]
-    return pred, obligations
-
-
-def _with_context(ob: Obligation, spec: VerifySpec, ident: str) -> Obligation:
+def _with_context(ob: Obligation, spec: VerifySpec) -> Obligation:
     hyps = tuple(spec.assumptions) + ob.hyps
     time_names = set().union(*(pred_bound_names(h) for h in hyps + (ob.concl,)))
     quantified = list(spec.vars) + sorted(time_names)
-    return replace(ob, id=ident, hyps=hyps, forall=tuple(quantified))
+    return replace(ob, hyps=hyps, forall=tuple(quantified))
 
 
 def verify(spec: VerifySpec) -> list[Obligation]:
     """Generate all proof obligations; no discharge is attempted here."""
     run = _WlpPass(set(spec.vars) | set(spec.consts))
-    pred, side = _run_wlp(run, spec.program, spec.post)
-    main = Obligation(
-        id="ob0",
-        forall=(),
-        hyps=(spec.pre,),
-        concl=pred,
-        provenance="pre-implies-wlp@program",
-    )
-    out = [main] + side
-    return [_with_context(ob, spec, f"ob{i}") for i, ob in enumerate(out)]
+    pred = run.wlp(spec.program, spec.post, "program")
+    main = Obligation("ob0", (), (spec.pre,), pred, "pre-implies-wlp@program")
+    return [_with_context(ob, spec) for ob in [main] + run.obligations]
 
 
 # ---------------------------------------------------------------------------
 # Semantic variants of differential dynamic logic rules
 
 
+def _subprograms(p: HybridProgram) -> list[tuple[str, HybridProgram]]:
+    """(path step, child) of each direct subprogram of p.  A path names a
+    node from the root "program" by its steps: ".i" for the i-th item of a
+    sequence or choice, ".then"/".else" for a conditional's branches and
+    ".body" for a loop's body."""
+    if isinstance(p, (Seq, Choice)):
+        return [(str(i), item) for i, item in enumerate(p.items)]
+    if isinstance(p, IfThenElse):
+        return [("then", p.then), ("else", p.els)]
+    if isinstance(p, Loop):
+        return [("body", p.body)]
+    return []
+
+
 def _find_evolves(p: HybridProgram, path: str = "program"):
     """(path, node) of every evolution command that has a vector field."""
-    if isinstance(p, Evolve):
-        if p.field is not None:
-            yield path, p
-    elif isinstance(p, Seq):
-        for i, item in enumerate(p.items):
-            yield from _find_evolves(item, f"{path}.{i}")
-    elif isinstance(p, Choice):
-        for i, item in enumerate(p.items):
-            yield from _find_evolves(item, f"{path}.{i}")
-    elif isinstance(p, IfThenElse):
-        yield from _find_evolves(p.then, f"{path}.then")
-        yield from _find_evolves(p.els, f"{path}.else")
-    elif isinstance(p, Loop):
-        yield from _find_evolves(p.body, f"{path}.body")
+    if isinstance(p, Evolve) and p.field is not None:
+        yield path, p
+    for step, sub in _subprograms(p):
+        yield from _find_evolves(sub, f"{path}.{step}")
 
 
 def _replace_at(p: HybridProgram, path: str, new: HybridProgram, here="program"):
     if here == path:
         return new
-    if isinstance(p, Seq):
-        return Seq(
-            tuple(_replace_at(item, path, new, f"{here}.{i}") for i, item in enumerate(p.items))
-        )
-    if isinstance(p, Choice):
-        return Choice(
-            tuple(_replace_at(item, path, new, f"{here}.{i}") for i, item in enumerate(p.items))
-        )
+    subs = [_replace_at(sub, path, new, f"{here}.{step}") for step, sub in _subprograms(p)]
+    if isinstance(p, (Seq, Choice)):
+        return replace(p, items=subs)
     if isinstance(p, IfThenElse):
-        return IfThenElse(
-            p.cond,
-            _replace_at(p.then, path, new, f"{here}.then"),
-            _replace_at(p.els, path, new, f"{here}.else"),
-        )
+        return replace(p, then=subs[0], els=subs[1])
     if isinstance(p, Loop):
-        return Loop(_replace_at(p.body, path, new, f"{here}.body"), p.inv)
+        return replace(p, body=subs[0])
     return p
 
 
@@ -366,24 +331,11 @@ def dc_split(spec: VerifySpec, cut: Pred, path: Optional[str] = None):
     new_evolve = replace(target, guard=And(target.guard, cut))
     new_program = _replace_at(spec.program, path, new_evolve)
     obligations = [
-        Obligation(
-            id="dc1",
-            forall=tuple(spec.vars),
-            hyps=tuple(spec.assumptions),
-            concl=TRUE,
-            provenance=f"dc-invariance@{path}",
-            kind="diff_inv",
-            payload=replace(target, dinv=cut, flow=None),
-        ),
-        Obligation(
-            id="dc2",
-            forall=tuple(spec.vars),
-            hyps=tuple(spec.assumptions) + (spec.pre,),
-            concl=cut,
-            provenance=f"dc-pre-implies-cut@{path}",
-        ),
+        Obligation("dc1", (), (), TRUE, f"dc-invariance@{path}", "diff_inv",
+                   replace(target, dinv=cut, flow=None)),
+        Obligation("dc2", (), (spec.pre,), cut, f"dc-pre-implies-cut@{path}"),
     ]
-    return replace(spec, program=new_program), obligations
+    return replace(spec, program=new_program), [_with_context(ob, spec) for ob in obligations]
 
 
 def dw_check(evolve: Evolve, q: Pred) -> Obligation:

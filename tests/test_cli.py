@@ -143,6 +143,18 @@ class TestGoldenReports:
         assert code == json.loads(out)["summary"]["exit"]
 
 
+CUBE = """problem cube
+vars x
+consts a in [0, 2]
+assume a >= 0
+pre x = 0
+post x >= 0
+program
+  evolve x' = a*a*a & true on [0,inf) dinv x >= 0
+lemma cube: a >= 0 => a*a*a >= 0
+"""
+
+
 class TestCertifyCommand:
     def test_pendulum_flow(self, capsys):
         code, out, _ = run(capsys, "certify", str(PROBLEMS / "pendulum_flow.hwl"))
@@ -180,6 +192,39 @@ class TestCertifyCommand:
             assert code2 == 1
         finally:
             os.unlink(path)
+
+    # certify decides exactly verify's flow-certificate and
+    # differential-invariance obligations, by the same route
+    @staticmethod
+    def side_conditions(capsys, path):
+        _, out, _ = run(capsys, "verify", str(path), "--json")
+        return [e for e in json.loads(out)["obligations"]
+                if e["kind"] in ("flow_cert", "diff_inv")]
+
+    def test_cube_invariant_proved_with_the_file_lemma(self, capsys, tmp_path):
+        path = tmp_path / "cube.hwl"
+        path.write_text(CUBE)
+        code, out, _ = run(capsys, "certify", str(path), "--json")
+        assert code == 0
+        (entry,) = json.loads(out)["certificates"]
+        (ob,) = self.side_conditions(capsys, path)
+        assert ob["verdict"]["method"] == "lie-lemma:cube"
+        assert entry == {"at": "program", "kind": "dinv", "report": ob["detail"]}
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.hwl")))
+    def test_entries_are_verify_details(self, capsys, name):
+        path = PROBLEMS / f"{name}.hwl"
+        code, out, _ = run(capsys, "certify", str(path), "--json")
+        doc = json.loads(out)
+        obs = self.side_conditions(capsys, path)
+        assert [(e["at"], e["kind"], e["report"]) for e in doc["certificates"]] == [
+            (ob["provenance"].split("@", 1)[1],
+             {"flow_cert": "flow", "diff_inv": "dinv"}[ob["kind"]],
+             ob["detail"])
+            for ob in obs
+        ]
+        proved = all(ob["verdict"]["status"] == "proved" for ob in obs)
+        assert doc["ok"] is proved and code == (0 if proved else 1)
 
 
 class TestFalsifyCommand:
@@ -229,6 +274,21 @@ class TestFalsifyCommand:
         code, out, _ = run(capsys, "falsify", str(path), "--json")
         assert code == 1
         assert json.loads(out)["counterexample"]["undefined"] == "division by zero"
+
+
+    @pytest.mark.parametrize("step", ["?(y >= 0)", "y := y + 1"])
+    def test_flow_naming_some_variables_keeps_the_rest(self, capsys, tmp_path, step):
+        path = tmp_path / "partial_flow.hwl"
+        path.write_text(
+            "problem partial_flow\nvars x y\npre x = 0 & y = 0\npost y >= 0\n"
+            f"program evol x = x + t & x <= 1 on [0,inf) ; {step}\n"
+        )
+        code, out, err = run(capsys, "falsify", str(path))
+        assert (code, err) == (0, "")
+        assert "no counterexample" in out
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "summary: 1 proved, 0 refuted, 0 unknown" in out
 
 
 class TestLawsCommand:

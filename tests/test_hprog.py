@@ -397,6 +397,8 @@ class TestFlowStates:
                 got = list(flow.states(times, s, cv))
                 want = [flow.at(tt, s, cv) for tt in times]
                 assert take(got, 50) == take(want, 50)
+                # a variable the flow does not name keeps its value
+                assert all(st[k] == s[k] for st in got for k in set(s) - set(flow.components))
 
     def test_error_at_a_later_time_raises_on_that_element(self):
         flow = Flow({"x": x + const(1) / (t - const(1))})

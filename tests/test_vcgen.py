@@ -45,6 +45,8 @@ from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
     TimeQuant,
     VerifySpec,
+    _find_evolves,
+    _replace_at,
     dc_split,
     ds_closed_form,
     dw_check,
@@ -404,6 +406,69 @@ def _walk(p):
         yield from _walk(p.els)
     elif isinstance(p, Loop):
         yield from _walk(p.body)
+
+
+def _random_hybrid_program(rng: random.Random, depth: int = 4):
+    """Random program over x, v, y whose leaves include evolution commands
+    with a flow, with an invariant and (not found by _find_evolves) without
+    a field."""
+    leaves = [
+        Skip(),
+        Assign("x", x + 1),
+        Evolve(BALL_FIELD, BALL_GUARD, NONNEG, flow=BALL_FLOW),
+        Evolve(PEND_FIELD, TRUE, REALS, dinv=PEND_I),
+        Evolve(None, BALL_GUARD, NONNEG, flow=BALL_FLOW),
+    ]
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    shape = rng.randrange(4)
+    if shape < 2:
+        items = tuple(_random_hybrid_program(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+        return Seq(items) if shape == 0 else Choice(items)
+    if shape == 2:
+        return IfThenElse(
+            Cmp("<", x, v),
+            _random_hybrid_program(rng, depth - 1),
+            _random_hybrid_program(rng, depth - 1),
+        )
+    return Loop(_random_hybrid_program(rng, depth - 1), TRUE)
+
+
+def _node_at(p, path: str):
+    """The node a path names, read off the path grammar step by step."""
+    head, *steps = path.split(".")
+    assert head == "program"
+    for step in steps:
+        if step.isdigit():
+            p = p.items[int(step)]
+        else:
+            p = getattr(p, {"then": "then", "else": "els", "body": "body"}[step])
+    return p
+
+
+class TestProgramPaths:
+    def test_find_and_replace_agree_on_random_programs(self):
+        rng = random.Random(2024)
+        marker = Evolve(PEND_FIELD, Cmp("<=", x, const(7)), REALS, dinv=PEND_I)
+        checked = 0
+        for _ in range(300):
+            p = _random_hybrid_program(rng)
+            found = list(_find_evolves(p))
+            assert len(found) == sum(
+                isinstance(n, Evolve) and n.field is not None for n in _walk(p)
+            )
+            for path, node in found:
+                assert isinstance(node, Evolve) and node.field is not None
+                assert _node_at(p, path) is node
+                new = _replace_at(p, path, marker)
+                assert _node_at(new, path) is marker
+                # the rest of the program is as it was
+                assert [e for e in found if e[0] != path] == [
+                    e for e in _find_evolves(new) if e[0] != path
+                ]
+                assert _replace_at(new, path, node) == p
+                checked += 1
+        assert checked > 200
 
 
 class TestObligationWellFormedness:
