@@ -220,13 +220,11 @@ def run_certify(
     spec: SpecFile,
     seed: int = 0,
     kinds: tuple = ("flow", "dinv"),
-    step: Optional[float] = None,
-    horizon: Optional[float] = None,
 ) -> dict:
     """verify restricted to side conditions: each flow certificate and
     differential-invariance obligation whose kind is in kinds, decided as
     run_verify decides it; ok when every one of them is proved."""
-    db, budget = _deciders(spec, seed, step=step, horizon=horizon)
+    db, budget = _deciders(spec, seed)
     entries = []
     ok = True
     for ob in verify(spec.to_verify_spec()):
@@ -245,8 +243,6 @@ def cmd_certify(args) -> int:
         spec,
         seed=int(_setting("seed", 0, spec, args.seed)),
         kinds=("flow",) if args.flow_only else ("dinv",) if args.dinv_only else ("flow", "dinv"),
-        step=spec.config.get("step"),
-        horizon=spec.config.get("horizon"),
     )
     if args.json:
         print(json.dumps(doc, indent=2, default=str))
