@@ -59,7 +59,8 @@ def _const_valuations(spec: SpecFile, seed: int, k: int = 3) -> list:
 
 def _deciders(spec: SpecFile, seed: int, trials=None, step=None, horizon=None):
     """The validated lemma DB and the discharge budget that decide a
-    problem's obligations."""
+    problem's obligations; trials defaults to the file's config value."""
+    trials = _setting("trials", None, spec, trials)
     budget = DischargeBudget(
         seed=seed,
         refute_trials=int(trials) if trials is not None else DischargeBudget.refute_trials,

@@ -7,6 +7,7 @@ Predicates are boolean trees over comparisons of expressions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -355,6 +356,171 @@ def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
     """Evaluate at a valuation through e's compiled closure; unbound names
     and division by zero raise EvalError."""
     return compile_expr(e)(valuation)
+
+
+# ---------------------------------------------------------------------------
+# Straight-line kernels
+#
+# A KernelWriter generates one Python function that evaluates several
+# expressions in turn, for loops that evaluate the same expressions many
+# times (hprog's RK4 stepper and flow kernels).  Each node becomes one
+# statement, in the order in which its compiled closure computes it:
+# children left to right, a division's denominator and zero check before
+# its numerator, and each name load a statement of its own with float()
+# applied.  So the values are bit-identical to the closures', and a failure
+# raises the same exception type, message and subterm at the same point.
+# The code is straight-line, so an earlier statement always ran before a
+# later one: a node object met again under the same locals, and a name
+# loaded again from the same variable or from env, reuse the first value,
+# which cannot differ and would have raised first.  One handler maps a
+# KeyError on an env load's line to that load's EvalError.  Statements under
+# an Exp sit in a try block that turns OverflowError into the Exp's
+# EvalError, as the closure's try around its whole argument does; a nested
+# Exp ends the outer block and starts its own, so blocks never nest and a
+# term of any depth compiles.  Identifiers are synthesized: names,
+# dictionary keys, constants, exponents and nodes reach the code only
+# through the function's globals.
+
+
+class KernelWriter:
+    """Source of one generated function, built statement by statement."""
+
+    def __init__(self):
+        self._globals = {"EvalError": EvalError, "_unbound": _unbound, "_exp": math.exp,
+                         "_sin": math.sin, "_cos": math.cos}
+        self._lines: list = []  # (Exp handler or None, text, env-load site or None)
+        self._loaded: dict = {}  # load key -> identifier of its value
+        self._temps = 0
+
+    def bind(self, value) -> str:
+        """An identifier for value among the function's globals."""
+        name = f"_g{len(self._globals)}"
+        self._globals[name] = value
+        return name
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"_v{self._temps}"
+
+    def line(self, text: str, handler: "str | None" = None, site=None) -> None:
+        self._lines.append((handler, text, site))
+
+    def expr(self, e: Expr, local: Mapping[str, str], memo: dict) -> str:
+        """Emit the statements that compute e and return the identifier of
+        its value.  A name in local loads from the local variable it maps to,
+        any other name from the parameter env; memo maps id(node) to the
+        value of each node already computed under the same locals."""
+        stack = [(self._visit, e, None)]
+        while stack:
+            step, node, handler = stack.pop()
+            step(node, handler, local, memo, stack)
+        return memo[id(e)]
+
+    def _visit(self, node, handler, local, memo, stack) -> None:
+        if id(node) in memo:
+            return
+        kind = type(node)
+        if kind is Const:
+            memo[id(node)] = self._const(node, handler)
+        elif kind is Var or kind is SymConst:
+            memo[id(node)] = self._load(node, node.name, f"unbound name {node.name!r}",
+                                        handler, local)
+        elif kind is TimeVar:
+            memo[id(node)] = self._load(node, TIME_NAME, "unbound time symbol 't'",
+                                        handler, local)
+        elif kind is Div:
+            stack += [(self._op, node, handler), (self._visit, node.num, handler),
+                      (self._zero_check, node, handler), (self._visit, node.den, handler)]
+        elif kind in _KERNEL_OPS:
+            if kind is Exp:
+                handler = (f"raise EvalError({self.bind('exp overflow')}, "
+                           f"{self.bind(node)}) from None")
+            stack.append((self._op, node, handler))
+            stack += [(self._visit, c, handler) for c in reversed(children(node))]
+        else:
+            v = memo[id(node)] = self.temp()
+            self.line(f"{v} = {self.bind(_not_a_node(node, 'an Expr'))}()", handler)
+
+    def _const(self, e: Const, handler) -> str:
+        try:
+            return self.bind(float(e.value))
+        except OverflowError:
+            # out of float range: raise when reached, as the closure does
+            v = self.temp()
+            self.line(f"{v} = float({self.bind(e.value)})", handler)
+            return v
+
+    def _load(self, e: Expr, name: str, message: str, handler, local) -> str:
+        key = ("local", local[name]) if name in local else ("env", name)
+        v = self._loaded.get(key)
+        if v is None:
+            v = self._loaded[key] = self.temp()
+            if name in local:
+                self.line(f"{v} = float({local[name]})", handler)
+            else:
+                self.line(f"{v} = float(env[{self.bind(name)}])", handler, (message, e))
+        return v
+
+    def _zero_check(self, e: Div, handler, local, memo, stack) -> None:
+        self.line(f"if {memo[id(e.den)]} == 0.0:", handler)
+        self.line(f"    raise EvalError({self.bind('division by zero')}, {self.bind(e)})",
+                  handler)
+
+    def _op(self, e: Expr, handler, local, memo, stack) -> None:
+        args = [memo[id(c)] for c in children(e)]
+        if isinstance(e, Pow):
+            args.append(self.bind(e.exp))
+        v = memo[id(e)] = self.temp()
+        self.line(f"{v} = " + _KERNEL_OPS[type(e)].format(*args), handler)
+
+    def function(self, params: str, result: str):
+        """The generated function of params that runs the statements so
+        far and returns the expression result."""
+        sites: dict = {}  # line number -> (message, node) of an env load
+        body: list = []
+        for handler, group in itertools.groupby(self._lines, key=lambda line: line[0]):
+            pad = "" if handler is None else "    "
+            if handler is not None:
+                body.append("try:")
+            for _, text, site in group:
+                if site is not None:
+                    sites[len(body) + 3] = site  # after the def and try lines
+                body.append(pad + text)
+            if handler is not None:
+                body += ["except OverflowError:", "    " + handler]
+        src = [f"def _kernel({params}):"]
+        if sites:
+            src += ["    try:", *("        " + text for text in body),
+                    "    except KeyError as exc:",
+                    f"        unbound = _unbound(exc, {self.bind(sites)})",
+                    "        if unbound is None:",
+                    "            raise",
+                    "        raise unbound from None"]
+        else:
+            src += ["    " + text for text in body]
+        src.append(f"    return {result}")
+        exec(compile("\n".join(src) + "\n", "<kernel>", "exec"), self._globals)
+        # popped, so that the function and its globals form no reference cycle
+        return self._globals.pop("_kernel")
+
+
+def _unbound(exc: KeyError, sites: dict) -> "EvalError | None":
+    """The EvalError of the env load on the kernel line where exc arose."""
+    site = sites.get(exc.__traceback__.tb_lineno)
+    return None if site is None else EvalError(*site)
+
+
+_KERNEL_OPS = {
+    Neg: "-{0}",
+    Add: "{0} + {1}",
+    Sub: "{0} - {1}",
+    Mul: "{0} * {1}",
+    Div: "{0} / {1}",
+    Pow: "{0} ** {1}",
+    Sin: "_sin({0})",
+    Cos: "_cos({0})",
+    Exp: "_exp({0})",
+}
 
 
 def is_zero_const(e: Expr) -> bool:

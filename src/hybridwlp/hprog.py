@@ -11,15 +11,19 @@ the guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from math import isfinite
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .expr import (
-    EVAL_FAILURES, Expr, Pred, Var, compile_expr, compile_pred, evaluate, eval_pred,
-    free_vars, uses_time,
+    EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, compile_pred, evaluate,
+    eval_pred, free_vars, uses_time,
 )
 
 Store = dict[str, float]
+
+# instance __dict__ keys of the generated kernels
+_RK4_STEP, _FLOW_KERNELS = "_rk4_step", "_flow_kernels"
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,38 @@ class VectorField:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted(self.components))
+
+    def rk4_step(self):
+        """step(state, env, h, half, sixth) -> the store one classical RK4
+        step of size h after state (half = 0.5 * h, sixth = h / 6.0), with
+        the field's variables read from state and other names from env.
+        One generated function (see expr.KernelWriter), cached on the field
+        outside ==, hash and repr."""
+        try:
+            return self.__dict__[_RK4_STEP]
+        except KeyError:
+            pass
+        w = KernelWriter()
+        keys = [w.bind(x) for x in self.components]
+        base = [w.temp() for _ in keys]
+        for b, key in zip(base, keys):
+            w.line(f"{b} = state[{key}]")
+        local = dict(zip(self.components, base))
+        stages = []
+        for coef in ("half", "half", "h", None):
+            memo: dict = {}
+            ks = [w.expr(e, local, memo) for e in self.components.values()]
+            stages.append(ks)
+            if coef is not None:
+                nxt = [w.temp() for _ in keys]
+                for y, b, k in zip(nxt, base, ks):
+                    w.line(f"{y} = {b} + {coef} * {k}")
+                local = dict(zip(self.components, nxt))
+        new = [f"{key}: {b} + sixth * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
+               for key, b, k1, k2, k3, k4 in zip(keys, base, *stages)]
+        step = w.function("state, env, h, half, sixth", "{**state, %s}" % ", ".join(new))
+        self.__dict__[_RK4_STEP] = step
+        return step
 
 
 @dataclass(frozen=True)
@@ -106,26 +142,36 @@ class Flow:
     def __post_init__(self):
         object.__setattr__(self, "components", dict(self.components))
 
-    def _over(self, s: Store) -> dict:
-        """The components, then the identity on the store variables of s
-        that the flow does not name."""
-        rest = {x: Var(x) for x in s if x not in self.components}
-        return {**self.components, **rest} if rest else self.components
+    def kernel(self, s: Store):
+        """f(t, env) -> the state at time t, with the names other than t read
+        from env: the components, then the identity on the store variables
+        of s that the flow does not name.  One generated function (see
+        expr.KernelWriter) per tuple of those variables, cached on the flow
+        outside ==, hash and repr."""
+        rest = tuple(filterfalse(self.components.__contains__, s))
+        kernels = self.__dict__.setdefault(_FLOW_KERNELS, {})
+        f = kernels.get(rest)
+        if f is None:
+            w = KernelWriter()
+            items = [*self.components.items(), *((x, Var(x)) for x in rest)]
+            local, memo = {TIME_NAME: "t"}, {}
+            values = [w.expr(e, local, memo) for _, e in items]
+            state = ", ".join(f"{w.bind(x)}: {v}" for (x, _), v in zip(items, values))
+            f = kernels[rest] = w.function("t, env", "{%s}" % state)
+        return f
 
     def at(self, t: float, s: Store, consts: Mapping[str, float]) -> Store:
-        env = {**consts, **s, "t": t}
-        return {x: evaluate(e, env) for x, e in self._over(s).items()}
+        return self.kernel(s)(t, {**consts, **s})
 
     def states(
         self, times: Iterable[float], s: Store, consts: Mapping[str, float]
     ) -> Iterator[Store]:
         """The states at(t, s, consts) for t in times, each computed when
-        asked for, over one environment whose time entry is rebound."""
-        comps = [(x, compile_expr(e)) for x, e in self._over(s).items()]
+        asked for, over one environment."""
+        f = self.kernel(s)
         env = {**consts, **s}
         for t in times:
-            env["t"] = t
-            yield {x: f(env) for x, f in comps}
+            yield f(t, env)
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +309,15 @@ def rk4_states(
     field: VectorField, s: Store, h: float, consts: Mapping[str, float] = {}
 ) -> Iterator[Store]:
     """Classical fixed-step RK4 states at times 0, h, 2h, ... without end;
-    each step is taken only when its state is asked for.  The stages
-    evaluate the compiled components over one environment, in which the
-    field's variables are rebound; other store variables pass through."""
-    names = list(field.components)
-    fs = [compile_expr(e) for e in field.components.values()]
+    each step is taken only when its state is asked for, by the field's
+    generated stepper; other store variables pass through."""
+    step = field.rk4_step()
     half, sixth = 0.5 * h, h / 6.0
     env = {**consts, **s}
     state = dict(s)
     while True:
         yield state
-        base = [state[x] for x in names]
-        k1 = [f(env) for f in fs]
-        env.update({x: b + half * k for x, b, k in zip(names, base, k1)})
-        k2 = [f(env) for f in fs]
-        env.update({x: b + half * k for x, b, k in zip(names, base, k2)})
-        k3 = [f(env) for f in fs]
-        env.update({x: b + h * k for x, b, k in zip(names, base, k3)})
-        k4 = [f(env) for f in fs]
-        state = dict(state)
-        for x, b, a1, a2, a3, a4 in zip(names, base, k1, k2, k3, k4):
-            state[x] = b + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-        env.update(state)
+        state = step(state, env, h, half, sixth)
 
 
 def guarded_orbit_field(

@@ -12,6 +12,7 @@ violations.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -307,13 +308,24 @@ def certify_flow(
         steps = max(1, int(round(horizon / RK4_STEP)))
         for cv in const_valuations:
             s = {v: rng.uniform(-1.5, 1.5) for v in names}
-            traj, divergent = rk4_integrate(field, s, RK4_STEP, steps, cv)
+            try:
+                traj, divergent = rk4_integrate(field, s, RK4_STEP, steps, cv)
+                if not divergent:
+                    targets = flow.states([t for t, _ in traj], s, cv)
+                    for (_, st), target in zip(traj, targets):
+                        # max(|target[v] - st[v]| for v in names), compared in that order
+                        dev = max(map(abs, map(operator.sub, map(target.__getitem__, names),
+                                               map(st.__getitem__, names))))
+                        if dev > worst:
+                            worst = dev
+            except EVAL_FAILURES as exc:
+                checks["rk4"] = CheckResult(False, f"evaluation failed: {exc}")
+                refusal = "rk4 cross-check failed"
+                break
             if divergent:
                 checks["rk4"] = CheckResult(False, "integrator diverged")
                 refusal = "rk4 cross-check failed"
                 break
-            for (_, st), target in zip(traj, flow.states([t for t, _ in traj], s, cv)):
-                worst = max(worst, max(abs(target[v] - st[v]) for v in names))
         else:
             ok = worst <= SUP_TOL_RK4
             checks["rk4"] = CheckResult(ok, f"max deviation {worst:.3e} on [0,{horizon}]", worst)

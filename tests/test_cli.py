@@ -90,6 +90,24 @@ class TestVerifyCommand:
         assert report["obligations"][0]["verdict"]["method"] == "hypothesis-match"
         assert report["summary"]["exit"] == 0
 
+    def test_config_trials_is_the_refutation_budget(self, capsys, tmp_path):
+        from hybridwlp.cli import run_certify, run_verify
+        from hybridwlp.hwl import parse_spec
+
+        text = "problem tr\nvars x\npre x >= 0\npost x >= 1\nprogram skip\n"
+        f = tmp_path / "tr.hwl"
+        f.write_text(text)
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 2 and "refuted" in out
+        f.write_text(text + "config trials 0\n")
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 1 and "unknown" in out
+        code, _, _ = run(capsys, "verify", str(f), "--trials", "50")  # the flag wins
+        assert code == 2
+        spec = parse_spec(text + "config trials 0\n")
+        assert run_verify(spec)["summary"]["exit"] == 1
+        assert run_certify(spec)["ok"] is True  # no side condition to decide
+
     def test_deterministic_given_seed(self, capsys):
         args = ("verify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json", "--seed", "5")
         code1, out1, _ = run(capsys, *args)
@@ -192,6 +210,25 @@ class TestCertifyCommand:
             assert code2 == 1
         finally:
             os.unlink(path)
+
+    def test_unevaluable_rk4_comparison_refuses(self, capsys, tmp_path):
+        # c/c normalizes to 1, so the symbolic and monoid checks pass; at the
+        # sampled c = 0 the RK4 trajectory divides by zero in its first stage
+        f = tmp_path / "divfield.hwl"
+        f.write_text(
+            "problem divfield\nvars y\nconsts c in [0, 0]\npre y = 0\npost y >= 0\n"
+            "program evolve y' = c/c & true on [0,inf) flow y = y + t\n"
+        )
+        code, out, err = run(capsys, "certify", str(f), "--json")
+        assert code == 1 and err == ""
+        (entry,) = json.loads(out)["certificates"]
+        assert entry["report"]["refusal"] == "rk4 cross-check failed"
+        assert entry["report"]["checks"]["monoid"]["pass"] is True
+        assert entry["report"]["checks"]["rk4"] == {
+            "pass": False, "detail": "evaluation failed: division by zero"}
+        code, out, err = run(capsys, "verify", str(f))
+        assert code == 1 and err == ""
+        assert "unknown  flow-cert@program" in out and "rk4 cross-check failed" in out
 
     # certify decides exactly verify's flow-certificate and
     # differential-invariance obligations, by the same route

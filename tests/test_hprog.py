@@ -6,7 +6,8 @@ import pytest
 
 from hybridwlp.cli import main
 from hybridwlp.expr import (
-    Cmp, Const, Cos, EvalError, FALSE, Mul, Sin, SymConst, TimeVar, TRUE, Var, const, evaluate,
+    Add, Cmp, Const, Cos, EvalError, Exp, FALSE, Mul, Sin, SymConst, TimeVar, TRUE, Var, const,
+    evaluate,
 )
 from hybridwlp.hprog import (
     Abort,
@@ -269,8 +270,10 @@ class TestRunSampled:
 
 
 # ---------------------------------------------------------------------------
-# Reference numeric loops: the RK4 step that built a merged environment and
-# a derivative dict per stage, and Flow.at called once per time.
+# Reference numeric loops over the compiled closures: the RK4 step that
+# built a merged environment and a derivative dict per stage, and Flow.at
+# as one evaluate call per component.  The generated kernels must match them
+# bit for bit, failures included.
 
 
 def ref_rk4_step(field, s, h, consts):
@@ -298,6 +301,22 @@ def ref_rk4_states(field, s, h, consts):
     while True:
         yield state
         state = ref_rk4_step(field, state, h, consts)
+
+
+def ref_flow_at(flow, t, s, consts):
+    env = {**consts, **s, "t": t}
+    rest = {x: Var(x) for x in s if x not in flow.components}
+    return {x: evaluate(e, env) for x, e in {**flow.components, **rest}.items()}
+
+
+def failure(states, n):
+    """The exception that ends the first n states early, or None."""
+    try:
+        for _ in itertools.islice(states, n):
+            pass
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return exc
+    return None
 
 
 def take(states, n):
@@ -368,8 +387,78 @@ class TestRk4StatesBitIdentity:
         got = take(rk4_states(field, s, 0.5), 5)
         assert got == take(ref_rk4_states(field, s, 0.5, {}), 5)
         assert got == ([{"x": "1.0", "y": "0.0"}], (EvalError, "division by zero"))
+        assert failure(rk4_states(field, s, 0.5), 5).subterm is field.components["y"]
         orbit = guarded_orbit_field(field, TRUE, NONNEG, s, 0.5, horizon=2)
         assert orbit == [(0.0, s)]
+
+    @pytest.mark.parametrize("comps, subterm", [
+        ({"x": g * x}, lambda c: g),
+        # the division fails first: the constant loads at its own position
+        ({"x": const(1) / (x - const(1)) + g}, lambda c: c["x"].lhs),
+        ({"x": g / (x - const(1))}, lambda c: c["x"]),  # the denominator first
+        ({"x": x, "y": Exp(x * g)}, lambda c: g),
+        # an OverflowError anywhere in an exp's argument is that exp's
+        ({"x": x, "y": Exp((x + const(9)) ** 400)}, lambda c: c["y"]),
+        ({"x": x, "y": Exp(Const(10 ** 400) * x)}, lambda c: c["y"]),
+        ({"x": (x + const(9)) ** 400}, lambda c: None),
+    ], ids=["unbound", "division-first", "denominator-first", "unbound-in-exp", "power-in-exp",
+            "out-of-range-in-exp", "power"])
+    def test_failure_at_the_second_state_names_the_same_subterm(self, comps, subterm):
+        field = VectorField(comps)
+        s = {"x": 1.0, "y": 0.0}
+        got = take(rk4_states(field, s, 0.5), 5)
+        assert got == take(ref_rk4_states(field, s, 0.5, {}), 5)
+        assert got[0] == [{"x": "1.0", "y": "0.0"}] and got[1] is not None
+        exc = failure(rk4_states(field, s, 0.5), 5)
+        assert getattr(exc, "subterm", None) is subterm(comps)
+        assert getattr(failure(ref_rk4_states(field, s, 0.5, {}), 5), "subterm", None) \
+            is subterm(comps)
+
+    def test_names_that_are_not_python_identifiers(self):
+        # names reach the generated code only through its globals
+        names = ["class", "__import__", "x'); import os #", "_v1", "state"]
+        consts = ["env", "_g5", "float", "t", "lambda"]
+        rng = random.Random(11)
+        for _ in range(20):
+            field = VectorField({n: random_expr(rng, names, consts, 3) for n in names})
+            cv = {c: rng.uniform(-2, 2) for c in consts}
+            s = {**{n: rng.uniform(-1, 1) for n in names}, "None": 1}
+            got = take(rk4_states(field, s, 0.05), 30)  # unbound constants
+            assert got == take(ref_rk4_states(field, s, 0.05, {}), 30)
+            got = take(rk4_states(field, s, 0.05, cv), 30)
+            assert got == take(ref_rk4_states(field, s, 0.05, cv), 30)
+            flow = Flow({n: e * t + Var(n) for n, e in field.components.items()})
+            times = [0.1 * k for k in range(10)]
+            want = [ref_flow_at(flow, tt, s, cv) for tt in times]
+            assert take(flow.states(times, s, cv), 10) == take(want, 10)
+
+    def test_deep_chain_and_shared_subterms(self):
+        chain = x
+        for i in range(600):
+            chain = Add(chain, const(Fraction(i % 7 - 3, 1000)))
+        dag = y
+        for _ in range(10):  # 1024 leaves over 10 distinct nodes
+            dag = Sin(dag + dag)
+        field = VectorField({"x": chain, "y": dag * x, "z": dag + chain})
+        s = {"x": 0.5, "y": 0.25, "z": 0.0}
+        got = take(rk4_states(field, s, 0.01), 20)
+        assert got == take(ref_rk4_states(field, s, 0.01, {}), 20)
+        flow = Flow({"x": chain * t + dag, "y": dag})
+        times = [0.25 * k for k in range(8)]
+        want = [ref_flow_at(flow, tt, s, {}) for tt in times]
+        assert take(flow.states(times, s, {}), 8) == take(want, 8)
+
+    def test_kernels_are_cached_outside_equality(self):
+        field = VectorField({"x": v, "v": g})
+        step = field.rk4_step()
+        assert field.rk4_step() is step
+        assert field == VectorField({"x": v, "v": g})
+        assert repr(field) == repr(VectorField({"x": v, "v": g}))
+        flow = Flow({"x": x + v * t})
+        f = flow.kernel({"x": 0.0, "v": 1.0})
+        assert flow.kernel({"v": 2.0, "x": 1.0}) is f  # same pass-through variables
+        assert flow.kernel({"x": 0.0, "w": 1.0, "v": 1.0}) is not f
+        assert flow == Flow({"x": x + v * t}) and repr(flow) == repr(Flow({"x": x + v * t}))
 
     def test_orbit_matches_reference_points(self):
         guard = Cmp(">=", x, const(0))
@@ -397,6 +486,8 @@ class TestFlowStates:
                 got = list(flow.states(times, s, cv))
                 want = [flow.at(tt, s, cv) for tt in times]
                 assert take(got, 50) == take(want, 50)
+                ref = [ref_flow_at(flow, tt, s, cv) for tt in times]
+                assert take(want, 50) == take(ref, 50)
                 # a variable the flow does not name keeps its value
                 assert all(st[k] == s[k] for st in got for k in set(s) - set(flow.components))
 
@@ -406,6 +497,11 @@ class TestFlowStates:
         states = flow.states(times, {"x": 2.0}, {})
         assert next(states) == flow.at(0.0, {"x": 2.0}, {})
         assert next(states) == flow.at(0.5, {"x": 2.0}, {})
-        with pytest.raises(EvalError, match="division by zero"):
+        with pytest.raises(EvalError, match="division by zero") as raised:
             next(states)
+        assert raised.value.subterm is flow.components["x"].rhs
         assert flow.at(1.5, {"x": 2.0}, {}) == {"x": 4.0}
+        unbound = Flow({"x": x + g * t})
+        with pytest.raises(EvalError, match="unbound name 'g'") as raised:
+            unbound.at(1.0, {"x": 2.0}, {})
+        assert raised.value.subterm is g
