@@ -22,6 +22,7 @@ from .expr import (
     EVAL_FAILURES,
     And,
     Cmp,
+    Div,
     Expr,
     FalsePred,
     Or,
@@ -33,11 +34,13 @@ from .expr import (
     diff,
     evaluate,
     free_consts,
+    free_names,
     free_vars,
     lie_derivative,
     nnf,
     pred_free_names,
     substitute,
+    subterms,
 )
 from .hprog import (
     Flow,
@@ -94,9 +97,13 @@ class LipschitzEstimate:
 
 def _affine_jacobian(field: VectorField) -> Optional[dict]:
     """Rational Jacobian rows when every component is affine in the
-    variables with rational coefficients; None otherwise."""
+    variables with rational coefficients; None otherwise, and None for a
+    component that divides by a term with a name in it, which normalize may
+    cancel (c/c is 1) although the field is undefined where it vanishes."""
     rows: dict[str, dict[str, Fraction]] = {}
     for comp, e in field.components.items():
+        if any(isinstance(s, Div) and free_names(s.den) for s in subterms(e)):
+            return None
         try:
             poly = normalize(e).poly
         except NormalizeError:
@@ -124,7 +131,8 @@ def lipschitz_estimate(
     consts: Mapping[str, float] = {},
 ) -> LipschitzEstimate:
     """Exact max-row-sum bound for affine fields; otherwise a sampled
-    lower-bound estimate of the Lipschitz constant (sup norms)."""
+    lower-bound estimate of the Lipschitz constant (sup norms), which raises
+    ValueError when the field evaluates at no sampled pair of points."""
     if region is None:
         region = {v: (-2.0, 2.0) for v in field.variables}
     for lo, hi in region.values():
@@ -149,7 +157,7 @@ def lipschitz_estimate(
         env = {**consts, **s}
         return {v: evaluate(field.components[v], env) for v in names}
 
-    best = 0.0
+    best, evaluated = 0.0, False
     for _ in range(samples):
         s1, s2 = sample_point(), sample_point()
         dx = max(abs(s1[v] - s2[v]) for v in names)
@@ -161,7 +169,10 @@ def lipschitz_estimate(
             df = max(abs(f1[v] - f2[v]) for v in names)
         except EVAL_FAILURES:
             continue
+        evaluated = True
         best = max(best, df / dx)
+    if not evaluated:
+        raise ValueError("the field evaluates at no sampled pair of points")
     return LipschitzEstimate(best, "sampled")
 
 

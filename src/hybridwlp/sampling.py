@@ -3,7 +3,8 @@
 Equality constraints are handled by solving for one name per equation:
 linearly when the name occurs linearly, otherwise by bracketing and
 bisection on the residual.  Sampling windows widen exponentially when
-rejection keeps failing.
+rejection keeps failing.  Each hypothesis set's plan compiles into one
+generated attempt function (see expr.KernelWriter).
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from .expr import (
     Cmp,
     EVAL_FAILURES,
     FalsePred,
+    KernelWriter,
     Pred,
     Sub,
     TruePred,
+    compile_pred,
     eval_pred,
     evaluate,
     pred_free_names,
@@ -62,19 +65,6 @@ def _linear_in(form: Optional[tuple[Poly, str]], name: str) -> bool:
             if name in inner:
                 return False
     return True
-
-
-def _solve_linear(cmp_diff, name: str, valuation: dict) -> Optional[float]:
-    # a*name + b = 0 with a, b evaluated at the current partial valuation
-    try:
-        f0 = evaluate(cmp_diff, {**valuation, name: 0.0})
-        f1 = evaluate(cmp_diff, {**valuation, name: 1.0})
-    except EVAL_FAILURES:
-        return None
-    a = f1 - f0
-    if abs(a) < 1e-12:
-        return None
-    return -f0 / a
 
 
 def _solve_bisect(cmp_diff, name: str, valuation: dict, width: float) -> Optional[float]:
@@ -127,19 +117,22 @@ def check_valuation(hyps: Sequence[Pred], valuation: Mapping[str, float],
 _last_plan: tuple = (None, (), None)
 
 
-def _plan(names: tuple, hyps: tuple) -> Optional[tuple]:
-    """(flat, plan, free) for sampling names under hyps, built once per
-    hypothesis set, or None when a conjunct is false."""
+def _plan(names: tuple, hyps: tuple):
+    """The attempt function for sampling names under hyps (see
+    _attempt_kernel), built once per hypothesis set, or None when a
+    conjunct is false."""
     global _last_plan
     key = (names, tuple(map(id, hyps)))
     if _last_plan[0] != key:
-        _last_plan = (key, hyps, _build_plan(names, hyps))
+        planned = _build_plan(names, hyps)
+        _last_plan = (key, hyps, None if planned is None else _attempt_kernel(*planned))
     return _last_plan[2]
 
 
 def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:
-    """flat lists the conjuncts, plan solves one determined name per
-    equation in turn, and the free names are drawn."""
+    """(flat, plan, free), or None when a conjunct is false: flat lists the
+    conjuncts, plan solves one determined name per equation in turn, and
+    the free names are drawn."""
     flat = flatten_conj(hyps)
     if any(isinstance(h, FalsePred) for h in flat):
         return None
@@ -159,10 +152,81 @@ def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:
         else:
             chosen, how = candidates[-1], "bisect"
         determined.add(chosen)
-        # one Sub node per equation, so its compiled closure serves every sample
+        # one Sub node per equation: the subterm of its failures and bisect's residual
         plan.append((Sub(eq.lhs, eq.rhs), chosen, how))
     free = tuple(n for n in names if n not in determined)
     return tuple(flat), tuple(plan), free
+
+
+# a comparison's relation at check_valuation's tolerance, as expr._REL computes it
+_CHECK = {
+    "=": "abs({0} - {1}) <= {2} * (1.0 + max(abs({0}), abs({1})))",
+    "!=": "not abs({0} - {1}) <= {2} * (1.0 + max(abs({0}), abs({1})))",
+    "<": "{0} < {1}",
+    "<=": "{0} <= {1}",
+    ">": "{0} > {1}",
+    ">=": "{0} >= {1}",
+}
+
+
+def _attempt_kernel(flat: tuple, plan: tuple, free: tuple):
+    """attempt(uniform, ranges, width) -> the valuation of one sampling
+    attempt, or None when it is rejected.  It draws each free name with
+    uniform from its range or (-width, width), solves each plan step at the
+    names bound so far (a linear one from the residuals at 0 and 1, a bisect
+    one by _solve_bisect), rejects a solution outside its range, and checks
+    the conjuncts in order at EQ_CHECK_TOL, a non-comparison through its
+    compiled closure.  An EVAL_FAILURES exception while solving or checking
+    rejects; any other propagates.  The valuation's keys come in the order
+    in which they were bound."""
+    w = KernelWriter(env=False)
+    local: dict = {}  # bound name -> identifier of its value
+    bound: list = []  # "key: value" in the valuation's insertion order
+    w.line("box = (-width, width)")
+    for n in free:
+        key, x = w.bind(n), w.temp()
+        w.line(f"lo, hi = ranges.get({key}, box)")
+        w.line(f"{x} = uniform(lo, hi)")
+        local[n] = x
+        bound.append(f"{key}: {x}")
+    unbounded = w.bind((-math.inf, math.inf))
+    for diff, n, how in plan:
+        key, x = w.bind(n), w.temp()
+        if how == "linear":
+            w.guard("return None")
+            f0 = w.expr(diff, {**local, n: "0.0"}, {})
+            f1 = w.expr(diff, {**local, n: "1.0"}, {})
+            w.guard(None)
+            w.line(f"a = {f1} - {f0}")
+            w.line("if abs(a) < 1e-12:")
+            w.line("    return None")
+            w.line(f"{x} = -{f0} / a")
+        else:
+            valuation = "{%s}" % ", ".join(bound)
+            w.line(f"{x} = {w.bind(_solve_bisect)}({w.bind(diff)}, {key}, {valuation}, width)")
+            w.line(f"if {x} is None:")
+            w.line("    return None")
+        w.line(f"lo, hi = ranges.get({key}, {unbounded})")
+        w.line(f"if not (lo - 1e-9 <= {x} <= hi + 1e-9):")
+        w.line("    return None")
+        local[n] = x
+        bound.append(f"{key}: {x}")
+    valuation = "{%s}" % ", ".join(bound)
+    tol, memo, out = w.bind(EQ_CHECK_TOL), {}, None
+    w.guard("return None")
+    for p in flat:
+        if type(p) is Cmp:
+            lhs = w.expr(p.lhs, local, memo)
+            rhs = w.expr(p.rhs, local, memo)
+            w.line(f"if not ({_CHECK[p.op].format(lhs, rhs, tol)}):")
+        else:
+            if out is None:
+                out = w.temp()
+                w.line(f"{out} = {valuation}")
+            w.line(f"if not {w.bind(compile_pred(p))}({out}, {tol}):")
+        w.line("    return None")
+    w.guard(None)
+    return w.function("uniform, ranges, width", out or valuation)
 
 
 def sample_valuation(
@@ -176,35 +240,15 @@ def sample_valuation(
 
     ranges may pin per-name sampling intervals.
     """
-    planned = _plan(tuple(names), tuple(hyps))
-    if planned is None:
+    attempt = _plan(tuple(names), tuple(hyps))
+    if attempt is None:
         return None
-    flat, plan, free = planned
+    uniform = rng.uniform
     width = BASE_WIDTH
-    for attempt in range(attempts):
-        if attempt and attempt % 60 == 0 and width < 1e5:
+    for i in range(attempts):
+        if i and i % 60 == 0 and width < 1e5:
             width *= 2.0
-        v: dict = {}
-        ok = True
-        for n in free:
-            lo, hi = ranges.get(n, (-width, width))
-            v[n] = rng.uniform(lo, hi)
-        for diff, n, how in plan:
-            if how == "linear":
-                x = _solve_linear(diff, n, v)
-            else:
-                x = _solve_bisect(diff, n, v, width)
-            if x is None:
-                ok = False
-                break
-            lo, hi = ranges.get(n, (-math.inf, math.inf))
-            if not (lo - 1e-9 <= x <= hi + 1e-9):
-                ok = False
-                break
-            v[n] = x
-        if not ok:
-            continue
-        if not check_valuation(flat, v):
-            continue
-        return v
+        v = attempt(uniform, ranges, width)
+        if v is not None:
+            return v
     return None

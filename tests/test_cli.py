@@ -226,6 +226,9 @@ class TestCertifyCommand:
         assert entry["report"]["checks"]["monoid"]["pass"] is True
         assert entry["report"]["checks"]["rk4"] == {
             "pass": False, "detail": "evaluation failed: division by zero"}
+        # no Lipschitz evidence either: c/c is no affine component, and the
+        # field evaluates at no sampled pair
+        assert entry["report"]["checks"]["lipschitz"]["pass"] is False
         code, out, err = run(capsys, "verify", str(f))
         assert code == 1 and err == ""
         assert "unknown  flow-cert@program" in out and "rk4 cross-check failed" in out

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,9 @@ from hybridwlp.hprog import (
     store_update,
 )
 from hybridwlp.hwl import parse_spec
+from hybridwlp.vcgen import _find_evolves
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 x, v, y = Var("x"), Var("v"), Var("y")
 t = TimeVar()
@@ -459,6 +463,29 @@ class TestRk4StatesBitIdentity:
         assert flow.kernel({"v": 2.0, "x": 1.0}) is f  # same pass-through variables
         assert flow.kernel({"x": 0.0, "w": 1.0, "v": 1.0}) is not f
         assert flow == Flow({"x": x + v * t}) and repr(flow) == repr(Flow({"x": x + v * t}))
+
+    def test_kernels_of_one_shape_share_code(self):
+        def evolve(text):
+            ((_, node),) = _find_evolves(parse_spec(text).program)
+            return node
+
+        text = (PROBLEMS / "bouncing_ball.hwl").read_text()
+        first, second = evolve(text), evolve(text)
+        assert first.field is not second.field
+        assert first.field.rk4_step().__code__ is second.field.rk4_step().__code__
+        s = {"x": 1.0, "v": 0.0}
+        assert first.flow.kernel(s).__code__ is second.flow.kernel(s).__code__
+        # kernels of one shape with different constants keep their own values
+        step2, step3 = (VectorField({"x": v, "v": const(c)}).rk4_step() for c in (2, 3))
+        assert step2.__code__ is step3.__code__
+        assert step2(s, {}, 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
+            VectorField({"x": v, "v": const(2)}), s, 0.5, {})
+        assert step3(s, {}, 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
+            VectorField({"x": v, "v": const(3)}), s, 0.5, {})
+        assert step2(s, {}, 0.5, 0.25, 0.5 / 6.0) != step3(s, {}, 0.5, 0.25, 0.5 / 6.0)
+        flows = [Flow({"x": x + const(c) * t}) for c in (2, 3)]
+        assert flows[0].kernel(s).__code__ is flows[1].kernel(s).__code__
+        assert [f.at(1.0, s, {}) for f in flows] == [{"x": 3.0, "v": 0.0}, {"x": 4.0, "v": 0.0}]
 
     def test_orbit_matches_reference_points(self):
         guard = Cmp(">=", x, const(0))

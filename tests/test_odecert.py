@@ -33,6 +33,7 @@ from hybridwlp.hprog import (
 from hybridwlp.hwl import parse_spec
 from hybridwlp.odecert import (
     FalsifyBudget,
+    LipschitzEstimate,
     certify_flow,
     check_diff_invariant,
     falsify,
@@ -148,6 +149,17 @@ class TestLipschitz:
     def test_degenerate_region_rejected(self):
         with pytest.raises(ValueError):
             lipschitz_estimate(PEND_FIELD, region={"x": (0.0, 0.0), "y": (0.0, 1.0)})
+
+    def test_quotient_by_a_name_is_sampled_and_needs_an_evaluated_pair(self):
+        c = SymConst("c")
+        # c/c normalizes to 1, but it is undefined at c = 0
+        field = VectorField({"y": c / c})
+        with pytest.raises(ValueError, match="evaluates at no sampled pair"):
+            lipschitz_estimate(field, consts={"c": 0.0})
+        assert lipschitz_estimate(field, consts={"c": 2.0}) == LipschitzEstimate(0.0, "sampled")
+        # a constant denominator keeps the exact bound
+        est = lipschitz_estimate(VectorField({"x": v / const(2), "v": x}))
+        assert est == LipschitzEstimate(1.0, "exact-affine")
 
 
 class TestCertifyFlow:
