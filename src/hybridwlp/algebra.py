@@ -121,10 +121,6 @@ def fpred(n: int, members: Iterable[int]) -> FinitePred:
     return FinitePred(n, frozenset(members))
 
 
-def pred_full(n: int) -> FinitePred:
-    return fpred(n, range(n))
-
-
 def pred_complement(p: FinitePred) -> FinitePred:
     return fpred(p.n, set(range(p.n)) - p.members)
 
@@ -234,17 +230,9 @@ def sta_antidomain(f: FiniteSta) -> FiniteSta:
     return sta(f.n, ([x] if not f.successors[x] else [] for x in range(f.n)))
 
 
-def sta_domain(f: FiniteSta) -> FiniteSta:
-    return sta_antidomain(sta_antidomain(f))
-
-
 def sta_op(f: FiniteSta) -> FiniteSta:
     """Opposite transformer, via the converse relation."""
     return sta_of_rel(rel_converse(rel_of_sta(f)))
-
-
-def sta_antirange(f: FiniteSta) -> FiniteSta:
-    return sta_antidomain(sta_op(f))
 
 
 def sta_leq(f: FiniteSta, g: FiniteSta) -> bool:

@@ -458,13 +458,13 @@ def _unfold_timequant(tq: TimeQuant, hyps: list) -> _Goal:
     if t in taken:
         t, _ = fresh_time_binders(taken | pred_free_names(tq), 2)
         body = substitute_pred(body, {tq.t_name: Var(t)})
-    extra: list[Pred] = []
     dom = tq.dom
-    if dom.kind == "nonneg":
-        extra.append(Cmp(">=", Var(t), econst(0)))
-    elif dom.kind == "interval":
-        extra.append(Cmp(">=", Var(t), econst(Fraction(dom.lo))))
-        extra.append(Cmp("<=", Var(t), econst(Fraction(dom.hi))))
+    # one hypothesis per finite (exact) bound of the domain
+    extra: list[Pred] = [
+        Cmp(op, Var(t), econst(bound))
+        for op, bound in ((">=", dom.lo), ("<=", dom.hi))
+        if isinstance(bound, Fraction)
+    ]
     # sound instances of the prefix hypothesis: the guard at the endpoint,
     # and at time zero when the domain is forward-only
     at_end = {tq.t_name: Var(t), tq.tau_name: Var(t)}

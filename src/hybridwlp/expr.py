@@ -715,9 +715,11 @@ class Not(Pred):
 class TimeQuant(Pred):
     """For all t in dom: (for all tau in dom with tau <= t: prefix) -> body.
 
-    wlp emits one per evolution command.  prefix is a predicate in tau,
-    body a predicate in t; both already have the flow substituted for the
-    store variables.  dom is an hprog.TimeDomain.
+    The paper's box of a guarded evolution, where the inner quantifier
+    ranges over the down-set of t in dom.  wlp emits one per evolution
+    command.  prefix is a predicate in tau, body a predicate in t; both
+    already have the flow substituted for the store variables.  dom is an
+    hprog.TimeDomain, a closed interval [lo, hi] with exact bounds.
     """
 
     t_name: str
@@ -738,16 +740,6 @@ def pred_and(parts: list[Pred]) -> Pred:
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
-    return out
-
-
-def pred_or(parts: list[Pred]) -> Pred:
-    parts = [p for p in parts if not isinstance(p, FalsePred)]
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
     return out
 
 

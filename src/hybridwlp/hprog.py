@@ -11,9 +11,10 @@ the guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import filterfalse
-from math import isfinite
-from typing import Iterable, Iterator, Mapping, Optional
+from math import inf, isfinite
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .expr import (
     EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, compile_pred, evaluate,
@@ -83,42 +84,31 @@ class VectorField:
 
 @dataclass(frozen=True)
 class TimeDomain:
-    """Interval of times containing 0."""
+    """Closed interval [lo, hi] of times containing 0.  A finite bound is
+    an exact Fraction; lo may be -inf and hi inf."""
 
-    kind: str  # "reals" | "nonneg" | "interval"
-    lo: Optional[float] = None
-    hi: Optional[float] = None
+    lo: Union[Fraction, float] = -inf
+    hi: Union[Fraction, float] = inf
 
     def __post_init__(self):
-        if self.kind not in ("reals", "nonneg", "interval"):
-            raise ValueError(f"unknown time-domain kind {self.kind!r}")
-        if self.kind == "interval":
-            if self.lo is None or self.hi is None or not (self.lo <= 0.0 <= self.hi):
-                raise ValueError("interval domain must satisfy lo <= 0 <= hi")
+        for name in ("lo", "hi"):
+            x = getattr(self, name)
+            if x not in (-inf, inf):
+                object.__setattr__(self, name, Fraction(x))
+        if not self.lo <= 0 <= self.hi:
+            raise ValueError("time domain must satisfy lo <= 0 <= hi")
 
     def contains_domain(self, other: "TimeDomain") -> bool:
-        if self.kind == "reals":
-            return True
-        if self.kind == "nonneg":
-            return other.kind == "nonneg" or (
-                other.kind == "interval" and other.lo >= 0.0
-            )
-        if other.kind != "interval":
-            return False
         return self.lo <= other.lo and other.hi <= self.hi
 
     def includes_negative(self) -> bool:
-        if self.kind == "reals":
-            return True
-        if self.kind == "nonneg":
-            return False
-        return self.lo < 0.0
+        return self.lo < 0
 
     def grid(self, h: float, horizon: float) -> list[float]:
         """Forward grid {0, h, 2h, ...} clipped to the domain and the horizon."""
         if h <= 0:
             raise ValueError("grid step must be positive")
-        top = horizon if self.kind != "interval" else min(horizon, self.hi)
+        top = min(horizon, self.hi)
         out = []
         k = 0
         while k * h <= top + 1e-12:
@@ -126,9 +116,21 @@ class TimeDomain:
             k += 1
         return out
 
+    def downset_grid(self, h: float, horizon: float) -> list[float]:
+        """The grid in ascending order: the points -k*h down to lo (to
+        -horizon when lo = -inf), then grid(h, horizon).  The down-set of a
+        point within the grid is the points before it."""
+        lo = -horizon if self.lo == -inf else self.lo
+        neg = []
+        k = 1
+        while -k * h >= lo - 1e-12:
+            neg.append(-k * h)
+            k += 1
+        return neg[::-1] + self.grid(h, horizon)
 
-REALS = TimeDomain("reals")
-NONNEG = TimeDomain("nonneg")
+
+REALS = TimeDomain()
+NONNEG = TimeDomain(0)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf
 from typing import Optional
 
 from .expr import (
@@ -439,7 +440,7 @@ class _Parser:
         self.expect("]")
         if not lo <= 0 <= hi:
             self.error("time domain must contain 0", tok)
-        return TimeDomain("interval", float(lo), float(hi))
+        return TimeDomain(lo, hi)
 
     # -- predicates ---------------------------------------------------------
 
@@ -507,7 +508,7 @@ class _Parser:
         out = self.parse_factor()
         while True:
             if self.accept("*"):
-                out = _fold_mul(out, self.parse_factor())
+                out = Mul(out, self.parse_factor())
             elif self.accept("/"):
                 tok = self.peek()
                 den = self.parse_factor()
@@ -566,10 +567,6 @@ class _Parser:
                 return SymConst(tok.text)
             self.error(f"unknown identifier {tok.text!r}", tok)
         self.error(f"expected expression, found {tok.text!r}")
-
-
-def _fold_mul(a: Expr, b: Expr) -> Expr:
-    return Mul(a, b)
 
 
 def _fold_div(a: Expr, b: Expr) -> Expr:
@@ -676,18 +673,21 @@ def format_pred(p: Pred, prec: int = 0) -> str:
 
 
 def _fmt_bound(x: float) -> str:
+    """A constant-range bound: the simplest rational that reads back as x,
+    else x's exact rational."""
     f = Fraction(x).limit_denominator(10**9)
-    if float(f) == x:
-        return _fmt_rational(f)
-    return repr(x)
+    return _fmt_rational(f if float(f) == x else Fraction(x))
+
+
+def _fmt_time(bound) -> str:
+    return _fmt_rational(bound) if isinstance(bound, Fraction) else str(bound)  # "-inf", "inf"
 
 
 def format_domain(dom: TimeDomain) -> str:
-    if dom.kind == "reals":
+    if dom == REALS:
         return "R"
-    if dom.kind == "nonneg":
-        return "[0,inf)"
-    return f"[{_fmt_bound(dom.lo)},{_fmt_bound(dom.hi)}]"
+    close = ")" if dom.hi == inf else "]"
+    return f"[{_fmt_time(dom.lo)},{_fmt_time(dom.hi)}{close}"
 
 
 def _fmt_components(comps: dict, sep: str) -> str:

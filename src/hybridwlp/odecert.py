@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -313,9 +313,7 @@ def certify_flow(
 
     if not refusal:
         worst = 0.0
-        horizon = 1.0
-        if dom.kind == "interval":
-            horizon = min(horizon, dom.hi)
+        horizon = float(min(1.0, dom.hi))
         steps = max(1, int(round(horizon / RK4_STEP)))
         for cv in const_valuations:
             s = {v: rng.uniform(-1.5, 1.5) for v in names}
@@ -411,6 +409,17 @@ def _lie_obligation(
     )
 
 
+# atom operator -> (rule, comparison of the Lie derivatives, sides swapped,
+# reason when a comparison is not proved)
+_LIE_RULES = {
+    "=": ("eq-rule", "=", False, "lie derivatives not provably equal"),
+    "<": ("lt-rule", "<=", False, "lie-derivative inequality not proved"),
+    "<=": ("le-rule", "<=", False, "lie-derivative inequality not proved"),
+    ">": ("lt-rule", "<=", True, "lie-derivative inequality not proved"),
+    ">=": ("le-rule", "<=", True, "lie-derivative inequality not proved"),
+}
+
+
 def check_diff_invariant(
     inv: Pred,
     field: VectorField,
@@ -464,61 +473,10 @@ def check_diff_invariant(
 
     def atom(c: Cmp) -> bool:
         try:
-            lmu, lnu = lie(c.lhs), lie(c.rhs)
+            la, lb = lie(c.lhs), lie(c.rhs)
         except ValueError as exc:
             rulings.append(
                 AtomRuling(c, "unsupported", Verdict("unknown", reason=str(exc)))
-            )
-            return False
-        if c.op == "=":
-            res = expr_eq(lmu, lnu)
-            if res.is_equal:
-                rulings.append(
-                    AtomRuling(c, "eq-rule", Verdict("proved", method="lie-normalize"))
-                )
-                return True
-            vd = discharge_atom("=", lmu, lnu)
-            if vd.proved:
-                rulings.append(AtomRuling(c, "eq-rule", replace(vd, method="lie-" + vd.method)))
-                return True
-            rulings.append(
-                AtomRuling(
-                    c, "eq-rule",
-                    Verdict("unknown", reason="lie derivatives not provably equal"),
-                )
-            )
-            return False
-        if c.op in ("<", "<=", ">", ">="):
-            if c.op in (">", ">="):
-                mu, nu = c.rhs, c.lhs
-                lmu, lnu = lnu, lmu
-            # forward time: L(mu) <= L(nu); negative times also need the reverse
-            directions = [("<=", lmu, lnu)]
-            if dom.includes_negative():
-                directions.append(("<=", lnu, lmu))
-            ok = True
-            methods = []
-            for op, a, b in directions:
-                if expr_eq(a, b).is_equal:
-                    methods.append("lie-normalize")
-                    continue
-                vd = discharge_atom(op, a, b)
-                if vd.proved:
-                    methods.append("lie-" + vd.method)
-                else:
-                    ok = False
-                    break
-            rule = "lt-rule" if c.op in ("<", ">") else "le-rule"
-            if ok:
-                rulings.append(
-                    AtomRuling(c, rule, Verdict("proved", method="+".join(methods)))
-                )
-                return True
-            rulings.append(
-                AtomRuling(
-                    c, rule,
-                    Verdict("unknown", reason="lie-derivative inequality not proved"),
-                )
             )
             return False
         if c.op == "!=":
@@ -534,7 +492,25 @@ def check_diff_invariant(
                 )
             )
             return ok
-        raise ValueError(f"unknown comparison {c.op!r}")
+        rule, op, swap, failure = _LIE_RULES[c.op]
+        if swap:
+            la, lb = lb, la
+        # forward time needs L(a) op L(b); negative times also the reverse of <=
+        directions = [(la, lb)]
+        if op == "<=" and dom.includes_negative():
+            directions.append((lb, la))
+        methods = []
+        for a, b in directions:
+            if expr_eq(a, b).is_equal:
+                methods.append("lie-normalize")
+                continue
+            vd = discharge_atom(op, a, b)
+            if not vd.proved:
+                rulings.append(AtomRuling(c, rule, Verdict("unknown", reason=failure)))
+                return False
+            methods.append("lie-" + vd.method)
+        rulings.append(AtomRuling(c, rule, Verdict("proved", method="+".join(methods))))
+        return True
 
     ok = go(inv_n)
     overall = (

@@ -50,6 +50,7 @@ from .hprog import (
     Skip,
     Test,
     TimeDomain,
+    _guarded_prefix,
 )
 
 
@@ -121,38 +122,17 @@ def eval_pred_ext(
     horizon: float = 6.0,
     eq_tol: float = 0.0,
 ) -> bool:
-    """Grid evaluation of extended predicates; TimeQuant quantifiers range
-    over the grid of their time domain."""
+    """Grid evaluation of extended predicates.  A TimeQuant follows the
+    orbit rule (hprog._guarded_prefix) over its domain's down-set grid: the
+    end times t reached are the grid points up to the first one where the
+    prefix fails or cannot be evaluated, and the body must hold at each."""
     if isinstance(p, TimeQuant):
-        ts = p.dom.grid(step, horizon)
-        if p.dom.includes_negative():
-            lo = -horizon if p.dom.kind == "reals" else p.dom.lo
-            k = 1
-            neg = []
-            while -k * step >= lo - 1e-12:
-                neg.append(-k * step)
-                k += 1
-            ts = ts + neg
-        prefix_ok = True
-        for t in ts:
-            if t >= 0:
-                # forward times share an incrementally extended prefix
-                v = {**valuation, p.tau_name: t}
-                prefix_ok = prefix_ok and eval_pred_ext(p.prefix, v, step, horizon, eq_tol)
-                holds = prefix_ok
-            else:
-                holds = all(
-                    eval_pred_ext(
-                        p.prefix, {**valuation, p.tau_name: tau}, step, horizon, eq_tol
-                    )
-                    for tau in ts
-                    if tau <= t
-                )
-            if holds and not eval_pred_ext(
-                p.body, {**valuation, p.t_name: t}, step, horizon, eq_tol
-            ):
-                return False
-        return True
+        ts = p.dom.downset_grid(step, horizon)
+        reached = _guarded_prefix(ts, ({p.tau_name: t} for t in ts), p.prefix, valuation, eq_tol)
+        return all(
+            eval_pred_ext(p.body, {**valuation, p.t_name: t}, step, horizon, eq_tol)
+            for t, _ in reached
+        )
     if isinstance(p, And):
         return eval_pred_ext(p.lhs, valuation, step, horizon, eq_tol) and eval_pred_ext(
             p.rhs, valuation, step, horizon, eq_tol

@@ -372,6 +372,59 @@ class TestFmtCommand:
         code, out2, _ = run(capsys, "fmt", str(again))
         assert code == 0 and out2 == out
 
+    @pytest.mark.parametrize("text", [
+        "problem tiny vars x pre x = 0 post x <= 1\n"
+        "program evol x = x + t & true on [0,1/3000000007]\n",
+        "problem tiny vars x consts c in [0,1/3000000007] pre x = 0 post x <= 1\n"
+        "program x := x + c\n",
+    ], ids=["domain", "const-range"])
+    def test_tiny_bounds_reparse_to_the_same_spec(self, capsys, tmp_path, text):
+        from hybridwlp.hwl import parse_spec
+
+        f = tmp_path / "tiny.hwl"
+        f.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "fmt", str(f))
+        assert code == 0
+        assert parse_spec(out) == parse_spec(text)
+
+
+def _verify_probe(capsys, tmp_path, post, program, pre="x = 0", vars_="x"):
+    f = tmp_path / "probe.hwl"
+    f.write_text(f"problem probe vars {vars_}\npre {pre}\npost {post}\nprogram {program}\n")
+    code, out, _ = run(capsys, "verify", str(f), "--json")
+    return code, json.loads(out)["obligations"][0]["verdict"]["status"]
+
+
+class TestExactTimeDomains:
+    """Domain bounds are exact rationals, and refutation follows the
+    down-set of each end time in the domain."""
+
+    @pytest.mark.parametrize("post, program", [
+        ("x < 1/3", "evol x = x + t & true on [0,1/3]"),
+        ("x < 1/3", "evolve x' = 1 & true on [0,1/3] flow x = x + t"),
+        ("x > -1/3", "evol x = x + t & true on [-1/3,1]"),
+    ])
+    def test_a_bound_is_not_rounded_to_a_float(self, capsys, tmp_path, post, program):
+        # the store at the bound violates the post, so the spec is not valid
+        code, status = _verify_probe(capsys, tmp_path, post, program)
+        assert status != "proved" and code != 0
+
+    @pytest.mark.parametrize("dom", ["[-1,5]", "R"])
+    def test_guard_failing_in_every_down_set_yields_no_witness(self, capsys, tmp_path, dom):
+        # every down-set holds tau = -1 (or lower), where x < 0 breaks the
+        # guard, so no state is reached and the spec holds
+        code, status = _verify_probe(
+            capsys, tmp_path, "x <= 1", f"evolve x' = 1 & x >= 0 on {dom} flow x = x + t")
+        assert (code, status) == (1, "unknown")
+
+    def test_states_reached_at_negative_times_still_refute(self, capsys, tmp_path):
+        code, status = _verify_probe(
+            capsys, tmp_path, "-1*x + 0*v < -2",
+            "evolve x' = 1, v' = 0 & 2*x + 0*v > 1 | -1*x + 0*v > 1 on [-1,2] "
+            "flow x = x + 1*t, v = v",
+            pre="x = -1 & v = 2", vars_="x v")
+        assert (code, status) == (2, "refuted")
+
 
 class TestReportDetailEmbedding:
     def test_flow_certificate_embedded(self, capsys):

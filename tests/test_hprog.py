@@ -103,7 +103,7 @@ class TestStoreUpdate:
 class TestGuardedOrbit:
     def test_constant_flow_full_interval(self):
         flow = Flow({"x": x})
-        dom = TimeDomain("interval", 0.0, 1.0)
+        dom = TimeDomain(0.0, 1.0)
         orbit = guarded_orbit_flow(flow, TRUE, dom, {"x": 5.0}, 0.5)
         assert [(tt, s["x"]) for tt, s in orbit] == [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0)]
 
@@ -134,7 +134,7 @@ class TestGuardedOrbit:
 
     def test_flow_and_rk4_orbits_agree(self):
         guard = Cmp(">=", x, const(0))
-        dom = TimeDomain("interval", 0.0, 1.0)
+        dom = TimeDomain(0.0, 1.0)
         s = {"x": 1.0, "v": 0.0}
         a = guarded_orbit_flow(BALL_FLOW, guard, dom, s, 1e-3, {"g": -1.0})
         b = guarded_orbit_field(BALL_FIELD, guard, dom, s, 1e-3, {"g": -1.0})

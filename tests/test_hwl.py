@@ -69,7 +69,7 @@ class TestParsing:
         prog = parse_program_text("evol x = x + t & true on [0,2]")
         assert isinstance(prog, Evolve) and prog.field is None
         assert set(prog.flow.components) == {"x"}
-        assert prog.dom == TimeDomain("interval", 0.0, 2.0)
+        assert prog.dom == TimeDomain(0.0, 2.0)
 
     def test_flow_and_dinv_are_mutually_exclusive(self):
         with pytest.raises(ParseError):
@@ -221,7 +221,7 @@ class TestDomainValidation:
 
     def test_two_sided_interval_ok(self):
         prog = parse_program_text("evolve x' = v & true on [-2,3]")
-        assert prog.dom == TimeDomain("interval", -2.0, 3.0)
+        assert prog.dom == TimeDomain(-2.0, 3.0)
 
 
 # parser fuzzing: generated expressions survive print/parse

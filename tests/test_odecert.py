@@ -9,6 +9,8 @@ from hybridwlp.expr import (
     Cmp,
     Cos,
     EvalError,
+    FALSE,
+    Or,
     Sin,
     SymConst,
     TimeVar,
@@ -30,7 +32,7 @@ from hybridwlp.hprog import (
     VectorField,
     rk4_states,
 )
-from hybridwlp.hwl import parse_spec
+from hybridwlp.hwl import format_pred, parse_spec
 from hybridwlp.odecert import (
     FalsifyBudget,
     LipschitzEstimate,
@@ -206,7 +208,7 @@ class TestCertifyFlow:
         assert "initial" in cert.refusal
 
     def test_domain_containment_checked(self):
-        narrow = Flow(dict(BALL_FLOW.components), TimeDomain("interval", -1.0, 1.0))
+        narrow = Flow(dict(BALL_FLOW.components), TimeDomain(-1.0, 1.0))
         cert = certify_flow(
             BALL_FIELD, narrow, NONNEG, const_valuations=[{"g": -1.0}]
         )
@@ -310,6 +312,130 @@ class TestDiffInvariant:
             for _, st in traj:
                 val = st["x"] ** 2 + st["y"] ** 2
                 assert abs(val - rr * rr) <= 1e-6 * (1 + abs(val))
+
+
+# One case per Lie-derivative ruling shape: (invariant, field, domain,
+# assumptions), and the (atom, rule, status, method or reason) of each ruling.
+RADIUS = x * x + y * y
+SHRINK = VectorField({"x": -x, "y": -y})
+FALL = VectorField({"x": const(-1)})
+DINV_CASES = {
+    "eq_by_normalize": (Cmp("=", RADIUS, r * r), PEND_FIELD, REALS, ()),
+    "eq_by_discharge": (Cmp("=", x, const(1)), VectorField({"x": SymConst("c")}), NONNEG,
+                        (Cmp("=", SymConst("c"), const(0)),)),
+    "eq_failed": (Cmp("=", x, const(1)), VectorField({"x": const(1)}), NONNEG, ()),
+    "lt_nonneg": (Cmp("<", RADIUS, r * r), SHRINK, NONNEG, ()),
+    "lt_reals": (Cmp("<", RADIUS, r * r), SHRINK, REALS, ()),
+    "le_nonneg": (Cmp("<=", RADIUS, r * r), SHRINK, NONNEG, ()),
+    "le_reals": (Cmp("<=", RADIUS, r * r), SHRINK, REALS, ()),
+    "gt_nonneg": (Cmp(">", r * r, RADIUS), SHRINK, NONNEG, ()),
+    "gt_reals": (Cmp(">", r * r, RADIUS), SHRINK, REALS, ()),
+    "ge_nonneg": (Cmp(">=", r * r, RADIUS), SHRINK, NONNEG, ()),
+    "ge_reals": (Cmp(">=", r * r, RADIUS), SHRINK, REALS, ()),
+    "le_both_directions_normalize": (Cmp("<=", RADIUS, r * r), PEND_FIELD, REALS, ()),
+    "le_by_discharge": (Cmp("<=", x, const(5)), FALL, NONNEG, ()),
+    "le_reverse_direction_fails": (Cmp("<=", x, const(5)), FALL, REALS, ()),
+    "ge_by_discharge": (Cmp(">=", const(5), x), FALL, NONNEG, ()),
+    "neq_proved": (Cmp("!=", RADIUS, r * r), PEND_FIELD, REALS, ()),
+    "neq_failed": (Cmp("!=", RADIUS, r * r), SHRINK, NONNEG, ()),
+    "unsupported": (Cmp("<=", z, const(1)), PEND_FIELD, NONNEG, ()),
+    "true": (TRUE, PEND_FIELD, REALS, ()),
+    "false": (FALSE, PEND_FIELD, REALS, ()),
+    "and": (And(Cmp("=", RADIUS, r * r), Cmp("<=", x, const(5))), PEND_FIELD, REALS, ()),
+    "or": (Or(Cmp("<", x, const(1)), Cmp(">=", y, const(0))), SHRINK, NONNEG, ()),
+}
+DINV_RULINGS = {
+    "eq_by_normalize": [
+        ("x*x + y*y = r*r", "eq-rule", "proved", "lie-normalize"),
+    ],
+    "eq_by_discharge": [
+        ("x = 1", "eq-rule", "proved", "lie-hypothesis-match"),
+    ],
+    "eq_failed": [
+        ("x = 1", "eq-rule", "unknown", "lie derivatives not provably equal"),
+    ],
+    "lt_nonneg": [
+        ("x*x + y*y < r*r", "lt-rule", "proved", "lie-square-rule"),
+    ],
+    "lt_reals": [
+        ("x*x + y*y < r*r", "lt-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+    "le_nonneg": [
+        ("x*x + y*y <= r*r", "le-rule", "proved", "lie-square-rule"),
+    ],
+    "le_reals": [
+        ("x*x + y*y <= r*r", "le-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+    "gt_nonneg": [
+        ("r*r > x*x + y*y", "lt-rule", "proved", "lie-square-rule"),
+    ],
+    "gt_reals": [
+        ("r*r > x*x + y*y", "lt-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+    "ge_nonneg": [
+        ("r*r >= x*x + y*y", "le-rule", "proved", "lie-square-rule"),
+    ],
+    "ge_reals": [
+        ("r*r >= x*x + y*y", "le-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+    "le_both_directions_normalize": [
+        ("x*x + y*y <= r*r", "le-rule", "proved", "lie-normalize+lie-normalize"),
+    ],
+    "le_by_discharge": [
+        ("x <= 5", "le-rule", "proved", "lie-trivial"),
+    ],
+    "le_reverse_direction_fails": [
+        ("x <= 5", "le-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+    "ge_by_discharge": [
+        ("5 >= x", "le-rule", "proved", "lie-trivial"),
+    ],
+    "neq_proved": [
+        ("x*x + y*y < r*r", "lt-rule", "proved", "lie-normalize+lie-normalize"),
+        ("r*r < x*x + y*y", "lt-rule", "proved", "lie-normalize+lie-normalize"),
+        ("x*x + y*y != r*r", "neq-rule", "proved", "both-strict-directions"),
+    ],
+    "neq_failed": [
+        ("x*x + y*y < r*r", "lt-rule", "proved", "lie-square-rule"),
+        ("r*r < x*x + y*y", "lt-rule", "unknown", "lie-derivative inequality not proved"),
+        ("x*x + y*y != r*r", "neq-rule", "unknown", "a strict direction failed"),
+    ],
+    "unsupported": [
+        ("z <= 1", "unsupported", "unknown", "lie_derivative: not field variables: ['z']"),
+    ],
+    "true": [
+        ("true", "trivial", "proved", "trivial"),
+    ],
+    "false": [
+        ("false", "trivial", "proved", "empty-set"),
+    ],
+    "and": [
+        ("x*x + y*y = r*r", "eq-rule", "proved", "lie-normalize"),
+        ("x <= 5", "le-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+    "or": [
+        ("x < 1", "lt-rule", "unknown", "lie-derivative inequality not proved"),
+        ("y >= 0", "le-rule", "unknown", "lie-derivative inequality not proved"),
+    ],
+}
+
+
+class TestDiffInvariantRulings:
+    @pytest.mark.parametrize("name", DINV_CASES)
+    def test_report_is_pinned(self, name):
+        inv, field, dom, assumptions = DINV_CASES[name]
+        rulings = [
+            {"atom": atom, "rule": rule,
+             "verdict": {"status": status, "method" if status == "proved" else "reason": note}}
+            for atom, rule, status, note in DINV_RULINGS[name]
+        ]
+        proved = all(r["verdict"]["status"] == "proved" for r in rulings)
+        overall = ({"status": "proved", "method": "diff-invariant"} if proved
+                   else {"status": "unknown", "reason": "some atom ruling failed"})
+        report = check_diff_invariant(inv, field, dom, assumptions=assumptions)
+        assert report.to_json() == {
+            "invariant": format_pred(inv), "rulings": rulings, "verdict": overall,
+        }
 
 
 def _ball_mutant_spec():

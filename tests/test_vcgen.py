@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,8 @@ from hybridwlp.expr import (
     And,
     Cmp,
     Cos,
+    EVAL_FAILURES,
+    Exp,
     Expr,
     Neg,
     Or,
@@ -36,6 +39,7 @@ from hybridwlp.hprog import (
     RunConfig,
     Seq,
     Skip,
+    TimeDomain,
     VectorField,
     guarded_orbit_flow,
     run_sampled,
@@ -274,6 +278,33 @@ class TestTimeQuantEvaluation:
             want = all(eval_pred(q, {**consts, **st}) for _, st in orbit)
             assert got == want
 
+    def test_matches_orbit_definition_with_partly_undefined_guard(self):
+        # exp overflows once v < -1.78, so the guard cannot be evaluated
+        # along the later part of many orbits, and the orbit ends there
+        rng = random.Random(19)
+        guard = And(BALL_GUARD, Cmp(">", Exp(const(-400) * v), const(0)))
+        q = And(Cmp(">=", x, const(0)), Cmp("<=", x, h))
+        ev = Evolve(BALL_FIELD, guard, NONNEG, flow=BALL_FLOW)
+        pred, _ = wlp(ev, q)
+        step, horizon = 0.25, 4.0
+        grid = NONNEG.grid(step, horizon)
+        cut = 0
+        for _ in range(1000):
+            consts = {"g": rng.uniform(-3, -0.5), "h": rng.uniform(0.5, 3)}
+            store = {"x": rng.uniform(-1, 3), "v": rng.uniform(-2, 2)}
+            valuation = {**consts, **store}
+            got = eval_pred_ext(pred, valuation, step=step, horizon=horizon)
+            orbit = guarded_orbit_flow(BALL_FLOW, guard, NONNEG, store, step, consts, horizon)
+            want = all(eval_pred(q, {**consts, **st}) for _, st in orbit)
+            assert got == want
+            if len(orbit) < len(grid):
+                stop = BALL_FLOW.at(grid[len(orbit)], store, consts)
+                try:
+                    eval_pred(guard, {**consts, **stop})
+                except EVAL_FAILURES:
+                    cut += 1
+        assert cut > 100
+
     def test_matches_orbit_definition_on_pendulum(self):
         rng = random.Random(23)
         flow = Flow(
@@ -510,6 +541,65 @@ class TestObligationSerialization:
         assert set(doc) == {"id", "forall", "hyps", "concl", "provenance", "kind"}
         assert doc["kind"] == "arith"
         assert "x" in doc["forall"] and "v" in doc["forall"]
+
+
+def _downset_reference(tq: TimeQuant, valuation, step: float, horizon: float) -> bool:
+    """Brute force over the domain's grid {k*step}: every grid time t whose
+    whole down-set grid satisfies the prefix satisfies the body.  A prefix
+    that cannot be evaluated at tau does not hold there."""
+    lo = -horizon if tq.dom.lo == -math.inf else tq.dom.lo
+    top = min(horizon, tq.dom.hi)
+    ks = range(math.floor(lo / step) - 1, math.ceil(top / step) + 2)
+    times = [k * step for k in ks if lo - 1e-12 <= k * step <= top + 1e-12]
+
+    def prefix_holds(tau):
+        try:
+            return eval_pred(tq.prefix, {**valuation, tq.tau_name: tau})
+        except EVAL_FAILURES:
+            return False
+
+    return all(
+        eval_pred(tq.body, {**valuation, tq.t_name: t})
+        for t in times
+        if all(prefix_holds(tau) for tau in times if tau <= t)
+    )
+
+
+def _random_rat(rng) -> Expr:
+    return const(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))))
+
+
+def _random_downset_quant(rng) -> TimeQuant:
+    tau, end = Var("tau"), Var("t")
+
+    def guard_atom():
+        if rng.random() < 0.2:  # undefined where tau hits the pole
+            return Cmp(">", const(1) / (tau - _random_rat(rng)), const(-4))
+        lhs = _random_rat(rng) * tau + _random_rat(rng) * x + _random_rat(rng) * tau * tau
+        return Cmp(rng.choice(("<", "<=", ">", ">=")), lhs, _random_rat(rng))
+
+    prefix = guard_atom()
+    for _ in range(rng.randint(0, 2)):
+        prefix = (And if rng.random() < 0.5 else Or)(prefix, guard_atom())
+    body = Cmp(rng.choice(("<", "<=", ">", ">=")),
+               _random_rat(rng) * end + _random_rat(rng) * x, _random_rat(rng))
+    lo = rng.choice((-math.inf, -3, -2, -1, Fraction(-3, 4), Fraction(-1, 3)))
+    hi = math.inf if lo == -math.inf else rng.choice((0, Fraction(1, 2), 2, math.inf))
+    return TimeQuant("t", "tau", TimeDomain(lo, hi), prefix, body)
+
+
+class TestDownSetEvaluation:
+    def test_matches_brute_force_down_set_with_negative_times(self):
+        rng = random.Random(53)
+        outcomes = set()
+        for _ in range(600):
+            tq = _random_downset_quant(rng)
+            step, horizon = rng.choice((0.25, 0.5)), rng.choice((2.0, 3.0))
+            valuation = {"x": rng.uniform(-2, 2)}
+            want = _downset_reference(tq, valuation, step, horizon)
+            assert eval_pred_ext(tq, valuation, step=step, horizon=horizon) == want, tq
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestGridEvaluatorSemantics:
