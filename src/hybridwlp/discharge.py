@@ -34,6 +34,7 @@ from .expr import (
     negate_cmp,
     nnf,
     pred_free_names,
+    substitute,
     substitute_pred,
 )
 from .polynorm import (
@@ -499,7 +500,7 @@ class _Prover:
         self.db = db
         self.methods: list[str] = []
         self.failure: str = ""
-        # id-tuple of a hypothesis list -> (the list, solved hyps, bindings)
+        # id-tuple of a hypothesis list -> (the list, solved hyps, substitution)
         self.solved: dict = {}
 
     def prove(self, hyps: list, concl: Pred, depth: int = 0) -> bool:
@@ -541,17 +542,15 @@ class _Prover:
     # -- hypothesis preparation ------------------------------------------
 
     def _substituted(self, hyps: list, concl: Cmp):
-        """Substitute the equality hypotheses' solved bindings into the
+        """Apply the equality hypotheses' composed solutions to the
         remaining hypotheses and the conclusion.  The bindings depend on
         the hypotheses only, so each list is solved once per prover; its
         entry holds the hypotheses, so no id in the key is reused."""
         key = tuple(map(id, hyps))
         if key not in self.solved:
             self.solved[key] = (tuple(hyps), *_solve_equalities(hyps))
-        _, hyps, bindings = self.solved[key]
-        for name, expr in bindings:
-            concl = substitute_pred(concl, {name: expr})
-        return hyps, concl
+        _, hyps, sigma = self.solved[key]
+        return hyps, substitute_pred(concl, sigma)
 
     def prove_contradiction(self, hyps: list) -> bool:
         res = _fm_feasibility([h for h in hyps if isinstance(h, Cmp)])
@@ -649,34 +648,40 @@ class _Prover:
         return None
 
 
-def _solve_equalities(hyps: list) -> tuple[list, list]:
-    """Iteratively solve equality hypotheses (the lexicographically last
-    name with a lone rational-coefficient occurrence wins) and substitute
-    each into the others; returns the remaining hypotheses and the
-    (name, expr) bindings in the order they were made."""
-    hyps = list(hyps)
+def _solve_equalities(hyps: list) -> tuple[list, dict]:
+    """Iteratively solve equality hypotheses (the first solvable one in
+    order; the lexicographically last name with a lone rational-coefficient
+    occurrence wins), substituting each solution into the equalities left.
+    Substitution keeps a hypothesis's kind and operator, so only the
+    equalities take part.  Returns the remaining hypotheses in their order,
+    with every solution applied, and the solutions composed into one
+    simultaneous substitution."""
+    eqs = {i: h for i, h in enumerate(hyps) if isinstance(h, Cmp) and h.op == "="}
     bindings = []
-    for _ in range(len(hyps) + 2):
-        binding = None
-        for i, h in enumerate(hyps):
-            if not (isinstance(h, Cmp) and h.op == "="):
-                continue
+    while True:
+        for i, h in eqs.items():
             form = atom_form(h)
-            if form is None:
-                continue
-            solved = _solve_poly_for_name(form[0])
+            solved = None if form is None else _solve_poly_for_name(form[0])
             if solved is not None:
-                name, rest = solved
-                binding = (i, name, rest)
                 break
-        if binding is None:
+        else:
             break
-        i, name, rest = binding
+        name, rest = solved
         expr = poly_to_expr(rest)
-        del hyps[i]
-        hyps = [substitute_pred(h, {name: expr}) for h in hyps]
-        bindings.append((name, expr))
-    return hyps, bindings
+        del eqs[i]
+        eqs = {j: substitute_pred(h, {name: expr}) for j, h in eqs.items()}
+        bindings.append((i, name, expr))
+    # h[n1 := e1]...[nk := ek] = h[sigma], sigma[ni] = ei[sigma over n(i+1)..nk]
+    sigma: dict = {}
+    for _, name, expr in reversed(bindings):
+        sigma[name] = substitute(expr, sigma)
+    solved_at = {i for i, _, _ in bindings}
+    rest = [
+        eqs[i] if i in eqs else substitute_pred(h, sigma)
+        for i, h in enumerate(hyps)
+        if i not in solved_at
+    ]
+    return rest, sigma
 
 
 def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:

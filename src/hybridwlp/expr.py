@@ -794,7 +794,8 @@ def fresh_time_binders(avoid: set[str], k: int) -> tuple[str, str]:
 
 def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
     """Capture-avoiding simultaneous substitution: a TimeQuant shadows its
-    binders, and renames them apart when a substituted term mentions one.
+    binders, and renames them apart when a term substituted for one of its
+    free names mentions one.
     Sharing is kept as by substitute; a TimeQuant in which no key of the
     binding is free comes back as itself, binders and all."""
     return _subst_pred(p, binding, {})
@@ -812,10 +813,12 @@ def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:
     elif isinstance(p, TimeQuant):
         bound = {p.t_name, p.tau_name}
         inner = {k: e for k, e in binding.items() if k not in bound}
-        used = frozenset().union(*map(_names, inner.values()))
+        # only a term that lands under the binders can be captured
+        free = _pred_names(p)
+        used = frozenset().union(*(_names(e) for k, e in inner.items() if k in free))
         t_name, tau_name = p.t_name, p.tau_name
         if not used.isdisjoint(bound):
-            t_name, tau_name = fresh_time_binders(used | _pred_names(p), 2)
+            t_name, tau_name = fresh_time_binders(used | free, 2)
             inner[p.t_name], inner[p.tau_name] = Var(t_name), Var(tau_name)
         inner_memo: dict = {}  # the binding differs under the binders
         prefix = _subst_pred(p.prefix, inner, inner_memo)

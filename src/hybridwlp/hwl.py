@@ -760,6 +760,9 @@ def format_spec(spec: SpecFile) -> str:
         else:
             lines.append(f"lemma {lem.name}: {format_pred(lem.concl)}")
     if spec.config:
-        kv = ", ".join(f"{k} {v}" for k, v in spec.config.items())
+        kv = ", ".join(
+            f"{k} {v if isinstance(v, int) else _fmt_bound(v)}"
+            for k, v in spec.config.items()
+        )
         lines.append(f"config {kv}")
     return "\n".join(lines) + "\n"

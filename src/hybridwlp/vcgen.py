@@ -11,11 +11,14 @@ obligations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from math import inf
 from typing import Mapping, Optional
 
 from .expr import (
     TIME_NAME,
     And,
+    EvalError,
     Expr,
     Not,
     Or,
@@ -23,6 +26,7 @@ from .expr import (
     TimeQuant,
     TimeVar,
     TRUE,
+    TruePred,
     Var,
     eval_pred,
     free_consts,
@@ -125,8 +129,12 @@ def eval_pred_ext(
     """Grid evaluation of extended predicates.  A TimeQuant follows the
     orbit rule (hprog._guarded_prefix) over its domain's down-set grid: the
     end times t reached are the grid points up to the first one where the
-    prefix fails or cannot be evaluated, and the body must hold at each."""
+    prefix fails or cannot be evaluated, and the body must hold at each.
+    A domain unbounded below has down-sets reaching past the grid, where a
+    prefix other than true may fail, so such a TimeQuant raises EvalError."""
     if isinstance(p, TimeQuant):
+        if p.dom.lo == -inf and not isinstance(p.prefix, TruePred):
+            raise EvalError("the down-sets of a domain unbounded below leave the grid")
         ts = p.dom.downset_grid(step, horizon)
         reached = _guarded_prefix(ts, ({p.tau_name: t} for t in ts), p.prefix, valuation, eq_tol)
         return all(
@@ -175,12 +183,18 @@ class _WlpPass:
         if isinstance(p, Abort):
             return TRUE
         if isinstance(p, Assign):
-            return substitute_pred(q, {p.var: p.expr})
+            return _assign_run_wlp((p,), q)
         if isinstance(p, Test):
             return implies(p.cond, q)
         if isinstance(p, Seq):
-            for i in reversed(range(len(p.items))):
-                q = self.wlp(p.items[i], q, f"{path}.{i}")
+            # a maximal run of assignments is one substitution
+            groups = groupby(enumerate(p.items), key=lambda item: isinstance(item[1], Assign))
+            for is_run, group in reversed([(k, list(g)) for k, g in groups]):
+                if is_run:
+                    q = _assign_run_wlp([a for _, a in group], q)
+                else:
+                    for i, item in reversed(group):
+                        q = self.wlp(item, q, f"{path}.{i}")
             return q
         if isinstance(p, Choice):
             return pred_and(
@@ -232,6 +246,16 @@ class _WlpPass:
             prefix=substitute_pred(guard, at_tau),
             body=substitute_pred(q, at_t),
         )
+
+
+def _assign_run_wlp(run, q: Pred) -> Pred:
+    """wlp of x1 := e1; ...; xk := ek as one simultaneous substitution
+    q[sigma], sigma built forward: each ei reads the store the assignments
+    before it left, so sigma[xi] = ei[sigma]."""
+    sigma: dict = {}
+    for a in run:
+        sigma[a.var] = substitute(a.expr, sigma)
+    return substitute_pred(q, sigma)
 
 
 def wlp(p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:

@@ -417,6 +417,16 @@ class TestExactTimeDomains:
             capsys, tmp_path, "x <= 1", f"evolve x' = 1 & x >= 0 on {dom} flow x = x + t")
         assert (code, status) == (1, "unknown")
 
+    def test_refutation_declines_on_R_under_a_guard(self, capsys, tmp_path):
+        # every down-set on R holds a tau < -10, where the guard fails, but
+        # the grid stops at -horizon, so no witness is read off it
+        code, status = _verify_probe(
+            capsys, tmp_path, "x <= 1", "evolve x' = 1 & x >= -10 on R flow x = x + t")
+        assert (code, status) == (1, "unknown")
+        code, status = _verify_probe(
+            capsys, tmp_path, "x <= 1", "evolve x' = 1 & true on R flow x = x + t")
+        assert (code, status) == (2, "refuted")
+
     def test_states_reached_at_negative_times_still_refute(self, capsys, tmp_path):
         code, status = _verify_probe(
             capsys, tmp_path, "-1*x + 0*v < -2",

@@ -14,11 +14,13 @@ from hybridwlp.expr import (
     Not,
     Sin,
     SymConst,
+    TimeQuant,
     TimeVar,
     TRUE,
     Var,
     const,
     eval_pred,
+    free_names,
     pred_and,
     substitute_pred,
 )
@@ -36,7 +38,7 @@ from hybridwlp.discharge import (
     validate_lemma,
 )
 import hybridwlp.discharge as dmod
-from hybridwlp.hprog import Assign, IfThenElse, Seq
+from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
 from hybridwlp.polynorm import normalize
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
 
@@ -483,6 +485,31 @@ class TestSolvedHypothesisMemo:
                             lambda self, hyps, concl: per_goal_substituted(hyps, concl))
         assert discharge(ob) == want
         assert want.kind == ("refuted" if off_by_one else "proved")
+
+
+class TestComposedSolution:
+    def test_matches_one_substitution_per_solution(self):
+        tv, tau = Var("t"), Var("tau")
+        hyps = [
+            Cmp(">=", y, x),
+            # x := v + t, whose term reads a binder's name and v, solved later
+            Cmp("=", x, v + tv),
+            Cmp("=", x * y, const(2)),  # unsolvable: every name sits in x*y
+            # binds t and reads x, so x's term is renamed apart from t
+            TimeQuant("t", "tau", NONNEG, Cmp(">=", x, tau), Cmp("<=", x, tv)),
+            # binds t but reads only z, whose term y + 2 does not mention it
+            TimeQuant("t", "tau", NONNEG, Cmp(">=", z, tau), Cmp("<=", z + y, tv)),
+            Cmp("=", z, y + const(2)),
+            Cmp("<", Sin(v), z),
+            Cmp("=", v, Sin(y) + const(3)),
+        ]
+        concl = Cmp("<=", x + z, y)
+        rest, sigma = dmod._solve_equalities(hyps)
+        assert (rest, substitute_pred(concl, sigma)) == per_goal_substituted(hyps, concl)
+        assert free_names(sigma["x"]) == {"t", "y"}  # v's solution is composed in
+        assert sorted(sigma) == ["v", "x", "z"]
+        assert [type(h).__name__ for h in rest] == ["Cmp", "Cmp", "TimeQuant", "TimeQuant", "Cmp"]
+        assert (rest[2].t_name, rest[3].t_name) == ("t2", "t")
 
 
 class TestCanonicalCmp:

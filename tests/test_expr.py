@@ -243,16 +243,29 @@ class TestTimeQuantBinders:
         assert out.body == Cmp("<=", Var("t2"), Var("t3") + Var("t4"))
         assert pred_free_names(out) == {"t2", "t3"}
 
+    def test_a_term_for_a_name_not_free_here_renames_nothing(self):
+        # w is not free in TQ, so its term t2 never lands under the binders
+        out = substitute_pred(self.TQ, {"y": Var("z"), "w": Var("t2")})
+        assert out == substitute_pred(self.TQ, {"y": Var("z")})
+        assert (out.t_name, out.tau_name) == ("t2", "tau2")
+
     def test_renaming_reaches_nested_binders(self):
         nested = _quant("t", "tau", TRUE, And(self.TQ, Cmp(">=", Var("t"), y)))
         out = substitute_pred(nested, {"y": Var("t")})
-        # the outer binder becomes t2, so the inner t2 moves on to t3
+        # the outer binder becomes t2; the inner quantifier does not read
+        # it, so the inner t2 stays and shadows it
+        inner = _quant("t2", "tau2", self.TQ.prefix, Cmp("<=", Var("t"), x + Var("t2")))
+        assert out == _quant("t2", "tau2", TRUE, And(inner, Cmp(">=", Var("t2"), Var("t"))))
+        # an inner quantifier that reads the outer end time moves on to t3
+        reads_outer = _quant("t2", "tau2", self.TQ.prefix, Cmp("<=", y, Var("t") + Var("t2")))
+        nested = _quant("t", "tau", TRUE, reads_outer)
+        out = substitute_pred(nested, {"y": Var("t")})
         inner = _quant(
             "t3", "tau3",
             Cmp(">=", x + Var("tau3"), const(0)),
-            Cmp("<=", Var("t"), x + Var("t3")),
+            Cmp("<=", Var("t"), Var("t2") + Var("t3")),
         )
-        assert out == _quant("t2", "tau2", TRUE, And(inner, Cmp(">=", Var("t2"), Var("t"))))
+        assert out == _quant("t2", "tau2", TRUE, inner)
 
 
 class TestNnf:
@@ -617,7 +630,8 @@ def _ref_substitute(e, binding):
 
 def _ref_substitute_pred(p, binding):
     """Capture-avoiding tree walk; a TimeQuant in which no key of the
-    binding is free is left as it is."""
+    binding is free is left as it is, and one renames its binders only when
+    a term substituted for one of its free names mentions one."""
     if isinstance(p, (TruePred, FalsePred)):
         return p
     if isinstance(p, Cmp):
@@ -631,7 +645,7 @@ def _ref_substitute_pred(p, binding):
         return p
     bound = {p.t_name, p.tau_name}
     inner = {k: e for k, e in binding.items() if k not in bound}
-    used = set().union(*(_ref_free(e) for e in inner.values()))
+    used = set().union(*(_ref_free(e) for k, e in inner.items() if k in _ref_free(p)))
     t_name, tau_name = p.t_name, p.tau_name
     if used & bound:
         t_name, tau_name = fresh_time_binders(used | _ref_free(p), 2)

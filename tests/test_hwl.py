@@ -159,6 +159,17 @@ class TestRoundTrip:
         # printing is a fixpoint
         assert format_spec(spec2) == printed
 
+    def test_config_values_re_parse(self):
+        # str(1e-10) is "1e-10", which the number syntax does not read
+        spec = parse_spec(
+            "problem p vars x pre x = 0 post x = 0 program skip\n"
+            "config step 1/10000000000, horizon 0.1, seed 7, lo -1/3"
+        )
+        printed = format_spec(spec)
+        assert parse_spec(printed).config == spec.config
+        assert "horizon 1/10, seed 7, lo -1/3\n" in printed
+        assert format_spec(parse_spec(printed)) == printed
+
     @pytest.mark.parametrize(
         "body",
         [

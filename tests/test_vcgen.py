@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hybridwlp.expr as expr_module
 from hybridwlp.cli import run_verify
 from hybridwlp.discharge import discharge
 from hybridwlp.expr import (
@@ -13,6 +14,7 @@ from hybridwlp.expr import (
     Cmp,
     Cos,
     EVAL_FAILURES,
+    EvalError,
     Exp,
     Expr,
     Neg,
@@ -26,6 +28,7 @@ from hybridwlp.expr import (
     Var,
     const,
     eval_pred,
+    substitute_pred,
 )
 from hybridwlp.hprog import (
     Assign,
@@ -47,10 +50,13 @@ from hybridwlp.hprog import (
 from hybridwlp.hwl import format_pred, parse_spec
 from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
+    Obligation,
     TimeQuant,
     VerifySpec,
+    _WlpPass,
     _find_evolves,
     _replace_at,
+    _with_context,
     dc_split,
     ds_closed_form,
     dw_check,
@@ -544,10 +550,10 @@ class TestObligationSerialization:
 
 
 def _downset_reference(tq: TimeQuant, valuation, step: float, horizon: float) -> bool:
-    """Brute force over the domain's grid {k*step}: every grid time t whose
-    whole down-set grid satisfies the prefix satisfies the body.  A prefix
-    that cannot be evaluated at tau does not hold there."""
-    lo = -horizon if tq.dom.lo == -math.inf else tq.dom.lo
+    """Brute force over the grid {k*step} of a domain bounded below: every
+    grid time t whose whole down-set grid satisfies the prefix satisfies the
+    body.  A prefix that cannot be evaluated at tau does not hold there."""
+    lo = tq.dom.lo
     top = min(horizon, tq.dom.hi)
     ks = range(math.floor(lo / step) - 1, math.ceil(top / step) + 2)
     times = [k * step for k in ks if lo - 1e-12 <= k * step <= top + 1e-12]
@@ -592,14 +598,21 @@ class TestDownSetEvaluation:
     def test_matches_brute_force_down_set_with_negative_times(self):
         rng = random.Random(53)
         outcomes = set()
+        declined = 0
         for _ in range(600):
             tq = _random_downset_quant(rng)
             step, horizon = rng.choice((0.25, 0.5)), rng.choice((2.0, 3.0))
             valuation = {"x": rng.uniform(-2, 2)}
+            if tq.dom.lo == -math.inf:
+                # the down-sets leave the grid, and no prefix here is true
+                with pytest.raises(EvalError, match="unbounded below"):
+                    eval_pred_ext(tq, valuation, step=step, horizon=horizon)
+                declined += 1
+                continue
             want = _downset_reference(tq, valuation, step, horizon)
             assert eval_pred_ext(tq, valuation, step=step, horizon=horizon) == want, tq
             outcomes.add(want)
-        assert outcomes == {True, False}
+        assert outcomes == {True, False} and declined
 
 
 class TestGridEvaluatorSemantics:
@@ -730,3 +743,99 @@ class TestBinderHygiene:
             )
         with pytest.raises(ValueError, match="reserved"):
             VerifySpec(name="reserved", vars=("x",), consts=("t",))
+
+
+# ---------------------------------------------------------------------------
+# A run of assignments is one simultaneous substitution
+
+
+class _SequentialWlp(_WlpPass):
+    """Reference fold: one substitute_pred per assignment, item by item."""
+
+    def wlp(self, p, q, path):
+        if isinstance(p, Assign):
+            return substitute_pred(q, {p.var: p.expr})
+        if isinstance(p, Seq):
+            for i in reversed(range(len(p.items))):
+                q = self.wlp(p.items[i], q, f"{path}.{i}")
+            return q
+        return super().wlp(p, q, path)
+
+
+def _sequential_verify(spec):
+    run = _SequentialWlp(set(spec.vars) | set(spec.consts))
+    pred = run.wlp(spec.program, spec.post, "program")
+    main = Obligation("ob0", (), (spec.pre,), pred, "pre-implies-wlp@program")
+    return [_with_context(ob, spec) for ob in [main] + run.obligations]
+
+
+RUN_ASSIGNS = [
+    Assign("x", x + 1),
+    Assign("v", v + x),
+    Assign("x", x * v),
+    Assign("v", -v),
+    Assign("y", x - v),
+    Assign("x", y + const(2)),
+    Assign("y", x + t),  # the time symbol: a term an evolution's binder t captures
+]
+DRIFT = Evolve(VectorField({"x": v, "v": const(0)}), Cmp(">=", x, const(0)), NONNEG,
+               flow=Flow({"x": x + v * t}))
+RUN_EVOLVES = [
+    DRIFT,
+    Evolve(BALL_FIELD, BALL_GUARD, NONNEG, flow=BALL_FLOW),
+    Evolve(VectorField({"y": const(1)}), TRUE, REALS, flow=Flow({"y": y + t})),
+]
+
+
+def _random_run_program(rng: random.Random, depth: int = 2):
+    """A sequence of assignment runs, evolution commands with a flow, small
+    discrete programs and ifs over such sequences."""
+    items = []
+    for _ in range(rng.randint(1, 5)):
+        shape = rng.random()
+        if shape < 0.45:
+            items += [rng.choice(RUN_ASSIGNS) for _ in range(rng.randint(1, 4))]
+        elif shape < 0.7:
+            items.append(rng.choice(RUN_EVOLVES))
+        elif shape < 0.85 or depth == 0:
+            items.append(random_discrete_program(rng, 2))
+        else:
+            items.append(IfThenElse(Cmp("<", x, v), _random_run_program(rng, depth - 1),
+                                    _random_run_program(rng, depth - 1)))
+    return Seq(tuple(items))
+
+
+class TestAssignmentRuns:
+    def test_verify_matches_one_substitution_per_assignment(self, monkeypatch):
+        renames = []
+        fresh = expr_module.fresh_time_binders
+        monkeypatch.setattr(expr_module, "fresh_time_binders",
+                            lambda avoid, k: renames.append(k) or fresh(avoid, k))
+        rng = random.Random(71)
+        posts = [Cmp(">=", x, const(0)), And(Cmp("<=", x, v), Cmp(">", y, g)), TRUE]
+        quantified = 0
+        for _ in range(100):
+            spec = VerifySpec(
+                name="runs", vars=("x", "v", "y"), consts=("g", "h"),
+                pre=Cmp("=", x, h), post=rng.choice(posts),
+                program=_random_run_program(rng),
+            )
+            got = verify(spec)
+            assert got == _sequential_verify(spec)
+            quantified += bool(got[0].forall[3:])
+        assert quantified and renames  # binders were renamed apart from y := x + t
+
+    @pytest.mark.parametrize("run, renamed", [
+        # both terms land under the second evolution's binders t2/tau2
+        ((Assign("v", Var("t2") + const(1)), Assign("y", Var("t2")), DRIFT,
+          Assign("x", x + y)), True),
+        # y is not free under them, so its term t2 renames nothing
+        ((Assign("y", Var("t2")), Assign("v", v + const(1))), False),
+    ])
+    def test_assigned_term_mentioning_a_binder(self, run, renamed):
+        # wlp() reserves no names, so a binder may be a name a term reads
+        program = Seq(run + (DRIFT, DRIFT))
+        q = Cmp("<=", x, const(3))
+        got, _ = wlp(program, q)
+        assert got == _SequentialWlp().wlp(program, q, "program")
+        assert isinstance(got, TimeQuant) and (got.t_name != "t2") == renamed
