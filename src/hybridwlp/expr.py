@@ -363,30 +363,35 @@ def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
 #
 # A KernelWriter generates one Python function that evaluates several
 # expressions in turn, for loops that evaluate the same expressions many
-# times (hprog's RK4 stepper and flow kernels, and sampling's attempt
-# function, one per sampling plan).  Each node becomes one statement, in
-# the order in which its compiled closure computes it: children left to
-# right, a division's denominator and zero check before its numerator, and
-# each name load a statement of its own with float() applied.  So the
-# values are bit-identical to the closures', and a failure raises the same
-# exception type, message and subterm at the same point.  The code is
-# straight-line, so an earlier statement always ran before a later one: a
-# node object met again under the same locals, and a name loaded again from
-# the same variable or from env, reuse the first value, which cannot differ
-# and would have raised first.  One handler maps a KeyError on an env load's
-# line to that load's EvalError.  A writer without env (the sampler's)
-# raises that EvalError in place of the load.  Statements under an Exp sit
-# in a try block that turns OverflowError into the Exp's EvalError, as the
-# closure's try around its whole argument does; a nested Exp ends the outer
-# block and starts its own, so blocks never nest and a term of any depth
-# compiles.  A guarded region (see guard) wraps its statements in one more
-# try block whose EVAL_FAILURES clause runs a given statement, as a caller's
-# try around an evaluate call does.  Identifiers are synthesized: names,
-# dictionary keys, constants, exponents and nodes reach the code only
-# through the function's globals.  So every kernel of one shape has the same
-# source, and function compiles each distinct source once per process: a
-# bounded memo keyed by the source text keeps the code objects, and each
-# kernel is the cached code run in fresh globals.
+# times (hprog's RK4 stepper and flow kernels, sampling's attempt function,
+# one per sampling plan, and odecert's flow-certificate checks).  Each node
+# becomes one statement, in the order in which its compiled closure
+# computes it: children left to right, a division's denominator and zero
+# check before its numerator, and each name load a statement of its own
+# with float() applied.  So the values are bit-identical to the closures',
+# and a failure raises the same exception type, message and subterm at the
+# same point.  The code is straight-line, so an earlier statement always ran
+# before a later one: a node object met again under the same locals, and a
+# name loaded again from the same variable or from env, reuse the first
+# value, which cannot differ and would have raised first.  One handler maps
+# a KeyError on an env load's line to that load's EvalError.  A writer
+# without env (the sampler's) raises that EvalError in place of the load.
+# Statements under an Exp sit in a try block that turns OverflowError into
+# the Exp's EvalError, as the closure's try around its whole argument does;
+# a nested Exp ends the outer block and starts its own, so blocks never nest
+# and a term of any depth compiles.  A guarded region (see guard) wraps its
+# statements in one more try block whose EVAL_FAILURES clause runs a given
+# statement with the exception bound to _exc, as a caller's try around an
+# evaluate call does.  A compound statement (see begin) puts the statements
+# that follow in the body of a loop or an if, whose body is straight-line
+# on each pass: a value loaded inside the body is reused only inside it,
+# and a local variable declared with floats, which holds a float whenever
+# it is read, is read in place of a load.  Identifiers are synthesized:
+# names, dictionary keys, constants, exponents and nodes reach the code
+# only through the function's globals.  So every kernel of one shape has
+# the same source, and function compiles each distinct source once per
+# process: a bounded memo keyed by the source text keeps the code objects,
+# and each kernel is the cached code run in fresh globals.
 
 # Distinct kernel sources whose code objects are kept; the oldest goes first.
 _CODE_CACHE_SIZE = 512
@@ -400,9 +405,11 @@ class KernelWriter:
         self._globals = {"EvalError": EvalError, "_unbound": _unbound, "_exp": math.exp,
                          "_sin": math.sin, "_cos": math.cos, "_FAIL": EVAL_FAILURES}
         self._env = env  # whether names outside the locals load from the parameter env
-        # (guard or None, Exp handler or None, text, env-load site or None)
+        # (indent, guard or None, Exp handler or None, text, env-load site or None)
         self._lines: list = []
         self._guard = None
+        self._indent = ""
+        self._blocks: list = []  # the loads made before each open compound statement
         self._loaded: dict = {}  # load key -> identifier of its value
         self._temps = 0
 
@@ -417,14 +424,36 @@ class KernelWriter:
         return f"_v{self._temps}"
 
     def line(self, text: str, handler: "str | None" = None, site=None) -> None:
-        self._lines.append((self._guard, handler, text, site))
+        self._lines.append((self._indent, self._guard, handler, text, site))
 
     def guard(self, on_failure: "str | None") -> None:
         """Put the statements that follow, up to the next call, in a try
         block whose EVAL_FAILURES clause runs on_failure; None ends the
-        region.  Only for a writer without env: its KeyError handler sits
-        outside every region."""
+        region, which must not span a begin or an end.  When on_failure
+        does not leave the function, a statement after the region may
+        reuse its values only where it runs after the region completed.
+        Only for a writer without env: its KeyError handler sits outside
+        every region."""
         self._guard = on_failure
+
+    def begin(self, header: str) -> None:
+        """Emit the compound statement header (a loop or an if) and put the
+        statements that follow, up to the matching end, in its body."""
+        if self._guard is not None:
+            raise ValueError("a compound statement cannot start inside a guarded region")
+        self.line(header)
+        self._indent += "    "
+        self._blocks.append(dict(self._loaded))
+
+    def end(self) -> None:
+        self._indent = self._indent[:-4]
+        self._loaded = self._blocks.pop()
+
+    def floats(self, *names: str) -> None:
+        """Declare local variables that hold a float whenever a load reads
+        them, so the load reads the variable itself."""
+        for n in names:
+            self._loaded[("local", n)] = n
 
     def expr(self, e: Expr, local: Mapping[str, str], memo: dict) -> str:
         """Emit the statements that compute e and return the identifier of
@@ -485,6 +514,8 @@ class KernelWriter:
         return v
 
     def _zero_check(self, e: Div, handler, local, memo, stack) -> None:
+        if type(e.den) is Const:
+            return  # Div admits no zero constant, so the check would never fire
         self.line(f"if {memo[id(e.den)]} == 0.0:", handler)
         self.line(f"    raise EvalError({self.bind('division by zero')}, {self.bind(e)})",
                   handler)
@@ -500,20 +531,20 @@ class KernelWriter:
         """The generated function of params that runs the statements so
         far and returns the expression result."""
         body: list = []  # (text, env-load site or None)
-        for guard, region in itertools.groupby(self._lines, key=lambda line: line[0]):
-            outer = "" if guard is None else "    "
+        for (indent, guard), region in itertools.groupby(self._lines, key=lambda line: line[:2]):
+            outer = indent if guard is None else indent + "    "
             if guard is not None:
-                body.append(("try:", None))
-            for handler, group in itertools.groupby(region, key=lambda line: line[1]):
+                body.append((indent + "try:", None))
+            for handler, group in itertools.groupby(region, key=lambda line: line[2]):
                 pad = outer if handler is None else outer + "    "
                 if handler is not None:
                     body.append((outer + "try:", None))
-                body += [(pad + text, site) for _, _, text, site in group]
+                body += [(pad + text, site) for *_, text, site in group]
                 if handler is not None:
                     body += [(outer + "except OverflowError:", None),
                              (outer + "    " + handler, None)]
             if guard is not None:
-                body += [("except _FAIL:", None), ("    " + guard, None)]
+                body += [(indent + "except _FAIL as _exc:", None), (indent + "    " + guard, None)]
         # line number -> (message, node) of an env load, after the def and try lines
         sites = {n: site for n, (_, site) in enumerate(body, start=3) if site is not None}
         src = [f"def _kernel({params}):"]

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .expr import (
     EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, compile_pred, evaluate,
-    eval_pred, free_vars, uses_time,
+    eval_pred, free_names, free_vars, uses_time,
 )
 
 Store = dict[str, float]
@@ -60,26 +60,50 @@ class VectorField:
         except KeyError:
             pass
         w = KernelWriter()
+        base = {x: w.temp() for x in self.components}
         keys = [w.bind(x) for x in self.components]
-        base = [w.temp() for _ in keys]
-        for b, key in zip(base, keys):
+        for b, key in zip(base.values(), keys):
             w.line(f"{b} = state[{key}]")
-        local = dict(zip(self.components, base))
-        stages = []
-        for coef in ("half", "half", "h", None):
-            memo: dict = {}
-            ks = [w.expr(e, local, memo) for e in self.components.values()]
-            stages.append(ks)
-            if coef is not None:
-                nxt = [w.temp() for _ in keys]
-                for y, b, k in zip(nxt, base, ks):
-                    w.line(f"{y} = {b} + {coef} * {k}")
-                local = dict(zip(self.components, nxt))
-        new = [f"{key}: {b} + sixth * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
-               for key, b, k1, k2, k3, k4 in zip(keys, base, *stages)]
-        step = w.function("state, env, h, half, sixth", "{**state, %s}" % ", ".join(new))
+        new = emit_rk4_step(w, self, base)
+        step = w.function("state, env, h, half, sixth", "{**state, %s}" % ", ".join(
+            f"{key}: {v}" for key, v in zip(keys, new)))
         self.__dict__[_RK4_STEP] = step
         return step
+
+
+def emit_rk4_step(
+    w: KernelWriter, field: VectorField, base: Mapping[str, str], local: Mapping[str, str] = {}
+) -> list[str]:
+    """Emit the four stages of one classical RK4 step of field and return,
+    per component in the field's order, the expression of its new value
+    b + sixth * (k1 + 2 * k2 + 2 * k3 + k4), with b its identifier in base.
+    The first stage reads the field's variables from base, the others from
+    the intermediate states b + half * k1, b + half * k2 and b + h * k3;
+    other names load through local, else from env.  The generated code
+    must bind h, half = 0.5 * h and sixth = h / 6.0.  An intermediate
+    value of a variable that no component reads is not computed, and one
+    equal to an earlier one of the step is reused."""
+    read = [x for x in field.components
+            if any(x in free_names(e) for e in field.components.values())]
+    state, stages = base, []
+    made: dict = {}  # (variable, coefficient, stage value) -> intermediate value
+    for coef in ("half", "half", "h", None):
+        memo: dict = {}
+        ks = [w.expr(e, {**local, **state}, memo) for e in field.components.values()]
+        stages.append(ks)
+        if coef is not None:
+            state = {}
+            for x, k in zip(field.components, ks):
+                if x in read:
+                    y = made.get((x, coef, k))
+                    if y is None:  # k repeats only when loaded once for the step
+                        y = made[x, coef, k] = w.temp()
+                        w.floats(y)
+                        w.line(f"{y} = {base[x]} + {coef} * {k}")
+                    state[x] = y
+    # 2.0 * k is the product 2 * k, without converting the int on each step
+    return [f"{base[x]} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+            for x, k1, k2, k3, k4 in zip(field.components, *stages)]
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,8 @@ class _Parser:
             while self.peek().kind == "id":
                 key = self.ident("config key")
                 val = self.number()
-                config[key] = int(val) if val.denominator == 1 else float(val)
+                # exact, so that fmt prints the value as written
+                config[key] = int(val) if val.denominator == 1 else val
                 if not self.accept(","):
                     break
             self.accept(";")
@@ -761,7 +762,7 @@ def format_spec(spec: SpecFile) -> str:
             lines.append(f"lemma {lem.name}: {format_pred(lem.concl)}")
     if spec.config:
         kv = ", ".join(
-            f"{k} {v if isinstance(v, int) else _fmt_bound(v)}"
+            f"{k} {_fmt_rational(v) if isinstance(v, (int, Fraction)) else _fmt_bound(v)}"
             for k, v in spec.config.items()
         )
         lines.append(f"config {kv}")

@@ -12,7 +12,6 @@ violations.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,11 +19,13 @@ from typing import Mapping, Optional, Sequence
 
 from .expr import (
     EVAL_FAILURES,
+    TIME_NAME,
     And,
     Cmp,
     Div,
     Expr,
     FalsePred,
+    KernelWriter,
     Or,
     Pred,
     Sub,
@@ -48,6 +49,7 @@ from .hprog import (
     Store,
     TimeDomain,
     VectorField,
+    emit_rk4_step,
     find_violation,
     rk4_states,
 )
@@ -229,6 +231,164 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
     return out
 
 
+# ---------------------------------------------------------------------------
+# The flow certificate's numeric cross-checks, as generated kernels (see
+# expr.KernelWriter) built per call, once per set of bound constants.  The
+# start values are floats; a constant loads with float() where the compiled
+# closures would first load it, and a name that is neither a variable nor
+# bound raises the closures' EvalError there.  So every value, failure and
+# NaN comparison is the one of rk4_integrate, Flow.states and Flow.at.
+
+
+def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
+    """Emit max(abs(x - y) for x, y in zip(a, b)), compared in that order
+    as max compares, and return the identifier of its value."""
+    dev, d = w.temp(), w.temp()
+    w.line(f"{dev} = abs({a[0]} - {b[0]})")
+    for x, y in zip(a[1:], b[1:]):
+        w.line(f"{d} = abs({x} - {y})")
+        w.line(f"if {d} > {dev}:")
+        w.line(f"    {dev} = {d}")
+    return dev
+
+
+def _flow_values(w: KernelWriter, flow: Flow, local: Mapping[str, str]) -> dict:
+    """Emit the flow's components under local, in the flow's order, and
+    return each variable's value identifier."""
+    memo: dict = {}
+    return {x: w.expr(e, local, memo) for x, e in flow.components.items()}
+
+
+def _monoid_kernel(flow: Flow, names: Sequence[str], bound: tuple):
+    """residual(t1, t2, *start, *consts) -> the largest deviation over names,
+    in order, between flow(t1 + t2) and flow(t1) after flow(t2), from the
+    start values of names with the constants bound."""
+    w = KernelWriter(env=False)
+    start = {x: w.temp() for x in names}
+    consts = {c: w.temp() for c in bound}
+    w.floats("t1", "t2", "t12", *start.values())
+    w.line("t12 = t1 + t2")
+    one = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t12"})
+    inner = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t2"})
+    w.floats(*inner.values())
+    two = _flow_values(w, flow, {**consts, **inner, TIME_NAME: "t1"})
+    dev = _sup_deviation(w, [one[x] for x in names], [two[x] for x in names])
+    return w.function(", ".join(["t1", "t2", *start.values(), *consts.values()]), dev)
+
+
+def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], bound: tuple):
+    """check(*start, *consts, steps, h, half, sixth, worst) -> the largest of
+    worst and, at each t = k * h for k = 0..steps, the deviation over names,
+    in order, between the flow at t from the start and the t-th RK4 state
+    (rk4_integrate's); None at the first state that is not finite.  A field
+    failure at any step raises, then the flow's first EVAL_FAILURES in
+    time, as when the whole orbit is integrated before the flow is read."""
+    w = KernelWriter(env=False)
+    start = {x: w.temp() for x in names}
+    consts = {c: w.temp() for c in bound}
+    state = {x: w.temp() for x in names}
+    w.floats("t", *start.values(), *state.values())
+    finite = w.bind(math.isfinite)
+
+    def check_state():
+        w.line("if not (%s):" % " and ".join(f"{finite}({state[x]})" for x in names))
+        w.line("    return None")
+
+    def compare_flow():
+        w.guard("ferr = _exc")
+        w.line("t = k * h")
+        at = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t"})
+        dev = _sup_deviation(w, [at[x] for x in names], [state[x] for x in names])
+        w.line(f"if {dev} > worst:")
+        w.line(f"    worst = {dev}")
+        w.guard(None)
+
+    for x in names:
+        w.line(f"{state[x]} = {start[x]}")
+    check_state()
+    # the first stage of the first step, for its failures and so that each
+    # constant it reads loads here, where every step then reuses it
+    memo: dict = {}
+    for e in field.components.values():
+        w.expr(e, {**consts, **start}, memo)
+    w.line("ferr = None")
+    w.line("k = 0")
+    compare_flow()  # the flow's constants load here, reused while ferr is None
+    w.begin("for k in range(1, steps + 1):")
+    # one assignment: a stage value may be a state variable itself
+    new = emit_rk4_step(w, field, state, consts)
+    w.line(f"{', '.join(state[x] for x in field.components)} = {', '.join(new)}")
+    check_state()
+    w.begin("if ferr is None:")
+    compare_flow()
+    w.end()
+    w.end()
+    w.line("if ferr is not None:")
+    w.line("    raise ferr")
+    params = [*start.values(), *consts.values(), "steps", "h", "half", "sixth", "worst"]
+    return w.function(", ".join(params), "worst")
+
+
+def _per_valuation(build, reads: Sequence[str], valuations) -> list:
+    """(kernel, bound constant values) per valuation, with kernel build(the
+    names of reads that the valuation binds), built once per such tuple."""
+    kernels: dict = {}
+    out = []
+    for cv in valuations:
+        bound = tuple(n for n in reads if n in cv)
+        if bound not in kernels:
+            kernels[bound] = build(bound)
+        out.append((kernels[bound], tuple(cv[n] for n in bound)))
+    return out
+
+
+def _reads(*exprs: Expr) -> list:
+    return sorted(set().union(*map(free_names, exprs)))
+
+
+def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Random,
+                  negative: bool) -> CheckResult:
+    """The monoid action's largest residual over MONOID_SAMPLES draws of a
+    valuation, a start in [-2, 2] per name and two times in [0, 1] (in
+    [-1, 1] when negative)."""
+    calls = _per_valuation(lambda bound: _monoid_kernel(flow, names, bound),
+                           _reads(*flow.components.values()), valuations)
+    lo = -1.0 if negative else 0.0
+    randrange, uniform = rng.randrange, rng.uniform
+    residual = 0.0
+    for _ in range(MONOID_SAMPLES):
+        kernel, consts = calls[randrange(len(calls))]
+        s = [uniform(-2.0, 2.0) for _ in names]
+        t1, t2 = uniform(lo, 1.0), uniform(lo, 1.0)
+        try:
+            dev = kernel(t1, t2, *s, *consts)
+        except EVAL_FAILURES as exc:
+            return CheckResult(False, f"evaluation failed: {exc}")
+        if dev > residual:  # max(residual, dev)
+            residual = dev
+    return CheckResult(residual <= SUP_TOL_MONOID, f"max residual {residual:.3e}", residual)
+
+
+def _rk4_check(field: VectorField, flow: Flow, names: Sequence[str], valuations,
+               rng: random.Random, horizon: float) -> CheckResult:
+    """The largest deviation between the flow and RK4 at step RK4_STEP on
+    [0, horizon], from a start in [-1.5, 1.5] per name for each valuation."""
+    reads = _reads(*field.components.values(), *flow.components.values())
+    steps = max(1, int(round(horizon / RK4_STEP)))
+    h = RK4_STEP
+    worst = 0.0
+    for kernel, consts in _per_valuation(
+            lambda bound: _rk4_check_kernel(field, flow, names, bound), reads, valuations):
+        s = [rng.uniform(-1.5, 1.5) for _ in names]
+        try:
+            worst = kernel(*s, *consts, steps, h, 0.5 * h, h / 6.0, worst)
+        except EVAL_FAILURES as exc:
+            return CheckResult(False, f"evaluation failed: {exc}")
+        if worst is None:
+            return CheckResult(False, "integrator diverged")
+    return CheckResult(worst <= SUP_TOL_RK4, f"max deviation {worst:.3e} on [0,{horizon}]", worst)
+
+
 def certify_flow(
     field: VectorField,
     flow: Flow,
@@ -245,6 +405,10 @@ def certify_flow(
     """
     if set(field.components) != set(flow.components):
         raise ValueError("field and flow must share the variable set")
+    if not field.components:
+        raise ValueError("field and flow must name at least one variable")
+    if const_valuations is not None and not const_valuations:
+        raise ValueError("const_valuations must hold at least one valuation")
     names = sorted(field.components)
     checks: dict[str, CheckResult] = {}
     refusal = ""
@@ -283,67 +447,27 @@ def certify_flow(
     sym_names = sorted(
         set().union(*(free_consts(e) for e in flow.components.values()))
         | set().union(*(free_consts(e) for e in field.components.values()))
-    ) if names else []
+    )
     if const_valuations is None:
         const_valuations = default_const_valuations(sym_names, seed=seed) if sym_names else [{}]
 
     rng = random.Random(seed)
     if not refusal:
-        residual = 0.0
-        for _ in range(MONOID_SAMPLES):
-            cv = const_valuations[rng.randrange(len(const_valuations))]
-            s = {v: rng.uniform(-2.0, 2.0) for v in names}
-            if dom.includes_negative():
-                t1, t2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-            else:
-                t1, t2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-            try:
-                one_shot = flow.at(t1 + t2, s, cv)
-                two_step = flow.at(t1, flow.at(t2, s, cv), cv)
-            except EVAL_FAILURES as exc:
-                checks["monoid"] = CheckResult(False, f"evaluation failed: {exc}")
-                refusal = refusal or "monoid-action check failed"
-                break
-            residual = max(residual, max(abs(one_shot[v] - two_step[v]) for v in names))
-        else:
-            ok = residual <= SUP_TOL_MONOID
-            checks["monoid"] = CheckResult(ok, f"max residual {residual:.3e}", residual)
-            if not ok:
-                refusal = refusal or "monoid-action residual too large"
+        checks["monoid"] = monoid = _monoid_check(flow, names, const_valuations, rng,
+                                                  dom.includes_negative())
+        if not monoid.passed:
+            refusal = ("monoid-action check failed" if monoid.residual is None
+                       else "monoid-action residual too large")
 
     if not refusal:
-        worst = 0.0
         horizon = float(min(1.0, dom.hi))
-        steps = max(1, int(round(horizon / RK4_STEP)))
-        for cv in const_valuations:
-            s = {v: rng.uniform(-1.5, 1.5) for v in names}
-            try:
-                traj, divergent = rk4_integrate(field, s, RK4_STEP, steps, cv)
-                if not divergent:
-                    targets = flow.states([t for t, _ in traj], s, cv)
-                    for (_, st), target in zip(traj, targets):
-                        # max(|target[v] - st[v]| for v in names), compared in that order
-                        dev = max(map(abs, map(operator.sub, map(target.__getitem__, names),
-                                               map(st.__getitem__, names))))
-                        if dev > worst:
-                            worst = dev
-            except EVAL_FAILURES as exc:
-                checks["rk4"] = CheckResult(False, f"evaluation failed: {exc}")
-                refusal = "rk4 cross-check failed"
-                break
-            if divergent:
-                checks["rk4"] = CheckResult(False, "integrator diverged")
-                refusal = "rk4 cross-check failed"
-                break
-        else:
-            ok = worst <= SUP_TOL_RK4
-            checks["rk4"] = CheckResult(ok, f"max deviation {worst:.3e} on [0,{horizon}]", worst)
-            if not ok:
-                refusal = "rk4 cross-check failed"
+        checks["rk4"] = rk4 = _rk4_check(field, flow, names, const_valuations, rng, horizon)
+        if not rk4.passed:
+            refusal = "rk4 cross-check failed"
 
     lip = None
     try:
-        lip = lipschitz_estimate(field, consts=const_valuations[0] if const_valuations else {})
+        lip = lipschitz_estimate(field, consts=const_valuations[0])
         checks["lipschitz"] = CheckResult(True, f"ell={lip.ell} ({lip.method})")
     except ValueError as exc:
         checks["lipschitz"] = CheckResult(False, str(exc))

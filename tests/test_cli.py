@@ -388,6 +388,19 @@ class TestFmtCommand:
         assert parse_spec(out) == parse_spec(text)
 
 
+    def test_config_values_print_as_written(self, capsys, tmp_path):
+        from hybridwlp.hwl import parse_spec
+
+        text = ("problem cfg vars x pre x = 0 post x >= 0 program skip\n"
+                "config step 1/10000000000, horizon 7/2, seed 3\n")
+        f = tmp_path / "cfg.hwl"
+        f.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "fmt", str(f))
+        assert code == 0
+        assert out.endswith("config step 1/10000000000, horizon 7/2, seed 3\n")
+        assert parse_spec(out) == parse_spec(text)
+
+
 def _verify_probe(capsys, tmp_path, post, program, pre="x = 0", vars_="x"):
     f = tmp_path / "probe.hwl"
     f.write_text(f"problem probe vars {vars_}\npre {pre}\npost {post}\nprogram {program}\n")

@@ -518,6 +518,11 @@ class TestFlowStates:
                 # a variable the flow does not name keeps its value
                 assert all(st[k] == s[k] for st in got for k in set(s) - set(flow.components))
 
+    def test_constant_denominators(self):
+        # a (nonzero) constant denominator needs no zero check
+        halves = Flow({"x": x / const(2) + t / const(Fraction(1, 3))})
+        assert halves.at(1.5, {"x": 3.0}, {}) == ref_flow_at(halves, 1.5, {"x": 3.0}, {})
+
     def test_error_at_a_later_time_raises_on_that_element(self):
         flow = Flow({"x": x + const(1) / (t - const(1))})
         times = [0.0, 0.5, 1.0, 1.5]

@@ -123,7 +123,7 @@ class TestParsing:
             "problem p vars x pre x = 0 post x = 0 program skip\n"
             "config seed 7, step 0.01, trials 500"
         )
-        assert spec.config == {"seed": 7, "step": 0.01, "trials": 500}
+        assert spec.config == {"seed": 7, "step": Fraction(1, 100), "trials": 500}
 
     def test_const_ranges(self):
         spec = parse_spec(

@@ -1,14 +1,18 @@
 import itertools
 import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
+from hybridwlp import odecert
 from hybridwlp.expr import (
+    EVAL_FAILURES,
     And,
     Cmp,
     Cos,
-    EvalError,
+    Exp,
     FALSE,
     Or,
     Sin,
@@ -34,8 +38,15 @@ from hybridwlp.hprog import (
 )
 from hybridwlp.hwl import format_pred, parse_spec
 from hybridwlp.odecert import (
+    MONOID_SAMPLES,
+    RK4_STEP,
+    SUP_TOL_MONOID,
+    SUP_TOL_RK4,
+    CheckResult,
     FalsifyBudget,
     LipschitzEstimate,
+    _monoid_check,
+    _rk4_check,
     certify_flow,
     check_diff_invariant,
     falsify,
@@ -45,6 +56,7 @@ from hybridwlp.odecert import (
 from hybridwlp.vcgen import VerifySpec
 
 x, y, v, z = Var("x"), Var("y"), Var("v"), Var("z")
+x_a, x_b = Var("a"), Var("b")
 t = TimeVar()
 g, h, r, vc = SymConst("g"), SymConst("h"), SymConst("r"), SymConst("v_c")
 
@@ -219,23 +231,278 @@ class TestCertifyFlow:
         with pytest.raises(ValueError):
             certify_flow(BALL_FIELD, Flow({"x": x}), NONNEG)
 
-    def test_monoid_evaluation_failure_refuses(self, monkeypatch):
-        def failing(self, t, s, consts):
-            raise EvalError("unbound name 'q'")
-
-        monkeypatch.setattr(Flow, "at", failing)
-        cert = certify_flow(BALL_FIELD, BALL_FLOW, NONNEG, const_valuations=[{"g": -1.0}])
+    def test_monoid_evaluation_failure_refuses(self):
+        # 0*q leaves the flow a solution, but q has no value to evaluate
+        q = SymConst("q")
+        flow = Flow({"x": BALL_FLOW.components["x"] + const(0) * q,
+                     "v": BALL_FLOW.components["v"]})
+        cert = certify_flow(BALL_FIELD, flow, NONNEG, const_valuations=[{"g": -1.0}])
         assert not cert.issued
         assert cert.refusal == "monoid-action check failed"
         assert cert.checks["monoid"].detail == "evaluation failed: unbound name 'q'"
 
     def test_monoid_programming_error_propagates(self, monkeypatch):
-        def broken(self, t, s, consts):
-            raise TypeError("not an evaluation failure")
+        def broken(flow, names, bound):
+            def residual(*args):
+                raise TypeError("not an evaluation failure")
+            return residual
 
-        monkeypatch.setattr(Flow, "at", broken)
+        monkeypatch.setattr(odecert, "_monoid_kernel", broken)
         with pytest.raises(TypeError, match="not an evaluation failure"):
             certify_flow(BALL_FIELD, BALL_FLOW, NONNEG, const_valuations=[{"g": -1.0}])
+
+    @pytest.mark.parametrize("field, flow", [(BALL_FIELD, BALL_FLOW), (PEND_FIELD, PEND_FLOW)],
+                             ids=["with-constants", "without-constants"])
+    def test_empty_valuations_rejected(self, field, flow):
+        with pytest.raises(ValueError, match="at least one valuation"):
+            certify_flow(field, flow, REALS, const_valuations=[])
+
+    def test_empty_variable_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            certify_flow(VectorField({}), Flow({}), REALS)
+
+
+# ---------------------------------------------------------------------------
+# Reference numeric cross-checks: the certificate's monoid and RK4 loops as
+# they ran over Flow.at, rk4_integrate and Flow.states.  The generated check
+# kernels must give the same CheckResult, residual bit for bit, and leave
+# the random draws where the references leave them.
+
+
+def ref_monoid_check(flow, names, valuations, rng, negative):
+    residual = 0.0
+    for _ in range(MONOID_SAMPLES):
+        cv = valuations[rng.randrange(len(valuations))]
+        s = {v: rng.uniform(-2.0, 2.0) for v in names}
+        if negative:
+            t1, t2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        else:
+            t1, t2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        try:
+            one_shot = flow.at(t1 + t2, s, cv)
+            two_step = flow.at(t1, flow.at(t2, s, cv), cv)
+        except EVAL_FAILURES as exc:
+            return CheckResult(False, f"evaluation failed: {exc}")
+        residual = max(residual, max(abs(one_shot[v] - two_step[v]) for v in names))
+    return CheckResult(residual <= SUP_TOL_MONOID, f"max residual {residual:.3e}", residual)
+
+
+def ref_rk4_check(field, flow, names, valuations, rng, horizon):
+    worst = 0.0
+    steps = max(1, int(round(horizon / RK4_STEP)))
+    for cv in valuations:
+        s = {v: rng.uniform(-1.5, 1.5) for v in names}
+        try:
+            traj, divergent = rk4_integrate(field, s, RK4_STEP, steps, cv)
+            if not divergent:
+                targets = flow.states([tt for tt, _ in traj], s, cv)
+                for (_, st), target in zip(traj, targets):
+                    # max(|target[v] - st[v]| for v in names), compared in that order
+                    dev = max(map(abs, map(operator.sub, map(target.__getitem__, names),
+                                           map(st.__getitem__, names))))
+                    if dev > worst:
+                        worst = dev
+        except EVAL_FAILURES as exc:
+            return CheckResult(False, f"evaluation failed: {exc}")
+        if divergent:
+            return CheckResult(False, "integrator diverged")
+    return CheckResult(worst <= SUP_TOL_RK4, f"max deviation {worst:.3e} on [0,{horizon}]", worst)
+
+
+def exact(result):
+    return result.passed, result.detail, repr(result.residual)
+
+
+class Draws:
+    """Stands in for random.Random: uniform returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def uniform(self, lo, hi):
+        return next(self.values)
+
+
+def both_rk4(field, flow, starts, valuations, horizon=1.0):
+    """The kernel's and the reference's RK4 check from the given starts,
+    one list of start values (in sorted name order) per valuation."""
+    names = sorted(field.components)
+    draws = [x for s in starts for x in s]
+    got = _rk4_check(field, flow, names, valuations, Draws(*draws), horizon)
+    want = ref_rk4_check(field, flow, names, valuations, Draws(*draws), horizon)
+    assert exact(got) == exact(want)
+    return got
+
+
+def random_term(rng, names, consts, depth, time=False):
+    """A random term over names, consts and (when time) t: polynomial
+    operations, sin, cos, and now and then exp or a division."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(4 if time else 3)
+        if pick == 0:
+            return Var(rng.choice(names))
+        if pick == 1 and consts:
+            return SymConst(rng.choice(consts))
+        if pick == 3:
+            return t
+        return const(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
+    a = random_term(rng, names, consts, depth - 1, time)
+    op = rng.randrange(9)
+    if op == 3:
+        return -a
+    if op == 4:
+        return Sin(a)
+    if op == 5:
+        return Cos(a)
+    if op == 6:
+        return Exp(a) if rng.random() < 0.3 else a * a
+    b = random_term(rng, names, consts, depth - 1, time)
+    if op == 7:
+        return a / b if rng.random() < 0.3 and b != const(0) else a + b
+    return (a + b, a - b, a * b)[op % 3]
+
+
+def random_case(rng):
+    """(field, flow, valuations): a solvable family with its flow, right or
+    perturbed, or a random field with a random flow; a valuation now and
+    then leaves a constant unbound."""
+    consts = rng.sample(["a", "b"], rng.randint(0, 2))
+    kind = rng.randrange(4)
+    a = SymConst(consts[0]) if consts else const(Fraction(rng.randint(-5, 5), 2))
+    w = const(Fraction(rng.randint(1, 6), 2))
+    if kind == 0:  # constant acceleration
+        field = VectorField({"x": v, "v": a})
+        flow = {"x": a * t ** 2 / const(2) + v * t + x, "v": a * t + v}
+    elif kind == 1:  # rotation at angular speed w
+        field = VectorField({"x": w * y, "y": -(w * x)})
+        flow = {"x": x * Cos(w * t) + y * Sin(w * t), "y": y * Cos(w * t) - x * Sin(w * t)}
+    elif kind == 2:  # exponential decay beside a drift
+        field = VectorField({"x": -x, "y": a})
+        flow = {"x": x * Exp(-t), "y": y + a * t}
+    else:
+        names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+        field = VectorField({n: random_term(rng, names, consts, 3) for n in names})
+        flow = {n: random_term(rng, names, consts, 3, time=True) for n in names}
+    if kind < 3 and rng.random() < 0.5:  # a wrong flow
+        n = rng.choice(sorted(flow))
+        flow[n] = flow[n] + random_term(rng, sorted(flow), consts, 2, time=True) * t
+    valuations = [{c: rng.uniform(-2, 2) for c in consts} for _ in range(rng.randint(1, 3))]
+    if consts and rng.random() < 0.2:
+        del valuations[-1][consts[-1]]
+    return field, Flow(flow), valuations
+
+
+class TestCheckKernelsBitIdentity:
+    def test_random_cases_match_references(self):
+        rng = random.Random(13)
+        outcomes = set()
+        for case in range(100):
+            field, flow, valuations = random_case(rng)
+            names = sorted(field.components)
+            negative = rng.random() < 0.5
+            horizon = rng.choice([0.01, 0.05, 0.2, 1.0])
+            got_rng, want_rng = random.Random(case), random.Random(case)
+            got = _monoid_check(flow, names, valuations, got_rng, negative)
+            want = ref_monoid_check(flow, names, valuations, want_rng, negative)
+            assert exact(got) == exact(want), case
+            assert got_rng.getstate() == want_rng.getstate()
+            got = _rk4_check(field, flow, names, valuations, got_rng, horizon)
+            want = ref_rk4_check(field, flow, names, valuations, want_rng, horizon)
+            assert exact(got) == exact(want), case
+            assert got_rng.getstate() == want_rng.getstate()
+            outcomes.add(got.detail.split(" ")[0] if got.passed else got.detail[:18])
+        # right and wrong flows, and failures, were all met
+        assert {"max", "evaluation failed:"} <= outcomes
+        assert len(outcomes) >= 3
+
+    def test_names_that_are_not_python_identifiers(self):
+        # names reach the generated code only through its globals; a
+        # variable named t is the time symbol inside a flow, as in Flow.at
+        names = ["class", "t", "worst", "ferr", "_v1"]
+        consts = ["k", "steps", "h"]
+        rng = random.Random(17)
+        for case in range(10):
+            field = VectorField({n: random_term(rng, names, consts, 2) for n in names})
+            flow = Flow({n: random_term(rng, names, consts, 2, time=True) for n in names})
+            valuations = [{c: rng.uniform(-2, 2) for c in consts}]
+            ordered = sorted(names)
+            got = _monoid_check(flow, ordered, valuations, random.Random(case), case % 2 == 0)
+            want = ref_monoid_check(flow, ordered, valuations, random.Random(case), case % 2 == 0)
+            assert exact(got) == exact(want)
+            got = _rk4_check(field, flow, ordered, valuations, random.Random(case), 0.05)
+            want = ref_rk4_check(field, flow, ordered, valuations, random.Random(case), 0.05)
+            assert exact(got) == exact(want)
+
+    def test_divergence(self):
+        # x' = x^2 from 1.2 blows up at t = 1/1.2, inside the horizon; the
+        # exact flow's own pole comes first, and divergence still wins
+        field = VectorField({"x": x * x})
+        flow = Flow({"x": x / (const(1) - x * t)})
+        assert both_rk4(field, flow, [[1.2]], [{}]).detail == "integrator diverged"
+
+    def test_field_division_by_zero_partway(self):
+        # y' = 1/(x - p) with p the RK4 state's x after 5 steps
+        s = {"x": 0.25, "y": 0.0}
+        p = list(itertools.islice(rk4_states(VectorField({"x": const(1)}), s, RK4_STEP), 6))[5]["x"]
+        field = VectorField({"x": const(1), "y": const(1) / (x - const(Fraction(p)))})
+        flow = Flow({"x": x + t, "y": y})
+        got = both_rk4(field, flow, [[0.25, 0.0]], [{}])
+        assert got.detail == "evaluation failed: division by zero"
+        # from another start the field never meets its pole
+        assert both_rk4(field, flow, [[0.5, 0.0]], [{}]).detail.startswith("max deviation")
+
+    @pytest.mark.parametrize("pole, want", [
+        (None, "evaluation failed: exp overflow"),
+        (5, "evaluation failed: division by zero"),
+        ("blow-up", "integrator diverged"),
+    ], ids=["flow-fails", "field-fails-later", "orbit-diverges-later"])
+    def test_flow_failing_earlier_than_the_field(self, pole, want):
+        # exp(1000000 t) overflows from t = 0.001; the field wins whenever
+        # it fails or diverges at any later step
+        s = [0.25, 0.0]
+        if pole is None:
+            field = VectorField({"x": const(1), "y": const(0)})
+        elif pole == "blow-up":
+            field = VectorField({"x": x * x * const(8), "y": const(0)})
+        else:
+            p = list(itertools.islice(
+                rk4_states(VectorField({"x": const(1)}), {"x": 0.25}, RK4_STEP), pole + 1))[pole]
+            field = VectorField({"x": const(1), "y": const(1) / (x - const(Fraction(p["x"])))})
+        flow = Flow({"x": x + t, "y": y + const(0) * Exp(const(1000000) * t)})
+        assert both_rk4(field, flow, [s], [{}]).detail == want
+
+    @pytest.mark.parametrize("comps, flow_extra, want", [
+        ({"x": SymConst("a")}, None, "unbound name 'a'"),
+        # the division fails first in the closures' order, then the load
+        ({"x": const(1) / (x - x) * SymConst("a")}, None, "division by zero"),
+        ({"x": SymConst("a") * (const(1) / (x - x))}, None, "unbound name 'a'"),
+        # a constant only the flow reads fails after the whole orbit
+        ({"x": const(0)}, SymConst("q"), "unbound name 'q'"),
+        ({"x": const(1) / (x - const(Fraction(0.25)))}, SymConst("q"), "division by zero"),
+    ], ids=["field", "division-first", "load-first", "flow-only", "field-wins"])
+    def test_unbound_constant(self, comps, flow_extra, want):
+        flow = Flow({"x": x if flow_extra is None else x + const(0) * flow_extra})
+        got = both_rk4(VectorField(comps), flow, [[0.25]], [{"b": 1.0}])
+        assert got.detail == "evaluation failed: " + want
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_deviation(self, nan_first):
+        # M*M overflows to inf, so M*M - M*M is NaN without an exception; a
+        # NaN deviation never exceeds the worst one, and max keeps a NaN
+        # only when it comes first in name order
+        big = const(10 ** 200)
+        nan = big * big - big * big
+        field = VectorField({"a": const(0), "b": const(0)})
+        comps = {"a": x_a + nan, "b": x_b + t} if nan_first else {"a": x_a + t, "b": x_b + nan}
+        got = both_rk4(field, Flow(comps), [[0.5, 0.5]], [{}])
+        if nan_first:
+            assert got.passed and got.residual == 0.0
+        else:
+            assert not got.passed and got.residual == 1.0
+        names = ["a", "b"]
+        monoid = _monoid_check(Flow(comps), names, [{}], random.Random(3), False)
+        assert exact(monoid) == exact(ref_monoid_check(Flow(comps), names, [{}],
+                                                       random.Random(3), False))
 
 
 class TestDiffInvariant:
