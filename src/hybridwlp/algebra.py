@@ -1,88 +1,165 @@
 """Finite models of Kleene algebra with modal operators, plus a law harness.
 
-Two concrete models over the state set {0..n-1}: binary relations (pair
-sets) and state transformers (successor arrays, composed Kleisli-style).
-The law harness checks the axioms either exhaustively over small carriers
-or on seeded random samples, reporting a counterexample on failure.
+Two concrete models over the state set {0..n-1}, both encoded as machine
+integers: binary relations as one n*n-bit int (bit x*n+y for the pair
+(x, y)) and state transformers (Kleisli arrows of the powerset monad) as a
+tuple of n successor row masks; a predicate is an n-bit mask.  Operations
+are bit arithmetic over at most n rows and build in-range masks, so only
+the builders rel, sta and fpred validate.  sta_of_rel and rel_of_sta split
+and join rows.  The law harness checks the axioms either exhaustively over
+small carriers or on seeded random samples, reporting a counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 # ---------------------------------------------------------------------------
-# Relations
+# Bit helpers.  Row x of a relation's bits is bits >> x*n & (1 << n) - 1.
 
 
-@dataclass(frozen=True)
+def _elements(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _mask(n: int, members: frozenset, message: str) -> int:
+    if not all(0 <= x < n for x in members):
+        raise ValueError(message)
+    return sum(1 << x for x in members)
+
+
+def _spaced(n: int, width: int) -> int:
+    """Bit x*width for every x < n: a width-bit row times it fills n rows."""
+    return ((1 << n * width) - 1) // ((1 << width) - 1) if n else 0
+
+
+def _meeting(n: int, bits: int, mask: int) -> int:
+    """The mask of the rows of a relation's bits that meet mask."""
+    out = 0
+    for x in range(n):
+        if bits >> x * n & mask:
+            out |= 1 << x
+    return out
+
+
+def _rows_meeting(rows: tuple[int, ...], mask: int) -> int:
+    """The mask of the rows that meet mask."""
+    out = 0
+    for x, row in enumerate(rows):
+        if row & mask:
+            out |= 1 << x
+    return out
+
+
+def _split(n: int, bits: int) -> tuple[int, ...]:
+    full, rows = (1 << n) - 1, []
+    for _ in range(n):
+        rows.append(bits & full)
+        bits >>= n
+    return tuple(rows)
+
+
+def _join(n: int, rows: Iterable[int]) -> int:
+    return sum([row << x * n for x, row in enumerate(rows)])
+
+
+def _images(rows: tuple[int, ...], masks: Iterable[int]) -> tuple[int, ...]:
+    """For each mask, the union of the rows that it selects."""
+    out = []
+    for mask in masks:
+        acc = y = 0
+        while mask:
+            if mask & 1:
+                acc |= rows[y]
+            mask >>= 1
+            y += 1
+        out.append(acc)
+    return tuple(out)
+
+
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([_rows_meeting(rows, 1 << y) for y in range(len(rows))])
+
+
+def _same_n(r, s):
+    if r.n != s.n:
+        raise ValueError(f"state-count mismatch: {r.n} vs {s.n}")
+
+
+# ---------------------------------------------------------------------------
+# Relations.  The carrier classes are value objects: never mutate a field.
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class FiniteRel:
-    """Binary relation on {0..n-1}, stored as a set of pairs."""
+    """Binary relation on {0..n-1}: bit x*n+y of bits is the pair (x, y)."""
 
     n: int
-    pairs: frozenset
+    bits: int
 
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise ValueError(f"pair {(x, y)} outside 0..{self.n - 1}")
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset(divmod(i, self.n) for i in _elements(self.bits))
 
     @property
     def matrix(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(
-            tuple((x, y) in self.pairs for y in range(self.n)) for x in range(self.n)
-        )
+        rows = _split(self.n, self.bits)
+        return tuple(tuple(bool(row >> y & 1) for y in range(self.n)) for row in rows)
 
 
 def rel(n: int, pairs: Iterable[tuple[int, int]]) -> FiniteRel:
-    return FiniteRel(n, frozenset(pairs))
+    bits = 0
+    for x, y in frozenset(pairs):
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"pair {(x, y)} outside 0..{n - 1}")
+        bits |= 1 << x * n + y
+    return FiniteRel(n, bits)
 
 
 def rel_id(n: int) -> FiniteRel:
-    return rel(n, ((x, x) for x in range(n)))
+    return FiniteRel(n, _spaced(n, n + 1))
 
 
 def rel_zero(n: int) -> FiniteRel:
-    return rel(n, ())
+    return FiniteRel(n, 0)
 
 
 def rel_union(r: FiniteRel, s: FiniteRel) -> FiniteRel:
     _same_n(r, s)
-    return FiniteRel(r.n, r.pairs | s.pairs)
+    return FiniteRel(r.n, r.bits | s.bits)
 
 
 def rel_compose(r: FiniteRel, s: FiniteRel) -> FiniteRel:
-    """(x,z) in result iff some y links x to z through r then s."""
+    """(x,z) in result iff some y links x to z through r then s: column y
+    of r, moved to bit x*n of each row x, times row y of s."""
     _same_n(r, s)
-    by_first: dict[int, set[int]] = {}
-    for y, z in s.pairs:
-        by_first.setdefault(y, set()).add(z)
-    out = set()
-    for x, y in r.pairs:
-        for z in by_first.get(y, ()):
-            out.add((x, z))
-    return FiniteRel(r.n, frozenset(out))
+    n = r.n
+    full, column = (1 << n) - 1, _spaced(n, n)
+    out = 0
+    for y in range(n):
+        out |= (r.bits >> y & column) * (s.bits >> y * n & full)
+    return FiniteRel(n, out)
 
 
 def rel_star(r: FiniteRel) -> FiniteRel:
     """Least fixpoint of Id + r;X, by iteration on the finite lattice."""
-    acc = rel_id(r.n)
-    while True:
-        nxt = rel_union(rel_id(r.n), rel_compose(r, acc))
-        if nxt.pairs == acc.pairs:
-            return acc
+    unit = acc = _spaced(r.n, r.n + 1)
+    while (nxt := unit | rel_compose(r, FiniteRel(r.n, acc)).bits) != acc:
         acc = nxt
+    return FiniteRel(r.n, acc)
 
 
 def rel_converse(r: FiniteRel) -> FiniteRel:
-    return FiniteRel(r.n, frozenset((y, x) for x, y in r.pairs))
+    return FiniteRel(r.n, _join(r.n, _transpose(_split(r.n, r.bits))))
 
 
 def rel_antidomain(r: FiniteRel) -> FiniteRel:
-    has_succ = {x for x, _ in r.pairs}
-    return rel(r.n, ((x, x) for x in range(r.n) if x not in has_succ))
+    full = (1 << r.n) - 1
+    return pred_to_rel(FinitePred(r.n, ~_meeting(r.n, r.bits, full) & full))
 
 
 def rel_antirange(r: FiniteRel) -> FiniteRel:
@@ -95,61 +172,55 @@ def rel_domain(r: FiniteRel) -> FiniteRel:
 
 def rel_leq(r: FiniteRel, s: FiniteRel) -> bool:
     _same_n(r, s)
-    return r.pairs <= s.pairs
-
-
-def _same_n(r, s):
-    if r.n != s.n:
-        raise ValueError(f"state-count mismatch: {r.n} vs {s.n}")
+    return not r.bits & ~s.bits
 
 
 # ---------------------------------------------------------------------------
 # Predicates on the finite carrier
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FinitePred:
-    n: int
-    members: frozenset
+    """Predicate on {0..n-1}: bit x of bits is state x."""
 
-    def __post_init__(self):
-        if not all(0 <= x < self.n for x in self.members):
-            raise ValueError("members outside the carrier")
+    n: int
+    bits: int
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(_elements(self.bits))
 
 
 def fpred(n: int, members: Iterable[int]) -> FinitePred:
-    return FinitePred(n, frozenset(members))
+    return FinitePred(n, _mask(n, frozenset(members), "members outside the carrier"))
 
 
 def pred_complement(p: FinitePred) -> FinitePred:
-    return fpred(p.n, set(range(p.n)) - p.members)
+    return FinitePred(p.n, ~p.bits & (1 << p.n) - 1)
 
 
 def pred_to_rel(p: FinitePred) -> FiniteRel:
-    return rel(p.n, ((x, x) for x in p.members))
+    """Row x of p's bits times every row is p; keep the diagonal."""
+    return FiniteRel(p.n, p.bits * _spaced(p.n, p.n) & _spaced(p.n, p.n + 1))
 
 
 def rel_to_pred(r: FiniteRel) -> FinitePred:
     """Read a subidentity back as a predicate; off-diagonal pairs rejected."""
-    if any(x != y for x, y in r.pairs):
+    if r.bits & ~_spaced(r.n, r.n + 1):
         raise ValueError("relation is not a subidentity")
-    return fpred(r.n, (x for x, _ in r.pairs))
+    return FinitePred(r.n, _meeting(r.n, r.bits, (1 << r.n) - 1))
 
 
 def rel_fbox(r: FiniteRel, p: FinitePred) -> FinitePred:
     """States from which every r-successor lands in p."""
-    if r.n != p.n:
-        raise ValueError("state-count mismatch")
-    succs: dict[int, set[int]] = {}
-    for x, y in r.pairs:
-        succs.setdefault(x, set()).add(y)
-    return fpred(r.n, (x for x in range(r.n) if succs.get(x, set()) <= p.members))
+    _same_n(r, p)
+    full = (1 << r.n) - 1
+    return FinitePred(r.n, ~_meeting(r.n, r.bits, ~p.bits & full) & full)
 
 
 def rel_fdia(r: FiniteRel, p: FinitePred) -> FinitePred:
-    if r.n != p.n:
-        raise ValueError("state-count mismatch")
-    return fpred(r.n, (x for x, y in r.pairs if y in p.members))
+    _same_n(r, p)
+    return FinitePred(r.n, _meeting(r.n, r.bits, p.bits))
 
 
 def rel_bdia(r: FiniteRel, p: FinitePred) -> FinitePred:
@@ -164,101 +235,82 @@ def rel_bbox(r: FiniteRel, p: FinitePred) -> FinitePred:
 # State transformers (Kleisli arrows of the powerset monad)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FiniteSta:
-    """State transformer on {0..n-1}: one successor set per state."""
+    """State transformer on {0..n-1}: rows[x] masks the successors of x."""
 
     n: int
-    successors: tuple
+    rows: tuple
 
-    def __post_init__(self):
-        if len(self.successors) != self.n:
-            raise ValueError("successors must have exactly n entries")
-        for s in self.successors:
-            if not all(0 <= y < self.n for y in s):
-                raise ValueError("successor outside the carrier")
+    @property
+    def successors(self) -> tuple:
+        return tuple(frozenset(_elements(row)) for row in self.rows)
 
 
 def sta(n: int, successors: Iterable[Iterable[int]]) -> FiniteSta:
-    return FiniteSta(n, tuple(frozenset(s) for s in successors))
+    sets = tuple(frozenset(s) for s in successors)
+    if len(sets) != n:
+        raise ValueError("successors must have exactly n entries")
+    return FiniteSta(n, tuple(_mask(n, s, "successor outside the carrier") for s in sets))
 
 
 def sta_eta(n: int) -> FiniteSta:
-    return sta(n, ([x] for x in range(n)))
+    return FiniteSta(n, tuple([1 << x for x in range(n)]))
 
 
 def sta_zero(n: int) -> FiniteSta:
-    return sta(n, ([] for _ in range(n)))
+    return FiniteSta(n, (0,) * n)
 
 
 def sta_union(f: FiniteSta, g: FiniteSta) -> FiniteSta:
     _same_n(f, g)
-    return sta(f.n, (f.successors[x] | g.successors[x] for x in range(f.n)))
+    return FiniteSta(f.n, tuple(map(operator.or_, f.rows, g.rows)))
 
 
 def sta_kleisli(f: FiniteSta, g: FiniteSta) -> FiniteSta:
     """Kleisli composition: (f ; g) x is the union of g over f x."""
     _same_n(f, g)
-    return sta(
-        f.n,
-        (
-            frozenset().union(*(g.successors[y] for y in f.successors[x]))
-            if f.successors[x]
-            else frozenset()
-            for x in range(f.n)
-        ),
-    )
+    return FiniteSta(f.n, _images(g.rows, f.rows))
 
 
 def sta_star(f: FiniteSta) -> FiniteSta:
-    """Reflexive-transitive closure, pointwise reachability."""
-    out = []
-    for x in range(f.n):
-        seen = {x}
-        frontier = {x}
-        while frontier:
-            nxt = set()
-            for y in frontier:
-                nxt |= f.successors[y]
-            frontier = nxt - seen
-            seen |= frontier
-        out.append(seen)
-    return sta(f.n, out)
+    """Reflexive-transitive closure, pointwise reachability (Warshall)."""
+    rows = [row | 1 << x for x, row in enumerate(f.rows)]
+    for k in range(f.n):
+        through = rows[k]
+        for x, row in enumerate(rows):
+            if row >> k & 1:
+                rows[x] = row | through
+    return FiniteSta(f.n, tuple(rows))
 
 
 def sta_antidomain(f: FiniteSta) -> FiniteSta:
-    return sta(f.n, ([x] if not f.successors[x] else [] for x in range(f.n)))
+    return FiniteSta(f.n, tuple([0 if row else 1 << x for x, row in enumerate(f.rows)]))
 
 
 def sta_op(f: FiniteSta) -> FiniteSta:
-    """Opposite transformer, via the converse relation."""
-    return sta_of_rel(rel_converse(rel_of_sta(f)))
+    """Opposite transformer: the rows of the converse relation."""
+    return FiniteSta(f.n, _transpose(f.rows))
 
 
 def sta_leq(f: FiniteSta, g: FiniteSta) -> bool:
     _same_n(f, g)
-    return all(f.successors[x] <= g.successors[x] for x in range(f.n))
+    return not any(map(operator.and_, f.rows, map(operator.invert, g.rows)))
 
 
 def sta_fbox(f: FiniteSta, p: FinitePred) -> FinitePred:
-    if f.n != p.n:
-        raise ValueError("state-count mismatch")
-    return fpred(f.n, (x for x in range(f.n) if f.successors[x] <= p.members))
+    _same_n(f, p)
+    return FinitePred(f.n, ~_rows_meeting(f.rows, ~p.bits) & (1 << f.n) - 1)
 
 
 def sta_fdia(f: FiniteSta, p: FinitePred) -> FinitePred:
-    if f.n != p.n:
-        raise ValueError("state-count mismatch")
-    return fpred(f.n, (x for x in range(f.n) if f.successors[x] & p.members))
+    _same_n(f, p)
+    return FinitePred(f.n, _rows_meeting(f.rows, p.bits))
 
 
 def sta_bdia(f: FiniteSta, p: FinitePred) -> FinitePred:
-    if f.n != p.n:
-        raise ValueError("state-count mismatch")
-    out = set()
-    for x in p.members:
-        out |= f.successors[x]
-    return fpred(f.n, out)
+    _same_n(f, p)
+    return FinitePred(f.n, _images(f.rows, (p.bits,))[0])
 
 
 def sta_bbox(f: FiniteSta, p: FinitePred) -> FinitePred:
@@ -266,31 +318,28 @@ def sta_bbox(f: FiniteSta, p: FinitePred) -> FinitePred:
 
 
 def pred_to_sta(p: FinitePred) -> FiniteSta:
-    return sta(p.n, ([x] if x in p.members else [] for x in range(p.n)))
+    return FiniteSta(p.n, tuple([p.bits & 1 << x for x in range(p.n)]))
 
 
 def sta_to_pred(f: FiniteSta) -> FinitePred:
-    members = set()
-    for x in range(f.n):
-        if f.successors[x] == frozenset([x]):
-            members.add(x)
-        elif f.successors[x]:
+    bits = 0
+    for x, row in enumerate(f.rows):
+        if row == 1 << x:
+            bits |= row
+        elif row:
             raise ValueError("transformer is not a subidentity")
-    return fpred(f.n, members)
+    return FinitePred(f.n, bits)
 
 
 # The bijections between the two models.
 
 
 def sta_of_rel(r: FiniteRel) -> FiniteSta:
-    succs = [set() for _ in range(r.n)]
-    for x, y in r.pairs:
-        succs[x].add(y)
-    return sta(r.n, succs)
+    return FiniteSta(r.n, _split(r.n, r.bits))
 
 
 def rel_of_sta(f: FiniteSta) -> FiniteRel:
-    return rel(f.n, ((x, y) for x in range(f.n) for y in f.successors[x]))
+    return FiniteRel(f.n, _join(f.n, f.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -319,71 +368,41 @@ class Model:
 
 
 def _rel_random(n: int, rng: random.Random) -> FiniteRel:
+    """One draw per cell, x-major, at a density drawn first."""
     density = rng.choice((0.15, 0.3, 0.5, 0.75))
-    return rel(
-        n,
-        (
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if rng.random() < density
-        ),
-    )
+    draw, bits = rng.random, 0
+    for i in range(n * n):
+        if draw() < density:
+            bits |= 1 << i
+    return FiniteRel(n, bits)
+
+
+def _masks(width: int):
+    """Every width-bit mask, bit i from the i-th factor of a product."""
+    for bits in itertools.product((0, 1), repeat=width):
+        yield sum(b << i for i, b in enumerate(bits))
 
 
 def _rel_all(n: int):
-    cells = [(x, y) for x in range(n) for y in range(n)]
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        yield rel(n, (c for c, b in zip(cells, bits) if b))
-
-
-def _sta_random(n: int, rng: random.Random) -> FiniteSta:
-    return sta_of_rel(_rel_random(n, rng))
-
-
-def _sta_all(n: int):
-    for r in _rel_all(n):
-        yield sta_of_rel(r)
+    return (FiniteRel(n, bits) for bits in _masks(n * n))
 
 
 REL_MODEL = Model(
-    name="rel",
-    zero=rel_zero,
-    unit=rel_id,
-    union=rel_union,
-    compose=rel_compose,
-    star=rel_star,
-    antidomain=rel_antidomain,
-    fbox=rel_fbox,
-    fdia=rel_fdia,
-    bbox=rel_bbox,
-    bdia=rel_bdia,
-    leq=rel_leq,
-    eq=lambda a, b: a.pairs == b.pairs,
-    from_pred=pred_to_rel,
-    to_pred=rel_to_pred,
-    all_elements=_rel_all,
-    random_element=_rel_random,
+    name="rel", zero=rel_zero, unit=rel_id, union=rel_union, compose=rel_compose,
+    star=rel_star, antidomain=rel_antidomain, fbox=rel_fbox, fdia=rel_fdia,
+    bbox=rel_bbox, bdia=rel_bdia, leq=rel_leq, eq=lambda a, b: a.bits == b.bits,
+    from_pred=pred_to_rel, to_pred=rel_to_pred,
+    all_elements=_rel_all, random_element=_rel_random,
 )
 
+# Transformers enumerate and draw as the relations they are the image of.
 STA_MODEL = Model(
-    name="sta",
-    zero=sta_zero,
-    unit=sta_eta,
-    union=sta_union,
-    compose=sta_kleisli,
-    star=sta_star,
-    antidomain=sta_antidomain,
-    fbox=sta_fbox,
-    fdia=sta_fdia,
-    bbox=sta_bbox,
-    bdia=sta_bdia,
-    leq=sta_leq,
-    eq=lambda a, b: a.successors == b.successors,
-    from_pred=pred_to_sta,
-    to_pred=sta_to_pred,
-    all_elements=_sta_all,
-    random_element=_sta_random,
+    name="sta", zero=sta_zero, unit=sta_eta, union=sta_union, compose=sta_kleisli,
+    star=sta_star, antidomain=sta_antidomain, fbox=sta_fbox, fdia=sta_fdia,
+    bbox=sta_bbox, bdia=sta_bdia, leq=sta_leq, eq=lambda a, b: a.rows == b.rows,
+    from_pred=pred_to_sta, to_pred=sta_to_pred,
+    all_elements=lambda n: map(sta_of_rel, _rel_all(n)),
+    random_element=lambda n, rng: sta_of_rel(_rel_random(n, rng)),
 )
 
 MODELS = {"rel": REL_MODEL, "sta": STA_MODEL}
@@ -398,16 +417,16 @@ MODELS = {"rel": REL_MODEL, "sta": STA_MODEL}
 
 
 def _all_preds(n: int):
-    for bits in itertools.product((False, True), repeat=n):
-        yield fpred(n, (x for x, b in enumerate(bits) if b))
+    return (FinitePred(n, bits) for bits in _masks(n))
 
 
 def _random_pred(n: int, rng: random.Random) -> FinitePred:
-    return fpred(n, (x for x in range(n) if rng.random() < 0.5))
+    draw = rng.random
+    return FinitePred(n, sum([1 << x for x in range(n) if draw() < 0.5]))
 
 
-def _pred_eq(p: FinitePred, q: FinitePred) -> bool:
-    return p.members == q.members
+def _within(p: FinitePred, q: FinitePred) -> bool:
+    return not p.bits & ~q.bits
 
 
 def _law_union_assoc(m, a, b, c):
@@ -423,7 +442,7 @@ def _law_union_idem(m, a):
 
 
 def _law_union_zero(m, a):
-    return m.eq(m.union(a, m.zero(_n(a))), a)
+    return m.eq(m.union(a, m.zero(a.n)), a)
 
 
 def _law_compose_assoc(m, a, b, c):
@@ -431,19 +450,19 @@ def _law_compose_assoc(m, a, b, c):
 
 
 def _law_compose_unit_left(m, a):
-    return m.eq(m.compose(m.unit(_n(a)), a), a)
+    return m.eq(m.compose(m.unit(a.n), a), a)
 
 
 def _law_compose_unit_right(m, a):
-    return m.eq(m.compose(a, m.unit(_n(a))), a)
+    return m.eq(m.compose(a, m.unit(a.n)), a)
 
 
 def _law_compose_zero_left(m, a):
-    return m.eq(m.compose(m.zero(_n(a)), a), m.zero(_n(a)))
+    return m.eq(m.compose(m.zero(a.n), a), m.zero(a.n))
 
 
 def _law_compose_zero_right(m, a):
-    return m.eq(m.compose(a, m.zero(_n(a))), m.zero(_n(a)))
+    return m.eq(m.compose(a, m.zero(a.n)), m.zero(a.n))
 
 
 def _law_distrib_left(m, a, b, c):
@@ -461,12 +480,12 @@ def _law_compose_comm(m, a, b):
 
 def _law_star_unfold_left(m, a):
     s = m.star(a)
-    return m.leq(m.union(m.unit(_n(a)), m.compose(a, s)), s)
+    return m.leq(m.union(m.unit(a.n), m.compose(a, s)), s)
 
 
 def _law_star_unfold_right(m, a):
     s = m.star(a)
-    return m.leq(m.union(m.unit(_n(a)), m.compose(s, a)), s)
+    return m.leq(m.union(m.unit(a.n), m.compose(s, a)), s)
 
 
 def _law_star_induction_left(m, a, b, c):
@@ -483,12 +502,12 @@ def _law_star_induction_right(m, a, b, c):
 
 
 def _law_ad_compose_zero(m, a):
-    return m.eq(m.compose(m.antidomain(a), a), m.zero(_n(a)))
+    return m.eq(m.compose(m.antidomain(a), a), m.zero(a.n))
 
 
 def _law_ad_complement(m, a):
     ad = m.antidomain
-    return m.eq(m.union(ad(a), ad(ad(a))), m.unit(_n(a)))
+    return m.eq(m.union(ad(a), ad(ad(a))), m.unit(a.n))
 
 
 def _law_ad_local(m, a, b):
@@ -497,7 +516,7 @@ def _law_ad_local(m, a, b):
 
 
 def _law_ad_subid(m, a):
-    return m.leq(m.antidomain(a), m.unit(_n(a)))
+    return m.leq(m.antidomain(a), m.unit(a.n))
 
 
 def _law_domain_retraction(m, a):
@@ -514,99 +533,81 @@ def _law_box_def_agree(m, a, p):
     # |a]p computed directly equals the antidomain formula ad(a ; ad(p)).
     direct = m.fbox(a, p)
     via_ad = m.to_pred(m.antidomain(m.compose(a, m.antidomain(m.from_pred(p)))))
-    return _pred_eq(direct, via_ad)
+    return direct.bits == via_ad.bits
 
 
 def _law_box_demorgan(m, a, p):
-    lhs = m.fdia(a, p)
-    rhs = pred_complement(m.fbox(a, pred_complement(p)))
-    return _pred_eq(lhs, rhs)
+    return m.fdia(a, p).bits == pred_complement(m.fbox(a, pred_complement(p))).bits
 
 
 def _law_box_seq(m, a, b, p):
-    return _pred_eq(m.fbox(m.compose(a, b), p), m.fbox(a, m.fbox(b, p)))
+    return m.fbox(m.compose(a, b), p).bits == m.fbox(a, m.fbox(b, p)).bits
 
 
 def _law_box_cond(m, a, b, p, q):
     # |if p then a else b] q = p.|a]q + ~p.|b]q
-    n = _n(a)
     tp, tn = m.from_pred(p), m.from_pred(pred_complement(p))
     cond = m.union(m.compose(tp, a), m.compose(tn, b))
-    lhs = m.fbox(cond, q)
-    rhs = (p.members & m.fbox(a, q).members) | (
-        pred_complement(p).members & m.fbox(b, q).members
-    )
-    return lhs.members == rhs
+    rhs = (p.bits & m.fbox(a, q).bits) | (~p.bits & m.fbox(b, q).bits)
+    return m.fbox(cond, q).bits == rhs
 
 
 def _law_box_star_induction(m, a, p):
-    if p.members <= m.fbox(a, p).members:
-        return p.members <= m.fbox(m.star(a), p).members
+    if _within(p, m.fbox(a, p)):
+        return _within(p, m.fbox(m.star(a), p))
     return True
 
 
 def _law_adjunction(m, a, p, q):
     # |a>p <= q  iff  p <= [a|q
-    lhs = m.fdia(a, p).members <= q.members
-    rhs = p.members <= m.bbox(a, q).members
-    return lhs == rhs
+    return _within(m.fdia(a, p), q) == _within(p, m.bbox(a, q))
 
 
 def _law_invariant_meet_join(m, a, p, q):
     # invariants are closed under union and intersection
-    if p.members <= m.fbox(a, p).members and q.members <= m.fbox(a, q).members:
-        meet = fpred(p.n, p.members & q.members)
-        join = fpred(p.n, p.members | q.members)
-        return (
-            meet.members <= m.fbox(a, meet).members
-            and join.members <= m.fbox(a, join).members
+    def invariant(r):
+        return _within(r, m.fbox(a, r))
+
+    if invariant(p) and invariant(q):
+        return invariant(FinitePred(p.n, p.bits & q.bits)) and invariant(
+            FinitePred(p.n, p.bits | q.bits)
         )
     return True
 
 
 def _law_iso_roundtrip(m, a):
     if isinstance(a, FiniteRel):
-        return rel_of_sta(sta_of_rel(a)).pairs == a.pairs
-    return sta_of_rel(rel_of_sta(a)).successors == a.successors
+        return rel_of_sta(sta_of_rel(a)).bits == a.bits
+    return sta_of_rel(rel_of_sta(a)).rows == a.rows
 
 
 def _law_iso_union(m, a, b):
     r, s = _as_rels(a, b)
-    return sta_of_rel(rel_union(r, s)).successors == sta_union(
-        sta_of_rel(r), sta_of_rel(s)
-    ).successors
+    return sta_of_rel(rel_union(r, s)).rows == sta_union(sta_of_rel(r), sta_of_rel(s)).rows
 
 
 def _law_iso_compose(m, a, b):
     r, s = _as_rels(a, b)
-    return sta_of_rel(rel_compose(r, s)).successors == sta_kleisli(
-        sta_of_rel(r), sta_of_rel(s)
-    ).successors
+    return sta_of_rel(rel_compose(r, s)).rows == sta_kleisli(sta_of_rel(r), sta_of_rel(s)).rows
 
 
 def _law_iso_star(m, a):
     (r,) = _as_rels(a)
-    return sta_of_rel(rel_star(r)).successors == sta_star(sta_of_rel(r)).successors
+    return sta_of_rel(rel_star(r)).rows == sta_star(sta_of_rel(r)).rows
 
 
 def _law_iso_antidomain(m, a):
     (r,) = _as_rels(a)
-    return sta_of_rel(rel_antidomain(r)).successors == sta_antidomain(
-        sta_of_rel(r)
-    ).successors
+    return sta_of_rel(rel_antidomain(r)).rows == sta_antidomain(sta_of_rel(r)).rows
 
 
 def _law_iso_box(m, a, p):
     (r,) = _as_rels(a)
-    return rel_fbox(r, p).members == sta_fbox(sta_of_rel(r), p).members
+    return rel_fbox(r, p).bits == sta_fbox(sta_of_rel(r), p).bits
 
 
 def _as_rels(*xs):
     return tuple(x if isinstance(x, FiniteRel) else rel_of_sta(x) for x in xs)
-
-
-def _n(x):
-    return x.n
 
 
 LawChecker = Callable
@@ -727,7 +728,8 @@ def check_law(
         raise KeyError(f"unknown law identifier {law_name!r}")
     law = LAWS[law_name]
     model = MODELS[model_name]
-    checked = 0
+    if n < 0:
+        raise ValueError(f"state count n must be non-negative, got {n}")
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_N or _space_size(law.signature, n) > EXHAUSTIVE_MAX_COMBINATIONS:
             raise ValueError(
@@ -737,29 +739,26 @@ def check_law(
             list(model.all_elements(n)) if ch == "a" else list(_all_preds(n))
             for ch in law.signature
         ]
-        for operands in itertools.product(*pools):
-            checked += 1
-            if not law.check(model, *operands):
-                return LawReport(
-                    law_name, model_name, n, mode, False, checked,
-                    "; ".join(_describe(o) for o in operands),
-                )
-        return LawReport(law_name, model_name, n, mode, True, checked)
-    if mode == "random":
+        cases = itertools.product(*pools)
+    elif mode == "random":
+        if trials < 1:
+            raise ValueError(f"random mode needs trials >= 1, got {trials}")
         rng = random.Random(seed)
-        for _ in range(trials):
-            operands = [
-                model.random_element(n, rng) if ch == "a" else _random_pred(n, rng)
-                for ch in law.signature
-            ]
-            checked += 1
-            if not law.check(model, *operands):
-                return LawReport(
-                    law_name, model_name, n, mode, False, checked,
-                    "; ".join(_describe(o) for o in operands),
-                )
-        return LawReport(law_name, model_name, n, mode, True, checked)
-    raise ValueError(f"unknown mode {mode!r}")
+        cases = (
+            [model.random_element(n, rng) if ch == "a" else _random_pred(n, rng)
+             for ch in law.signature]
+            for _ in range(trials)
+        )
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    check = law.check
+    for checked, operands in enumerate(cases, 1):
+        if not check(model, *operands):
+            return LawReport(
+                law_name, model_name, n, mode, False, checked,
+                "; ".join(_describe(o) for o in operands),
+            )
+    return LawReport(law_name, model_name, n, mode, True, checked)
 
 
 def check_laws(

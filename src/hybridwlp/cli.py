@@ -301,10 +301,17 @@ def cmd_laws(args) -> int:
                     return 2
                 expanded.extend(group)
         law_names = expanded
-    reports = algebra.check_laws(
-        args.model, args.n, law_names, mode=args.mode, seed=args.seed,
-        trials=args.trials,
-    )
+        if not law_names:
+            print("error: no law selected", file=sys.stderr)
+            return 2
+    try:
+        reports = algebra.check_laws(
+            args.model, args.n, law_names, mode=args.mode, seed=args.seed,
+            trials=args.trials,
+        )
+    except ValueError as exc:  # n, trials or exhaustive size out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:

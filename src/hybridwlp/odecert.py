@@ -191,7 +191,9 @@ class CheckResult:
     def to_json(self) -> dict:
         out = {"pass": self.passed, "detail": self.detail}
         if self.residual is not None:
-            out["residual"] = self.residual
+            # strict JSON has no NaN or infinity: "nan" and "inf" stand in
+            res = self.residual
+            out["residual"] = res if math.isfinite(res) else repr(res)
         return out
 
 
@@ -236,18 +238,20 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
 # expr.KernelWriter) built per call, once per set of bound constants.  The
 # start values are floats; a constant loads with float() where the compiled
 # closures would first load it, and a name that is neither a variable nor
-# bound raises the closures' EvalError there.  So every value, failure and
-# NaN comparison is the one of rk4_integrate, Flow.states and Flow.at.
+# bound raises the closures' EvalError there.  So every value and failure
+# is the one of rk4_integrate, Flow.states and Flow.at.  A NaN deviation is
+# the largest: it sticks to the running maximum, which then fails its check.
 
 
 def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
     """Emit max(abs(x - y) for x, y in zip(a, b)), compared in that order
-    as max compares, and return the identifier of its value."""
+    as max compares except that a NaN deviation wins and stays, and return
+    the identifier of its value."""
     dev, d = w.temp(), w.temp()
     w.line(f"{dev} = abs({a[0]} - {b[0]})")
     for x, y in zip(a[1:], b[1:]):
         w.line(f"{d} = abs({x} - {y})")
-        w.line(f"if {d} > {dev}:")
+        w.line(f"if {d} > {dev} or {d} != {d}:")
         w.line(f"    {dev} = {d}")
     return dev
 
@@ -299,7 +303,7 @@ def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], boun
         w.line("t = k * h")
         at = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t"})
         dev = _sup_deviation(w, [at[x] for x in names], [state[x] for x in names])
-        w.line(f"if {dev} > worst:")
+        w.line(f"if {dev} > worst or {dev} != {dev}:")
         w.line(f"    worst = {dev}")
         w.guard(None)
 
@@ -364,7 +368,7 @@ def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Rand
             dev = kernel(t1, t2, *s, *consts)
         except EVAL_FAILURES as exc:
             return CheckResult(False, f"evaluation failed: {exc}")
-        if dev > residual:  # max(residual, dev)
+        if dev > residual or dev != dev:  # max(residual, dev), but NaN sticks
             residual = dev
     return CheckResult(residual <= SUP_TOL_MONOID, f"max residual {residual:.3e}", residual)
 

@@ -1,10 +1,18 @@
+import itertools
+import operator
 import random
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
+from hybridwlp import algebra
 from hybridwlp.algebra import (
     DEFAULT_GROUPS,
+    EXHAUSTIVE_MAX_COMBINATIONS,
+    EXHAUSTIVE_MAX_N,
     LAWS,
+    LawReport,
     check_law,
     check_laws,
     fpred,
@@ -269,3 +277,516 @@ class TestDiamondImageSemantics:
         r = rel(3, [(0, 1), (2, 1)])
         # states reachable only from inside p
         assert rel_bbox(r, fpred(3, [0])).members == {0, 2}
+
+
+class TestCarrierEncoding:
+    def test_bit_layout(self):
+        assert rel(3, [(0, 1), (2, 0)]).bits == 1 << 1 | 1 << 6
+        assert sta(3, [{1}, set(), {0, 2}]).rows == (0b010, 0, 0b101)
+        assert fpred(4, [0, 3]).bits == 0b1001
+
+    def test_views_are_read_only(self):
+        r = rel(2, [(0, 1)])
+        with pytest.raises(AttributeError):
+            r.pairs = frozenset()
+        assert isinstance(r.pairs, frozenset)
+        assert isinstance(sta_of_rel(r).successors, tuple)
+
+    def test_value_equality_and_hash(self):
+        assert rel(2, [(0, 1)]) == rel(2, [(0, 1)])
+        assert hash(rel(2, [(0, 1)])) == hash(rel(2, [(0, 1)]))
+        assert rel(2, [(0, 1)]) != rel(3, [(0, 1)])
+        assert algebra.FinitePred(2, 1) != algebra.FiniteRel(2, 1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: rel(2, [(0, 1), (2, 0)]), r"pair \(2, 0\) outside 0..1"),
+        (lambda: rel(2, [(-1, 0)]), r"pair \(-1, 0\) outside 0..1"),
+        (lambda: sta(2, [{0}]), "successors must have exactly n entries"),
+        (lambda: sta(2, [{0}, {2}]), "successor outside the carrier"),
+        (lambda: fpred(2, [0, 5]), "members outside the carrier"),
+    ])
+    def test_builders_validate(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+class TestCheckLawArguments:
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_negative_n_rejected(self, mode):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            check_law("rel", -1, "union-idem", mode=mode)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_random_mode_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
+            check_law("sta", 2, "box-seq", mode="random", trials=trials)
+
+    def test_empty_carrier_is_checked(self):
+        assert check_law("rel", 0, "box-cond").to_json() == {
+            "law": "box-cond", "model": "rel", "n": 0, "mode": "exhaustive",
+            "pass": True, "checked": 1,
+        }
+
+
+# ---------------------------------------------------------------------------
+# Reference models: the frozenset implementation that the bit-mask encoding
+# replaced, with its law checkers and harness.  Every public operation and
+# every LawReport must equal the reference's, counterexample text included.
+
+
+@dataclass(frozen=True)
+class RefRel:
+    n: int
+    pairs: frozenset
+
+
+@dataclass(frozen=True)
+class RefPred:
+    n: int
+    members: frozenset
+
+
+@dataclass(frozen=True)
+class RefSta:
+    n: int
+    successors: tuple
+
+
+def ref_rel_id(n):
+    return RefRel(n, frozenset((x, x) for x in range(n)))
+
+
+def ref_rel_zero(n):
+    return RefRel(n, frozenset())
+
+
+def ref_rel_union(r, s):
+    return RefRel(r.n, r.pairs | s.pairs)
+
+
+def ref_rel_compose(r, s):
+    by_first = {}
+    for y, z in s.pairs:
+        by_first.setdefault(y, set()).add(z)
+    return RefRel(r.n, frozenset((x, z) for x, y in r.pairs for z in by_first.get(y, ())))
+
+
+def ref_rel_star(r):
+    acc = ref_rel_id(r.n)
+    while True:
+        nxt = ref_rel_union(ref_rel_id(r.n), ref_rel_compose(r, acc))
+        if nxt.pairs == acc.pairs:
+            return acc
+        acc = nxt
+
+
+def ref_rel_converse(r):
+    return RefRel(r.n, frozenset((y, x) for x, y in r.pairs))
+
+
+def ref_rel_antidomain(r):
+    has_succ = {x for x, _ in r.pairs}
+    return RefRel(r.n, frozenset((x, x) for x in range(r.n) if x not in has_succ))
+
+
+def ref_rel_leq(r, s):
+    return r.pairs <= s.pairs
+
+
+def ref_pred_complement(p):
+    return RefPred(p.n, frozenset(range(p.n)) - p.members)
+
+
+def ref_pred_to_rel(p):
+    return RefRel(p.n, frozenset((x, x) for x in p.members))
+
+
+def ref_rel_to_pred(r):
+    if any(x != y for x, y in r.pairs):
+        raise ValueError("relation is not a subidentity")
+    return RefPred(r.n, frozenset(x for x, _ in r.pairs))
+
+
+def ref_rel_fbox(r, p):
+    succs = {}
+    for x, y in r.pairs:
+        succs.setdefault(x, set()).add(y)
+    return RefPred(r.n, frozenset(x for x in range(r.n) if succs.get(x, set()) <= p.members))
+
+
+def ref_rel_fdia(r, p):
+    return RefPred(r.n, frozenset(x for x, y in r.pairs if y in p.members))
+
+
+def ref_rel_bdia(r, p):
+    return ref_rel_fdia(ref_rel_converse(r), p)
+
+
+def ref_rel_bbox(r, p):
+    return ref_rel_fbox(ref_rel_converse(r), p)
+
+
+def ref_sta(n, successors):
+    return RefSta(n, tuple(frozenset(s) for s in successors))
+
+
+def ref_sta_eta(n):
+    return ref_sta(n, ([x] for x in range(n)))
+
+
+def ref_sta_zero(n):
+    return ref_sta(n, ([] for _ in range(n)))
+
+
+def ref_sta_union(f, g):
+    return ref_sta(f.n, (f.successors[x] | g.successors[x] for x in range(f.n)))
+
+
+def ref_sta_kleisli(f, g):
+    return ref_sta(f.n, (frozenset().union(*(g.successors[y] for y in f.successors[x]))
+                         for x in range(f.n)))
+
+
+def ref_sta_star(f):
+    out = []
+    for x in range(f.n):
+        seen = frontier = {x}
+        while frontier:
+            nxt = set().union(*(f.successors[y] for y in frontier))
+            frontier = nxt - seen
+            seen = seen | frontier
+        out.append(seen)
+    return ref_sta(f.n, out)
+
+
+def ref_sta_antidomain(f):
+    return ref_sta(f.n, ([x] if not f.successors[x] else [] for x in range(f.n)))
+
+
+def ref_sta_op(f):
+    return ref_sta_of_rel(ref_rel_converse(ref_rel_of_sta(f)))
+
+
+def ref_sta_leq(f, g):
+    return all(f.successors[x] <= g.successors[x] for x in range(f.n))
+
+
+def ref_sta_fbox(f, p):
+    return RefPred(f.n, frozenset(x for x in range(f.n) if f.successors[x] <= p.members))
+
+
+def ref_sta_fdia(f, p):
+    return RefPred(f.n, frozenset(x for x in range(f.n) if f.successors[x] & p.members))
+
+
+def ref_sta_bdia(f, p):
+    return RefPred(f.n, frozenset().union(*(f.successors[x] for x in p.members)))
+
+
+def ref_sta_bbox(f, p):
+    return ref_sta_fbox(ref_sta_op(f), p)
+
+
+def ref_pred_to_sta(p):
+    return ref_sta(p.n, ([x] if x in p.members else [] for x in range(p.n)))
+
+
+def ref_sta_to_pred(f):
+    members = set()
+    for x in range(f.n):
+        if f.successors[x] == frozenset([x]):
+            members.add(x)
+        elif f.successors[x]:
+            raise ValueError("transformer is not a subidentity")
+    return RefPred(f.n, frozenset(members))
+
+
+def ref_sta_of_rel(r):
+    succs = [set() for _ in range(r.n)]
+    for x, y in r.pairs:
+        succs[x].add(y)
+    return ref_sta(r.n, succs)
+
+
+def ref_rel_of_sta(f):
+    return RefRel(f.n, frozenset((x, y) for x in range(f.n) for y in f.successors[x]))
+
+
+def ref_rel_random(n, rng):
+    density = rng.choice((0.15, 0.3, 0.5, 0.75))
+    return RefRel(n, frozenset(
+        (x, y) for x in range(n) for y in range(n) if rng.random() < density))
+
+
+def ref_rel_all(n):
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        yield RefRel(n, frozenset(c for c, b in zip(cells, bits) if b))
+
+
+def ref_all_preds(n):
+    for bits in itertools.product((False, True), repeat=n):
+        yield RefPred(n, frozenset(x for x, b in enumerate(bits) if b))
+
+
+def ref_random_pred(n, rng):
+    return RefPred(n, frozenset(x for x in range(n) if rng.random() < 0.5))
+
+
+REF_MODELS = {
+    "rel": SimpleNamespace(
+        zero=ref_rel_zero, unit=ref_rel_id, union=ref_rel_union, compose=ref_rel_compose,
+        star=ref_rel_star, antidomain=ref_rel_antidomain, fbox=ref_rel_fbox,
+        fdia=ref_rel_fdia, bbox=ref_rel_bbox, bdia=ref_rel_bdia, leq=ref_rel_leq,
+        eq=lambda a, b: a.pairs == b.pairs, from_pred=ref_pred_to_rel,
+        to_pred=ref_rel_to_pred, all_elements=ref_rel_all, random_element=ref_rel_random),
+    "sta": SimpleNamespace(
+        zero=ref_sta_zero, unit=ref_sta_eta, union=ref_sta_union, compose=ref_sta_kleisli,
+        star=ref_sta_star, antidomain=ref_sta_antidomain, fbox=ref_sta_fbox,
+        fdia=ref_sta_fdia, bbox=ref_sta_bbox, bdia=ref_sta_bdia, leq=ref_sta_leq,
+        eq=lambda a, b: a.successors == b.successors, from_pred=ref_pred_to_sta,
+        to_pred=ref_sta_to_pred, all_elements=lambda n: map(ref_sta_of_rel, ref_rel_all(n)),
+        random_element=lambda n, rng: ref_sta_of_rel(ref_rel_random(n, rng))),
+}
+
+
+def _ref_as_rels(*xs):
+    return tuple(x if isinstance(x, RefRel) else ref_rel_of_sta(x) for x in xs)
+
+
+def _ref_box_cond(m, a, b, p, q):
+    tp, tn = m.from_pred(p), m.from_pred(ref_pred_complement(p))
+    lhs = m.fbox(m.union(m.compose(tp, a), m.compose(tn, b)), q)
+    rhs = (p.members & m.fbox(a, q).members) | (
+        ref_pred_complement(p).members & m.fbox(b, q).members)
+    return lhs.members == rhs
+
+
+def _ref_invariant_meet_join(m, a, p, q):
+    if p.members <= m.fbox(a, p).members and q.members <= m.fbox(a, q).members:
+        meet = RefPred(p.n, p.members & q.members)
+        join = RefPred(p.n, p.members | q.members)
+        return (meet.members <= m.fbox(a, meet).members
+                and join.members <= m.fbox(a, join).members)
+    return True
+
+
+def _ref_iso(rel_side, sta_side, view):
+    def check(m, *xs):
+        rels = _ref_as_rels(*[x for x in xs if not isinstance(x, RefPred)])
+        preds = [x for x in xs if isinstance(x, RefPred)]
+        got = rel_side(*rels, *preds)
+        want = sta_side(*map(ref_sta_of_rel, rels), *preds)
+        if isinstance(got, RefRel):
+            got = ref_sta_of_rel(got)
+        return view(got) == view(want)
+    return check
+
+
+def _ref_roundtrip(m, a):
+    if isinstance(a, RefRel):
+        return ref_rel_of_sta(ref_sta_of_rel(a)).pairs == a.pairs
+    return ref_sta_of_rel(ref_rel_of_sta(a)).successors == a.successors
+
+
+def _ref_star_induction(left):
+    def check(m, a, b, c):
+        step = m.compose(a, b) if left else m.compose(b, a)
+        if m.leq(m.union(c, step), b):
+            return m.leq(m.compose(m.star(a), c) if left else m.compose(c, m.star(a)), b)
+        return True
+    return check
+
+
+def _ref_domain_retraction(m, a):
+    d = lambda x: m.antidomain(m.antidomain(x))  # noqa: E731
+    if not m.eq(d(d(a)), d(a)):
+        return False
+    p = d(a)
+    return m.eq(d(p), p)
+
+
+_succ = operator.attrgetter("successors")
+_mem = operator.attrgetter("members")
+
+REF_LAWS = {
+    "union-assoc": lambda m, a, b, c: m.eq(m.union(m.union(a, b), c), m.union(a, m.union(b, c))),
+    "union-comm": lambda m, a, b: m.eq(m.union(a, b), m.union(b, a)),
+    "union-idem": lambda m, a: m.eq(m.union(a, a), a),
+    "union-zero": lambda m, a: m.eq(m.union(a, m.zero(a.n)), a),
+    "compose-assoc": lambda m, a, b, c: m.eq(m.compose(m.compose(a, b), c),
+                                             m.compose(a, m.compose(b, c))),
+    "compose-unit-left": lambda m, a: m.eq(m.compose(m.unit(a.n), a), a),
+    "compose-unit-right": lambda m, a: m.eq(m.compose(a, m.unit(a.n)), a),
+    "compose-zero-left": lambda m, a: m.eq(m.compose(m.zero(a.n), a), m.zero(a.n)),
+    "compose-zero-right": lambda m, a: m.eq(m.compose(a, m.zero(a.n)), m.zero(a.n)),
+    "distrib-left": lambda m, a, b, c: m.eq(m.compose(a, m.union(b, c)),
+                                            m.union(m.compose(a, b), m.compose(a, c))),
+    "distrib-right": lambda m, a, b, c: m.eq(m.compose(m.union(a, b), c),
+                                             m.union(m.compose(a, c), m.compose(b, c))),
+    "star-unfold-left": lambda m, a: m.leq(m.union(m.unit(a.n), m.compose(a, m.star(a))),
+                                           m.star(a)),
+    "star-unfold-right": lambda m, a: m.leq(m.union(m.unit(a.n), m.compose(m.star(a), a)),
+                                            m.star(a)),
+    "star-induction-left": _ref_star_induction(True),
+    "star-induction-right": _ref_star_induction(False),
+    "ad-compose-zero": lambda m, a: m.eq(m.compose(m.antidomain(a), a), m.zero(a.n)),
+    "ad-complement": lambda m, a: m.eq(m.union(m.antidomain(a), m.antidomain(m.antidomain(a))),
+                                       m.unit(a.n)),
+    "ad-local": lambda m, a, b: m.leq(
+        m.antidomain(m.compose(a, b)),
+        m.antidomain(m.compose(a, m.antidomain(m.antidomain(b))))),
+    "ad-subid": lambda m, a: m.leq(m.antidomain(a), m.unit(a.n)),
+    "domain-retraction": _ref_domain_retraction,
+    "box-def-agree": lambda m, a, p: m.fbox(a, p).members == m.to_pred(
+        m.antidomain(m.compose(a, m.antidomain(m.from_pred(p))))).members,
+    "box-demorgan": lambda m, a, p: m.fdia(a, p).members == ref_pred_complement(
+        m.fbox(a, ref_pred_complement(p))).members,
+    "box-seq": lambda m, a, b, p: m.fbox(m.compose(a, b), p).members
+    == m.fbox(a, m.fbox(b, p)).members,
+    "box-cond": _ref_box_cond,
+    "box-star-induction": lambda m, a, p: (
+        not p.members <= m.fbox(a, p).members or p.members <= m.fbox(m.star(a), p).members),
+    "dia-box-adjunction": lambda m, a, p, q: (
+        (m.fdia(a, p).members <= q.members) == (p.members <= m.bbox(a, q).members)),
+    "invariant-meet-join": _ref_invariant_meet_join,
+    "iso-roundtrip": _ref_roundtrip,
+    "iso-union": _ref_iso(ref_rel_union, ref_sta_union, _succ),
+    "iso-compose": _ref_iso(ref_rel_compose, ref_sta_kleisli, _succ),
+    "iso-star": _ref_iso(ref_rel_star, ref_sta_star, _succ),
+    "iso-antidomain": _ref_iso(ref_rel_antidomain, ref_sta_antidomain, _succ),
+    "iso-box": _ref_iso(ref_rel_fbox, ref_sta_fbox, _mem),
+    "compose-comm": lambda m, a, b: m.eq(m.compose(a, b), m.compose(b, a)),
+}
+
+
+def ref_describe(operand):
+    if isinstance(operand, RefRel):
+        return f"rel{sorted(operand.pairs)}"
+    if isinstance(operand, RefSta):
+        return f"sta{[sorted(s) for s in operand.successors]}"
+    return f"pred{sorted(operand.members)}"
+
+
+def ref_check_law(model_name, n, law_name, mode="exhaustive", seed=0, trials=1000):
+    signature, check = LAWS[law_name].signature, REF_LAWS[law_name]
+    model = REF_MODELS[model_name]
+    if mode == "exhaustive":
+        size = 1
+        for ch in signature:
+            size *= (1 << (n * n)) if ch == "a" else (1 << n)
+        assert n <= EXHAUSTIVE_MAX_N and size <= EXHAUSTIVE_MAX_COMBINATIONS
+        pools = [list(model.all_elements(n)) if ch == "a" else list(ref_all_preds(n))
+                 for ch in signature]
+        cases = itertools.product(*pools)
+    else:
+        rng = random.Random(seed)
+        cases = ([model.random_element(n, rng) if ch == "a" else ref_random_pred(n, rng)
+                  for ch in signature] for _ in range(trials))
+    checked = 0
+    for operands in cases:
+        checked += 1
+        if not check(model, *operands):
+            return LawReport(law_name, model_name, n, mode, False, checked,
+                             "; ".join(ref_describe(o) for o in operands))
+    return LawReport(law_name, model_name, n, mode, True, checked)
+
+
+def test_reference_covers_every_law():
+    assert set(REF_LAWS) == set(LAWS)
+
+
+# One public operation: (operand signature, operation, reference, view of
+# the result).  'r' = relation, 's' = transformer, 'p' = predicate;
+# sub-identity operands ('d' relation, 't' transformer) feed the readbacks.
+_pairs = operator.attrgetter("pairs")
+OPS = [
+    ("", algebra.rel_id, ref_rel_id, _pairs),
+    ("", algebra.rel_zero, ref_rel_zero, _pairs),
+    ("rr", algebra.rel_union, ref_rel_union, _pairs),
+    ("rr", algebra.rel_compose, ref_rel_compose, _pairs),
+    ("r", algebra.rel_star, ref_rel_star, _pairs),
+    ("r", algebra.rel_antidomain, ref_rel_antidomain, _pairs),
+    ("r", algebra.rel_antirange,
+     lambda r: ref_rel_antidomain(ref_rel_converse(r)), _pairs),
+    ("r", algebra.rel_domain, lambda r: ref_rel_antidomain(ref_rel_antidomain(r)), _pairs),
+    ("r", algebra.rel_converse, ref_rel_converse, _pairs),
+    ("rr", algebra.rel_leq, ref_rel_leq, bool),
+    ("rp", algebra.rel_fbox, ref_rel_fbox, _mem),
+    ("rp", algebra.rel_fdia, ref_rel_fdia, _mem),
+    ("rp", algebra.rel_bbox, ref_rel_bbox, _mem),
+    ("rp", algebra.rel_bdia, ref_rel_bdia, _mem),
+    ("p", algebra.pred_complement, ref_pred_complement, _mem),
+    ("p", algebra.pred_to_rel, ref_pred_to_rel, _pairs),
+    ("d", algebra.rel_to_pred, ref_rel_to_pred, _mem),
+    ("", algebra.sta_eta, ref_sta_eta, _succ),
+    ("", algebra.sta_zero, ref_sta_zero, _succ),
+    ("ss", algebra.sta_union, ref_sta_union, _succ),
+    ("ss", algebra.sta_kleisli, ref_sta_kleisli, _succ),
+    ("s", algebra.sta_star, ref_sta_star, _succ),
+    ("s", algebra.sta_antidomain, ref_sta_antidomain, _succ),
+    ("s", algebra.sta_op, ref_sta_op, _succ),
+    ("ss", algebra.sta_leq, ref_sta_leq, bool),
+    ("sp", algebra.sta_fbox, ref_sta_fbox, _mem),
+    ("sp", algebra.sta_fdia, ref_sta_fdia, _mem),
+    ("sp", algebra.sta_bbox, ref_sta_bbox, _mem),
+    ("sp", algebra.sta_bdia, ref_sta_bdia, _mem),
+    ("p", algebra.pred_to_sta, ref_pred_to_sta, _succ),
+    ("t", algebra.sta_to_pred, ref_sta_to_pred, _mem),
+    ("r", algebra.sta_of_rel, ref_sta_of_rel, _succ),
+    ("s", algebra.rel_of_sta, ref_rel_of_sta, _pairs),
+]
+
+
+def _operand_pair(ch, n, rng):
+    """A random operand of kind ch, built once through the public builder
+    and once as its reference."""
+    if ch == "p":
+        members = [x for x in range(n) if rng.random() < 0.5]
+        return fpred(n, members), RefPred(n, frozenset(members))
+    if ch in "dt":
+        cells = [(x, x) for x in range(n) if rng.random() < 0.5]
+    else:
+        density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        cells = [(x, y) for x in range(n) for y in range(n) if rng.random() < density]
+    r, ref = rel(n, cells), RefRel(n, frozenset(cells))
+    if ch in "st":
+        succs = [{y for x2, y in cells if x2 == x} for x in range(n)]
+        return sta(n, succs), ref_sta(n, succs)
+    return r, ref
+
+
+@pytest.mark.parametrize("signature, op, ref_op, view", OPS, ids=[o[1].__name__ for o in OPS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operation_matches_reference(signature, op, ref_op, view, n):
+    name = op.__name__
+    rng = random.Random(f"{name}-{n}")
+    for _ in range(60):
+        pairs = [_operand_pair(ch, n, rng) for ch in signature]
+        operands = [p for p, _ in pairs] or [n]
+        refs = [q for _, q in pairs] or [n]
+        assert view(op(*operands)) == view(ref_op(*refs)), (name, [ref_describe(q) for q in refs])
+
+
+def test_readbacks_reject_what_the_reference_rejects():
+    off_diagonal = [(0, 1)]
+    with pytest.raises(ValueError, match="not a subidentity"):
+        algebra.rel_to_pred(rel(2, off_diagonal))
+    with pytest.raises(ValueError, match="not a subidentity"):
+        ref_rel_to_pred(RefRel(2, frozenset(off_diagonal)))
+    with pytest.raises(ValueError, match="not a subidentity"):
+        algebra.sta_to_pred(sta(2, [{0, 1}, set()]))
+
+
+@pytest.mark.parametrize("model", ["rel", "sta"])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_exhaustive_report_matches_reference(model, law):
+    assert check_law(model, 2, law) == ref_check_law(model, 2, law)
+
+
+@pytest.mark.parametrize("model, n", [("rel", 3), ("sta", 4)])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_random_reports_match_reference(model, n, law):
+    for seed in (0, 1, 7):
+        got = check_law(model, n, law, mode="random", seed=seed, trials=60)
+        assert got == ref_check_law(model, n, law, mode="random", seed=seed, trials=60)

@@ -211,6 +211,28 @@ class TestCertifyCommand:
         finally:
             os.unlink(path)
 
+    def test_nan_monoid_residual_refuses_in_strict_json(self, capsys, tmp_path):
+        # M*M - M*M is 0 symbolically but NaN in floats: the symbolic checks
+        # pass, the monoid check sees a NaN residual and refuses, and the
+        # report stays strict JSON
+        path = tmp_path / "nanflow.hwl"
+        path.write_text(
+            "problem nanflow\nvars a b\npre a = 0 & b = 0\npost b <= 1\nprogram\n"
+            "  evolve a' = 0, b' = 0 & true on [0,1]\n"
+            "    flow a = a + (10^200*10^200 - 10^200*10^200), b = b\n"
+        )
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+
+        def no_constant(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        report = json.loads(out, parse_constant=no_constant)
+        (cert,) = [o for o in report["obligations"] if o["provenance"].startswith("flow-cert")]
+        assert cert["verdict"]["reason"] == "monoid-action residual too large"
+        assert cert["detail"]["checks"]["monoid"] == {
+            "pass": False, "detail": "max residual nan", "residual": "nan"}
+        assert code == 1
+
     def test_unevaluable_rk4_comparison_refuses(self, capsys, tmp_path):
         # c/c normalizes to 1, so the symbolic and monoid checks pass; at the
         # sampled c = 0 the RK4 trajectory divides by zero in its first stage
@@ -355,6 +377,20 @@ class TestLawsCommand:
     def test_unknown_law_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--laws", "no-such-law")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "3"], "exhaustive mode too large for law 'union-assoc' at n=3"),
+        (["--n", "-1"], "state count n must be non-negative, got -1"),
+        (["--mode", "random", "--trials", "0"], "random mode needs trials >= 1, got 0"),
+        (["--mode", "random", "--n", "-2"], "state count n must be non-negative, got -2"),
+        (["--laws", ","], "no law selected"),
+    ], ids=["exhaustive-too-large", "negative-n", "zero-trials", "random-negative-n",
+            "empty-selection"])
+    def test_invalid_run_is_a_usage_error(self, capsys, argv, message):
+        # exit 2 with one line on stderr, never a traceback, an empty pass
+        # or the exit code 1 of a failing law
+        code, out, err = run(capsys, "laws", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestFmtCommand:

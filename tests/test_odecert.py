@@ -264,9 +264,16 @@ class TestCertifyFlow:
 
 # ---------------------------------------------------------------------------
 # Reference numeric cross-checks: the certificate's monoid and RK4 loops as
-# they ran over Flow.at, rk4_integrate and Flow.states.  The generated check
-# kernels must give the same CheckResult, residual bit for bit, and leave
-# the random draws where the references leave them.
+# they ran over Flow.at, rk4_integrate and Flow.states, except that a NaN
+# deviation wins every maximum (nan_max).  The generated check kernels must
+# give the same CheckResult, residual bit for bit, and leave the random
+# draws where the references leave them.
+
+
+def nan_max(values):
+    """max(values), but NaN as soon as one value is NaN."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def ref_monoid_check(flow, names, valuations, rng, negative):
@@ -283,7 +290,7 @@ def ref_monoid_check(flow, names, valuations, rng, negative):
             two_step = flow.at(t1, flow.at(t2, s, cv), cv)
         except EVAL_FAILURES as exc:
             return CheckResult(False, f"evaluation failed: {exc}")
-        residual = max(residual, max(abs(one_shot[v] - two_step[v]) for v in names))
+        residual = nan_max([residual, nan_max(abs(one_shot[v] - two_step[v]) for v in names)])
     return CheckResult(residual <= SUP_TOL_MONOID, f"max residual {residual:.3e}", residual)
 
 
@@ -298,10 +305,9 @@ def ref_rk4_check(field, flow, names, valuations, rng, horizon):
                 targets = flow.states([tt for tt, _ in traj], s, cv)
                 for (_, st), target in zip(traj, targets):
                     # max(|target[v] - st[v]| for v in names), compared in that order
-                    dev = max(map(abs, map(operator.sub, map(target.__getitem__, names),
-                                           map(st.__getitem__, names))))
-                    if dev > worst:
-                        worst = dev
+                    dev = nan_max(map(abs, map(operator.sub, map(target.__getitem__, names),
+                                               map(st.__getitem__, names))))
+                    worst = nan_max([worst, dev])
         except EVAL_FAILURES as exc:
             return CheckResult(False, f"evaluation failed: {exc}")
         if divergent:
@@ -487,22 +493,32 @@ class TestCheckKernelsBitIdentity:
 
     @pytest.mark.parametrize("nan_first", [True, False])
     def test_nan_deviation(self, nan_first):
-        # M*M overflows to inf, so M*M - M*M is NaN without an exception; a
-        # NaN deviation never exceeds the worst one, and max keeps a NaN
-        # only when it comes first in name order
+        # M*M overflows to inf, so M*M - M*M is NaN without an exception.  A
+        # NaN deviation fails the check wherever it comes in name order; it
+        # once passed with residual 0.0 when it came first, hiding b's
+        # deviation of t
         big = const(10 ** 200)
         nan = big * big - big * big
         field = VectorField({"a": const(0), "b": const(0)})
         comps = {"a": x_a + nan, "b": x_b + t} if nan_first else {"a": x_a + t, "b": x_b + nan}
         got = both_rk4(field, Flow(comps), [[0.5, 0.5]], [{}])
-        if nan_first:
-            assert got.passed and got.residual == 0.0
-        else:
-            assert not got.passed and got.residual == 1.0
+        assert not got.passed and math.isnan(got.residual)
+        assert got.detail == "max deviation nan on [0,1.0]"
         names = ["a", "b"]
         monoid = _monoid_check(Flow(comps), names, [{}], random.Random(3), False)
+        assert not monoid.passed and monoid.detail == "max residual nan"
         assert exact(monoid) == exact(ref_monoid_check(Flow(comps), names, [{}],
                                                        random.Random(3), False))
+
+    def test_nan_after_a_finite_worst_sticks(self):
+        # a NaN at a later valuation replaces a finite worst deviation
+        # carried in from the earlier valuations, and later finite ones
+        # never replace it
+        cm = SymConst("c") * const(10 ** 200)
+        flow = Flow({"a": x_a + t + (cm * cm - cm * cm)})  # NaN at c = 1 only
+        field = VectorField({"a": const(0)})
+        got = both_rk4(field, flow, [[0.5], [0.5], [0.5]], [{"c": 0.0}, {"c": 1.0}, {"c": 0.0}])
+        assert not got.passed and math.isnan(got.residual)
 
 
 class TestDiffInvariant:
