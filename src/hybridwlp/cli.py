@@ -57,25 +57,24 @@ def _const_valuations(spec: SpecFile, seed: int, k: int = 3) -> list:
     return out or [{c: 1.0 for c in spec.consts}]
 
 
-def _deciders(spec: SpecFile, seed: int, trials=None, step=None, horizon=None):
+def _deciders(spec: SpecFile, seed=None, trials=None, step=None, horizon=None):
     """The validated lemma DB and the discharge budget that decide a
-    problem's obligations; trials defaults to the file's config value."""
-    trials = _setting("trials", None, spec, trials)
+    problem's obligations.  Each setting is the flag given, else the file's
+    config value, else the budget's default."""
     budget = DischargeBudget(
-        seed=seed,
-        refute_trials=int(trials) if trials is not None else DischargeBudget.refute_trials,
-        grid_step=float(step) if step is not None else DischargeBudget.grid_step,
-        grid_horizon=float(horizon) if horizon is not None else DischargeBudget.grid_horizon,
+        seed=int(_setting("seed", DischargeBudget.seed, spec, seed)),
+        refute_trials=int(_setting("trials", DischargeBudget.refute_trials, spec, trials)),
+        grid_step=float(_setting("step", DischargeBudget.grid_step, spec, step)),
+        grid_horizon=float(_setting("horizon", DischargeBudget.grid_horizon, spec, horizon)),
     )
     db = LemmaDB()
     lemma_trials = int(spec.config.get("lemma_trials", 2000))
     for lemma in spec.lemmas:
-        db.add(validate_lemma(lemma, trials=lemma_trials, seed=seed))
+        db.add(validate_lemma(lemma, trials=lemma_trials, seed=budget.seed))
     return db, budget
 
 
-def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget,
-           seed: int):
+def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget):
     """Dispatch one obligation; returns (verdict, detail-json-or-None)."""
     if ob.kind == "arith":
         return discharge(ob, db, budget, ranges=spec.const_ranges), None
@@ -83,8 +82,8 @@ def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget,
         ev = ob.payload
         cert = certify_flow(
             ev.field, ev.flow, ev.dom,
-            const_valuations=_const_valuations(spec, seed),
-            seed=seed,
+            const_valuations=_const_valuations(spec, budget.seed),
+            seed=budget.seed,
         )
         if cert.issued:
             return Verdict("proved", method="flow-certificate"), cert.to_json()
@@ -157,16 +156,17 @@ def _verify_report(spec: SpecFile, results) -> dict:
 
 def run_verify(
     spec: SpecFile,
-    seed: int = 0,
+    seed: Optional[int] = None,
     trials: Optional[int] = None,
     step: Optional[float] = None,
     horizon: Optional[float] = None,
     extra_obligations: tuple = (),
 ) -> dict:
-    """Full pipeline on a parsed problem; returns the report dict."""
+    """Full pipeline on a parsed problem; returns the report dict.  A
+    setting left None comes from the file's config, else its default."""
     db, budget = _deciders(spec, seed, trials, step, horizon)
     obligations = verify(spec.to_verify_spec()) + list(extra_obligations)
-    results = [(ob, *_route(ob, spec, db, budget, seed)) for ob in obligations]
+    results = [(ob, *_route(ob, spec, db, budget)) for ob in obligations]
     report = _verify_report(spec, results)
     report["lemmas"] = [
         {"name": l.name, "status": l.status, "trials": l.trials} for l in db.lemmas
@@ -176,7 +176,6 @@ def run_verify(
 
 def cmd_verify(args) -> int:
     spec = _load(args.file)
-    seed = int(_setting("seed", 0, spec, args.seed))
     extra = ()
     if args.dc:
         from .hwl import _Parser, tokenize
@@ -189,12 +188,8 @@ def cmd_verify(args) -> int:
         spec = replace(spec, program=vspec.program)
         extra = tuple(dc_obs)
     report = run_verify(
-        spec,
-        seed=seed,
-        trials=args.trials,
-        step=_setting("step", None, spec, args.step),
-        horizon=_setting("horizon", None, spec, args.horizon),
-        extra_obligations=extra,
+        spec, seed=args.seed, trials=args.trials, step=args.step,
+        horizon=args.horizon, extra_obligations=extra,
     )
     if args.json:
         print(json.dumps(report, indent=2, default=str))
@@ -219,7 +214,7 @@ _CERTIFY_KINDS = {"flow_cert": "flow", "diff_inv": "dinv"}
 
 def run_certify(
     spec: SpecFile,
-    seed: int = 0,
+    seed: Optional[int] = None,
     kinds: tuple = ("flow", "dinv"),
 ) -> dict:
     """verify restricted to side conditions: each flow certificate and
@@ -232,7 +227,7 @@ def run_certify(
         kind = _CERTIFY_KINDS.get(ob.kind)
         if kind not in kinds:
             continue
-        verdict, detail = _route(ob, spec, db, budget, seed)
+        verdict, detail = _route(ob, spec, db, budget)
         entries.append({"at": ob.provenance.split("@", 1)[1], "kind": kind, "report": detail})
         ok = ok and verdict.kind == "proved"
     return {"problem": spec.name, "certificates": entries, "ok": ok}
@@ -242,7 +237,7 @@ def cmd_certify(args) -> int:
     spec = _load(args.file)
     doc = run_certify(
         spec,
-        seed=int(_setting("seed", 0, spec, args.seed)),
+        seed=args.seed,
         kinds=("flow",) if args.flow_only else ("dinv",) if args.dinv_only else ("flow", "dinv"),
     )
     if args.json:

@@ -1,11 +1,17 @@
 """Lightweight discharger for universally quantified arithmetic obligations.
 
-The pipeline, in order: syntactic match, equality-hypothesis substitution,
-polynomial-identity reduction (conclusion difference as an exact rational
-combination of hypothesis differences), Fourier-Motzkin elimination on the
-linear fragment, a square-nonnegativity rule with positive multipliers,
-lemma lookup, then randomized refutation.  Every method reads a comparison
-through `polynorm.atom_form`.  Unknown is an acceptable verdict; Proved and
+An obligation's conclusion splits into atomic goals, comparisons or
+`false`, each under a hypothesis list.  The prover reads each distinct
+list once into a context: the equalities solved into one composed
+substitution, and the atom form (`polynorm.atom_form`) and canonical key
+of every remaining comparison.  A goal then normalizes only its own
+conclusion and tries, in order: a false hypothesis (vacuous), a constant
+conclusion (trivial), hypothesis match, polynomial identity (the
+conclusion difference as an exact rational combination of equation
+hypotheses), Fourier-Motzkin elimination on the linear fragment, a
+square-nonnegativity rule with positive multipliers, and lemma lookup.
+It returns the methods used or declines with a reason, and randomized
+refutation runs only then.  Unknown is an acceptable verdict; Proved and
 Refuted are both re-checkable.
 """
 
@@ -14,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -31,7 +38,6 @@ from .expr import (
     const as econst,
     eval_pred,
     fresh_time_binders,
-    negate_cmp,
     nnf,
     pred_free_names,
     substitute,
@@ -39,7 +45,6 @@ from .expr import (
 )
 from .polynorm import (
     P_ONE,
-    Mono,
     mono_key,
     Poly,
     atom_form,
@@ -158,14 +163,23 @@ def canonical_cmp(c: Cmp) -> Optional[tuple]:
     fails.
     """
     form = atom_form(c)
-    if form is None:
-        return None
+    return None if form is None else _key(form)
+
+
+def _key(form: tuple) -> tuple:
     p, rel = form
     if rel in ("=", "!=") and p.terms:
         first = min(p.terms.items(), key=lambda it: mono_key(it[0]))
         if first[1] < 0:
             p = p.neg()
     return (p.key(), rel + "0")
+
+
+def _constant_truth(form: tuple) -> Optional[bool]:
+    val = form[0].constant_value()
+    if val is None:
+        return None
+    return {"=": val == 0, "!=": val != 0, ">": val > 0, ">=": val >= 0}[form[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +225,10 @@ def linearize(c: Cmp) -> Optional[list]:
 
     Equalities become two inequalities; disequalities have no linear form.
     """
-    form = atom_form(c)
+    return _linear(atom_form(c))
+
+
+def _linear(form: Optional[tuple]) -> Optional[list]:
     if form is None or form[1] == "!=":
         return None
     p, rel = form
@@ -332,20 +349,52 @@ def _pick_between(lo_vals, up_vals) -> Optional[Fraction]:
     return (lo[0] + up[0]) / 2
 
 
-def _fm_feasibility(cmps: Sequence[Cmp]) -> Optional[FMResult]:
-    """Fourier-Motzkin on the linear forms of the atoms, eliminating every
-    name; `!=` atoms are dropped (sound for hypotheses).  None when an atom
-    is non-linear."""
+def _hyp_lins(cmps: Sequence[tuple]) -> Optional[list]:
+    """The LinIneq constraints of (comparison, atom form) hypotheses: a
+    `!=` is dropped (sound for hypotheses); None when another one has no
+    linear form."""
     atoms: list[LinIneq] = []
-    for c in cmps:
+    for c, form in cmps:
         if c.op == "!=":
             continue
-        lin = linearize(c)
+        lin = _linear(form)
         if lin is None:
             return None
         atoms.extend(lin)
+    return atoms
+
+
+def _fm_feasibility(hyp_lins: Optional[list], extra: Optional[list]) -> Optional[FMResult]:
+    """Fourier-Motzkin on the hypotheses' constraints plus extra ones,
+    eliminating every name; None when either side is non-linear."""
+    if hyp_lins is None or extra is None:
+        return None
+    atoms = hyp_lins + extra
     names = set().union(*(a.names() for a in atoms))
     return fourier_motzkin(atoms, sorted(names))
+
+
+def _negation_cases(form: Optional[tuple]) -> list:
+    """The negation of the conclusion `form` as atom forms, two strict
+    inequalities for an equation; the conclusion follows when each one is
+    infeasible with the hypotheses.  [None] when there is no form."""
+    if form is None:
+        return [None]
+    p, rel = form
+    if rel == "=":
+        return [(p, ">"), (p.neg(), ">")]
+    return [{">=": (p.neg(), ">"), ">": (p.neg(), ">="), "!=": (p, "=")}[rel]]
+
+
+def _fm_implies(hyp_lins: Optional[list], form: Optional[tuple]) -> Optional[FMResult]:
+    """FM on the hypotheses with each negation case of the conclusion: the
+    first result that is not infeasible, else the last infeasible one; None
+    when a form is non-linear."""
+    for case in _negation_cases(form):
+        res = _fm_feasibility(hyp_lins, _linear(case))
+        if res is None or res.kind != "infeasible":
+            return res
+    return res
 
 
 def fm_implication(hyps: Sequence[Cmp], concl: Cmp) -> tuple[str, dict]:
@@ -353,13 +402,7 @@ def fm_implication(hyps: Sequence[Cmp], concl: Cmp) -> tuple[str, dict]:
 
     Returns ("valid"|"invalid"|"too-large"|"non-linear", witness).
     """
-    if concl.op == "=":
-        for side in (Cmp("<=", concl.lhs, concl.rhs), Cmp(">=", concl.lhs, concl.rhs)):
-            status, wit = fm_implication(hyps, side)
-            if status != "valid":
-                return (status, wit)
-        return ("valid", {})
-    res = _fm_feasibility([*hyps, negate_cmp(concl)])
+    res = _fm_implies(_hyp_lins([(h, atom_form(h)) for h in hyps]), atom_form(concl))
     if res is None:
         return ("non-linear", {})
     if res.kind == "infeasible":
@@ -380,33 +423,13 @@ def fm_implication(hyps: Sequence[Cmp], concl: Cmp) -> tuple[str, dict]:
 # Square-nonnegativity rule
 
 
-def _odd_even_split(p: Poly) -> tuple[dict, dict]:
-    odd, even = {}, {}
-    for mono, c in p.terms.items():
-        if all(k % 2 == 0 for _, k in mono):
-            even[mono] = c
-        else:
-            odd[mono] = c
-    return odd, even
-
-
-def square_nonneg(p: Poly) -> bool:
-    """True when every monomial has even powers and a nonnegative coefficient."""
-    odd, even = _odd_even_split(p)
-    return not odd and all(c >= 0 for c in even.values())
+def _odd(mono: tuple) -> bool:
+    return any(k % 2 for _, k in mono)
 
 
 def _reduce_to_even(q: Poly, eq_polys: Sequence[Poly]) -> Optional[Poly]:
     """q - sum(lam_i * h_i) with all odd monomials cancelled, if solvable."""
-    odd_monos: set[Mono] = set()
-    for mono, _ in q.terms.items():
-        if any(k % 2 for _, k in mono):
-            odd_monos.add(mono)
-    for h in eq_polys:
-        for mono in h.terms:
-            if any(k % 2 for _, k in mono):
-                odd_monos.add(mono)
-    ordered = sorted(odd_monos, key=mono_key)
+    ordered = sorted({m for h in (q, *eq_polys) for m in h.terms if _odd(m)}, key=mono_key)
     if not eq_polys:
         return q if not ordered or all(q.terms.get(m, 0) == 0 for m in ordered) else None
     rows = [[h.terms.get(m, Fraction(0)) for h in eq_polys] for m in ordered]
@@ -418,26 +441,33 @@ def _reduce_to_even(q: Poly, eq_polys: Sequence[Poly]) -> Optional[Poly]:
     for lam, h in zip(lams, eq_polys):
         if lam:
             out = out.sub(h.scale(lam))
-    odd, _ = _odd_even_split(out)
-    return out if not odd else None
+    return None if any(map(_odd, out.terms)) else out
 
 
-def square_rule(goal: Cmp, hyps: Sequence[Cmp]) -> bool:
-    """Prove a nonstrict inequality via sums of even monomials, optionally
-    multiplying by a hypothesis of known positive sign."""
-    form = atom_form(goal)
-    if form is None or form[1] != ">=":
+def square_rule(goal: tuple, hyps: Sequence[tuple]) -> bool:
+    """Prove the atom form `goal`, when it reads p >= 0, from the atom forms
+    `hyps` via sums of even monomials, optionally multiplying by a
+    hypothesis of known positive sign."""
+    p, rel = goal  # want p >= 0
+    if rel != ">=":
         return False
-    p = form[0]  # want p >= 0
-    forms = [f for f in map(atom_form, hyps) if f is not None]
-    eq_polys = [hp for hp, rel in forms if rel == "=" and not hp.is_zero()]
+    eq_polys = [hp for hp, hrel in hyps if hrel == "=" and not hp.is_zero()]
     # multipliers: 1 and every single monomial that a hypothesis makes positive
-    mults = [P_ONE] + [hp for hp, rel in forms if rel == ">" and len(hp.terms) == 1]
+    mults = [P_ONE] + [hp for hp, hrel in hyps if hrel == ">" and len(hp.terms) == 1]
     for mult in mults:
         reduced = _reduce_to_even(p.mul(mult), eq_polys)
         if reduced is not None and all(c >= 0 for c in reduced.terms.values()):
             return True
     return False
+
+
+def _poly_identity(target: Poly, hyps: Sequence[tuple]) -> bool:
+    """target = 0 as an exact rational combination of the equation
+    hypotheses among the atom forms `hyps`."""
+    if target.is_zero():
+        return True
+    basis = [p for p, rel in hyps if rel == "=" and not p.is_zero()]
+    return bool(basis) and rational_combination(target, basis) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -495,157 +525,115 @@ def _split_goals(hyps: list, concl: Pred) -> Optional[list]:
     return None
 
 
+class _Declined(Exception):
+    """The prover cannot establish a goal; the message is the reason."""
+
+
+class _Context:
+    """What one hypothesis list gives every goal proved under it: the
+    equality hypotheses solved into one composed substitution `sigma`, the
+    remaining comparisons with their atom forms (`cmps`; `forms` keeps the
+    forms that exist), the canonical keys of those forms, and whether one
+    of them is a false constant."""
+
+    def __init__(self, hyps: list):
+        self.hyps = tuple(hyps)  # keeps alive every id of the prover's key
+        self.cmps, self.sigma = _solve_equalities(hyps)
+        self.forms = [form for _, form in self.cmps if form is not None]
+        self.keys = {_key(form) for form in self.forms}
+        self.false = any(_constant_truth(form) is False for form in self.forms)
+
+    @cached_property
+    def lins(self) -> Optional[list]:
+        return _hyp_lins(self.cmps)
+
+
 class _Prover:
+    """Proves goals under hypothesis lists.  `prove`, `prove_goal` and
+    `prove_atomic` return the methods used, in order, or raise _Declined
+    with the reason."""
+
     def __init__(self, db: LemmaDB):
         self.db = db
-        self.methods: list[str] = []
-        self.failure: str = ""
-        # id-tuple of a hypothesis list -> (the list, solved hyps, substitution)
-        self.solved: dict = {}
+        # id-tuple of a hypothesis list -> its context, built once per prover
+        self.contexts: dict = {}
 
-    def prove(self, hyps: list, concl: Pred, depth: int = 0) -> bool:
+    def prove(self, hyps: list, concl: Pred, depth: int = 0) -> list:
         goals = _split_goals(hyps, concl)
         if goals is None:
-            self.failure = "unsupported conclusion shape"
-            return False
-        return all(self.prove_goal(g, depth) for g in goals)
+            raise _Declined("unsupported conclusion shape")
+        return [m for g in goals for m in self.prove_goal(g, depth)]
 
-    def prove_goal(self, goal: _Goal, depth: int) -> bool:
+    def prove_goal(self, goal: _Goal, depth: int) -> list:
         hyps = flatten_conj(goal.hyps)
         if any(isinstance(h, FalsePred) for h in hyps):
-            self.methods.append("vacuous")
-            return True
+            return ["vacuous"]
         concl = goal.concl
-        if isinstance(concl, Or):
-            if depth > 6:
-                self.failure = "disjunction nesting too deep"
-                return False
-            save = list(self.methods)
-            for first, second in ((concl.lhs, concl.rhs), (concl.rhs, concl.lhs)):
-                self.methods = list(save)
-                try:
-                    extra = nnf(Not(first))
-                except TypeError:
-                    continue
-                if self.prove(hyps + [extra], second, depth + 1):
-                    return True
-            self.methods = save
-            self.failure = self.failure or "no disjunct provable"
-            return False
-        if isinstance(concl, FalsePred):
-            return self.prove_contradiction(hyps)
-        if isinstance(concl, Cmp):
+        if not isinstance(concl, Or):
             return self.prove_atomic(hyps, concl)
-        self.failure = f"unsupported goal {type(concl).__name__}"
-        return False
+        if depth > 6:
+            raise _Declined("disjunction nesting too deep")
+        reason = "no disjunct provable"
+        for first, second in ((concl.lhs, concl.rhs), (concl.rhs, concl.lhs)):
+            try:
+                extra = nnf(Not(first))
+            except TypeError:
+                continue
+            try:
+                return self.prove(hyps + [extra], second, depth + 1)
+            except _Declined as exc:
+                reason = str(exc)
+        raise _Declined(reason)
 
-    # -- hypothesis preparation ------------------------------------------
-
-    def _substituted(self, hyps: list, concl: Cmp):
-        """Apply the equality hypotheses' composed solutions to the
-        remaining hypotheses and the conclusion.  The bindings depend on
-        the hypotheses only, so each list is solved once per prover; its
-        entry holds the hypotheses, so no id in the key is reused."""
-        key = tuple(map(id, hyps))
-        if key not in self.solved:
-            self.solved[key] = (tuple(hyps), *_solve_equalities(hyps))
-        _, hyps, sigma = self.solved[key]
-        return hyps, substitute_pred(concl, sigma)
-
-    def prove_contradiction(self, hyps: list) -> bool:
-        res = _fm_feasibility([h for h in hyps if isinstance(h, Cmp)])
-        if res is None:
-            self.failure = "non-linear hypotheses for contradiction goal"
-            return False
-        if res.kind == "infeasible":
-            self.methods.append("fourier-motzkin")
-            return True
-        self.failure = "hypotheses not refutable by the linear route"
-        return False
-
-    def prove_atomic(self, hyps: list, concl: Cmp) -> bool:
-        hyps, concl = self._substituted(hyps, concl)
-        atoms = [h for h in hyps if isinstance(h, Cmp)]
-
+    def prove_atomic(self, hyps: list, concl: Pred) -> list:
+        """A comparison, or `false`, under hyps by the first method that
+        applies."""
+        ids = tuple(map(id, hyps))
+        if ids not in self.contexts:
+            self.contexts[ids] = _Context(hyps)
+        ctx = self.contexts[ids]
         # contradictory hypotheses prove anything
-        for h in atoms:
-            v = _constant_truth(h)
-            if v is False:
-                self.methods.append("vacuous")
-                return True
-
-        v = _constant_truth(concl)
-        if v is True:
-            self.methods.append("trivial")
-            return True
-
-        key = canonical_cmp(concl)
-        if key is not None:
-            for h in atoms:
-                if canonical_cmp(h) == key:
-                    self.methods.append("hypothesis-match")
-                    return True
-            # weakening: a strict hypothesis implies its nonstrict form
-            if key[1] == ">=0":
-                for h in atoms:
-                    hk = canonical_cmp(h)
-                    if hk is not None and hk == (key[0], ">0"):
-                        self.methods.append("hypothesis-match")
-                        return True
-
-        if concl.op == "=" and self._poly_identity(atoms, concl):
-            self.methods.append("poly-identity")
-            return True
-
-        status, _ = fm_implication(atoms, concl)
-        if status == "valid":
-            self.methods.append("fourier-motzkin")
-            return True
-
-        if square_rule(concl, atoms):
-            self.methods.append("square-rule")
-            return True
-
-        lemma = self._lemma_match(atoms, concl)
-        if lemma is not None:
-            self.methods.append(f"lemma:{lemma}")
-            return True
-
-        self.failure = "no proof method applies"
-        return False
-
-    def _poly_identity(self, atoms: list, concl: Cmp) -> bool:
-        form = atom_form(concl)
+        if ctx.false:
+            return ["vacuous"]
+        if isinstance(concl, FalsePred):
+            res = _fm_feasibility(ctx.lins, [])
+            if res is None:
+                raise _Declined("non-linear hypotheses for contradiction goal")
+            if res.kind != "infeasible":
+                raise _Declined("hypotheses not refutable by the linear route")
+            return ["fourier-motzkin"]
+        form = atom_form(substitute_pred(concl, ctx.sigma))
         if form is None:
-            return False
-        target = form[0]
-        if target.is_zero():
-            return True
-        forms = [f for f in map(atom_form, atoms) if f is not None]
-        basis = [p for p, rel in forms if rel == "=" and not p.is_zero()]
-        if not basis:
-            return False
-        return rational_combination(target, basis) is not None
+            raise _Declined("no proof method applies")
+        if _constant_truth(form):
+            return ["trivial"]
+        key = _key(form)
+        # weakening: a strict hypothesis implies its nonstrict form
+        if key in ctx.keys or (key[1] == ">=0" and (key[0], ">0") in ctx.keys):
+            return ["hypothesis-match"]
+        if form[1] == "=" and _poly_identity(form[0], ctx.forms):
+            return ["poly-identity"]
+        res = _fm_implies(ctx.lins, form)
+        if res is not None and res.kind == "infeasible":
+            return ["fourier-motzkin"]
+        if square_rule(form, ctx.forms):
+            return ["square-rule"]
+        for name, lemma_key, hyp_keys in self.lemma_keys:
+            if lemma_key == key and all(k in ctx.keys for k in hyp_keys):
+                return [f"lemma:{name}"]
+        raise _Declined("no proof method applies")
 
-    def _lemma_match(self, atoms: list, concl: Cmp) -> Optional[str]:
-        key = canonical_cmp(concl)
-        if key is None:
-            return None
-        hyp_keys = {canonical_cmp(h) for h in atoms}
-        hyp_keys.discard(None)
-        for lemma in self.db.usable():
-            if not isinstance(lemma.concl, Cmp):
-                continue
-            if canonical_cmp(lemma.concl) != key:
-                continue
-            ok = True
-            for lh in lemma.hyps:
-                if not (isinstance(lh, Cmp) and canonical_cmp(lh) in hyp_keys):
-                    ok = False
-                    break
-            if ok:
-                return lemma.name
-        return None
+    @cached_property
+    def lemma_keys(self) -> list:
+        """(name, conclusion key, hypothesis keys) of each usable lemma
+        whose conclusion is a comparison; a non-comparison hypothesis has
+        key None, which matches nothing."""
+        return [
+            (lemma.name, canonical_cmp(lemma.concl),
+             [canonical_cmp(h) if isinstance(h, Cmp) else None for h in lemma.hyps])
+            for lemma in self.db.usable()
+            if isinstance(lemma.concl, Cmp)
+        ]
 
 
 def _solve_equalities(hyps: list) -> tuple[list, dict]:
@@ -653,14 +641,16 @@ def _solve_equalities(hyps: list) -> tuple[list, dict]:
     order; the lexicographically last name with a lone rational-coefficient
     occurrence wins), substituting each solution into the equalities left.
     Substitution keeps a hypothesis's kind and operator, so only the
-    equalities take part.  Returns the remaining hypotheses in their order,
-    with every solution applied, and the solutions composed into one
-    simultaneous substitution."""
-    eqs = {i: h for i, h in enumerate(hyps) if isinstance(h, Cmp) and h.op == "="}
+    equalities take part.  Returns the remaining comparisons in their order,
+    each with every solution applied and paired with its atom form (read
+    once: a substitution that leaves a comparison as it was keeps its
+    form), and the solutions composed into one simultaneous substitution.
+    No method reads the other hypotheses, so they are left out."""
+    eqs = {i: (h, atom_form(h)) for i, h in enumerate(hyps)
+           if isinstance(h, Cmp) and h.op == "="}
     bindings = []
     while True:
-        for i, h in eqs.items():
-            form = atom_form(h)
+        for i, (h, form) in eqs.items():
             solved = None if form is None else _solve_poly_for_name(form[0])
             if solved is not None:
                 break
@@ -669,19 +659,26 @@ def _solve_equalities(hyps: list) -> tuple[list, dict]:
         name, rest = solved
         expr = poly_to_expr(rest)
         del eqs[i]
-        eqs = {j: substitute_pred(h, {name: expr}) for j, h in eqs.items()}
+        eqs = {j: _read(h, {name: expr}, (h, form)) for j, (h, form) in eqs.items()}
         bindings.append((i, name, expr))
     # h[n1 := e1]...[nk := ek] = h[sigma], sigma[ni] = ei[sigma over n(i+1)..nk]
     sigma: dict = {}
     for _, name, expr in reversed(bindings):
         sigma[name] = substitute(expr, sigma)
     solved_at = {i for i, _, _ in bindings}
-    rest = [
-        eqs[i] if i in eqs else substitute_pred(h, sigma)
+    cmps = [
+        eqs[i] if i in eqs else _read(h, sigma)
         for i, h in enumerate(hyps)
-        if i not in solved_at
+        if isinstance(h, Cmp) and i not in solved_at
     ]
-    return rest, sigma
+    return cmps, sigma
+
+
+def _read(c: Cmp, binding: dict, known: Optional[tuple] = None) -> tuple:
+    """c under binding, paired with its atom form; `known`, the pair read
+    for c before, is kept when the binding leaves c as it was."""
+    d = substitute_pred(c, binding)
+    return known if known and d is c else (d, atom_form(d))
 
 
 def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:
@@ -708,14 +705,6 @@ def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:
         rest = Poly({m: c for m, c in p.terms.items() if m != mono})
         return name, rest.scale(Fraction(-1) / coeff)
     return None
-
-
-def _constant_truth(c: Cmp) -> Optional[bool]:
-    form = atom_form(c)
-    val = None if form is None else form[0].constant_value()
-    if val is None:
-        return None
-    return {"=": val == 0, "!=": val != 0, ">": val > 0, ">=": val >= 0}[form[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -761,12 +750,13 @@ def discharge(
     """Prove or refute an arithmetic obligation; Unknown is a valid outcome."""
     if ob.kind != "arith":
         raise ValueError(f"discharge expects arithmetic obligations, got {ob.kind!r}")
-    db = db or LemmaDB()
-    prover = _Prover(db)
-    if prover.prove(list(ob.hyps), ob.concl):
-        seen = list(dict.fromkeys(prover.methods)) or ["trivial"]
-        return Verdict("proved", method="+".join(seen))
+    try:
+        methods = _Prover(db or LemmaDB()).prove(list(ob.hyps), ob.concl)
+    except _Declined as exc:
+        reason = str(exc)
+    else:
+        return Verdict("proved", method="+".join(dict.fromkeys(methods)) or "trivial")
     witness = _refute(ob, budget, ranges)
     if witness is not None:
         return Verdict("refuted", witness=witness)
-    return Verdict("unknown", reason=prover.failure or "no method applies")
+    return Verdict("unknown", reason=reason)

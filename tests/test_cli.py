@@ -108,6 +108,41 @@ class TestVerifyCommand:
         assert run_verify(spec)["summary"]["exit"] == 1
         assert run_certify(spec)["ok"] is True  # no side condition to decide
 
+    def test_config_horizon_reaches_the_api(self, capsys, tmp_path):
+        from hybridwlp.cli import run_verify
+        from hybridwlp.hwl import parse_spec
+
+        # x = t reaches 4 <= 5 by the horizon, so grid refutation has
+        # nothing to find; at the default horizon 8 it would refute
+        text = ("problem hz\nvars x\npre x = 0\npost x <= 5\n"
+                "program evolve x' = 1 & true on [0,inf) flow x = x + t\n"
+                "config horizon 4\n")
+        f = tmp_path / "hz.hwl"
+        f.write_text(text)
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 1 and "no proof method applies" in out
+        report = run_verify(parse_spec(text))
+        assert report["summary"]["exit"] == 1
+        assert report["obligations"][0]["verdict"] == {
+            "status": "unknown", "reason": "no proof method applies"}
+        code, _, _ = run(capsys, "verify", str(f), "--horizon", "8")  # the flag wins
+        assert code == 2
+
+    def test_config_seed_reaches_the_api(self, capsys, tmp_path):
+        from hybridwlp.cli import run_verify
+        from hybridwlp.hwl import parse_spec
+
+        text = "problem sd\nvars x\npre x >= 0\npost x >= 1\nprogram skip\n"
+        spec = parse_spec(text + "config seed 5\n")
+        report = run_verify(spec)
+        assert report == run_verify(parse_spec(text), seed=5) != run_verify(spec, seed=0)
+        f = tmp_path / "sd.hwl"
+        f.write_text(text + "config seed 5\n")
+        code, out, _ = run(capsys, "verify", str(f), "--json")
+        assert (code, json.loads(out)) == (2, report)
+        code, out, _ = run(capsys, "verify", str(f), "--json", "--seed", "0")
+        assert json.loads(out) == run_verify(spec, seed=0)
+
     def test_deterministic_given_seed(self, capsys):
         args = ("verify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json", "--seed", "5")
         code1, out1, _ = run(capsys, *args)

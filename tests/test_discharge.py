@@ -10,6 +10,7 @@ from hybridwlp.expr import (
     Cmp,
     Cos,
     Exp,
+    FALSE,
     Or,
     Not,
     Sin,
@@ -33,13 +34,12 @@ from hybridwlp.discharge import (
     fm_implication,
     fourier_motzkin,
     linearize,
-    square_nonneg,
     square_rule,
     validate_lemma,
 )
 import hybridwlp.discharge as dmod
 from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
-from hybridwlp.polynorm import normalize
+from hybridwlp.polynorm import atom_form, normalize
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
 
 x, y, z, v = Var("x"), Var("y"), Var("z"), Var("v")
@@ -136,25 +136,30 @@ class TestFourierMotzkin:
                 assert not eval_pred(concl, wit)
 
 
+def square(goal, hyps=()):
+    """square_rule on the atom forms of Cmp inputs."""
+    return square_rule(atom_form(goal), [atom_form(c) for c in hyps])
+
+
 class TestSquareRule:
     def test_plain_square(self):
-        assert square_nonneg(normalize(x * x + const(2) * y ** 4).poly)
-        assert not square_nonneg(normalize(x * x - y ** 2).poly)
-        assert not square_nonneg(normalize(x * y).poly)
+        assert square(Cmp(">=", x * x + const(2) * y ** 4, const(0)))
+        assert not square(Cmp(">=", x * x - y ** 2, const(0)))
+        assert not square(Cmp(">=", x * y, const(0)))
 
     def test_energy_height_bound(self):
         hyps = [
             Cmp(">", const(0), g),
             Cmp("=", const(2) * g * x - const(2) * g * h, v * v),
         ]
-        assert square_rule(Cmp("<=", x, h), hyps)
+        assert square(Cmp("<=", x, h), hyps)
 
     def test_needs_strict_sign(self):
         hyps = [
             Cmp(">=", const(0), g),  # nonstrict sign is not enough
             Cmp("=", const(2) * g * x - const(2) * g * h, v * v),
         ]
-        assert not square_rule(Cmp("<=", x, h), hyps)
+        assert not square(Cmp("<=", x, h), hyps)
 
 
 class TestDischarge:
@@ -280,6 +285,37 @@ class TestDischarge:
         )
         vd = discharge(ob, db)
         assert vd.proved
+
+
+def nested_or(depth):
+    """A disjunction whose both disjuncts nest `depth - 1` levels more."""
+    if depth == 0:
+        return Cmp(">=", x, const(0))
+    sub = nested_or(depth - 1)
+    return Or(sub, sub)
+
+
+class TestUnknownReasons:
+    """Each reason the prover declines with, as `discharge` reports it
+    when refutation samples nothing."""
+
+    @pytest.mark.parametrize("hyps, concl, reason", [
+        ([Cmp(">=", x, const(0))], Cmp(">=", x, const(1)), "no proof method applies"),
+        ([], nested_or(8), "disjunction nesting too deep"),
+        ([Cmp(">=", x * x, const(1))], FALSE, "non-linear hypotheses for contradiction goal"),
+        ([Cmp(">=", x, const(0))], FALSE, "hypotheses not refutable by the linear route"),
+        ([], Or(TimeQuant("t", "tau", NONNEG, TRUE, Cmp(">=", x, t)),
+                TimeQuant("t", "tau", NONNEG, TRUE, Cmp("<=", x, t))),
+         "no disjunct provable"),
+    ])
+    def test_reason(self, hyps, concl, reason):
+        vd = discharge(arith(hyps, concl), budget=DischargeBudget(refute_trials=0))
+        assert (vd.kind, vd.reason) == ("unknown", reason)
+
+    def test_contradiction_goal_proved_by_fm(self):
+        ob = arith([Cmp(">=", x, const(1)), Cmp("<=", x + y, const(0)), Cmp(">=", y, const(0))],
+                   FALSE)
+        assert discharge(ob) == dmod.Verdict("proved", method="fourier-motzkin")
 
 
 class TestValidateLemma:
@@ -428,35 +464,46 @@ def count_solves(fn):
         dmod._solve_poly_for_name = solve
 
 
-def run_prover(prover_class, ob):
-    prover = prover_class(LemmaDB())
-    return prover, prover.prove(list(ob.hyps), ob.concl)
+def outcome(prover, hyps, concl):
+    """The methods a prover returns, or the reason it declines with."""
+    try:
+        return prover.prove(hyps, concl)
+    except dmod._Declined as exc:
+        return str(exc)
+
+
+PROVE_ATOMIC = dmod._Prover.prove_atomic
+
+
+def per_goal_atomic(self, hyps, concl):
+    """Reference for `_Prover.prove_atomic`: solve the equality hypotheses
+    afresh for the goal, then prove it under the solved list."""
+    rest, concl = per_goal_substituted(hyps, concl)
+    return PROVE_ATOMIC(dmod._Prover(self.db), rest, concl)
 
 
 class TestSolvedHypothesisMemo:
-    @staticmethod
-    def reference_class(lists):
-        """A prover that solves per goal and records each goal's hypothesis
-        list under its id key (kept alive, so no id is reused)."""
-        class PerGoal(dmod._Prover):
-            def _substituted(self, hyps, concl):
-                lists.append((tuple(map(id, hyps)), tuple(hyps)))
-                return per_goal_substituted(hyps, concl)
-
-        return PerGoal
-
     @pytest.mark.parametrize("n_ifs", [0, 3])
     @pytest.mark.parametrize("off_by_one", [False, True])
     def test_once_per_distinct_list_same_outcome(self, n_ifs, off_by_one):
         ob = discrete_obligation(50, n_ifs, off_by_one)
         lists = []
-        (ref, ref_proved), ref_calls = count_solves(
-            lambda: run_prover(self.reference_class(lists), ob))
-        (memo, proved), calls = count_solves(lambda: run_prover(dmod._Prover, ob))
-        assert proved == ref_proved == (not off_by_one)
-        assert memo.methods == ref.methods and memo.failure == ref.failure
+
+        class PerGoal(dmod._Prover):
+            """Records each goal's hypothesis list under its id key (kept
+            alive, so no id is reused) and proves it by the reference."""
+            def prove_atomic(self, hyps, concl):
+                lists.append((tuple(map(id, hyps)), tuple(hyps)))
+                return per_goal_atomic(self, hyps, concl)
+
+        ref, ref_calls = count_solves(
+            lambda: outcome(PerGoal(LemmaDB()), list(ob.hyps), ob.concl))
+        memo = dmod._Prover(LemmaDB())
+        got, calls = count_solves(lambda: outcome(memo, list(ob.hyps), ob.concl))
+        assert got == ref
+        assert isinstance(got, list) == (not off_by_one)
         distinct = dict(lists)
-        assert len(memo.solved) == len(distinct)
+        assert len(memo.contexts) == len(distinct)
         assert len(lists) >= 8 and (n_ifs > 0 or len(distinct) == 1)
         once_each = sum(
             count_solves(lambda: per_goal_substituted(hyps, TRUE))[1]
@@ -469,8 +516,8 @@ class TestSolvedHypothesisMemo:
         branch = Or(Not(Cmp(">", x, const(0))), Cmp("=", y * x, const(2)))
         concl = And(Cmp(">=", x + y, const(3)), And(branch, Cmp("<=", x, y)))
         prover = dmod._Prover(LemmaDB())
-        assert prover.prove(list(base), concl)
-        lists = sorted((entry[0] for entry in prover.solved.values()), key=len)
+        assert outcome(prover, list(base), concl) == ["trivial"] * 3
+        lists = sorted((ctx.hyps for ctx in prover.contexts.values()), key=len)
         # the two plain goals share the base list; the disjunct is proved
         # under the base list extended by the negated other disjunct
         assert len(lists) == 2 and list(lists[0]) == base
@@ -481,10 +528,24 @@ class TestSolvedHypothesisMemo:
     def test_verdict_matches_per_goal_reference(self, monkeypatch, off_by_one):
         ob = discrete_obligation(50, 3, off_by_one)
         want = discharge(ob)
-        monkeypatch.setattr(dmod._Prover, "_substituted",
-                            lambda self, hyps, concl: per_goal_substituted(hyps, concl))
+        monkeypatch.setattr(dmod._Prover, "prove_atomic", per_goal_atomic)
         assert discharge(ob) == want
         assert want.kind == ("refuted" if off_by_one else "proved")
+
+    def test_each_comparison_read_once_per_list(self, monkeypatch):
+        hyps = [Cmp(">=", x, const(0)), Cmp(">=", y, x), Cmp("=", z, x + y),
+                Cmp("<=", y, const(4))]
+        goals = [Cmp(">=", x + z, const(0)), Cmp("<=", y, const(5)),
+                 Cmp("<=", z, const(8)), Cmp(">=", y * y, const(0)), Cmp(">=", y, x)]
+        reads = []  # keeps every read comparison alive, so ids stay distinct
+        monkeypatch.setattr(dmod, "atom_form", lambda c: reads.append(c) or atom_form(c))
+        prover = dmod._Prover(LemmaDB())
+        assert outcome(prover, list(hyps), pred_and(goals)) == [
+            "fourier-motzkin", "fourier-motzkin", "fourier-motzkin", "square-rule",
+            "hypothesis-match"]
+        # the equation once while solving, the three other hypotheses once
+        # for all five goals, and each goal's own conclusion
+        assert len({id(c) for c in reads}) == len(reads) == 4 + len(goals)
 
 
 class TestComposedSolution:
@@ -504,12 +565,19 @@ class TestComposedSolution:
             Cmp("=", v, Sin(y) + const(3)),
         ]
         concl = Cmp("<=", x + z, y)
-        rest, sigma = dmod._solve_equalities(hyps)
-        assert (rest, substitute_pred(concl, sigma)) == per_goal_substituted(hyps, concl)
+        cmps, sigma = dmod._solve_equalities(hyps)
+        ref, ref_concl = per_goal_substituted(hyps, concl)
+        # only comparisons remain, each paired with its own atom form
+        assert [c for c, _ in cmps] == [h for h in ref if isinstance(h, Cmp)]
+        assert all(form == atom_form(c) for c, form in cmps)
+        assert substitute_pred(concl, sigma) == ref_concl
+        # sigma composes the solutions, so it renames binders as one
+        # substitution per solution does
+        quants = [substitute_pred(h, sigma) for h in hyps if isinstance(h, TimeQuant)]
+        assert quants == [h for h in ref if isinstance(h, TimeQuant)]
+        assert [q.t_name for q in quants] == ["t2", "t"]
         assert free_names(sigma["x"]) == {"t", "y"}  # v's solution is composed in
         assert sorted(sigma) == ["v", "x", "z"]
-        assert [type(h).__name__ for h in rest] == ["Cmp", "Cmp", "TimeQuant", "TimeQuant", "Cmp"]
-        assert (rest[2].t_name, rest[3].t_name) == ("t2", "t")
 
 
 class TestCanonicalCmp:
