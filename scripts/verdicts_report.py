@@ -4,10 +4,12 @@
 For each `prove` and `refute` input that `perfbench/gen.py` builds at
 seed 1, run `cli.run_verify` on its text, as the benchmark's op does, and
 print one line per obligation: workload, input, obligation id, status,
-the method (proved) or reason (otherwise), and the witness as JSON.
-CI diffs the output against tests/golden/verdicts_report.txt, so a
-refactor of the decision procedures that changes any verdict shows up
-line by line.
+the method (proved) or reason (otherwise), and the witness as JSON; then
+one line per lemma of the input: its name, status, exact proof (or "-")
+and sample count.  CI diffs the output against
+tests/golden/verdicts_report.txt, so a refactor of the decision
+procedures that changes any verdict or lemma outcome shows up line by
+line.
 """
 
 import json
@@ -37,6 +39,9 @@ def main() -> int:
                 witness = json.dumps(vd.get("witness", {}))
                 print(f"{workload} {inp.name} {entry['id']} {vd['status']} "
                       f"[{why}] {witness}")
+            for lemma in report["lemmas"]:
+                print(f"{workload} {inp.name} lemma {lemma['name']} {lemma['status']} "
+                      f"[{lemma.get('proof', '-')}] trials={lemma['trials']}")
     return 0
 
 

@@ -69,6 +69,7 @@ from .discharge import (
     Lemma,
     LemmaDB,
     Verdict,
+    establish_lemma,
     fm_implication,
     fourier_motzkin,
     linearize,

@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Optional
 
 from . import algebra
-from .discharge import DischargeBudget, LemmaDB, Verdict, discharge, validate_lemma
+from .discharge import DischargeBudget, LemmaDB, Verdict, discharge, establish_lemma
 from .hwl import ParseError, SpecFile, format_spec, parse_spec
 from .odecert import (
     FalsifyBudget,
@@ -34,12 +34,25 @@ def _load(path: str) -> SpecFile:
         return parse_spec(fh.read())
 
 
+class SettingError(ValueError):
+    """A flag or config value that its setting cannot take."""
+
+
 def _setting(name: str, default, spec: SpecFile, flag):
     if flag is not None:
         return flag
     if name in spec.config:
         return spec.config[name]
     return default
+
+
+def _integer(name: str, value, count: bool = True) -> int:
+    """An integer setting's value; a count must also be nonnegative."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SettingError(f"{name} must be an integer, got {value}")
+    if count and value < 0:
+        raise SettingError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def _const_valuations(spec: SpecFile, seed: int, k: int = 3) -> list:
@@ -62,15 +75,16 @@ def _deciders(spec: SpecFile, seed=None, trials=None, step=None, horizon=None):
     problem's obligations.  Each setting is the flag given, else the file's
     config value, else the budget's default."""
     budget = DischargeBudget(
-        seed=int(_setting("seed", DischargeBudget.seed, spec, seed)),
-        refute_trials=int(_setting("trials", DischargeBudget.refute_trials, spec, trials)),
+        seed=_integer("seed", _setting("seed", DischargeBudget.seed, spec, seed), count=False),
+        refute_trials=_integer(
+            "trials", _setting("trials", DischargeBudget.refute_trials, spec, trials)),
         grid_step=float(_setting("step", DischargeBudget.grid_step, spec, step)),
         grid_horizon=float(_setting("horizon", DischargeBudget.grid_horizon, spec, horizon)),
     )
     db = LemmaDB()
-    lemma_trials = int(spec.config.get("lemma_trials", 2000))
+    lemma_trials = _integer("lemma_trials", spec.config.get("lemma_trials", 2000))
     for lemma in spec.lemmas:
-        db.add(validate_lemma(lemma, trials=lemma_trials, seed=budget.seed))
+        db.add(establish_lemma(lemma, db, trials=lemma_trials, seed=budget.seed))
     return db, budget
 
 
@@ -168,9 +182,7 @@ def run_verify(
     obligations = verify(spec.to_verify_spec()) + list(extra_obligations)
     results = [(ob, *_route(ob, spec, db, budget)) for ob in obligations]
     report = _verify_report(spec, results)
-    report["lemmas"] = [
-        {"name": l.name, "status": l.status, "trials": l.trials} for l in db.lemmas
-    ]
+    report["lemmas"] = [l.to_json() for l in db.lemmas]
     return report
 
 
@@ -254,11 +266,11 @@ def cmd_certify(args) -> int:
 def cmd_falsify(args) -> int:
     spec = _load(args.file)
     budget = FalsifyBudget(
-        trials=int(_setting("trials", 200, spec, args.trials)),
+        trials=_integer("trials", _setting("trials", 200, spec, args.trials)),
         horizon=float(_setting("horizon", 6.0, spec, args.horizon)),
         step=float(_setting("step", 0.05, spec, args.step)),
-        fuel=int(spec.config.get("fuel", 12)),
-        seed=int(_setting("seed", 0, spec, args.seed)),
+        fuel=_integer("fuel", spec.config.get("fuel", 12)),
+        seed=_integer("seed", _setting("seed", 0, spec, args.seed), count=False),
     )
     cex = falsify(spec.to_verify_spec(), budget)
     if args.json:
@@ -382,6 +394,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except SettingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -11,7 +11,9 @@ conclusion difference as an exact rational combination of equation
 hypotheses), Fourier-Motzkin elimination on the linear fragment, a
 square-nonnegativity rule with positive multipliers, and lemma lookup.
 It returns the methods used or declines with a reason, and randomized
-refutation runs only then.  Unknown is an acceptable verdict; Proved and
+refutation runs only then.  A lemma is a theorem when the same prover
+proves it from the lemmas proved before it; only a lemma it declines is
+validated by sampling.  Unknown is an acceptable verdict; Proved and
 Refuted are both re-checkable.
 """
 
@@ -102,9 +104,17 @@ class Lemma:
     name: str
     hyps: tuple
     concl: Pred
-    status: str = "unvalidated"  # unvalidated | accepted | rejected | inconclusive
+    status: str = "unvalidated"  # unvalidated | proved | accepted | rejected | inconclusive
     trials: int = 0
     witness: Optional[dict] = None
+    proof: str = ""  # the methods of an exact proof, joined by "+"
+
+    def to_json(self) -> dict:
+        out = {"name": self.name, "status": self.status}
+        if self.proof:
+            out["proof"] = self.proof
+        out["trials"] = self.trials
+        return out
 
 
 @dataclass
@@ -115,7 +125,20 @@ class LemmaDB:
         self.lemmas.append(lemma)
 
     def usable(self) -> list:
-        return [l for l in self.lemmas if l.status == "accepted"]
+        return [l for l in self.lemmas if l.status in ("proved", "accepted")]
+
+
+def establish_lemma(lemma: Lemma, db: LemmaDB, trials: int = 2000, seed: int = 0) -> Lemma:
+    """Prove the lemma exactly, from the lemmas of `db` that are proved
+    (the caller's db holds only lemmas declared before this one); when the
+    prover declines, validate it by sampling instead."""
+    earlier = LemmaDB([l for l in db.lemmas if l.status == "proved"])
+    try:
+        methods = _Prover(earlier).prove(list(lemma.hyps), lemma.concl)
+    except _Declined:
+        return validate_lemma(lemma, trials=trials, seed=seed)
+    lemma.proof = _method_name(methods)
+    return _set_status(lemma, "proved", 0, None)
 
 
 def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
@@ -525,6 +548,11 @@ def _split_goals(hyps: list, concl: Pred) -> Optional[list]:
     return None
 
 
+def _method_name(methods: list) -> str:
+    """The distinct methods of a proof, in order, joined by "+"."""
+    return "+".join(dict.fromkeys(methods)) or "trivial"
+
+
 class _Declined(Exception):
     """The prover cannot establish a goal; the message is the reason."""
 
@@ -755,7 +783,7 @@ def discharge(
     except _Declined as exc:
         reason = str(exc)
     else:
-        return Verdict("proved", method="+".join(dict.fromkeys(methods)) or "trivial")
+        return Verdict("proved", method=_method_name(methods))
     witness = _refute(ob, budget, ranges)
     if witness is not None:
         return Verdict("refuted", witness=witness)

@@ -28,7 +28,6 @@ from .expr import (
     KernelWriter,
     Or,
     Pred,
-    Sub,
     TruePred,
     Var,
     const,
@@ -94,7 +93,7 @@ def rk4_integrate(
 @dataclass(frozen=True)
 class LipschitzEstimate:
     ell: float
-    method: str  # "exact-affine" | "sampled"
+    method: str  # "exact-affine" | "sampled" (then ell is a numeric lower bound)
 
 
 def _affine_jacobian(field: VectorField) -> Optional[dict]:
@@ -184,7 +183,7 @@ def lipschitz_estimate(
 
 @dataclass(frozen=True)
 class CheckResult:
-    passed: bool
+    passed: Optional[bool]  # None: the check could not decide
     detail: str = ""
     residual: Optional[float] = None
 
@@ -404,8 +403,11 @@ def certify_flow(
 
     Symbolic checks: the time derivative of each flow component equals the
     field composed with the flow, and the flow at time zero is the
-    identity.  Numeric checks: monoid action residual and RK4 agreement.
-    The certificate is refused when any symbolic check fails.
+    identity; each one holds, fails with a counterexample, or is undecided
+    (`passed` None) when normalization cannot settle it and sampling finds
+    no counterexample.  Numeric checks: monoid action residual and RK4
+    agreement.  The certificate is refused unless every symbolic check
+    holds.
     """
     if set(field.components) != set(flow.components):
         raise ValueError("field and flow must share the variable set")
@@ -425,23 +427,27 @@ def certify_flow(
         res = expr_eq(lhs, rhs, seed=seed)
         if res.is_equal:
             checks[f"derivative[{v}]"] = CheckResult(True, "symbolic identity")
-        else:
-            detail = "counterexample " + str(res.witness) if res.kind == "not-equal" else res.note
+        elif res.kind == "not-equal":
+            detail = "counterexample " + str(res.witness)
             checks[f"derivative[{v}]"] = CheckResult(False, detail)
             if not refusal:
                 refusal = f"derivative check failed for {v!r}: {detail}"
-                if res.kind == "not-equal":
-                    refusal_witness = dict(res.witness)
+                refusal_witness = dict(res.witness)
+        else:
+            checks[f"derivative[{v}]"] = CheckResult(None, f"undecided: {res.note}")
+            refusal = refusal or f"derivative check undecided for {v!r}"
 
     for v in names:
         at0 = substitute(flow.components[v], {"t": const(0)})
-        try:
-            ok = normalize(Sub(at0, Var(v))).is_zero()
-        except NormalizeError:
-            ok = False
-        checks[f"initial[{v}]"] = CheckResult(ok, "flow at time zero is the identity" if ok else "flow(0) != id")
-        if not ok:
+        res = expr_eq(at0, Var(v), seed=seed)
+        if res.is_equal:
+            checks[f"initial[{v}]"] = CheckResult(True, "flow at time zero is the identity")
+        elif res.kind == "not-equal":
+            checks[f"initial[{v}]"] = CheckResult(False, "flow(0) != id")
             refusal = refusal or f"initial-value check failed for {v!r}"
+        else:
+            checks[f"initial[{v}]"] = CheckResult(None, f"undecided: {res.note}")
+            refusal = refusal or f"initial-value check undecided for {v!r}"
 
     dom_ok = flow.domain.contains_domain(dom)
     checks["domain"] = CheckResult(dom_ok, "query domain within interval of existence" if dom_ok else "query domain exceeds the flow's interval of existence")
@@ -472,7 +478,9 @@ def certify_flow(
     lip = None
     try:
         lip = lipschitz_estimate(field, consts=const_valuations[0])
-        checks["lipschitz"] = CheckResult(True, f"ell={lip.ell} ({lip.method})")
+        checks["lipschitz"] = CheckResult(True, (
+            f"ell={lip.ell} (exact-affine)" if lip.method == "exact-affine"
+            else f"ell>={lip.ell} (sampled: a numeric lower bound)"))
     except ValueError as exc:
         checks["lipschitz"] = CheckResult(False, str(exc))
 

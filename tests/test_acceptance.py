@@ -80,8 +80,9 @@ def test_criterion_01_bouncing_ball_via_flow():
     assert cert.issued
     for var in ("x", "v"):
         assert cert.checks[f"derivative[{var}]"].detail == "symbolic identity"
-    # the shipped lemma block is the only user-supplied help, and it validates
-    assert [l["status"] for l in report["lemmas"]] == ["accepted"]
+    # the shipped lemma block is the only user-supplied help, and it is
+    # proved exactly, not sampled
+    assert [l["status"] for l in report["lemmas"]] == ["proved"]
     _ok(f"bouncing ball via flow proved in {elapsed:.2f}s (< 2 s), exit 0")
 
 

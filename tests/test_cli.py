@@ -143,6 +143,44 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", str(f), "--json", "--seed", "0")
         assert json.loads(out) == run_verify(spec, seed=0)
 
+    @pytest.mark.parametrize("command, setting, message", [
+        *[(command, setting, message) for command in ("verify", "certify", "falsify")
+          for setting, message in (
+              ("seed 1/2", "seed must be an integer, got 1/2"),
+              ("trials 5/2", "trials must be an integer, got 5/2"),
+              ("trials -1", "trials must be nonnegative, got -1"))],
+        ("verify", "lemma_trials 5/2", "lemma_trials must be an integer, got 5/2"),
+        ("certify", "lemma_trials -5", "lemma_trials must be nonnegative, got -5"),
+        ("falsify", "fuel 3/2", "fuel must be an integer, got 3/2"),
+        ("falsify", "fuel -1", "fuel must be nonnegative, got -1"),
+    ])
+    def test_bad_integer_setting_is_an_error(self, capsys, tmp_path, command, setting,
+                                             message):
+        f = tmp_path / "bad.hwl"
+        f.write_text("problem bad\nvars x\npre x >= 0\npost x >= 0\nprogram skip\n"
+                     "lemma cube: x >= 0 => x*x*x >= 0\n"
+                     f"config {setting}\n")
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_negative_trials_flag_is_an_error(self, capsys):
+        code, out, err = run(capsys, "verify", str(PROBLEMS / "constant_velocity.hwl"),
+                             "--trials", "-5")
+        assert (code, out, err) == (2, "", "error: trials must be nonnegative, got -5\n")
+
+    def test_integer_settings_read_as_given(self, capsys, tmp_path):
+        # a negative seed is a seed; zero trials is an empty budget
+        f = tmp_path / "ok.hwl"
+        f.write_text("problem ok\nvars x\npre x >= 0\npost x >= 0\nprogram skip\n"
+                     "lemma cube: x >= 0 => x*x*x >= 0\n"
+                     "config seed -3, trials 0, lemma_trials 7, fuel 0\n")
+        code, out, _ = run(capsys, "verify", str(f), "--json")
+        assert code == 0
+        assert json.loads(out)["lemmas"] == [
+            {"name": "cube", "status": "accepted", "trials": 7}]
+        code, _, err = run(capsys, "falsify", str(f))
+        assert (code, err) == (0, "")
+
     def test_deterministic_given_seed(self, capsys):
         args = ("verify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json", "--seed", "5")
         code1, out1, _ = run(capsys, *args)
@@ -290,6 +328,33 @@ class TestCertifyCommand:
         assert code == 1 and err == ""
         assert "unknown  flow-cert@program" in out and "rk4 cross-check failed" in out
 
+    def test_undecided_symbolic_checks_are_not_failures(self, capsys, tmp_path):
+        # 1/(1/x - t) solves x' = x*x where it is defined, but the derivative
+        # and initial-value identities hold only after cancelling a division
+        # normalize keeps opaque, so neither check is decided
+        f = tmp_path / "recip.hwl"
+        f.write_text(
+            "problem recip\nvars x\npre x = 1/2\npost x >= 0\nprogram\n"
+            "  evolve x' = x*x & true on [0,1] flow x = 1/(1/x - t)\n"
+        )
+        code, out, err = run(capsys, "certify", str(f), "--json")
+        assert (code, err) == (1, "")
+        (entry,) = json.loads(out)["certificates"]
+        report = entry["report"]
+        assert report["issued"] is False
+        assert report["refusal"] == "derivative check undecided for 'x'"
+        assert report["checks"]["derivative[x]"] == {
+            "pass": None, "detail": "undecided: likely-equal"}
+        assert report["checks"]["initial[x]"] == {
+            "pass": None, "detail": "undecided: likely-equal"}
+        assert report["lipschitz"]["method"] == "sampled"
+        assert report["checks"]["lipschitz"]["detail"] == (
+            f"ell>={report['lipschitz']['ell']} (sampled: a numeric lower bound)")
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 1
+        assert "unknown  flow-cert@program" in out
+        assert "derivative check undecided for 'x'" in out
+
     # certify decides exactly verify's flow-certificate and
     # differential-invariance obligations, by the same route
     @staticmethod
@@ -307,6 +372,19 @@ class TestCertifyCommand:
         (ob,) = self.side_conditions(capsys, path)
         assert ob["verdict"]["method"] == "lie-lemma:cube"
         assert entry == {"at": "program", "kind": "dinv", "report": ob["detail"]}
+
+    def test_cube_lemma_is_sampled_when_the_prover_declines(self, capsys, tmp_path):
+        # the square rule has no positive multiplier for a >= 0, so the
+        # lemma still rests on its 2,000 samples, and stays usable
+        path = tmp_path / "cube.hwl"
+        path.write_text(CUBE)
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["lemmas"] == [{"name": "cube", "status": "accepted", "trials": 2000}]
+        (ob,) = [o for o in report["obligations"] if o["kind"] == "diff_inv"]
+        assert ob["verdict"]["method"] == "lie-lemma:cube"
+        jsonschema.validate(report, SCHEMA)
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.hwl")))
     def test_entries_are_verify_details(self, capsys, name):

@@ -1,7 +1,11 @@
+import importlib.util
 import itertools
 import operator
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,7 @@ from hybridwlp.discharge import (
     LemmaDB,
     canonical_cmp,
     discharge,
+    establish_lemma,
     fm_implication,
     fourier_motzkin,
     linearize,
@@ -38,7 +43,9 @@ from hybridwlp.discharge import (
     validate_lemma,
 )
 import hybridwlp.discharge as dmod
+from hybridwlp.cli import run_verify
 from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
+from hybridwlp.hwl import parse_spec
 from hybridwlp.polynorm import atom_form, normalize
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
 
@@ -363,6 +370,109 @@ class TestValidateLemma:
         monkeypatch.setattr(dmod, "eval_pred", broken)
         with pytest.raises(TypeError):
             validate_lemma(Lemma("sq", (), Cmp(">=", x * x, const(0))), trials=5)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generator, as a module."""
+    name = "perfbench_gen"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "gen.py")
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def _lemma_cases():
+    """The shipped lemmas, the lemmas the tests declare, and the energy
+    lemmas of the benchmark's k-ball products for k = 1..3."""
+    texts = [(p.stem, p.read_text()) for p in sorted((ROOT / "problems").glob("*.hwl"))]
+    texts += [(f"ball_flow_k{k}", _perfbench_gen().ball(1, k, "flow").text) for k in (1, 2, 3)]
+    head = "problem lemmas\nvars x\nconsts a, c\npre true\npost true\nprogram skip\n"
+    texts.append(("tests", head + (
+        "lemma cube: a >= 0 => a*a*a >= 0\n"
+        "lemma bad: x >= 0 => exp(exp(exp(x) + 10)) <= 0\n"
+        "lemma l1: x = 0 & c > 0 => c*x = 0\n"
+        "lemma l2: x*x >= 0\n")))
+    for source, text in texts:
+        for lemma in parse_spec(text).lemmas:
+            yield f"{source}:{lemma.name}", lemma
+    yield "bound", Lemma("bound", (Cmp(">", const(0), g),
+                                   Cmp("=", const(2) * g * x - const(2) * g * h, v * v)),
+                         Cmp("<=", x, h))
+    yield "z", Lemma("z", (), Cmp("=", const(0), const(0)))
+    yield "sq", Lemma("sq", (), Cmp(">=", x * x, const(0)))
+    yield "cube_x", Lemma("cube_x", (), Cmp(">=", x ** 3, const(0)))
+
+
+LEMMA_CASES = dict(_lemma_cases())
+
+# x >= 0 & y >= x => y >= 0 among seven names: Fourier-Motzkin gives up
+# (more than FM_MAX_ELIMINATIONS), so only a lemma on the two names can
+# prove it
+WIDE = "x >= 0 & y >= x & z1 >= 0 & z2 >= 0 & z3 >= 0 & z4 >= 0 & z5 >= 0 => y >= 0"
+
+
+def _lemma_outcomes(*lemmas):
+    """(name, status, proof) of each lemma as `verify` establishes them."""
+    text = ("problem order\nvars x y z1 z2 z3 z4 z5\npre true\npost true\n"
+            "program skip\n" + "".join(f"lemma {n}: {body}\n" for n, body in lemmas))
+    return [(l["name"], l["status"], l.get("proof"))
+            for l in run_verify(parse_spec(text))["lemmas"]]
+
+
+class TestEstablishLemma:
+    @pytest.mark.parametrize("case", sorted(LEMMA_CASES))
+    def test_exact_proof_is_confirmed_by_sampling(self, case):
+        lemma = establish_lemma(replace(LEMMA_CASES[case]), LemmaDB())
+        sampled = validate_lemma(replace(LEMMA_CASES[case]), trials=2000)
+        if lemma.status == "proved":
+            assert (lemma.trials, lemma.witness) == (0, None) and lemma.proof
+            assert (sampled.status, sampled.trials) == ("accepted", 2000)
+        else:
+            # declined: the fallback is validate_lemma itself
+            assert lemma.proof == ""
+            assert (lemma.status, lemma.trials) == (sampled.status, sampled.trials)
+
+    def test_which_lemmas_are_proved(self):
+        proved = {case: establish_lemma(replace(lemma), LemmaDB()).proof
+                  for case, lemma in LEMMA_CASES.items()}
+        assert {c: p for c, p in proved.items() if c.startswith(("ball", "bouncing"))} == {
+            "ball_flow_k1:energy_height_bound_1": "square-rule",
+            "ball_flow_k2:energy_height_bound_1": "square-rule",
+            "ball_flow_k2:energy_height_bound_2": "square-rule",
+            "ball_flow_k3:energy_height_bound_1": "square-rule",
+            "ball_flow_k3:energy_height_bound_2": "square-rule",
+            "ball_flow_k3:energy_height_bound_3": "square-rule",
+            "bouncing_ball:energy_height_bound": "square-rule",
+            "bouncing_ball_dinv:energy_height_bound": "square-rule",
+        }
+        assert [c for c, p in proved.items() if not p] == ["tests:cube", "tests:bad", "cube_x"]
+
+    def test_unsatisfiable_hypotheses_proved_though_sampling_is_inconclusive(self):
+        void = Lemma("void", (Cmp("<", x, const(0)), Cmp(">", x, const(1))), Cmp("=", x, x))
+        lemma = establish_lemma(replace(void), LemmaDB())
+        assert (lemma.status, lemma.proof, lemma.trials) == ("proved", "trivial", 0)
+        assert validate_lemma(replace(void), trials=50).status == "inconclusive"
+
+    def test_earlier_proved_lemma_is_used(self):
+        assert _lemma_outcomes(("narrow", "x >= 0 & y >= x => y >= 0"), ("wide", WIDE)) == [
+            ("narrow", "proved", "fourier-motzkin"), ("wide", "proved", "lemma:narrow")]
+
+    def test_no_lemma_uses_itself_or_a_later_one(self):
+        assert _lemma_outcomes(("wide", WIDE), ("narrow", "x >= 0 & y >= x => y >= 0")) == [
+            ("wide", "accepted", None), ("narrow", "proved", "fourier-motzkin")]
+
+    def test_a_sampled_lemma_proves_no_later_lemma(self):
+        assert _lemma_outcomes(("wide", WIDE), ("wide_again", WIDE)) == [
+            ("wide", "accepted", None), ("wide_again", "accepted", None)]
+
+    def test_sampled_lemmas_stay_usable(self):
+        db = LemmaDB([Lemma("p", (), Cmp("=", x, x), status=s) for s in
+                      ("unvalidated", "proved", "accepted", "rejected", "inconclusive")])
+        assert [l.status for l in db.usable()] == ["proved", "accepted"]
 
 
 def test_package_attribute_is_the_submodule():
