@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 from . import algebra
@@ -38,19 +39,22 @@ class SettingError(ValueError):
     """A flag or config value that its setting cannot take."""
 
 
-def _setting(name: str, default, spec: SpecFile, flag):
-    if flag is not None:
-        return flag
-    if name in spec.config:
-        return spec.config[name]
-    return default
-
-
-def _integer(name: str, value, count: bool = True) -> int:
-    """An integer setting's value; a count must also be nonnegative."""
+def _setting(name: str, default, spec: SpecFile, flag=None):
+    """A setting's value: the flag given, else the file's config value,
+    else default.  step and horizon must be positive finite numbers, seed
+    an integer and any other setting a nonnegative integer (a count)."""
+    value = flag if flag is not None else spec.config.get(name, default)
+    if name in ("step", "horizon"):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not 0 < number < math.inf:  # also false for NaN
+            raise SettingError(f"{name} must be positive and finite, got {value}")
+        return number
     if isinstance(value, bool) or not isinstance(value, int):
         raise SettingError(f"{name} must be an integer, got {value}")
-    if count and value < 0:
+    if name != "seed" and value < 0:
         raise SettingError(f"{name} must be nonnegative, got {value}")
     return value
 
@@ -75,14 +79,13 @@ def _deciders(spec: SpecFile, seed=None, trials=None, step=None, horizon=None):
     problem's obligations.  Each setting is the flag given, else the file's
     config value, else the budget's default."""
     budget = DischargeBudget(
-        seed=_integer("seed", _setting("seed", DischargeBudget.seed, spec, seed), count=False),
-        refute_trials=_integer(
-            "trials", _setting("trials", DischargeBudget.refute_trials, spec, trials)),
-        grid_step=float(_setting("step", DischargeBudget.grid_step, spec, step)),
-        grid_horizon=float(_setting("horizon", DischargeBudget.grid_horizon, spec, horizon)),
+        seed=_setting("seed", DischargeBudget.seed, spec, seed),
+        refute_trials=_setting("trials", DischargeBudget.refute_trials, spec, trials),
+        grid_step=_setting("step", DischargeBudget.grid_step, spec, step),
+        grid_horizon=_setting("horizon", DischargeBudget.grid_horizon, spec, horizon),
     )
     db = LemmaDB()
-    lemma_trials = _integer("lemma_trials", spec.config.get("lemma_trials", 2000))
+    lemma_trials = _setting("lemma_trials", 2000, spec)
     for lemma in spec.lemmas:
         db.add(establish_lemma(lemma, db, trials=lemma_trials, seed=budget.seed))
     return db, budget
@@ -265,13 +268,9 @@ def cmd_certify(args) -> int:
 
 def cmd_falsify(args) -> int:
     spec = _load(args.file)
-    budget = FalsifyBudget(
-        trials=_integer("trials", _setting("trials", 200, spec, args.trials)),
-        horizon=float(_setting("horizon", 6.0, spec, args.horizon)),
-        step=float(_setting("step", 0.05, spec, args.step)),
-        fuel=_integer("fuel", spec.config.get("fuel", 12)),
-        seed=_integer("seed", _setting("seed", 0, spec, args.seed), count=False),
-    )
+    budget = FalsifyBudget(**{  # fuel has no flag
+        f.name: _setting(f.name, f.default, spec, getattr(args, f.name, None))
+        for f in fields(FalsifyBudget)})
     cex = falsify(spec.to_verify_spec(), budget)
     if args.json:
         doc = {"problem": spec.name, "counterexample": cex.to_json() if cex else None}

@@ -364,18 +364,19 @@ def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
 # A KernelWriter generates one Python function that evaluates several
 # expressions in turn, for loops that evaluate the same expressions many
 # times (hprog's RK4 stepper and flow kernels, sampling's attempt function,
-# one per sampling plan, and odecert's flow-certificate checks).  Each node
-# becomes one statement, in the order in which its compiled closure
-# computes it: children left to right, a division's denominator and zero
-# check before its numerator, and each name load a statement of its own
-# with float() applied.  So the values are bit-identical to the closures',
-# and a failure raises the same exception type, message and subterm at the
-# same point.  The code is straight-line, so an earlier statement always ran
+# one per sampling plan, and odecert's flow-certificate checks).  Names
+# reach it only as arguments: the locals given to expr map each bound name
+# to the variable that holds its value.  Each node becomes one statement,
+# in the order in which its compiled closure computes it: children left to
+# right, a division's denominator and zero check before its numerator, and
+# each name load a statement of its own with float() applied, or, for a
+# name without a variable, a raise of the closure's unbound-name
+# EvalError.  So the values are bit-identical to the closures', and a
+# failure raises the same exception type, message and subterm at the same
+# point.  The code is straight-line, so an earlier statement always ran
 # before a later one: a node object met again under the same locals, and a
-# name loaded again from the same variable or from env, reuse the first
-# value, which cannot differ and would have raised first.  One handler maps
-# a KeyError on an env load's line to that load's EvalError.  A writer
-# without env (the sampler's) raises that EvalError in place of the load.
+# name loaded again from the same variable, reuse the first value, which
+# cannot differ and would have raised first.
 # Statements under an Exp sit in a try block that turns OverflowError into
 # the Exp's EvalError, as the closure's try around its whole argument does;
 # a nested Exp ends the outer block and starts its own, so blocks never nest
@@ -401,14 +402,12 @@ _CODE: dict = {}  # source text -> code object
 class KernelWriter:
     """Source of one generated function, built statement by statement."""
 
-    def __init__(self, env: bool = True):
-        self._globals = {"EvalError": EvalError, "_unbound": _unbound, "_exp": math.exp,
-                         "_sin": math.sin, "_cos": math.cos, "_FAIL": EVAL_FAILURES}
-        self._env = env  # whether names outside the locals load from the parameter env
-        # (indent, guard or None, Exp handler or None, text, env-load site or None)
-        self._lines: list = []
+    def __init__(self):
+        self._globals = {"EvalError": EvalError, "_exp": math.exp, "_sin": math.sin,
+                         "_cos": math.cos, "_FAIL": EVAL_FAILURES}
+        self._lines: list = []  # (indent, guard or None, Exp handler or None, text)
         self._guard = None
-        self._indent = ""
+        self._indent = "    "  # inside the def
         self._blocks: list = []  # the loads made before each open compound statement
         self._loaded: dict = {}  # load key -> identifier of its value
         self._temps = 0
@@ -423,17 +422,15 @@ class KernelWriter:
         self._temps += 1
         return f"_v{self._temps}"
 
-    def line(self, text: str, handler: "str | None" = None, site=None) -> None:
-        self._lines.append((self._indent, self._guard, handler, text, site))
+    def line(self, text: str, handler: "str | None" = None) -> None:
+        self._lines.append((self._indent, self._guard, handler, text))
 
     def guard(self, on_failure: "str | None") -> None:
         """Put the statements that follow, up to the next call, in a try
         block whose EVAL_FAILURES clause runs on_failure; None ends the
         region, which must not span a begin or an end.  When on_failure
         does not leave the function, a statement after the region may
-        reuse its values only where it runs after the region completed.
-        Only for a writer without env: its KeyError handler sits outside
-        every region."""
+        reuse its values only where it runs after the region completed."""
         self._guard = on_failure
 
     def begin(self, header: str) -> None:
@@ -458,8 +455,8 @@ class KernelWriter:
     def expr(self, e: Expr, local: Mapping[str, str], memo: dict) -> str:
         """Emit the statements that compute e and return the identifier of
         its value.  A name in local loads from the local variable it maps to,
-        any other name from the parameter env; memo maps id(node) to the
-        value of each node already computed under the same locals."""
+        any other name raises its unbound-name EvalError; memo maps id(node)
+        to the value of each node already computed under the same locals."""
         stack = [(self._visit, e, None)]
         while stack:
             step, node, handler = stack.pop()
@@ -501,14 +498,12 @@ class KernelWriter:
             return v
 
     def _load(self, e: Expr, name: str, message: str, handler, local) -> str:
-        key = ("local", local[name]) if name in local else ("env", name)
+        key = ("local", local[name]) if name in local else ("unbound", name)
         v = self._loaded.get(key)
         if v is None:
             v = self._loaded[key] = self.temp()
             if name in local:
                 self.line(f"{v} = float({local[name]})", handler)
-            elif self._env:
-                self.line(f"{v} = float(env[{self.bind(name)}])", handler, (message, e))
             else:
                 self.line(f"raise EvalError({self.bind(message)}, {self.bind(e)})", handler)
         return v
@@ -530,33 +525,20 @@ class KernelWriter:
     def function(self, params: str, result: str):
         """The generated function of params that runs the statements so
         far and returns the expression result."""
-        body: list = []  # (text, env-load site or None)
+        src = [f"def _kernel({params}):"]
         for (indent, guard), region in itertools.groupby(self._lines, key=lambda line: line[:2]):
             outer = indent if guard is None else indent + "    "
             if guard is not None:
-                body.append((indent + "try:", None))
+                src.append(indent + "try:")
             for handler, group in itertools.groupby(region, key=lambda line: line[2]):
                 pad = outer if handler is None else outer + "    "
                 if handler is not None:
-                    body.append((outer + "try:", None))
-                body += [(pad + text, site) for *_, text, site in group]
+                    src.append(outer + "try:")
+                src += [pad + text for *_, text in group]
                 if handler is not None:
-                    body += [(outer + "except OverflowError:", None),
-                             (outer + "    " + handler, None)]
+                    src += [outer + "except OverflowError:", outer + "    " + handler]
             if guard is not None:
-                body += [(indent + "except _FAIL as _exc:", None), (indent + "    " + guard, None)]
-        # line number -> (message, node) of an env load, after the def and try lines
-        sites = {n: site for n, (_, site) in enumerate(body, start=3) if site is not None}
-        src = [f"def _kernel({params}):"]
-        if sites:
-            src += ["    try:", *("        " + text for text, _ in body),
-                    "    except KeyError as exc:",
-                    f"        unbound = _unbound(exc, {self.bind(sites)})",
-                    "        if unbound is None:",
-                    "            raise",
-                    "        raise unbound from None"]
-        else:
-            src += ["    " + text for text, _ in body]
+                src += [indent + "except _FAIL as _exc:", indent + "    " + guard]
         src.append(f"    return {result}")
         exec(_code("\n".join(src) + "\n"), self._globals)
         # popped, so that the function and its globals form no reference cycle
@@ -571,12 +553,6 @@ def _code(src: str):
             del _CODE[next(iter(_CODE))]
         code = _CODE[src] = compile(src, "<kernel>", "exec")
     return code
-
-
-def _unbound(exc: KeyError, sites: dict) -> "EvalError | None":
-    """The EvalError of the env load on the kernel line where exc arose."""
-    site = sites.get(exc.__traceback__.tb_lineno)
-    return None if site is None else EvalError(*site)
 
 
 _KERNEL_OPS = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import filterfalse
 from math import inf, isfinite
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -24,7 +25,7 @@ from .expr import (
 Store = dict[str, float]
 
 # instance __dict__ keys of the generated kernels
-_RK4_STEP, _FLOW_KERNELS = "_rk4_step", "_flow_kernels"
+_RK4_STEPS, _FLOW_KERNELS = "_rk4_steps", "_flow_kernels"
 
 
 @dataclass(frozen=True)
@@ -49,40 +50,54 @@ class VectorField:
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted(self.components))
 
-    def rk4_step(self):
-        """step(state, env, h, half, sixth) -> the store one classical RK4
+    @cached_property
+    def reads(self) -> tuple[str, ...]:
+        """The sorted names the components read besides the variables."""
+        return tuple(sorted(set().union(*map(free_names, self.components.values()))
+                            - self.components.keys()))
+
+    def rk4_step(self, bound: tuple):
+        """step(state, values, h, half, sixth) -> the store one classical RK4
         step of size h after state (half = 0.5 * h, sixth = h / 6.0), with
-        the field's variables read from state and other names from env.
-        One generated function (see expr.KernelWriter), cached on the field
-        outside ==, hash and repr."""
-        try:
-            return self.__dict__[_RK4_STEP]
-        except KeyError:
-            pass
-        w = KernelWriter()
-        base = {x: w.temp() for x in self.components}
-        keys = [w.bind(x) for x in self.components]
-        for b, key in zip(base.values(), keys):
-            w.line(f"{b} = state[{key}]")
-        new = emit_rk4_step(w, self, base)
-        step = w.function("state, env, h, half, sixth", "{**state, %s}" % ", ".join(
-            f"{key}: {v}" for key, v in zip(keys, new)))
-        self.__dict__[_RK4_STEP] = step
+        the field's variables read from state and the names bound, of
+        reads, from values.  One generated function (see expr.KernelWriter)
+        per bound, cached on the field outside ==, hash and repr."""
+        steps = self.__dict__.setdefault(_RK4_STEPS, {})
+        step = steps.get(bound)
+        if step is None:
+            w = KernelWriter()
+            local = _unpack(w, bound)
+            base = {x: w.temp() for x in self.components}
+            keys = [w.bind(x) for x in self.components]
+            for b, key in zip(base.values(), keys):
+                w.line(f"{b} = state[{key}]")
+            new = emit_rk4_step(w, self, base, local)
+            step = steps[bound] = w.function("state, values, h, half, sixth", "{**state, %s}" % (
+                ", ".join(f"{key}: {v}" for key, v in zip(keys, new))))
         return step
 
 
+def _unpack(w: KernelWriter, names: tuple) -> dict:
+    """Emit the unpacking of the kernel's parameter values, one per name,
+    and return the local variable of each name (of its last position)."""
+    temps = [w.temp() for _ in names]
+    if temps:
+        w.line(", ".join(temps) + ", = values")
+    return dict(zip(names, temps))
+
+
 def emit_rk4_step(
-    w: KernelWriter, field: VectorField, base: Mapping[str, str], local: Mapping[str, str] = {}
+    w: KernelWriter, field: VectorField, base: Mapping[str, str], local: Mapping[str, str]
 ) -> list[str]:
     """Emit the four stages of one classical RK4 step of field and return,
     per component in the field's order, the expression of its new value
     b + sixth * (k1 + 2 * k2 + 2 * k3 + k4), with b its identifier in base.
     The first stage reads the field's variables from base, the others from
     the intermediate states b + half * k1, b + half * k2 and b + h * k3;
-    other names load through local, else from env.  The generated code
-    must bind h, half = 0.5 * h and sixth = h / 6.0.  An intermediate
-    value of a variable that no component reads is not computed, and one
-    equal to an earlier one of the step is reused."""
+    other names load through local.  The generated code must bind h,
+    half = 0.5 * h and sixth = h / 6.0.  An intermediate value of a
+    variable that no component reads is not computed, and one equal to an
+    earlier one of the step is reused."""
     read = [x for x in field.components
             if any(x in free_names(e) for e in field.components.values())]
     state, stages = base, []
@@ -144,13 +159,14 @@ class TimeDomain:
         """The grid in ascending order: the points -k*h down to lo (to
         -horizon when lo = -inf), then grid(h, horizon).  The down-set of a
         point within the grid is the points before it."""
+        forward = self.grid(h, horizon)  # raises unless h > 0
         lo = -horizon if self.lo == -inf else self.lo
         neg = []
         k = 1
         while -k * h >= lo - 1e-12:
             neg.append(-k * h)
             k += 1
-        return neg[::-1] + self.grid(h, horizon)
+        return neg[::-1] + forward
 
 
 REALS = TimeDomain()
@@ -168,36 +184,51 @@ class Flow:
     def __post_init__(self):
         object.__setattr__(self, "components", dict(self.components))
 
-    def kernel(self, s: Store):
-        """f(t, env) -> the state at time t, with the names other than t read
-        from env: the components, then the identity on the store variables
-        of s that the flow does not name.  One generated function (see
-        expr.KernelWriter) per tuple of those variables, cached on the flow
-        outside ==, hash and repr."""
-        rest = tuple(filterfalse(self.components.__contains__, s))
+    @cached_property
+    def reads(self) -> tuple[str, ...]:
+        """The sorted names other than t that the components read."""
+        return tuple(sorted(set().union(*map(free_names, self.components.values()))
+                            - {TIME_NAME}))
+
+    def kernel(self, rest: tuple, bound: tuple):
+        """f(t, values) -> the state at time t: the components, then the
+        identity on the store variables rest, with values those of the
+        names bound, of reads, then of rest.  One generated function (see
+        expr.KernelWriter) per (rest, bound), cached on the flow outside
+        ==, hash and repr."""
         kernels = self.__dict__.setdefault(_FLOW_KERNELS, {})
-        f = kernels.get(rest)
+        f = kernels.get((rest, bound))
         if f is None:
             w = KernelWriter()
-            items = [*self.components.items(), *((x, Var(x)) for x in rest)]
-            local, memo = {TIME_NAME: "t"}, {}
-            values = [w.expr(e, local, memo) for _, e in items]
-            state = ", ".join(f"{w.bind(x)}: {v}" for (x, _), v in zip(items, values))
-            f = kernels[rest] = w.function("t, env", "{%s}" % state)
+            local = {**_unpack(w, (*bound, *rest)), TIME_NAME: "t"}
+            out = emit_flow(w, self, local)
+            out.update((x, w.expr(Var(x), local, {})) for x in rest)
+            state = ", ".join(f"{w.bind(x)}: {v}" for x, v in out.items())
+            f = kernels[rest, bound] = w.function("t, values", "{%s}" % state)
         return f
 
     def at(self, t: float, s: Store, consts: Mapping[str, float]) -> Store:
-        return self.kernel(s)(t, {**consts, **s})
+        return next(self.states((t,), s, consts))
 
     def states(
         self, times: Iterable[float], s: Store, consts: Mapping[str, float]
     ) -> Iterator[Store]:
         """The states at(t, s, consts) for t in times, each computed when
-        asked for, over one environment."""
-        f = self.kernel(s)
+        asked for, over the values of one environment {**consts, **s}."""
         env = {**consts, **s}
+        rest = tuple(filterfalse(self.components.__contains__, s))
+        bound = tuple(filter(env.__contains__, self.reads))
+        f = self.kernel(rest, bound)
+        values = tuple(map(env.__getitem__, (*bound, *rest)))
         for t in times:
-            yield f(t, env)
+            yield f(t, values)
+
+
+def emit_flow(w: KernelWriter, flow: Flow, local: Mapping[str, str]) -> dict:
+    """Emit the flow's components under local, in the flow's order, and
+    return each variable's value identifier."""
+    memo: dict = {}
+    return {x: w.expr(e, local, memo) for x, e in flow.components.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +368,15 @@ def rk4_states(
     """Classical fixed-step RK4 states at times 0, h, 2h, ... without end;
     each step is taken only when its state is asked for, by the field's
     generated stepper; other store variables pass through."""
-    step = field.rk4_step()
-    half, sixth = 0.5 * h, h / 6.0
     env = {**consts, **s}
+    bound = tuple(filter(env.__contains__, field.reads))
+    step = field.rk4_step(bound)
+    values = tuple(map(env.__getitem__, bound))
+    half, sixth = 0.5 * h, h / 6.0
     state = dict(s)
     while True:
         yield state
-        state = step(state, env, h, half, sixth)
+        state = step(state, values, h, half, sixth)
 
 
 def guarded_orbit_field(

@@ -44,10 +44,12 @@ from .expr import (
 )
 from .hprog import (
     Flow,
+    REALS,
     RunConfig,
     Store,
     TimeDomain,
     VectorField,
+    emit_flow,
     emit_rk4_step,
     find_violation,
     rk4_states,
@@ -255,26 +257,19 @@ def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
     return dev
 
 
-def _flow_values(w: KernelWriter, flow: Flow, local: Mapping[str, str]) -> dict:
-    """Emit the flow's components under local, in the flow's order, and
-    return each variable's value identifier."""
-    memo: dict = {}
-    return {x: w.expr(e, local, memo) for x, e in flow.components.items()}
-
-
 def _monoid_kernel(flow: Flow, names: Sequence[str], bound: tuple):
     """residual(t1, t2, *start, *consts) -> the largest deviation over names,
     in order, between flow(t1 + t2) and flow(t1) after flow(t2), from the
     start values of names with the constants bound."""
-    w = KernelWriter(env=False)
+    w = KernelWriter()
     start = {x: w.temp() for x in names}
     consts = {c: w.temp() for c in bound}
     w.floats("t1", "t2", "t12", *start.values())
     w.line("t12 = t1 + t2")
-    one = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t12"})
-    inner = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t2"})
+    one = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t12"})
+    inner = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t2"})
     w.floats(*inner.values())
-    two = _flow_values(w, flow, {**consts, **inner, TIME_NAME: "t1"})
+    two = emit_flow(w, flow, {**consts, **inner, TIME_NAME: "t1"})
     dev = _sup_deviation(w, [one[x] for x in names], [two[x] for x in names])
     return w.function(", ".join(["t1", "t2", *start.values(), *consts.values()]), dev)
 
@@ -286,7 +281,7 @@ def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], boun
     (rk4_integrate's); None at the first state that is not finite.  A field
     failure at any step raises, then the flow's first EVAL_FAILURES in
     time, as when the whole orbit is integrated before the flow is read."""
-    w = KernelWriter(env=False)
+    w = KernelWriter()
     start = {x: w.temp() for x in names}
     consts = {c: w.temp() for c in bound}
     state = {x: w.temp() for x in names}
@@ -300,7 +295,7 @@ def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], boun
     def compare_flow():
         w.guard("ferr = _exc")
         w.line("t = k * h")
-        at = _flow_values(w, flow, {**consts, **start, TIME_NAME: "t"})
+        at = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t"})
         dev = _sup_deviation(w, [at[x] for x in names], [state[x] for x in names])
         w.line(f"if {dev} > worst or {dev} != {dev}:")
         w.line(f"    worst = {dev}")
@@ -345,17 +340,13 @@ def _per_valuation(build, reads: Sequence[str], valuations) -> list:
     return out
 
 
-def _reads(*exprs: Expr) -> list:
-    return sorted(set().union(*map(free_names, exprs)))
-
-
 def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Random,
                   negative: bool) -> CheckResult:
     """The monoid action's largest residual over MONOID_SAMPLES draws of a
     valuation, a start in [-2, 2] per name and two times in [0, 1] (in
     [-1, 1] when negative)."""
-    calls = _per_valuation(lambda bound: _monoid_kernel(flow, names, bound),
-                           _reads(*flow.components.values()), valuations)
+    calls = _per_valuation(lambda bound: _monoid_kernel(flow, names, bound), flow.reads,
+                           valuations)
     lo = -1.0 if negative else 0.0
     randrange, uniform = rng.randrange, rng.uniform
     residual = 0.0
@@ -376,7 +367,7 @@ def _rk4_check(field: VectorField, flow: Flow, names: Sequence[str], valuations,
                rng: random.Random, horizon: float) -> CheckResult:
     """The largest deviation between the flow and RK4 at step RK4_STEP on
     [0, horizon], from a start in [-1.5, 1.5] per name for each valuation."""
-    reads = _reads(*field.components.values(), *flow.components.values())
+    reads = sorted({*field.reads, *flow.reads})
     steps = max(1, int(round(horizon / RK4_STEP)))
     h = RK4_STEP
     worst = 0.0
@@ -478,9 +469,9 @@ def certify_flow(
     lip = None
     try:
         lip = lipschitz_estimate(field, consts=const_valuations[0])
-        checks["lipschitz"] = CheckResult(True, (
-            f"ell={lip.ell} (exact-affine)" if lip.method == "exact-affine"
-            else f"ell>={lip.ell} (sampled: a numeric lower bound)"))
+        checks["lipschitz"] = (
+            CheckResult(True, f"ell={lip.ell} (exact-affine)") if lip.method == "exact-affine"
+            else CheckResult(None, f"ell>={lip.ell} (sampled: a numeric lower bound)"))
     except ValueError as exc:
         checks["lipschitz"] = CheckResult(False, str(exc))
 
@@ -559,7 +550,7 @@ _LIE_RULES = {
 def check_diff_invariant(
     inv: Pred,
     field: VectorField,
-    dom: TimeDomain = None,
+    dom: TimeDomain = REALS,
     assumptions: tuple = (),
     db: Optional[LemmaDB] = None,
     budget: DischargeBudget = DischargeBudget(),
@@ -571,10 +562,6 @@ def check_diff_invariant(
     under any guard; failed atoms yield Unknown, never Refuted, since the
     atom rules are sufficient conditions only.
     """
-    if dom is None:
-        from .hprog import REALS
-
-        dom = REALS
     inv_n = nnf(inv)
     for name in pred_free_names(inv_n):
         if name == "t":

@@ -179,7 +179,7 @@ def _attempt_kernel(flat: tuple, plan: tuple, free: tuple):
     compiled closure.  An EVAL_FAILURES exception while solving or checking
     rejects; any other propagates.  The valuation's keys come in the order
     in which they were bound."""
-    w = KernelWriter(env=False)
+    w = KernelWriter()
     local: dict = {}  # bound name -> identifier of its value
     bound: list = []  # "key: value" in the valuation's insertion order
     w.line("box = (-width, width)")

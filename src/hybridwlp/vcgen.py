@@ -50,6 +50,7 @@ from .hprog import (
     HybridProgram,
     IfThenElse,
     Loop,
+    NONNEG,
     Seq,
     Skip,
     Test,
@@ -356,13 +357,9 @@ def dw_check(evolve: Evolve, q: Pred) -> Obligation:
 
 
 def ds_closed_form(
-    components: Mapping[str, Expr], guard: Pred, post: Pred, dom: TimeDomain = None
+    components: Mapping[str, Expr], guard: Pred, post: Pred, dom: TimeDomain = NONNEG
 ) -> TimeQuant:
     """Closed-form wlp for a constant vector field: the flow is x + c*t."""
-    from .hprog import NONNEG
-
-    if dom is None:
-        dom = NONNEG
     for name, c in components.items():
         if free_names(c) & set(components) or uses_time(c):
             raise ValueError(f"ds_closed_form: component {name!r} is not constant")

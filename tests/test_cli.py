@@ -168,6 +168,33 @@ class TestVerifyCommand:
                              "--trials", "-5")
         assert (code, out, err) == (2, "", "error: trials must be nonnegative, got -5\n")
 
+    @pytest.mark.parametrize("command", ["verify", "falsify"])
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--step", "0", "0.0"), ("--step", "-0.05", "-0.05"), ("--step", "nan", "nan"),
+        ("--horizon", "0", "0.0"), ("--horizon", "-3", "-3.0"), ("--horizon", "inf", "inf"),
+    ])
+    def test_step_or_horizon_flag_that_is_not_positive_is_an_error(self, capsys, command,
+                                                                  flag, value, shown):
+        # the probe: a zero step used to loop forever in verify and end in a
+        # traceback in falsify; a negative horizon turned both verdicts around
+        code, out, err = run(capsys, command, str(PROBLEMS / "mutant_ball_no_guard.hwl"),
+                             flag, value)
+        name = flag[2:]
+        assert (code, out, err) == (2, "", f"error: {name} must be positive and finite, "
+                                           f"got {shown}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "certify", "falsify"])
+    @pytest.mark.parametrize("setting", ["step 0", "step -1/20", "horizon 0", "horizon -3"])
+    def test_step_or_horizon_config_that_is_not_positive_is_an_error(self, capsys, tmp_path,
+                                                                    command, setting):
+        text = (PROBLEMS / "mutant_ball_no_guard.hwl").read_text()
+        f = tmp_path / "bad.hwl"
+        f.write_text(text + f"config {setting}\n")
+        name, value = setting.split()
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out, err) == (2, "", f"error: {name} must be positive and finite, "
+                                           f"got {value}\n")
+
     def test_integer_settings_read_as_given(self, capsys, tmp_path):
         # a negative seed is a seed; zero trials is an empty budget
         f = tmp_path / "ok.hwl"
@@ -348,8 +375,10 @@ class TestCertifyCommand:
         assert report["checks"]["initial[x]"] == {
             "pass": None, "detail": "undecided: likely-equal"}
         assert report["lipschitz"]["method"] == "sampled"
-        assert report["checks"]["lipschitz"]["detail"] == (
-            f"ell>={report['lipschitz']['ell']} (sampled: a numeric lower bound)")
+        # a sampled value is a lower bound, so it establishes no Lipschitz bound
+        assert report["checks"]["lipschitz"] == {
+            "pass": None,
+            "detail": f"ell>={report['lipschitz']['ell']} (sampled: a numeric lower bound)"}
         code, out, _ = run(capsys, "verify", str(f))
         assert code == 1
         assert "unknown  flow-cert@program" in out

@@ -100,6 +100,15 @@ class TestStoreUpdate:
             store_update({"x": 0.0}, "z", x)
 
 
+class TestTimeDomainGrids:
+    @pytest.mark.parametrize("h", [0.0, -0.5])
+    def test_step_that_is_not_positive_raises(self, h):
+        # downset_grid used to append -k*h forever when h <= 0
+        for grid in (TimeDomain().downset_grid, TimeDomain().grid, NONNEG.downset_grid):
+            with pytest.raises(ValueError, match="grid step must be positive"):
+                grid(h, 1.0)
+
+
 class TestGuardedOrbit:
     def test_constant_flow_full_interval(self):
         flow = Flow({"x": x})
@@ -454,14 +463,17 @@ class TestRk4StatesBitIdentity:
 
     def test_kernels_are_cached_outside_equality(self):
         field = VectorField({"x": v, "v": g})
-        step = field.rk4_step()
-        assert field.rk4_step() is step
+        assert field.reads == ("g",)
+        step = field.rk4_step(("g",))
+        assert field.rk4_step(("g",)) is step and field.rk4_step(()) is not step
         assert field == VectorField({"x": v, "v": g})
         assert repr(field) == repr(VectorField({"x": v, "v": g}))
         flow = Flow({"x": x + v * t})
-        f = flow.kernel({"x": 0.0, "v": 1.0})
-        assert flow.kernel({"v": 2.0, "x": 1.0}) is f  # same pass-through variables
-        assert flow.kernel({"x": 0.0, "w": 1.0, "v": 1.0}) is not f
+        assert flow.reads == ("v", "x")
+        f = flow.kernel(("v",), ("v", "x"))
+        assert flow.kernel(("v",), ("v", "x")) is f  # same pass-through and bound names
+        assert flow.kernel(("v", "w"), ("v", "x")) is not f
+        assert flow.kernel(("v",), ("x",)) is not f
         assert flow == Flow({"x": x + v * t}) and repr(flow) == repr(Flow({"x": x + v * t}))
 
     def test_kernels_of_one_shape_share_code(self):
@@ -472,20 +484,42 @@ class TestRk4StatesBitIdentity:
         text = (PROBLEMS / "bouncing_ball.hwl").read_text()
         first, second = evolve(text), evolve(text)
         assert first.field is not second.field
-        assert first.field.rk4_step().__code__ is second.field.rk4_step().__code__
+        bound = first.field.reads
+        assert first.field.rk4_step(bound).__code__ is second.field.rk4_step(bound).__code__
         s = {"x": 1.0, "v": 0.0}
-        assert first.flow.kernel(s).__code__ is second.flow.kernel(s).__code__
+        bound = first.flow.reads
+        assert first.flow.kernel((), bound).__code__ is second.flow.kernel((), bound).__code__
         # kernels of one shape with different constants keep their own values
-        step2, step3 = (VectorField({"x": v, "v": const(c)}).rk4_step() for c in (2, 3))
+        step2, step3 = (VectorField({"x": v, "v": const(c)}).rk4_step(()) for c in (2, 3))
         assert step2.__code__ is step3.__code__
-        assert step2(s, {}, 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
+        assert step2(s, (), 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
             VectorField({"x": v, "v": const(2)}), s, 0.5, {})
-        assert step3(s, {}, 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
+        assert step3(s, (), 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
             VectorField({"x": v, "v": const(3)}), s, 0.5, {})
-        assert step2(s, {}, 0.5, 0.25, 0.5 / 6.0) != step3(s, {}, 0.5, 0.25, 0.5 / 6.0)
+        assert step2(s, (), 0.5, 0.25, 0.5 / 6.0) != step3(s, (), 0.5, 0.25, 0.5 / 6.0)
         flows = [Flow({"x": x + const(c) * t}) for c in (2, 3)]
-        assert flows[0].kernel(s).__code__ is flows[1].kernel(s).__code__
+        assert flows[0].kernel(("v",), ("x",)).__code__ is flows[1].kernel(("v",), ("x",)).__code__
         assert [f.at(1.0, s, {}) for f in flows] == [{"x": 3.0, "v": 0.0}, {"x": 4.0, "v": 0.0}]
+
+    @pytest.mark.parametrize("bound_first", [True, False], ids=["bound-first", "unbound-first"])
+    def test_kernels_are_kept_per_bound_names(self, bound_first):
+        # a kernel kept per object alone would run the other binding's code
+        field, flow = VectorField({"x": v, "v": g}), Flow({"x": x + g * t})
+        s, times = {"x": 1.0, "v": 0.5}, [0.0, 0.5, 1.0]
+        for consts in ([{"g": -2.0}, {}] if bound_first else [{}, {"g": -2.0}]):
+            for ours, ref in [
+                (lambda: rk4_states(field, s, 0.5, consts),
+                 lambda: ref_rk4_states(field, s, 0.5, consts)),
+                (lambda: flow.states(times, s, consts),
+                 lambda: (ref_flow_at(flow, tt, s, consts) for tt in times)),
+            ]:
+                assert take(ours(), 4) == take(ref(), 4)
+                exc, want = failure(ours(), 4), failure(ref(), 4)
+                if consts:
+                    assert exc is None and want is None
+                else:
+                    assert type(exc) is EvalError and str(exc) == "unbound name 'g'"
+                    assert exc.subterm is g and want.subterm is g
 
     def test_orbit_matches_reference_points(self):
         guard = Cmp(">=", x, const(0))
