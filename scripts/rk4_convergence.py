@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hybridwlp.expr import Cos, Sin, TimeVar, Var
+from hybridwlp.expr import Cos, Sin, TimeVar, Var, memo_kernel
 from hybridwlp.hprog import Flow, VectorField
 from hybridwlp.odecert import _rk4_check_kernel, rk4_integrate
 
@@ -35,7 +35,8 @@ def error_at(step: float) -> float:
 
 
 def sup_deviation_at(step: float) -> float:
-    check = _rk4_check_kernel(FIELD, FLOW, ["x", "y"], ())
+    check = memo_kernel(_rk4_check_kernel, tuple(FIELD.components.items()),
+                        tuple(FLOW.components.items()), ("x", "y"), ())
     return check(1.0, 0.0, int(round(1.0 / step)), step, 0.5 * step, step / 6.0, 0.0)
 
 

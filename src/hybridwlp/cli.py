@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import algebra
 from .discharge import DischargeBudget, LemmaDB, Verdict, discharge, establish_lemma
-from .hwl import ParseError, SpecFile, format_spec, parse_spec
+from .hwl import ParseError, SpecFile, format_spec, parse_pred, parse_spec
 from .odecert import (
     FalsifyBudget,
     certify_flow,
@@ -193,13 +193,7 @@ def cmd_verify(args) -> int:
     spec = _load(args.file)
     extra = ()
     if args.dc:
-        from .hwl import _Parser, tokenize
-
-        parser = _Parser(tokenize(args.dc))
-        parser.vars, parser.consts = spec.vars, spec.consts
-        cut = parser.parse_pred()
-        parser.expect_end()
-        vspec, dc_obs = dc_split(spec.to_verify_spec(), cut)
+        vspec, dc_obs = dc_split(spec.to_verify_spec(), parse_pred(args.dc, spec.vars, spec.consts))
         spec = replace(spec, program=vspec.program)
         extra = tuple(dc_obs)
     report = run_verify(

@@ -54,6 +54,7 @@ from .polynorm import (
     rational_combination,
     solve_linear_system,
 )
+from .hprog import RunConfig
 from .sampling import check_valuation, flatten_conj, sample_valuation
 from .vcgen import Obligation, eval_pred_ext
 
@@ -86,6 +87,9 @@ class DischargeBudget:
     seed: int = 0
     grid_step: float = 0.25
     grid_horizon: float = 8.0
+
+    def __post_init__(self):
+        RunConfig(step=self.grid_step, horizon=self.grid_horizon)  # rejects a grid it cannot run
 
 
 FM_MAX_ELIMINATIONS = 6
@@ -147,10 +151,7 @@ def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
     conclusion evaluates count as trials; with none the lemma stays
     inconclusive."""
     rng = random.Random(seed)
-    names: set = set(pred_free_names(lemma.concl))
-    for h in lemma.hyps:
-        names |= pred_free_names(h)
-    ordered = sorted(names)
+    ordered = sorted(set().union(*map(pred_free_names, (lemma.concl, *lemma.hyps))))
     found = 0
     for _ in range(trials):
         v = sample_valuation(ordered, lemma.hyps, rng, attempts=20)
@@ -565,7 +566,6 @@ class _Context:
     of them is a false constant."""
 
     def __init__(self, hyps: list):
-        self.hyps = tuple(hyps)  # keeps alive every id of the prover's key
         self.cmps, self.sigma = _solve_equalities(hyps)
         self.forms = [form for _, form in self.cmps if form is not None]
         self.keys = {_key(form) for form in self.forms}
@@ -583,7 +583,7 @@ class _Prover:
 
     def __init__(self, db: LemmaDB):
         self.db = db
-        # id-tuple of a hypothesis list -> its context, built once per prover
+        # hypothesis tuple -> its context, built once per value per prover
         self.contexts: dict = {}
 
     def prove(self, hyps: list, concl: Pred, depth: int = 0) -> list:
@@ -616,10 +616,10 @@ class _Prover:
     def prove_atomic(self, hyps: list, concl: Pred) -> list:
         """A comparison, or `false`, under hyps by the first method that
         applies."""
-        ids = tuple(map(id, hyps))
-        if ids not in self.contexts:
-            self.contexts[ids] = _Context(hyps)
-        ctx = self.contexts[ids]
+        key = tuple(hyps)
+        ctx = self.contexts.get(key)
+        if ctx is None:
+            ctx = self.contexts[key] = _Context(hyps)
         # contradictory hypotheses prove anything
         if ctx.false:
             return ["vacuous"]

@@ -40,9 +40,40 @@ def _as_expr(x) -> "Expr":
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
-    """Base class for expression nodes. All nodes are immutable."""
+    """Base class for expression nodes. All nodes are immutable.
+
+    Nodes, Pred's too, are equal when they have the same type and equal
+    fields, and hash as hash((field, ...)), as dataclass-generated methods
+    do, but without recursion: a node's hash is computed when it is built
+    and kept in its __dict__, and == walks pairs of nodes, skipping
+    identical pairs, up to the first pair whose hashes differ."""
+
+    def __post_init__(self):
+        # after __init__, the instance __dict__ holds just the fields, in order
+        fields = self.__dict__
+        fields["_hash"] = hash(tuple(fields.values()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        for a, b in pairs:
+            if a is b:
+                continue
+            if a._hash != b._hash:
+                return False
+            for f in a.__match_args__:
+                x, y = getattr(a, f), getattr(b, f)
+                if y.__class__ is x.__class__ and isinstance(x, _NODES):
+                    pairs.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __add__(self, other):
         return Add(self, _as_expr(other))
@@ -75,53 +106,54 @@ class Expr:
         return Neg(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymConst(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeVar(Expr):
     """The distinguished time symbol; evaluates under the name ``t``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     num: Expr
     den: Expr
@@ -129,9 +161,10 @@ class Div(Expr):
     def __post_init__(self):
         if isinstance(self.den, Const) and self.den.value == 0:
             raise ValueError("division by the constant zero")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exp: int
@@ -139,19 +172,20 @@ class Pow(Expr):
     def __post_init__(self):
         if not isinstance(self.exp, int) or self.exp < 0:
             raise ValueError("Pow exponent must be a natural number")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(Expr):
     arg: Expr
 
@@ -286,23 +320,21 @@ def _compile_const(e: Const):
     return lambda v: value
 
 
+def _loaded(e: Expr) -> tuple:
+    """The name a Var, SymConst or TimeVar reads, and its unbound-name message."""
+    if type(e) is TimeVar:
+        return TIME_NAME, "unbound time symbol 't'"
+    return e.name, f"unbound name {e.name!r}"
+
+
 def _compile_name(e: Expr):
-    name = e.name
+    name, message = _loaded(e)
 
     def fn(v):
         try:
             return float(v[name])
         except KeyError:
-            raise EvalError(f"unbound name {name!r}", e) from None
-    return fn
-
-
-def _compile_time(e: TimeVar):
-    def fn(v):
-        try:
-            return float(v[TIME_NAME])
-        except KeyError:
-            raise EvalError("unbound time symbol 't'", e) from None
+            raise EvalError(message, e) from None
     return fn
 
 
@@ -339,7 +371,7 @@ _EXPR_COMPILERS = {
     Const: _compile_const,
     SymConst: _compile_name,
     Var: _compile_name,
-    TimeVar: _compile_time,
+    TimeVar: _compile_name,
     Neg: lambda e, a: lambda v: -a(v),
     Add: lambda e, a, b: lambda v: a(v) + b(v),
     Sub: lambda e, a, b: lambda v: a(v) - b(v),
@@ -392,11 +424,24 @@ def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
 # only through the function's globals.  So every kernel of one shape has
 # the same source, and function compiles each distinct source once per
 # process: a bounded memo keyed by the source text keeps the code objects,
-# and each kernel is the cached code run in fresh globals.
+# and each kernel is the cached code run in fresh globals.  Both come from
+# memo_kernel, keyed by the values they are written from: a term equal to an
+# earlier one gets the earlier kernel, whose EvalErrors name its subterms.
 
-# Distinct kernel sources whose code objects are kept; the oldest goes first.
-_CODE_CACHE_SIZE = 512
-_CODE: dict = {}  # source text -> code object
+_KERNELS: dict = {}  # (writer, its arguments) -> kernel or code object
+
+
+def memo_kernel(write, *args):
+    """write(*args), the kernel written from args alone, built once per
+    value of write and args while among the 512 last used (None is rebuilt)."""
+    key = (write, args)
+    kernel = _KERNELS.pop(key, None)
+    if kernel is None:
+        if len(_KERNELS) >= 512:
+            del _KERNELS[next(iter(_KERNELS))]
+        kernel = write(*args)
+    _KERNELS[key] = kernel  # under the caller's key, whose terms then compare by identity
+    return kernel
 
 
 class KernelWriter:
@@ -469,12 +514,8 @@ class KernelWriter:
         kind = type(node)
         if kind is Const:
             memo[id(node)] = self._const(node, handler)
-        elif kind is Var or kind is SymConst:
-            memo[id(node)] = self._load(node, node.name, f"unbound name {node.name!r}",
-                                        handler, local)
-        elif kind is TimeVar:
-            memo[id(node)] = self._load(node, TIME_NAME, "unbound time symbol 't'",
-                                        handler, local)
+        elif kind is Var or kind is SymConst or kind is TimeVar:
+            memo[id(node)] = self._load(node, *_loaded(node), handler, local)
         elif kind is Div:
             stack += [(self._op, node, handler), (self._visit, node.num, handler),
                       (self._zero_check, node, handler), (self._visit, node.den, handler)]
@@ -540,19 +581,9 @@ class KernelWriter:
             if guard is not None:
                 src += [indent + "except _FAIL as _exc:", indent + "    " + guard]
         src.append(f"    return {result}")
-        exec(_code("\n".join(src) + "\n"), self._globals)
+        exec(memo_kernel(compile, "\n".join(src) + "\n", "<kernel>", "exec"), self._globals)
         # popped, so that the function and its globals form no reference cycle
         return self._globals.pop("_kernel")
-
-
-def _code(src: str):
-    """The code object of a kernel's source, compiled once per process."""
-    code = _CODE.get(src)
-    if code is None:
-        if len(_CODE) >= _CODE_CACHE_SIZE:
-            del _CODE[next(iter(_CODE))]
-        code = _CODE[src] = compile(src, "<kernel>", "exec")
-    return code
 
 
 _KERNEL_OPS = {
@@ -610,8 +641,8 @@ def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of variables (and ``t``) by expressions.
 
     Sharing is kept: a node in which no key of the binding is free comes
-    back as itself, only the spine above a replaced name is rebuilt, and a
-    node shared within e is substituted once, so its result is shared too.
+    back as itself, only the spine above a replaced name is rebuilt, and
+    equal subterms of e are substituted once, so their result is shared.
     """
     return _subst(e, binding, {})
 
@@ -625,7 +656,7 @@ def _subst(e: Expr, binding: Mapping[str, Expr], memo: dict) -> Expr:
         return binding[e.name]
     if isinstance(e, TimeVar):
         return binding[TIME_NAME]
-    out = memo.get(id(e))
+    out = memo.get(e)
     if out is not None:
         return out
     kids = children(e)
@@ -633,7 +664,7 @@ def _subst(e: Expr, binding: Mapping[str, Expr], memo: dict) -> Expr:
     for c in kids:
         new.append(_subst(c, binding, memo))
     out = e if all(map(operator.is_, new, kids)) else _rebuild(e, new)
-    memo[id(e)] = out
+    memo[e] = out
     return out
 
 
@@ -675,22 +706,24 @@ _NEGATED = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _SWAPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pred:
     """Base class for predicate nodes."""
 
+    __post_init__, __eq__, __hash__ = Expr.__post_init__, Expr.__eq__, Expr.__hash__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class TruePred(Pred):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalsePred(Pred):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cmp(Pred):
     op: str
     lhs: Expr
@@ -699,26 +732,27 @@ class Cmp(Pred):
     def __post_init__(self):
         if self.op not in CMP_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Pred):
     lhs: Pred
     rhs: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Pred):
     lhs: Pred
     rhs: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Pred):
     arg: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeQuant(Pred):
     """For all t in dom: (for all tau in dom with tau <= t: prefix) -> body.
 
@@ -736,6 +770,7 @@ class TimeQuant(Pred):
     body: Pred
 
 
+_NODES = (Expr, Pred)
 TRUE = TruePred()
 FALSE = FalsePred()
 
@@ -811,7 +846,7 @@ def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
 def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:
     if binding.keys().isdisjoint(_pred_names(p)):
         return p
-    out = memo.get(id(p))
+    out = memo.get(p)
     if out is not None:
         return out
     if isinstance(p, Cmp):
@@ -840,7 +875,7 @@ def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:
         for c in kids:
             new.append(_subst_pred(c, binding, memo))
         out = p if all(map(operator.is_, new, kids)) else type(p)(*new)
-    memo[id(p)] = out
+    memo[p] = out
     return out
 
 

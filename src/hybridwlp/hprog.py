@@ -19,14 +19,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .expr import (
     EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, compile_pred, evaluate,
-    eval_pred, free_names, free_vars, uses_time,
+    eval_pred, free_names, free_vars, memo_kernel, uses_time,
 )
 
 Store = dict[str, float]
-
-# instance __dict__ keys of the generated kernels
-_RK4_STEPS, _FLOW_KERNELS = "_rk4_steps", "_flow_kernels"
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -56,25 +52,21 @@ class VectorField:
         return tuple(sorted(set().union(*map(free_names, self.components.values()))
                             - self.components.keys()))
 
-    def rk4_step(self, bound: tuple):
-        """step(state, values, h, half, sixth) -> the store one classical RK4
-        step of size h after state (half = 0.5 * h, sixth = h / 6.0), with
-        the field's variables read from state and the names bound, of
-        reads, from values.  One generated function (see expr.KernelWriter)
-        per bound, cached on the field outside ==, hash and repr."""
-        steps = self.__dict__.setdefault(_RK4_STEPS, {})
-        step = steps.get(bound)
-        if step is None:
-            w = KernelWriter()
-            local = _unpack(w, bound)
-            base = {x: w.temp() for x in self.components}
-            keys = [w.bind(x) for x in self.components]
-            for b, key in zip(base.values(), keys):
-                w.line(f"{b} = state[{key}]")
-            new = emit_rk4_step(w, self, base, local)
-            step = steps[bound] = w.function("state, values, h, half, sixth", "{**state, %s}" % (
-                ", ".join(f"{key}: {v}" for key, v in zip(keys, new))))
-        return step
+
+def rk4_step_kernel(components: tuple, bound: tuple):
+    """step(state, values, h, half, sixth) -> the store one classical RK4
+    step of size h after state (half = 0.5 * h, sixth = h / 6.0) of the
+    field with the component items, with its variables read from state and
+    the names bound, of its reads, from values (see expr.KernelWriter)."""
+    w = KernelWriter()
+    local = _unpack(w, bound)
+    base = {x: w.temp() for x, _ in components}
+    keys = [w.bind(x) for x in base]
+    for b, key in zip(base.values(), keys):
+        w.line(f"{b} = state[{key}]")
+    new = emit_rk4_step(w, components, base, local)
+    return w.function("state, values, h, half, sixth", "{**state, %s}" % (
+        ", ".join(f"{key}: {v}" for key, v in zip(keys, new))))
 
 
 def _unpack(w: KernelWriter, names: tuple) -> dict:
@@ -87,28 +79,27 @@ def _unpack(w: KernelWriter, names: tuple) -> dict:
 
 
 def emit_rk4_step(
-    w: KernelWriter, field: VectorField, base: Mapping[str, str], local: Mapping[str, str]
+    w: KernelWriter, components: tuple, base: Mapping[str, str], local: Mapping[str, str]
 ) -> list[str]:
-    """Emit the four stages of one classical RK4 step of field and return,
-    per component in the field's order, the expression of its new value
-    b + sixth * (k1 + 2 * k2 + 2 * k3 + k4), with b its identifier in base.
+    """Emit the four stages of one classical RK4 step of a field's component
+    items and return, per component in order, the expression of its new
+    value b + sixth * (k1 + 2 * k2 + 2 * k3 + k4), with b its identifier in base.
     The first stage reads the field's variables from base, the others from
     the intermediate states b + half * k1, b + half * k2 and b + h * k3;
     other names load through local.  The generated code must bind h,
     half = 0.5 * h and sixth = h / 6.0.  An intermediate value of a
     variable that no component reads is not computed, and one equal to an
     earlier one of the step is reused."""
-    read = [x for x in field.components
-            if any(x in free_names(e) for e in field.components.values())]
+    read = [x for x, _ in components if any(x in free_names(e) for _, e in components)]
     state, stages = base, []
     made: dict = {}  # (variable, coefficient, stage value) -> intermediate value
     for coef in ("half", "half", "h", None):
         memo: dict = {}
-        ks = [w.expr(e, {**local, **state}, memo) for e in field.components.values()]
+        ks = [w.expr(e, {**local, **state}, memo) for _, e in components]
         stages.append(ks)
         if coef is not None:
             state = {}
-            for x, k in zip(field.components, ks):
+            for (x, _), k in zip(components, ks):
                 if x in read:
                     y = made.get((x, coef, k))
                     if y is None:  # k repeats only when loaded once for the step
@@ -118,7 +109,7 @@ def emit_rk4_step(
                     state[x] = y
     # 2.0 * k is the product 2 * k, without converting the int on each step
     return [f"{base[x]} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
-            for x, k1, k2, k3, k4 in zip(field.components, *stages)]
+            for (x, _), k1, k2, k3, k4 in zip(components, *stages)]
 
 
 @dataclass(frozen=True)
@@ -148,6 +139,8 @@ class TimeDomain:
         if h <= 0:
             raise ValueError("grid step must be positive")
         top = min(horizon, self.hi)
+        if not isfinite(top):
+            raise ValueError("grid needs a finite horizon or upper bound")
         out = []
         k = 0
         while k * h <= top + 1e-12:
@@ -161,6 +154,8 @@ class TimeDomain:
         point within the grid is the points before it."""
         forward = self.grid(h, horizon)  # raises unless h > 0
         lo = -horizon if self.lo == -inf else self.lo
+        if not isfinite(lo):
+            raise ValueError("grid needs a finite horizon or lower bound")
         neg = []
         k = 1
         while -k * h >= lo - 1e-12:
@@ -190,23 +185,6 @@ class Flow:
         return tuple(sorted(set().union(*map(free_names, self.components.values()))
                             - {TIME_NAME}))
 
-    def kernel(self, rest: tuple, bound: tuple):
-        """f(t, values) -> the state at time t: the components, then the
-        identity on the store variables rest, with values those of the
-        names bound, of reads, then of rest.  One generated function (see
-        expr.KernelWriter) per (rest, bound), cached on the flow outside
-        ==, hash and repr."""
-        kernels = self.__dict__.setdefault(_FLOW_KERNELS, {})
-        f = kernels.get((rest, bound))
-        if f is None:
-            w = KernelWriter()
-            local = {**_unpack(w, (*bound, *rest)), TIME_NAME: "t"}
-            out = emit_flow(w, self, local)
-            out.update((x, w.expr(Var(x), local, {})) for x in rest)
-            state = ", ".join(f"{w.bind(x)}: {v}" for x, v in out.items())
-            f = kernels[rest, bound] = w.function("t, values", "{%s}" % state)
-        return f
-
     def at(self, t: float, s: Store, consts: Mapping[str, float]) -> Store:
         return next(self.states((t,), s, consts))
 
@@ -214,21 +192,33 @@ class Flow:
         self, times: Iterable[float], s: Store, consts: Mapping[str, float]
     ) -> Iterator[Store]:
         """The states at(t, s, consts) for t in times, each computed when
-        asked for, over the values of one environment {**consts, **s}."""
+        asked for by the memo's flow_kernel over one environment {**consts, **s}."""
         env = {**consts, **s}
         rest = tuple(filterfalse(self.components.__contains__, s))
         bound = tuple(filter(env.__contains__, self.reads))
-        f = self.kernel(rest, bound)
+        f = memo_kernel(flow_kernel, tuple(self.components.items()), rest, bound)
         values = tuple(map(env.__getitem__, (*bound, *rest)))
         for t in times:
             yield f(t, values)
 
 
-def emit_flow(w: KernelWriter, flow: Flow, local: Mapping[str, str]) -> dict:
-    """Emit the flow's components under local, in the flow's order, and
-    return each variable's value identifier."""
+def flow_kernel(components: tuple, rest: tuple, bound: tuple):
+    """f(t, values) -> the state at time t of the flow with the component
+    items, then the identity on the store variables rest, with values those
+    of the names bound, of its reads, then of rest (see expr.KernelWriter)."""
+    w = KernelWriter()
+    local = {**_unpack(w, (*bound, *rest)), TIME_NAME: "t"}
+    out = emit_flow(w, components, local)
+    out.update((x, w.expr(Var(x), local, {})) for x in rest)
+    state = ", ".join(f"{w.bind(x)}: {v}" for x, v in out.items())
+    return w.function("t, values", "{%s}" % state)
+
+
+def emit_flow(w: KernelWriter, components: tuple, local: Mapping[str, str]) -> dict:
+    """Emit a flow's component items under local, in order, and return each
+    variable's value identifier."""
     memo: dict = {}
-    return {x: w.expr(e, local, memo) for x, e in flow.components.items()}
+    return {x: w.expr(e, local, memo) for x, e in components}
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +357,11 @@ def rk4_states(
 ) -> Iterator[Store]:
     """Classical fixed-step RK4 states at times 0, h, 2h, ... without end;
     each step is taken only when its state is asked for, by the field's
-    generated stepper; other store variables pass through."""
+    generated stepper, one per value of the field and the bound names (see
+    expr.memo_kernel); other store variables pass through."""
     env = {**consts, **s}
     bound = tuple(filter(env.__contains__, field.reads))
-    step = field.rk4_step(bound)
+    step = memo_kernel(rk4_step_kernel, tuple(field.components.items()), bound)
     values = tuple(map(env.__getitem__, bound))
     half, sixth = 0.5 * h, h / 6.0
     state = dict(s)
@@ -403,9 +394,10 @@ class RunConfig:
 
     def __post_init__(self):
         # checked here, so that find_violation reads every ValueError from a
-        # run as an evaluation failure
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        # run as an evaluation failure; the budgets check their grids here too
+        for name, value in (("step", self.step), ("horizon", self.horizon)):
+            if not 0 < value < inf:  # also false for NaN
+                raise ValueError(f"grid {name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -419,10 +411,6 @@ class RunResult:
 
 def _key(s: Store) -> tuple:
     return tuple(sorted(s.items()))
-
-
-def _from_key(k: tuple) -> Store:
-    return dict(k)
 
 
 def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[Optional[str], Store]]:
@@ -471,7 +459,7 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
             taken = frozenset(
                 k
                 for k in keys
-                if eval_pred(node.cond, {**cfg.consts, **_from_key(k)}, EQ_TOL)
+                if eval_pred(node.cond, {**cfg.consts, **dict(k)}, EQ_TOL)
             )
             other = keys - taken
             return go(node.then, taken) | go(node.els, other)
@@ -488,11 +476,11 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
                     complete = False
             return reached
         return frozenset(
-            _key(nxt) for k in keys for _, nxt in _steps(node, _from_key(k), cfg)
+            _key(nxt) for k in keys for _, nxt in _steps(node, dict(k), cfg)
         )
 
     final = go(p, frozenset([_key(s)]))
-    return RunResult([_from_key(k) for k in sorted(final)], complete)
+    return RunResult([dict(k) for k in sorted(final)], complete)
 
 
 class _Undefined(Exception):

@@ -587,6 +587,15 @@ def parse_spec(text: str) -> SpecFile:
     return _Parser(tokenize(text)).parse_spec()
 
 
+def parse_pred(text: str, vars: tuple, consts: tuple) -> Pred:
+    """Parse one predicate over the given variables and constants."""
+    parser = _Parser(tokenize(text))
+    parser.vars, parser.consts = tuple(vars), tuple(consts)
+    pred = parser.parse_pred()
+    parser.expect_end()
+    return pred
+
+
 # ---------------------------------------------------------------------------
 # Pretty printing (canonical form; parse . format . parse is the identity)
 

@@ -37,6 +37,7 @@ from .expr import (
     free_names,
     free_vars,
     lie_derivative,
+    memo_kernel,
     nnf,
     pred_free_names,
     substitute,
@@ -236,10 +237,11 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
 
 # ---------------------------------------------------------------------------
 # The flow certificate's numeric cross-checks, as generated kernels (see
-# expr.KernelWriter) built per call, once per set of bound constants.  The
-# start values are floats; a constant loads with float() where the compiled
-# closures would first load it, and a name that is neither a variable nor
-# bound raises the closures' EvalError there.  So every value and failure
+# expr.KernelWriter), one per value of the field, the flow, the names and
+# the bound constants (see expr.memo_kernel).  The start values are floats;
+# a constant loads with float() where the compiled closures would first
+# load it, and a name that is neither a variable nor bound raises the
+# closures' EvalError there.  So every value and failure
 # is the one of rk4_integrate, Flow.states and Flow.at.  A NaN deviation is
 # the largest: it sticks to the running maximum, which then fails its check.
 
@@ -257,10 +259,11 @@ def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
     return dev
 
 
-def _monoid_kernel(flow: Flow, names: Sequence[str], bound: tuple):
+def _monoid_kernel(flow: tuple, names: tuple, bound: tuple):
     """residual(t1, t2, *start, *consts) -> the largest deviation over names,
     in order, between flow(t1 + t2) and flow(t1) after flow(t2), from the
-    start values of names with the constants bound."""
+    start values of names with the constants bound; flow holds the flow's
+    component items."""
     w = KernelWriter()
     start = {x: w.temp() for x in names}
     consts = {c: w.temp() for c in bound}
@@ -274,13 +277,14 @@ def _monoid_kernel(flow: Flow, names: Sequence[str], bound: tuple):
     return w.function(", ".join(["t1", "t2", *start.values(), *consts.values()]), dev)
 
 
-def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], bound: tuple):
+def _rk4_check_kernel(field: tuple, flow: tuple, names: tuple, bound: tuple):
     """check(*start, *consts, steps, h, half, sixth, worst) -> the largest of
     worst and, at each t = k * h for k = 0..steps, the deviation over names,
     in order, between the flow at t from the start and the t-th RK4 state
     (rk4_integrate's); None at the first state that is not finite.  A field
     failure at any step raises, then the flow's first EVAL_FAILURES in
-    time, as when the whole orbit is integrated before the flow is read."""
+    time, as when the whole orbit is integrated before the flow is read.
+    field and flow hold the component items."""
     w = KernelWriter()
     start = {x: w.temp() for x in names}
     consts = {c: w.temp() for c in bound}
@@ -307,7 +311,7 @@ def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], boun
     # the first stage of the first step, for its failures and so that each
     # constant it reads loads here, where every step then reuses it
     memo: dict = {}
-    for e in field.components.values():
+    for _, e in field:
         w.expr(e, {**consts, **start}, memo)
     w.line("ferr = None")
     w.line("k = 0")
@@ -315,7 +319,7 @@ def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], boun
     w.begin("for k in range(1, steps + 1):")
     # one assignment: a stage value may be a state variable itself
     new = emit_rk4_step(w, field, state, consts)
-    w.line(f"{', '.join(state[x] for x in field.components)} = {', '.join(new)}")
+    w.line(f"{', '.join(state[x] for x, _ in field)} = {', '.join(new)}")
     check_state()
     w.begin("if ferr is None:")
     compare_flow()
@@ -327,26 +331,16 @@ def _rk4_check_kernel(field: VectorField, flow: Flow, names: Sequence[str], boun
     return w.function(", ".join(params), "worst")
 
 
-def _per_valuation(build, reads: Sequence[str], valuations) -> list:
-    """(kernel, bound constant values) per valuation, with kernel build(the
-    names of reads that the valuation binds), built once per such tuple."""
-    kernels: dict = {}
-    out = []
-    for cv in valuations:
-        bound = tuple(n for n in reads if n in cv)
-        if bound not in kernels:
-            kernels[bound] = build(bound)
-        out.append((kernels[bound], tuple(cv[n] for n in bound)))
-    return out
-
-
 def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Random,
                   negative: bool) -> CheckResult:
     """The monoid action's largest residual over MONOID_SAMPLES draws of a
     valuation, a start in [-2, 2] per name and two times in [0, 1] (in
     [-1, 1] when negative)."""
-    calls = _per_valuation(lambda bound: _monoid_kernel(flow, names, bound), flow.reads,
-                           valuations)
+    items, calls = tuple(flow.components.items()), []
+    for cv in valuations:
+        bound = tuple(filter(cv.__contains__, flow.reads))
+        kernel = memo_kernel(_monoid_kernel, items, tuple(names), bound)
+        calls.append((kernel, tuple(map(cv.__getitem__, bound))))
     lo = -1.0 if negative else 0.0
     randrange, uniform = rng.randrange, rng.uniform
     residual = 0.0
@@ -371,11 +365,13 @@ def _rk4_check(field: VectorField, flow: Flow, names: Sequence[str], valuations,
     steps = max(1, int(round(horizon / RK4_STEP)))
     h = RK4_STEP
     worst = 0.0
-    for kernel, consts in _per_valuation(
-            lambda bound: _rk4_check_kernel(field, flow, names, bound), reads, valuations):
+    items = tuple(field.components.items()), tuple(flow.components.items())
+    for cv in valuations:
+        bound = tuple(filter(cv.__contains__, reads))
+        kernel = memo_kernel(_rk4_check_kernel, *items, tuple(names), bound)
         s = [rng.uniform(-1.5, 1.5) for _ in names]
         try:
-            worst = kernel(*s, *consts, steps, h, 0.5 * h, h / 6.0, worst)
+            worst = kernel(*s, *map(cv.__getitem__, bound), steps, h, 0.5 * h, h / 6.0, worst)
         except EVAL_FAILURES as exc:
             return CheckResult(False, f"evaluation failed: {exc}")
         if worst is None:
@@ -571,10 +567,6 @@ def check_diff_invariant(
     def lie(e: Expr) -> Expr:
         return lie_derivative(e, field.components)
 
-    def discharge_atom(concl_op: str, lhs: Expr, rhs: Expr) -> Verdict:
-        ob = _lie_obligation(lhs, concl_op, rhs, field, tuple(assumptions))
-        return discharge(ob, db, budget)
-
     def go(p: Pred) -> bool:
         if isinstance(p, TruePred):
             rulings.append(AtomRuling(p, "trivial", Verdict("proved", method="trivial")))
@@ -582,11 +574,7 @@ def check_diff_invariant(
         if isinstance(p, FalsePred):
             rulings.append(AtomRuling(p, "trivial", Verdict("proved", method="empty-set")))
             return True
-        if isinstance(p, And):
-            a = go(p.lhs)
-            b = go(p.rhs)
-            return a and b
-        if isinstance(p, Or):
+        if isinstance(p, (And, Or)):  # each side must be invariant on its own
             a = go(p.lhs)
             b = go(p.rhs)
             return a and b
@@ -627,7 +615,7 @@ def check_diff_invariant(
             if expr_eq(a, b).is_equal:
                 methods.append("lie-normalize")
                 continue
-            vd = discharge_atom(op, a, b)
+            vd = discharge(_lie_obligation(a, op, b, field, tuple(assumptions)), db, budget)
             if not vd.proved:
                 rulings.append(AtomRuling(c, rule, Verdict("unknown", reason=failure)))
                 return False
@@ -655,6 +643,9 @@ class FalsifyBudget:
     step: float = 0.05
     fuel: int = 12
     seed: int = 0
+
+    def __post_init__(self):
+        RunConfig(step=self.step, horizon=self.horizon)  # rejects a grid it cannot run
 
 
 @dataclass

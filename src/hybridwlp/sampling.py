@@ -25,6 +25,7 @@ from .expr import (
     compile_pred,
     eval_pred,
     evaluate,
+    memo_kernel,
     pred_free_names,
 )
 from .polynorm import Poly, atom_form
@@ -57,13 +58,9 @@ def _linear_in(form: Optional[tuple[Poly, str]], name: str) -> bool:
         return False
     # reject powers hiding inside transcendental or opaque atoms
     for atom in poly.atoms():
-        if atom.kind in ("sin", "cos", "exp", "div"):
-            inner = set()
-            for arg in atom.args:
-                for a in arg.atoms():
-                    inner.add(a.name)
-            if name in inner:
-                return False
+        if atom.kind in ("sin", "cos", "exp", "div") and any(
+                a.name == name for arg in atom.args for a in arg.atoms()):
+            return False
     return True
 
 
@@ -109,26 +106,6 @@ def check_valuation(hyps: Sequence[Pred], valuation: Mapping[str, float],
         return False
 
 
-# The plan of the latest hypothesis set, after the key it was built for: the
-# names and the identities of the hypotheses.  A key is as cheap to build for
-# a 15,000-node obligation as for one atom, and the entry holds its
-# hypotheses, so no key's identities can be reused while it is kept.  Every
-# caller samples one set in a loop, so one entry serves it.
-_last_plan: tuple = (None, (), None)
-
-
-def _plan(names: tuple, hyps: tuple):
-    """The attempt function for sampling names under hyps (see
-    _attempt_kernel), built once per hypothesis set, or None when a
-    conjunct is false."""
-    global _last_plan
-    key = (names, tuple(map(id, hyps)))
-    if _last_plan[0] != key:
-        planned = _build_plan(names, hyps)
-        _last_plan = (key, hyps, None if planned is None else _attempt_kernel(*planned))
-    return _last_plan[2]
-
-
 def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:
     """(flat, plan, free), or None when a conjunct is false: flat lists the
     conjuncts, plan solves one determined name per equation in turn, and
@@ -169,9 +146,10 @@ _CHECK = {
 }
 
 
-def _attempt_kernel(flat: tuple, plan: tuple, free: tuple):
+def _attempt_kernel(names: tuple, hyps: tuple):
     """attempt(uniform, ranges, width) -> the valuation of one sampling
-    attempt, or None when it is rejected.  It draws each free name with
+    attempt under the plan of names and hyps (see _build_plan), or None
+    when it is rejected; None for no plan.  It draws each free name with
     uniform from its range or (-width, width), solves each plan step at the
     names bound so far (a linear one from the residuals at 0 and 1, a bisect
     one by _solve_bisect), rejects a solution outside its range, and checks
@@ -179,6 +157,10 @@ def _attempt_kernel(flat: tuple, plan: tuple, free: tuple):
     compiled closure.  An EVAL_FAILURES exception while solving or checking
     rejects; any other propagates.  The valuation's keys come in the order
     in which they were bound."""
+    planned = _build_plan(names, hyps)
+    if planned is None:
+        return None
+    flat, plan, free = planned
     w = KernelWriter()
     local: dict = {}  # bound name -> identifier of its value
     bound: list = []  # "key: value" in the valuation's insertion order
@@ -240,8 +222,8 @@ def sample_valuation(
 
     ranges may pin per-name sampling intervals.
     """
-    attempt = _plan(tuple(names), tuple(hyps))
-    if attempt is None:
+    attempt = memo_kernel(_attempt_kernel, tuple(names), tuple(hyps))
+    if attempt is None:  # a conjunct is false
         return None
     uniform = rng.uniform
     width = BASE_WIDTH

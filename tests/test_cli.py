@@ -41,6 +41,15 @@ class TestVerifyCommand:
         assert code == 1
         assert "unknown" in out
 
+    def test_600_assignments_verify(self, capsys, tmp_path):
+        # == and hash of the 600-level terms used to raise RecursionError
+        f = tmp_path / "deep.hwl"
+        f.write_text("problem deep vars x pre x = 0 post x = 600\nprogram "
+                     + "; ".join(["x := x + 1"] * 600) + "\n")
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 0
+        assert "1 proved, 0 refuted, 0 unknown" in out
+
     def test_json_report_matches_schema(self, capsys):
         code, out, _ = run(
             capsys, "verify", str(PROBLEMS / "bouncing_ball_dinv.hwl"), "--json"

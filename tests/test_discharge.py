@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import operator
 import random
 import sys
@@ -170,6 +171,12 @@ class TestSquareRule:
 
 
 class TestDischarge:
+    @pytest.mark.parametrize("setting", [{"grid_horizon": math.inf}, {"grid_step": 0.0},
+                                         {"grid_step": math.nan}])
+    def test_grid_that_is_not_positive_and_finite_is_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            DischargeBudget(**setting)
+
     def test_energy_bound_proved(self):
         ob = arith(
             [Cmp(">", const(0), g), Cmp("=", const(2) * g * x - const(2) * g * h, v * v)],
@@ -600,10 +607,10 @@ class TestSolvedHypothesisMemo:
         lists = []
 
         class PerGoal(dmod._Prover):
-            """Records each goal's hypothesis list under its id key (kept
-            alive, so no id is reused) and proves it by the reference."""
+            """Records each goal's hypothesis list, the key of its context,
+            and proves it by the reference."""
             def prove_atomic(self, hyps, concl):
-                lists.append((tuple(map(id, hyps)), tuple(hyps)))
+                lists.append(tuple(hyps))
                 return per_goal_atomic(self, hyps, concl)
 
         ref, ref_calls = count_solves(
@@ -612,12 +619,12 @@ class TestSolvedHypothesisMemo:
         got, calls = count_solves(lambda: outcome(memo, list(ob.hyps), ob.concl))
         assert got == ref
         assert isinstance(got, list) == (not off_by_one)
-        distinct = dict(lists)
+        distinct = set(lists)  # equal lists share one context
         assert len(memo.contexts) == len(distinct)
         assert len(lists) >= 8 and (n_ifs > 0 or len(distinct) == 1)
         once_each = sum(
             count_solves(lambda: per_goal_substituted(hyps, TRUE))[1]
-            for hyps in distinct.values()
+            for hyps in distinct
         )
         assert calls == once_each < ref_calls
 
@@ -627,12 +634,20 @@ class TestSolvedHypothesisMemo:
         concl = And(Cmp(">=", x + y, const(3)), And(branch, Cmp("<=", x, y)))
         prover = dmod._Prover(LemmaDB())
         assert outcome(prover, list(base), concl) == ["trivial"] * 3
-        lists = sorted((ctx.hyps for ctx in prover.contexts.values()), key=len)
+        lists = sorted(prover.contexts, key=len)  # keyed by the hypothesis tuple
         # the two plain goals share the base list; the disjunct is proved
         # under the base list extended by the negated other disjunct
         assert len(lists) == 2 and list(lists[0]) == base
         assert all(map(operator.is_, lists[1][:2], lists[0]))
         assert lists[1][2] == Cmp(">", x, const(0))
+
+    def test_equal_lists_share_one_context(self):
+        first = [Cmp("=", x, const(1)), Cmp(">=", y, x)]
+        second = [Cmp("=", Var("x"), const(1)), Cmp(">=", Var("y"), Var("x"))]
+        prover = dmod._Prover(LemmaDB())
+        assert outcome(prover, first, Cmp(">=", y, const(1))) == ["hypothesis-match"]
+        assert outcome(prover, second, Cmp(">=", y, const(0))) == ["fourier-motzkin"]
+        assert list(prover.contexts) == [tuple(first)]
 
     @pytest.mark.parametrize("off_by_one", [False, True])
     def test_verdict_matches_per_goal_reference(self, monkeypatch, off_by_one):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -654,6 +655,78 @@ def _ref_substitute_pred(p, binding):
                      _ref_substitute_pred(p.body, inner))
 
 
+# ---------------------------------------------------------------------------
+# Reference: the dataclass-generated == and hash, as recursive walks
+
+
+def _ref_equal(a, b):
+    if not isinstance(a, (Expr, Pred)):
+        return a == b
+    if type(a) is not type(b):
+        return False
+    return all(_ref_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+class _HashedAs:
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _ref_hash(a):
+    """hash((field, ...)), with each node field hashed by this reference."""
+    if not isinstance(a, (Expr, Pred)):
+        return hash(a)
+    return hash(tuple(_HashedAs(_ref_hash(getattr(a, f.name))) for f in fields(a)))
+
+
+def _chain(depth, bottom=Add, last=1):
+    e = bottom(x, const(last))
+    for k in range(depth - 1):
+        e = Add(e, const(k % 5))
+    return e
+
+
+class TestStructuralIdentity:
+    @pytest.mark.parametrize("depth", [600, 10_000])
+    def test_deep_chains_compare_and_hash(self, depth):
+        a, b = _chain(depth), _chain(depth)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert Cmp(">=", a, y) == Cmp(">=", b, y)
+        # Add and Sub over the same fields hash alike, so only the walk
+        # down to the deepest node tells these apart
+        other = _chain(depth, bottom=Sub)
+        assert hash(other) == hash(a) and a != other and not a == other
+        assert a != _chain(depth, last=2)
+        assert len({a, b, other}) == 2
+
+    def test_matches_recursive_reference_on_random_terms(self):
+        rng = random.Random(19)
+        equal = 0
+        for _ in range(300):
+            seed, depth = rng.randrange(40), rng.randint(0, 4)
+            a = _random_expr(random.Random(seed), depth)
+            b = _random_expr(random.Random(rng.choice((seed, rng.randrange(40)))), depth)
+            p = _random_shared_pred(random.Random(seed), depth, [])
+            q = _random_shared_pred(random.Random(rng.choice((seed, rng.randrange(40)))),
+                                    depth, [])
+            for u, w in ((a, b), (p, q), (a, p), (Cmp("=", a, b), Cmp("=", b, a))):
+                assert (u == w) is _ref_equal(u, w) is not (u != w)
+                assert hash(u) == _ref_hash(u) and hash(w) == _ref_hash(w)
+                equal += u == w
+        assert 100 < equal < 900
+
+    def test_comparison_with_other_objects(self):
+        assert const(1) != 1 and not const(1) == Fraction(1)
+        assert x != "x" and TRUE != True  # noqa: E712
+        assert TRUE == TruePred() and TRUE != FALSE
+        assert Add(x, y) != Sub(x, y) and hash(Add(x, y)) == hash(Sub(x, y))
+        assert Pow(x, 2) == Pow(Var("x"), 2) != Pow(x, 3)
+        assert {Const(Fraction(1, 2)): 1}[const(Fraction(2, 4))] == 1
+
+
 _SUBST_NAMES = ("x", "y", "t", "t2", "tau", "tau2")
 
 
@@ -786,7 +859,7 @@ class TestSharingSubstitution:
         for out in (substitute(e, {"x": y}),
                     substitute_pred(Cmp(">=", e, const(0)), {"x": y}).lhs):
             old = e
-            while isinstance(old, Add):  # == itself recurses too deep here
+            while isinstance(old, Add):  # every Add is new, every constant shared
                 assert out is not old and out.rhs is old.rhs
                 old, out = old.lhs, out.lhs
             assert out == y

@@ -1,14 +1,16 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hybridwlp.cli import main
+from hybridwlp import odecert, sampling
+from hybridwlp.cli import main, run_verify
 from hybridwlp.expr import (
-    Add, Cmp, Const, Cos, EvalError, Exp, FALSE, Mul, Sin, SymConst, TimeVar, TRUE, Var, const,
-    evaluate,
+    Add, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin, SymConst, TimeVar, TRUE,
+    Var, const, evaluate, memo_kernel,
 )
 from hybridwlp.hprog import (
     Abort,
@@ -25,9 +27,11 @@ from hybridwlp.hprog import (
     Test,
     TimeDomain,
     VectorField,
+    flow_kernel,
     guarded_orbit_field,
     guarded_orbit_flow,
     rk4_states,
+    rk4_step_kernel,
     run_sampled,
     store_update,
 )
@@ -35,6 +39,17 @@ from hybridwlp.hwl import parse_spec
 from hybridwlp.vcgen import _find_evolves
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def step_of(field, bound):
+    """The RK4 step kernel of field for the bound names, from the memo."""
+    return memo_kernel(rk4_step_kernel, tuple(field.components.items()), bound)
+
+
+def flow_of(flow, rest, bound):
+    """The flow function of flow for rest and the bound names, from the memo."""
+    return memo_kernel(flow_kernel, tuple(flow.components.items()), rest, bound)
+
 
 x, v, y = Var("x"), Var("v"), Var("y")
 t = TimeVar()
@@ -107,6 +122,22 @@ class TestTimeDomainGrids:
         for grid in (TimeDomain().downset_grid, TimeDomain().grid, NONNEG.downset_grid):
             with pytest.raises(ValueError, match="grid step must be positive"):
                 grid(h, 1.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_horizon_without_a_finite_bound_raises(self, horizon):
+        # grid used to append k*h forever when the horizon and hi are inf
+        for grid in (NONNEG.grid, TimeDomain().grid, TimeDomain(-math.inf, 1).downset_grid):
+            with pytest.raises(ValueError, match="grid needs a finite horizon"):
+                grid(0.5, horizon)
+        if horizon == math.inf:  # a finite domain bounds the grid
+            assert TimeDomain(0, 1).grid(0.5, horizon) == [0.0, 0.5, 1.0]
+            assert TimeDomain(-1, 1).downset_grid(0.5, horizon) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("setting", [{"step": math.inf}, {"horizon": math.inf},
+                                         {"horizon": 0.0}, {"step": math.nan}])
+    def test_run_config_rejects_a_grid_that_is_not_positive_and_finite(self, setting):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            RunConfig(**setting)
 
 
 class TestGuardedOrbit:
@@ -391,6 +422,7 @@ class TestRk4StatesBitIdentity:
         assert a[1] is None and any(st["x"] in ("inf", "nan") for st in a[0])
         assert b[1] == (ValueError, "math domain error")
 
+    @pytest.mark.usefixtures("fresh_kernels")
     @pytest.mark.parametrize("pole", [1.25, 1.3125, 1.65625], ids=["stage2", "stage3", "stage4"])
     def test_stage_failure_ends_at_the_same_point(self, pole):
         # x' = x from x = 1 at h = 1/2 reads x = 1, 1.25, 1.3125, 1.65625 at
@@ -416,6 +448,7 @@ class TestRk4StatesBitIdentity:
         ({"x": (x + const(9)) ** 400}, lambda c: None),
     ], ids=["unbound", "division-first", "denominator-first", "unbound-in-exp", "power-in-exp",
             "out-of-range-in-exp", "power"])
+    @pytest.mark.usefixtures("fresh_kernels")
     def test_failure_at_the_second_state_names_the_same_subterm(self, comps, subterm):
         field = VectorField(comps)
         s = {"x": 1.0, "y": 0.0}
@@ -464,16 +497,16 @@ class TestRk4StatesBitIdentity:
     def test_kernels_are_cached_outside_equality(self):
         field = VectorField({"x": v, "v": g})
         assert field.reads == ("g",)
-        step = field.rk4_step(("g",))
-        assert field.rk4_step(("g",)) is step and field.rk4_step(()) is not step
+        step = step_of(field, ("g",))
+        assert step_of(field, ("g",)) is step and step_of(field, ()) is not step
         assert field == VectorField({"x": v, "v": g})
         assert repr(field) == repr(VectorField({"x": v, "v": g}))
         flow = Flow({"x": x + v * t})
         assert flow.reads == ("v", "x")
-        f = flow.kernel(("v",), ("v", "x"))
-        assert flow.kernel(("v",), ("v", "x")) is f  # same pass-through and bound names
-        assert flow.kernel(("v", "w"), ("v", "x")) is not f
-        assert flow.kernel(("v",), ("x",)) is not f
+        f = flow_of(flow, ("v",), ("v", "x"))
+        assert flow_of(flow, ("v",), ("v", "x")) is f  # same pass-through and bound names
+        assert flow_of(flow, ("v", "w"), ("v", "x")) is not f
+        assert flow_of(flow, ("v",), ("x",)) is not f
         assert flow == Flow({"x": x + v * t}) and repr(flow) == repr(Flow({"x": x + v * t}))
 
     def test_kernels_of_one_shape_share_code(self):
@@ -485,22 +518,66 @@ class TestRk4StatesBitIdentity:
         first, second = evolve(text), evolve(text)
         assert first.field is not second.field
         bound = first.field.reads
-        assert first.field.rk4_step(bound).__code__ is second.field.rk4_step(bound).__code__
+        assert step_of(first.field, bound).__code__ is step_of(second.field, bound).__code__
         s = {"x": 1.0, "v": 0.0}
         bound = first.flow.reads
-        assert first.flow.kernel((), bound).__code__ is second.flow.kernel((), bound).__code__
+        assert flow_of(first.flow, (), bound).__code__ is flow_of(second.flow, (), bound).__code__
         # kernels of one shape with different constants keep their own values
-        step2, step3 = (VectorField({"x": v, "v": const(c)}).rk4_step(()) for c in (2, 3))
-        assert step2.__code__ is step3.__code__
+        step2, step3 = (step_of(VectorField({"x": v, "v": const(c)}), ()) for c in (2, 3))
+        assert step2 is not step3 and step2.__code__ is step3.__code__
         assert step2(s, (), 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
             VectorField({"x": v, "v": const(2)}), s, 0.5, {})
         assert step3(s, (), 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
             VectorField({"x": v, "v": const(3)}), s, 0.5, {})
         assert step2(s, (), 0.5, 0.25, 0.5 / 6.0) != step3(s, (), 0.5, 0.25, 0.5 / 6.0)
         flows = [Flow({"x": x + const(c) * t}) for c in (2, 3)]
-        assert flows[0].kernel(("v",), ("x",)).__code__ is flows[1].kernel(("v",), ("x",)).__code__
+        assert flow_of(flows[0], ("v",), ("x",)).__code__ is flow_of(flows[1], ("v",), ("x",)).__code__
         assert [f.at(1.0, s, {}) for f in flows] == [{"x": 3.0, "v": 0.0}, {"x": 4.0, "v": 0.0}]
 
+    def test_two_parses_share_every_kernel(self):
+        text = (PROBLEMS / "bouncing_ball.hwl").read_text()
+        specs = [parse_spec(text) for _ in range(2)]
+        (_, first), (_, second) = (next(_find_evolves(s.program)) for s in specs)
+        assert first.field is not second.field and first.field == second.field
+        assert step_of(first.field, ("g",)) is step_of(second.field, ("g",))
+        assert flow_of(first.flow, ("h",), ("g",)) is flow_of(second.flow, ("h",), ("g",))
+        monoids, checks = [], []
+        for ev in (first, second):
+            field, flow = tuple(ev.field.components.items()), tuple(ev.flow.components.items())
+            monoids.append(memo_kernel(odecert._monoid_kernel, flow, ("v", "x"), ("g",)))
+            checks.append(memo_kernel(odecert._rk4_check_kernel, field, flow, ("v", "x"), ("g",)))
+        assert monoids[0] is monoids[1] and checks[0] is checks[1]
+        hyps = [(*s.assumptions, s.pre) for s in specs]
+        assert hyps[0][0] is not hyps[1][0]
+        plans = [memo_kernel(sampling._attempt_kernel, ("g", "x", "v"), h) for h in hyps]
+        assert plans[0] is plans[1]
+
+    @pytest.mark.usefixtures("fresh_kernels")
+    def test_second_parse_builds_no_kernel(self, monkeypatch):
+        text = (PROBLEMS / "bouncing_ball.hwl").read_text()
+        built = []
+        function = KernelWriter.function
+        monkeypatch.setattr(KernelWriter, "function",
+                            lambda w, *args: built.append(args) or function(w, *args))
+        budget = odecert.FalsifyBudget(trials=4, fuel=2)
+        counts = []
+        for _ in range(2):
+            spec = parse_spec(text)
+            assert run_verify(spec)["summary"]["exit"] == 0
+            assert odecert.falsify(spec.to_verify_spec(), budget) is None
+            counts.append(len(built))
+        assert counts[0] > 0 and counts[1] == counts[0]
+
+    def test_equal_fields_share_one_kernel(self):
+        a = VectorField({"x": v, "v": g * x})
+        b = VectorField({"x": Var("v"), "v": SymConst("g") * Var("x")})
+        assert step_of(a, ("g",)) is step_of(b, ("g",))
+        assert step_of(a, ()) is not step_of(a, ("g",))
+        # the field's order is part of its value: it orders the kernel's statements
+        c = VectorField({"v": g * x, "x": v})
+        assert c == a and step_of(c, ("g",)) is not step_of(a, ("g",))
+
+    @pytest.mark.usefixtures("fresh_kernels")
     @pytest.mark.parametrize("bound_first", [True, False], ids=["bound-first", "unbound-first"])
     def test_kernels_are_kept_per_bound_names(self, bound_first):
         # a kernel kept per object alone would run the other binding's code
@@ -557,6 +634,7 @@ class TestFlowStates:
         halves = Flow({"x": x / const(2) + t / const(Fraction(1, 3))})
         assert halves.at(1.5, {"x": 3.0}, {}) == ref_flow_at(halves, 1.5, {"x": 3.0}, {})
 
+    @pytest.mark.usefixtures("fresh_kernels")
     def test_error_at_a_later_time_raises_on_that_element(self):
         flow = Flow({"x": x + const(1) / (t - const(1))})
         times = [0.0, 0.5, 1.0, 1.5]

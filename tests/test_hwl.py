@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridwlp.expr import And, Const, Var
+from hybridwlp.expr import And, Cmp, Const, SymConst, Var
 from hybridwlp.hprog import (
     Assign,
     Choice,
@@ -15,7 +15,7 @@ from hybridwlp.hprog import (
     Skip,
     TimeDomain,
 )
-from hybridwlp.hwl import ParseError, format_program, format_spec, parse_spec
+from hybridwlp.hwl import ParseError, format_program, format_spec, parse_pred, parse_spec
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -29,6 +29,14 @@ def parse_program_text(body: str, consts: str = ""):
 
 
 class TestParsing:
+    def test_predicate_over_given_names(self):
+        p = parse_pred("x >= c & x <= 2", ("x",), ("c",))
+        assert p == And(Cmp(">=", Var("x"), SymConst("c")), Cmp("<=", Var("x"), Const(2)))
+        with pytest.raises(ParseError, match="unknown identifier 'y'"):
+            parse_pred("y >= 0", ("x",), ())
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_pred("x >= 0 x", ("x",), ())
+
     def test_minimal(self):
         spec = parse_spec("problem p vars x pre x = 0 post x = 0 program skip")
         assert spec.name == "p"

@@ -776,6 +776,13 @@ class TestFalsify:
         spec = parse_spec(DOMAIN_PROBE).to_verify_spec()
         assert falsify(spec, FalsifyBudget(trials=40)) is None
 
+    @pytest.mark.parametrize("setting", [{"horizon": math.inf}, {"step": math.inf},
+                                         {"horizon": -1.0}, {"step": math.nan}])
+    def test_grid_that_is_not_positive_and_finite_is_rejected(self, setting):
+        # an infinite horizon on [0,inf) used to grow the orbit grid forever
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            falsify(_ball_mutant_spec(), FalsifyBudget(**setting))
+
     def test_deterministic_given_seed(self):
         a = falsify(_ball_mutant_spec(), FalsifyBudget(trials=40, seed=3))
         b = falsify(_ball_mutant_spec(), FalsifyBudget(trials=40, seed=3))

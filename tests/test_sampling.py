@@ -32,6 +32,7 @@ from hybridwlp.expr import (
     const,
     eval_pred,
     evaluate,
+    memo_kernel,
     pred_free_names,
 )
 from hybridwlp.hprog import NONNEG
@@ -239,9 +240,11 @@ class TestPlans:
         def hyps(c):
             return (Cmp("=", y, x * const(c)), Cmp("<", x, const(c)))
 
-        first = sampling._plan(("x", "y"), hyps(2))
-        second = sampling._plan(("x", "y"), hyps(3))
+        first = memo_kernel(sampling._attempt_kernel, ("x", "y"), hyps(2))
+        second = memo_kernel(sampling._attempt_kernel, ("x", "y"), hyps(3))
         assert first is not second and first.__code__ is second.__code__
+        # equal hypotheses get one attempt function
+        assert memo_kernel(sampling._attempt_kernel, ("x", "y"), hyps(2)) is first
         rng = random.Random(0)
         v = sampling.sample_valuation(["x", "y"], hyps(3), rng)
         assert v["y"] == v["x"] * 3.0 and v["x"] < 3.0
