@@ -394,6 +394,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # some passes still take one Python frame per level of a term
+        print("error: term nesting too deep for this kernel "
+              f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

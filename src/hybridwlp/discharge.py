@@ -1,10 +1,12 @@
 """Lightweight discharger for universally quantified arithmetic obligations.
 
 An obligation's conclusion splits into atomic goals, comparisons or
-`false`, each under a hypothesis list.  The prover reads each distinct
-list once into a context: the equalities solved into one composed
-substitution, and the atom form (`polynorm.atom_form`) and canonical key
-of every remaining comparison.  A goal then normalizes only its own
+`false`, each under a hypothesis list.  The prover reads each list into
+a context: the equalities solved into one composed substitution, and the
+atom form (`polynorm.atom_form`) and canonical key of every remaining
+comparison.  Nested implications make the lists share prefixes, and a
+list's context extends the context of its prefix, so each hypothesis is
+read once per prefix, not once per goal.  A goal then normalizes only its own
 conclusion and tries, in order: a false hypothesis (vacuous), a constant
 conclusion (trivial), hypothesis match, polynomial identity (the
 conclusion difference as an exact rational combination of equation
@@ -500,11 +502,13 @@ def _poly_identity(target: Poly, hyps: Sequence[tuple]) -> bool:
 
 @dataclass
 class _Goal:
-    hyps: list
+    extras: tuple  # hypotheses the goal appends to its base list, not yet flattened
     concl: Pred
 
 
-def _unfold_timequant(tq: TimeQuant, hyps: list) -> _Goal:
+def _unfold_timequant(tq: TimeQuant, hyps: Sequence) -> tuple[list, Pred]:
+    """The hypotheses that unfolding `tq` under `hyps` appends, and its
+    body."""
     # the bound end time becomes a free name, so it must not clash with
     # one the hypotheses already read
     taken = set().union(*(pred_free_names(h) for h in hyps))
@@ -526,26 +530,27 @@ def _unfold_timequant(tq: TimeQuant, hyps: list) -> _Goal:
     extra.append(substitute_pred(tq.prefix, at_end))
     if not dom.includes_negative():
         extra.append(substitute_pred(tq.prefix, {**at_end, tq.tau_name: econst(0)}))
-    return _Goal(hyps + extra, body)
+    return extra, body
 
 
-def _split_goals(hyps: list, concl: Pred) -> Optional[list]:
-    """Reduce to atomic goals; None signals an unsupported shape."""
+def _split_goals(hyps: tuple, concl: Pred, extras: tuple = ()) -> Optional[list]:
+    """Reduce to atomic goals under the list `hyps`, each with the
+    hypotheses it appends to them; None signals an unsupported shape."""
     if isinstance(concl, TruePred):
         return []
     if isinstance(concl, And):
-        left = _split_goals(hyps, concl.lhs)
-        right = _split_goals(hyps, concl.rhs)
+        left = _split_goals(hyps, concl.lhs, extras)
+        right = _split_goals(hyps, concl.rhs, extras)
         if left is None or right is None:
             return None
         return left + right
     if isinstance(concl, TimeQuant):
-        g = _unfold_timequant(concl, hyps)
-        return _split_goals(g.hyps, g.concl)
+        extra, body = _unfold_timequant(concl, (*hyps, *extras))
+        return _split_goals(hyps, body, (*extras, *extra))
     if isinstance(concl, Not):
-        return _split_goals(hyps, nnf(concl))
+        return _split_goals(hyps, nnf(concl), extras)
     if isinstance(concl, (Cmp, FalsePred, Or)):
-        return [_Goal(list(hyps), concl)]
+        return [_Goal(extras, concl)]
     return None
 
 
@@ -559,21 +564,101 @@ class _Declined(Exception):
 
 
 class _Context:
-    """What one hypothesis list gives every goal proved under it: the
-    equality hypotheses solved into one composed substitution `sigma`, the
-    remaining comparisons with their atom forms (`cmps`; `forms` keeps the
-    forms that exist), the canonical keys of those forms, and whether one
-    of them is a false constant."""
+    """What one flat hypothesis list `hyps` gives every goal proved under
+    it: the equality hypotheses solved into one composed substitution
+    `sigma`, the remaining comparisons with their atom forms (`cmps`;
+    `forms` keeps the forms that exist), the canonical keys of those
+    forms, and whether one of them is a false constant (`false`).  When a
+    hypothesis is `false` itself (`absurd`), every goal is vacuous, so
+    nothing of the list is read.
 
-    def __init__(self, hyps: list):
-        self.cmps, self.sigma = _solve_equalities(hyps)
-        self.forms = [form for _, form in self.cmps if form is not None]
-        self.keys = {_key(form) for form in self.forms}
-        self.false = any(_constant_truth(form) is False for form in self.forms)
+    Contexts form a prefix tree: `_Context()` is the context of the empty
+    list and `extend` gives the context of a longer one, so a goal's list
+    is read once per prefix, not once per goal."""
+
+    def __init__(self):
+        self.hyps = ()
+        self.eqs = {}  # index -> (equality, form) of each unsolved one, read under sigma
+        self.bindings = []  # (index, name, term) of each solved equality, in order
+        self.sigma = {}
+        self.base = None  # the context whose `cmps` ours extend
+        self.read = []  # the comparisons read beyond base's `cmps`
+        self.cmps = self.forms = []
+        self.keys = frozenset()
+        self.false = self.absurd = False
+
+    def extend(self, extras: list) -> "_Context":
+        """The context of this list followed by the flat list `extras`.
+
+        Equalities are solved one at a time: the first solvable one in
+        index order, for the lexicographically last name with a lone
+        rational-coefficient occurrence, is substituted into the equalities
+        left (one that the substitution leaves as it was keeps its form).
+        The loop resumes on this list's unsolved equalities followed by the
+        appended ones, each read under this sigma.  This list's were tried
+        under it already, so the picks, and the sigma, comparisons and
+        forms that follow, are those of a solve of the whole list from
+        scratch.  Only the appended comparisons are read, unless a new
+        equality is solved: then every comparison is read again under the
+        new sigma.  Substitution keeps a hypothesis's kind and operator, and
+        no method reads a hypothesis that is not a comparison, so those are
+        left out."""
+        start = len(self.hyps)
+        ctx = _Context()
+        ctx.hyps = self.hyps + tuple(extras)
+        ctx.absurd = self.absurd or any(isinstance(h, FalsePred) for h in extras)
+        if ctx.absurd:
+            return ctx
+        eqs = dict(self.eqs)
+        for i, h in enumerate(extras, start):
+            if isinstance(h, Cmp) and h.op == "=":
+                # with nothing solved yet there is nothing to substitute
+                eqs[i] = _read(h, self.sigma) if self.sigma else (h, atom_form(h))
+        bindings = list(self.bindings)
+        tried = start  # this list's unsolved equalities were tried under sigma
+        while True:
+            for i, (h, form) in eqs.items():
+                solved = None if i < tried or form is None else _solve_poly_for_name(form[0])
+                if solved is not None:
+                    break
+            else:
+                break
+            name, rest = solved
+            term = poly_to_expr(rest)
+            del eqs[i]
+            eqs = {j: _read(h, {name: term}, (h, form)) for j, (h, form) in eqs.items()}
+            bindings.append((i, name, term))
+            tried = 0
+        if len(bindings) == len(self.bindings):
+            base, sigma = self, self.sigma
+        else:
+            # h[n1 := e1]...[nk := ek] = h[sigma], sigma[ni] = ei[sigma over n(i+1)..nk]
+            base, sigma = _Context(), {}
+            for _, name, term in reversed(bindings):
+                sigma[name] = substitute(term, sigma)
+        solved_at = {i for i, _, _ in bindings}
+        first = len(base.hyps)
+        read = [
+            eqs[i] if i in eqs else _read(h, sigma)
+            for i, h in enumerate(ctx.hyps[first:], first)
+            if isinstance(h, Cmp) and i not in solved_at
+        ]
+        forms = [form for _, form in read if form is not None]
+        ctx.eqs, ctx.bindings, ctx.sigma = eqs, bindings, sigma
+        ctx.base, ctx.read = base, read
+        ctx.cmps = base.cmps + read
+        ctx.forms = base.forms + forms
+        ctx.keys = base.keys.union(map(_key, forms))
+        ctx.false = base.false or any(_constant_truth(form) is False for form in forms)
+        return ctx
 
     @cached_property
     def lins(self) -> Optional[list]:
-        return _hyp_lins(self.cmps)
+        own = _hyp_lins(self.read)
+        if self.base is None or own is None:
+            return own
+        base = self.base.lins
+        return None if base is None else base + own
 
 
 class _Prover:
@@ -586,19 +671,35 @@ class _Prover:
         # hypothesis tuple -> its context, built once per value per prover
         self.contexts: dict = {}
 
-    def prove(self, hyps: list, concl: Pred, depth: int = 0) -> list:
-        goals = _split_goals(hyps, concl)
+    def context(self, base: _Context, extras: list) -> _Context:
+        """The context of base's list followed by the flat list `extras`."""
+        if not extras:
+            return base
+        key = base.hyps + tuple(extras)
+        ctx = self.contexts.get(key)
+        if ctx is None:
+            ctx = self.contexts[key] = base.extend(extras)
+        return ctx
+
+    def prove(self, hyps: list, concl: Pred) -> list:
+        return self.prove_in(_Context(), flatten_conj(hyps), concl, 0)
+
+    def prove_in(self, ctx: _Context, extras: list, concl: Pred, depth: int) -> list:
+        """concl under ctx's list followed by the flat list `extras`."""
+        goals = _split_goals((*ctx.hyps, *extras), concl)
         if goals is None:
             raise _Declined("unsupported conclusion shape")
-        return [m for g in goals for m in self.prove_goal(g, depth)]
+        if goals:  # the list every goal extends, read only when one needs it
+            ctx = self.context(ctx, extras)
+        return [m for g in goals for m in self.prove_goal(ctx, g, depth)]
 
-    def prove_goal(self, goal: _Goal, depth: int) -> list:
-        hyps = flatten_conj(goal.hyps)
-        if any(isinstance(h, FalsePred) for h in hyps):
+    def prove_goal(self, base: _Context, goal: _Goal, depth: int) -> list:
+        ctx = self.context(base, flatten_conj(goal.extras))
+        if ctx.absurd:
             return ["vacuous"]
         concl = goal.concl
         if not isinstance(concl, Or):
-            return self.prove_atomic(hyps, concl)
+            return self.prove_atomic(ctx, concl)
         if depth > 6:
             raise _Declined("disjunction nesting too deep")
         reason = "no disjunct provable"
@@ -608,18 +709,14 @@ class _Prover:
             except TypeError:
                 continue
             try:
-                return self.prove(hyps + [extra], second, depth + 1)
+                return self.prove_in(ctx, flatten_conj([extra]), second, depth + 1)
             except _Declined as exc:
                 reason = str(exc)
         raise _Declined(reason)
 
-    def prove_atomic(self, hyps: list, concl: Pred) -> list:
-        """A comparison, or `false`, under hyps by the first method that
-        applies."""
-        key = tuple(hyps)
-        ctx = self.contexts.get(key)
-        if ctx is None:
-            ctx = self.contexts[key] = _Context(hyps)
+    def prove_atomic(self, ctx: _Context, concl: Pred) -> list:
+        """A comparison, or `false`, under ctx's hypotheses by the first
+        method that applies."""
         # contradictory hypotheses prove anything
         if ctx.false:
             return ["vacuous"]
@@ -662,44 +759,6 @@ class _Prover:
             for lemma in self.db.usable()
             if isinstance(lemma.concl, Cmp)
         ]
-
-
-def _solve_equalities(hyps: list) -> tuple[list, dict]:
-    """Iteratively solve equality hypotheses (the first solvable one in
-    order; the lexicographically last name with a lone rational-coefficient
-    occurrence wins), substituting each solution into the equalities left.
-    Substitution keeps a hypothesis's kind and operator, so only the
-    equalities take part.  Returns the remaining comparisons in their order,
-    each with every solution applied and paired with its atom form (read
-    once: a substitution that leaves a comparison as it was keeps its
-    form), and the solutions composed into one simultaneous substitution.
-    No method reads the other hypotheses, so they are left out."""
-    eqs = {i: (h, atom_form(h)) for i, h in enumerate(hyps)
-           if isinstance(h, Cmp) and h.op == "="}
-    bindings = []
-    while True:
-        for i, (h, form) in eqs.items():
-            solved = None if form is None else _solve_poly_for_name(form[0])
-            if solved is not None:
-                break
-        else:
-            break
-        name, rest = solved
-        expr = poly_to_expr(rest)
-        del eqs[i]
-        eqs = {j: _read(h, {name: expr}, (h, form)) for j, (h, form) in eqs.items()}
-        bindings.append((i, name, expr))
-    # h[n1 := e1]...[nk := ek] = h[sigma], sigma[ni] = ei[sigma over n(i+1)..nk]
-    sigma: dict = {}
-    for _, name, expr in reversed(bindings):
-        sigma[name] = substitute(expr, sigma)
-    solved_at = {i for i, _, _ in bindings}
-    cmps = [
-        eqs[i] if i in eqs else _read(h, sigma)
-        for i, h in enumerate(hyps)
-        if isinstance(h, Cmp) and i not in solved_at
-    ]
-    return cmps, sigma
 
 
 def _read(c: Cmp, binding: dict, known: Optional[tuple] = None) -> tuple:

@@ -215,9 +215,13 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 
 def subterms(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c in children(e):
-        yield from subterms(c)
+    """Every node of e, parent before children, children left to right;
+    a worklist, so the depth is not bounded by the recursion limit."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def free_vars(e: Expr) -> set[str]:

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expr import (
     Add,
@@ -88,6 +88,7 @@ _TOKEN_RE = re.compile(
       | (?P<num>\d+\.\d+|\d+)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>:=|\+\+|<=|>=|!=|=>|[-+*/^()\[\],;:&|!?'=<>])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -100,8 +101,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "id" | "op" | "eof"
     text: str
     line: int
@@ -109,25 +109,26 @@ class Token:
 
 
 def tokenize(text: str) -> list:
+    """The tokens of text and a final "eof" token, each with the 1-based
+    line and column where it starts, in one scan: every character is in
+    some match, a newline only in whitespace, and any other character no
+    token starts with is the `bad` group's."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            lexeme = m.group()
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + lexeme.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append(Token(kind, m.group(), line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

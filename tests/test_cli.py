@@ -50,6 +50,17 @@ class TestVerifyCommand:
         assert code == 0
         assert "1 proved, 0 refuted, 0 unknown" in out
 
+    def test_too_deep_a_term_is_an_error_not_a_crash(self, capsys, tmp_path):
+        # some passes still take one Python frame per term level, so a
+        # 1,000-level term exceeds the recursion limit: exit 2 with an
+        # error line, not a traceback with exit 1 (which reads as unknown)
+        f = tmp_path / "deeper.hwl"
+        f.write_text("problem deeper vars x pre x = 0 post x = 1000\nprogram "
+                     + "; ".join(["x := x + 1"] * 1000) + "\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: term nesting too deep")
+
     def test_json_report_matches_schema(self, capsys):
         code, out, _ = run(
             capsys, "verify", str(PROBLEMS / "bouncing_ball_dinv.hwl"), "--json"

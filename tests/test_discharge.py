@@ -48,6 +48,7 @@ from hybridwlp.cli import run_verify
 from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
 from hybridwlp.hwl import parse_spec
 from hybridwlp.polynorm import atom_form, normalize
+from hybridwlp.sampling import flatten_conj
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
 
 x, y, z, v = Var("x"), Var("y"), Var("z"), Var("v")
@@ -592,11 +593,11 @@ def outcome(prover, hyps, concl):
 PROVE_ATOMIC = dmod._Prover.prove_atomic
 
 
-def per_goal_atomic(self, hyps, concl):
+def per_goal_atomic(self, ctx, concl):
     """Reference for `_Prover.prove_atomic`: solve the equality hypotheses
-    afresh for the goal, then prove it under the solved list."""
-    rest, concl = per_goal_substituted(hyps, concl)
-    return PROVE_ATOMIC(dmod._Prover(self.db), rest, concl)
+    of the goal's list afresh, then prove it under the solved list."""
+    rest, concl = per_goal_substituted(ctx.hyps, concl)
+    return PROVE_ATOMIC(dmod._Prover(self.db), dmod._Context().extend(rest), concl)
 
 
 class TestSolvedHypothesisMemo:
@@ -609,9 +610,9 @@ class TestSolvedHypothesisMemo:
         class PerGoal(dmod._Prover):
             """Records each goal's hypothesis list, the key of its context,
             and proves it by the reference."""
-            def prove_atomic(self, hyps, concl):
-                lists.append(tuple(hyps))
-                return per_goal_atomic(self, hyps, concl)
+            def prove_atomic(self, ctx, concl):
+                lists.append(ctx.hyps)
+                return per_goal_atomic(self, ctx, concl)
 
         ref, ref_calls = count_solves(
             lambda: outcome(PerGoal(LemmaDB()), list(ob.hyps), ob.concl))
@@ -620,13 +621,19 @@ class TestSolvedHypothesisMemo:
         assert got == ref
         assert isinstance(got, list) == (not off_by_one)
         distinct = set(lists)  # equal lists share one context
-        assert len(memo.contexts) == len(distinct)
-        assert len(lists) >= 8 and (n_ifs > 0 or len(distinct) == 1)
-        once_each = sum(
-            count_solves(lambda: per_goal_substituted(hyps, TRUE))[1]
-            for hyps in distinct
-        )
-        assert calls == once_each < ref_calls
+        assert distinct <= set(memo.contexts) and len(lists) >= 8
+        # one context per node of the prefix tree, rooted at the pre list.
+        # Proved: each `if` doubles the leaf lists, and every inner node
+        # is the list of both branches' `Or`s.  Refuted: the prover stops at
+        # the last goal under the then-branches, then each `Or` on the way
+        # up tries its other disjunct under one more list, with one leaf.
+        if off_by_one:
+            assert (len(distinct), len(memo.contexts)) == (n_ifs + 1, 2 * n_ifs + 1)
+        else:
+            assert (len(distinct), len(memo.contexts)) == (2 ** n_ifs, 2 ** (n_ifs + 1) - 1)
+        # the pre list is solved once, and no `if` guard is an equality
+        once = count_solves(lambda: per_goal_substituted(flatten_conj(ob.hyps), TRUE))[1]
+        assert 0 < calls == once < ref_calls
 
     def test_or_branch_list_gets_its_own_entry(self):
         base = [Cmp("=", x, const(1)), Cmp("=", y, const(2))]
@@ -690,7 +697,8 @@ class TestComposedSolution:
             Cmp("=", v, Sin(y) + const(3)),
         ]
         concl = Cmp("<=", x + z, y)
-        cmps, sigma = dmod._solve_equalities(hyps)
+        ctx = dmod._Context().extend(hyps)
+        cmps, sigma = ctx.cmps, ctx.sigma
         ref, ref_concl = per_goal_substituted(hyps, concl)
         # only comparisons remain, each paired with its own atom form
         assert [c for c, _ in cmps] == [h for h in ref if isinstance(h, Cmp)]
@@ -703,6 +711,120 @@ class TestComposedSolution:
         assert [q.t_name for q in quants] == ["t2", "t"]
         assert free_names(sigma["x"]) == {"t", "y"}  # v's solution is composed in
         assert sorted(sigma) == ["v", "x", "z"]
+
+
+def _random_hyp(rng):
+    """One hypothesis over x, y, z, v: a linear, non-linear or unsolvable
+    equality, an (in)equality, a time quantifier or, rarely, `false`."""
+    a, b = rng.sample([x, y, z, v], 2)
+    c = const(rng.randint(-3, 3))
+    tv, tau = Var("t"), Var("tau")
+    return [
+        lambda: Cmp("=", a, b + c),  # linear: solvable
+        lambda: Cmp("=", a, c),
+        lambda: Cmp("=", const(2) * a - b, c * b),
+        lambda: Cmp("=", a * b, c),  # solvable once a or b is
+        lambda: Cmp("=", a * a, b * b),  # never solvable
+        lambda: Cmp("=", Sin(a), b + c),  # b solvable, a is not
+        lambda: Cmp(rng.choice([">=", ">", "<=", "<", "!="]), a + c, b),
+        lambda: Cmp(">=", a * b, c),
+        lambda: TimeQuant("t", "tau", NONNEG, Cmp(">=", a, tau), Cmp("<=", a + b, tv)),
+        lambda: FALSE,
+    ][rng.choices(range(10), weights=[3, 2, 1, 2, 1, 1, 4, 2, 1, 0.2])[0]]()
+
+
+READ = dmod._read
+
+
+def _context_fields(ctx):
+    """What goals read of a context; nothing but `absurd` when a
+    hypothesis is `false`."""
+    if ctx.absurd:
+        return "absurd"
+    return ctx.cmps, ctx.sigma, ctx.keys, ctx.false, ctx.lins
+
+
+class TestContextPrefixTree:
+    """Extending the context of a prefix gives the context of the whole
+    list, as solving it from scratch does."""
+
+    @staticmethod
+    def lists():
+        rng = random.Random(20)
+        yield [Cmp("=", x * y, const(2)), Cmp("=", y, const(1))]
+        yield [Cmp(">=", x, y), Cmp("=", x * y, const(2)), Cmp(">", y, const(0)),
+               Cmp("=", y, z + const(1)), Cmp("<=", x * y, z), Cmp("=", z, const(3))]
+        for _ in range(80):
+            yield [_random_hyp(rng) for _ in range(rng.randint(1, 8))]
+
+    def test_extension_at_every_split_matches_scratch(self):
+        for hyps in self.lists():
+            scratch = dmod._Context().extend(hyps)
+            want = _context_fields(scratch)
+            assert scratch.hyps == tuple(hyps)
+            for k in range(len(hyps) + 1):
+                got = dmod._Context().extend(hyps[:k]).extend(hyps[k:])
+                assert got.hyps == tuple(hyps)
+                assert _context_fields(got) == want, (hyps, k)
+            # one hypothesis at a time, as nested `if`s extend a list
+            ctx = dmod._Context()
+            for h in hyps:
+                ctx = ctx.extend([h])
+            assert _context_fields(ctx) == want, hyps
+
+    def test_appended_equality_solves_an_earlier_one(self):
+        base = dmod._Context().extend([Cmp("=", x * y, const(2)), Cmp(">=", x, const(0))])
+        assert base.sigma == {} and len(base.cmps) == 2
+        ctx = base.extend([Cmp("=", y, const(1))])
+        # y is solved, so x*1 = 2 solves x, and x >= 0 is read again
+        assert sorted(ctx.sigma) == ["x", "y"]
+        assert [c for c, _ in ctx.cmps] == [Cmp(">=", const(2), const(0))]
+        assert ctx.base.hyps == () and base.eqs and not ctx.eqs
+
+    def test_no_new_solution_reads_only_the_appended(self, monkeypatch):
+        base = dmod._Context().extend([Cmp("=", x, const(1)), Cmp(">=", y, x),
+                                       Cmp("=", x * y * z, const(2))])
+        reads = []
+        monkeypatch.setattr(dmod, "_read", lambda c, *rest: reads.append(c) or READ(c, *rest))
+        ctx = base.extend([Cmp("<=", z, const(4)), Cmp("=", z * z, y * y)])
+        assert reads == [Cmp("=", z * z, y * y), Cmp("<=", z, const(4))]
+        assert ctx.base is base and ctx.cmps[:2] == base.cmps
+
+    def test_discrete_ifs_read_each_guard_once_per_prefix(self, monkeypatch):
+        """The benchmark's 200-statement discrete program with 5 nested
+        `if`s: the 8 `pre` equalities are solved once (7 + 6 + ... + 1 = 28
+        reads of the equalities left), and each guard is read once per path
+        prefix (2 + 4 + ... + 32 = 62), not once per leaf list (32 lists
+        of 28 + 5 reads each, 1,056)."""
+        inp = _perfbench_gen().discrete(1, 200, False)
+        ob, = [ob for ob in verify(parse_spec(inp.text)) if ob.kind == "arith"]
+        leaves = []
+
+        class Recording(dmod._Prover):
+            def prove_atomic(self, ctx, concl):
+                leaves.append(ctx.hyps)
+                return super().prove_atomic(ctx, concl)
+
+        counts = {"read": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(dmod, "_read", counted("read", READ))
+        monkeypatch.setattr(dmod, "_solve_poly_for_name",
+                            counted("solve", dmod._solve_poly_for_name))
+        assert isinstance(outcome(Recording(LemmaDB()), list(ob.hyps), ob.concl), list)
+        tree = dict(counts)
+        counts.update(read=0, solve=0)
+        for hyps in set(leaves):
+            dmod._Context().extend(list(hyps))
+        per_list = dict(counts)
+        assert len(set(leaves)) == 32
+        assert tree == {"read": 28 + 62, "solve": 8}
+        assert per_list == {"read": 32 * (28 + 5), "solve": 32 * 8}
 
 
 class TestCanonicalCmp:

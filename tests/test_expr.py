@@ -40,7 +40,9 @@ from hybridwlp.expr import (
     diff,
     eval_pred,
     evaluate,
+    free_consts,
     free_names,
+    free_vars,
     fresh_time_binders,
     lie_derivative,
     nnf,
@@ -49,6 +51,7 @@ from hybridwlp.expr import (
     substitute,
     substitute_pred,
     subterms,
+    uses_time,
 )
 from hybridwlp.hprog import NONNEG
 from hybridwlp.polynorm import atom_form, expr_eq, normalize
@@ -863,6 +866,16 @@ class TestSharingSubstitution:
                 assert out is not old and out.rhs is old.rhs
                 old, out = old.lhs, out.lhs
             assert out == y
+
+    def test_subterm_walks_are_not_bounded_by_the_recursion_limit(self):
+        e = x
+        for i in range(3000):
+            e = Sub(Neg(e), const(i)) if i % 2 else Add(t, e)
+        assert free_vars(e) == {"x"} and uses_time(e)
+        assert free_consts(e * g) == {"g"}
+        # parent before children, children left to right
+        small = Add(Mul(x, y), Neg(t))
+        assert list(subterms(small)) == [small, small.lhs, x, y, small.rhs, t]
 
     def test_free_names_are_cached_and_copied(self):
         e = x * g + t

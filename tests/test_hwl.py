@@ -15,7 +15,14 @@ from hybridwlp.hprog import (
     Skip,
     TimeDomain,
 )
-from hybridwlp.hwl import ParseError, format_program, format_spec, parse_pred, parse_spec
+from hybridwlp.hwl import (
+    ParseError,
+    format_program,
+    format_spec,
+    parse_pred,
+    parse_spec,
+    tokenize,
+)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -26,6 +33,31 @@ def parse_program_text(body: str, consts: str = ""):
         header += f" consts {consts}"
     text = f"{header} pre x = 0 post x = 0 program {body}"
     return parse_spec(text).program
+
+
+class TestTokenize:
+    def test_positions_across_comments_and_newlines(self):
+        text = "problem p # a comment\n\n  vars x1\t# x2\r\n# only a comment\npre x1>=2.5\n"
+        assert [tuple(tok) for tok in tokenize(text)] == [
+            ("id", "problem", 1, 1), ("id", "p", 1, 9),
+            ("id", "vars", 3, 3), ("id", "x1", 3, 8),
+            ("id", "pre", 5, 1), ("id", "x1", 5, 5), ("op", ">=", 5, 7), ("num", "2.5", 5, 9),
+            ("eof", "", 6, 1),
+        ]
+        tok = tokenize("x := x'")[1]
+        assert (tok.kind, tok.text, tok.line, tok.col) == ("op", ":=", 1, 3)
+
+    @pytest.mark.parametrize("text, line, col, char", [
+        ("vars x\n  @ y", 2, 3, "@"),
+        ("# comment\n\n x $", 3, 4, "$"),
+        ("x\u00e9", 1, 2, "\u00e9"),
+        ("x\r\n\t~", 2, 2, "~"),
+    ])
+    def test_unexpected_character_position(self, text, line, col, char):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"{line}:{col}: unexpected character {char!r}"
 
 
 class TestParsing:
