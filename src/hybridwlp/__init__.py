@@ -71,8 +71,8 @@ from .discharge import (
     Verdict,
     establish_lemma,
     fm_implication,
-    fourier_motzkin,
     linearize,
+    simplex,
     validate_lemma,
 )
 from .odecert import (

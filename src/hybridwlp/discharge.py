@@ -10,10 +10,12 @@ read once per prefix, not once per goal.  A goal then normalizes only its own
 conclusion and tries, in order: a false hypothesis (vacuous), a constant
 conclusion (trivial), hypothesis match, polynomial identity (the
 conclusion difference as an exact rational combination of equation
-hypotheses), Fourier-Motzkin elimination on the linear fragment, a
-square-nonnegativity rule with positive multipliers, and lemma lookup.
-It returns the methods used or declines with a reason, and randomized
-refutation runs only then.  A lemma is a theorem when the same prover
+hypotheses), an exact simplex on the linear fragment (any number of
+names), a square-nonnegativity rule with positive multipliers, and
+lemma lookup.  It returns the methods used or declines with a reason; it
+also declines a goal or hypothesis that a solved equality leaves
+dividing by zero, since that is undefined there.  Randomized refutation
+runs only after a decline.  A lemma is a theorem when the same prover
 proves it from the lemmas proved before it; only a lemma it declines is
 validated by sampling.  Unknown is an acceptable verdict; Proved and
 Refuted are both re-checkable.
@@ -21,7 +23,6 @@ Refuted are both re-checkable.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -94,8 +95,6 @@ class DischargeBudget:
         RunConfig(step=self.grid_step, horizon=self.grid_horizon)  # rejects a grid it cannot run
 
 
-FM_MAX_ELIMINATIONS = 6
-FM_MAX_ATOMS = 400
 # refutation treats = atoms with this relative tolerance, so float
 # noise along sampled trajectories cannot masquerade as a violation
 REFUTE_EQ_TOL = 1e-6
@@ -209,7 +208,7 @@ def _constant_truth(form: tuple) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Linear forms and Fourier-Motzkin elimination
+# Linear forms and the simplex
 
 
 @dataclass(frozen=True)
@@ -263,116 +262,64 @@ def _linear(form: Optional[tuple]) -> Optional[list]:
     return None if any(l is None for l in lins) else lins
 
 
-@dataclass(frozen=True)
-class FMResult:
-    kind: str  # "feasible" | "infeasible" | "too-large"
-    witness: Mapping[str, Fraction] = field(default_factory=dict)
+def simplex(rows: Sequence[LinIneq]) -> Optional[dict]:
+    """An exact rational model of the rows, or None when they are infeasible.
 
-
-def fourier_motzkin(atoms: Sequence[LinIneq], eliminate: Sequence[str]) -> FMResult:
-    """Exact feasibility of a linear system by eliminating the given names.
-
-    The caller interprets the result: an infeasible hypothesis-and-negated-
-    conclusion system means the implication is valid.
-    """
-    if len(eliminate) > FM_MAX_ELIMINATIONS:
-        return FMResult("too-large")
-    system = list(dict.fromkeys(atoms))
-    order = sorted(
-        eliminate, key=lambda n: sum(1 for a in system if a.coeff_of(n) != 0)
-    )
-    bound_stack: list[tuple[str, list, list]] = []
-    for name in order:
-        lowers, uppers, rest = [], [], []
-        for a in system:
-            c = a.coeff_of(name)
-            if c == 0:
-                rest.append(a)
-            elif c > 0:
-                lowers.append(a)  # name >= -(rest)/c
-            else:
-                uppers.append(a)
-        bound_stack.append((name, lowers, uppers))
-        new = rest
-        for lo, up in itertools.product(lowers, uppers):
-            cl, cu = lo.coeff_of(name), up.coeff_of(name)
-            coeffs: dict[str, Fraction] = {}
-            for n, c in lo.coeffs:
-                if n != name:
-                    coeffs[n] = coeffs.get(n, Fraction(0)) + c * (-cu)
-            for n, c in up.coeffs:
-                if n != name:
-                    coeffs[n] = coeffs.get(n, Fraction(0)) + c * cl
-            const = lo.const * (-cu) + up.const * cl
-            combined = LinIneq(
-                tuple(sorted((n, c) for n, c in coeffs.items() if c != 0)),
-                const,
-                lo.strict or up.strict,
-            )
-            new.append(combined)
-        system = list(dict.fromkeys(new))
-        if len(system) > FM_MAX_ATOMS:
-            return FMResult("too-large")
-    # variable-free residue plus any names we were not asked to eliminate
-    residual_names = set()
-    for a in system:
-        residual_names |= a.names()
-    if residual_names:
-        # ground remaining names at zero and check; if that fails, fall back
-        # to recursive elimination of the leftovers
-        if all(_holds_at(a, {}) for a in system):
-            witness_tail = {n: Fraction(0) for n in residual_names}
-        else:
-            inner = fourier_motzkin(system, sorted(residual_names))
-            if inner.kind != "feasible":
-                return inner
-            witness_tail = dict(inner.witness)
-    else:
-        for a in system:
-            if a.const < 0 or (a.strict and a.const == 0):
-                return FMResult("infeasible")
-        witness_tail = {}
-    # back-substitute a witness through the elimination stack
-    witness = witness_tail
-    for name, lowers, uppers in reversed(bound_stack):
-        lo_vals = [(_bound_value(a, name, witness), a.strict) for a in lowers]
-        up_vals = [(_bound_value(a, name, witness), a.strict) for a in uppers]
-        value = _pick_between(lo_vals, up_vals)
-        if value is None:
-            return FMResult("infeasible")
-        witness = {**witness, name: value}
-    return FMResult("feasible", witness)
-
-
-def _holds_at(a: LinIneq, witness: Mapping[str, Fraction]) -> bool:
-    total = a.const + sum(c * witness.get(n, Fraction(0)) for n, c in a.coeffs)
-    return total > 0 if a.strict else total >= 0
-
-
-def _bound_value(a: LinIneq, name: str, witness: Mapping[str, Fraction]) -> Fraction:
-    c = a.coeff_of(name)
-    rest = a.const + sum(
-        k * witness.get(n, Fraction(0)) for n, k in a.coeffs if n != name
-    )
-    return -rest / c
-
-
-def _pick_between(lo_vals, up_vals) -> Optional[Fraction]:
-    lo = max(lo_vals, key=lambda p: p[0], default=None)
-    up = min(up_vals, key=lambda p: p[0], default=None)
-    if lo is None and up is None:
-        return Fraction(0)
-    if lo is None:
-        return up[0] - 1
-    if up is None:
-        return lo[0] + 1
-    if lo[0] > up[0]:
-        return None
-    if lo[0] == up[0]:
-        if lo[1] or up[1]:
+    The general simplex of Dutertre and de Moura (CAV 2006), run from
+    scratch: each row is a slack, the sum of its coefficients times names,
+    bounded below by -const, or by -const + δ when strict.  Values are
+    δ-rationals (c, k) for c + kδ, compared as tuples.  Columns are the
+    names, then the slacks; every name starts nonbasic at 0.  While a basic
+    slack is below its bound, the first such one pivots with the first
+    nonbasic column that can raise it (Bland's rule, so the loop ends); when
+    no column can, the rows are infeasible.  The model takes δ small enough
+    to keep every bound."""
+    names = sorted(set().union(*(r.names() for r in rows)))
+    column = {n: j for j, n in enumerate(names)}
+    tableau, lower = {}, {}  # basic column -> {nonbasic column: coefficient}
+    for s, r in enumerate(dict.fromkeys(rows), len(names)):
+        tableau[s] = {column[n]: c for n, c in r.coeffs if c}
+        lower[s] = (-r.const, Fraction(r.strict))
+    value = dict.fromkeys(range(len(names) + len(lower)), (Fraction(0), Fraction(0)))
+    while True:
+        b = min((b for b in tableau if b in lower and value[b] < lower[b]), default=None)
+        if b is None:
+            break
+        row = tableau.pop(b)
+        # a nonbasic slack sits at its bound, so it can only go up
+        j = min((j for j, a in row.items() if a > 0 or j not in lower), default=None)
+        if j is None:
             return None
-        return lo[0]
-    return (lo[0] + up[0]) / 2
+        # move j so that b meets its bound, then solve b's row for j
+        a = row.pop(j)
+        theta = ((lower[b][0] - value[b][0]) / a, (lower[b][1] - value[b][1]) / a)
+        value[b] = lower[b]
+        value[j] = _plus(value[j], 1, theta)
+        pivot = {k: -c / a for k, c in row.items()}
+        pivot[b] = 1 / a
+        for other, orow in tableau.items():
+            c = orow.pop(j, 0)
+            if c:
+                value[other] = _plus(value[other], c, theta)
+                for k, d in pivot.items():
+                    e = orow.pop(k, 0) + c * d
+                    if e:
+                        orow[k] = e
+        tableau[j] = pivot
+    # a slack c + kδ above its bound with k < 0 has c > 0, so it stays
+    # above for every δ up to c / -k
+    gaps = [(value[s][0] - lo[0], value[s][1] - lo[1]) for s, lo in lower.items()]
+    delta = min([Fraction(1)] + [c / -k for c, k in gaps if k < 0])
+    return {n: value[j][0] + value[j][1] * delta for n, j in column.items()}
+
+
+def _plus(u: tuple, c: Fraction, w: tuple) -> tuple:
+    """The δ-rational u + c * w."""
+    return (u[0] + c * w[0], u[1] + c * w[1])
+
+
+# the benchmark times the linear method under this name (discharge.fm_s)
+fourier_motzkin = simplex
 
 
 def _hyp_lins(cmps: Sequence[tuple]) -> Optional[list]:
@@ -390,16 +337,6 @@ def _hyp_lins(cmps: Sequence[tuple]) -> Optional[list]:
     return atoms
 
 
-def _fm_feasibility(hyp_lins: Optional[list], extra: Optional[list]) -> Optional[FMResult]:
-    """Fourier-Motzkin on the hypotheses' constraints plus extra ones,
-    eliminating every name; None when either side is non-linear."""
-    if hyp_lins is None or extra is None:
-        return None
-    atoms = hyp_lins + extra
-    names = set().union(*(a.names() for a in atoms))
-    return fourier_motzkin(atoms, sorted(names))
-
-
 def _negation_cases(form: Optional[tuple]) -> list:
     """The negation of the conclusion `form` as atom forms, two strict
     inequalities for an equation; the conclusion follows when each one is
@@ -412,37 +349,43 @@ def _negation_cases(form: Optional[tuple]) -> list:
     return [{">=": (p.neg(), ">"), ">": (p.neg(), ">="), "!=": (p, "=")}[rel]]
 
 
-def _fm_implies(hyp_lins: Optional[list], form: Optional[tuple]) -> Optional[FMResult]:
-    """FM on the hypotheses with each negation case of the conclusion: the
-    first result that is not infeasible, else the last infeasible one; None
-    when a form is non-linear."""
-    for case in _negation_cases(form):
-        res = _fm_feasibility(hyp_lins, _linear(case))
-        if res is None or res.kind != "infeasible":
-            return res
-    return res
+def _negation_rows(form: Optional[tuple]) -> Optional[list]:
+    """The rows of each negation case of the conclusion `form`, or None
+    when one has no linear form."""
+    cases = [_linear(case) for case in _negation_cases(form)]
+    return None if None in cases else cases
+
+
+def _counter_model(hyp_lins: list, cases: list) -> Optional[dict]:
+    """A model of the hypotheses' rows with the first feasible negation
+    case, or None when every case is infeasible, so the conclusion follows."""
+    for rows in cases:
+        model = simplex(hyp_lins + rows)
+        if model is not None:
+            return model
+    return None
 
 
 def fm_implication(hyps: Sequence[Cmp], concl: Cmp) -> tuple[str, dict]:
     """Validity of (and hyps) -> concl over the reals, linear fragment only.
 
-    Returns ("valid"|"invalid"|"too-large"|"non-linear", witness).
+    Returns ("valid"|"invalid"|"non-linear", witness).
     """
-    res = _fm_implies(_hyp_lins([(h, atom_form(h)) for h in hyps]), atom_form(concl))
-    if res is None:
+    hyp_lins = _hyp_lins([(h, atom_form(h)) for h in hyps])
+    cases = _negation_rows(atom_form(concl))
+    if hyp_lins is None or cases is None:
         return ("non-linear", {})
-    if res.kind == "infeasible":
+    model = _counter_model(hyp_lins, cases)
+    if model is None:
         return ("valid", {})
-    if res.kind == "feasible":
-        # names whose coefficients cancelled are unconstrained; ground them
-        # so the witness evaluates every original atom
-        all_names = pred_free_names(concl)
-        for hcmp in hyps:
-            all_names |= pred_free_names(hcmp)
-        witness = {n: 0.0 for n in all_names}
-        witness.update({n: float(v) for n, v in res.witness.items()})
-        return ("invalid", witness)
-    return ("too-large", {})
+    # names whose coefficients cancelled are unconstrained; ground them
+    # so the witness evaluates every original atom
+    all_names = pred_free_names(concl)
+    for hcmp in hyps:
+        all_names |= pred_free_names(hcmp)
+    witness = {n: 0.0 for n in all_names}
+    witness.update({n: float(v) for n, v in model.items()})
+    return ("invalid", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +472,7 @@ def _unfold_timequant(tq: TimeQuant, hyps: Sequence) -> tuple[list, Pred]:
     at_end = {tq.t_name: Var(t), tq.tau_name: Var(t)}
     extra.append(substitute_pred(tq.prefix, at_end))
     if not dom.includes_negative():
-        extra.append(substitute_pred(tq.prefix, {**at_end, tq.tau_name: econst(0)}))
+        extra.append(_under(tq.prefix, {**at_end, tq.tau_name: econst(0)}, "hypothesis"))
     return extra, body
 
 
@@ -721,13 +664,12 @@ class _Prover:
         if ctx.false:
             return ["vacuous"]
         if isinstance(concl, FalsePred):
-            res = _fm_feasibility(ctx.lins, [])
-            if res is None:
+            if ctx.lins is None:
                 raise _Declined("non-linear hypotheses for contradiction goal")
-            if res.kind != "infeasible":
+            if simplex(ctx.lins) is not None:
                 raise _Declined("hypotheses not refutable by the linear route")
-            return ["fourier-motzkin"]
-        form = atom_form(substitute_pred(concl, ctx.sigma))
+            return ["simplex"]
+        form = atom_form(_under(concl, ctx.sigma, "conclusion"))
         if form is None:
             raise _Declined("no proof method applies")
         if _constant_truth(form):
@@ -738,9 +680,9 @@ class _Prover:
             return ["hypothesis-match"]
         if form[1] == "=" and _poly_identity(form[0], ctx.forms):
             return ["poly-identity"]
-        res = _fm_implies(ctx.lins, form)
-        if res is not None and res.kind == "infeasible":
-            return ["fourier-motzkin"]
+        cases = _negation_rows(form)
+        if ctx.lins is not None and cases is not None and _counter_model(ctx.lins, cases) is None:
+            return ["simplex"]
         if square_rule(form, ctx.forms):
             return ["square-rule"]
         for name, lemma_key, hyp_keys in self.lemma_keys:
@@ -764,8 +706,17 @@ class _Prover:
 def _read(c: Cmp, binding: dict, known: Optional[tuple] = None) -> tuple:
     """c under binding, paired with its atom form; `known`, the pair read
     for c before, is kept when the binding leaves c as it was."""
-    d = substitute_pred(c, binding)
+    d = _under(c, binding, "hypothesis")
     return known if known and d is c else (d, atom_form(d))
+
+
+def _under(p: Pred, binding: dict, role: str) -> Pred:
+    """p under binding; declines when the binding makes a denominator the
+    constant zero, so p, the `role` of a goal, is undefined there."""
+    try:
+        return substitute_pred(p, binding)
+    except ValueError:
+        raise _Declined(f"{role} undefined at a solved point") from None
 
 
 def _solve_poly_for_name(p: Poly) -> Optional[tuple[str, Poly]]:

@@ -265,6 +265,39 @@ class TestVerifyCommand:
         assert code == 2
         assert "trailing input 'zzz'" in err
 
+    @pytest.mark.parametrize("n", [6, 7, 12, 50])
+    def test_linear_chain_proved_by_simplex(self, capsys, tmp_path, n):
+        # Fourier-Motzkin gave up past six names; the simplex has no cap
+        names = [f"x{i}" for i in range(1, n + 1)]
+        f = tmp_path / "chain.hwl"
+        f.write_text(f"problem chain vars {' '.join(names)}\npre "
+                     + " & ".join(f"{a} <= {b}" for a, b in zip(names, names[1:]))
+                     + f"\npost x1 <= x{n}\nprogram skip\n")
+        code, out, _ = run(capsys, "verify", str(f), "--json")
+        assert code == 0
+        verdict = json.loads(out)["obligations"][0]["verdict"]
+        assert verdict == {"status": "proved", "method": "simplex"}
+
+    @pytest.mark.parametrize("pre, post, program, reason", [
+        ("y = 0 & x/y > 1", "x >= 0", "skip", "hypothesis undefined at a solved point"),
+        ("y = 0", "x/y > 1", "skip", "conclusion undefined at a solved point"),
+        ("y = 0", "x/y > 1 | x >= 0 | x < 0", "skip", "conclusion undefined at a solved point"),
+        ("y = 0 & x/y = 1", "x >= 0", "skip", "hypothesis undefined at a solved point"),
+        # the guard's instance at time zero divides by x(0) = 0
+        ("x = 0", "x >= 0", "evolve x' = 1 & 1/x > 0 on [0,1] flow x = t",
+         "hypothesis undefined at a solved point"),
+    ], ids=["hypothesis", "conclusion", "negated-disjunct", "equation", "time-zero-guard"])
+    def test_undefined_at_a_solved_point_is_unknown(self, capsys, tmp_path, pre, post,
+                                                    program, reason):
+        # a solved equality that zeroes a denominator used to raise
+        # ValueError out of discharge
+        f = tmp_path / "div.hwl"
+        f.write_text(f"problem div vars x y\npre {pre}\npost {post}\nprogram {program}\n")
+        code, out, err = run(capsys, "verify", str(f), "--json")
+        assert code == 1 and "Traceback" not in err
+        verdict = json.loads(out)["obligations"][0]["verdict"]
+        assert verdict == {"status": "unknown", "reason": reason}
+
 
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "verify"
 

@@ -37,9 +37,10 @@ from hybridwlp.discharge import (
     canonical_cmp,
     discharge,
     establish_lemma,
+    LinIneq,
     fm_implication,
-    fourier_motzkin,
     linearize,
+    simplex,
     square_rule,
     validate_lemma,
 )
@@ -63,16 +64,135 @@ def arith(hyps, concl, forall=("x", "y", "z", "v")):
     )
 
 
-class TestFourierMotzkin:
+# Reference: the Fourier-Motzkin elimination the simplex replaced, kept to
+# cross-check its feasibility answers on small systems.
+
+
+def reference_fourier_motzkin(atoms, eliminate):
+    """A model of the LinIneq rows found by eliminating the given names one
+    at a time, or None when they are infeasible."""
+    system = list(dict.fromkeys(atoms))
+    order = sorted(eliminate, key=lambda n: sum(1 for a in system if a.coeff_of(n) != 0))
+    bound_stack = []
+    for name in order:
+        lowers, uppers, rest = [], [], []
+        for a in system:
+            c = a.coeff_of(name)
+            if c == 0:
+                rest.append(a)
+            elif c > 0:
+                lowers.append(a)  # name >= -(rest)/c
+            else:
+                uppers.append(a)
+        bound_stack.append((name, lowers, uppers))
+        new = rest
+        for lo, up in itertools.product(lowers, uppers):
+            cl, cu = lo.coeff_of(name), up.coeff_of(name)
+            coeffs = {}
+            for n, c in lo.coeffs:
+                if n != name:
+                    coeffs[n] = coeffs.get(n, Fraction(0)) + c * (-cu)
+            for n, c in up.coeffs:
+                if n != name:
+                    coeffs[n] = coeffs.get(n, Fraction(0)) + c * cl
+            new.append(LinIneq(tuple(sorted((n, c) for n, c in coeffs.items() if c != 0)),
+                               lo.const * (-cu) + up.const * cl, lo.strict or up.strict))
+        system = list(dict.fromkeys(new))
+    residual_names = set().union(*(a.names() for a in system))
+    if residual_names:
+        # ground the remaining names at zero; if that fails, eliminate them too
+        if all(_holds_at(a, {}) for a in system):
+            witness = {n: Fraction(0) for n in residual_names}
+        else:
+            witness = reference_fourier_motzkin(system, sorted(residual_names))
+            if witness is None:
+                return None
+    elif not all(_holds_at(a, {}) for a in system):
+        return None
+    else:
+        witness = {}
+    # back-substitute a witness through the elimination stack
+    for name, lowers, uppers in reversed(bound_stack):
+        value = _pick_between([(_bound_value(a, name, witness), a.strict) for a in lowers],
+                              [(_bound_value(a, name, witness), a.strict) for a in uppers])
+        if value is None:
+            return None
+        witness = {**witness, name: value}
+    return witness
+
+
+def _holds_at(a, witness):
+    total = a.const + sum(c * witness.get(n, Fraction(0)) for n, c in a.coeffs)
+    return total > 0 if a.strict else total >= 0
+
+
+def _bound_value(a, name, witness):
+    rest = a.const + sum(k * witness.get(n, Fraction(0)) for n, k in a.coeffs if n != name)
+    return -rest / a.coeff_of(name)
+
+
+def _pick_between(lo_vals, up_vals):
+    lo = max(lo_vals, key=lambda p: p[0], default=None)
+    up = min(up_vals, key=lambda p: p[0], default=None)
+    if lo is None and up is None:
+        return Fraction(0)
+    if lo is None:
+        return up[0] - 1
+    if up is None:
+        return lo[0] + 1
+    if lo[0] > up[0] or (lo[0] == up[0] and (lo[1] or up[1])):
+        return None
+    return (lo[0] + up[0]) / 2
+
+
+def random_rows(rng, names):
+    """Up to eight strict or non-strict rows over `names`, with small
+    integer coefficients; some rows come with their negation, so the
+    system holds equations and degenerate vertices."""
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        coeffs = tuple((n, Fraction(c)) for n in names if (c := rng.choice([-2, -1, 0, 0, 1, 3])))
+        row = LinIneq(coeffs, Fraction(rng.randint(-4, 4)), rng.random() < 0.4)
+        rows.append(row)
+        if rng.random() < 0.2:
+            rows.append(LinIneq(tuple((n, -c) for n, c in coeffs), -row.const, False))
+    return rows[:8]
+
+
+class TestSimplex:
     def test_infeasible_hypotheses(self):
         atoms = linearize(Cmp(">=", x, const(0))) + linearize(Cmp("<=", x, const(-1)))
-        assert fourier_motzkin(atoms, ["x"]).kind == "infeasible"
+        assert simplex(atoms) is None
 
     def test_feasible_with_witness(self):
         atoms = linearize(Cmp(">=", x, const(0))) + linearize(Cmp("<=", x, const(5)))
-        res = fourier_motzkin(atoms, ["x"])
-        assert res.kind == "feasible"
-        assert 0 <= res.witness["x"] <= 5
+        model = simplex(atoms)
+        assert 0 <= model["x"] <= 5
+
+    def test_strict_rows_get_a_small_enough_delta(self):
+        # x > 0, y > x, y < 1/1000: the model must fit between all three
+        atoms = [row for c in (Cmp(">", x, const(0)), Cmp(">", y, x),
+                               Cmp("<", y, const(Fraction(1, 1000))))
+                 for row in linearize(c)]
+        model = simplex(atoms)
+        assert 0 < model["x"] < model["y"] < Fraction(1, 1000)
+
+    def test_agrees_with_reference_fourier_motzkin(self):
+        rng = random.Random(2006)
+        infeasible = 0
+        for _ in range(1500):
+            rows = random_rows(rng, ["a", "b", "c", "d", "e"][:rng.randint(1, 5)])
+            names = sorted(set().union(*(r.names() for r in rows)))
+            model = simplex(rows)
+            reference = reference_fourier_motzkin(rows, names)
+            assert (model is None) == (reference is None), rows
+            if model is None:
+                infeasible += 1
+                continue
+            assert all(isinstance(v, Fraction) for v in model.values())
+            assert all(_holds_at(r, model) for r in rows), (rows, model)
+            assert all(_holds_at(r, reference) for r in rows), (rows, reference)
+        assert 300 < infeasible < 1200  # both outcomes are well exercised
 
     def test_transitivity_valid(self):
         status, _ = fm_implication(
@@ -108,14 +228,14 @@ class TestFourierMotzkin:
         status, _ = fm_implication([Cmp(">=", x * x, const(0))], Cmp(">=", x, const(0)))
         assert status == "non-linear"
 
-    def test_too_large_gate(self):
+    def test_no_size_gate(self):
         names = [Var(f"a{i}") for i in range(8)]
         hyps = [Cmp("<=", names[i], names[i + 1]) for i in range(7)]
         status, _ = fm_implication(hyps, Cmp("<=", names[0], names[7]))
-        assert status == "too-large"
+        assert status == "valid"
 
     def test_agrees_with_grid_search(self):
-        # dual-route check: real-valued FM vs exhaustive integer grid
+        # dual-route check: real-valued simplex vs exhaustive integer grid
         rng = random.Random(77)
         names = ["x", "y"]
         for _ in range(120):
@@ -327,10 +447,10 @@ class TestUnknownReasons:
         vd = discharge(arith(hyps, concl), budget=DischargeBudget(refute_trials=0))
         assert (vd.kind, vd.reason) == ("unknown", reason)
 
-    def test_contradiction_goal_proved_by_fm(self):
+    def test_contradiction_goal_proved_by_simplex(self):
         ob = arith([Cmp(">=", x, const(1)), Cmp("<=", x + y, const(0)), Cmp(">=", y, const(0))],
                    FALSE)
-        assert discharge(ob) == dmod.Verdict("proved", method="fourier-motzkin")
+        assert discharge(ob) == dmod.Verdict("proved", method="simplex")
 
 
 class TestValidateLemma:
@@ -417,15 +537,15 @@ def _lemma_cases():
 
 LEMMA_CASES = dict(_lemma_cases())
 
-# x >= 0 & y >= x => y >= 0 among seven names: Fourier-Motzkin gives up
-# (more than FM_MAX_ELIMINATIONS), so only a lemma on the two names can
+# x >= 0 & y >= x => y >= 0 with a non-linear hypothesis: the simplex
+# reads no hypothesis list with one, so only a lemma on the two names can
 # prove it
-WIDE = "x >= 0 & y >= x & z1 >= 0 & z2 >= 0 & z3 >= 0 & z4 >= 0 & z5 >= 0 => y >= 0"
+WIDE = "x >= 0 & y >= x & z1*z2 >= 0 => y >= 0"
 
 
 def _lemma_outcomes(*lemmas):
     """(name, status, proof) of each lemma as `verify` establishes them."""
-    text = ("problem order\nvars x y z1 z2 z3 z4 z5\npre true\npost true\n"
+    text = ("problem order\nvars x y z1 z2\npre true\npost true\n"
             "program skip\n" + "".join(f"lemma {n}: {body}\n" for n, body in lemmas))
     return [(l["name"], l["status"], l.get("proof"))
             for l in run_verify(parse_spec(text))["lemmas"]]
@@ -467,11 +587,11 @@ class TestEstablishLemma:
 
     def test_earlier_proved_lemma_is_used(self):
         assert _lemma_outcomes(("narrow", "x >= 0 & y >= x => y >= 0"), ("wide", WIDE)) == [
-            ("narrow", "proved", "fourier-motzkin"), ("wide", "proved", "lemma:narrow")]
+            ("narrow", "proved", "simplex"), ("wide", "proved", "lemma:narrow")]
 
     def test_no_lemma_uses_itself_or_a_later_one(self):
         assert _lemma_outcomes(("wide", WIDE), ("narrow", "x >= 0 & y >= x => y >= 0")) == [
-            ("wide", "accepted", None), ("narrow", "proved", "fourier-motzkin")]
+            ("wide", "accepted", None), ("narrow", "proved", "simplex")]
 
     def test_a_sampled_lemma_proves_no_later_lemma(self):
         assert _lemma_outcomes(("wide", WIDE), ("wide_again", WIDE)) == [
@@ -653,7 +773,7 @@ class TestSolvedHypothesisMemo:
         second = [Cmp("=", Var("x"), const(1)), Cmp(">=", Var("y"), Var("x"))]
         prover = dmod._Prover(LemmaDB())
         assert outcome(prover, first, Cmp(">=", y, const(1))) == ["hypothesis-match"]
-        assert outcome(prover, second, Cmp(">=", y, const(0))) == ["fourier-motzkin"]
+        assert outcome(prover, second, Cmp(">=", y, const(0))) == ["simplex"]
         assert list(prover.contexts) == [tuple(first)]
 
     @pytest.mark.parametrize("off_by_one", [False, True])
@@ -673,7 +793,7 @@ class TestSolvedHypothesisMemo:
         monkeypatch.setattr(dmod, "atom_form", lambda c: reads.append(c) or atom_form(c))
         prover = dmod._Prover(LemmaDB())
         assert outcome(prover, list(hyps), pred_and(goals)) == [
-            "fourier-motzkin", "fourier-motzkin", "fourier-motzkin", "square-rule",
+            "simplex", "simplex", "simplex", "square-rule",
             "hypothesis-match"]
         # the equation once while solving, the three other hypotheses once
         # for all five goals, and each goal's own conclusion
