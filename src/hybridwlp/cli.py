@@ -129,10 +129,7 @@ def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget)
             report.to_json(),
         )
     if ob.kind == "opaque":
-        return (
-            Verdict("unknown", reason="evolution command carries no flow or invariant"),
-            None,
-        )
+        return Verdict("unknown", reason=ob.payload), None
     raise ValueError(f"unknown obligation kind {ob.kind!r}")
 
 

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 TIME_NAME = "t"
 
@@ -242,11 +242,11 @@ def free_names(e: Expr) -> set[str]:
 
 
 # Each node caches the frozenset of names it reads in its instance __dict__
-# (under its own key for expressions and for predicates), beside its
-# compiled closure and outside ==, hash and repr.  A composite node reuses a
-# child's set when that child reads every name, so a spine of nodes over one
-# subtree holds one set.  Like compiling, computing a set takes one Python
-# frame per tree level.
+# (under its own key for expressions and for predicates), outside ==, hash
+# and repr.  A composite node reuses a child's set when that child reads
+# every name, so a spine of nodes over one subtree holds one set.  The sets
+# are computed children first with a worklist, so the depth of a term is
+# not bounded by the recursion limit.
 
 _NAMES, _PRED_NAMES = "_names", "_pred_names"
 
@@ -255,17 +255,45 @@ def _names(e: Expr) -> frozenset:
     try:
         return e.__dict__[_NAMES]
     except (KeyError, AttributeError):
-        pass
-    if isinstance(e, (Var, SymConst)):
-        names = frozenset((e.name,))
-    elif isinstance(e, TimeVar):
-        names = frozenset((TIME_NAME,))
-    else:
-        names = frozenset()
-        for c in children(e):
-            names = _merged(names, _names(c))
-    e.__dict__[_NAMES] = names
-    return names
+        return _cache_names(e, _NAMES, _expr_parts)
+
+
+def _expr_parts(e: Expr) -> tuple:
+    """The names e reads itself, and its children."""
+    kind = type(e)
+    if kind is Var or kind is SymConst:
+        return frozenset((e.name,)), ()
+    if kind is TimeVar:
+        return frozenset((TIME_NAME,)), ()
+    return frozenset(), children(e)
+
+
+def _cache_names(root, key: str, parts) -> frozenset:
+    """Cache under key the name set of root and of every node below it that
+    has none, from parts(node), the names the node reads itself and its
+    children; a TimeQuant's binders are not free in it."""
+    stack, leaving = [root], []  # _LEAVE on stack: the top of leaving has its children's
+    while stack:
+        node = stack.pop()
+        if node is _LEAVE:
+            node, names, kids = leaving.pop()
+            for c in kids:
+                names = _merged(names, c.__dict__[key])
+            if type(node) is TimeQuant:
+                names = names - {node.t_name, node.tau_name}
+            node.__dict__[key] = names
+        elif key not in getattr(node, "__dict__", ()):
+            names, kids = parts(node)  # raises TypeError for a non-node
+            if kids:
+                leaving.append((node, names, kids))
+                stack.append(_LEAVE)
+                stack += kids
+            else:
+                node.__dict__[key] = names
+    return root.__dict__[key]
+
+
+_LEAVE = object()
 
 
 def _merged(a: frozenset, b: frozenset) -> frozenset:
@@ -278,144 +306,30 @@ def _merged(a: frozenset, b: frozenset) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation
+# Generated kernels
 #
-# Each node compiles once into a closure over its children's closures; the
-# closure is cached in the node's instance __dict__ (under its own key for
-# expressions and for predicates), which is not a dataclass field, so ==,
-# hash and repr do not see it.  The closures perform the float
-# operations of a left-to-right tree walk, in the same order.  Children are
-# compiled through map, so compiling takes one Python frame per tree level,
-# as evaluating does.  A child that is not a node compiles to a closure that
-# raises TypeError when it is reached.
-
-_EXPR_FN, _PRED_FN = "_expr_fn", "_pred_fn"
-
-
-def compile_expr(e: Expr) -> Callable[[Mapping[str, float]], float]:
-    """f(valuation) -> float for e; unbound names, division by zero and exp
-    overflow raise EvalError, a float power may raise OverflowError and a
-    math domain error ValueError."""
-    try:
-        return e.__dict__[_EXPR_FN]
-    except (KeyError, AttributeError):
-        pass
-    build = _EXPR_COMPILERS.get(type(e))
-    if build is None:
-        return _not_a_node(e, "an Expr")
-    fn = build(e, *map(compile_expr, children(e)))
-    e.__dict__[_EXPR_FN] = fn
-    return fn
-
-
-def _not_a_node(x, kind: str):
-    def fn(*_):
-        raise TypeError(f"not {kind} node: {x!r}")
-    return fn
-
-
-def _compile_const(e: Const):
-    try:
-        value = float(e.value)
-    except OverflowError:
-        # out of float range: raise when reached, as the tree walk does
-        big = e.value
-        return lambda v: float(big)
-    return lambda v: value
-
-
-def _loaded(e: Expr) -> tuple:
-    """The name a Var, SymConst or TimeVar reads, and its unbound-name message."""
-    if type(e) is TimeVar:
-        return TIME_NAME, "unbound time symbol 't'"
-    return e.name, f"unbound name {e.name!r}"
-
-
-def _compile_name(e: Expr):
-    name, message = _loaded(e)
-
-    def fn(v):
-        try:
-            return float(v[name])
-        except KeyError:
-            raise EvalError(message, e) from None
-    return fn
-
-
-def _compile_div(e: Div, num, den):
-    def fn(v):
-        d = den(v)
-        if d == 0.0:
-            raise EvalError("division by zero", e)
-        return num(v) / d
-    return fn
-
-
-def _compile_exp(e: Exp, a):
-    exp = math.exp
-
-    def fn(v):
-        try:
-            return exp(a(v))
-        except OverflowError:
-            raise EvalError("exp overflow", e) from None
-    return fn
-
-
-def _compile_pow(e: Pow, a):
-    n = e.exp
-    return lambda v: a(v) ** n
-
-
-def _compile_unary(f):
-    return lambda e, a: lambda v: f(a(v))
-
-
-_EXPR_COMPILERS = {
-    Const: _compile_const,
-    SymConst: _compile_name,
-    Var: _compile_name,
-    TimeVar: _compile_name,
-    Neg: lambda e, a: lambda v: -a(v),
-    Add: lambda e, a, b: lambda v: a(v) + b(v),
-    Sub: lambda e, a, b: lambda v: a(v) - b(v),
-    Mul: lambda e, a, b: lambda v: a(v) * b(v),
-    Div: _compile_div,
-    Pow: _compile_pow,
-    Sin: _compile_unary(math.sin),
-    Cos: _compile_unary(math.cos),
-    Exp: _compile_exp,
-}
-
-
-def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
-    """Evaluate at a valuation through e's compiled closure; unbound names
-    and division by zero raise EvalError."""
-    return compile_expr(e)(valuation)
-
-
-# ---------------------------------------------------------------------------
-# Straight-line kernels
-#
-# A KernelWriter generates one Python function that evaluates several
-# expressions in turn, for loops that evaluate the same expressions many
-# times (hprog's RK4 stepper and flow kernels, sampling's attempt function,
-# one per sampling plan, and odecert's flow-certificate checks).  Names
-# reach it only as arguments: the locals given to expr map each bound name
-# to the variable that holds its value.  Each node becomes one statement,
-# in the order in which its compiled closure computes it: children left to
-# right, a division's denominator and zero check before its numerator, and
-# each name load a statement of its own with float() applied, or, for a
-# name without a variable, a raise of the closure's unbound-name
-# EvalError.  So the values are bit-identical to the closures', and a
-# failure raises the same exception type, message and subterm at the same
-# point.  The code is straight-line, so an earlier statement always ran
-# before a later one: a node object met again under the same locals, and a
-# name loaded again from the same variable, reuse the first value, which
-# cannot differ and would have raised first.
+# Every float value of a term comes from a generated Python function, a
+# kernel, written by a KernelWriter: evaluate and eval_pred run one per term
+# and bound names, and hprog's RK4 stepper and flow kernels, sampling's
+# attempt function, one per sampling plan, and odecert's flow-certificate
+# checks each run one over several terms.  Names reach a kernel only as
+# arguments: the locals given to expr map each bound name to the variable
+# that holds its value.  Each node becomes one statement, in the order of a
+# left-to-right tree walk: children left to right, a division's denominator
+# and zero check before its numerator, and each name load a statement of
+# its own with float() applied, or, for a name without a variable, a raise
+# of its unbound-name EvalError.  A zero denominator raises EvalError
+# "division by zero", an exp overflow EvalError "exp overflow", each naming
+# its node as subterm; a float power may raise OverflowError and a math
+# domain error ValueError; a constant out of float range raises
+# OverflowError and a child that is not a node TypeError, each only where
+# the walk reaches it.  The code is straight-line, so an earlier statement
+# always ran before a later one: a node object met again under the same
+# locals, and a name loaded again from the same variable, reuse the first
+# value, which cannot differ and would have raised first.
 # Statements under an Exp sit in a try block that turns OverflowError into
-# the Exp's EvalError, as the closure's try around its whole argument does;
-# a nested Exp ends the outer block and starts its own, so blocks never nest
+# the Exp's EvalError, as a try around the walk of its argument would; a
+# nested Exp ends the outer block and starts its own, so blocks never nest
 # and a term of any depth compiles.  A guarded region (see guard) wraps its
 # statements in one more try block whose EVAL_FAILURES clause runs a given
 # statement with the exception bound to _exc, as a caller's try around an
@@ -519,7 +433,7 @@ class KernelWriter:
         if kind is Const:
             memo[id(node)] = self._const(node, handler)
         elif kind is Var or kind is SymConst or kind is TimeVar:
-            memo[id(node)] = self._load(node, *_loaded(node), handler, local)
+            memo[id(node)] = self._load(node, handler, local)
         elif kind is Div:
             stack += [(self._op, node, handler), (self._visit, node.num, handler),
                       (self._zero_check, node, handler), (self._visit, node.den, handler)]
@@ -530,19 +444,23 @@ class KernelWriter:
             stack.append((self._op, node, handler))
             stack += [(self._visit, c, handler) for c in reversed(children(node))]
         else:
-            v = memo[id(node)] = self.temp()
-            self.line(f"{v} = {self.bind(_not_a_node(node, 'an Expr'))}()", handler)
+            memo[id(node)] = self.temp()  # never assigned: the raise comes first
+            self.line(f"raise TypeError({self.bind(f'not an Expr node: {node!r}')})", handler)
 
     def _const(self, e: Const, handler) -> str:
         try:
             return self.bind(float(e.value))
         except OverflowError:
-            # out of float range: raise when reached, as the closure does
+            # out of float range: raise when reached, as the walk does
             v = self.temp()
             self.line(f"{v} = float({self.bind(e.value)})", handler)
             return v
 
-    def _load(self, e: Expr, name: str, message: str, handler, local) -> str:
+    def _load(self, e: Expr, handler, local) -> str:
+        if type(e) is TimeVar:
+            name, message = TIME_NAME, "unbound time symbol 't'"
+        else:
+            name, message = e.name, f"unbound name {e.name!r}"
         key = ("local", local[name]) if name in local else ("unbound", name)
         v = self._loaded.get(key)
         if v is None:
@@ -566,6 +484,65 @@ class KernelWriter:
             args.append(self.bind(e.exp))
         v = memo[id(e)] = self.temp()
         self.line(f"{v} = " + _KERNEL_OPS[type(e)].format(*args), handler)
+
+    def cmp(self, c: "Cmp", local: Mapping[str, str], memo: dict, tol: str) -> str:
+        """Emit the statements that compute the sides of c, as expr does,
+        and return the code of its relation, equality at the tolerance held
+        by the variable tol."""
+        a, b = self.expr(c.lhs, local, memo), self.expr(c.rhs, local, memo)
+        return _CMP[c.op].format(a, b, tol)
+
+    def pred(self, p: "Pred", local: Mapping[str, str], tol: str) -> str:
+        """Emit the statements that decide p, with names loaded as expr loads
+        them and equality at the tolerance held by the variable tol, and
+        return the identifier or literal of its truth value.  And and Or
+        short-circuit: the right operand is decided under a flag, a variable
+        assigned at the top level that holds when the left operand leaves the
+        result open, and a comparison under a flag sits in an if block on
+        it, so blocks never nest, however deep the And and Or.  The value of
+        a subpredicate is set whenever its flag holds.  A TimeQuant or a
+        node that is not a Pred raises TypeError where it is reached."""
+        values: list = []  # the values of the subpredicates decided last
+        todo: list = [(self._decide, p, None)]
+        while todo:
+            step, *args = todo.pop()
+            step(*args, local, tol, values, todo)
+        return values.pop()
+
+    def _decide(self, p, flag, local, tol, values, todo) -> None:
+        kind = type(p)
+        if kind is TruePred or kind is FalsePred:
+            values.append(str(kind is TruePred))
+        elif kind is And or kind is Or or kind is Not:
+            todo.append((self._after_left, p, flag))
+            todo.append((self._decide, p.arg if kind is Not else p.lhs, flag))
+        else:
+            if flag is not None:
+                self.begin(f"if {flag}:")
+            v = self.temp()
+            if kind is Cmp:
+                self.line(f"{v} = {self.cmp(p, local, {}, tol)}")
+            else:  # v is never assigned: the raise comes first
+                self.line(f"raise TypeError({self.bind(f'not a Pred node: {p!r}')})")
+            if flag is not None:
+                self.end()
+            values.append(v)
+
+    def _after_left(self, p, flag, local, tol, values, todo) -> None:
+        a, v = values.pop(), self.temp()
+        on = "" if flag is None else f"{flag} and "
+        if type(p) is Not:
+            self.line(f"{v} = {on}not {a}")
+            values.append(v)
+        else:  # v flags the right operand: reached where a leaves p open
+            self.line(f"{v} = {on}{'' if type(p) is And else 'not '}{a}")
+            todo += [(self._after_right, p, flag, a), (self._decide, p.rhs, v)]
+
+    def _after_right(self, p, flag, a, local, tol, values, todo) -> None:
+        b, v = values.pop(), self.temp()
+        on = "" if flag is None else f"{flag} and "
+        self.line(f"{v} = {on}({a} {'and' if type(p) is And else 'or'} {b})")
+        values.append(v)
 
     def function(self, params: str, result: str):
         """The generated function of params that runs the statements so
@@ -652,8 +629,7 @@ def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
 
 
 def _subst(e: Expr, binding: Mapping[str, Expr], memo: dict) -> Expr:
-    # one Python frame per tree level (no comprehension), so a tree deep
-    # enough to reach the recursion limit here would reach it when compiled
+    # one Python frame per tree level: no comprehension, which would add one
     if binding.keys().isdisjoint(_names(e)):
         return e
     if isinstance(e, Var):
@@ -883,68 +859,12 @@ def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:
     return out
 
 
-def _eq(a: float, b: float, eq_tol: float) -> bool:
-    return abs(a - b) <= eq_tol * (1.0 + max(abs(a), abs(b)))
-
-
-# op -> rel(a, b, eq_tol), read by compare and by compiled comparisons
-_REL = {
-    "=": _eq,
-    "!=": lambda a, b, eq_tol: not _eq(a, b, eq_tol),
-    "<": lambda a, b, eq_tol: a < b,
-    "<=": lambda a, b, eq_tol: a <= b,
-    ">": lambda a, b, eq_tol: a > b,
-    ">=": lambda a, b, eq_tol: a >= b,
-}
-
-
-def compare(op: str, a: float, b: float, eq_tol: float = 0.0) -> bool:
-    if op not in _REL:
-        raise ValueError(f"unknown comparison operator {op!r}")
-    return _REL[op](a, b, eq_tol)
-
-
-def compile_pred(p: Pred) -> Callable[[Mapping[str, float], float], bool]:
-    """f(valuation, eq_tol) -> bool for p; And and Or short-circuit, and a
-    TimeQuant raises TypeError when it is reached."""
-    try:
-        return p.__dict__[_PRED_FN]
-    except (KeyError, AttributeError):
-        pass
-    build = _PRED_COMPILERS.get(type(p))
-    if build is None:
-        return _not_a_node(p, "a Pred")
-    fn = build(p, *map(compile_pred, _subpreds(p)))
-    p.__dict__[_PRED_FN] = fn
-    return fn
-
-
 def _subpreds(p: Pred) -> tuple:
     if isinstance(p, (And, Or)):
         return (p.lhs, p.rhs)
     if isinstance(p, Not):
         return (p.arg,)
     return ()
-
-
-def _compile_cmp(p: Cmp):
-    a, b, rel = compile_expr(p.lhs), compile_expr(p.rhs), _REL[p.op]
-    return lambda v, eq_tol: rel(a(v), b(v), eq_tol)
-
-
-_PRED_COMPILERS = {
-    TruePred: lambda p: lambda v, eq_tol: True,
-    FalsePred: lambda p: lambda v, eq_tol: False,
-    Cmp: _compile_cmp,
-    And: lambda p, a, b: lambda v, eq_tol: a(v, eq_tol) and b(v, eq_tol),
-    Or: lambda p, a, b: lambda v, eq_tol: a(v, eq_tol) or b(v, eq_tol),
-    Not: lambda p, a: lambda v, eq_tol: not a(v, eq_tol),
-}
-
-
-def eval_pred(p: Pred, valuation: Mapping[str, float], eq_tol: float = 0.0) -> bool:
-    """Evaluate a predicate; equality is exact unless eq_tol is given."""
-    return compile_pred(p)(valuation, eq_tol)
 
 
 def pred_free_names(p: Pred) -> set[str]:
@@ -956,20 +876,18 @@ def _pred_names(p: Pred) -> frozenset:
     try:
         return p.__dict__[_PRED_NAMES]
     except (KeyError, AttributeError):
-        pass
+        return _cache_names(p, _PRED_NAMES, _pred_parts)
+
+
+def _pred_parts(p: Pred) -> tuple:
+    """The names p reads itself, and its subpredicates."""
     if isinstance(p, Cmp):
-        names = _merged(_names(p.lhs), _names(p.rhs))
-    elif isinstance(p, TimeQuant):
-        inner = _merged(_pred_names(p.prefix), _pred_names(p.body))
-        names = inner - {p.t_name, p.tau_name}
-    elif isinstance(p, (TruePred, FalsePred, And, Or, Not)):
-        names = frozenset()
-        for c in _subpreds(p):
-            names = _merged(names, _pred_names(c))
-    else:
-        raise TypeError(f"not a Pred node: {p!r}")
-    p.__dict__[_PRED_NAMES] = names
-    return names
+        return _merged(_names(p.lhs), _names(p.rhs)), ()
+    if isinstance(p, TimeQuant):
+        return frozenset(), (p.prefix, p.body)
+    if isinstance(p, (TruePred, FalsePred, And, Or, Not)):
+        return frozenset(), _subpreds(p)
+    raise TypeError(f"not a Pred node: {p!r}")
 
 
 def pred_bound_names(p: Pred) -> set[str]:
@@ -982,3 +900,69 @@ def pred_bound_names(p: Pred) -> set[str]:
         inner = pred_bound_names(p.prefix) | pred_bound_names(p.body)
         return inner | {p.t_name, p.tau_name}
     return set()
+
+
+# ---------------------------------------------------------------------------
+# Evaluation at a valuation, through the generated kernels
+
+# op -> its relation of a, b and the tolerance eq_tol, as code over {0},
+# {1} and {2}; equality is relative: |a - b| <= eq_tol * (1 + max(|a|, |b|))
+_CMP = {
+    "=": "abs({0} - {1}) <= {2} * (1.0 + max(abs({0}), abs({1})))",
+    "!=": "not abs({0} - {1}) <= {2} * (1.0 + max(abs({0}), abs({1})))",
+    "<": "{0} < {1}",
+    "<=": "{0} <= {1}",
+    ">": "{0} > {1}",
+    ">=": "{0} >= {1}",
+}
+_REL = {op: eval(f"lambda a, b, eq_tol: {rel.format('a', 'b', 'eq_tol')}")
+        for op, rel in _CMP.items()}
+
+
+def compare(op: str, a: float, b: float, eq_tol: float = 0.0) -> bool:
+    if op not in _REL:
+        raise ValueError(f"unknown comparison operator {op!r}")
+    return _REL[op](a, b, eq_tol)
+
+
+def bound_names(term, binds) -> tuple:
+    """The names the term (an Expr or a Pred) reads that binds holds, a
+    mapping or a set, in the order of the term's name set; every name of
+    binds when the term holds a non-node, which raises where it is reached."""
+    try:
+        names = _pred_names(term) if isinstance(term, Pred) else _names(term)
+    except TypeError:
+        names = binds
+    return tuple(filter(binds.__contains__, names))
+
+
+def expr_kernel(e: Expr, bound: tuple):
+    """f(valuation) -> the value of e, with the names bound read from the
+    valuation and any other name unbound."""
+    w = KernelWriter()
+    return w.function("v", w.expr(e, _reads(w, bound), {}))
+
+
+def pred_kernel(p: Pred, bound: tuple):
+    """f(valuation, eq_tol) -> the truth of p, equality at eq_tol, with the
+    names bound read from the valuation and any other name unbound."""
+    w = KernelWriter()
+    return w.function("v, eq_tol", w.pred(p, _reads(w, bound), "eq_tol"))
+
+
+def _reads(w: KernelWriter, bound: tuple) -> dict:
+    """The locals that read each name of bound from the parameter v."""
+    return {n: f"v[{w.bind(n)}]" for n in bound}
+
+
+def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:
+    """The value of e at a valuation, as a left-to-right tree walk computes
+    it; unbound names, division by zero and exp overflow raise EvalError
+    (see KernelWriter)."""
+    return memo_kernel(expr_kernel, e, bound_names(e, valuation))(valuation)
+
+
+def eval_pred(p: Pred, valuation: Mapping[str, float], eq_tol: float = 0.0) -> bool:
+    """Evaluate a predicate; equality is exact unless eq_tol is given, and
+    And and Or short-circuit."""
+    return memo_kernel(pred_kernel, p, bound_names(p, valuation))(valuation, eq_tol)

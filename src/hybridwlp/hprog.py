@@ -18,8 +18,8 @@ from math import inf, isfinite
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .expr import (
-    EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, compile_pred, evaluate,
-    eval_pred, free_names, free_vars, memo_kernel, uses_time,
+    EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, bound_names, evaluate,
+    eval_pred, free_names, free_vars, memo_kernel, pred_kernel, uses_time,
 )
 
 Store = dict[str, float]
@@ -322,13 +322,15 @@ def store_update(s: Store, var: str, e: Expr, consts: Mapping[str, float] = {}) 
 def _guarded_prefix(grid, states, guard: Pred, consts, eq_tol: float) -> list[tuple[float, Store]]:
     """The orbit rule: the longest prefix of grid points whose states
     evaluate, are finite and satisfy the guard."""
-    holds = compile_pred(guard)
     env = dict(consts)  # the states of one orbit share their keys
+    holds = None  # the guard's kernel, for the names env binds
     out: list[tuple[float, Store]] = []
     try:
         for t, state in zip(grid, states):
             finite = all(map(isfinite, state.values()))
             env.update(state)
+            if holds is None:
+                holds = memo_kernel(pred_kernel, guard, bound_names(guard, env))
             if not (finite and holds(env, eq_tol)):
                 break
             out.append((t, state))
@@ -497,6 +499,15 @@ def find_violation(
     reaches a store where the post, a test, a branch condition or an
     assignment cannot be evaluated; None when neither occurs.
     """
+    kernels: dict = {}  # the post and each branch condition -> its kernel
+
+    def holds(p: Pred, store: Store) -> bool:
+        # the stores of a run have the keys of s, so one kernel serves each
+        env = {**cfg.consts, **store}
+        kernel = kernels.get(p)
+        if kernel is None:
+            kernel = kernels[p] = memo_kernel(pred_kernel, p, bound_names(p, env))
+        return kernel(env, EQ_TOL)
 
     def runs(node: HybridProgram, path) -> Iterator[list]:
         try:
@@ -513,7 +524,7 @@ def find_violation(
                 for item in node.items:
                     yield from runs(item, path)
             elif isinstance(node, IfThenElse):
-                taken = eval_pred(node.cond, {**cfg.consts, **path[-1][1]}, EQ_TOL)
+                taken = holds(node.cond, path[-1][1])
                 yield from runs(node.then if taken else node.els, path)
             elif isinstance(node, Loop):
                 yield path
@@ -541,7 +552,7 @@ def find_violation(
     try:
         for path in runs(p, [("init", dict(s))]):
             try:
-                if not eval_pred(post, {**cfg.consts, **path[-1][1]}, EQ_TOL):
+                if not holds(post, path[-1][1]):
                     return path, None
             except EVAL_FAILURES as exc:
                 return path, str(exc)

@@ -239,11 +239,12 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
 # The flow certificate's numeric cross-checks, as generated kernels (see
 # expr.KernelWriter), one per value of the field, the flow, the names and
 # the bound constants (see expr.memo_kernel).  The start values are floats;
-# a constant loads with float() where the compiled closures would first
-# load it, and a name that is neither a variable nor bound raises the
-# closures' EvalError there.  So every value and failure
-# is the one of rk4_integrate, Flow.states and Flow.at.  A NaN deviation is
-# the largest: it sticks to the running maximum, which then fails its check.
+# a constant loads with float() where a left-to-right tree walk would
+# first read it, and a name that is neither a variable nor bound raises the
+# walk's unbound-name EvalError there.  So every value and failure, and
+# their order, is the one of rk4_integrate, Flow.states and Flow.at.  A NaN
+# deviation is the largest: it sticks to the running maximum, which then
+# fails its check.
 
 
 def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:

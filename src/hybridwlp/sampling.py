@@ -22,11 +22,11 @@ from .expr import (
     Pred,
     Sub,
     TruePred,
-    compile_pred,
+    bound_names,
     eval_pred,
-    evaluate,
     memo_kernel,
     pred_free_names,
+    pred_kernel,
 )
 from .polynorm import Poly, atom_form
 
@@ -64,17 +64,13 @@ def _linear_in(form: Optional[tuple[Poly, str]], name: str) -> bool:
     return True
 
 
-def _solve_bisect(cmp_diff, name: str, valuation: dict, width: float) -> Optional[float]:
-    def residual(x: float) -> Optional[float]:
-        try:
-            return evaluate(cmp_diff, {**valuation, name: x})
-        except EVAL_FAILURES:
-            return None
-
+def _solve_bisect(residual, values: tuple, width: float) -> Optional[float]:
+    """A root in [-width, width] of x -> residual(x, *values), a residual
+    kernel (see _residual_kernel), or None."""
     pts = [width * (k / 12.0) for k in range(-12, 13)]
     prev_x, prev_r = None, None
     for x in pts:
-        r = residual(x)
+        r = residual(x, *values)
         if r is None:
             prev_x, prev_r = None, None
             continue
@@ -84,7 +80,7 @@ def _solve_bisect(cmp_diff, name: str, valuation: dict, width: float) -> Optiona
             lo, hi, rlo = prev_x, x, prev_r
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                rm = residual(mid)
+                rm = residual(mid, *values)
                 if rm is None:
                     return None
                 if abs(rm) < 1e-13:
@@ -135,15 +131,16 @@ def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:
     return tuple(flat), tuple(plan), free
 
 
-# a comparison's relation at check_valuation's tolerance, as expr._REL computes it
-_CHECK = {
-    "=": "abs({0} - {1}) <= {2} * (1.0 + max(abs({0}), abs({1})))",
-    "!=": "not abs({0} - {1}) <= {2} * (1.0 + max(abs({0}), abs({1})))",
-    "<": "{0} < {1}",
-    "<=": "{0} <= {1}",
-    ">": "{0} > {1}",
-    ">=": "{0} >= {1}",
-}
+def _residual_kernel(diff, name: str, bound: tuple):
+    """r(x, *values) -> the value of diff with name at x and the names bound
+    at the values, or None where it fails with EVAL_FAILURES."""
+    w = KernelWriter()
+    local = {n: w.temp() for n in bound}
+    w.floats("x")
+    w.guard("return None")
+    r = w.expr(diff, {**local, name: "x"}, {})
+    w.guard(None)
+    return w.function(", ".join(["x", *local.values()]), r)
 
 
 def _attempt_kernel(names: tuple, hyps: tuple):
@@ -152,11 +149,12 @@ def _attempt_kernel(names: tuple, hyps: tuple):
     when it is rejected; None for no plan.  It draws each free name with
     uniform from its range or (-width, width), solves each plan step at the
     names bound so far (a linear one from the residuals at 0 and 1, a bisect
-    one by _solve_bisect), rejects a solution outside its range, and checks
-    the conjuncts in order at EQ_CHECK_TOL, a non-comparison through its
-    compiled closure.  An EVAL_FAILURES exception while solving or checking
-    rejects; any other propagates.  The valuation's keys come in the order
-    in which they were bound."""
+    one by _solve_bisect over its residual kernel), rejects a solution
+    outside its range, and checks the conjuncts in order at EQ_CHECK_TOL, a
+    comparison inline and any other conjunct by its predicate kernel, given
+    the values of the names it reads.  An EVAL_FAILURES exception while
+    solving or checking rejects; any other propagates.  The valuation's
+    keys come in the order in which they were bound."""
     planned = _build_plan(names, hyps)
     if planned is None:
         return None
@@ -184,8 +182,10 @@ def _attempt_kernel(names: tuple, hyps: tuple):
             w.line("    return None")
             w.line(f"{x} = -{f0} / a")
         else:
-            valuation = "{%s}" % ", ".join(bound)
-            w.line(f"{x} = {w.bind(_solve_bisect)}({w.bind(diff)}, {key}, {valuation}, width)")
+            others = bound_names(diff, local)
+            residual = w.bind(_residual_kernel(diff, n, others))
+            values = "".join(f"{local[m]}, " for m in others)
+            w.line(f"{x} = {w.bind(_solve_bisect)}({residual}, ({values}), width)")
             w.line(f"if {x} is None:")
             w.line("    return None")
         w.line(f"lo, hi = ranges.get({key}, {unbounded})")
@@ -193,22 +193,19 @@ def _attempt_kernel(names: tuple, hyps: tuple):
         w.line("    return None")
         local[n] = x
         bound.append(f"{key}: {x}")
-    valuation = "{%s}" % ", ".join(bound)
-    tol, memo, out = w.bind(EQ_CHECK_TOL), {}, None
+    tol, memo = w.bind(EQ_CHECK_TOL), {}
     w.guard("return None")
     for p in flat:
         if type(p) is Cmp:
-            lhs = w.expr(p.lhs, local, memo)
-            rhs = w.expr(p.rhs, local, memo)
-            w.line(f"if not ({_CHECK[p.op].format(lhs, rhs, tol)}):")
+            w.line(f"if not ({w.cmp(p, local, memo, tol)}):")
         else:
-            if out is None:
-                out = w.temp()
-                w.line(f"{out} = {valuation}")
-            w.line(f"if not {w.bind(compile_pred(p))}({out}, {tol}):")
+            reads = bound_names(p, local)
+            check = w.bind(memo_kernel(pred_kernel, p, reads))
+            values = ", ".join(f"{w.bind(m)}: {local[m]}" for m in reads)
+            w.line(f"if not {check}({{{values}}}, {tol}):")
         w.line("    return None")
     w.guard(None)
-    return w.function("uniform, ranges, width", out or valuation)
+    return w.function("uniform, ranges, width", "{%s}" % ", ".join(bound))
 
 
 def sample_valuation(

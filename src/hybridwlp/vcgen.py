@@ -66,7 +66,7 @@ class Obligation:
     kind selects the discharge route: "arith" goes to the arithmetic
     discharger, "flow_cert" and "diff_inv" to the ODE certifier, "opaque"
     is reported Unknown as-is.  payload carries the Evolve data the
-    certifier needs.
+    certifier needs, or an opaque obligation's reason.
     """
 
     id: str
@@ -184,7 +184,7 @@ class _WlpPass:
         if isinstance(p, Abort):
             return TRUE
         if isinstance(p, Assign):
-            return _assign_run_wlp((p,), q)
+            return self.assign_run((p,), q, path)
         if isinstance(p, Test):
             return implies(p.cond, q)
         if isinstance(p, Seq):
@@ -192,7 +192,7 @@ class _WlpPass:
             groups = groupby(enumerate(p.items), key=lambda item: isinstance(item[1], Assign))
             for is_run, group in reversed([(k, list(g)) for k, g in groups]):
                 if is_run:
-                    q = _assign_run_wlp([a for _, a in group], q)
+                    q = self.assign_run([a for _, a in group], q, f"{path}.{group[0][0]}")
                 else:
                     for i, item in reversed(group):
                         q = self.wlp(item, q, f"{path}.{i}")
@@ -223,9 +223,27 @@ class _WlpPass:
                 )
                 self.emit([p.dinv, p.guard], q, f"dinv-post@{path}")
                 return p.dinv
-            self.emit((), TRUE, f"no-certificate@{path}", kind="opaque", payload=p)
+            self.emit((), TRUE, f"no-certificate@{path}", kind="opaque",
+                      payload="evolution command carries no flow or invariant")
             return TRUE
         raise TypeError(f"not a HybridProgram node: {p!r}")
+
+    def assign_run(self, run, q: Pred, path: str) -> Pred:
+        """wlp of x1 := e1; ...; xk := ek, starting at path, as one
+        simultaneous substitution q[sigma], sigma built forward: each ei
+        reads the store the assignments before it left, so sigma[xi] =
+        ei[sigma].  Where a denominator becomes the constant zero, true,
+        with an opaque obligation that names the undefined division, as
+        for an evolution command without a certificate."""
+        sigma: dict = {}
+        try:
+            for a in run:
+                sigma[a.var] = substitute(a.expr, sigma)
+            return substitute_pred(q, sigma)
+        except ValueError as exc:  # only Div rejects a rebuilt node
+            self.emit((), TRUE, f"undefined-division@{path}", kind="opaque",
+                      payload=f"wlp undefined: {exc}")
+            return TRUE
 
     def flow_wlp(self, flow: Flow, guard: Pred, dom: TimeDomain, q: Pred) -> Pred:
         # the flow's time symbol is substituted away, so it need not be avoided
@@ -247,16 +265,6 @@ class _WlpPass:
             prefix=substitute_pred(guard, at_tau),
             body=substitute_pred(q, at_t),
         )
-
-
-def _assign_run_wlp(run, q: Pred) -> Pred:
-    """wlp of x1 := e1; ...; xk := ek as one simultaneous substitution
-    q[sigma], sigma built forward: each ei reads the store the assignments
-    before it left, so sigma[xi] = ei[sigma]."""
-    sigma: dict = {}
-    for a in run:
-        sigma[a.var] = substitute(a.expr, sigma)
-    return substitute_pred(q, sigma)
 
 
 def wlp(p: HybridProgram, q: Pred) -> tuple[Pred, list[Obligation]]:

@@ -298,6 +298,30 @@ class TestVerifyCommand:
         verdict = json.loads(out)["obligations"][0]["verdict"]
         assert verdict == {"status": "unknown", "reason": reason}
 
+    @pytest.mark.parametrize("pre, post, program, at", [
+        ("true", "1/x > 0", "x := 0", "program"),
+        ("x < 0", "1/x < 0", "if x > 0 then x := 0 else skip", "program.then"),
+        ("true", "1/x > 0", "x := 1 ; x := 0", "program.0"),
+    ], ids=["assigned", "unreachable-branch", "assignment-run"])
+    def test_assignment_zeroing_a_denominator_is_unknown(self, capsys, tmp_path, pre, post,
+                                                         program, at):
+        # substituting x := 0 into 1/x used to raise ValueError out of wlp
+        f = tmp_path / "zd.hwl"
+        f.write_text(f"problem zd\nvars x\npre {pre}\npost {post}\nprogram {program}\n")
+        code, out, err = run(capsys, "verify", str(f), "--json")
+        assert code == 1 and "Traceback" not in err
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        opaque = [(o["provenance"], o["verdict"]) for o in report["obligations"]
+                  if o["kind"] == "opaque"]
+        assert opaque == [(f"undefined-division@{at}", {
+            "status": "unknown", "reason": "wlp undefined: division by the constant zero"})]
+        code, out, err = run(capsys, "certify", str(f))
+        assert code == 0 and "certification OK" in out  # no side condition to certify
+        if pre == "true":
+            code, out, err = run(capsys, "falsify", str(f))
+            assert code == 1 and "undefined at a reached store: division by zero" in out
+
 
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "verify"
 

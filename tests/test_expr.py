@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -35,7 +36,6 @@ from hybridwlp.expr import (
     TruePred,
     Var,
     compare,
-    compile_expr,
     const,
     diff,
     eval_pred,
@@ -45,6 +45,7 @@ from hybridwlp.expr import (
     free_vars,
     fresh_time_binders,
     lie_derivative,
+    memo_kernel,
     nnf,
     pred_bound_names,
     pred_free_names,
@@ -54,7 +55,9 @@ from hybridwlp.expr import (
     uses_time,
 )
 from hybridwlp.hprog import NONNEG
+from hybridwlp.hwl import parse_pred
 from hybridwlp.polynorm import atom_form, expr_eq, normalize
+from treewalk import ref_compare, ref_eval_pred, ref_evaluate
 
 x, y, v = Var("x"), Var("y"), Var("v")
 t = TimeVar()
@@ -325,80 +328,7 @@ class TestLieAgainstTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation against a reference tree walk
-
-
-def _ref_evaluate(e, val):
-    """The tree-walking evaluator the compiled kernel must agree with."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, (SymConst, Var)):
-        try:
-            return float(val[e.name])
-        except KeyError:
-            raise EvalError(f"unbound name {e.name!r}", e) from None
-    if isinstance(e, TimeVar):
-        try:
-            return float(val["t"])
-        except KeyError:
-            raise EvalError("unbound time symbol 't'", e) from None
-    if isinstance(e, Neg):
-        return -_ref_evaluate(e.arg, val)
-    if isinstance(e, Add):
-        return _ref_evaluate(e.lhs, val) + _ref_evaluate(e.rhs, val)
-    if isinstance(e, Sub):
-        return _ref_evaluate(e.lhs, val) - _ref_evaluate(e.rhs, val)
-    if isinstance(e, Mul):
-        return _ref_evaluate(e.lhs, val) * _ref_evaluate(e.rhs, val)
-    if isinstance(e, Div):
-        den = _ref_evaluate(e.den, val)
-        if den == 0.0:
-            raise EvalError("division by zero", e)
-        return _ref_evaluate(e.num, val) / den
-    if isinstance(e, Pow):
-        return _ref_evaluate(e.base, val) ** e.exp
-    if isinstance(e, Sin):
-        return math.sin(_ref_evaluate(e.arg, val))
-    if isinstance(e, Cos):
-        return math.cos(_ref_evaluate(e.arg, val))
-    if isinstance(e, Exp):
-        try:
-            return math.exp(_ref_evaluate(e.arg, val))
-        except OverflowError:
-            raise EvalError("exp overflow", e) from None
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def _ref_compare(op, a, b, eq_tol):
-    if op == "=":
-        return abs(a - b) <= eq_tol * (1.0 + max(abs(a), abs(b)))
-    if op == "!=":
-        return not _ref_compare("=", a, b, eq_tol)
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison operator {op!r}")
-
-
-def _ref_eval_pred(p, val, eq_tol):
-    if isinstance(p, TruePred):
-        return True
-    if isinstance(p, FalsePred):
-        return False
-    if isinstance(p, Cmp):
-        return _ref_compare(p.op, _ref_evaluate(p.lhs, val), _ref_evaluate(p.rhs, val), eq_tol)
-    if isinstance(p, And):
-        return _ref_eval_pred(p.lhs, val, eq_tol) and _ref_eval_pred(p.rhs, val, eq_tol)
-    if isinstance(p, Or):
-        return _ref_eval_pred(p.lhs, val, eq_tol) or _ref_eval_pred(p.rhs, val, eq_tol)
-    if isinstance(p, Not):
-        return not _ref_eval_pred(p.arg, val, eq_tol)
-    raise TypeError(f"not a Pred node: {p!r}")
+# Kernel evaluation against the reference tree walk (tests/treewalk.py)
 
 
 _NAMES = ("x", "y", "g")
@@ -480,7 +410,8 @@ def _assert_same(got, want):
     a, b = got[1], want[1]
     assert type(a) is type(b) and str(a) == str(b), (a, b)
     if isinstance(b, EvalError):
-        assert a.subterm is b.subterm
+        # a term equal to an earlier one runs the earlier one's kernel
+        assert a.subterm == b.subterm
 
 
 class TestCompiledEvaluation:
@@ -493,7 +424,7 @@ class TestCompiledEvaluation:
             for _ in range(6):
                 val = _random_valuation(rng)
                 got = _outcome(evaluate, e, val)
-                _assert_same(got, _outcome(_ref_evaluate, e, val))
+                _assert_same(got, _outcome(ref_evaluate, e, val))
                 if got[0] == "raise":
                     raised.add(type(got[1]))
         assert len(kinds) == 13  # every Expr node type was exercised
@@ -507,7 +438,7 @@ class TestCompiledEvaluation:
                 val = _random_valuation(rng)
                 tol = rng.choice((0.0, 1e-7, 0.5))
                 _assert_same(_outcome(eval_pred, p, val, tol),
-                             _outcome(_ref_eval_pred, p, val, tol))
+                             _outcome(ref_eval_pred, p, val, tol))
 
     def test_compare_matches_reference(self):
         values = (-2.0, 0.0, 1e-9, 1.0, 1.0 + 1e-8, math.inf, math.nan)
@@ -515,7 +446,7 @@ class TestCompiledEvaluation:
             for a in values:
                 for b in values:
                     for tol in (0.0, 1e-7):
-                        assert compare(op, a, b, tol) == _ref_compare(op, a, b, tol)
+                        assert compare(op, a, b, tol) == ref_compare(op, a, b, tol)
         with pytest.raises(ValueError, match="unknown comparison operator"):
             compare("<>", 1.0, 2.0)
 
@@ -527,8 +458,7 @@ class TestCompiledEvaluation:
             eval_pred(p, {"x": 1.0})
         with pytest.raises(EvalError, match="unbound name 'x'") as info:
             evaluate(x + huge, {})
-        assert info.value.subterm is x
-        assert compile_expr(huge) is compile_expr(huge)
+        assert info.value.subterm == x
 
     def test_and_short_circuits(self):
         p = And(Cmp("<", x, const(0)), Cmp(">", const(1) / x, const(0)))
@@ -553,26 +483,119 @@ class TestCompiledEvaluation:
         with pytest.raises(TypeError, match="not a Pred node"):
             eval_pred(And(TRUE, x), {"x": 1.0})
 
-    def test_each_node_compiles_once(self, monkeypatch):
-        calls = []
-        add = expr_module._EXPR_COMPILERS[Add]
+    def test_one_kernel_per_value(self, monkeypatch):
+        written = []
+        write = expr_module.expr_kernel
 
-        def counting(*args):
-            calls.append(args[0])
-            return add(*args)
+        def counting(e, bound):
+            written.append((e, bound))
+            return write(e, bound)
 
-        monkeypatch.setitem(expr_module._EXPR_COMPILERS, Add, counting)
-        e = x + y
-        assert evaluate(e, {"x": 1.0, "y": 2.0}) == 3.0
-        assert evaluate(e, {"x": 3.0, "y": 4.0}) == 7.0
-        assert calls == [e]
-        assert compile_expr(e) is compile_expr(e)
+        monkeypatch.setattr(expr_module, "expr_kernel", counting)
+        e = Add(Var("kx"), Var("ky"))
+        assert evaluate(e, {"kx": 1.0, "ky": 2.0}) == 3.0
+        # an equal term under another dict with the same keys
+        assert evaluate(Add(Var("kx"), Var("ky")), {"ky": 4.0, "kx": 3.0}) == 7.0
+        assert evaluate(Add(Var("kx"), Var("ky")), {"kx": 3.0, "ky": 4.0, "z": 0.0}) == 7.0
+        assert len(written) == 1 and written[0][0] is e
+        # binding fewer names is another kernel, whose loads raise
+        with pytest.raises(EvalError, match="unbound name 'ky'"):
+            evaluate(e, {"kx": 1.0})
+        assert [bound for _, bound in written] == [written[0][1], ("kx",)]
+        huge = const(10 ** 400)
+        assert memo_kernel(expr_module.expr_kernel, huge, ()) is memo_kernel(
+            expr_module.expr_kernel, const(10 ** 400), ())
+
+    def test_two_parses_share_one_kernel(self, monkeypatch):
+        written = []
+        write = expr_module.pred_kernel
+
+        def counting(p, bound):
+            written.append(p)
+            return write(p, bound)
+
+        monkeypatch.setattr(expr_module, "pred_kernel", counting)
+        text = "kx * kx + 1 > kx | kx = 7/2"
+        first, second = (parse_pred(text, ("kx",), ()) for _ in range(2))
+        assert first == second and first is not second
+        assert eval_pred(first, {"kx": 3.5}) is True
+        assert eval_pred(second, {"kx": -1.0}) is True
+        assert written == [first]
 
     def test_compiled_node_equals_fresh_node(self):
         a, b = Cmp("<=", x * x, y + const(1)), Cmp("<=", x * x, y + const(1))
         eval_pred(a, {"x": 1.0, "y": 1.0})
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert a.lhs == b.lhs and hash(a.lhs) == hash(b.lhs)
+
+
+
+def _deep_ref(p, val, tol):
+    """The reference walk's outcome on a predicate deeper than the default
+    recursion limit allows it, under a raised limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3000)
+    try:
+        return _outcome(ref_eval_pred, p, val, tol)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _fold(kinds, parts, left):
+    """parts joined by kinds[i % len(kinds)] in turn, nested to the left
+    (((a & b) | c) ...) or to the right (a & (b | (c ...)))."""
+    if left:
+        out = parts[0]
+        for i, q in enumerate(parts[1:]):
+            out = kinds[i % len(kinds)](out, q)
+        return out
+    out = parts[-1]
+    for i, q in enumerate(reversed(parts[:-1])):
+        out = kinds[i % len(kinds)](q, out)
+    return out
+
+
+def _chain_atoms(n, holds):
+    """n comparisons over x and y that all hold (holds) or all fail at x = 1/2,
+    y = 3, some by tolerance, then one that divides by x - y."""
+    atoms = []
+    for k in range(n - 1):
+        if k % 3 == 0:
+            atoms.append(Cmp(">=" if holds else "<", x + const(k), const(0)))
+        elif k % 3 == 1:
+            atoms.append(Cmp("=" if holds else "!=", x * const(k) + y, y + const(k) * x))
+        else:
+            atoms.append(Not(Cmp("<" if holds else ">=", Exp(x) * const(k), const(-1))))
+    atoms.append(Cmp(">", const(1) / (x - y), const(0)))
+    return atoms
+
+
+class TestDeepPredicates:
+    VALUATIONS = ({"x": 0.5, "y": 3.0}, {"x": 0.5, "y": 0.5}, {"x": -2000.0, "y": 3.0},
+                  {"x": 0.5}, {"x": 800.0, "y": 3.0})
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    @pytest.mark.parametrize("kind", [And, Or])
+    def test_thousand_operand_chains(self, kind, left):
+        p = _fold((kind,), _chain_atoms(1000, holds=kind is And), left)
+        reached_last = 0
+        for val in self.VALUATIONS:
+            for tol in (0.0, 1e-7):
+                got = _outcome(eval_pred, p, val, tol)
+                _assert_same(got, _deep_ref(p, val, tol))
+                reached_last += got[0] == "raise"
+        assert reached_last  # the last operand's division was reached
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_alternation_of_three_hundred_levels(self, left):
+        rng = random.Random(9)
+        for _ in range(4):
+            atoms = [_random_pred(rng, 0) for _ in range(301)]
+            p = _fold((And, Or), atoms, left)
+            for _ in range(6):
+                val = _random_valuation(rng)
+                tol = rng.choice((0.0, 1e-7, 0.5))
+                _assert_same(_outcome(eval_pred, p, val, tol), _outcome(ref_eval_pred, p, val, tol))
 
 
 class TestSamplingPlan:
@@ -811,11 +834,9 @@ class TestSharingSubstitution:
     def test_untouched_subtree_is_the_same_object(self):
         left = x * x + Sin(g)
         e = Add(left, Cos(y))
-        fn = compile_expr(left)
         out = substitute(e, {"y": v})
         assert out == Add(left, Cos(v))
         assert out.lhs is left
-        assert out.lhs.__dict__["_expr_fn"] is fn
         assert substitute(e, {"z": v}) is e
         assert substitute(e, {}) is e
         p = And(Cmp("<=", left, g), Cmp(">", y, const(0)))

@@ -10,7 +10,7 @@ from hybridwlp import odecert, sampling
 from hybridwlp.cli import main, run_verify
 from hybridwlp.expr import (
     Add, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin, SymConst, TimeVar, TRUE,
-    Var, const, evaluate, memo_kernel,
+    Var, const, memo_kernel,
 )
 from hybridwlp.hprog import (
     Abort,
@@ -37,6 +37,7 @@ from hybridwlp.hprog import (
 )
 from hybridwlp.hwl import parse_spec
 from hybridwlp.vcgen import _find_evolves
+from treewalk import ref_flow_at, ref_rk4_states, ref_rk4_step
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -314,43 +315,8 @@ class TestRunSampled:
 
 
 # ---------------------------------------------------------------------------
-# Reference numeric loops over the compiled closures: the RK4 step that
-# built a merged environment and a derivative dict per stage, and Flow.at
-# as one evaluate call per component.  The generated kernels must match them
-# bit for bit, failures included.
-
-
-def ref_rk4_step(field, s, h, consts):
-    names = list(field.components)
-
-    def deriv(state):
-        env = {**consts, **state}
-        return {x: evaluate(field.components[x], env) for x in names}
-
-    k1 = deriv(s)
-    s2 = {x: s[x] + 0.5 * h * k1[x] for x in names}
-    k2 = deriv(s2)
-    s3 = {x: s[x] + 0.5 * h * k2[x] for x in names}
-    k3 = deriv(s3)
-    s4 = {x: s[x] + h * k3[x] for x in names}
-    k4 = deriv(s4)
-    out = dict(s)
-    for x in names:
-        out[x] = s[x] + (h / 6.0) * (k1[x] + 2 * k2[x] + 2 * k3[x] + k4[x])
-    return out
-
-
-def ref_rk4_states(field, s, h, consts):
-    state = dict(s)
-    while True:
-        yield state
-        state = ref_rk4_step(field, state, h, consts)
-
-
-def ref_flow_at(flow, t, s, consts):
-    env = {**consts, **s, "t": t}
-    rest = {x: Var(x) for x in s if x not in flow.components}
-    return {x: evaluate(e, env) for x, e in {**flow.components, **rest}.items()}
+# The generated RK4 stepper and flow kernels must match the tree walk's RK4
+# step and flow states (tests/treewalk.py) bit for bit, failures included.
 
 
 def failure(states, n):

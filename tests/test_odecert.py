@@ -54,6 +54,7 @@ from hybridwlp.odecert import (
     rk4_integrate,
 )
 from hybridwlp.vcgen import VerifySpec
+from treewalk import ref_flow_at, ref_rk4_states
 
 x, y, v, z = Var("x"), Var("y"), Var("v"), Var("z")
 x_a, x_b = Var("a"), Var("b")
@@ -264,7 +265,8 @@ class TestCertifyFlow:
 
 # ---------------------------------------------------------------------------
 # Reference numeric cross-checks: the certificate's monoid and RK4 loops as
-# they ran over Flow.at, rk4_integrate and Flow.states, except that a NaN
+# they ran over Flow.at, rk4_integrate and Flow.states, here over the tree
+# walk's flow states and RK4 steps (tests/treewalk.py), except that a NaN
 # deviation wins every maximum (nan_max).  The generated check kernels must
 # give the same CheckResult, residual bit for bit, and leave the random
 # draws where the references leave them.
@@ -286,8 +288,8 @@ def ref_monoid_check(flow, names, valuations, rng, negative):
         else:
             t1, t2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
         try:
-            one_shot = flow.at(t1 + t2, s, cv)
-            two_step = flow.at(t1, flow.at(t2, s, cv), cv)
+            one_shot = ref_flow_at(flow, t1 + t2, s, cv)
+            two_step = ref_flow_at(flow, t1, ref_flow_at(flow, t2, s, cv), cv)
         except EVAL_FAILURES as exc:
             return CheckResult(False, f"evaluation failed: {exc}")
         residual = nan_max([residual, nan_max(abs(one_shot[v] - two_step[v]) for v in names)])
@@ -300,10 +302,17 @@ def ref_rk4_check(field, flow, names, valuations, rng, horizon):
     for cv in valuations:
         s = {v: rng.uniform(-1.5, 1.5) for v in names}
         try:
-            traj, divergent = rk4_integrate(field, s, RK4_STEP, steps, cv)
+            # the orbit up to its first state that is not finite, as
+            # rk4_integrate takes it, then the flow
+            traj, divergent = [], False
+            for st in itertools.islice(ref_rk4_states(field, s, RK4_STEP, cv), steps + 1):
+                if not all(map(math.isfinite, st.values())):
+                    divergent = True
+                    break
+                traj.append(st)
             if not divergent:
-                targets = flow.states([tt for tt, _ in traj], s, cv)
-                for (_, st), target in zip(traj, targets):
+                for k, st in enumerate(traj):
+                    target = ref_flow_at(flow, k * RK4_STEP, s, cv)
                     # max(|target[v] - st[v]| for v in names), compared in that order
                     dev = nan_max(map(abs, map(operator.sub, map(target.__getitem__, names),
                                                map(st.__getitem__, names))))

@@ -1,10 +1,10 @@
-"""The sampler's generated attempt function against the closure attempt.
+"""The sampler's generated attempt function against a reference sampler.
 
 ref_sample_valuation is the sampler as it ran before plans compiled into
-straight-line kernels: it draws, solves and checks over merged dicts through
-the compiled closures.  sample_valuation must return the same valuations
-(values and key order), the same None outcomes and the same exceptions, and
-leave the random stream in the same state.
+straight-line kernels: it draws, solves and checks over merged dicts, with
+every value from the tree walk of tests/treewalk.py.  sample_valuation must
+return the same valuations (values and key order), the same None outcomes
+and the same exceptions, and leave the random stream in the same state.
 """
 
 import math
@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from hybridwlp import hwl, sampling
+from hybridwlp import expr, hwl, sampling
 from hybridwlp.expr import (
+    CMP_OPS,
     EVAL_FAILURES,
     EvalError,
     TRUE,
@@ -31,11 +32,11 @@ from hybridwlp.expr import (
     compare,
     const,
     eval_pred,
-    evaluate,
     memo_kernel,
     pred_free_names,
 )
 from hybridwlp.hprog import NONNEG
+from treewalk import ref_compare, ref_eval_pred, ref_evaluate
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -43,19 +44,59 @@ x, y, z, g = Var("x"), Var("y"), Var("z"), SymConst("g")
 
 
 # ---------------------------------------------------------------------------
-# Reference: the closure attempt
+# Reference: the attempt over merged dicts
+
+
+def ref_residual(cmp_diff, name, valuation, x):
+    try:
+        return ref_evaluate(cmp_diff, {**valuation, name: x})
+    except EVAL_FAILURES:
+        return None
 
 
 def ref_solve_linear(cmp_diff, name, valuation):
-    try:
-        f0 = evaluate(cmp_diff, {**valuation, name: 0.0})
-        f1 = evaluate(cmp_diff, {**valuation, name: 1.0})
-    except EVAL_FAILURES:
+    f0 = ref_residual(cmp_diff, name, valuation, 0.0)
+    f1 = ref_residual(cmp_diff, name, valuation, 1.0)
+    if f0 is None or f1 is None:
         return None
     a = f1 - f0
     if abs(a) < 1e-12:
         return None
     return -f0 / a
+
+
+def ref_solve_bisect(cmp_diff, name, valuation, width):
+    prev_x, prev_r = None, None
+    for x in [width * (k / 12.0) for k in range(-12, 13)]:
+        r = ref_residual(cmp_diff, name, valuation, x)
+        if r is None:
+            prev_x, prev_r = None, None
+            continue
+        if abs(r) < 1e-12:
+            return x
+        if prev_r is not None and (r < 0) != (prev_r < 0):
+            lo, hi, rlo = prev_x, x, prev_r
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                rm = ref_residual(cmp_diff, name, valuation, mid)
+                if rm is None:
+                    return None
+                if abs(rm) < 1e-13:
+                    return mid
+                if (rm < 0) == (rlo < 0):
+                    lo, rlo = mid, rm
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+        prev_x, prev_r = x, r
+    return None
+
+
+def ref_check(hyps, valuation):
+    try:
+        return all(ref_eval_pred(h, valuation, sampling.EQ_CHECK_TOL) for h in hyps)
+    except EVAL_FAILURES:
+        return False
 
 
 def ref_sample_valuation(names, hyps, rng, ranges={}, attempts=300):
@@ -76,7 +117,7 @@ def ref_sample_valuation(names, hyps, rng, ranges={}, attempts=300):
             if how == "linear":
                 xv = ref_solve_linear(diff, n, v)
             else:
-                xv = sampling._solve_bisect(diff, n, v, width)
+                xv = ref_solve_bisect(diff, n, v, width)
             if xv is None:
                 ok = False
                 break
@@ -87,7 +128,7 @@ def ref_sample_valuation(names, hyps, rng, ranges={}, attempts=300):
             v[n] = xv
         if not ok:
             continue
-        if not sampling.check_valuation(flat, v):
+        if not ref_check(flat, v):
             continue
         return v
     return None
@@ -152,14 +193,17 @@ def test_ranges_and_refutation_budget_match_reference():
     assert all(-2.0 <= float.fromhex(dict(v)["g"]) <= -0.5 for v in got)
 
 
-def test_check_relations_match_compare():
+def test_comparison_templates_match_reference():
+    # the attempt kernel's inline checks and compare share these templates
     values = [0.0, -0.0, 1.0, 1.0 + 1e-8, -3.5, 1e300, math.inf, -math.inf, math.nan]
-    for op, text in sampling._CHECK.items():
+    assert set(expr._CMP) == set(CMP_OPS)
+    for op, text in expr._CMP.items():
         rel = eval(f"lambda a, b, tol: {text.format('a', 'b', 'tol')}")
         for a in values:
             for b in values:
-                assert rel(a, b, sampling.EQ_CHECK_TOL) == compare(
-                    op, a, b, sampling.EQ_CHECK_TOL), (op, a, b)
+                want = ref_compare(op, a, b, sampling.EQ_CHECK_TOL)
+                assert rel(a, b, sampling.EQ_CHECK_TOL) == want, (op, a, b)
+                assert compare(op, a, b, sampling.EQ_CHECK_TOL) == want, (op, a, b)
 
 
 class TestShortCircuitAndFailures:

@@ -171,6 +171,19 @@ class TestWlpRules:
         assert pred == TRUE
         assert [o.kind for o in obs] == ["opaque"]
 
+    def test_assignment_zeroing_a_denominator_is_opaque(self):
+        q = Cmp(">", const(1) / x, const(0))
+        pred, obs = wlp(Seq((Assign("x", const(2)), Assign("x", const(0)))), q)
+        assert pred == TRUE
+        assert [(o.kind, o.provenance, o.payload) for o in obs] == [
+            ("opaque", "undefined-division@program.0",
+             "wlp undefined: division by the constant zero")]
+        # only the run that zeroes the denominator is replaced by true
+        pred, obs = wlp(IfThenElse(Cmp(">", x, const(0)), Assign("x", const(0)),
+                                   Assign("x", const(-1))), q)
+        assert pred.lhs.rhs == TRUE and pred.rhs.rhs == Cmp(">", const(1) / const(-1), const(0))
+        assert [o.provenance for o in obs] == ["undefined-division@program.then"]
+
     def test_nested_evolves_get_fresh_time_names(self):
         ev = Evolve(BALL_FIELD, BALL_GUARD, NONNEG, flow=BALL_FLOW)
         pred, _ = wlp(Seq((ev, ev)), Cmp(">=", x, const(0)))
