@@ -1,11 +1,12 @@
 """Hybrid stores, hybrid-program ASTs and an executable sampling semantics.
 
-The sampler approximates the state-transformer semantics on a time grid.
-It checks guards only at grid points, so it can falsify specifications but
-never prove them; the sound path goes through wlp generation and discharge.
-An evolution command's orbit, from a flow or from RK4 on its field, is the
-longest prefix of grid points whose states evaluate, are finite and satisfy
-the guard.
+The sampler approximates the state-transformer semantics on a time grid:
+run_sampled gives the stores reachable within the loop fuel, find_violation
+searches runs depth first, on one explicit stack, for a counterexample.  It
+checks guards only at grid points, so it can falsify but never prove; the
+sound path goes through wlp generation and discharge.  An evolution
+command's orbit, from a flow or from RK4 on its field, is the longest
+prefix of grid points whose states evaluate, are finite and satisfy the guard.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
 from math import inf, isfinite
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .expr import (
     EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, bound_names, evaluate,
@@ -485,8 +486,9 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
     return RunResult([dict(k) for k in sorted(final)], complete)
 
 
-class _Undefined(Exception):
-    """Carries (path, message) of a run stopped by an evaluation failure."""
+# find_violation's mark for the end of a loop body's iteration (of none on
+# entry): the body, the keys of the stores the loop reached, the iterations left
+_LoopEnd = NamedTuple("_LoopEnd", [("body", HybridProgram), ("reached", set), ("fuel", int)])
 
 
 def find_violation(
@@ -497,7 +499,13 @@ def find_violation(
     A run is a path of (step label, store) pairs.  Returns (path, None) for
     the first violating run, or (path, message) for the first run that
     reaches a store where the post, a test, a branch condition or an
-    assignment cannot be evaluated; None when neither occurs.
+    assignment cannot be evaluated; None when neither occurs.  A loop runs
+    its rest before its next iteration, at most cfg.fuel times, and a run
+    whose iteration ends at a store the loop has reached is cut.
+
+    One stack holds (run, todo) entries: run is its last step linked to the
+    run before it, (step, run) down to None, and todo the nodes left, as
+    (node, todo) pairs down to None, so no Python recursion limit applies.
     """
     kernels: dict = {}  # the post and each branch condition -> its kernel
 
@@ -509,53 +517,44 @@ def find_violation(
             kernel = kernels[p] = memo_kernel(pred_kernel, p, bound_names(p, env))
         return kernel(env, EQ_TOL)
 
-    def runs(node: HybridProgram, path) -> Iterator[list]:
+    stack = [((("init", dict(s)), None), (p, None))]
+    message = None
+    while stack:
+        run, todo = stack.pop()
+        store = run[0][1]
         try:
+            if todo is None:
+                if not holds(post, store):
+                    break
+                continue
+            node, rest = todo
             if isinstance(node, Seq):
-                def chain(items, pth):
-                    if not items:
-                        yield pth
-                        return
-                    for pth2 in runs(items[0], pth):
-                        yield from chain(items[1:], pth2)
-
-                yield from chain(list(node.items), path)
+                for item in reversed(node.items):
+                    rest = item, rest
+                stack.append((run, rest))
             elif isinstance(node, Choice):
-                for item in node.items:
-                    yield from runs(item, path)
+                stack += [(run, (item, rest)) for item in reversed(node.items)]
             elif isinstance(node, IfThenElse):
-                taken = holds(node.cond, path[-1][1])
-                yield from runs(node.then if taken else node.els, path)
+                stack.append((run, (node.then if holds(node.cond, store) else node.els, rest)))
             elif isinstance(node, Loop):
-                yield path
-                seen = {_key(path[-1][1])}
-
-                def unroll(pth, fuel):
-                    if fuel <= 0:
-                        return
-                    for pth2 in runs(node.body, pth):
-                        k = _key(pth2[-1][1])
-                        if k in seen:
-                            continue
-                        seen.add(k)
-                        yield pth2
-                        yield from unroll(pth2, fuel - 1)
-
-                yield from unroll(path, cfg.fuel)
+                stack.append((run, (_LoopEnd(node.body, set(), cfg.fuel), rest)))
+            elif isinstance(node, _LoopEnd):
+                key = _key(store)
+                if key not in node.reached:
+                    node.reached.add(key)
+                    if node.fuel > 0:
+                        stack.append((run, (node.body, (node._replace(fuel=node.fuel - 1), rest))))
+                    stack.append((run, rest))
             else:
-                for step in _steps(node, path[-1][1], cfg):
-                    yield path if step[0] is None else path + [step]
+                stack += [(run if label is None else ((label, nxt), run), rest)
+                          for label, nxt in reversed(_steps(node, store, cfg))]
         except EVAL_FAILURES as exc:
-            # a failure from a nested run arrives here as _Undefined already
-            raise _Undefined(path, str(exc)) from None
-
-    try:
-        for path in runs(p, [("init", dict(s))]):
-            try:
-                if not holds(post, path[-1][1]):
-                    return path, None
-            except EVAL_FAILURES as exc:
-                return path, str(exc)
-    except _Undefined as exc:
-        return exc.args
-    return None
+            message = str(exc)
+            break
+    else:
+        return None
+    path = []
+    while run is not None:
+        step, run = run
+        path.append(step)
+    return path[::-1], message

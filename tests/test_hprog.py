@@ -9,13 +9,14 @@ import pytest
 from hybridwlp import odecert, sampling
 from hybridwlp.cli import main, run_verify
 from hybridwlp.expr import (
-    Add, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin, SymConst, TimeVar, TRUE,
-    Var, const, memo_kernel,
+    EVAL_FAILURES, Add, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin, SymConst,
+    TimeVar, TRUE, Var, const, eval_pred, memo_kernel,
 )
 from hybridwlp.hprog import (
     Abort,
     Assign,
     Choice,
+    EQ_TOL,
     Evolve,
     Flow,
     IfThenElse,
@@ -27,6 +28,7 @@ from hybridwlp.hprog import (
     Test,
     TimeDomain,
     VectorField,
+    find_violation,
     flow_kernel,
     guarded_orbit_field,
     guarded_orbit_flow,
@@ -34,6 +36,8 @@ from hybridwlp.hprog import (
     rk4_step_kernel,
     run_sampled,
     store_update,
+    _key,
+    _steps,
 )
 from hybridwlp.hwl import parse_spec
 from hybridwlp.vcgen import _find_evolves
@@ -312,6 +316,138 @@ class TestRunSampled:
                 for st in run_sampled(prog, {"x": float(i)}, self.CFG).states
             }
             assert direct == set(composed.successors[i])
+
+
+# ---------------------------------------------------------------------------
+# find_violation's explicit-stack search must find exactly the run, or the
+# failure, that the recursive search it replaced found.
+
+
+class _RefUndefined(Exception):
+    """Carries (path, message) of a run stopped by an evaluation failure."""
+
+
+def reference_find_violation(p, s, post, cfg):
+    """find_violation as nested recursive generators, one per node, Seq
+    items, and loop unrolling: depth first, a loop's rest before its next
+    iteration, an iteration ending at a store the loop has reached is cut,
+    and a failure reports the path into the node that failed.  Python's
+    recursion limit bounds it; keep it to small programs."""
+
+    def holds(q, store):
+        return eval_pred(q, {**cfg.consts, **store}, EQ_TOL)
+
+    def runs(node, path):
+        try:
+            if isinstance(node, Seq):
+                def chain(items, pth):
+                    if not items:
+                        yield pth
+                        return
+                    for pth2 in runs(items[0], pth):
+                        yield from chain(items[1:], pth2)
+
+                yield from chain(list(node.items), path)
+            elif isinstance(node, Choice):
+                for item in node.items:
+                    yield from runs(item, path)
+            elif isinstance(node, IfThenElse):
+                taken = holds(node.cond, path[-1][1])
+                yield from runs(node.then if taken else node.els, path)
+            elif isinstance(node, Loop):
+                yield path
+                seen = {_key(path[-1][1])}
+
+                def unroll(pth, fuel):
+                    if fuel <= 0:
+                        return
+                    for pth2 in runs(node.body, pth):
+                        k = _key(pth2[-1][1])
+                        if k in seen:
+                            continue
+                        seen.add(k)
+                        yield pth2
+                        yield from unroll(pth2, fuel - 1)
+
+                yield from unroll(path, cfg.fuel)
+            else:
+                for step in _steps(node, path[-1][1], cfg):
+                    yield path if step[0] is None else path + [step]
+        except EVAL_FAILURES as exc:
+            # a failure from a nested run arrives here as _RefUndefined already
+            raise _RefUndefined(path, str(exc)) from None
+
+    try:
+        for path in runs(p, [("init", dict(s))]):
+            try:
+                if not holds(post, path[-1][1]):
+                    return path, None
+            except EVAL_FAILURES as exc:
+                return path, str(exc)
+    except _RefUndefined as exc:
+        return exc.args
+    return None
+
+
+DIV_LEAF = Assign("x", x / v)  # undefined where v = 0
+# up to three successors, at t = 0, 1, 2 under SEARCH_CFG's grid
+EVOL_LEAF = Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t}))
+
+
+def random_looping_program(rng: random.Random, depth: int = 3):
+    """random_discrete_program's programs, DIV_LEAF and EVOL_LEAF under Loop,
+    Seq and Choice, over stores x, v."""
+    shape = rng.random()
+    if depth <= 0 or shape < 0.3:
+        leaf = rng.random()
+        return DIV_LEAF if leaf < 0.15 else EVOL_LEAF if leaf < 0.25 else (
+            random_discrete_program(rng, 2))
+    if shape < 0.55:
+        return Loop(random_looping_program(rng, depth - 1), TRUE)
+    items = tuple(random_looping_program(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+    return Seq(items) if shape < 0.8 else Choice(items)
+
+
+class TestFindViolation:
+    POSTS = (Cmp("<=", x, const(2)), Cmp(">=", v, x - const(3)), Cmp("<=", x * v, const(4)))
+
+    def test_agrees_with_recursive_reference(self):
+        rng = random.Random(23)
+        outcomes = {"violating": 0, "undefined": 0, "clean": 0}
+        checked_reachable = 0
+        for _ in range(400):
+            prog = random_looping_program(rng)
+            s = {"x": float(rng.randint(-2, 2)), "v": float(rng.randint(-2, 2))}
+            post = rng.choice(self.POSTS)
+            cfg = RunConfig(fuel=rng.randint(0, 3), step=1.0, horizon=2.0)
+            found = find_violation(prog, s, post, cfg)
+            assert found == reference_find_violation(prog, s, post, cfg)
+            if found is None:
+                outcomes["clean"] += 1
+                continue
+            path, message = found
+            assert path[0] == ("init", s)
+            if message is not None:
+                outcomes["undefined"] += 1
+                continue
+            outcomes["violating"] += 1
+            try:
+                reached = run_sampled(prog, s, cfg).as_keys()
+            except EVAL_FAILURES:
+                continue  # another run of the program is undefined
+            assert _key(path[-1][1]) in reached
+            checked_reachable += 1
+        assert all(outcomes.values()), outcomes
+        assert checked_reachable > 0
+
+    def test_fuel_3000_loop_runs_every_iteration(self):
+        # the recursive search took Python frames per iteration
+        body = Assign("x", x + 1)
+        cfg = RunConfig(fuel=3000)
+        path, message = find_violation(Loop(body, TRUE), {"x": 0.0}, Cmp("<=", x, const(2999)), cfg)
+        assert message is None and len(path) == 3001
+        assert path[-1] == ("x := ...", {"x": 3000.0})
+        assert find_violation(Loop(body, TRUE), {"x": 0.0}, Cmp("<=", x, const(3000)), cfg) is None
 
 
 # ---------------------------------------------------------------------------
