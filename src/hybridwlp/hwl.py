@@ -20,6 +20,17 @@ One problem per file:
 
 Sequencing binds tighter than choice; if/loop/then/else branches are single
 statements (parenthesize compound ones).
+
+Predicates P and terms E are read and printed through one operator table,
+`_OPS`, loosest first; the binary operators associate to the left:
+
+    P ::= P | P            E ::= E + E | E - E
+        | P & P                | E * E | E / E
+        | ! P                  | - E             (-3 is the constant -3)
+        | E rel E              | A ^ NAT         (one natural literal)
+        | true | false | ( P )  | A
+    rel ::= = | != | < | <= | > | >=             (comparisons do not chain)
+    A ::= NUM | ID | t | sin(E) | cos(E) | exp(E) | ( E )
 """
 
 from __future__ import annotations
@@ -31,47 +42,12 @@ from math import inf
 from typing import NamedTuple, Optional
 
 from .expr import (
-    Add,
-    And,
-    Cmp,
-    Const,
-    Cos,
-    Div,
-    Exp,
-    Expr,
-    FalsePred,
-    Mul,
-    Neg,
-    Not,
-    Or,
-    Pow,
-    Pred,
-    Sin,
-    Sub,
-    SymConst,
-    TimeQuant,
-    TimeVar,
-    TruePred,
-    TRUE,
-    FALSE,
-    Var,
+    Add, And, Cmp, Const, Cos, Div, Exp, Expr, FalsePred, Mul, Neg, Not, Or, Pow, Pred, Sin,
+    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var,
 )
 from .hprog import (
-    Abort,
-    Assign,
-    Choice,
-    Evolve,
-    Flow,
-    HybridProgram,
-    IfThenElse,
-    Loop,
-    NONNEG,
-    REALS,
-    Seq,
-    Skip,
-    Test,
-    TimeDomain,
-    VectorField,
+    Abort, Assign, Choice, Evolve, Flow, HybridProgram, IfThenElse, Loop, NONNEG, REALS, Seq,
+    Skip, Test, TimeDomain, VectorField,
 )
 from .discharge import Lemma
 
@@ -162,63 +138,79 @@ class SpecFile:
         )
 
 
+class _Op(NamedTuple):
+    text: str
+    prec: int
+    node: type
+
+
+# The one operator table of terms and predicates, loosest first: the
+# parser's loop and the printer read each operator's spelling, precedence
+# and node class here.  Operators below _CMP join predicates, _CMP compares
+# two terms and those above join terms; "!" and the second "-" are prefix.
+_OPS = (
+    _Op("|", 1, Or), _Op("&", 2, And), _Op("!", 3, Not),
+    *(_Op(rel, 4, Cmp) for rel in ("=", "!=", "<", "<=", ">", ">=")),
+    _Op("+", 5, Add), _Op("-", 5, Sub), _Op("*", 6, Mul), _Op("/", 6, Div),
+    _Op("-", 7, Neg), _Op("^", 8, Pow),
+)
+_CMP, _TERM, _MUL, _ATOM = 4, 5, 6, 9
+_PREFIX = {op.text: op for op in _OPS if op.node in (Not, Neg)}
+_INFIX = {op.text: op for op in _OPS if op.node not in (Not, Neg)}
+_OF_NODE = {op.node: op for op in _OPS}  # Cmp spells itself
+_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
+_FUNCTION_NAMES = {node: name for name, node in _FUNCTIONS.items()}
+_TRUTHS = {"true": TRUE, "false": FALSE}
+
+
 class _Parser:
     def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.pos = 0
+        self._rest = iter(tokens)
+        self.tok = next(self._rest)  # the current token; "eof" stays current
         self.vars: tuple = ()
         self.consts: tuple = ()
         self.allow_time = False  # the time symbol is legal only in flows
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def next(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
+        tok, self.tok = self.tok, next(self._rest, self.tok)
         return tok
 
     def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
+        tok = tok or self.tok
         raise ParseError(message, tok.line, tok.col)
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}")
+        if self.tok.text != text:
+            self.error(f"expected {text!r}, found {self.tok.text!r}")
         return self.next()
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tok.text == text:
             self.next()
             return True
         return False
 
     def expect_end(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.error(f"unexpected trailing input {tok.text!r}")
+        if self.tok.kind != "eof":
+            self.error(f"unexpected trailing input {self.tok.text!r}")
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "id" or tok.text in KEYWORDS:
             self.error(f"expected {what}, found {tok.text!r}")
         return self.next().text
 
     def number(self) -> Fraction:
         neg = self.accept("-")
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "num":
             self.error(f"expected number, found {tok.text!r}")
         self.next()
         value = Fraction(tok.text)
         if self.accept("/"):
-            den = self.peek()
+            den = self.tok
             if den.kind != "num":
                 self.error(f"expected denominator, found {den.text!r}")
             self.next()
@@ -235,7 +227,7 @@ class _Parser:
         self.accept(";")
         self.expect("vars")
         var_names = []
-        while self.peek().kind == "id" and self.peek().text not in KEYWORDS:
+        while self.tok.kind == "id" and self.tok.text not in KEYWORDS:
             v = self.ident("variable name")
             if v in RESERVED_NAMES or v in var_names:
                 self.error(f"bad variable name {v!r}")
@@ -248,7 +240,7 @@ class _Parser:
         const_names = []
         ranges = {}
         if self.accept("consts"):
-            while self.peek().kind == "id" and self.peek().text not in KEYWORDS:
+            while self.tok.kind == "id" and self.tok.text not in KEYWORDS:
                 c = self.ident("constant name")
                 if c in RESERVED_NAMES or c in var_names or c in const_names:
                     self.error(f"bad constant name {c!r}")
@@ -297,7 +289,7 @@ class _Parser:
 
         config = {}
         if self.accept("config"):
-            while self.peek().kind == "id":
+            while self.tok.kind == "id":
                 key = self.ident("config key")
                 val = self.number()
                 # exact, so that fmt prints the value as written
@@ -338,7 +330,7 @@ class _Parser:
         return parts[0] if len(parts) == 1 else Seq(tuple(parts))
 
     def parse_stmt(self) -> HybridProgram:
-        tok = self.peek()
+        tok = self.tok
         if self.accept("("):
             body = self.parse_choice()
             self.expect(")")
@@ -381,7 +373,7 @@ class _Parser:
     def parse_evolve(self) -> Evolve:
         comps: dict = {}
         while True:
-            tok = self.peek()
+            tok = self.tok
             name = self.ident("variable name")
             if name not in self.vars:
                 self.error(f"undeclared variable {name!r} in ODE", tok)
@@ -414,7 +406,7 @@ class _Parser:
         saved, self.allow_time = self.allow_time, allow_time
         try:
             while True:
-                tok = self.peek()
+                tok = self.tok
                 name = self.ident("variable name")
                 if name not in self.vars:
                     self.error(f"undeclared variable {name!r}", tok)
@@ -430,7 +422,7 @@ class _Parser:
         if self.accept("R"):
             return REALS
         self.expect("[")
-        tok = self.peek()
+        tok = self.tok
         lo = self.number()
         self.expect(",")
         if self.accept("inf"):
@@ -444,117 +436,89 @@ class _Parser:
             self.error("time domain must contain 0", tok)
         return TimeDomain(lo, hi)
 
-    # -- predicates ---------------------------------------------------------
+    # -- terms and predicates: one precedence-climbing loop over _OPS -------
 
     def parse_pred(self) -> Pred:
-        parts = [self.parse_pred_and()]
-        while self.accept("|"):
-            parts.append(self.parse_pred_and())
-        out = parts[0]
-        for p in parts[1:]:
-            out = Or(out, p)
-        return out
-
-    def parse_pred_and(self) -> Pred:
-        parts = [self.parse_pred_not()]
-        while self.accept("&"):
-            parts.append(self.parse_pred_not())
-        out = parts[0]
-        for p in parts[1:]:
-            out = And(out, p)
-        return out
-
-    def parse_pred_not(self) -> Pred:
-        if self.accept("!"):
-            return Not(self.parse_pred_not())
-        return self.parse_pred_atom()
-
-    def parse_pred_atom(self) -> Pred:
-        if self.accept("true"):
-            return TRUE
-        if self.accept("false"):
-            return FALSE
-        if self.at("("):
-            save = self.pos
-            self.next()
-            try:
-                inner = self.parse_pred()
-                self.expect(")")
-            except ParseError:
-                self.pos = save
-            else:
-                if self.peek().text not in ("=", "!=", "<", "<=", ">", ">="):
-                    return inner
-                self.pos = save
-        lhs = self.parse_expr()
-        op = self.peek().text
-        if op not in ("=", "!=", "<", "<=", ">", ">="):
-            self.error(f"expected comparison operator, found {op!r}")
-        self.next()
-        rhs = self.parse_expr()
-        return Cmp(op, lhs, rhs)
-
-    # -- expressions ---------------------------------------------------------
+        return self._pred(self._climb(0))
 
     def parse_expr(self) -> Expr:
-        out = self.parse_term()
-        while True:
-            if self.accept("+"):
-                out = Add(out, self.parse_term())
-            elif self.accept("-"):
-                out = Sub(out, self.parse_term())
-            else:
-                return out
+        return self._climb(_TERM)
 
-    def parse_term(self) -> Expr:
-        out = self.parse_factor()
+    def _pred(self, node: Expr | Pred) -> Pred:
+        """node, where a predicate must stand."""
+        if not isinstance(node, Pred):
+            self.error(f"expected comparison operator, found {self.tok.text!r}")
+        return node
+
+    def _climb(self, floor: int) -> Expr | Pred:
+        """The longest term or predicate at the cursor whose operators bind
+        at least as tightly as floor: a predicate only where floor <= _CMP.
+        A chain of prefix operators is read in a loop; each one is the
+        floor of its operand."""
+        floors, prefixes = [floor], []
+        while (op := _PREFIX.get(self.tok.text)) is not None and op.prec >= floors[-1]:
+            self.next()
+            prefixes.append(op)
+            floors.append(op.prec)
+        node = self._infix(self._atom(floors[-1]), floors.pop(), True)
+        for op in reversed(prefixes):
+            if op.node is Not:
+                node = Not(self._pred(node))
+            else:
+                node = Const(-node.value) if isinstance(node, Const) else Neg(node)
+            node = self._infix(node, floors.pop(), False)
+        return node
+
+    def _infix(self, left: Expr | Pred, floor: int, atom: bool) -> Expr | Pred:
+        """left extended by the infix operators at the cursor that bind at
+        least as tightly as floor and fit it: "|" and "&" join predicates,
+        the others terms, and "^" only an atom (so it and the comparisons
+        do not chain)."""
         while True:
-            if self.accept("*"):
-                out = Mul(out, self.parse_factor())
-            elif self.accept("/"):
-                tok = self.peek()
-                den = self.parse_factor()
-                try:
-                    out = _fold_div(out, den)
+            op = _INFIX.get(self.tok.text)
+            if (op is None or op.prec < floor or isinstance(left, Pred) != (op.prec < _CMP)
+                    or (op.node is Pow and not atom)):
+                return left
+            self.next()
+            atom, tok = False, self.tok
+            if op.node is Pow:
+                if tok.kind != "num" or "." in tok.text:
+                    self.error("exponent must be a natural number literal")
+                left = Pow(left, int(self.next().text))
+            elif op.prec < _CMP:
+                left = op.node(left, self._pred(self._climb(op.prec + 1)))
+            elif op.node is Cmp:
+                left = Cmp(op.text, left, self._climb(op.prec + 1))
+            elif op.node is Div:
+                rhs = self._climb(op.prec + 1)
+                try:  # a constant quotient folds
+                    left = (Const(left.value / rhs.value)
+                            if isinstance(left, Const) and isinstance(rhs, Const) else Div(left, rhs))
                 except (ValueError, ZeroDivisionError):
                     self.error("division by the constant zero", tok)
             else:
-                return out
+                left = op.node(left, self._climb(op.prec + 1))
 
-    def parse_factor(self) -> Expr:
-        if self.accept("-"):
-            inner = self.parse_factor()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.accept("^"):
-            tok = self.peek()
-            if tok.kind != "num" or "." in tok.text:
-                self.error("exponent must be a natural number literal")
+    def _atom(self, floor: int) -> Expr | Pred:
+        tok = self.tok
+        if tok.text in _TRUTHS and floor <= _CMP:
             self.next()
-            return Pow(base, int(tok.text))
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
+            return _TRUTHS[tok.text]
+        if self.accept("("):
+            # read once; where the group is used decides whether it may be
+            # a predicate
+            inner = self._climb(0 if floor <= _CMP else _TERM)
+            self.expect(")")
+            return inner
         if tok.kind == "num":
             self.next()
             return Const(Fraction(tok.text))
-        if self.accept("("):
-            inner = self.parse_expr()
+        if tok.text in _FUNCTIONS:
+            self.next()
+            self.expect("(")
+            arg = self.parse_expr()
             self.expect(")")
-            return inner
-        for fname, node in (("sin", Sin), ("cos", Cos), ("exp", Exp)):
-            if tok.text == fname:
-                self.next()
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return node(arg)
+            return _FUNCTIONS[tok.text](arg)
         if tok.kind == "id" and tok.text not in KEYWORDS:
             self.next()
             if tok.text == "t":
@@ -569,12 +533,6 @@ class _Parser:
                 return SymConst(tok.text)
             self.error(f"unknown identifier {tok.text!r}", tok)
         self.error(f"expected expression, found {tok.text!r}")
-
-
-def _fold_div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value / b.value)
-    return Div(a, b)
 
 
 def _split_conj(p: Pred) -> list:
@@ -600,9 +558,6 @@ def parse_pred(text: str, vars: tuple, consts: tuple) -> Pred:
 # ---------------------------------------------------------------------------
 # Pretty printing (canonical form; parse . format . parse is the identity)
 
-_EXPR_ATOM, _EXPR_POW, _EXPR_NEG, _EXPR_MUL, _EXPR_ADD = 5, 4, 3, 2, 1
-
-
 def _fmt_rational(value: Fraction) -> str:
     if value.denominator == 1:
         s = str(value.numerator)
@@ -611,76 +566,62 @@ def _fmt_rational(value: Fraction) -> str:
     return s
 
 
-def format_expr(e: Expr, prec: int = 0) -> str:
-    if isinstance(e, Const):
-        if e.value < 0:
-            return f"(-{_fmt_rational(-e.value)})"
-        s = _fmt_rational(e.value)
+def _fmt(node: Expr | Pred, prec: int) -> str:
+    """node as text where an operator of precedence prec surrounds it."""
+    op = _OF_NODE.get(type(node))
+    if op is None:
+        return _fmt_operand(node, prec)
+    if op.node is Pow:
+        s = f"{_fmt(node.base, _ATOM)}^{node.exp}"
+    elif op.node in (Neg, Not):
+        s = op.text + _fmt(node.arg, op.prec)
+    else:
+        lhs, rhs = (node.num, node.den) if op.node is Div else (node.lhs, node.rhs)
+        text = node.op if op.node is Cmp else op.text
+        # "|" and "&" are associative, so their right operand is printed at
+        # their own precedence; the others' one step tighter
+        s = (_fmt(lhs, op.prec) + (f" {text} " if op.prec < _MUL else text)
+             + _fmt(rhs, op.prec if op.prec < _CMP else op.prec + 1))
+    return f"({s})" if prec > op.prec else s
+
+
+def _fmt_operand(node: Expr | Pred, prec: int) -> str:
+    if isinstance(node, Const):
+        if node.value < 0:
+            return f"(-{_fmt_rational(-node.value)})"
+        s = _fmt_rational(node.value)
         # a printed p/q re-parses as a constant division and folds back,
         # but only when no tighter operator can capture one side
-        if e.value.denominator != 1 and prec > _EXPR_MUL:
-            return f"({s})"
-        return s
-    if isinstance(e, (Var, SymConst)):
-        return e.name
-    if isinstance(e, TimeVar):
+        return f"({s})" if node.value.denominator != 1 and prec > _MUL else s
+    if isinstance(node, (Var, SymConst)):
+        return node.name
+    if isinstance(node, TimeVar):
         return "t"
-    if isinstance(e, Sin):
-        return f"sin({format_expr(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({format_expr(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({format_expr(e.arg)})"
-    if isinstance(e, Pow):
-        s = f"{format_expr(e.base, _EXPR_POW + 1)}^{e.exp}"
-        return f"({s})" if prec > _EXPR_POW else s
-    if isinstance(e, Neg):
-        inner = format_expr(e.arg, _EXPR_NEG)
-        s = f"-{inner}"
-        return f"({s})" if prec > _EXPR_NEG else s
-    if isinstance(e, Add):
-        s = f"{format_expr(e.lhs, _EXPR_ADD)} + {format_expr(e.rhs, _EXPR_ADD + 1)}"
-        return f"({s})" if prec > _EXPR_ADD else s
-    if isinstance(e, Sub):
-        s = f"{format_expr(e.lhs, _EXPR_ADD)} - {format_expr(e.rhs, _EXPR_ADD + 1)}"
-        return f"({s})" if prec > _EXPR_ADD else s
-    if isinstance(e, Mul):
-        s = f"{format_expr(e.lhs, _EXPR_MUL)}*{format_expr(e.rhs, _EXPR_MUL + 1)}"
-        return f"({s})" if prec > _EXPR_MUL else s
-    if isinstance(e, Div):
-        s = f"{format_expr(e.num, _EXPR_MUL)}/{format_expr(e.den, _EXPR_MUL + 1)}"
-        return f"({s})" if prec > _EXPR_MUL else s
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-_PRED_ATOM, _PRED_NOT, _PRED_AND, _PRED_OR = 4, 3, 2, 1
-
-
-def format_pred(p: Pred, prec: int = 0) -> str:
-    if isinstance(p, TruePred):
-        return "true"
-    if isinstance(p, FalsePred):
-        return "false"
-    if isinstance(p, Cmp):
-        return f"{format_expr(p.lhs)} {p.op} {format_expr(p.rhs)}"
-    if isinstance(p, Not):
-        s = f"!{format_pred(p.arg, _PRED_NOT)}"
-        return f"({s})" if prec > _PRED_NOT else s
-    if isinstance(p, And):
-        s = f"{format_pred(p.lhs, _PRED_AND)} & {format_pred(p.rhs, _PRED_AND)}"
-        return f"({s})" if prec > _PRED_AND else s
-    if isinstance(p, Or):
-        s = f"{format_pred(p.lhs, _PRED_OR)} | {format_pred(p.rhs, _PRED_OR)}"
-        return f"({s})" if prec > _PRED_OR else s
-    if isinstance(p, TimeQuant):
-        dom = format_domain(p.dom)
+    if type(node) in _FUNCTION_NAMES:
+        return f"{_FUNCTION_NAMES[type(node)]}({_fmt(node.arg, 0)})"
+    if isinstance(node, (TruePred, FalsePred)):
+        return "true" if isinstance(node, TruePred) else "false"
+    if isinstance(node, TimeQuant):
+        dom = format_domain(node.dom)
         s = (
-            f"forall {p.t_name} in {dom}. "
-            f"(forall {p.tau_name} in {dom}, {p.tau_name} <= {p.t_name}. "
-            f"{format_pred(p.prefix)}) -> ({format_pred(p.body)})"
+            f"forall {node.t_name} in {dom}. "
+            f"(forall {node.tau_name} in {dom}, {node.tau_name} <= {node.t_name}. "
+            f"{_fmt(node.prefix, 0)}) -> ({_fmt(node.body, 0)})"
         )
         return f"({s})" if prec > 0 else s
-    raise TypeError(f"not a Pred node: {p!r}")
+    raise TypeError(f"not a term or predicate node: {node!r}")
+
+
+def format_expr(e: Expr) -> str:
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an Expr node: {e!r}")
+    return _fmt(e, 0)
+
+
+def format_pred(p: Pred) -> str:
+    if not isinstance(p, Pred):
+        raise TypeError(f"not a Pred node: {p!r}")
+    return _fmt(p, 0)
 
 
 def _fmt_bound(x: float) -> str:

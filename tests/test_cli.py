@@ -523,6 +523,21 @@ class TestFalsifyCommand:
         assert code == 0
         assert "no counterexample" in out
 
+    def test_each_start_is_searched_once(self, capsys, tmp_path, monkeypatch):
+        # the precondition pins the start, so all 200 trials sample the
+        # same x = -0.0; each search at fuel 3000 took some 30 ms
+        import hybridwlp.odecert as odecert
+
+        calls = []
+        search = odecert.find_violation
+        monkeypatch.setattr(odecert, "find_violation", lambda *a: calls.append(a) or search(*a))
+        f = tmp_path / "pinned.hwl"
+        f.write_text("problem pinned\nvars x\npre x = 0\npost x >= 0\n"
+                     "program loop x := x + 1 inv x >= 0\nconfig fuel 3000\n")
+        code, out, _ = run(capsys, "falsify", str(f))
+        assert (code, out) == (0, "pinned: no counterexample within 200 trials\n")
+        assert len(calls) == 1
+
     def test_json_shape(self, capsys):
         code, out, _ = run(
             capsys, "falsify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json"

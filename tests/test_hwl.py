@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridwlp.expr import And, Cmp, Const, SymConst, Var
+from hybridwlp.expr import And, Cmp, Const, Neg, Not, SymConst, Var
 from hybridwlp.hprog import (
     Assign,
     Choice,
@@ -309,3 +309,53 @@ class TestExprRoundTripFuzz:
         prog = parse_program_text(f"x := {format_expr(e)}")
         reparsed = parse_program_text(f"x := {format_program(prog).split(':= ', 1)[1]}")
         assert reparsed == prog
+
+
+class TestNesting:
+    """Parentheses are read once and prefix chains in a loop, so nesting
+    costs neither time nor stack beyond one frame pair per group."""
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x" + ")" * 300 + " >= 0",
+        "(" * 300 + "x >= 0" + ")" * 300,
+    ], ids=["term", "predicate"])
+    def test_300_parentheses(self, text):
+        assert parse_pred(text, ("x",), ()) == Cmp(">=", Var("x"), Const(0))
+
+    def test_prefix_chains(self):
+        e = parse_pred("-" * 2000 + "x >= 0", ("x",), ()).lhs
+        p = parse_pred("!" * 2000 + "x >= 0", ("x",), ())
+        for _ in range(2000):
+            assert isinstance(e, Neg) and isinstance(p, Not)
+            e, p = e.arg, p.arg
+        assert (e, p) == (Var("x"), Cmp(">=", Var("x"), Const(0)))
+        assert parse_pred("-" * 2001 + "3 >= 0", ("x",), ()).lhs == Const(-3)
+
+    def test_100_nested_sines(self):
+        p = parse_pred("sin(" * 100 + "x" + ")" * 100 + " >= 0", ("x",), ())
+        e = p.lhs
+        for _ in range(100):
+            e = e.arg
+        assert e == Var("x")
+
+    def test_200_parentheses_verify(self, tmp_path, capsys):
+        # the grammar ladder rewound every group: quadratic time, and
+        # "error: term nesting too deep" (exit 2) at 200 levels
+        from hybridwlp.cli import main
+
+        f = tmp_path / "parens.hwl"
+        f.write_text("problem parens vars x pre " + "(" * 200 + "x" + ")" * 200
+                     + " >= 0 post x >= 0 program skip\n")
+        assert main(["verify", str(f)]) == 0
+        assert "1 proved, 0 refuted, 0 unknown" in capsys.readouterr().out
+
+
+def test_fmt_report_matches_golden():
+    # CI diffs seeds 1-3 under two hash seeds; this is seed 1
+    import subprocess
+    import sys
+
+    root = PROBLEMS.parent
+    out = subprocess.run([sys.executable, str(root / "scripts" / "fmt_report.py")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == (root / "tests" / "golden" / "fmt_report.txt").read_text()

@@ -729,6 +729,17 @@ class TestDiffInvariantRulings:
             "invariant": format_pred(inv), "rulings": rulings, "verdict": overall,
         }
 
+    @pytest.mark.parametrize("name", DINV_CASES)
+    def test_rulings_sample_no_equality(self, name, monkeypatch):
+        # a ruling reads only whether L(a) - L(b) normalizes to zero, so
+        # expr_eq's sampled fallback is never run
+        import hybridwlp.odecert as odecert
+
+        inv, field, dom, assumptions = DINV_CASES[name]
+        want = check_diff_invariant(inv, field, dom, assumptions=assumptions).to_json()
+        monkeypatch.setattr(odecert, "expr_eq", None)
+        assert check_diff_invariant(inv, field, dom, assumptions=assumptions).to_json() == want
+
 
 def _ball_mutant_spec():
     inv = And(
