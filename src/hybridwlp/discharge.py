@@ -513,7 +513,8 @@ class _Context:
     `forms` keeps the forms that exist), the canonical keys of those
     forms, and whether one of them is a false constant (`false`).  When a
     hypothesis is `false` itself (`absurd`), every goal is vacuous, so
-    nothing of the list is read.
+    nothing of the list is read.  Every read and goal under sigma shares
+    one substitution `memo`.
 
     Contexts form a prefix tree: `_Context()` is the context of the empty
     list and `extend` gives the context of a longer one, so a goal's list
@@ -523,7 +524,7 @@ class _Context:
         self.hyps = ()
         self.eqs = {}  # index -> (equality, form) of each unsolved one, read under sigma
         self.bindings = []  # (index, name, term) of each solved equality, in order
-        self.sigma = {}
+        self.sigma, self.memo = {}, {}  # memo: node -> the node under sigma
         self.base = None  # the context whose `cmps` ours extend
         self.read = []  # the comparisons read beyond base's `cmps`
         self.cmps = self.forms = []
@@ -545,18 +546,20 @@ class _Context:
         equality is solved: then every comparison is read again under the
         new sigma.  Substitution keeps a hypothesis's kind and operator, and
         no method reads a hypothesis that is not a comparison, so those are
-        left out."""
+        left out.  A list whose prefix is already false is false, so
+        nothing appended to it is read."""
         start = len(self.hyps)
         ctx = _Context()
         ctx.hyps = self.hyps + tuple(extras)
         ctx.absurd = self.absurd or any(isinstance(h, FalsePred) for h in extras)
-        if ctx.absurd:
+        ctx.false = self.false
+        if ctx.absurd or ctx.false:
             return ctx
         eqs = dict(self.eqs)
         for i, h in enumerate(extras, start):
             if isinstance(h, Cmp) and h.op == "=":
                 # with nothing solved yet there is nothing to substitute
-                eqs[i] = _read(h, self.sigma) if self.sigma else (h, atom_form(h))
+                eqs[i] = _read(h, self.sigma, self.memo) if self.sigma else (h, atom_form(h))
         bindings = list(self.bindings)
         tried = start  # this list's unsolved equalities were tried under sigma
         while True:
@@ -569,25 +572,26 @@ class _Context:
             name, rest = solved
             term = poly_to_expr(rest)
             del eqs[i]
-            eqs = {j: _read(h, {name: term}, (h, form)) for j, (h, form) in eqs.items()}
+            step, memo = {name: term}, {}
+            eqs = {j: _read(h, step, memo, (h, form)) for j, (h, form) in eqs.items()}
             bindings.append((i, name, term))
             tried = 0
         if len(bindings) == len(self.bindings):
-            base, sigma = self, self.sigma
+            base, sigma, memo = self, self.sigma, self.memo
         else:
             # h[n1 := e1]...[nk := ek] = h[sigma], sigma[ni] = ei[sigma over n(i+1)..nk]
-            base, sigma = _Context(), {}
+            base, sigma, memo = _Context(), {}, {}
             for _, name, term in reversed(bindings):
                 sigma[name] = substitute(term, sigma)
         solved_at = {i for i, _, _ in bindings}
         first = len(base.hyps)
         read = [
-            eqs[i] if i in eqs else _read(h, sigma)
+            eqs[i] if i in eqs else _read(h, sigma, memo)
             for i, h in enumerate(ctx.hyps[first:], first)
             if isinstance(h, Cmp) and i not in solved_at
         ]
         forms = [form for _, form in read if form is not None]
-        ctx.eqs, ctx.bindings, ctx.sigma = eqs, bindings, sigma
+        ctx.eqs, ctx.bindings, ctx.sigma, ctx.memo = eqs, bindings, sigma, memo
         ctx.base, ctx.read = base, read
         ctx.cmps = base.cmps + read
         ctx.forms = base.forms + forms
@@ -669,7 +673,7 @@ class _Prover:
             if simplex(ctx.lins) is not None:
                 raise _Declined("hypotheses not refutable by the linear route")
             return ["simplex"]
-        form = atom_form(_under(concl, ctx.sigma, "conclusion"))
+        form = atom_form(_under(concl, ctx.sigma, "conclusion", ctx.memo))
         if form is None:
             raise _Declined("no proof method applies")
         if _constant_truth(form):
@@ -703,18 +707,19 @@ class _Prover:
         ]
 
 
-def _read(c: Cmp, binding: dict, known: Optional[tuple] = None) -> tuple:
-    """c under binding, paired with its atom form; `known`, the pair read
-    for c before, is kept when the binding leaves c as it was."""
-    d = _under(c, binding, "hypothesis")
+def _read(c: Cmp, binding: dict, memo: dict, known: Optional[tuple] = None) -> tuple:
+    """c under binding and its memo, paired with its atom form; `known`, the
+    pair read for c before, is kept when the binding leaves c as it was."""
+    d = _under(c, binding, "hypothesis", memo)
     return known if known and d is c else (d, atom_form(d))
 
 
-def _under(p: Pred, binding: dict, role: str) -> Pred:
-    """p under binding; declines when the binding makes a denominator the
-    constant zero, so p, the `role` of a goal, is undefined there."""
+def _under(p: Pred, binding: dict, role: str, memo: Optional[dict] = None) -> Pred:
+    """p under binding, through its substitution memo if given; declines
+    when the binding makes a denominator the constant zero, so p, the
+    `role` of a goal, is undefined there."""
     try:
-        return substitute_pred(p, binding)
+        return substitute_pred(p, binding, memo)
     except ValueError:
         raise _Declined(f"{role} undefined at a solved point") from None
 

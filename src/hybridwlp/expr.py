@@ -2,7 +2,8 @@
 
 Expressions are trees over exact rational constants, named symbolic
 constants, store variables and a distinguished time symbol ``t``.
-Predicates are boolean trees over comparisons of expressions.
+Predicates are boolean trees over comparisons of expressions.  Both are
+hash-consed: equal terms are one object (see _node).
 """
 
 from __future__ import annotations
@@ -10,13 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 TIME_NAME = "t"
-
-Rational = Union[int, Fraction]
 
 
 class EvalError(Exception):
@@ -36,44 +36,75 @@ def _as_expr(x) -> "Expr":
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
+        return Const(x)
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
-@dataclass(frozen=True, eq=False)
-class Expr:
-    """Base class for expression nodes. All nodes are immutable.
+class _Entry(weakref.ref):
+    """An intern table entry: a weak reference to a node, and its key."""
 
-    Nodes, Pred's too, are equal when they have the same type and equal
-    fields, and hash as hash((field, ...)), as dataclass-generated methods
-    do, but without recursion: a node's hash is computed when it is built
-    and kept in its __dict__, and == walks pairs of nodes, skipping
-    identical pairs, up to the first pair whose hashes differ."""
+    __slots__ = ("key",)
 
-    def __post_init__(self):
-        # after __init__, the instance __dict__ holds just the fields, in order
-        fields = self.__dict__
-        fields["_hash"] = hash(tuple(fields.values()))
+
+# (type, field, ...) -> _Entry of the one live node built from those fields
+_TABLE: dict = {}
+
+
+def _drop(entry: _Entry, table: dict = _TABLE) -> None:
+    """Remove a dead node's entry, unless a node built since holds its key."""
+    held = table.pop(entry.key, entry)
+    if held is not entry:
+        table[entry.key] = held
+
+
+def _node(cls, *fields, **named):
+    """The node of type cls over fields: the live one built from equal
+    fields if there is one, else a new node with its structural hash."""
+    if named or len(fields) != len(cls.__match_args__):
+        fields = _fields(cls, fields, named)
+    key = (cls,) + fields
+    entry = _TABLE.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    state = node.__dict__
+    state.update(zip(cls.__match_args__, fields))
+    state["_hash"] = hash(fields)
+    entry = _TABLE[key] = _Entry(node, _drop)
+    entry.key = key
+    return node
+
+
+def _fields(cls, fields: tuple, named: dict) -> tuple:
+    """The fields given by position, then by name, as a dataclass takes them."""
+    names, rest = cls.__match_args__, cls.__match_args__[len(fields):]
+    if len(fields) + len(named) != len(names) or not named.keys() <= set(rest):
+        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+    return fields + tuple(map(named.__getitem__, rest))
+
+
+class _Node:
+    """Base of Expr and Pred.  Nodes are immutable and hash-consed: every
+    node is built by _node, so equal nodes are one object and == is `is`.
+    A node hashes as hash((field, ...)), as a dataclass does, computed once
+    when it is built.  The intern table holds nodes weakly."""
+
+    __new__ = _node
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        pairs = [(self, other)]
-        for a, b in pairs:
-            if a is b:
-                continue
-            if a._hash != b._hash:
-                return False
-            for f in a.__match_args__:
-                x, y = getattr(a, f), getattr(b, f)
-                if y.__class__ is x.__class__ and isinstance(x, _NODES):
-                    pairs.append((x, y))
-                elif not x == y:
-                    return False
-        return True
+    def __reduce__(self):  # so copy.copy and pickle give the node itself
+        return type(self), tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Expr(_Node):
+    """Base class for expression nodes."""
 
     def __add__(self, other):
         return Add(self, _as_expr(other))
@@ -106,96 +137,92 @@ class Expr:
         return Neg(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Const(Expr):
     value: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        super().__post_init__()
+    def __new__(cls, value):
+        return _node(cls, Fraction(value))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SymConst(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TimeVar(Expr):
     """The distinguished time symbol; evaluates under the name ``t``."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Add(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Div(Expr):
     num: Expr
     den: Expr
 
-    def __post_init__(self):
-        if isinstance(self.den, Const) and self.den.value == 0:
+    def __new__(cls, num, den):
+        if isinstance(den, Const) and den.value == 0:
             raise ValueError("division by the constant zero")
-        super().__post_init__()
+        return _node(cls, num, den)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Pow(Expr):
     base: Expr
     exp: int
 
-    def __post_init__(self):
-        if not isinstance(self.exp, int) or self.exp < 0:
+    def __new__(cls, base, exp):
+        if not isinstance(exp, int) or exp < 0:
             raise ValueError("Pow exponent must be a natural number")
-        super().__post_init__()
+        return _node(cls, base, int(exp))  # True is 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Exp(Expr):
     arg: Expr
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
-
-
-def const(x: Rational) -> Const:
-    return Const(Fraction(x))
+ZERO = Const(0)
+ONE = Const(1)
+const = Const  # the constant of a rational
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -344,7 +371,7 @@ def _merged(a: frozenset, b: frozenset) -> frozenset:
 # process: a bounded memo keyed by the source text keeps the code objects,
 # and each kernel is the cached code run in fresh globals.  Both come from
 # memo_kernel, keyed by the values they are written from: a term equal to an
-# earlier one gets the earlier kernel, whose EvalErrors name its subterms.
+# earlier one is that term (see _node), so it gets the earlier kernel.
 
 _KERNELS: dict = {}  # (writer, its arguments) -> kernel or code object
 
@@ -358,7 +385,7 @@ def memo_kernel(write, *args):
         if len(_KERNELS) >= 512:
             del _KERNELS[next(iter(_KERNELS))]
         kernel = write(*args)
-    _KERNELS[key] = kernel  # under the caller's key, whose terms then compare by identity
+    _KERNELS[key] = kernel  # the last used last
     return kernel
 
 
@@ -651,9 +678,7 @@ def _subst(e: Expr, binding: Mapping[str, Expr], memo: dict) -> Expr:
 def _rebuild(e: Expr, kids: list) -> Expr:
     """A node of e's type over new children; Div still rejects a constant
     zero denominator."""
-    if isinstance(e, Pow):
-        return Pow(kids[0], e.exp)
-    return type(e)(*kids)
+    return Pow(kids[0], e.exp) if isinstance(e, Pow) else type(e)(*kids)
 
 
 def lie_derivative(mu: Expr, field: Mapping[str, Expr]) -> Expr:
@@ -686,53 +711,50 @@ _NEGATED = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _SWAPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-@dataclass(frozen=True, eq=False)
-class Pred:
+class Pred(_Node):
     """Base class for predicate nodes."""
 
-    __post_init__, __eq__, __hash__ = Expr.__post_init__, Expr.__eq__, Expr.__hash__
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TruePred(Pred):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FalsePred(Pred):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Cmp(Pred):
     op: str
     lhs: Expr
     rhs: Expr
 
-    def __post_init__(self):
-        if self.op not in CMP_OPS:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
-        super().__post_init__()
+    def __new__(cls, op, lhs, rhs):
+        if op not in CMP_OPS:
+            raise ValueError(f"unknown comparison operator {op!r}")
+        return _node(cls, op, lhs, rhs)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Pred):
     lhs: Pred
     rhs: Pred
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Pred):
     lhs: Pred
     rhs: Pred
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Pred):
     arg: Pred
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TimeQuant(Pred):
     """For all t in dom: (for all tau in dom with tau <= t: prefix) -> body.
 
@@ -750,7 +772,6 @@ class TimeQuant(Pred):
     body: Pred
 
 
-_NODES = (Expr, Pred)
 TRUE = TruePred()
 FALSE = FalsePred()
 
@@ -814,13 +835,14 @@ def fresh_time_binders(avoid: set[str], k: int) -> tuple[str, str]:
         k += 1
 
 
-def substitute_pred(p: Pred, binding: Mapping[str, Expr]) -> Pred:
+def substitute_pred(p: Pred, binding: Mapping[str, Expr], memo: "dict | None" = None) -> Pred:
     """Capture-avoiding simultaneous substitution: a TimeQuant shadows its
     binders, and renames them apart when a term substituted for one of its
     free names mentions one.
     Sharing is kept as by substitute; a TimeQuant in which no key of the
-    binding is free comes back as itself, binders and all."""
-    return _subst_pred(p, binding, {})
+    binding is free comes back as itself, binders and all.  memo, if given,
+    maps nodes substituted under binding before to their results."""
+    return _subst_pred(p, binding, {} if memo is None else memo)
 
 
 def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:

@@ -5,8 +5,9 @@ run_sampled gives the stores reachable within the loop fuel, find_violation
 searches runs depth first, on one explicit stack, for a counterexample.  It
 checks guards only at grid points, so it can falsify but never prove; the
 sound path goes through wlp generation and discharge.  An evolution
-command's orbit, from a flow or from RK4 on its field, is the longest
-prefix of grid points whose states evaluate, are finite and satisfy the guard.
+command's orbit, from its flow when the flow solves its field exactly or
+it has no field, from RK4 on its field otherwise, is the longest prefix
+of grid points whose states evaluate, are finite and satisfy the guard.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from math import inf, isfinite
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .expr import (
-    EVAL_FAILURES, TIME_NAME, Expr, KernelWriter, Pred, Var, bound_names, evaluate,
-    eval_pred, free_names, free_vars, memo_kernel, pred_kernel, uses_time,
+    EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, diff, evaluate,
+    eval_pred, free_names, free_vars, memo_kernel, pred_kernel, substitute, uses_time,
 )
+from .polynorm import NormalizeError, normalize
 
 Store = dict[str, float]
 
@@ -222,6 +224,28 @@ def emit_flow(w: KernelWriter, components: tuple, local: Mapping[str, str]) -> d
     return {x: w.expr(e, local, memo) for x, e in components}
 
 
+def flow_identities(field: dict, flow: dict) -> list:
+    """(check, variable, lhs, rhs) of the identities a flow's components meet
+    if it solves the field's, per variable in sorted order: each `derivative`
+    (its time derivative is the field along it), then each `initial` (at
+    time zero it is the identity)."""
+    names = sorted(field)
+    along = {v: flow[v] for v in names}
+    return ([("derivative", v, diff(flow[v], TIME_NAME), substitute(field[v], along)) for v in names]
+            + [("initial", v, substitute(flow[v], {TIME_NAME: ZERO}), Var(v)) for v in names])
+
+
+def _solves_exactly(field: tuple, flow: tuple) -> bool:
+    """Whether the flow items solve the field items: every identity of
+    flow_identities normalizes to zero (ValueError: a denominator is zero)."""
+    field, flow = dict(field), dict(flow)
+    try:
+        return field.keys() == flow.keys() and all(
+            normalize(Sub(lhs, rhs)).is_zero() for _, _, lhs, rhs in flow_identities(field, flow))
+    except (NormalizeError, ValueError):
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Program AST
 
@@ -419,7 +443,9 @@ def _key(s: Store) -> tuple:
 def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[Optional[str], Store]]:
     """(label, store) successors of a leaf node from s; the label None marks
     a step that keeps the store (skip, a passed test), which a run does not
-    record.  The one place that picks an evolution command's orbit provider."""
+    record.  The one place that picks an evolution command's orbit provider:
+    its flow if it has no field or the flow is exact (_solves_exactly,
+    memoized by value), else RK4 on the field."""
     if isinstance(node, Skip):
         return [(None, s)]
     if isinstance(node, Abort):
@@ -429,7 +455,9 @@ def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[Optional
     if isinstance(node, Test):
         return [(None, s)] if eval_pred(node.cond, {**cfg.consts, **s}, EQ_TOL) else []
     if isinstance(node, Evolve):
-        if node.flow is not None:
+        if node.flow is not None and (node.field is None or memo_kernel(
+                _solves_exactly, tuple(node.field.components.items()),
+                tuple(node.flow.components.items()))):
             orbit = guarded_orbit_flow(node.flow, node.guard, node.dom, s, cfg.step,
                                        cfg.consts, cfg.horizon, EQ_TOL)
         else:

@@ -30,9 +30,6 @@ from .expr import (
     Pred,
     Sub,
     TruePred,
-    Var,
-    const,
-    diff,
     evaluate,
     free_consts,
     free_names,
@@ -41,7 +38,6 @@ from .expr import (
     memo_kernel,
     nnf,
     pred_free_names,
-    substitute,
     subterms,
 )
 from .hprog import (
@@ -54,6 +50,7 @@ from .hprog import (
     emit_flow,
     emit_rk4_step,
     find_violation,
+    flow_identities,
     rk4_states,
 )
 from .polynorm import NormalizeError, expr_eq, normalize
@@ -409,34 +406,21 @@ def certify_flow(
     refusal = ""
     refusal_witness: Optional[dict] = None
 
-    flow_binding = {v: flow.components[v] for v in names}
-    for v in names:
-        lhs = diff(flow.components[v], "t")
-        rhs = substitute(field.components[v], flow_binding)
-        res = expr_eq(lhs, rhs, seed=seed)
+    for check, v, lhs, rhs in flow_identities(field.components, flow.components):
+        res, name, derivative = expr_eq(lhs, rhs, seed=seed), f"{check}[{v}]", check == "derivative"
+        what = "derivative" if derivative else "initial-value"
         if res.is_equal:
-            checks[f"derivative[{v}]"] = CheckResult(True, "symbolic identity")
+            checks[name] = CheckResult(True, "symbolic identity" if derivative
+                                       else "flow at time zero is the identity")
         elif res.kind == "not-equal":
-            detail = "counterexample " + str(res.witness)
-            checks[f"derivative[{v}]"] = CheckResult(False, detail)
+            detail = f"counterexample {res.witness}" if derivative else "flow(0) != id"
+            checks[name] = CheckResult(False, detail)
             if not refusal:
-                refusal = f"derivative check failed for {v!r}: {detail}"
-                refusal_witness = dict(res.witness)
+                refusal = f"{what} check failed for {v!r}" + (f": {detail}" if derivative else "")
+                refusal_witness = dict(res.witness) if derivative else None
         else:
-            checks[f"derivative[{v}]"] = CheckResult(None, f"undecided: {res.note}")
-            refusal = refusal or f"derivative check undecided for {v!r}"
-
-    for v in names:
-        at0 = substitute(flow.components[v], {"t": const(0)})
-        res = expr_eq(at0, Var(v), seed=seed)
-        if res.is_equal:
-            checks[f"initial[{v}]"] = CheckResult(True, "flow at time zero is the identity")
-        elif res.kind == "not-equal":
-            checks[f"initial[{v}]"] = CheckResult(False, "flow(0) != id")
-            refusal = refusal or f"initial-value check failed for {v!r}"
-        else:
-            checks[f"initial[{v}]"] = CheckResult(None, f"undecided: {res.note}")
-            refusal = refusal or f"initial-value check undecided for {v!r}"
+            checks[name] = CheckResult(None, f"undecided: {res.note}")
+            refusal = refusal or f"{what} check undecided for {v!r}"
 
     dom_ok = flow.domain.contains_domain(dom)
     checks["domain"] = CheckResult(dom_ok, "query domain within interval of existence" if dom_ok else "query domain exceeds the flow's interval of existence")

@@ -538,6 +538,15 @@ class TestFalsifyCommand:
         assert (code, out) == (0, "pinned: no counterexample within 200 trials\n")
         assert len(calls) == 1
 
+    def test_wrong_flow_is_not_followed(self, capsys, tmp_path):
+        # the ODE gives x = t <= 3/5, but the flow claims x + 2*t; following
+        # it reported a run to x = 1.1 at t = 0.55 that does not exist
+        f = tmp_path / "wrong_flow.hwl"
+        f.write_text("problem wrong_flow\nvars x\npre x = 0\npost x <= 1\n"
+                     "program evolve x' = 1 & true on [0,3/5] flow x = x + 2*t\n")
+        code, out, err = run(capsys, "falsify", str(f))
+        assert (code, out, err) == (0, "wrong_flow: no counterexample within 200 trials\n", "")
+
     def test_json_shape(self, capsys):
         code, out, _ = run(
             capsys, "falsify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json"

@@ -796,8 +796,11 @@ class TestSolvedHypothesisMemo:
             "simplex", "simplex", "simplex", "square-rule",
             "hypothesis-match"]
         # the equation once while solving, the three other hypotheses once
-        # for all five goals, and each goal's own conclusion
-        assert len({id(c) for c in reads}) == len(reads) == 4 + len(goals)
+        # for all five goals, and each goal's own conclusion; the last goal
+        # is the hypothesis y >= x itself, one term, read in both roles
+        assert len(reads) == 4 + len(goals)
+        assert goals[-1] is hyps[1] and [c is hyps[1] for c in reads].count(True) == 2
+        assert len({id(c) for c in reads}) == len(reads) - 1
 
 
 class TestComposedSolution:
@@ -877,20 +880,56 @@ class TestContextPrefixTree:
         for _ in range(80):
             yield [_random_hyp(rng) for _ in range(rng.randint(1, 8))]
 
-    def test_extension_at_every_split_matches_scratch(self):
+    def test_extension_at_every_split_matches_scratch(self, monkeypatch):
+        """An extension of a context that is not false matches a scratch
+        solve; an extension of a false one is false and reads nothing."""
+        reads = []
+        monkeypatch.setattr(dmod, "atom_form", lambda c: reads.append(c) or atom_form(c))
+
+        def extended(base, extras):
+            reads.clear()
+            ctx = base.extend(extras)
+            if base.false and not ctx.absurd:
+                assert ctx.false and reads == [] and ctx.cmps == [], (base.hyps, extras)
+            return ctx
+
+        false_bases = 0
         for hyps in self.lists():
             scratch = dmod._Context().extend(hyps)
             want = _context_fields(scratch)
             assert scratch.hyps == tuple(hyps)
             for k in range(len(hyps) + 1):
-                got = dmod._Context().extend(hyps[:k]).extend(hyps[k:])
+                base = dmod._Context().extend(hyps[:k])
+                got = extended(base, hyps[k:])
                 assert got.hyps == tuple(hyps)
-                assert _context_fields(got) == want, (hyps, k)
+                if base.false and not got.absurd:
+                    # substitution keeps a false constant false
+                    assert scratch.false, (hyps, k)
+                    false_bases += 1
+                else:
+                    assert _context_fields(got) == want, (hyps, k)
             # one hypothesis at a time, as nested `if`s extend a list
             ctx = dmod._Context()
             for h in hyps:
-                ctx = ctx.extend([h])
-            assert _context_fields(ctx) == want, hyps
+                base_false = ctx.false  # a false prefix makes every longer one false
+                ctx = extended(ctx, [h])
+            if hyps and base_false and not ctx.absurd:
+                assert scratch.false, hyps
+            else:
+                assert _context_fields(ctx) == want, hyps
+        assert false_bases > 10
+
+    def test_goal_undefined_under_a_false_prefix_is_vacuous(self):
+        """Every goal under a false prefix is vacuous, even one whose
+        appended hypothesis divides by zero at the prefix's solved point;
+        under a prefix that is not false, that goal is declined."""
+        hyps = [Cmp("=", x, const(0)), Cmp(">=", x, const(1))]
+        # each disjunct's negation, appended as a hypothesis, reads 1/x
+        concl = Or(Cmp("<", const(1) / x, const(0)), Cmp(">=", const(1) / x, const(1)))
+        assert outcome(dmod._Prover(LemmaDB()), hyps, concl) == ["vacuous"]
+        assert discharge(arith(hyps, concl)) == dmod.Verdict("proved", method="vacuous")
+        assert outcome(dmod._Prover(LemmaDB()), hyps[:1], concl) == (
+            "hypothesis undefined at a solved point")
 
     def test_appended_equality_solves_an_earlier_one(self):
         base = dmod._Context().extend([Cmp("=", x * y, const(2)), Cmp(">=", x, const(0))])
@@ -907,15 +946,19 @@ class TestContextPrefixTree:
         reads = []
         monkeypatch.setattr(dmod, "_read", lambda c, *rest: reads.append(c) or READ(c, *rest))
         ctx = base.extend([Cmp("<=", z, const(4)), Cmp("=", z * z, y * y)])
-        assert reads == [Cmp("=", z * z, y * y), Cmp("<=", z, const(4))]
-        assert ctx.base is base and ctx.cmps[:2] == base.cmps
+        # the appended comparisons themselves, equal terms being one object
+        assert all(map(operator.is_, reads, [Cmp("=", z * z, y * y), Cmp("<=", z, const(4))]))
+        assert len(reads) == 2 and ctx.base is base and ctx.cmps[:2] == base.cmps
 
     def test_discrete_ifs_read_each_guard_once_per_prefix(self, monkeypatch):
         """The benchmark's 200-statement discrete program with 5 nested
         `if`s: the 8 `pre` equalities are solved once (7 + 6 + ... + 1 = 28
         reads of the equalities left), and each guard is read once per path
-        prefix (2 + 4 + ... + 32 = 62), not once per leaf list (32 lists
-        of 28 + 5 reads each, 1,056)."""
+        prefix that is not already false.  The `pre` pins every variable, so
+        each guard is a constant and one of its two branches is false; only
+        the other is extended (2 reads per level, 5 * 2 = 10), not every
+        prefix (2 + 4 + ... + 32 = 62) nor every leaf list (32 lists of 28
+        + 5 reads each, 1,056)."""
         inp = _perfbench_gen().discrete(1, 200, False)
         ob, = [ob for ob in verify(parse_spec(inp.text)) if ob.kind == "arith"]
         leaves = []
@@ -943,7 +986,7 @@ class TestContextPrefixTree:
             dmod._Context().extend(list(hyps))
         per_list = dict(counts)
         assert len(set(leaves)) == 32
-        assert tree == {"read": 28 + 62, "solve": 8}
+        assert tree == {"read": 28 + 10, "solve": 8}
         assert per_list == {"read": 32 * (28 + 5), "solve": 32 * 8}
 
 

@@ -1,7 +1,10 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import sys
-from dataclasses import fields
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,7 @@ from hybridwlp.expr import (
     TimeVar,
     TruePred,
     Var,
+    ZERO,
     compare,
     const,
     diff,
@@ -54,9 +58,10 @@ from hybridwlp.expr import (
     subterms,
     uses_time,
 )
-from hybridwlp.hprog import NONNEG
+from hybridwlp.hprog import NONNEG, TimeDomain
 from hybridwlp.hwl import parse_pred
 from hybridwlp.polynorm import atom_form, expr_eq, normalize
+from structural import ref_equal, ref_hash
 from treewalk import ref_compare, ref_eval_pred, ref_evaluate
 
 x, y, v = Var("x"), Var("y"), Var("v")
@@ -517,7 +522,7 @@ class TestCompiledEvaluation:
         monkeypatch.setattr(expr_module, "pred_kernel", counting)
         text = "kx * kx + 1 > kx | kx = 7/2"
         first, second = (parse_pred(text, ("kx",), ()) for _ in range(2))
-        assert first == second and first is not second
+        assert first is second  # two parses give one term
         assert eval_pred(first, {"kx": 3.5}) is True
         assert eval_pred(second, {"kx": -1.0}) is True
         assert written == [first]
@@ -681,33 +686,6 @@ def _ref_substitute_pred(p, binding):
                      _ref_substitute_pred(p.body, inner))
 
 
-# ---------------------------------------------------------------------------
-# Reference: the dataclass-generated == and hash, as recursive walks
-
-
-def _ref_equal(a, b):
-    if not isinstance(a, (Expr, Pred)):
-        return a == b
-    if type(a) is not type(b):
-        return False
-    return all(_ref_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-
-
-class _HashedAs:
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
-def _ref_hash(a):
-    """hash((field, ...)), with each node field hashed by this reference."""
-    if not isinstance(a, (Expr, Pred)):
-        return hash(a)
-    return hash(tuple(_HashedAs(_ref_hash(getattr(a, f.name))) for f in fields(a)))
-
-
 def _chain(depth, bottom=Add, last=1):
     e = bottom(x, const(last))
     for k in range(depth - 1):
@@ -719,16 +697,17 @@ class TestStructuralIdentity:
     @pytest.mark.parametrize("depth", [600, 10_000])
     def test_deep_chains_compare_and_hash(self, depth):
         a, b = _chain(depth), _chain(depth)
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert Cmp(">=", a, y) == Cmp(">=", b, y)
-        # Add and Sub over the same fields hash alike, so only the walk
-        # down to the deepest node tells these apart
+        assert a is b and a == b and hash(a) == hash(b) == ref_hash(a)
+        assert Cmp(">=", a, y) is Cmp(">=", b, y)
+        # Add and Sub over the same fields hash alike, yet are two nodes
+        # that compare unequal without a walk
         other = _chain(depth, bottom=Sub)
-        assert hash(other) == hash(a) and a != other and not a == other
-        assert a != _chain(depth, last=2)
+        assert hash(other) == hash(a) and a is not other and a != other and not a == other
+        assert not ref_equal(a, other)
+        assert a is not _chain(depth, last=2) and a != _chain(depth, last=2)
         assert len({a, b, other}) == 2
 
-    def test_matches_recursive_reference_on_random_terms(self):
+    def test_matches_structural_reference_on_random_terms(self):
         rng = random.Random(19)
         equal = 0
         for _ in range(300):
@@ -739,10 +718,71 @@ class TestStructuralIdentity:
             q = _random_shared_pred(random.Random(rng.choice((seed, rng.randrange(40)))),
                                     depth, [])
             for u, w in ((a, b), (p, q), (a, p), (Cmp("=", a, b), Cmp("=", b, a))):
-                assert (u == w) is _ref_equal(u, w) is not (u != w)
-                assert hash(u) == _ref_hash(u) and hash(w) == _ref_hash(w)
+                # equal terms are one object
+                assert (u == w) is (u is w) is ref_equal(u, w) is not (u != w)
+                assert hash(u) == ref_hash(u) and hash(w) == ref_hash(w)
                 equal += u == w
         assert 100 < equal < 900
+
+    def test_equal_constants_are_one_node(self):
+        one = Const(1)
+        assert Const(Fraction(1)) is one and Const(1.0) is one and const(1) is one
+        assert type(one.value) is Fraction and one.value == 1
+        zero = Const(0)
+        assert Const(-0.0) is zero and zero is ZERO and type(zero.value) is Fraction
+        assert hash(one) == ref_hash(one) == hash((Fraction(1),))
+        assert Const(1) is not zero and Var("x") is not SymConst("x")
+
+    def test_equal_time_domains_give_one_quantifier(self):
+        body = Cmp("<=", Var("t"), const(2))
+        a = TimeQuant("t", "tau", TimeDomain(0), TRUE, body)
+        b = TimeQuant("t", "tau", TimeDomain(Fraction(0)), TRUE, body)
+        c = TimeQuant(t_name="t", tau_name="tau", dom=NONNEG, prefix=TRUE, body=body)
+        assert a is b is c and hash(a) == ref_hash(a)
+        assert TimeQuant("t", "tau", TimeDomain(0, 1), TRUE, body) is not a
+
+    def test_validation_errors_are_raised_as_before(self):
+        size = len(expr_module._TABLE)
+        with pytest.raises(ValueError, match="division by the constant zero"):
+            Div(x, Const(Fraction(0)))
+        with pytest.raises(ValueError, match="division by the constant zero"):
+            x / 0
+        for exp in (-1, 1.5, Fraction(2)):
+            with pytest.raises(ValueError, match="Pow exponent must be a natural number"):
+                Pow(x, exp)
+        with pytest.raises(ValueError, match="unknown comparison operator '<>'"):
+            Cmp("<>", x, y)
+        with pytest.raises(TypeError):
+            Const(None)
+        for make in (lambda: Add(x), lambda: Add(x, y, x), lambda: Neg(arg=x, other=y),
+                     lambda: Add(x, lhs=y), lambda: TimeVar(x)):
+            with pytest.raises(TypeError):
+                make()
+        assert len(expr_module._TABLE) == size  # a rejected node is not filed
+        assert Neg(arg=x) is Neg(x) and Div(num=x, den=y) is Div(x, y)
+        assert Pow(base=x, exp=2) is Pow(x, 2) and Cmp(op="<", lhs=x, rhs=y) is Cmp("<", x, y)
+
+    def test_copies_and_pickles_are_the_node(self):
+        p = And(Cmp(">=", Sin(x) * y, const(Fraction(1, 3))), Not(FALSE))
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        assert copy.deepcopy([p, p.lhs]) == [p, p.lhs]
+        assert pickle.loads(pickle.dumps(p)) is p
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lhs = TRUE
+
+    def test_dropped_term_leaves_the_table(self):
+        size = len(expr_module._TABLE)
+        e = Mul(Var("dropped_name"), Add(Var("dropped_name"), const(Fraction(7, 13))))
+        alive = weakref.ref(e)
+        key = (Mul, e.lhs, e.rhs)
+        assert expr_module._TABLE[key]() is e and len(expr_module._TABLE) == size + 4
+        del e
+        assert alive() is None and key not in expr_module._TABLE
+        del key  # it held the Mul's children
+        assert len(expr_module._TABLE) == size
+        # built again, it is a new node, filed again
+        again = Mul(Var("dropped_name"), Add(Var("dropped_name"), const(Fraction(7, 13))))
+        assert expr_module._TABLE[(Mul, again.lhs, again.rhs)]() is again
 
     def test_comparison_with_other_objects(self):
         assert const(1) != 1 and not const(1) == Fraction(1)

@@ -216,6 +216,39 @@ class TestGuardedOrbit:
         assert orbit == [(0.0, {"x": 0.0})]
 
 
+WRONG_FLOW = ("problem wrong_flow\nvars x\npre x = 0\npost x <= 1\n"
+              "program evolve x' = 1 & true on [0,3/5] flow x = x + {}\n")
+
+
+class TestFlowOrRk4:
+    """An evolution command follows its flow only when the flow solves its
+    field exactly; otherwise its orbit integrates the field."""
+
+    CFG = RunConfig(step=0.05, horizon=6.0)
+
+    def test_wrong_flow_integrates_the_field(self):
+        ev = parse_spec(WRONG_FLOW.format("2*t")).program
+        steps = _steps(ev, {"x": 0.0}, self.CFG)
+        assert len(steps) == 13 and steps[-1][0] == "evolve t=0.6"
+        assert steps == _steps(Evolve(ev.field, ev.guard, ev.dom), {"x": 0.0}, self.CFG)
+        assert abs(steps[-1][1]["x"] - 0.6) < 1e-9  # the flow claims 1.2
+
+    def test_right_flow_and_field_free_flow_are_followed(self, monkeypatch):
+        import hybridwlp.hprog as hprog
+
+        checked = []
+        solves = hprog._solves_exactly
+        monkeypatch.setattr(hprog, "_solves_exactly",
+                            lambda *args: checked.append(args) or solves(*args))
+        right = [parse_spec(WRONG_FLOW.format("t")).program for _ in range(2)]
+        assert right[0] is not right[1]
+        followed = _steps(Evolve(None, TRUE, right[0].dom, right[0].flow), {"x": 0.0}, self.CFG)
+        assert checked == []  # no field, nothing to check
+        for ev in right:
+            assert _steps(ev, {"x": 0.0}, self.CFG) == followed
+        assert len(checked) == 1  # checked once per value, not per command
+
+
 class TestRunSampled:
     CFG = RunConfig()
 
@@ -650,7 +683,7 @@ class TestRk4StatesBitIdentity:
             checks.append(memo_kernel(odecert._rk4_check_kernel, field, flow, ("v", "x"), ("g",)))
         assert monoids[0] is monoids[1] and checks[0] is checks[1]
         hyps = [(*s.assumptions, s.pre) for s in specs]
-        assert hyps[0][0] is not hyps[1][0]
+        assert hyps[0][0] is hyps[1][0]  # two parses give one term
         plans = [memo_kernel(sampling._attempt_kernel, ("g", "x", "v"), h) for h in hyps]
         assert plans[0] is plans[1]
 

@@ -224,8 +224,9 @@ class TestWlpSharing:
             assert obs == []
             counts.append(_dag_and_tree_size(pred))
         dag = [d for d, _ in counts]
-        steps = {b - a for a, b in zip(dag, dag[1:])}
-        assert len(steps) == 1  # a fixed number of new nodes per two statements
+        # a bounded number of new nodes per two statements: 9 at most, and
+        # fewer where equal subterms of the branches are one node
+        assert all(0 < b - a <= 9 for a, b in zip(dag, dag[1:]))
         assert all(b >= 2 * a for (_, a), (_, b) in zip(counts, counts[1:]))  # 2^k
 
 
