@@ -392,7 +392,7 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # some passes still take one Python frame per level of a term
+        # the parser and the program walks take a Python frame per nesting level
         print("error: term nesting too deep for this kernel "
               f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2

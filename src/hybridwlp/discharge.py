@@ -42,6 +42,7 @@ from .expr import (
     Var,
     const as econst,
     eval_pred,
+    flatten_conj,
     fresh_time_binders,
     nnf,
     pred_free_names,
@@ -58,7 +59,7 @@ from .polynorm import (
     solve_linear_system,
 )
 from .hprog import RunConfig
-from .sampling import check_valuation, flatten_conj, sample_valuation
+from .sampling import check_valuation, sample_valuation
 from .vcgen import Obligation, eval_pred_ext
 
 
@@ -476,25 +477,25 @@ def _unfold_timequant(tq: TimeQuant, hyps: Sequence) -> tuple[list, Pred]:
     return extra, body
 
 
-def _split_goals(hyps: tuple, concl: Pred, extras: tuple = ()) -> Optional[list]:
+def _split_goals(hyps: tuple, concl: Pred) -> Optional[list]:
     """Reduce to atomic goals under the list `hyps`, each with the
-    hypotheses it appends to them; None signals an unsupported shape."""
-    if isinstance(concl, TruePred):
-        return []
-    if isinstance(concl, And):
-        left = _split_goals(hyps, concl.lhs, extras)
-        right = _split_goals(hyps, concl.rhs, extras)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(concl, TimeQuant):
-        extra, body = _unfold_timequant(concl, (*hyps, *extras))
-        return _split_goals(hyps, body, (*extras, *extra))
-    if isinstance(concl, Not):
-        return _split_goals(hyps, nnf(concl), extras)
-    if isinstance(concl, (Cmp, FalsePred, Or)):
-        return [_Goal(extras, concl)]
-    return None
+    hypotheses it appends to them, left to right; None signals an
+    unsupported shape."""
+    goals, todo, supported = [], [(concl, ())], True
+    while todo:
+        concl, extras = todo.pop()
+        if isinstance(concl, And):
+            todo += [(concl.rhs, extras), (concl.lhs, extras)]
+        elif isinstance(concl, TimeQuant):
+            extra, body = _unfold_timequant(concl, (*hyps, *extras))
+            todo.append((body, (*extras, *extra)))
+        elif isinstance(concl, Not):
+            todo.append((nnf(concl), extras))
+        elif isinstance(concl, (Cmp, FalsePred, Or)):
+            goals.append(_Goal(extras, concl))
+        elif not isinstance(concl, TruePred):
+            supported = False
+    return goals if supported else None
 
 
 def _method_name(methods: list) -> str:

@@ -225,22 +225,6 @@ ONE = Const(1)
 const = Const  # the constant of a rational
 
 
-def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Const, SymConst, Var, TimeVar)):
-        return ()
-    if isinstance(e, Neg):
-        return (e.arg,)
-    if isinstance(e, (Add, Sub, Mul)):
-        return (e.lhs, e.rhs)
-    if isinstance(e, Div):
-        return (e.num, e.den)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Sin, Cos, Exp)):
-        return (e.arg,)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 def subterms(e: Expr) -> Iterator[Expr]:
     """Every node of e, parent before children, children left to right;
     a worklist, so the depth is not bounded by the recursion limit."""
@@ -268,56 +252,49 @@ def free_names(e: Expr) -> set[str]:
     return set(_names(e))
 
 
-# Each node caches the frozenset of names it reads in its instance __dict__
-# (under its own key for expressions and for predicates), outside ==, hash
-# and repr.  A composite node reuses a child's set when that child reads
-# every name, so a spine of nodes over one subtree holds one set.  The sets
-# are computed children first with a worklist, so the depth of a term is
-# not bounded by the recursion limit.
+# Each node, Expr or Pred, caches the frozenset of names it reads in its
+# instance __dict__ under _NAMES, outside ==, hash and repr.  A composite
+# node reuses a child's set when that child reads every name, so a spine of
+# nodes over one subtree holds one set.  The sets are computed children
+# first with a worklist, so the depth of a term is not bounded by the
+# recursion limit, and a node with a set has one on every node below it.
 
-_NAMES, _PRED_NAMES = "_names", "_pred_names"
+_NAMES = "_names"
 
 
-def _names(e: Expr) -> frozenset:
+def _names(node) -> frozenset:
     try:
-        return e.__dict__[_NAMES]
+        return node.__dict__[_NAMES]
     except (KeyError, AttributeError):
-        return _cache_names(e, _NAMES, _expr_parts)
+        return _cache_names(node)
 
 
-def _expr_parts(e: Expr) -> tuple:
-    """The names e reads itself, and its children."""
-    kind = type(e)
-    if kind is Var or kind is SymConst:
-        return frozenset((e.name,)), ()
-    if kind is TimeVar:
-        return frozenset((TIME_NAME,)), ()
-    return frozenset(), children(e)
-
-
-def _cache_names(root, key: str, parts) -> frozenset:
-    """Cache under key the name set of root and of every node below it that
-    has none, from parts(node), the names the node reads itself and its
-    children; a TimeQuant's binders are not free in it."""
+def _cache_names(root) -> frozenset:
+    """Cache the name set of root and of every node below it that has none;
+    a TimeQuant's binders are not free in it."""
     stack, leaving = [root], []  # _LEAVE on stack: the top of leaving has its children's
     while stack:
         node = stack.pop()
         if node is _LEAVE:
-            node, names, kids = leaving.pop()
+            node, kids = leaving.pop()
+            names = frozenset()
             for c in kids:
-                names = _merged(names, c.__dict__[key])
+                names = _merged(names, c.__dict__[_NAMES])
             if type(node) is TimeQuant:
                 names = names - {node.t_name, node.tau_name}
-            node.__dict__[key] = names
-        elif key not in getattr(node, "__dict__", ()):
-            names, kids = parts(node)  # raises TypeError for a non-node
+            node.__dict__[_NAMES] = names
+        elif _NAMES not in getattr(node, "__dict__", ()):
+            kids = children(node)  # raises TypeError for a non-node
             if kids:
-                leaving.append((node, names, kids))
+                leaving.append((node, kids))
                 stack.append(_LEAVE)
                 stack += kids
             else:
-                node.__dict__[key] = names
-    return root.__dict__[key]
+                kind = type(node)
+                node.__dict__[_NAMES] = frozenset(
+                    (node.name,) if kind is Var or kind is SymConst
+                    else (TIME_NAME,) if kind is TimeVar else ())
+    return root.__dict__[_NAMES]
 
 
 _LEAVE = object()
@@ -611,38 +588,63 @@ def is_zero_const(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
+def fold(root, leave):
+    """The value at root of leave(node, values), where values lists the
+    values at the node's children: children first, left to right, and a
+    shared subterm once per occurrence, as a tree walk, but on an explicit
+    stack, so the depth of a term is not bounded by the recursion limit."""
+    values, stack, leaving = [], [root], []  # _LEAVE on stack: the top of leaving has its values
+    while stack:
+        node = stack.pop()
+        if node is _LEAVE:
+            node, n = leaving.pop()
+            args = values[-n:]
+            del values[-n:]
+            values.append(leave(node, args))
+        else:
+            kids = _KIDS.get(type(node), _not_a_node)(node)  # children(node), without a call
+            if kids:
+                leaving.append((node, len(kids)))
+                stack.append(_LEAVE)
+                stack += reversed(kids)
+            else:
+                values.append(leave(node, ()))
+    return values[0]
+
+
 def diff(e: Expr, wrt: str) -> Expr:
     """Symbolic derivative with respect to a variable name or the time symbol."""
-    if isinstance(e, Const) or isinstance(e, SymConst):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == wrt else ZERO
-    if isinstance(e, TimeVar):
-        return ONE if wrt == TIME_NAME else ZERO
-    if isinstance(e, Neg):
-        return Neg(diff(e.arg, wrt))
-    if isinstance(e, Add):
-        return Add(diff(e.lhs, wrt), diff(e.rhs, wrt))
-    if isinstance(e, Sub):
-        return Sub(diff(e.lhs, wrt), diff(e.rhs, wrt))
-    if isinstance(e, Mul):
-        return Add(Mul(diff(e.lhs, wrt), e.rhs), Mul(e.lhs, diff(e.rhs, wrt)))
-    if isinstance(e, Div):
-        du, dv = diff(e.num, wrt), diff(e.den, wrt)
-        if is_zero_const(dv):
-            return Div(du, e.den)
-        return Div(Sub(Mul(du, e.den), Mul(e.num, dv)), Pow(e.den, 2))
-    if isinstance(e, Pow):
-        if e.exp == 0:
+
+    def leave(e: Expr, d: list) -> Expr:  # d: the derivatives of e's children
+        kind = type(e)
+        if kind is Const or kind is SymConst:
             return ZERO
-        return Mul(const(e.exp), Mul(diff(e.base, wrt), Pow(e.base, e.exp - 1)))
-    if isinstance(e, Sin):
-        return Mul(diff(e.arg, wrt), Cos(e.arg))
-    if isinstance(e, Cos):
-        return Neg(Mul(diff(e.arg, wrt), Sin(e.arg)))
-    if isinstance(e, Exp):
-        return Mul(diff(e.arg, wrt), Exp(e.arg))
-    raise TypeError(f"not an Expr node: {e!r}")
+        if kind is Var:
+            return ONE if e.name == wrt else ZERO
+        if kind is TimeVar:
+            return ONE if wrt == TIME_NAME else ZERO
+        if kind is Neg or kind is Add or kind is Sub:
+            return kind(*d)
+        if kind is Mul:
+            return Add(Mul(d[0], e.rhs), Mul(e.lhs, d[1]))
+        if kind is Div:
+            du, dv = d
+            if is_zero_const(dv):
+                return Div(du, e.den)
+            return Div(Sub(Mul(du, e.den), Mul(e.num, dv)), Pow(e.den, 2))
+        if kind is Pow:
+            if e.exp == 0:
+                return ZERO
+            return Mul(const(e.exp), Mul(d[0], Pow(e.base, e.exp - 1)))
+        if kind is Sin:
+            return Mul(d[0], Cos(e.arg))
+        if kind is Cos:
+            return Neg(Mul(d[0], Sin(e.arg)))
+        if kind is Exp:
+            return Mul(d[0], Exp(e.arg))
+        raise TypeError(f"not an Expr node: {e!r}")
+
+    return fold(e, leave)
 
 
 def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
@@ -655,30 +657,71 @@ def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
     return _subst(e, binding, {})
 
 
-def _subst(e: Expr, binding: Mapping[str, Expr], memo: dict) -> Expr:
-    # one Python frame per tree level: no comprehension, which would add one
-    if binding.keys().isdisjoint(_names(e)):
-        return e
-    if isinstance(e, Var):
-        return binding[e.name]
-    if isinstance(e, TimeVar):
-        return binding[TIME_NAME]
-    out = memo.get(e)
-    if out is not None:
-        return out
-    kids = children(e)
-    new = []
-    for c in kids:
-        new.append(_subst(c, binding, memo))
-    out = e if all(map(operator.is_, new, kids)) else _rebuild(e, new)
-    memo[e] = out
-    return out
+def _subst(root, binding: Mapping[str, Expr], memo: dict):
+    """root, an Expr or a Pred, under binding, as substitute_pred describes:
+    one loop over an explicit stack, children left to right.  memo maps the
+    nodes substituted under binding to their results; a TimeQuant keeps the
+    outer binding and memo on the stack while a binding and a memo of its
+    own serve its prefix and body."""
+    keys = binding.keys()
+    if keys.isdisjoint(_names(root)):
+        return root
+    done, stack, leaving = [], [root], []  # _LEAVE on stack: the top of leaving has its results
+    while stack:
+        node = stack.pop()
+        if node is _LEAVE:
+            node, kids, scope = leaving.pop()
+            if len(kids) == 2:  # no node has more children
+                b, a = done.pop(), done.pop()
+                new, same = (a, b), a is kids[0] and b is kids[1]
+            else:
+                new = (done.pop(),) if kids else ()
+                same = not kids or new[0] is kids[0]
+            if scope is None:
+                out = node if same else _rebuild(node, new)
+            else:
+                binding, memo, t_name, tau_name = scope
+                keys = binding.keys()
+                same = same and t_name == node.t_name
+                out = node if same else TimeQuant(t_name, tau_name, node.dom, *new)
+            memo[node] = out
+            done.append(out)
+        elif keys.isdisjoint(node._names):  # cached by _names(root)
+            done.append(node)
+        else:
+            kind = type(node)
+            if kind is Var:
+                done.append(binding[node.name])
+            elif kind is TimeVar:
+                done.append(binding[TIME_NAME])
+            elif (out := memo.get(node)) is not None:
+                done.append(out)
+            else:
+                kids, scope = _KIDS[kind](node), None
+                if kind is TimeQuant:  # its binders shadow keys of the binding
+                    t_name, tau_name = node.t_name, node.tau_name
+                    inner = {k: e for k, e in binding.items() if k != t_name and k != tau_name}
+                    # only a term that lands under the binders can be captured
+                    free = node._names
+                    used = frozenset().union(*(_names(e) for k, e in inner.items() if k in free))
+                    if t_name in used or tau_name in used:
+                        t_name, tau_name = fresh_time_binders(used | free, 2)
+                        inner[node.t_name], inner[node.tau_name] = Var(t_name), Var(tau_name)
+                    scope = (binding, memo, t_name, tau_name)
+                    binding, memo, keys = inner, {}, inner.keys()
+                leaving.append((node, kids, scope))
+                stack.append(_LEAVE)
+                stack += reversed(kids)
+    return done[0]
 
 
-def _rebuild(e: Expr, kids: list) -> Expr:
-    """A node of e's type over new children; Div still rejects a constant
+def _rebuild(node, kids: list):
+    """A node of node's type over new children; Div still rejects a constant
     zero denominator."""
-    return Pow(kids[0], e.exp) if isinstance(e, Pow) else type(e)(*kids)
+    kind = type(node)
+    if kind is Pow:
+        return Pow(kids[0], node.exp)
+    return Cmp(node.op, *kids) if kind is Cmp else kind(*kids)
 
 
 def lie_derivative(mu: Expr, field: Mapping[str, Expr]) -> Expr:
@@ -776,6 +819,27 @@ TRUE = TruePred()
 FALSE = FalsePred()
 
 
+# node type -> the tuple of its children, left to right: the one table every
+# walk over terms and predicates reads
+_KIDS = {
+    **dict.fromkeys((Const, SymConst, Var, TimeVar, TruePred, FalsePred), lambda node: ()),
+    **dict.fromkeys((Neg, Sin, Cos, Exp, Not), lambda node: (node.arg,)),
+    Pow: lambda node: (node.base,),
+    **dict.fromkeys((Add, Sub, Mul, Cmp, And, Or), operator.attrgetter("lhs", "rhs")),
+    Div: operator.attrgetter("num", "den"),
+    TimeQuant: operator.attrgetter("prefix", "body"),
+}
+
+
+def children(node) -> tuple:
+    """The children of an Expr or Pred node, left to right."""
+    return _KIDS.get(type(node), _not_a_node)(node)
+
+
+def _not_a_node(node):
+    raise TypeError(f"not an Expr or Pred node: {node!r}")
+
+
 def pred_and(parts: list[Pred]) -> Pred:
     parts = [p for p in parts if not isinstance(p, TruePred)]
     if not parts:
@@ -783,6 +847,19 @@ def pred_and(parts: list[Pred]) -> Pred:
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
+    return out
+
+
+def flatten_conj(preds) -> list[Pred]:
+    """The conjuncts of preds, left to right, with every And split and every
+    true dropped."""
+    out, stack = [], list(preds)[::-1]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, And):
+            stack += (p.rhs, p.lhs)
+        elif not isinstance(p, TruePred):
+            out.append(p)
     return out
 
 
@@ -802,27 +879,27 @@ def swap_cmp(c: Cmp) -> Cmp:
 
 def nnf(p: Pred) -> Pred:
     """Negation normal form: Not is eliminated by flipping comparisons."""
-    if isinstance(p, (TruePred, FalsePred, Cmp)):
-        return p
-    if isinstance(p, And):
-        return And(nnf(p.lhs), nnf(p.rhs))
-    if isinstance(p, Or):
-        return Or(nnf(p.lhs), nnf(p.rhs))
-    if isinstance(p, Not):
-        q = p.arg
-        if isinstance(q, TruePred):
-            return FALSE
-        if isinstance(q, FalsePred):
-            return TRUE
-        if isinstance(q, Cmp):
-            return negate_cmp(q)
-        if isinstance(q, And):
-            return Or(nnf(Not(q.lhs)), nnf(Not(q.rhs)))
-        if isinstance(q, Or):
-            return And(nnf(Not(q.lhs)), nnf(Not(q.rhs)))
-        if isinstance(q, Not):
-            return nnf(q.arg)
-    raise TypeError(f"not a Pred node: {p!r}")
+    # (node, whether an odd number of Not is above it), or (And or Or, None)
+    # to join the last two results
+    done, todo = [], [(p, False)]
+    while todo:
+        q, negated = todo.pop()
+        kind = type(q)
+        if q is And or q is Or:
+            b = done.pop()
+            done[-1] = q(done[-1], b)
+        elif kind is Not:
+            todo.append((q.arg, not negated))
+        elif kind is And or kind is Or:
+            joint = (Or if kind is And else And) if negated else kind
+            todo += [(joint, None), (q.rhs, negated), (q.lhs, negated)]
+        elif kind is Cmp:
+            done.append(negate_cmp(q) if negated else q)
+        elif kind is TruePred or kind is FalsePred:
+            done.append((FALSE if kind is TruePred else TRUE) if negated else q)
+        else:
+            raise TypeError(f"not a Pred node: {Not(q) if negated else q!r}")
+    return done[0]
 
 
 def fresh_time_binders(avoid: set[str], k: int) -> tuple[str, str]:
@@ -842,86 +919,26 @@ def substitute_pred(p: Pred, binding: Mapping[str, Expr], memo: "dict | None" = 
     Sharing is kept as by substitute; a TimeQuant in which no key of the
     binding is free comes back as itself, binders and all.  memo, if given,
     maps nodes substituted under binding before to their results."""
-    return _subst_pred(p, binding, {} if memo is None else memo)
-
-
-def _subst_pred(p: Pred, binding: Mapping[str, Expr], memo: dict) -> Pred:
-    if binding.keys().isdisjoint(_pred_names(p)):
-        return p
-    out = memo.get(p)
-    if out is not None:
-        return out
-    if isinstance(p, Cmp):
-        lhs, rhs = _subst(p.lhs, binding, memo), _subst(p.rhs, binding, memo)
-        out = p if lhs is p.lhs and rhs is p.rhs else Cmp(p.op, lhs, rhs)
-    elif isinstance(p, TimeQuant):
-        bound = {p.t_name, p.tau_name}
-        inner = {k: e for k, e in binding.items() if k not in bound}
-        # only a term that lands under the binders can be captured
-        free = _pred_names(p)
-        used = frozenset().union(*(_names(e) for k, e in inner.items() if k in free))
-        t_name, tau_name = p.t_name, p.tau_name
-        if not used.isdisjoint(bound):
-            t_name, tau_name = fresh_time_binders(used | free, 2)
-            inner[p.t_name], inner[p.tau_name] = Var(t_name), Var(tau_name)
-        inner_memo: dict = {}  # the binding differs under the binders
-        prefix = _subst_pred(p.prefix, inner, inner_memo)
-        body = _subst_pred(p.body, inner, inner_memo)
-        if t_name == p.t_name and prefix is p.prefix and body is p.body:
-            out = p
-        else:
-            out = TimeQuant(t_name, tau_name, p.dom, prefix, body)
-    else:
-        kids = _subpreds(p)
-        new = []
-        for c in kids:
-            new.append(_subst_pred(c, binding, memo))
-        out = p if all(map(operator.is_, new, kids)) else type(p)(*new)
-    memo[p] = out
-    return out
-
-
-def _subpreds(p: Pred) -> tuple:
-    if isinstance(p, (And, Or)):
-        return (p.lhs, p.rhs)
-    if isinstance(p, Not):
-        return (p.arg,)
-    return ()
+    return _subst(p, binding, {} if memo is None else memo)
 
 
 def pred_free_names(p: Pred) -> set[str]:
-    return set(_pred_names(p))
-
-
-def _pred_names(p: Pred) -> frozenset:
-    """The free names of p, cached on each node as _names caches them."""
-    try:
-        return p.__dict__[_PRED_NAMES]
-    except (KeyError, AttributeError):
-        return _cache_names(p, _PRED_NAMES, _pred_parts)
-
-
-def _pred_parts(p: Pred) -> tuple:
-    """The names p reads itself, and its subpredicates."""
-    if isinstance(p, Cmp):
-        return _merged(_names(p.lhs), _names(p.rhs)), ()
-    if isinstance(p, TimeQuant):
-        return frozenset(), (p.prefix, p.body)
-    if isinstance(p, (TruePred, FalsePred, And, Or, Not)):
-        return frozenset(), _subpreds(p)
-    raise TypeError(f"not a Pred node: {p!r}")
+    if not isinstance(p, Pred):
+        raise TypeError(f"not a Pred node: {p!r}")
+    return set(_names(p))
 
 
 def pred_bound_names(p: Pred) -> set[str]:
     """Every name a TimeQuant binds anywhere inside the predicate."""
-    if isinstance(p, (And, Or)):
-        return pred_bound_names(p.lhs) | pred_bound_names(p.rhs)
-    if isinstance(p, Not):
-        return pred_bound_names(p.arg)
-    if isinstance(p, TimeQuant):
-        inner = pred_bound_names(p.prefix) | pred_bound_names(p.body)
-        return inner | {p.t_name, p.tau_name}
-    return set()
+    names, todo = set(), [p]
+    while todo:
+        q = todo.pop()
+        kind = type(q)
+        if kind is TimeQuant:
+            names.update((q.t_name, q.tau_name))
+        if kind is And or kind is Or or kind is Not or kind is TimeQuant:
+            todo += _KIDS[kind](q)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +969,7 @@ def bound_names(term, binds) -> tuple:
     mapping or a set, in the order of the term's name set; every name of
     binds when the term holds a non-node, which raises where it is reached."""
     try:
-        names = _pred_names(term) if isinstance(term, Pred) else _names(term)
+        names = _names(term)
     except TypeError:
         names = binds
     return tuple(filter(binds.__contains__, names))

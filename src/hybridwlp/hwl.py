@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 from .expr import (
     Add, And, Cmp, Const, Cos, Div, Exp, Expr, FalsePred, Mul, Neg, Not, Or, Pow, Pred, Sin,
-    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var,
+    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var, children, flatten_conj,
 )
 from .hprog import (
     Abort, Assign, Choice, Evolve, Flow, HybridProgram, IfThenElse, Loop, NONNEG, REALS, Seq,
@@ -282,7 +282,7 @@ class _Parser:
             hyps: list = []
             body = first
             if self.accept("=>"):
-                hyps = _split_conj(first)
+                hyps = flatten_conj([first])
                 body = self.parse_pred()
             lemmas.append(Lemma(lname, tuple(hyps), body))
             self.accept(";")
@@ -535,12 +535,6 @@ class _Parser:
         self.error(f"expected expression, found {tok.text!r}")
 
 
-def _split_conj(p: Pred) -> list:
-    if isinstance(p, And):
-        return _split_conj(p.lhs) + _split_conj(p.rhs)
-    return [p]
-
-
 def parse_spec(text: str) -> SpecFile:
     """Parse one problem file; raises ParseError with line:col positions."""
     return _Parser(tokenize(text)).parse_spec()
@@ -566,49 +560,59 @@ def _fmt_rational(value: Fraction) -> str:
     return s
 
 
-def _fmt(node: Expr | Pred, prec: int) -> str:
-    """node as text where an operator of precedence prec surrounds it."""
-    op = _OF_NODE.get(type(node))
-    if op is None:
-        return _fmt_operand(node, prec)
-    if op.node is Pow:
-        s = f"{_fmt(node.base, _ATOM)}^{node.exp}"
-    elif op.node in (Neg, Not):
-        s = op.text + _fmt(node.arg, op.prec)
-    else:
-        lhs, rhs = (node.num, node.den) if op.node is Div else (node.lhs, node.rhs)
-        text = node.op if op.node is Cmp else op.text
-        # "|" and "&" are associative, so their right operand is printed at
-        # their own precedence; the others' one step tighter
-        s = (_fmt(lhs, op.prec) + (f" {text} " if op.prec < _MUL else text)
-             + _fmt(rhs, op.prec if op.prec < _CMP else op.prec + 1))
-    return f"({s})" if prec > op.prec else s
+def _fmt(root: Expr | Pred, prec: int) -> str:
+    """root as text where an operator of precedence prec surrounds it: the
+    texts and the (node, prec) pairs to print, in order, on one stack."""
+    out, todo = [], [(root, prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, prec = item
+        op = _OF_NODE.get(type(node))
+        if op is None:
+            parts = _fmt_operand(node, prec)
+        elif op.node is Pow:
+            parts = [(node.base, _ATOM), f"^{node.exp}"]
+        elif op.node in (Neg, Not):
+            parts = [op.text, (node.arg, op.prec)]
+        else:
+            lhs, rhs = children(node)
+            text = node.op if op.node is Cmp else op.text
+            # "|" and "&" are associative, so their right operand is printed at
+            # their own precedence; the others' one step tighter
+            parts = [(lhs, op.prec), f" {text} " if op.prec < _MUL else text,
+                     (rhs, op.prec if op.prec < _CMP else op.prec + 1)]
+        if op is not None and prec > op.prec:
+            parts = ["(", *parts, ")"]
+        todo += reversed(parts)
+    return "".join(out)
 
 
-def _fmt_operand(node: Expr | Pred, prec: int) -> str:
+def _fmt_operand(node: Expr | Pred, prec: int) -> list:
+    """The parts of a node that no operator of _OPS prints, as _fmt reads them."""
     if isinstance(node, Const):
         if node.value < 0:
-            return f"(-{_fmt_rational(-node.value)})"
+            return [f"(-{_fmt_rational(-node.value)})"]
         s = _fmt_rational(node.value)
         # a printed p/q re-parses as a constant division and folds back,
         # but only when no tighter operator can capture one side
-        return f"({s})" if node.value.denominator != 1 and prec > _MUL else s
+        return [f"({s})" if node.value.denominator != 1 and prec > _MUL else s]
     if isinstance(node, (Var, SymConst)):
-        return node.name
+        return [node.name]
     if isinstance(node, TimeVar):
-        return "t"
+        return ["t"]
     if type(node) in _FUNCTION_NAMES:
-        return f"{_FUNCTION_NAMES[type(node)]}({_fmt(node.arg, 0)})"
+        return [f"{_FUNCTION_NAMES[type(node)]}(", (node.arg, 0), ")"]
     if isinstance(node, (TruePred, FalsePred)):
-        return "true" if isinstance(node, TruePred) else "false"
+        return ["true" if isinstance(node, TruePred) else "false"]
     if isinstance(node, TimeQuant):
         dom = format_domain(node.dom)
-        s = (
-            f"forall {node.t_name} in {dom}. "
-            f"(forall {node.tau_name} in {dom}, {node.tau_name} <= {node.t_name}. "
-            f"{_fmt(node.prefix, 0)}) -> ({_fmt(node.body, 0)})"
-        )
-        return f"({s})" if prec > 0 else s
+        parts = [f"forall {node.t_name} in {dom}. "
+                 f"(forall {node.tau_name} in {dom}, {node.tau_name} <= {node.t_name}. ",
+                 (node.prefix, 0), ") -> (", (node.body, 0), ")"]
+        return ["(", *parts, ")"] if prec > 0 else parts
     raise TypeError(f"not a term or predicate node: {node!r}")
 
 

@@ -537,8 +537,8 @@ def check_diff_invariant(
     db: Optional[LemmaDB] = None,
     budget: DischargeBudget = DischargeBudget(),
 ) -> DiffInvariantReport:
-    """Differential-invariance check by structural recursion over the
-    negation normal form, with Lie-derivative obligations at the atoms.
+    """Differential-invariance check by a walk over the negation normal
+    form, with Lie-derivative obligations at the atoms.
 
     A Proved report justifies keeping the predicate across the evolution
     under any guard; failed atoms yield Unknown, never Refuted, since the
@@ -553,21 +553,6 @@ def check_diff_invariant(
     def lie(e: Expr) -> Expr:
         return lie_derivative(e, field.components)
 
-    def go(p: Pred) -> bool:
-        if isinstance(p, TruePred):
-            rulings.append(AtomRuling(p, "trivial", Verdict("proved", method="trivial")))
-            return True
-        if isinstance(p, FalsePred):
-            rulings.append(AtomRuling(p, "trivial", Verdict("proved", method="empty-set")))
-            return True
-        if isinstance(p, (And, Or)):  # each side must be invariant on its own
-            a = go(p.lhs)
-            b = go(p.rhs)
-            return a and b
-        if isinstance(p, Cmp):
-            return atom(p)
-        raise ValueError(f"unsupported invariant shape: {type(p).__name__}")
-
     def atom(c: Cmp) -> bool:
         try:
             la, lb = lie(c.lhs), lie(c.rhs)
@@ -576,19 +561,17 @@ def check_diff_invariant(
                 AtomRuling(c, "unsupported", Verdict("unknown", reason=str(exc)))
             )
             return False
-        if c.op == "!=":
-            a = atom(Cmp("<", c.lhs, c.rhs))
-            b = atom(Cmp("<", c.rhs, c.lhs))
-            ok = a and b
-            rulings.append(
-                AtomRuling(
-                    c, "neq-rule",
-                    Verdict("proved", method="both-strict-directions")
-                    if ok
-                    else Verdict("unknown", reason="a strict direction failed"),
-                )
-            )
-            return ok
+        if c.op != "!=":
+            return lie_rule(c, la, lb)
+        # both strict directions are ruled, each with its own ruling first
+        ok = lie_rule(Cmp("<", c.lhs, c.rhs), la, lb) & lie_rule(Cmp("<", c.rhs, c.lhs), lb, la)
+        verdict = (Verdict("proved", method="both-strict-directions") if ok
+                   else Verdict("unknown", reason="a strict direction failed"))
+        rulings.append(AtomRuling(c, "neq-rule", verdict))
+        return ok
+
+    def lie_rule(c: Cmp, la: Expr, lb: Expr) -> bool:
+        """The ruling of c, not !=, from the Lie derivatives of its sides."""
         rule, op, swap, failure = _LIE_RULES[c.op]
         if swap:
             la, lb = lb, la
@@ -613,7 +596,18 @@ def check_diff_invariant(
         rulings.append(AtomRuling(c, rule, Verdict("proved", method="+".join(methods))))
         return True
 
-    ok = go(inv_n)
+    ok, todo = True, [inv_n]  # each side of an And or Or must be invariant on its own
+    while todo:
+        p = todo.pop()
+        if isinstance(p, (And, Or)):
+            todo += [p.rhs, p.lhs]
+        elif isinstance(p, (TruePred, FalsePred)):
+            method = "trivial" if isinstance(p, TruePred) else "empty-set"
+            rulings.append(AtomRuling(p, "trivial", Verdict("proved", method=method)))
+        elif isinstance(p, Cmp):
+            ok = atom(p) and ok
+        else:
+            raise ValueError(f"unsupported invariant shape: {type(p).__name__}")
     overall = (
         Verdict("proved", method="diff-invariant")
         if ok

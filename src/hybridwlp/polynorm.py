@@ -43,6 +43,7 @@ from .expr import (
     TIME_NAME,
     const,
     evaluate,
+    fold,
     free_names,
 )
 
@@ -268,55 +269,37 @@ def normalize(e: Expr) -> NormalForm:
 
     Expression trees are immutable, so results are memoized.
     """
-    poly, opaque = _norm(e)
+    poly, opaque = fold(e, _norm)
     return NormalForm(_reduce(poly), opaque)
 
 
-def _norm(e: Expr) -> tuple[Poly, bool]:
-    if isinstance(e, Const):
+def _norm(e: Expr, args: list) -> tuple[Poly, bool]:
+    """The polynomial of e and whether it is opaque, from its children's."""
+    kind = type(e)
+    if kind is Const:
         return poly_const(e.value), False
-    if isinstance(e, SymConst):
+    if kind is SymConst:
         return poly_atom(Atom("const", e.name)), False
-    if isinstance(e, Var):
+    if kind is Var:
         return poly_atom(Atom("var", e.name)), False
-    if isinstance(e, TimeVar):
+    if kind is TimeVar:
         return poly_atom(Atom("time", TIME_NAME)), False
-    if isinstance(e, Neg):
-        p, o = _norm(e.arg)
+    if kind is Neg:
+        (p, o), = args
         return p.neg(), o
-    if isinstance(e, Add):
-        p1, o1 = _norm(e.lhs)
-        p2, o2 = _norm(e.rhs)
-        return p1.add(p2), o1 or o2
-    if isinstance(e, Sub):
-        p1, o1 = _norm(e.lhs)
-        p2, o2 = _norm(e.rhs)
-        return p1.sub(p2), o1 or o2
-    if isinstance(e, Mul):
-        p1, o1 = _norm(e.lhs)
-        p2, o2 = _norm(e.rhs)
-        return p1.mul(p2), o1 or o2
-    if isinstance(e, Pow):
-        p, o = _norm(e.base)
+    if kind is Add or kind is Sub or kind is Mul:
+        (p1, o1), (p2, o2) = args
+        return _ARITH[kind](p1, p2), o1 or o2
+    if kind is Pow:
+        (p, o), = args
         return p.pow(e.exp), o
-    if isinstance(e, Sin):
-        p, o = _norm(e.arg)
+    if kind is Sin or kind is Cos or kind is Exp:
+        (p, o), = args
         if p.is_zero():
-            return P_ZERO, o
-        return poly_atom(Atom("sin", args=(p,))), o
-    if isinstance(e, Cos):
-        p, o = _norm(e.arg)
-        if p.is_zero():
-            return P_ONE, o
-        return poly_atom(Atom("cos", args=(p,))), o
-    if isinstance(e, Exp):
-        p, o = _norm(e.arg)
-        if p.is_zero():
-            return P_ONE, o
-        return poly_atom(Atom("exp", args=(p,))), o
-    if isinstance(e, Div):
-        pn, on = _norm(e.num)
-        pd, od = _norm(e.den)
+            return (P_ZERO if kind is Sin else P_ONE), o
+        return poly_atom(Atom(_FUNCTION_KINDS[kind], args=(p,))), o
+    if kind is Div:
+        (pn, on), (pd, od) = args
         if pd.is_zero():
             raise NormalizeError("denominator normalizes to zero")
         inv = _invert_monomial(pd)
@@ -324,6 +307,10 @@ def _norm(e: Expr) -> tuple[Poly, bool]:
             return pn.mul(inv), on or od
         return poly_atom(Atom("div", args=(pn, pd))), True
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+_ARITH = {Add: Poly.add, Sub: Poly.sub, Mul: Poly.mul}
+_FUNCTION_KINDS = {Sin: "sin", Cos: "cos", Exp: "exp"}
 
 
 _ATOM_REL = {"<": ">", "<=": ">=", ">": ">", ">=": ">=", "=": "=", "!=": "!="}

@@ -14,16 +14,15 @@ import random
 from typing import Mapping, Optional, Sequence
 
 from .expr import (
-    And,
     Cmp,
     EVAL_FAILURES,
     FalsePred,
     KernelWriter,
     Pred,
     Sub,
-    TruePred,
     bound_names,
     eval_pred,
+    flatten_conj,
     memo_kernel,
     pred_free_names,
     pred_kernel,
@@ -32,22 +31,6 @@ from .polynorm import Poly, atom_form
 
 EQ_CHECK_TOL = 1e-7
 BASE_WIDTH = 10.0  # initial half-width of the sampling window
-
-
-def flatten_conj(preds) -> list[Pred]:
-    out: list[Pred] = []
-    stack = list(preds)
-    while stack:
-        p = stack.pop()
-        if isinstance(p, And):
-            stack.append(p.lhs)
-            stack.append(p.rhs)
-        elif isinstance(p, TruePred):
-            continue
-        else:
-            out.append(p)
-    out.reverse()
-    return out
 
 
 def _linear_in(form: Optional[tuple[Poly, str]], name: str) -> bool:

@@ -133,26 +133,36 @@ def eval_pred_ext(
     prefix fails or cannot be evaluated, and the body must hold at each.
     A domain unbounded below has down-sets reaching past the grid, where a
     prefix other than true may fail, so such a TimeQuant raises EvalError."""
-    if isinstance(p, TimeQuant):
-        if p.dom.lo == -inf and not isinstance(p.prefix, TruePred):
-            raise EvalError("the down-sets of a domain unbounded below leave the grid")
-        ts = p.dom.downset_grid(step, horizon)
-        reached = _guarded_prefix(ts, ({p.tau_name: t} for t in ts), p.prefix, valuation, eq_tol)
-        return all(
-            eval_pred_ext(p.body, {**valuation, p.t_name: t}, step, horizon, eq_tol)
-            for t, _ in reached
-        )
-    if isinstance(p, And):
-        return eval_pred_ext(p.lhs, valuation, step, horizon, eq_tol) and eval_pred_ext(
-            p.rhs, valuation, step, horizon, eq_tol
-        )
-    if isinstance(p, Or):
-        return eval_pred_ext(p.lhs, valuation, step, horizon, eq_tol) or eval_pred_ext(
-            p.rhs, valuation, step, horizon, eq_tol
-        )
-    if isinstance(p, Not):
-        return not eval_pred_ext(p.arg, valuation, step, horizon, eq_tol)
-    return eval_pred(p, valuation, eq_tol)
+    # (step, node, valuation) on one stack, step None to decide the node; And,
+    # Or and the end times short-circuit left to right
+    value, todo = None, [(None, p, valuation)]
+    while todo:
+        after, q, val = todo.pop()
+        if after is None:
+            kind = type(q)
+            if kind is And or kind is Or:
+                todo += [(kind, q.rhs, val), (None, q.lhs, val)]
+            elif kind is Not:
+                todo += [(Not, q, val), (None, q.arg, val)]
+            elif kind is TimeQuant:
+                if q.dom.lo == -inf and not isinstance(q.prefix, TruePred):
+                    raise EvalError("the down-sets of a domain unbounded below leave the grid")
+                ts = q.dom.downset_grid(step, horizon)
+                reached = _guarded_prefix(ts, ({q.tau_name: t} for t in ts), q.prefix, val, eq_tol)
+                value = True
+                todo.append((iter(reached), q, val))
+            else:
+                value = eval_pred(q, val, eq_tol)
+        elif after is And or after is Or:  # the left operand leaves p open: the right decides
+            if value == (after is And):
+                todo.append((None, q, val))
+        elif after is Not:
+            value = not value
+        elif value:  # the reached end times of a TimeQuant not yet read
+            for t, _ in after:
+                todo += [(after, q, val), (None, q.body, {**val, q.t_name: t})]
+                break
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,32 @@ import jsonschema
 import pytest
 
 from hybridwlp.cli import main
+from hybridwlp.hwl import parse_spec
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/hybridwlp/report_schema.json").read_text()
 )
+
+
+# 1,500-level probes, each proved: a chain of assignments; a post of &, |,
+# ! or prefix -, or a sum; a pre and a differential invariant of conjuncts
+DEPTH_PROBES = {
+    "assign": lambda n: (f"problem p vars x pre x = 0 post x = {n} program "
+                         + "; ".join(["x := x + 1"] * n)),
+    "and": lambda n: "problem p vars x pre x >= 0 post " + " & ".join(["x >= 0"] * n)
+                     + " program skip",
+    "or": lambda n: "problem p vars x pre x >= 0 post " + " | ".join(["x >= 0"] * n)
+                    + " program skip",
+    "not": lambda n: "problem p vars x pre x >= 0 post " + "!" * n + "x >= 0 program skip",
+    "neg": lambda n: "problem p vars x pre x >= 0 post " + "-" * n + "x >= 0 program skip",
+    "sum": lambda n: "problem p vars x pre x >= 0 post " + " + ".join(["x"] * n)
+                     + " >= 0 program skip",
+    "pre": lambda n: "problem p vars x pre " + " & ".join(["x >= 0"] * n)
+                     + " post x >= 0 program skip",
+    "dinv": lambda n: ("problem p vars x pre x >= 0 post x >= 0 program "
+                       "evolve x' = 1 & true on [0,inf) dinv " + " & ".join(["x >= 0"] * n)),
+}
 
 
 def run(capsys, *argv):
@@ -51,15 +72,45 @@ class TestVerifyCommand:
         assert "1 proved, 0 refuted, 0 unknown" in out
 
     def test_too_deep_a_term_is_an_error_not_a_crash(self, capsys, tmp_path):
-        # some passes still take one Python frame per term level, so a
-        # 1,000-level term exceeds the recursion limit: exit 2 with an
+        # the parser still takes Python frames per parenthesised group, so
+        # 1,000 nested groups exceed the recursion limit: exit 2 with an
         # error line, not a traceback with exit 1 (which reads as unknown)
         f = tmp_path / "deeper.hwl"
-        f.write_text("problem deeper vars x pre x = 0 post x = 1000\nprogram "
-                     + "; ".join(["x := x + 1"] * 1000) + "\n")
+        f.write_text("problem deeper vars x pre " + "(" * 1000 + "x" + ")" * 1000
+                     + " >= 0 post x >= 0 program skip\n")
         code, out, err = run(capsys, "verify", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error: term nesting too deep")
+
+    @pytest.mark.parametrize("probe", sorted(DEPTH_PROBES))
+    def test_1500_levels_verify(self, capsys, tmp_path, probe):
+        # each of these once ended in "term nesting too deep": a pass took
+        # one Python frame per level of a term or predicate
+        f = tmp_path / "deep.hwl"
+        f.write_text(DEPTH_PROBES[probe](1500))
+        code, out, err = run(capsys, "verify", str(f))
+        proved = 3 if probe == "dinv" else 1
+        assert (code, err) == (0, "")
+        assert f"summary: {proved} proved, 0 refuted, 0 unknown" in out
+        code, out, err = run(capsys, "fmt", str(f))
+        assert (code, err) == (0, "")
+        assert parse_spec(out) == parse_spec(f.read_text())
+
+    def test_1500_conjuncts_refuted(self, capsys, tmp_path):
+        f = tmp_path / "deep.hwl"
+        f.write_text("problem deep vars x pre x >= 0 post "
+                     + " & ".join(["x >= 1"] * 1500) + " program skip\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, err) == (2, "")
+        assert "summary: 0 proved, 1 refuted, 0 unknown" in out
+
+    @pytest.mark.parametrize("post, want", [(10_000, 0), (10_001, 2)])
+    def test_10000_assignments_verify(self, capsys, tmp_path, post, want):
+        f = tmp_path / "chain.hwl"
+        f.write_text(f"problem chain vars x pre x = 0 post x = {post}\nprogram "
+                     + "; ".join(["x := x + 1"] * 10_000) + "\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, err) == (want, "")
 
     def test_json_report_matches_schema(self, capsys):
         code, out, _ = run(
@@ -95,6 +146,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", str(f))
         assert code == 1
         assert "lemma:bad" not in out
+
+    def test_true_hypothesis_of_a_lemma_is_dropped(self, capsys, tmp_path):
+        # a true conjunct among the hypotheses once got a lemma key that
+        # matched nothing, so the lemma was never used
+        f = tmp_path / "cube.hwl"
+        f.write_text("problem cube vars x y pre x >= 0 & y = x*x*x post y >= 0 program skip\n"
+                     "lemma cube: true & x >= 0 => x*x*x >= 0\n")
+        code, out, err = run(capsys, "verify", str(f))
+        assert (code, err) == (0, "")
+        assert "lemma:cube" in out
+        code, out, _ = run(capsys, "fmt", str(f))
+        assert code == 0 and "lemma cube: x >= 0 => x*x*x >= 0\n" in out
 
     def test_equation_pinning_a_constant_is_kept(self):
         # solving c = 2 for the constant c used to drop the hypothesis,

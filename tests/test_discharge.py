@@ -26,6 +26,7 @@ from hybridwlp.expr import (
     Var,
     const,
     eval_pred,
+    flatten_conj,
     free_names,
     pred_and,
     substitute_pred,
@@ -49,8 +50,9 @@ from hybridwlp.cli import run_verify
 from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
 from hybridwlp.hwl import parse_spec
 from hybridwlp.polynorm import atom_form, normalize
-from hybridwlp.sampling import flatten_conj
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
+from test_hwl_reference import rand_pred
+from treepasses import outcome as call_outcome, ref_split_goals
 
 x, y, z, v = Var("x"), Var("y"), Var("z"), Var("v")
 t = TimeVar()
@@ -1038,3 +1040,41 @@ class TestProvedSoundness:
                 checked += 1
                 assert all(eval_pred(hh, valuation, eq_tol=1e-7) for hh in ob.hyps)
                 assert eval_pred(ob.concl, valuation, eq_tol=1e-6)
+
+
+class TestSplitGoalsMatchesRecursiveReference:
+    def test_random_conclusions(self):
+        # _split_goals splits on one stack; tests/treepasses.py keeps its
+        # recursive form
+        rng = random.Random(26)
+        kinds = set()
+        for _ in range(800):
+            hyps = tuple(rand_pred(rng, rng.randint(0, 2)) for _ in range(rng.randint(0, 2)))
+            concl = rand_pred(rng, rng.randint(0, 4))
+            if rng.random() < 0.1:
+                concl = And(concl, x)  # a term where a predicate must stand
+            got = call_outcome(dmod._split_goals, hyps, concl)
+            assert got == call_outcome(ref_split_goals, hyps, concl), concl
+            kinds.add("none" if got[1] is None else got[0])
+        assert kinds == {"value", "none", "raise"}  # raise: the Not of a TimeQuant
+
+    def test_a_deep_conjunction_splits(self):
+        atoms = [Cmp(">=", x, const(k)) for k in range(3000)]
+        goals = dmod._split_goals((), Not(Not(pred_and(atoms))))
+        assert [goal.concl for goal in goals] == atoms
+
+
+class TestConstantTruth:
+    """A comparison whose sides differ by a constant is decided by that
+    constant alone: "trivial" exactly when it holds, else never proved."""
+
+    @pytest.mark.parametrize("op", ["=", "!=", ">", ">=", "<", "<="])
+    @pytest.mark.parametrize("value", [0, 1, -1])
+    def test_decided_by_the_constant(self, op, value):
+        concl = Cmp(op, x - x + const(value), const(0))  # x - x + k, of constant form k
+        holds = eval_pred(Cmp(op, const(value), const(0)), {})
+        vd = discharge(arith([], concl))
+        if holds:
+            assert vd == dmod.Verdict("proved", method="trivial")
+        else:
+            assert not vd.proved

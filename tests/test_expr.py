@@ -41,6 +41,7 @@ from hybridwlp.expr import (
     ZERO,
     compare,
     const,
+    children,
     diff,
     eval_pred,
     evaluate,
@@ -62,6 +63,7 @@ from hybridwlp.hprog import NONNEG, TimeDomain
 from hybridwlp.hwl import parse_pred
 from hybridwlp.polynorm import atom_form, expr_eq, normalize
 from structural import ref_equal, ref_hash
+from treepasses import outcome, ref_diff, ref_nnf, ref_pred_bound_names
 from treewalk import ref_compare, ref_eval_pred, ref_evaluate
 
 x, y, v = Var("x"), Var("y"), Var("v")
@@ -949,3 +951,68 @@ class TestSharingSubstitution:
         assert pred_free_names(q) == {"x", "y"}
         with pytest.raises(TypeError, match="not a Pred node"):
             pred_free_names(x)
+
+
+def _nested(depth, leaf, *wraps):
+    """leaf under depth nodes, each built by the next of wraps in turn."""
+    node = leaf
+    for i in range(depth):
+        node = wraps[i % len(wraps)](node)
+    return node
+
+
+class TestLoopsMatchRecursiveReferences:
+    """diff, nnf and pred_bound_names walk on explicit stacks; their
+    recursive forms live in tests/treepasses.py."""
+
+    def test_diff(self):
+        rng = random.Random(26)
+        for _ in range(600):
+            e = (_random_expr(rng, rng.randint(0, 5)) if rng.random() < 0.5
+                 else _random_shared_expr(rng, rng.randint(0, 5), []))
+            for wrt in ("x", "y", "t", "g"):
+                assert outcome(diff, e, wrt) == outcome(ref_diff, e, wrt), (e, wrt)
+
+    def test_nnf_and_bound_names(self):
+        rng = random.Random(27)
+        raised = 0
+        for _ in range(800):
+            p = (_random_pred(rng, rng.randint(0, 4)) if rng.random() < 0.5
+                 else _random_shared_pred(rng, rng.randint(0, 4), []))
+            for q in (p, Not(p), Not(Not(p)), And(Not(p), Or(TRUE, p))):
+                got = outcome(nnf, q)
+                assert got == outcome(ref_nnf, q), q
+                raised += got[0] == "raise"  # a TimeQuant, with its Not
+                assert pred_bound_names(q) == ref_pred_bound_names(q), q
+        assert raised
+        assert outcome(nnf, Not(x)) == outcome(ref_nnf, Not(x))
+        assert outcome(nnf, And(TRUE, x)) == outcome(ref_nnf, And(TRUE, x))
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        depth = 3 * sys.getrecursionlimit()
+        atom = Cmp(">=", x, const(0))
+        assert nnf(_nested(depth, atom, Not)) is atom
+        assert nnf(_nested(depth + 1, atom, Not)) == Cmp("<", x, const(0))
+        chain = atom
+        for i in range(depth):
+            chain = (And if i % 2 else Or)(chain, Cmp(">=", x, const(i)))
+        assert nnf(Not(chain)).lhs.rhs == Cmp("<", x, const(depth - 2))
+        q = _quant("t", "tau", TRUE, Cmp("<=", Var("t"), x))
+        assert pred_bound_names(And(_nested(depth, q, Not), FALSE)) == {"t", "tau"}
+        assert diff(_nested(depth, x, Neg), "x") is _nested(depth, const(1), Neg)
+        e, d = x, const(1)  # a term and its derivative in x
+        for i in range(depth):
+            e, d = (Add(e, t), Add(d, ZERO)) if i % 2 else (Mul(e, g), Add(Mul(d, g), Mul(e, ZERO)))
+        assert diff(e, "x") is d
+
+    def test_children_table(self):
+        for node, kids in [(x, ()), (g, ()), (t, ()), (const(2), ()), (Neg(x), (x,)),
+                           (Add(x, y), (x, y)), (Div(x, y), (x, y)), (Pow(x, 3), (x,)),
+                           (Exp(y), (y,)), (TRUE, ()), (Not(FALSE), (FALSE,)),
+                           (Cmp("<", x, y), (x, y)), (Or(TRUE, FALSE), (TRUE, FALSE))]:
+            assert children(node) == kids
+        q = _quant("t", "tau", TRUE, FALSE)
+        assert children(q) == (TRUE, FALSE)
+        for bad in (5, "x", [x]):
+            with pytest.raises(TypeError, match="not an Expr or Pred node"):
+                children(bad)

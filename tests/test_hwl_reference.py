@@ -24,6 +24,7 @@ from hybridwlp.hwl import ParseError, format_expr, format_pred, parse_spec, toke
 from hybridwlp.vcgen import _subprograms
 
 from reference_hwl import ref_format_expr, ref_format_pred, ref_parse
+from treepasses import ref_fmt
 
 ROOT = Path(__file__).resolve().parents[1]
 VARS, CONSTS = ("x", "y"), ("c",)
@@ -177,6 +178,24 @@ class TestPrinterMatchesReference:
         for _ in range(1500):
             e = rand_expr(rng, rng.randint(0, 5))
             assert format_expr(e) == ref_format_expr(e), repr(e)
+
+    def test_printer_loop_matches_its_recursive_form(self):
+        # _fmt prints from one stack; tests/treepasses.py keeps its
+        # recursive form, which takes the surrounding precedence as well
+        rng = random.Random(26)
+        for _ in range(600):
+            node = rand_pred(rng, rng.randint(0, 4)) if rng.random() < 0.5 else rand_expr(
+                rng, rng.randint(0, 5))
+            for prec in range(hwl._ATOM + 1):
+                assert hwl._fmt(node, prec) == ref_fmt(node, prec), repr(node)
+
+    def test_deep_trees_print(self):
+        a = Cmp(">=", Var("x"), Const(0))
+        p, e = a, Var("x")
+        for _ in range(3000):
+            p, e = Not(And(p, a)), Neg(Sub(e, Var("y")))
+        assert format_pred(p) == "!(" * 3000 + "x >= 0" + " & x >= 0)" * 3000
+        assert format_expr(e) == "-(" * 3000 + "x" + " - y)" * 3000
 
     @pytest.mark.parametrize("node, text", [
         (Neg(Const(2)), "-2"),

@@ -10,6 +10,7 @@ from hybridwlp.expr import (
     Div,
     EvalError,
     Exp,
+    Neg,
     Sin,
     Sub,
     SymConst,
@@ -19,11 +20,13 @@ from hybridwlp.expr import (
     const,
     eval_pred,
     evaluate,
+    fold,
     free_names,
     swap_cmp,
 )
 from hybridwlp.polynorm import (
     NormalizeError,
+    _norm,
     atom_form,
     expr_eq,
     normalize,
@@ -31,6 +34,9 @@ from hybridwlp.polynorm import (
     rational_combination,
     solve_linear_system,
 )
+from test_expr import _random_shared_expr
+from test_hwl_reference import rand_expr
+from treepasses import outcome, ref_norm
 
 x, y, v = Var("x"), Var("y"), Var("v")
 t = TimeVar()
@@ -243,3 +249,26 @@ class TestAtomForm:
                     assert compare(rel, value, 0.0) == eval_pred(cmp, val)
                     checked += 1
         assert checked > 1000
+
+
+class TestNormLoopMatchesRecursiveReference:
+    """normalize folds _norm on an explicit stack; tests/treepasses.py keeps
+    the recursive form."""
+
+    def test_random_terms(self):
+        rng = random.Random(2006)
+        opaque = raised = 0
+        for _ in range(1500):
+            e = (rand_expr(rng, rng.randint(0, 5)) if rng.random() < 0.5
+                 else _random_shared_expr(rng, rng.randint(0, 4), []))
+            got = outcome(fold, e, _norm)
+            assert got == outcome(ref_norm, e), e
+            opaque += got[0] == "value" and got[1][1]
+            raised += got[0] == "raise"
+        assert opaque and raised  # a Div atom; a denominator that normalizes to zero
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        e = x
+        for i in range(3000):
+            e = Neg(e) if i % 3 else e + (x - const(1))
+        assert normalize(e) == normalize(const(1000) * x - const(1000) + x)

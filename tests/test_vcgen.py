@@ -17,6 +17,7 @@ from hybridwlp.expr import (
     EvalError,
     Exp,
     Expr,
+    FALSE,
     Neg,
     Or,
     Not,
@@ -66,6 +67,8 @@ from hybridwlp.vcgen import (
 )
 
 from test_hprog import random_discrete_program
+from test_hwl_reference import rand_pred
+from treepasses import outcome as call_outcome, ref_eval_pred_ext
 
 x, v, y = Var("x"), Var("v"), Var("y")
 t = TimeVar()
@@ -853,3 +856,35 @@ class TestAssignmentRuns:
         got, _ = wlp(program, q)
         assert got == _SequentialWlp().wlp(program, q, "program")
         assert isinstance(got, TimeQuant) and (got.t_name != "t2") == renamed
+
+
+class TestGridEvaluatorMatchesRecursiveReference:
+    """eval_pred_ext decides on one stack; tests/treepasses.py keeps its
+    recursive form.  Values and exceptions must agree."""
+
+    def test_random_predicates(self):
+        rng = random.Random(26)
+        seen = set()
+        for _ in range(700):
+            parts = [rand_pred(rng, rng.randint(0, 3)), _random_downset_quant(rng)]
+            p = parts[rng.randrange(2)]
+            if rng.random() < 0.5:
+                p = rng.choice((And, Or))(*(parts if rng.random() < 0.5 else parts[::-1]))
+            if rng.random() < 0.3:
+                p = Not(p)
+            val = {"x": rng.uniform(-2, 2), "c": rng.uniform(-2, 2)}
+            if rng.random() < 0.7:
+                val["y"] = rng.choice((0.0, rng.uniform(-2, 2)))
+            step, horizon = rng.choice((0.5, 1.0)), rng.choice((1.0, 2.0))
+            got = call_outcome(eval_pred_ext, p, val, step, horizon)
+            assert got == call_outcome(ref_eval_pred_ext, p, val, step, horizon), p
+            seen.add(got[1] if got[0] == "value" else got[1].__name__)
+        assert seen >= {True, False, "EvalError", "TypeError"}
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        tq = TimeQuant("t", "tau", NONNEG, TRUE, Cmp("<=", Var("t"), x))
+        p = Cmp(">=", x, const(0))
+        for i in range(3000):  # x >= 0 & tq & tq ...
+            p = Or(FALSE, p) if i % 2 else Not(Not(And(p, tq)))
+        assert eval_pred_ext(p, {"x": 3.0}, step=1.0, horizon=2.0)
+        assert not eval_pred_ext(p, {"x": 1.0}, step=1.0, horizon=2.0)  # 2 <= x fails
