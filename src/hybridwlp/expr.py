@@ -46,7 +46,7 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# (type, field, ...) -> _Entry of the one live node built from those fields
+# key (see _KEY) -> _Entry of the one live node built from those fields
 _TABLE: dict = {}
 
 
@@ -59,10 +59,11 @@ def _drop(entry: _Entry, table: dict = _TABLE) -> None:
 
 def _node(cls, *fields, **named):
     """The node of type cls over fields: the live one built from equal
-    fields if there is one, else a new node with its structural hash."""
+    fields if there is one, else a new node with its structural hash and
+    the names it reads (see _names), both from its fields."""
     if named or len(fields) != len(cls.__match_args__):
         fields = _fields(cls, fields, named)
-    key = (cls,) + fields
+    key = _KEY[cls](cls, *fields)
     entry = _TABLE.get(key)
     if entry is not None:
         node = entry()
@@ -72,6 +73,19 @@ def _node(cls, *fields, **named):
     state = node.__dict__
     state.update(zip(cls.__match_args__, fields))
     state["_hash"] = hash(fields)
+    if cls is Var or cls is SymConst or cls is TimeVar:  # a TimeVar reads t
+        state["_names"] = frozenset(fields or (TIME_NAME,))
+    else:
+        names = _NO_NAMES
+        try:
+            for kid in _KIDS[cls](node):  # names | kid's, reusing either that holds the other
+                more = kid._names
+                if not more <= names:
+                    names = more if names <= more else names | more
+        except AttributeError:
+            pass  # a child field is not a node: the node has no names
+        else:  # a TimeQuant's binders are not free in it
+            state["_names"] = names - {node.t_name, node.tau_name} if cls is TimeQuant else names
     entry = _TABLE[key] = _Entry(node, _drop)
     entry.key = key
     return node
@@ -142,7 +156,7 @@ class Const(Expr):
     value: Fraction
 
     def __new__(cls, value):
-        return _node(cls, Fraction(value))
+        return _node(cls, value if type(value) is Fraction else Fraction(value))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -220,11 +234,6 @@ class Exp(Expr):
     arg: Expr
 
 
-ZERO = Const(0)
-ONE = Const(1)
-const = Const  # the constant of a rational
-
-
 def subterms(e: Expr) -> Iterator[Expr]:
     """Every node of e, parent before children, children left to right;
     a worklist, so the depth is not bounded by the recursion limit."""
@@ -252,61 +261,25 @@ def free_names(e: Expr) -> set[str]:
     return set(_names(e))
 
 
-# Each node, Expr or Pred, caches the frozenset of names it reads in its
-# instance __dict__ under _NAMES, outside ==, hash and repr.  A composite
-# node reuses a child's set when that child reads every name, so a spine of
-# nodes over one subtree holds one set.  The sets are computed children
-# first with a worklist, so the depth of a term is not bounded by the
-# recursion limit, and a node with a set has one on every node below it.
+# Each node, Expr or Pred, holds the frozenset of names it reads in its
+# instance __dict__ under _names, outside ==, hash and repr.  _node sets it
+# when it builds the node, from its children's sets, so no walk computes it.
+# A composite node reuses a child's set when that child reads every name, so
+# a spine of nodes over one subtree holds one set.  A node over a child
+# field that is not a node has no set, nor has any node above it.
 
-_NAMES = "_names"
+_NO_NAMES = frozenset()
 
 
 def _names(node) -> frozenset:
     try:
-        return node.__dict__[_NAMES]
-    except (KeyError, AttributeError):
-        return _cache_names(node)
-
-
-def _cache_names(root) -> frozenset:
-    """Cache the name set of root and of every node below it that has none;
-    a TimeQuant's binders are not free in it."""
-    stack, leaving = [root], []  # _LEAVE on stack: the top of leaving has its children's
-    while stack:
-        node = stack.pop()
-        if node is _LEAVE:
-            node, kids = leaving.pop()
-            names = frozenset()
-            for c in kids:
-                names = _merged(names, c.__dict__[_NAMES])
-            if type(node) is TimeQuant:
-                names = names - {node.t_name, node.tau_name}
-            node.__dict__[_NAMES] = names
-        elif _NAMES not in getattr(node, "__dict__", ()):
-            kids = children(node)  # raises TypeError for a non-node
-            if kids:
-                leaving.append((node, kids))
-                stack.append(_LEAVE)
-                stack += kids
-            else:
-                kind = type(node)
-                node.__dict__[_NAMES] = frozenset(
-                    (node.name,) if kind is Var or kind is SymConst
-                    else (TIME_NAME,) if kind is TimeVar else ())
-    return root.__dict__[_NAMES]
+        return node._names
+    except AttributeError:
+        list(subterms(node))  # children raises at the first non-node
+        raise
 
 
 _LEAVE = object()
-
-
-def _merged(a: frozenset, b: frozenset) -> frozenset:
-    """a | b, reusing a or b when it holds the other."""
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +651,17 @@ def _subst(root, binding: Mapping[str, Expr], memo: dict):
                 new = (done.pop(),) if kids else ()
                 same = not kids or new[0] is kids[0]
             if scope is None:
-                out = node if same else _rebuild(node, new)
+                kind = type(node)
+                if same:
+                    out = node
+                elif kind is Div:  # still rejects a constant zero denominator
+                    out = Div(*new)
+                elif kind is Pow:
+                    out = _node(Pow, new[0], node.exp)
+                elif kind is Cmp:
+                    out = _node(Cmp, node.op, *new)
+                else:
+                    out = _node(kind, *new)
             else:
                 binding, memo, t_name, tau_name = scope
                 keys = binding.keys()
@@ -686,7 +669,7 @@ def _subst(root, binding: Mapping[str, Expr], memo: dict):
                 out = node if same else TimeQuant(t_name, tau_name, node.dom, *new)
             memo[node] = out
             done.append(out)
-        elif keys.isdisjoint(node._names):  # cached by _names(root)
+        elif keys.isdisjoint(node._names):  # set, as root's is
             done.append(node)
         else:
             kind = type(node)
@@ -713,15 +696,6 @@ def _subst(root, binding: Mapping[str, Expr], memo: dict):
                 stack.append(_LEAVE)
                 stack += reversed(kids)
     return done[0]
-
-
-def _rebuild(node, kids: list):
-    """A node of node's type over new children; Div still rejects a constant
-    zero denominator."""
-    kind = type(node)
-    if kind is Pow:
-        return Pow(kids[0], node.exp)
-    return Cmp(node.op, *kids) if kind is Cmp else kind(*kids)
 
 
 def lie_derivative(mu: Expr, field: Mapping[str, Expr]) -> Expr:
@@ -815,10 +789,6 @@ class TimeQuant(Pred):
     body: Pred
 
 
-TRUE = TruePred()
-FALSE = FalsePred()
-
-
 # node type -> the tuple of its children, left to right: the one table every
 # walk over terms and predicates reads
 _KIDS = {
@@ -829,6 +799,29 @@ _KIDS = {
     Div: operator.attrgetter("num", "den"),
     TimeQuant: operator.attrgetter("prefix", "body"),
 }
+
+# node type -> the intern table key of a node from its type and fields: a
+# child field by id, any other field by value, a Const's by its numerator
+# and denominator, so a key hashes without a call to a node's __hash__.  An
+# id cannot be reused while its key is in the table: the entry's node keeps
+# its children alive, and CPython runs the entry's _drop before it releases
+# a dead node's fields.
+_KEY = {
+    Const: lambda cls, value: (cls, value.numerator, value.denominator),
+    **dict.fromkeys((SymConst, Var), lambda cls, name: (cls, name)),
+    **dict.fromkeys((TimeVar, TruePred, FalsePred), lambda cls: (cls,)),
+    **dict.fromkeys((Neg, Sin, Cos, Exp, Not), lambda cls, arg: (cls, id(arg))),
+    Pow: lambda cls, base, exp: (cls, id(base), exp),
+    **dict.fromkeys((Add, Sub, Mul, Div, And, Or), lambda cls, lhs, rhs: (cls, id(lhs), id(rhs))),
+    Cmp: lambda cls, op, lhs, rhs: (cls, op, id(lhs), id(rhs)),
+    TimeQuant: lambda cls, t, tau, dom, prefix, body: (cls, t, tau, dom, id(prefix), id(body)),
+}
+
+ZERO = Const(0)
+ONE = Const(1)
+const = Const  # the constant of a rational
+TRUE = TruePred()
+FALSE = FalsePred()
 
 
 def children(node) -> tuple:

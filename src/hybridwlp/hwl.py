@@ -208,15 +208,15 @@ class _Parser:
         if tok.kind != "num":
             self.error(f"expected number, found {tok.text!r}")
         self.next()
-        value = Fraction(tok.text)
+        value = _literal(tok.text)
         if self.accept("/"):
             den = self.tok
             if den.kind != "num":
                 self.error(f"expected denominator, found {den.text!r}")
             self.next()
-            if Fraction(den.text) == 0:
+            if not (den_value := _literal(den.text)):
                 self.error("zero denominator", den)
-            value /= Fraction(den.text)
+            value /= den_value
         return -value if neg else value
 
     # -- file structure -----------------------------------------------------
@@ -512,7 +512,7 @@ class _Parser:
             return inner
         if tok.kind == "num":
             self.next()
-            return Const(Fraction(tok.text))
+            return Const(_literal(tok.text))
         if tok.text in _FUNCTIONS:
             self.next()
             self.expect("(")
@@ -533,6 +533,12 @@ class _Parser:
                 return SymConst(tok.text)
             self.error(f"unknown identifier {tok.text!r}", tok)
         self.error(f"expected expression, found {tok.text!r}")
+
+
+def _literal(text: str) -> Fraction:
+    """The value of a number token, digits or a decimal digits.digits."""
+    whole, dot, frac = text.partition(".")
+    return Fraction(int(whole + frac), 10 ** len(frac)) if dot else Fraction(int(text))
 
 
 def parse_spec(text: str) -> SpecFile:

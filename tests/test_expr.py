@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
@@ -63,7 +64,7 @@ from hybridwlp.hprog import NONNEG, TimeDomain
 from hybridwlp.hwl import parse_pred
 from hybridwlp.polynorm import atom_form, expr_eq, normalize
 from structural import ref_equal, ref_hash
-from treepasses import outcome, ref_diff, ref_nnf, ref_pred_bound_names
+from treepasses import outcome, ref_diff, ref_free_names, ref_nnf, ref_pred_bound_names
 from treewalk import ref_compare, ref_eval_pred, ref_evaluate
 
 x, y, v = Var("x"), Var("y"), Var("v")
@@ -776,15 +777,14 @@ class TestStructuralIdentity:
         size = len(expr_module._TABLE)
         e = Mul(Var("dropped_name"), Add(Var("dropped_name"), const(Fraction(7, 13))))
         alive = weakref.ref(e)
-        key = (Mul, e.lhs, e.rhs)
+        key = (Mul, id(e.lhs), id(e.rhs))  # children by id
         assert expr_module._TABLE[key]() is e and len(expr_module._TABLE) == size + 4
         del e
         assert alive() is None and key not in expr_module._TABLE
-        del key  # it held the Mul's children
         assert len(expr_module._TABLE) == size
         # built again, it is a new node, filed again
         again = Mul(Var("dropped_name"), Add(Var("dropped_name"), const(Fraction(7, 13))))
-        assert expr_module._TABLE[(Mul, again.lhs, again.rhs)]() is again
+        assert expr_module._TABLE[(Mul, id(again.lhs), id(again.rhs))]() is again
 
     def test_comparison_with_other_objects(self):
         assert const(1) != 1 and not const(1) == Fraction(1)
@@ -888,19 +888,24 @@ class TestSharingSubstitution:
 
     def test_shared_subtree_is_substituted_once(self, monkeypatch):
         rebuilt = []
-        rebuild = expr_module._rebuild
+        node = expr_module._node
 
-        def counting(e, kids):
-            rebuilt.append(e)
-            return rebuild(e, kids)
+        def counting(cls, *fields):  # records the nodes _node files anew
+            size = len(expr_module._TABLE)
+            out = node(cls, *fields)
+            if len(expr_module._TABLE) > size:
+                rebuilt.append(out)
+            return out
 
-        monkeypatch.setattr(expr_module, "_rebuild", counting)
-        shared = x * (x + const(1))
+        monkeypatch.setattr(expr_module, "_node", counting)
+        # names no other test uses, so no cache holds a node of the result
+        a, b = Var("once_a"), Var("once_b")
+        shared = a * (a + const(1))
         e = shared + Neg(shared)
-        out = substitute(e, {"x": y})
-        assert out == y * (y + const(1)) + Neg(y * (y + const(1)))
+        out = substitute(e, {"once_a": b})
+        assert out == b * (b + const(1)) + Neg(b * (b + const(1)))
         assert out.rhs.arg is out.lhs
-        # x + 1, the product, Neg and the sum: the tree has six nodes over x
+        # a + 1, the product, Neg and the sum: the tree has six nodes over a
         assert len(rebuilt) == 4
 
     def test_shared_predicate_is_substituted_once(self):
@@ -951,6 +956,133 @@ class TestSharingSubstitution:
         assert pred_free_names(q) == {"x", "y"}
         with pytest.raises(TypeError, match="not a Pred node"):
             pred_free_names(x)
+
+
+def _random_terms(rng):
+    """A few random terms and predicates, over shared subterms and
+    TimeQuants with either pair of binders."""
+    pool = []
+    return [_random_expr(rng, rng.randint(0, 4)), _random_pred(rng, rng.randint(0, 3)),
+            _random_shared_expr(rng, rng.randint(0, 4), pool),
+            _random_shared_pred(rng, rng.randint(0, 4), pool)]
+
+
+class TestNamesAtConstruction:
+    """_node gives every node its names when it builds it; they must be the
+    names the recursive reference (tests/treepasses.py) reads."""
+
+    def test_names_match_the_reference(self):
+        rng = random.Random(28)
+        quants = 0
+        for _ in range(300):
+            for term in _random_terms(rng):
+                for node in subterms(term):
+                    assert free_names(node) == ref_free_names(node), node
+                    quants += type(node) is TimeQuant
+                if isinstance(term, Pred):
+                    assert pred_free_names(term) == ref_free_names(term)
+        assert quants
+
+    def test_names_under_shadowing_and_renamed_binders(self):
+        rng = random.Random(29)
+        renamed = shadowed = 0
+        for _ in range(600):
+            p = _random_shared_pred(rng, rng.randint(1, 4), [])
+            binding = _random_binding(rng)
+            try:
+                out = substitute_pred(p, binding)
+            except ValueError:  # a denominator became the constant zero
+                continue
+            for node in subterms(out):
+                assert free_names(node) == ref_free_names(node), node
+            if isinstance(p, TimeQuant):
+                renamed += out.t_name != p.t_name
+                shadowed += bool({p.t_name, p.tau_name} & binding.keys())
+        assert renamed and shadowed
+        q = _quant("t", "tau", Cmp("<=", Var("tau"), Var("t2")), Cmp(">=", Var("t"), x))
+        assert pred_free_names(q) == {"t2", "x"}
+        assert pred_free_names(substitute_pred(q, {"x": Var("tau")})) == {"t2", "tau"}
+
+    def test_a_non_node_field_builds_a_node_without_names(self):
+        bad = Add(x, 5)
+        assert bad.rhs == 5 and Neg(bad).arg is bad
+        for term in (bad, Neg(bad), Cmp("<", y, bad), _quant("t", "tau", TRUE, Cmp("<", bad, t))):
+            with pytest.raises(TypeError, match="not an Expr or Pred node: 5"):
+                free_names(term)
+            assert expr_module.bound_names(term, {"x": 1, "q": 2}) == ("x", "q")
+        with pytest.raises(TypeError, match="not an Expr or Pred node"):
+            substitute(bad, {"x": y})
+
+
+def _assert_interned(terms):
+    for u in terms:
+        assert hash(u) == ref_hash(u)
+        for w in terms:
+            assert (u is w) == ref_equal(u, w), (u, w)
+
+
+class TestIdKeys:
+    """The intern table keys a child field by its id, which CPython may
+    reuse once the child is freed: a dead node's entry must be gone first."""
+
+    def test_terms_dropped_and_rebuilt(self):
+        # terms form no cycles: del frees them, and their entries must leave
+        # the table at once; the collector runs once per round as well
+        rng = random.Random(30)
+        gc.collect()
+        for _ in range(40):
+            seed = rng.randrange(10**9)
+            size = len(expr_module._TABLE)
+            first = _random_terms(random.Random(seed))
+            hashes, texts = [hash(u) for u in first], [repr(u) for u in first]
+            kept = first[rng.randrange(4)]
+            del first
+            gc.collect()
+            size_kept = len(expr_module._TABLE)
+            # the freed nodes' memory is reused by the terms built next
+            others = _random_terms(rng)
+            again = _random_terms(random.Random(seed))
+            assert [hash(u) for u in again] == hashes and [repr(u) for u in again] == texts
+            _assert_interned(again + others + [kept])
+            assert any(u is kept for u in again)
+            del others, again
+            assert len(expr_module._TABLE) == size_kept
+            del kept
+            assert len(expr_module._TABLE) == size
+
+    def test_a_late_drop_keeps_the_rebuilt_node(self):
+        a = Var("late_drop")
+        e = Neg(a)
+        key = (Neg, id(a))
+        stale = expr_module._TABLE[key]
+        del e  # its entry's callback removes the key
+        again = Neg(a)
+        # a callback that runs after an equal node was rebuilt, as in a
+        # collector's batch, leaves the new entry
+        expr_module._drop(stale)
+        assert expr_module._TABLE[key]() is again is Neg(a)
+
+    def test_rebuilt_inside_a_collection(self):
+        a = Var("gc_rebuild")
+        gc.collect()
+        size = len(expr_module._TABLE)
+
+        class Cycle:
+            pass
+
+        rebuilt = []
+        cycle = Cycle()
+        cycle.self, cycle.node = cycle, Neg(a)  # the Neg lives only in the cycle
+        # the collector clears the weak references to the cycle and the Neg
+        # before it runs their callbacks: this one builds an equal Neg
+        probe = weakref.ref(cycle, lambda _: rebuilt.append(Neg(a)))
+        del cycle
+        gc.collect()
+        assert probe() is None and rebuilt
+        assert expr_module._TABLE[(Neg, id(a))]() is rebuilt[0] is Neg(a)
+        assert len(expr_module._TABLE) == size + 1
+        rebuilt.clear()
+        assert len(expr_module._TABLE) == size
 
 
 def _nested(depth, leaf, *wraps):

@@ -3,8 +3,8 @@
 The kernel walks terms and predicates with loops over explicit stacks, so
 that no pass is bounded by the recursion limit.  These are the recursive
 passes the loops replaced, one Python call per node: derivatives, the
-polynomial normal form, negation normal form, the binder names, the
-printer, the prover's goal split and grid evaluation.  The tests compare
+polynomial normal form, negation normal form, the free and the binder
+names, the printer, the prover's goal split and grid evaluation.  The tests compare
 each loop's results, and where it raises its exceptions, with these.
 """
 
@@ -133,6 +133,29 @@ def ref_nnf(p):
         if isinstance(q, Not):
             return ref_nnf(q.arg)
     raise TypeError(f"not a Pred node: {p!r}")
+
+
+def ref_free_names(node):
+    """The names a term or predicate reads; a TimeQuant's binders are not
+    free in it."""
+    if isinstance(node, (Var, SymConst)):
+        return {node.name}
+    if isinstance(node, TimeVar):
+        return {TIME_NAME}
+    if isinstance(node, (Const, TruePred, FalsePred)):
+        return set()
+    if isinstance(node, (Neg, Sin, Cos, Exp, Not)):
+        return ref_free_names(node.arg)
+    if isinstance(node, Pow):
+        return ref_free_names(node.base)
+    if isinstance(node, Div):
+        return ref_free_names(node.num) | ref_free_names(node.den)
+    if isinstance(node, (Add, Sub, Mul, Cmp, And, Or)):
+        return ref_free_names(node.lhs) | ref_free_names(node.rhs)
+    if isinstance(node, TimeQuant):
+        inner = ref_free_names(node.prefix) | ref_free_names(node.body)
+        return inner - {node.t_name, node.tau_name}
+    raise TypeError(f"not an Expr or Pred node: {node!r}")
 
 
 def ref_pred_bound_names(p):
