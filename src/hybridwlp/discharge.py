@@ -194,11 +194,7 @@ def canonical_cmp(c: Cmp) -> Optional[tuple]:
 
 def _key(form: tuple) -> tuple:
     p, rel = form
-    if rel in ("=", "!=") and p.terms:
-        first = min(p.terms.items(), key=lambda it: mono_key(it[0]))
-        if first[1] < 0:
-            p = p.neg()
-    return (p.key(), rel + "0")
+    return (p.sign_key() if rel in ("=", "!=") else p.key(), rel + "0")
 
 
 def _constant_truth(form: tuple) -> Optional[bool]:

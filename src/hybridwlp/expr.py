@@ -3,7 +3,7 @@
 Expressions are trees over exact rational constants, named symbolic
 constants, store variables and a distinguished time symbol ``t``.
 Predicates are boolean trees over comparisons of expressions.  Both are
-hash-consed: equal terms are one object (see _node).
+hash-consed: equal terms are one object (see _file).
 """
 
 from __future__ import annotations
@@ -46,7 +46,15 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# key (see _KEY) -> _Entry of the one live node built from those fields
+# A node's intern key is its type and fields: a child field by id, any
+# other field by value, a Const's value by its numerator and denominator,
+# so a key hashes without a call to a node's __hash__.  An id cannot be
+# reused while its key is in the table: the entry's node keeps its
+# children alive, and CPython runs the entry's _drop before it releases a
+# dead node's fields.  Each node class's __new__ builds its key inline and
+# returns the live node filed under it, or files a new one (see _file).
+
+# key -> _Entry of the one live node built from those fields
 _TABLE: dict = {}
 
 
@@ -57,18 +65,11 @@ def _drop(entry: _Entry, table: dict = _TABLE) -> None:
         table[entry.key] = held
 
 
-def _node(cls, *fields, **named):
-    """The node of type cls over fields: the live one built from equal
-    fields if there is one, else a new node with its structural hash and
-    the names it reads (see _names), both from its fields."""
-    if named or len(fields) != len(cls.__match_args__):
-        fields = _fields(cls, fields, named)
-    key = _KEY[cls](cls, *fields)
-    entry = _TABLE.get(key)
-    if entry is not None:
-        node = entry()
-        if node is not None:
-            return node
+def _file(cls, key: tuple, fields: tuple, kids: tuple = ()):
+    """A new node of type cls over fields, filed under key, with its
+    structural hash and the names it reads (see _names), both from its
+    fields: a Var's or SymConst's name, t for a TimeVar, else the union of
+    its children's, kids, less a TimeQuant's binders."""
     node = object.__new__(cls)
     state = node.__dict__
     state.update(zip(cls.__match_args__, fields))
@@ -78,34 +79,62 @@ def _node(cls, *fields, **named):
     else:
         names = _NO_NAMES
         try:
-            for kid in _KIDS[cls](node):  # names | kid's, reusing either that holds the other
+            for kid in kids:  # names | kid's, reusing either that holds the other
                 more = kid._names
                 if not more <= names:
                     names = more if names <= more else names | more
         except AttributeError:
             pass  # a child field is not a node: the node has no names
         else:  # a TimeQuant's binders are not free in it
-            state["_names"] = names - {node.t_name, node.tau_name} if cls is TimeQuant else names
+            state["_names"] = names - {fields[0], fields[1]} if cls is TimeQuant else names
     entry = _TABLE[key] = _Entry(node, _drop)
     entry.key = key
     return node
 
 
-def _fields(cls, fields: tuple, named: dict) -> tuple:
-    """The fields given by position, then by name, as a dataclass takes them."""
-    names, rest = cls.__match_args__, cls.__match_args__[len(fields):]
-    if len(fields) + len(named) != len(names) or not named.keys() <= set(rest):
-        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
-    return fields + tuple(map(named.__getitem__, rest))
+# The constructors of the shapes of node that share one, each the __new__
+# of its classes; Const, Pow, Cmp and TimeQuant have their own.
+
+def _nullary(cls):
+    key = (cls,)
+    entry = _TABLE.get(key)
+    if entry is not None and (node := entry()) is not None:
+        return node
+    return _file(cls, key, ())
+
+
+def _named(cls, name):
+    key = (cls, name)
+    entry = _TABLE.get(key)
+    if entry is not None and (node := entry()) is not None:
+        return node
+    return _file(cls, key, (name,))
+
+
+def _unary(cls, arg):
+    key = (cls, id(arg))
+    entry = _TABLE.get(key)
+    if entry is not None and (node := entry()) is not None:
+        return node
+    fields = (arg,)
+    return _file(cls, key, fields, fields)
+
+
+def _binary(cls, lhs, rhs):
+    key = (cls, id(lhs), id(rhs))
+    entry = _TABLE.get(key)
+    if entry is not None and (node := entry()) is not None:
+        return node
+    fields = (lhs, rhs)
+    return _file(cls, key, fields, fields)
 
 
 class _Node:
     """Base of Expr and Pred.  Nodes are immutable and hash-consed: every
-    node is built by _node, so equal nodes are one object and == is `is`.
-    A node hashes as hash((field, ...)), as a dataclass does, computed once
-    when it is built.  The intern table holds nodes weakly."""
-
-    __new__ = _node
+    node is built by its class's __new__, which returns the live node over
+    equal fields if there is one, so equal nodes are one object and == is
+    `is`.  A node hashes as hash((field, ...)), as a dataclass does,
+    computed once when it is built.  The intern table holds nodes weakly."""
 
     def __hash__(self):
         return self._hash
@@ -156,27 +185,44 @@ class Const(Expr):
     value: Fraction
 
     def __new__(cls, value):
-        return _node(cls, value if type(value) is Fraction else Fraction(value))
+        if type(value) is int:  # keyed as the Fraction it becomes, which a hit never builds
+            key = (cls, value, 1)
+        else:
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            key = (cls, value.numerator, value.denominator)
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        return _file(cls, key, (Fraction(value) if type(value) is int else value,))
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class SymConst(Expr):
     name: str
 
+    __new__ = _named
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Var(Expr):
     name: str
+
+    __new__ = _named
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class TimeVar(Expr):
     """The distinguished time symbol; evaluates under the name ``t``."""
 
+    __new__ = _nullary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Neg(Expr):
     arg: Expr
+
+    __new__ = _unary
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -184,17 +230,23 @@ class Add(Expr):
     lhs: Expr
     rhs: Expr
 
+    __new__ = _binary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Sub(Expr):
     lhs: Expr
     rhs: Expr
 
+    __new__ = _binary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
+
+    __new__ = _binary
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -203,9 +255,9 @@ class Div(Expr):
     den: Expr
 
     def __new__(cls, num, den):
-        if isinstance(den, Const) and den.value == 0:
+        if den is ZERO:  # the one constant zero
             raise ValueError("division by the constant zero")
-        return _node(cls, num, den)
+        return _binary(cls, num, den)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -214,24 +266,38 @@ class Pow(Expr):
     exp: int
 
     def __new__(cls, base, exp):
-        if not isinstance(exp, int) or exp < 0:
+        if type(exp) is not int:
+            if not isinstance(exp, int):
+                raise ValueError("Pow exponent must be a natural number")
+            exp = int(exp)  # True is 1
+        if exp < 0:
             raise ValueError("Pow exponent must be a natural number")
-        return _node(cls, base, int(exp))  # True is 1
+        key = (cls, id(base), exp)
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        return _file(cls, key, (base, exp), (base,))
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Sin(Expr):
     arg: Expr
 
+    __new__ = _unary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Cos(Expr):
     arg: Expr
 
+    __new__ = _unary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Exp(Expr):
     arg: Expr
+
+    __new__ = _unary
 
 
 def subterms(e: Expr) -> Iterator[Expr]:
@@ -262,7 +328,7 @@ def free_names(e: Expr) -> set[str]:
 
 
 # Each node, Expr or Pred, holds the frozenset of names it reads in its
-# instance __dict__ under _names, outside ==, hash and repr.  _node sets it
+# instance __dict__ under _names, outside ==, hash and repr.  _file sets it
 # when it builds the node, from its children's sets, so no walk computes it.
 # A composite node reuses a child's set when that child reads every name, so
 # a spine of nodes over one subtree holds one set.  A node over a child
@@ -321,7 +387,7 @@ _LEAVE = object()
 # process: a bounded memo keyed by the source text keeps the code objects,
 # and each kernel is the cached code run in fresh globals.  Both come from
 # memo_kernel, keyed by the values they are written from: a term equal to an
-# earlier one is that term (see _node), so it gets the earlier kernel.
+# earlier one is that term (see _file), so it gets the earlier kernel.
 
 _KERNELS: dict = {}  # (writer, its arguments) -> kernel or code object
 
@@ -635,66 +701,88 @@ def _subst(root, binding: Mapping[str, Expr], memo: dict):
     one loop over an explicit stack, children left to right.  memo maps the
     nodes substituted under binding to their results; a TimeQuant keeps the
     outer binding and memo on the stack while a binding and a memo of its
-    own serve its prefix and body."""
+    own serve its prefix and body.
+
+    A child is resolved where the loop meets it when it reads no key of
+    the binding, is a Var or the TimeVar, or has a memo entry; only a child
+    that must be rebuilt takes a turn of the loop, and None stands for its
+    result until the node's _LEAVE takes it from done.  A node pushed twice
+    before its first result is filed is rebuilt twice, to the same node."""
     keys = binding.keys()
     if keys.isdisjoint(_names(root)):
         return root
+    kind = type(root)
+    if kind is Var:
+        return binding[root.name]
+    if kind is TimeVar:
+        return binding[TIME_NAME]
+    if (out := memo.get(root)) is not None:
+        return out
     done, stack, leaving = [], [root], []  # _LEAVE on stack: the top of leaving has its results
     while stack:
         node = stack.pop()
-        if node is _LEAVE:
-            node, kids, scope = leaving.pop()
-            if len(kids) == 2:  # no node has more children
-                b, a = done.pop(), done.pop()
-                new, same = (a, b), a is kids[0] and b is kids[1]
+        if node is _LEAVE:  # the results left None are on done
+            node, kind, a, b, scope = leaving.pop()
+            if b is None:
+                b = done.pop()
+            if a is None:
+                a = done.pop()
+        else:  # node reads a key, is no Var or TimeVar, and has no memo entry
+            kind, scope = type(node), None
+            kids = _KIDS[kind](node)
+            if not kids:  # a SymConst: constants are not substituted
+                done.append(node)
+                continue
+            if kind is TimeQuant:  # its binders shadow keys of the binding
+                t_name, tau_name = node.t_name, node.tau_name
+                inner = {k: e for k, e in binding.items() if k != t_name and k != tau_name}
+                # only a term that lands under the binders can be captured
+                free = node._names
+                used = frozenset().union(*(_names(e) for k, e in inner.items() if k in free))
+                if t_name in used or tau_name in used:
+                    t_name, tau_name = fresh_time_binders(used | free, 2)
+                    inner[node.t_name], inner[node.tau_name] = Var(t_name), Var(tau_name)
+                scope = (binding, memo, t_name, tau_name)
+                binding, memo, keys = inner, {}, inner.keys()
+            kid = kids[0]
+            if keys.isdisjoint(kid._names):  # set, as root's is
+                a = kid
+            elif (k := type(kid)) is Var:
+                a = binding[kid.name]
+            elif k is TimeVar:
+                a = binding[TIME_NAME]
             else:
-                new = (done.pop(),) if kids else ()
-                same = not kids or new[0] is kids[0]
-            if scope is None:
-                kind = type(node)
-                if same:
-                    out = node
-                elif kind is Div:  # still rejects a constant zero denominator
-                    out = Div(*new)
-                elif kind is Pow:
-                    out = _node(Pow, new[0], node.exp)
-                elif kind is Cmp:
-                    out = _node(Cmp, node.op, *new)
-                else:
-                    out = _node(kind, *new)
+                a = memo.get(kid)
+            if len(kids) == 1:  # b is _LEAVE: no second child (no node has a third)
+                b = _LEAVE
+            elif keys.isdisjoint((kid := kids[1])._names):
+                b = kid
+            elif (k := type(kid)) is Var:
+                b = binding[kid.name]
+            elif k is TimeVar:
+                b = binding[TIME_NAME]
             else:
-                binding, memo, t_name, tau_name = scope
-                keys = binding.keys()
-                same = same and t_name == node.t_name
-                out = node if same else TimeQuant(t_name, tau_name, node.dom, *new)
-            memo[node] = out
-            done.append(out)
-        elif keys.isdisjoint(node._names):  # set, as root's is
-            done.append(node)
-        else:
-            kind = type(node)
-            if kind is Var:
-                done.append(binding[node.name])
-            elif kind is TimeVar:
-                done.append(binding[TIME_NAME])
-            elif (out := memo.get(node)) is not None:
-                done.append(out)
-            else:
-                kids, scope = _KIDS[kind](node), None
-                if kind is TimeQuant:  # its binders shadow keys of the binding
-                    t_name, tau_name = node.t_name, node.tau_name
-                    inner = {k: e for k, e in binding.items() if k != t_name and k != tau_name}
-                    # only a term that lands under the binders can be captured
-                    free = node._names
-                    used = frozenset().union(*(_names(e) for k, e in inner.items() if k in free))
-                    if t_name in used or tau_name in used:
-                        t_name, tau_name = fresh_time_binders(used | free, 2)
-                        inner[node.t_name], inner[node.tau_name] = Var(t_name), Var(tau_name)
-                    scope = (binding, memo, t_name, tau_name)
-                    binding, memo, keys = inner, {}, inner.keys()
-                leaving.append((node, kids, scope))
+                b = memo.get(kid)
+            if a is None or b is None:
+                leaving.append((node, kind, a, b, scope))
                 stack.append(_LEAVE)
-                stack += reversed(kids)
+                if b is None:
+                    stack.append(kid)
+                if a is None:
+                    stack.append(kids[0])
+                continue
+        if scope is not None:
+            binding, memo, t_name, tau_name = scope
+            keys = binding.keys()
+            out = TimeQuant(t_name, tau_name, node.dom, a, b)
+        elif b is _LEAVE:
+            out = Pow(a, node.exp) if kind is Pow else kind(a)
+        elif kind is Cmp:
+            out = Cmp(node.op, a, b)
+        else:  # a Div still rejects a constant zero denominator
+            out = kind(a, b)
+        memo[node] = out
+        done.append(out)
     return done[0]
 
 
@@ -734,12 +822,12 @@ class Pred(_Node):
 
 @dataclass(frozen=True, eq=False, init=False)
 class TruePred(Pred):
-    pass
+    __new__ = _nullary
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class FalsePred(Pred):
-    pass
+    __new__ = _nullary
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -751,7 +839,11 @@ class Cmp(Pred):
     def __new__(cls, op, lhs, rhs):
         if op not in CMP_OPS:
             raise ValueError(f"unknown comparison operator {op!r}")
-        return _node(cls, op, lhs, rhs)
+        key = (cls, op, id(lhs), id(rhs))
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        return _file(cls, key, (op, lhs, rhs), (lhs, rhs))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -759,16 +851,22 @@ class And(Pred):
     lhs: Pred
     rhs: Pred
 
+    __new__ = _binary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Or(Pred):
     lhs: Pred
     rhs: Pred
 
+    __new__ = _binary
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Not(Pred):
     arg: Pred
+
+    __new__ = _unary
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -788,6 +886,13 @@ class TimeQuant(Pred):
     prefix: Pred
     body: Pred
 
+    def __new__(cls, t_name, tau_name, dom, prefix, body):
+        key = (cls, t_name, tau_name, dom, id(prefix), id(body))
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        return _file(cls, key, (t_name, tau_name, dom, prefix, body), (prefix, body))
+
 
 # node type -> the tuple of its children, left to right: the one table every
 # walk over terms and predicates reads
@@ -798,23 +903,6 @@ _KIDS = {
     **dict.fromkeys((Add, Sub, Mul, Cmp, And, Or), operator.attrgetter("lhs", "rhs")),
     Div: operator.attrgetter("num", "den"),
     TimeQuant: operator.attrgetter("prefix", "body"),
-}
-
-# node type -> the intern table key of a node from its type and fields: a
-# child field by id, any other field by value, a Const's by its numerator
-# and denominator, so a key hashes without a call to a node's __hash__.  An
-# id cannot be reused while its key is in the table: the entry's node keeps
-# its children alive, and CPython runs the entry's _drop before it releases
-# a dead node's fields.
-_KEY = {
-    Const: lambda cls, value: (cls, value.numerator, value.denominator),
-    **dict.fromkeys((SymConst, Var), lambda cls, name: (cls, name)),
-    **dict.fromkeys((TimeVar, TruePred, FalsePred), lambda cls: (cls,)),
-    **dict.fromkeys((Neg, Sin, Cos, Exp, Not), lambda cls, arg: (cls, id(arg))),
-    Pow: lambda cls, base, exp: (cls, id(base), exp),
-    **dict.fromkeys((Add, Sub, Mul, Div, And, Or), lambda cls, lhs, rhs: (cls, id(lhs), id(rhs))),
-    Cmp: lambda cls, op, lhs, rhs: (cls, op, id(lhs), id(rhs)),
-    TimeQuant: lambda cls, t, tau, dom, prefix, body: (cls, t, tau, dom, id(prefix), id(body)),
 }
 
 ZERO = Const(0)

@@ -43,7 +43,8 @@ from typing import NamedTuple, Optional
 
 from .expr import (
     Add, And, Cmp, Const, Cos, Div, Exp, Expr, FalsePred, Mul, Neg, Not, Or, Pow, Pred, Sin,
-    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var, children, flatten_conj,
+    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var, ZERO, children,
+    flatten_conj,
 )
 from .hprog import (
     Abort, Assign, Choice, Evolve, Flow, HybridProgram, IfThenElse, Loop, NONNEG, REALS, Seq,
@@ -208,7 +209,7 @@ class _Parser:
         if tok.kind != "num":
             self.error(f"expected number, found {tok.text!r}")
         self.next()
-        value = _literal(tok.text)
+        value = Fraction(_literal(tok.text))
         if self.accept("/"):
             den = self.tok
             if den.kind != "num":
@@ -383,7 +384,7 @@ class _Parser:
             if not self.accept(","):
                 break
         for v in self.vars:
-            comps.setdefault(v, Const(Fraction(0)))
+            comps.setdefault(v, ZERO)
         self.expect("&")
         guard = self.parse_pred()
         self.expect("on")
@@ -535,10 +536,11 @@ class _Parser:
         self.error(f"expected expression, found {tok.text!r}")
 
 
-def _literal(text: str) -> Fraction:
-    """The value of a number token, digits or a decimal digits.digits."""
+def _literal(text: str) -> int | Fraction:
+    """The value of a number token: an int for digits, which a Const keys
+    without a Fraction, a Fraction for a decimal digits.digits."""
     whole, dot, frac = text.partition(".")
-    return Fraction(int(whole + frac), 10 ** len(frac)) if dot else Fraction(int(text))
+    return Fraction(int(whole + frac), 10 ** len(frac)) if dot else int(text)
 
 
 def parse_spec(text: str) -> SpecFile:

@@ -88,12 +88,13 @@ def _mono_sorted(powers: Mapping[Atom, int]) -> Mono:
 class Poly:
     """Immutable canonical polynomial: a map from monomials to rationals."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_key", "_sign_key")
 
     def __init__(self, terms: Mapping[Mono, Fraction]):
         clean = {m: c for m, c in terms.items() if c != 0}
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_sign_key", None)
 
     def key(self):
         if self._key is None:
@@ -107,6 +108,16 @@ class Poly:
                 tuple((mk, (c.numerator, c.denominator)) for mk, c in items),
             )
         return self._key
+
+    def sign_key(self):
+        """key() of p or of -p, whichever has a positive coefficient on its
+        first monomial in key order: the one key of p = 0 and of -p = 0."""
+        if self._sign_key is None:
+            key = self.key()
+            if key and key[0][1][0] < 0:
+                key = tuple((mk, (-num, den)) for mk, (num, den) in key)
+            object.__setattr__(self, "_sign_key", key)
+        return self._sign_key
 
     def __hash__(self):
         return hash(self.key())
@@ -321,13 +332,20 @@ def atom_form(c: Cmp) -> Optional[tuple[Poly, str]]:
 
     `<` and `<=` read as rhs - lhs, every other operator as lhs - rhs; the
     sign of an (in)equation is left as written.  None when normalization
-    fails.
+    fails.  Equal comparisons are one node, so the form is computed once
+    per node and kept in its __dict__ under _form, as its names are,
+    outside ==, hash and repr.
     """
+    state = c.__dict__
+    if "_form" in state:
+        return state["_form"]
     diff = Sub(c.rhs, c.lhs) if c.op in ("<", "<=") else Sub(c.lhs, c.rhs)
     try:
-        return normalize(diff).poly, _ATOM_REL[c.op]
+        form = normalize(diff).poly, _ATOM_REL[c.op]
     except NormalizeError:
-        return None
+        form = None
+    state["_form"] = form
+    return form
 
 
 def atom_to_expr(atom: Atom) -> Expr:

@@ -1,6 +1,6 @@
 """Reference structural equality and hash of terms, shared by the tests.
 
-Terms are interned (see expr._node): equal terms are one object, and ==
+Terms are interned (see expr._file): equal terms are one object, and ==
 on them is identity.  These are the structural == and hash that nodes had
 before, written independently of the intern table: ref_equal walks pairs
 of nodes on a worklist, and ref_hash computes hash((field, ...)) children

@@ -49,9 +49,9 @@ import hybridwlp.discharge as dmod
 from hybridwlp.cli import run_verify
 from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
 from hybridwlp.hwl import parse_spec
-from hybridwlp.polynorm import atom_form, normalize
+from hybridwlp.polynorm import atom_form, mono_key, normalize
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
-from test_hwl_reference import rand_pred
+from test_hwl_reference import rand_expr, rand_pred
 from treepasses import outcome as call_outcome, ref_split_goals
 
 x, y, z, v = Var("x"), Var("y"), Var("z"), Var("v")
@@ -992,7 +992,40 @@ class TestContextPrefixTree:
         assert per_list == {"read": 32 * (28 + 5), "solve": 32 * 8}
 
 
+def reference_key(form):
+    """discharge._key as written before a polynomial kept its sign-normalized
+    key: an (in)equation's polynomial negated when the coefficient of its
+    least monomial is negative, then keyed."""
+    p, rel = form
+    if rel in ("=", "!=") and p.terms:
+        first = min(p.terms.items(), key=lambda it: mono_key(it[0]))
+        if first[1] < 0:
+            p = p.neg()
+    return (p.key(), rel + "0")
+
+
 class TestCanonicalCmp:
+    def test_key_matches_the_reference(self):
+        rng = random.Random(2807)
+        negated = 0
+        for _ in range(600):
+            cmp = Cmp(rng.choice(["=", "!=", "<", "<=", ">", ">="]),
+                      rand_expr(rng, rng.randint(0, 3)), rand_expr(rng, rng.randint(0, 3)))
+            form = atom_form(cmp)
+            if form is None:
+                continue
+            p = form[0]
+            for rel in (">=", ">", "=", "!="):
+                key = dmod._key((p, rel))
+                assert key == reference_key((p, rel)), (cmp, rel)
+                if rel in ("=", "!="):  # p and -p give one key
+                    assert dmod._key((p.neg(), rel)) == key == reference_key((p.neg(), rel))
+            assert canonical_cmp(cmp) == reference_key(form)
+            # computed once per polynomial
+            assert p.sign_key() is p.sign_key() and p.key() is p.key()
+            negated += p.sign_key() != p.key()
+        assert negated
+
     def test_orientation(self):
         assert canonical_cmp(Cmp("<=", x, h)) == canonical_cmp(Cmp(">=", h, x))
         assert canonical_cmp(Cmp("=", x, h)) == canonical_cmp(Cmp("=", h, x))

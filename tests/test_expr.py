@@ -735,6 +735,13 @@ class TestStructuralIdentity:
         assert Const(-0.0) is zero and zero is ZERO and type(zero.value) is Fraction
         assert hash(one) == ref_hash(one) == hash((Fraction(1),))
         assert Const(1) is not zero and Var("x") is not SymConst("x")
+        # an int is keyed as the Fraction it becomes; a bool is an int
+        three = Const(3)
+        assert three is Const(Fraction(3)) is Const(Fraction(6, 2)) is Const(3.0)
+        assert Const(True) is one and Const(False) is zero and type(Const(True).value) is Fraction
+        assert Const(-7) is Const(Fraction(-14, 2)) and Const(Fraction(1, 2)) is Const(0.5)
+        for node in (three, Const(-7), Const(Fraction(1, 2)), Const(10**30)):
+            assert hash(node) == ref_hash(node) == hash((node.value,))
 
     def test_equal_time_domains_give_one_quantifier(self):
         body = Cmp("<=", Var("t"), const(2))
@@ -746,15 +753,19 @@ class TestStructuralIdentity:
 
     def test_validation_errors_are_raised_as_before(self):
         size = len(expr_module._TABLE)
-        with pytest.raises(ValueError, match="division by the constant zero"):
-            Div(x, Const(Fraction(0)))
+        for den in (Const(Fraction(0)), Const(0), Const(-0.0), ZERO):
+            with pytest.raises(ValueError, match="^division by the constant zero$"):
+                Div(x, den)
+            with pytest.raises(ValueError, match="^division by the constant zero$"):
+                Div(num=x, den=den)
         with pytest.raises(ValueError, match="division by the constant zero"):
             x / 0
-        for exp in (-1, 1.5, Fraction(2)):
-            with pytest.raises(ValueError, match="Pow exponent must be a natural number"):
+        for exp in (-1, 1.5, 2.0, Fraction(2), "2", None):
+            with pytest.raises(ValueError, match="^Pow exponent must be a natural number$"):
                 Pow(x, exp)
-        with pytest.raises(ValueError, match="unknown comparison operator '<>'"):
-            Cmp("<>", x, y)
+        for op in ("<>", "==", None, 1):
+            with pytest.raises(ValueError, match=f"^unknown comparison operator {op!r}$"):
+                Cmp(op, x, y)
         with pytest.raises(TypeError):
             Const(None)
         for make in (lambda: Add(x), lambda: Add(x, y, x), lambda: Neg(arg=x, other=y),
@@ -764,6 +775,7 @@ class TestStructuralIdentity:
         assert len(expr_module._TABLE) == size  # a rejected node is not filed
         assert Neg(arg=x) is Neg(x) and Div(num=x, den=y) is Div(x, y)
         assert Pow(base=x, exp=2) is Pow(x, 2) and Cmp(op="<", lhs=x, rhs=y) is Cmp("<", x, y)
+        assert Pow(x, True) is Pow(x, 1) and type(Pow(x, True).exp) is int
 
     def test_copies_and_pickles_are_the_node(self):
         p = And(Cmp(">=", Sin(x) * y, const(Fraction(1, 3))), Not(FALSE))
@@ -793,6 +805,57 @@ class TestStructuralIdentity:
         assert Add(x, y) != Sub(x, y) and hash(Add(x, y)) == hash(Sub(x, y))
         assert Pow(x, 2) == Pow(Var("x"), 2) != Pow(x, 3)
         assert {Const(Fraction(1, 2)): 1}[const(Fraction(2, 4))] == 1
+
+
+# one node of every class, its fields by position
+_ONE_OF_EACH = [
+    (Const, (Fraction(2, 3),)), (Const, (5,)), (SymConst, ("g",)), (Var, ("x",)),
+    (TimeVar, ()), (Neg, (x,)), (Add, (x, y)), (Sub, (x, g)), (Mul, (y, t)),
+    (Div, (x, y)), (Pow, (x, 3)), (Sin, (t,)), (Cos, (x,)), (Exp, (g,)),
+    (TruePred, ()), (FalsePred, ()), (Cmp, ("<=", x, y)), (And, (TRUE, FALSE)),
+    (Or, (FALSE, TRUE)), (Not, (TRUE,)),
+    (TimeQuant, ("t", "tau", NONNEG, TRUE, Cmp(">=", Var("t"), x))),
+]
+
+
+class TestConstructorContract:
+    """Each shape of node has a constructor of its own, which builds the
+    intern key inline; each keeps its class's dataclass signature and the
+    structural hash."""
+
+    @pytest.mark.parametrize("cls, fields", _ONE_OF_EACH, ids=lambda a: getattr(a, "__name__", ""))
+    def test_fields_by_name_and_by_position(self, cls, fields):
+        node = cls(*fields)
+        names = cls.__match_args__
+        assert cls(**dict(zip(names, fields))) is node
+        assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) is node
+        assert hash(node) == ref_hash(node)
+        assert copy.copy(node) is node and pickle.loads(pickle.dumps(node)) is node
+
+    @pytest.mark.parametrize("cls, fields", _ONE_OF_EACH, ids=lambda a: getattr(a, "__name__", ""))
+    def test_a_wrong_arity_is_a_type_error(self, cls, fields):
+        size = len(expr_module._TABLE)
+        for make in (lambda: cls(*fields, x), lambda: cls(*fields, other=x),
+                     lambda: cls(*fields[:-1]) if fields else cls(x)):
+            with pytest.raises(TypeError):
+                make()
+        assert len(expr_module._TABLE) == size
+
+    def test_an_int_constant_hit_builds_no_fraction(self, monkeypatch):
+        made = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args):
+                made.append(args)
+                return Fraction(*args)
+
+        kept = Const(41)
+        monkeypatch.setattr(expr_module, "Fraction", CountingFraction)
+        assert Const(41) is kept and made == []
+        # a miss builds the value once
+        fresh = Const(987_654_323)
+        assert made == [(987_654_323,)] and type(fresh.value) is Fraction
+        assert Const(987_654_323) is fresh and len(made) == 1
 
 
 _SUBST_NAMES = ("x", "y", "t", "t2", "tau", "tau2")
@@ -886,27 +949,44 @@ class TestSharingSubstitution:
         assert got.lhs is p.lhs
         assert substitute_pred(p, {"z": v}) is p
 
-    def test_shared_subtree_is_substituted_once(self, monkeypatch):
-        rebuilt = []
-        node = expr_module._node
-
-        def counting(cls, *fields):  # records the nodes _node files anew
-            size = len(expr_module._TABLE)
-            out = node(cls, *fields)
-            if len(expr_module._TABLE) > size:
-                rebuilt.append(out)
-            return out
-
-        monkeypatch.setattr(expr_module, "_node", counting)
+    def test_shared_subtree_is_substituted_once(self):
         # names no other test uses, so no cache holds a node of the result
         a, b = Var("once_a"), Var("once_b")
         shared = a * (a + const(1))
         e = shared + Neg(shared)
-        out = substitute(e, {"once_a": b})
+        gc.disable()  # so no collection frees nodes of other tests meanwhile
+        try:
+            size = len(expr_module._TABLE)
+            out = substitute(e, {"once_a": b})
+            grown = len(expr_module._TABLE) - size
+        finally:
+            gc.enable()
+        # the nodes filed anew: a + 1, the product, Neg and the sum, while
+        # the tree has six nodes over a
+        assert grown == 4
         assert out == b * (b + const(1)) + Neg(b * (b + const(1)))
         assert out.rhs.arg is out.lhs
-        # a + 1, the product, Neg and the sum: the tree has six nodes over a
-        assert len(rebuilt) == 4
+
+    def test_one_memo_get_and_store_per_rebuilt_node(self):
+        class CountingMemo(dict):
+            def get(self, key, default=None):
+                gets.append(key)
+                return super().get(key, default)
+
+            def __setitem__(self, key, value):
+                stores.append(key)
+                super().__setitem__(key, value)
+
+        gets, stores = [], []
+        shared = x * (x + const(1))
+        e = shared + Neg(shared)
+        out = substitute_pred(Cmp(">=", e, y), {"x": y}, CountingMemo())
+        assert out == Cmp(">=", y * (y + const(1)) + Neg(y * (y + const(1))), y)
+        # rebuilt: x + 1, the product, Neg, the sum and the comparison; the
+        # Vars and the constant are resolved where they are met, and Neg
+        # finds the product in the memo
+        assert stores == [x + const(1), shared, Neg(shared), e, Cmp(">=", e, y)]
+        assert sorted(map(id, gets)) == sorted(map(id, stores + [shared]))
 
     def test_shared_predicate_is_substituted_once(self):
         atom = Cmp(">=", x * x, const(0))
@@ -968,7 +1048,7 @@ def _random_terms(rng):
 
 
 class TestNamesAtConstruction:
-    """_node gives every node its names when it builds it; they must be the
+    """_file gives every node its names when it files it; they must be the
     names the recursive reference (tests/treepasses.py) reads."""
 
     def test_names_match_the_reference(self):
