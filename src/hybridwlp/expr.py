@@ -46,13 +46,12 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# A node's intern key is its type and fields: a child field by id, any
-# other field by value, a Const's value by its numerator and denominator,
-# so a key hashes without a call to a node's __hash__.  An id cannot be
-# reused while its key is in the table: the entry's node keeps its
-# children alive, and CPython runs the entry's _drop before it releases a
-# dead node's fields.  Each node class's __new__ builds its key inline and
-# returns the live node filed under it, or files a new one (see _file).
+# A node's intern key is its type and fields, a child field by the node
+# itself, a Const's value by its numerator and denominator.  Nodes hash by
+# address, so a key hashes in C.  A key holds its children, so none is
+# freed, and no address reused, while the key is in the table.  Each node
+# class's __new__ builds its key inline and returns the live node filed
+# under it, or files a new one (see _file).
 
 # key -> _Entry of the one live node built from those fields
 _TABLE: dict = {}
@@ -66,14 +65,13 @@ def _drop(entry: _Entry, table: dict = _TABLE) -> None:
 
 
 def _file(cls, key: tuple, fields: tuple, kids: tuple = ()):
-    """A new node of type cls over fields, filed under key, with its
-    structural hash and the names it reads (see _names), both from its
-    fields: a Var's or SymConst's name, t for a TimeVar, else the union of
-    its children's, kids, less a TimeQuant's binders."""
+    """A new node of type cls over fields, filed under key, with the names
+    it reads (see _names) from its fields: a Var's or SymConst's name, t
+    for a TimeVar, else the union of its children's, kids, less a
+    TimeQuant's binders."""
     node = object.__new__(cls)
     state = node.__dict__
     state.update(zip(cls.__match_args__, fields))
-    state["_hash"] = hash(fields)
     if cls is Var or cls is SymConst or cls is TimeVar:  # a TimeVar reads t
         state["_names"] = frozenset(fields or (TIME_NAME,))
     else:
@@ -112,7 +110,7 @@ def _named(cls, name):
 
 
 def _unary(cls, arg):
-    key = (cls, id(arg))
+    key = (cls, arg)
     entry = _TABLE.get(key)
     if entry is not None and (node := entry()) is not None:
         return node
@@ -121,7 +119,7 @@ def _unary(cls, arg):
 
 
 def _binary(cls, lhs, rhs):
-    key = (cls, id(lhs), id(rhs))
+    key = (cls, lhs, rhs)
     entry = _TABLE.get(key)
     if entry is not None and (node := entry()) is not None:
         return node
@@ -133,11 +131,8 @@ class _Node:
     """Base of Expr and Pred.  Nodes are immutable and hash-consed: every
     node is built by its class's __new__, which returns the live node over
     equal fields if there is one, so equal nodes are one object and == is
-    `is`.  A node hashes as hash((field, ...)), as a dataclass does,
-    computed once when it is built.  The intern table holds nodes weakly."""
-
-    def __hash__(self):
-        return self._hash
+    `is`, and a node hashes by identity.  The intern table holds nodes
+    weakly."""
 
     def __reduce__(self):  # so copy.copy and pickle give the node itself
         return type(self), tuple(map(self.__dict__.__getitem__, self.__match_args__))
@@ -272,7 +267,7 @@ class Pow(Expr):
             exp = int(exp)  # True is 1
         if exp < 0:
             raise ValueError("Pow exponent must be a natural number")
-        key = (cls, id(base), exp)
+        key = (cls, base, exp)
         entry = _TABLE.get(key)
         if entry is not None and (node := entry()) is not None:
             return node
@@ -839,7 +834,7 @@ class Cmp(Pred):
     def __new__(cls, op, lhs, rhs):
         if op not in CMP_OPS:
             raise ValueError(f"unknown comparison operator {op!r}")
-        key = (cls, op, id(lhs), id(rhs))
+        key = (cls, op, lhs, rhs)
         entry = _TABLE.get(key)
         if entry is not None and (node := entry()) is not None:
             return node
@@ -887,7 +882,7 @@ class TimeQuant(Pred):
     body: Pred
 
     def __new__(cls, t_name, tau_name, dom, prefix, body):
-        key = (cls, t_name, tau_name, dom, id(prefix), id(body))
+        key = (cls, t_name, tau_name, dom, prefix, body)
         entry = _TABLE.get(key)
         if entry is not None and (node := entry()) is not None:
             return node
@@ -1035,14 +1030,6 @@ _CMP = {
     ">": "{0} > {1}",
     ">=": "{0} >= {1}",
 }
-_REL = {op: eval(f"lambda a, b, eq_tol: {rel.format('a', 'b', 'eq_tol')}")
-        for op, rel in _CMP.items()}
-
-
-def compare(op: str, a: float, b: float, eq_tol: float = 0.0) -> bool:
-    if op not in _REL:
-        raise ValueError(f"unknown comparison operator {op!r}")
-    return _REL[op](a, b, eq_tol)
 
 
 def bound_names(term, binds) -> tuple:

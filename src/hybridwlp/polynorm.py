@@ -332,20 +332,13 @@ def atom_form(c: Cmp) -> Optional[tuple[Poly, str]]:
 
     `<` and `<=` read as rhs - lhs, every other operator as lhs - rhs; the
     sign of an (in)equation is left as written.  None when normalization
-    fails.  Equal comparisons are one node, so the form is computed once
-    per node and kept in its __dict__ under _form, as its names are,
-    outside ==, hash and repr.
+    fails.
     """
-    state = c.__dict__
-    if "_form" in state:
-        return state["_form"]
     diff = Sub(c.rhs, c.lhs) if c.op in ("<", "<=") else Sub(c.lhs, c.rhs)
     try:
-        form = normalize(diff).poly, _ATOM_REL[c.op]
+        return normalize(diff).poly, _ATOM_REL[c.op]
     except NormalizeError:
-        form = None
-    state["_form"] = form
-    return form
+        return None
 
 
 def atom_to_expr(atom: Atom) -> Expr:

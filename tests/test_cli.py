@@ -1,16 +1,20 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from hybridwlp import expr
 from hybridwlp.cli import main
+from hybridwlp.expr import Cmp, SymConst, Var, const
 from hybridwlp.hwl import parse_spec
+from hybridwlp.polynorm import normalize
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src/hybridwlp/report_schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "problems"
+SCHEMA = json.loads((ROOT / "src/hybridwlp/report_schema.json").read_text())
 
 
 # 1,500-level probes, each proved: a chain of assignments; a post of &, |,
@@ -399,6 +403,25 @@ class TestGoldenReports:
         code, out, _ = run(capsys, "verify", str(PROBLEMS / f"{name}.hwl"), "--json")
         assert out == (GOLDEN_REPORTS / f"{name}.json").read_text(encoding="utf-8")
         assert code == json.loads(out)["summary"]["exit"]
+
+    def test_verdicts_do_not_depend_on_node_addresses(self, capsys, monkeypatch):
+        """Nodes hash by address, so the seed-1 benchmark verdicts, built
+        again from fresh caches over terms at other addresses, must still
+        be the golden's bytes."""
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+        monkeypatch.setattr(sys, "argv", ["verdicts_report.py"])
+        spec = importlib.util.spec_from_file_location(
+            "verdicts_report", ROOT / "scripts" / "verdicts_report.py")
+        report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(report)
+        golden = (ROOT / "tests" / "golden" / "verdicts_report.txt").read_text(encoding="utf-8")
+        assert report.main() == 0 and capsys.readouterr().out == golden
+        normalize.cache_clear()
+        expr._KERNELS.clear()
+        kept = [Cmp("<=", Var(f"unrelated_{i}") * const(i), SymConst("unrelated"))
+                for i in range(3000)]
+        assert report.main() == 0 and capsys.readouterr().out == golden
+        del kept
 
 
 CUBE = """problem cube

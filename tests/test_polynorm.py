@@ -16,7 +16,6 @@ from hybridwlp.expr import (
     SymConst,
     TimeVar,
     Var,
-    compare,
     const,
     eval_pred,
     evaluate,
@@ -24,7 +23,6 @@ from hybridwlp.expr import (
     free_names,
     swap_cmp,
 )
-from hybridwlp import polynorm
 from hybridwlp.polynorm import (
     NormalizeError,
     _norm,
@@ -38,6 +36,7 @@ from hybridwlp.polynorm import (
 from test_expr import _random_shared_expr
 from test_hwl_reference import rand_expr
 from treepasses import outcome, ref_norm
+from treewalk import ref_compare
 
 x, y, v = Var("x"), Var("y"), Var("v")
 t = TimeVar()
@@ -247,14 +246,14 @@ class TestAtomForm:
                 val = {n: rng.uniform(-3, 3) for n in ("x", "v", "c")}
                 value = evaluate(expr, val)
                 if abs(value) > 1e-9:
-                    assert compare(rel, value, 0.0) == eval_pred(cmp, val)
+                    assert ref_compare(rel, value, 0.0, 0.0) == eval_pred(cmp, val)
                     checked += 1
         assert checked > 1000
 
 
 class TestAtomFormCache:
-    """A comparison keeps its atom form in its __dict__, computed once per
-    node; the form must be the one a fresh normalization gives."""
+    """A comparison's atom form, read through normalize's memo, must be the
+    one a fresh normalization gives."""
 
     def test_cached_form_is_a_fresh_normalization(self):
         rng = random.Random(2806)
@@ -271,21 +270,7 @@ class TestAtomFormCache:
             else:
                 assert form[0] == fresh[1].poly and form[0].key() == fresh[1].poly.key()
                 assert form[1] == {"<": ">", "<=": ">="}.get(op, op)
-            # the node holds it, outside ==, hash and repr
-            assert atom_form(cmp) is form and atom_form(Cmp(op, cmp.lhs, cmp.rhs)) is form
-            assert vars(cmp)["_form"] is form and "_form" not in repr(cmp)
         assert failed  # a denominator that normalizes to zero
-
-    def test_one_normalization_per_node(self, monkeypatch):
-        calls = []
-        real = polynorm.normalize
-        monkeypatch.setattr(polynorm, "normalize", lambda e: calls.append(e) or real(e))
-        # a name no other test uses, so no node holds a form already
-        cmp = Cmp("<=", Var("cached_form_x") * x, const(3))
-        forms = {id(atom_form(cmp)) for _ in range(5)}
-        assert len(forms) == 1 and len(calls) == 1
-        bad = Cmp("<", x / (Var("cached_form_x") - Var("cached_form_x")), const(0))
-        assert atom_form(bad) is None and atom_form(bad) is None and len(calls) == 2
 
 
 class TestNormLoopMatchesRecursiveReference:
