@@ -38,7 +38,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import inf
+from string import ascii_letters
 from typing import NamedTuple, Optional
 
 from .expr import (
@@ -60,15 +62,22 @@ KEYWORDS = {
 }
 RESERVED_NAMES = {"t", "tau"} | KEYWORDS
 
+# One match per token: the whitespace and comments before it are skipped
+# inside the match, and the group is the token's text.  A character no
+# token starts with is a text of its own, and the empty match at the end
+# is the end of file.  Every character is in some match, a newline only in
+# the skipped part, so a token's position is computed from its start.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<num>\d+\.\d+|\d+)
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>:=|\+\+|<=|>=|!=|=>|[-+*/^()\[\],;:&|!?'=<>])
-      | (?P<bad>.)
+    r"""(?:\s+|\#[^\n]*)*
+      ( \d+\.\d+ | \d+ | [A-Za-z_][A-Za-z0-9_]*
+      | :=|\+\+|<=|>=|!=|=> | [-+*/^()\[\],;:&|!?'=<>]
+      | . | \Z )
     """,
     re.VERBOSE,
 )
+# The one-character texts a token may be, beside a digit (`\d` reads any
+# Unicode decimal digit as one)
+_TOKEN_CHARS = frozenset(ascii_letters + "_-+*/^()[],;:&|!?'=<>")
 
 
 class ParseError(Exception):
@@ -78,35 +87,25 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "num" | "id" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
 def tokenize(text: str) -> list:
-    """The tokens of text and a final "eof" token, each with the 1-based
-    line and column where it starts, in one scan: every character is in
-    some match, a newline only in whitespace, and any other character no
-    token starts with is the `bad` group's."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            lexeme = m.group()
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + lexeme.rfind("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        tokens.append(Token(kind, m.group(), line, col))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    """The token texts of text, the last one "" for the end of file, in one
+    scan.  Raises ParseError at the first character no token starts with."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        # text ends in whitespace or a comment: the match that skips it
+        # is the end of file, and the empty match after it is not
+        del tokens[-1]
+    bad = [t for t in set(tokens) if len(t) == 1 and t not in _TOKEN_CHARS and not t.isdecimal()]
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise ParseError(f"unexpected character {tokens[index]!r}", *_position(text, index))
     return tokens
+
+
+def _position(text: str, index: int) -> tuple:
+    """The 1-based (line, column) where token index of text starts."""
+    start = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 @dataclass
@@ -165,58 +164,71 @@ _TRUTHS = {"true": TRUE, "false": FALSE}
 
 
 class _Parser:
-    def __init__(self, tokens: list):
-        self._rest = iter(tokens)
-        self.tok = next(self._rest)  # the current token; "eof" stays current
-        self.vars: tuple = ()
-        self.consts: tuple = ()
+    """A cursor over the token texts of text: tok is the current token and
+    pos its index, which only an error turns into a position.  A token's
+    kind is read from its text: "" is the end of file, a number starts
+    with a digit and an identifier passes str.isidentifier."""
+
+    def __init__(self, text: str, vars: tuple = (), consts: tuple = ()):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.tok = self.tokens[0]
+        self.declare(vars, consts)
         self.allow_time = False  # the time symbol is legal only in flows
+
+    def declare(self, vars: tuple, consts: tuple):
+        self.vars, self.consts = tuple(vars), tuple(consts)
+        self._vars, self._consts = set(self.vars), set(self.consts)
 
     # -- token helpers ------------------------------------------------------
 
-    def next(self) -> Token:
-        tok, self.tok = self.tok, next(self._rest, self.tok)
+    def next(self) -> str:
+        """The current token, moving past it; never called at the end."""
+        tok = self.tok
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.tok
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, at: Optional[int] = None):
+        """Raise message at token index at, by default the current one."""
+        raise ParseError(message, *_position(self.text, self.pos if at is None else at))
 
-    def expect(self, text: str) -> Token:
-        if self.tok.text != text:
-            self.error(f"expected {text!r}, found {self.tok.text!r}")
+    def expect(self, text: str) -> str:
+        if self.tok != text:
+            self.error(f"expected {text!r}, found {self.tok!r}")
         return self.next()
 
     def accept(self, text: str) -> bool:
-        if self.tok.text == text:
+        if self.tok == text:
             self.next()
             return True
         return False
 
     def expect_end(self):
-        if self.tok.kind != "eof":
-            self.error(f"unexpected trailing input {self.tok.text!r}")
+        if self.tok:
+            self.error(f"unexpected trailing input {self.tok!r}")
+
+    def at_name(self) -> bool:
+        """Whether the current token is an identifier and no keyword."""
+        return self.tok.isidentifier() and self.tok not in KEYWORDS
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.tok
-        if tok.kind != "id" or tok.text in KEYWORDS:
-            self.error(f"expected {what}, found {tok.text!r}")
-        return self.next().text
+        if not self.at_name():
+            self.error(f"expected {what}, found {self.tok!r}")
+        return self.next()
 
     def number(self) -> Fraction:
         neg = self.accept("-")
-        tok = self.tok
-        if tok.kind != "num":
-            self.error(f"expected number, found {tok.text!r}")
-        self.next()
-        value = Fraction(_literal(tok.text))
+        if not self.tok[:1].isdecimal():
+            self.error(f"expected number, found {self.tok!r}")
+        value = Fraction(_literal(self.next()))
         if self.accept("/"):
-            den = self.tok
-            if den.kind != "num":
-                self.error(f"expected denominator, found {den.text!r}")
-            self.next()
-            if not (den_value := _literal(den.text)):
-                self.error("zero denominator", den)
+            at = self.pos
+            if not self.tok[:1].isdecimal():
+                self.error(f"expected denominator, found {self.tok!r}")
+            if not (den_value := _literal(self.next())):
+                self.error("zero denominator", at)
             value /= den_value
         return -value if neg else value
 
@@ -227,36 +239,40 @@ class _Parser:
         name = self.ident("problem name")
         self.accept(";")
         self.expect("vars")
-        var_names = []
-        while self.tok.kind == "id" and self.tok.text not in KEYWORDS:
-            v = self.ident("variable name")
+        var_names = {}  # a set in declaration order
+        while self.at_name():
+            at = self.pos
+            v = self.next()
             if v in RESERVED_NAMES or v in var_names:
-                self.error(f"bad variable name {v!r}")
-            var_names.append(v)
+                self.error(f"bad variable name {v!r}", at)
+            var_names[v] = None
         if not var_names:
             self.error("at least one variable required")
         self.accept(";")
-        self.vars = tuple(var_names)
 
-        const_names = []
+        const_names = {}
         ranges = {}
         if self.accept("consts"):
-            while self.tok.kind == "id" and self.tok.text not in KEYWORDS:
-                c = self.ident("constant name")
+            while self.at_name():
+                at = self.pos
+                c = self.next()
                 if c in RESERVED_NAMES or c in var_names or c in const_names:
-                    self.error(f"bad constant name {c!r}")
-                const_names.append(c)
+                    self.error(f"bad constant name {c!r}", at)
+                const_names[c] = None
                 if self.accept("in"):
                     self.expect("[")
+                    at = self.pos
                     lo = self.number()
                     self.expect(",")
                     hi = self.number()
                     self.expect("]")
+                    if lo > hi:
+                        self.error(f"empty range for constant {c!r}", at)
                     ranges[c] = (float(lo), float(hi))
                 if not self.accept(","):
                     break
             self.accept(";")
-        self.consts = tuple(const_names)
+        self.declare(var_names, const_names)
 
         assumptions = []
         if self.accept("assume"):
@@ -290,7 +306,7 @@ class _Parser:
 
         config = {}
         if self.accept("config"):
-            while self.tok.kind == "id":
+            while self.tok.isidentifier():
                 key = self.ident("config key")
                 val = self.number()
                 # exact, so that fmt prints the value as written
@@ -331,7 +347,13 @@ class _Parser:
         return parts[0] if len(parts) == 1 else Seq(tuple(parts))
 
     def parse_stmt(self) -> HybridProgram:
-        tok = self.tok
+        at, tok = self.pos, self.tok
+        if self.at_name():
+            name = self.next()
+            if name not in self._vars:
+                self.error(f"assignment to undeclared variable {name!r}", at)
+            self.expect(":=")
+            return Assign(name, self.parse_expr())
         if self.accept("("):
             body = self.parse_choice()
             self.expect(")")
@@ -363,21 +385,15 @@ class _Parser:
             self.expect("on")
             dom = self.parse_domain()
             return Evolve(None, guard, dom, flow=Flow(comps, REALS))
-        if tok.kind == "id" and tok.text not in KEYWORDS:
-            name = self.ident()
-            if name not in self.vars:
-                self.error(f"assignment to undeclared variable {name!r}", tok)
-            self.expect(":=")
-            return Assign(name, self.parse_expr())
-        self.error(f"expected statement, found {tok.text!r}")
+        self.error(f"expected statement, found {tok!r}")
 
     def parse_evolve(self) -> Evolve:
         comps: dict = {}
         while True:
-            tok = self.tok
+            at = self.pos
             name = self.ident("variable name")
-            if name not in self.vars:
-                self.error(f"undeclared variable {name!r} in ODE", tok)
+            if name not in self._vars:
+                self.error(f"undeclared variable {name!r} in ODE", at)
             self.expect("'")
             self.expect("=")
             comps[name] = self.parse_expr()
@@ -396,10 +412,11 @@ class _Parser:
             for v in self.vars:
                 flow_comps.setdefault(v, Var(v))
             flow = Flow(flow_comps, REALS)
+        at = self.pos
         if self.accept("dinv"):
             dinv = self.parse_pred()
-        if flow is not None and dinv is not None:
-            self.error("evolve carries at most one of flow/dinv")
+            if flow is not None:
+                self.error("evolve carries at most one of flow/dinv", at)
         return Evolve(VectorField(comps), guard, dom, flow=flow, dinv=dinv)
 
     def parse_assign_list(self, allow_time: bool = False) -> dict:
@@ -407,10 +424,10 @@ class _Parser:
         saved, self.allow_time = self.allow_time, allow_time
         try:
             while True:
-                tok = self.tok
+                at = self.pos
                 name = self.ident("variable name")
-                if name not in self.vars:
-                    self.error(f"undeclared variable {name!r}", tok)
+                if name not in self._vars:
+                    self.error(f"undeclared variable {name!r}", at)
                 self.expect("=")
                 comps[name] = self.parse_expr()
                 if not self.accept(","):
@@ -423,18 +440,18 @@ class _Parser:
         if self.accept("R"):
             return REALS
         self.expect("[")
-        tok = self.tok
+        at = self.pos
         lo = self.number()
         self.expect(",")
         if self.accept("inf"):
             self.expect(")")
             if lo != 0:
-                self.error("forward domain must start at 0")
+                self.error("forward domain must start at 0", at)
             return NONNEG
         hi = self.number()
         self.expect("]")
         if not lo <= 0 <= hi:
-            self.error("time domain must contain 0", tok)
+            self.error("time domain must contain 0", at)
         return TimeDomain(lo, hi)
 
     # -- terms and predicates: one precedence-climbing loop over _OPS -------
@@ -448,7 +465,7 @@ class _Parser:
     def _pred(self, node: Expr | Pred) -> Pred:
         """node, where a predicate must stand."""
         if not isinstance(node, Pred):
-            self.error(f"expected comparison operator, found {self.tok.text!r}")
+            self.error(f"expected comparison operator, found {self.tok!r}")
         return node
 
     def _climb(self, floor: int) -> Expr | Pred:
@@ -457,7 +474,7 @@ class _Parser:
         A chain of prefix operators is read in a loop; each one is the
         floor of its operand."""
         floors, prefixes = [floor], []
-        while (op := _PREFIX.get(self.tok.text)) is not None and op.prec >= floors[-1]:
+        while (op := _PREFIX.get(self.tok)) is not None and op.prec >= floors[-1]:
             self.next()
             prefixes.append(op)
             floors.append(op.prec)
@@ -476,16 +493,16 @@ class _Parser:
         the others terms, and "^" only an atom (so it and the comparisons
         do not chain)."""
         while True:
-            op = _INFIX.get(self.tok.text)
+            op = _INFIX.get(self.tok)
             if (op is None or op.prec < floor or isinstance(left, Pred) != (op.prec < _CMP)
                     or (op.node is Pow and not atom)):
                 return left
             self.next()
-            atom, tok = False, self.tok
+            atom, at = False, self.pos
             if op.node is Pow:
-                if tok.kind != "num" or "." in tok.text:
+                if not self.tok.isdecimal():  # digits and no point
                     self.error("exponent must be a natural number literal")
-                left = Pow(left, int(self.next().text))
+                left = Pow(left, int(self.next()))
             elif op.prec < _CMP:
                 left = op.node(left, self._pred(self._climb(op.prec + 1)))
             elif op.node is Cmp:
@@ -496,44 +513,44 @@ class _Parser:
                     left = (Const(left.value / rhs.value)
                             if isinstance(left, Const) and isinstance(rhs, Const) else Div(left, rhs))
                 except (ValueError, ZeroDivisionError):
-                    self.error("division by the constant zero", tok)
+                    self.error("division by the constant zero", at)
             else:
                 left = op.node(left, self._climb(op.prec + 1))
 
     def _atom(self, floor: int) -> Expr | Pred:
-        tok = self.tok
-        if tok.text in _TRUTHS and floor <= _CMP:
+        at, tok = self.pos, self.tok
+        if self.at_name():
             self.next()
-            return _TRUTHS[tok.text]
+            if tok == "t":
+                if not self.allow_time:
+                    self.error("the time symbol 't' is only allowed in flow expressions")
+                return TimeVar()
+            if tok == "tau":
+                self.error("'tau' is reserved")
+            if tok in self._vars:
+                return Var(tok)
+            if tok in self._consts:
+                return SymConst(tok)
+            self.error(f"unknown identifier {tok!r}", at)
+        if tok[:1].isdecimal():
+            self.next()
+            return Const(_literal(tok))
+        if tok in _TRUTHS and floor <= _CMP:
+            self.next()
+            return _TRUTHS[tok]
         if self.accept("("):
             # read once; where the group is used decides whether it may be
             # a predicate
             inner = self._climb(0 if floor <= _CMP else _TERM)
             self.expect(")")
             return inner
-        if tok.kind == "num":
-            self.next()
-            return Const(_literal(tok.text))
-        if tok.text in _FUNCTIONS:
+        if tok in _FUNCTIONS:
             self.next()
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return _FUNCTIONS[tok.text](arg)
-        if tok.kind == "id" and tok.text not in KEYWORDS:
-            self.next()
-            if tok.text == "t":
-                if not self.allow_time:
-                    self.error("the time symbol 't' is only allowed in flow expressions")
-                return TimeVar()
-            if tok.text == "tau":
-                self.error("'tau' is reserved")
-            if tok.text in self.vars:
-                return Var(tok.text)
-            if tok.text in self.consts:
-                return SymConst(tok.text)
-            self.error(f"unknown identifier {tok.text!r}", tok)
-        self.error(f"expected expression, found {tok.text!r}")
+            return _FUNCTIONS[tok](arg)
+        self.error(f"expected expression, found {tok!r}")
 
 
 def _literal(text: str) -> int | Fraction:
@@ -545,13 +562,12 @@ def _literal(text: str) -> int | Fraction:
 
 def parse_spec(text: str) -> SpecFile:
     """Parse one problem file; raises ParseError with line:col positions."""
-    return _Parser(tokenize(text)).parse_spec()
+    return _Parser(text).parse_spec()
 
 
 def parse_pred(text: str, vars: tuple, consts: tuple) -> Pred:
     """Parse one predicate over the given variables and constants."""
-    parser = _Parser(tokenize(text))
-    parser.vars, parser.consts = tuple(vars), tuple(consts)
+    parser = _Parser(text, vars, consts)
     pred = parser.parse_pred()
     parser.expect_end()
     return pred

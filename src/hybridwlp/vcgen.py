@@ -114,6 +114,9 @@ class VerifySpec:
             extra = pred_free_names(pred) - declared
             if extra:
                 raise ValueError(f"{label} reads undeclared names {sorted(extra)}")
+        for c, (lo, hi) in self.const_ranges.items():
+            if lo > hi:
+                raise ValueError(f"empty range for constant {c!r}: [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,61 @@ parenthesised predicate read by trying it as a predicate and rewinding, and
 one precedence ladder per printer.  The tests feed both readers the same
 token strings and both printers the same trees, and require equal trees
 (or a ParseError from both) and equal text.
+
+It also keeps the tokenizer hwl's one-scan `findall` replaced: one match
+per token or whitespace run, and a Token with its kind, line and column.
 """
 
+import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from hybridwlp.expr import (
     Add, And, Cmp, Const, Cos, Div, Exp, FalsePred, Mul, Neg, Not, Or, Pow, Sin, Sub,
     SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var,
 )
-from hybridwlp.hwl import KEYWORDS, ParseError, Token, format_domain, tokenize
+from hybridwlp.hwl import KEYWORDS, ParseError, format_domain
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<num>\d+\.\d+|\d+)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>:=|\+\+|<=|>=|!=|=>|[-+*/^()\[\],;:&|!?'=<>])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+class Token(NamedTuple):
+    kind: str  # "num" | "id" | "op" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list:
+    """The tokens of text and a final "eof" token, each with the 1-based
+    line and column where it starts, in one scan: every character is in
+    some match, a newline only in whitespace, and any other character no
+    token starts with is the `bad` group's."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            lexeme = m.group()
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + lexeme.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append(Token(kind, m.group(), line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 

@@ -308,6 +308,14 @@ class TestVerifyCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_empty_const_range_is_a_parse_error(self, capsys, tmp_path):
+        # no witness may be drawn outside the declared range [6, 1]
+        f = tmp_path / "empty.hwl"
+        f.write_text("problem p vars x consts c in [6,1] pre x = 0 post x >= c program skip\n")
+        for command in ("verify", "falsify"):
+            code, out, err = run(capsys, command, str(f))
+            assert (code, out, err) == (2, "", "parse error: 1:31: empty range for constant 'c'\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-file.hwl")
         assert code == 2

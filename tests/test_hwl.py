@@ -22,6 +22,7 @@ from hybridwlp.hwl import (
     parse_pred,
     parse_spec,
     tokenize,
+    _position,
 )
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -38,14 +39,25 @@ def parse_program_text(body: str, consts: str = ""):
 class TestTokenize:
     def test_positions_across_comments_and_newlines(self):
         text = "problem p # a comment\n\n  vars x1\t# x2\r\n# only a comment\npre x1>=2.5\n"
-        assert [tuple(tok) for tok in tokenize(text)] == [
-            ("id", "problem", 1, 1), ("id", "p", 1, 9),
-            ("id", "vars", 3, 3), ("id", "x1", 3, 8),
-            ("id", "pre", 5, 1), ("id", "x1", 5, 5), ("op", ">=", 5, 7), ("num", "2.5", 5, 9),
-            ("eof", "", 6, 1),
+        tokens = tokenize(text)
+        assert tokens == ["problem", "p", "vars", "x1", "pre", "x1", ">=", "2.5", ""]
+        assert [_position(text, i) for i in range(len(tokens))] == [
+            (1, 1), (1, 9), (3, 3), (3, 8), (5, 1), (5, 5), (5, 7), (5, 9), (6, 1),
         ]
-        tok = tokenize("x := x'")[1]
-        assert (tok.kind, tok.text, tok.line, tok.col) == ("op", ":=", 1, 3)
+        assert tokenize("x := x'") == ["x", ":=", "x", "'", ""]
+        assert _position("x := x'", 1) == (1, 3)
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("", [""]),
+        ("x", ["x", ""]),
+        ("x  ", ["x", ""]),
+        ("x # note", ["x", ""]),
+        (" \n# only a comment", [""]),
+    ])
+    def test_one_end_of_file(self, text, tokens):
+        assert tokenize(text) == tokens
+        assert _position(text, len(tokens) - 1) == (text.count("\n") + 1,
+                                                    len(text) - text.rfind("\n"))
 
     @pytest.mark.parametrize("text, line, col, char", [
         ("vars x\n  @ y", 2, 3, "@"),
@@ -58,6 +70,40 @@ class TestTokenize:
             tokenize(text)
         assert (err.value.line, err.value.col) == (line, col)
         assert str(err.value) == f"{line}:{col}: unexpected character {char!r}"
+
+
+HEAD = "problem p vars x pre x = 0 post x >= 0 program "
+
+
+class TestErrorPositions:
+    """A parse error points at the token it names, computed from the
+    token's index only when the error is raised."""
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("problem p vars x x pre x = 0 post x >= 0 program skip", 1, 18,
+         "bad variable name 'x'"),
+        ("problem p vars x consts c, c pre x = 0 post x >= 0 program skip", 1, 28,
+         "bad constant name 'c'"),
+        ("problem p vars x consts x pre x = 0 post x >= 0 program skip", 1, 25,
+         "bad constant name 'x'"),
+        (HEAD + "evolve x' = 1 & true on [1, inf) flow x = x + t", 1, 73,
+         "forward domain must start at 0"),
+        (HEAD + "evolve x' = 1 & true on [0, 1] flow x = x + t dinv x >= 0\n", 1, 94,
+         "evolve carries at most one of flow/dinv"),
+        (HEAD + "evolve x' = 1 & true on [1, 2]", 1, 73, "time domain must contain 0"),
+        (HEAD + "y := 1", 1, 48, "assignment to undeclared variable 'y'"),
+        (HEAD + "x := y", 1, 53, "unknown identifier 'y'"),
+        (HEAD + "x := 1/0", 1, 55, "division by the constant zero"),
+        ("problem p vars x consts c in [1, 2/0] pre x = 0 post x >= 0 program skip", 1, 36,
+         "zero denominator"),
+        (HEAD + "skip\nskip", 2, 1, "unexpected trailing input 'skip'"),
+        (HEAD + "x := ", 1, 53, "expected expression, found ''"),
+    ])
+    def test_error_points_at_its_token(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == f"{line}:{col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
 
 
 class TestParsing:
@@ -171,6 +217,17 @@ class TestParsing:
         )
         assert spec.const_ranges == {"a": (-1.0, 2.0)}
         assert spec.consts == ("a", "b")
+
+    def test_empty_const_range_rejected(self):
+        # the exact bounds are compared, at the lower one
+        with pytest.raises(ParseError) as err:
+            parse_spec("problem p vars x consts c in [6,1] pre x = 0 post x >= c program skip")
+        assert str(err.value) == "1:31: empty range for constant 'c'"
+        with pytest.raises(ParseError, match="1:32: empty range for constant 'c'"):
+            parse_spec("problem p vars x consts c in [ -1/3, -2/3] pre x = 0 post x = 0 program skip")
+        spec = parse_spec("problem p vars x consts c in [0, 0], d in [-2/3, -1/3] "
+                          "pre x = 0 post x = 0 program skip")
+        assert spec.const_ranges == {"c": (0.0, 0.0), "d": (-2 / 3, -1 / 3)}
 
     def test_comments_ignored(self):
         spec = parse_spec(

@@ -3,7 +3,9 @@
 tests/reference_hwl.py keeps the ladder grammar that hwl's operator table
 replaced.  These tests print seeded random trees with both printers, and
 read seeded random token strings and single-token mutations of the
-benchmark's predicates with both readers.
+benchmark's predicates with both readers.  It also keeps the tokenizer
+that built a Token per token; seeded random texts must split into the
+same token texts, at the same positions, with the same first error.
 """
 
 import importlib.util
@@ -24,6 +26,7 @@ from hybridwlp.hwl import ParseError, format_expr, format_pred, parse_spec, toke
 from hybridwlp.vcgen import _subprograms
 
 from reference_hwl import ref_format_expr, ref_format_pred, ref_parse
+from reference_hwl import tokenize as ref_tokenize
 from treepasses import ref_fmt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,8 +116,8 @@ def noisy_text(rng, node):
 def new_parse(text, vars, consts, entry="pred", allow_time=False):
     if entry == "pred" and not allow_time:
         return hwl.parse_pred(text, vars, consts)
-    parser = hwl._Parser(tokenize(text))
-    parser.vars, parser.consts, parser.allow_time = tuple(vars), tuple(consts), allow_time
+    parser = hwl._Parser(text, vars, consts)
+    parser.allow_time = allow_time
     node = parser.parse_pred() if entry == "pred" else parser.parse_expr()
     parser.expect_end()
     return node
@@ -155,7 +158,7 @@ def mutations(rng, texts, count):
     out = []
     while len(out) < count:
         text, vars, consts = rng.choice(texts)
-        toks = [tok.text for tok in tokenize(text)[:-1]]
+        toks = tokenize(text)[:-1]
         i = rng.randrange(len(toks))
         kind = rng.randrange(3)
         if kind == 0:
@@ -242,3 +245,59 @@ class TestReaderMatchesReference:
                 assert got is not ParseError and type(got) is type(want) and got == want, text
                 counts["accepted"] += 1
         assert counts["accepted"] >= 1000 and counts["rejected"] >= 1000, counts
+
+
+# Pieces of random texts: tokens (a non-ASCII digit among the numbers),
+# whitespace a token never holds (tab, CR LF, a no-break space) and
+# comments; and the pieces that raise: numbers that leave a point behind
+# ("1.5.3", "7."), non-ASCII letters and characters no token starts with
+TOKEN_PIECES = (
+    "problem", "vars", "x", "x1", "_y", "evolve", "inf", "0", "12", "2.5",
+    ":=", "++", "<=", ">=", "!=", "=>", "'", "=", "<", ">", "-", "+", "*", "/", "^", "(", ")",
+    "[", "]", ",", ";", ":", "&", "|", "!", "?", "\u0663",
+)
+SPACE_PIECES = (" ", "  ", "\t", "\n", "\r\n", "\n\n", "\u00a0", " # note\n", "#", "# x := 1")
+BAD_PIECES = ("1.5.3", "7.", ".5", "@", "$", "~", "%", "`", "\"", "{", "\u00b2", "\u00e9", "\u03bb")
+
+
+def random_text(rng, bad):
+    pieces = []
+    for _ in range(rng.randint(0, 24)):
+        roll = rng.random()
+        if roll < 0.55:
+            pieces.append(rng.choice(TOKEN_PIECES))
+        elif roll < 0.97 or not bad:
+            pieces.append(rng.choice(SPACE_PIECES))
+        else:
+            pieces.append(rng.choice(BAD_PIECES))
+    if bad and rng.random() < 0.5:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(BAD_PIECES))
+    return "".join(pieces)
+
+
+class TestTokenizerMatchesReference:
+    def test_random_texts_split_alike(self):
+        rng = random.Random(2030)
+        counts = {"tokens": 0, "errors": 0}
+        for _ in range(2000):
+            text = random_text(rng, bad=rng.random() < 0.3)
+            try:
+                want = ref_tokenize(text)
+            except ParseError as err:
+                with pytest.raises(ParseError) as got:
+                    tokenize(text)
+                assert (str(got.value), got.value.line, got.value.col) == (
+                    str(err), err.line, err.col), repr(text)
+                counts["errors"] += 1
+                continue
+            parser = hwl._Parser(text)
+            assert parser.tokens == [tok.text for tok in want], repr(text)
+            for index, tok in enumerate(want):
+                text_i = parser.tokens[index]
+                assert (text_i == "", text_i.isidentifier(), text_i[:1].isdecimal()) == (
+                    tok.kind == "eof", tok.kind == "id", tok.kind == "num"), repr(text)
+                with pytest.raises(ParseError) as got:
+                    parser.error("probe", index)
+                assert (got.value.line, got.value.col) == (tok.line, tok.col), (repr(text), index)
+            counts["tokens"] += len(want)
+        assert counts["errors"] >= 250 and counts["tokens"] >= 8000, counts

@@ -48,7 +48,7 @@ from hybridwlp.hprog import (
     guarded_orbit_flow,
     run_sampled,
 )
-from hybridwlp.hwl import format_pred, parse_spec
+from hybridwlp.hwl import SpecFile, format_pred, parse_spec
 from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
     Obligation,
@@ -281,6 +281,16 @@ class TestVerifyStructure:
     def test_undeclared_names_rejected(self):
         with pytest.raises(ValueError):
             VerifySpec(name="bad", vars=("x",), pre=Cmp("=", x, y), post=TRUE)
+
+    def test_empty_const_range_rejected(self):
+        # uniform(6, 1) would draw from [1, 6], outside the declared range
+        with pytest.raises(ValueError, match="empty range for constant 'c'"):
+            VerifySpec(name="bad", vars=("x",), consts=("c",), const_ranges={"c": (6.0, 1.0)})
+        spec = SpecFile(name="bad", vars=("x",), consts=("c",), const_ranges={"c": (6.0, 1.0)})
+        with pytest.raises(ValueError, match="empty range for constant 'c'"):
+            spec.to_verify_spec()
+        point = VerifySpec(name="ok", vars=("x",), consts=("c",), const_ranges={"c": (0.0, 0.0)})
+        assert point.const_ranges == {"c": (0.0, 0.0)}
 
 
 class TestTimeQuantEvaluation:
