@@ -35,7 +35,7 @@ def main() -> int:
     seed = parser.parse_args().seed
     budget = FalsifyBudget(**FALSIFY_BUDGET)
     for inp in gen.search_inputs(seed, ROOT / "problems"):
-        cex = falsify(parse_spec(inp.text).to_verify_spec(), budget)
+        cex = falsify(parse_spec(inp.text), budget)
         print(inp.name, "none" if cex is None else json.dumps(cex.to_json()))
     return 0
 

@@ -67,7 +67,6 @@ from .vcgen import Obligation, VerifySpec, dc_split, ds_closed_form, dw_check, v
 from .discharge import (
     DischargeBudget,
     Lemma,
-    LemmaDB,
     Verdict,
     establish_lemma,
     fm_implication,
@@ -86,7 +85,7 @@ from .odecert import (
     lipschitz_estimate,
     rk4_integrate,
 )
-from .hwl import ParseError, SpecFile, format_pred, format_program, format_spec, parse_spec
+from .hwl import ParseError, format_pred, format_program, format_spec, parse_spec
 from .algebra import FinitePred, FiniteRel, FiniteSta, check_law, check_laws
 
 __version__ = "0.1.0"

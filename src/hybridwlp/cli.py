@@ -14,12 +14,12 @@ import json
 import math
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Optional
 
 from . import algebra
-from .discharge import DischargeBudget, LemmaDB, Verdict, discharge, establish_lemma
-from .hwl import ParseError, SpecFile, format_spec, parse_pred, parse_spec
+from .discharge import DischargeBudget, Verdict, discharge, establish_lemma
+from .hwl import ParseError, format_spec, parse_pred, parse_spec
 from .odecert import (
     FalsifyBudget,
     certify_flow,
@@ -27,10 +27,10 @@ from .odecert import (
     falsify,
 )
 from .sampling import sample_valuation
-from .vcgen import Obligation, dc_split, verify
+from .vcgen import Obligation, VerifySpec, dc_split, verify
 
 
-def _load(path: str) -> SpecFile:
+def _load(path: str) -> VerifySpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_spec(fh.read())
 
@@ -39,7 +39,7 @@ class SettingError(ValueError):
     """A flag or config value that its setting cannot take."""
 
 
-def _setting(name: str, default, spec: SpecFile, flag=None):
+def _setting(name: str, default, spec: VerifySpec, flag=None):
     """A setting's value: the flag given, else the file's config value,
     else default.  step and horizon must be positive finite numbers, seed
     an integer and any other setting a nonnegative integer (a count)."""
@@ -59,7 +59,7 @@ def _setting(name: str, default, spec: SpecFile, flag=None):
     return value
 
 
-def _const_valuations(spec: SpecFile, seed: int, k: int = 3) -> list:
+def _const_valuations(spec: VerifySpec, seed: int, k: int = 3) -> list:
     if not spec.consts:
         return [{}]
     rng = random.Random(seed)
@@ -74,27 +74,27 @@ def _const_valuations(spec: SpecFile, seed: int, k: int = 3) -> list:
     return out or [{c: 1.0 for c in spec.consts}]
 
 
-def _deciders(spec: SpecFile, seed=None, trials=None, step=None, horizon=None):
-    """The validated lemma DB and the discharge budget that decide a
-    problem's obligations.  Each setting is the flag given, else the file's
-    config value, else the budget's default."""
+def _deciders(spec: VerifySpec, seed=None, trials=None, step=None, horizon=None):
+    """The established lemmas, in declaration order, and the discharge
+    budget that decide a problem's obligations.  Each setting is the flag
+    given, else the file's config value, else the budget's default."""
     budget = DischargeBudget(
         seed=_setting("seed", DischargeBudget.seed, spec, seed),
         refute_trials=_setting("trials", DischargeBudget.refute_trials, spec, trials),
         grid_step=_setting("step", DischargeBudget.grid_step, spec, step),
         grid_horizon=_setting("horizon", DischargeBudget.grid_horizon, spec, horizon),
     )
-    db = LemmaDB()
+    lemmas = ()
     lemma_trials = _setting("lemma_trials", 2000, spec)
     for lemma in spec.lemmas:
-        db.add(establish_lemma(lemma, db, trials=lemma_trials, seed=budget.seed))
-    return db, budget
+        lemmas += (establish_lemma(lemma, lemmas, trials=lemma_trials, seed=budget.seed),)
+    return lemmas, budget
 
 
-def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget):
+def _route(ob: Obligation, spec: VerifySpec, lemmas: tuple, budget: DischargeBudget):
     """Dispatch one obligation; returns (verdict, detail-json-or-None)."""
     if ob.kind == "arith":
-        return discharge(ob, db, budget, ranges=spec.const_ranges), None
+        return discharge(ob, lemmas, budget, ranges=spec.const_ranges), None
     if ob.kind == "flow_cert":
         ev = ob.payload
         cert = certify_flow(
@@ -113,7 +113,7 @@ def _route(ob: Obligation, spec: SpecFile, db: LemmaDB, budget: DischargeBudget)
     if ob.kind == "diff_inv":
         ev = ob.payload
         report = check_diff_invariant(
-            ev.dinv, ev.field, ev.dom, assumptions=spec.assumptions, db=db,
+            ev.dinv, ev.field, ev.dom, assumptions=spec.assumptions, lemmas=lemmas,
             budget=budget,
         )
         if report.overall.proved:
@@ -142,7 +142,7 @@ def _exit_code(verdicts) -> int:
     return 0
 
 
-def _verify_report(spec: SpecFile, results) -> dict:
+def _verify_report(spec: VerifySpec, results) -> dict:
     verdicts = [v for _, v, _ in results]
     entries = []
     for ob, vd, detail in results:
@@ -169,7 +169,7 @@ def _verify_report(spec: SpecFile, results) -> dict:
 
 
 def run_verify(
-    spec: SpecFile,
+    spec: VerifySpec,
     seed: Optional[int] = None,
     trials: Optional[int] = None,
     step: Optional[float] = None,
@@ -178,11 +178,11 @@ def run_verify(
 ) -> dict:
     """Full pipeline on a parsed problem; returns the report dict.  A
     setting left None comes from the file's config, else its default."""
-    db, budget = _deciders(spec, seed, trials, step, horizon)
-    obligations = verify(spec.to_verify_spec()) + list(extra_obligations)
-    results = [(ob, *_route(ob, spec, db, budget)) for ob in obligations]
+    lemmas, budget = _deciders(spec, seed, trials, step, horizon)
+    obligations = verify(spec) + list(extra_obligations)
+    results = [(ob, *_route(ob, spec, lemmas, budget)) for ob in obligations]
     report = _verify_report(spec, results)
-    report["lemmas"] = [l.to_json() for l in db.lemmas]
+    report["lemmas"] = [l.to_json() for l in lemmas]
     return report
 
 
@@ -190,9 +190,7 @@ def cmd_verify(args) -> int:
     spec = _load(args.file)
     extra = ()
     if args.dc:
-        vspec, dc_obs = dc_split(spec.to_verify_spec(), parse_pred(args.dc, spec.vars, spec.consts))
-        spec = replace(spec, program=vspec.program)
-        extra = tuple(dc_obs)
+        spec, extra = dc_split(spec, parse_pred(args.dc, spec.vars, spec.consts))
     report = run_verify(
         spec, seed=args.seed, trials=args.trials, step=args.step,
         horizon=args.horizon, extra_obligations=extra,
@@ -219,21 +217,21 @@ _CERTIFY_KINDS = {"flow_cert": "flow", "diff_inv": "dinv"}
 
 
 def run_certify(
-    spec: SpecFile,
+    spec: VerifySpec,
     seed: Optional[int] = None,
     kinds: tuple = ("flow", "dinv"),
 ) -> dict:
     """verify restricted to side conditions: each flow certificate and
     differential-invariance obligation whose kind is in kinds, decided as
     run_verify decides it; ok when every one of them is proved."""
-    db, budget = _deciders(spec, seed)
+    lemmas, budget = _deciders(spec, seed)
     entries = []
     ok = True
-    for ob in verify(spec.to_verify_spec()):
+    for ob in verify(spec):
         kind = _CERTIFY_KINDS.get(ob.kind)
         if kind not in kinds:
             continue
-        verdict, detail = _route(ob, spec, db, budget)
+        verdict, detail = _route(ob, spec, lemmas, budget)
         entries.append({"at": ob.provenance.split("@", 1)[1], "kind": kind, "report": detail})
         ok = ok and verdict.kind == "proved"
     return {"problem": spec.name, "certificates": entries, "ok": ok}
@@ -262,7 +260,7 @@ def cmd_falsify(args) -> int:
     budget = FalsifyBudget(**{  # fuel has no flag
         f.name: _setting(f.name, f.default, spec, getattr(args, f.name, None))
         for f in fields(FalsifyBudget)})
-    cex = falsify(spec.to_verify_spec(), budget)
+    cex = falsify(spec, budget)
     if args.json:
         doc = {"problem": spec.name, "counterexample": cex.to_json() if cex else None}
         print(json.dumps(doc, indent=2, default=str))

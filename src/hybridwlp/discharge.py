@@ -24,7 +24,7 @@ Refuted are both re-checkable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -60,7 +60,7 @@ from .polynorm import (
 )
 from .hprog import RunConfig
 from .sampling import check_valuation, sample_valuation
-from .vcgen import Obligation, eval_pred_ext
+from .vcgen import Lemma, Obligation, eval_pred_ext
 
 
 @dataclass(frozen=True)
@@ -102,56 +102,26 @@ REFUTE_EQ_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Lemma database
+# Lemmas
 
 
-@dataclass
-class Lemma:
-    name: str
-    hyps: tuple
-    concl: Pred
-    status: str = "unvalidated"  # unvalidated | proved | accepted | rejected | inconclusive
-    trials: int = 0
-    witness: Optional[dict] = None
-    proof: str = ""  # the methods of an exact proof, joined by "+"
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "status": self.status}
-        if self.proof:
-            out["proof"] = self.proof
-        out["trials"] = self.trials
-        return out
-
-
-@dataclass
-class LemmaDB:
-    lemmas: list = field(default_factory=list)
-
-    def add(self, lemma: Lemma):
-        self.lemmas.append(lemma)
-
-    def usable(self) -> list:
-        return [l for l in self.lemmas if l.status in ("proved", "accepted")]
-
-
-def establish_lemma(lemma: Lemma, db: LemmaDB, trials: int = 2000, seed: int = 0) -> Lemma:
-    """Prove the lemma exactly, from the lemmas of `db` that are proved
-    (the caller's db holds only lemmas declared before this one); when the
-    prover declines, validate it by sampling instead."""
-    earlier = LemmaDB([l for l in db.lemmas if l.status == "proved"])
+def establish_lemma(lemma: Lemma, lemmas: tuple = (), trials: int = 2000, seed: int = 0) -> Lemma:
+    """A copy of the lemma, proved exactly from those of `lemmas` that are
+    proved (the caller passes only lemmas declared before this one); when
+    the prover declines, validated by sampling instead."""
+    earlier = tuple(l for l in lemmas if l.status == "proved")
     try:
         methods = _Prover(earlier).prove(list(lemma.hyps), lemma.concl)
     except _Declined:
         return validate_lemma(lemma, trials=trials, seed=seed)
-    lemma.proof = _method_name(methods)
-    return _set_status(lemma, "proved", 0, None)
+    return replace(lemma, status="proved", trials=0, witness=None, proof=_method_name(methods))
 
 
 def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
-    """Randomized validation: sample hypothesis-satisfying valuations and
-    look for a conclusion violation.  Only valuations at which the
-    conclusion evaluates count as trials; with none the lemma stays
-    inconclusive."""
+    """A copy of the lemma with the status of a randomized validation: sample
+    hypothesis-satisfying valuations and look for a conclusion violation.
+    Only valuations at which the conclusion evaluates count as trials; with
+    none the lemma is inconclusive."""
     rng = random.Random(seed)
     ordered = sorted(set().union(*map(pred_free_names, (lemma.concl, *lemma.hyps))))
     found = 0
@@ -165,17 +135,10 @@ def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
             continue
         found += 1
         if not holds:
-            return _set_status(lemma, "rejected", found, v)
+            return replace(lemma, status="rejected", trials=found, witness=v)
     if found == 0:
-        return _set_status(lemma, "inconclusive", 0, None)
-    return _set_status(lemma, "accepted", found, None)
-
-
-def _set_status(lemma: Lemma, status: str, trials: int, witness) -> Lemma:
-    lemma.status = status
-    lemma.trials = trials
-    lemma.witness = witness
-    return lemma
+        return replace(lemma, status="inconclusive", trials=0, witness=None)
+    return replace(lemma, status="accepted", trials=found, witness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +573,8 @@ class _Prover:
     `prove_atomic` return the methods used, in order, or raise _Declined
     with the reason."""
 
-    def __init__(self, db: LemmaDB):
-        self.db = db
+    def __init__(self, lemmas: tuple = ()):
+        self.lemmas = lemmas
         # hypothesis tuple -> its context, built once per value per prover
         self.contexts: dict = {}
 
@@ -693,14 +656,14 @@ class _Prover:
 
     @cached_property
     def lemma_keys(self) -> list:
-        """(name, conclusion key, hypothesis keys) of each usable lemma
-        whose conclusion is a comparison; a non-comparison hypothesis has
-        key None, which matches nothing."""
+        """(name, conclusion key, hypothesis keys) of each proved or
+        accepted lemma whose conclusion is a comparison; a non-comparison
+        hypothesis has key None, which matches nothing."""
         return [
             (lemma.name, canonical_cmp(lemma.concl),
              [canonical_cmp(h) if isinstance(h, Cmp) else None for h in lemma.hyps])
-            for lemma in self.db.usable()
-            if isinstance(lemma.concl, Cmp)
+            for lemma in self.lemmas
+            if lemma.status in ("proved", "accepted") and isinstance(lemma.concl, Cmp)
         ]
 
 
@@ -783,7 +746,7 @@ def _refute(
 
 def discharge(
     ob: Obligation,
-    db: Optional[LemmaDB] = None,
+    lemmas: tuple = (),
     budget: DischargeBudget = DischargeBudget(),
     ranges: Mapping[str, tuple] = {},
 ) -> Verdict:
@@ -791,7 +754,7 @@ def discharge(
     if ob.kind != "arith":
         raise ValueError(f"discharge expects arithmetic obligations, got {ob.kind!r}")
     try:
-        methods = _Prover(db or LemmaDB()).prove(list(ob.hyps), ob.concl)
+        methods = _Prover(lemmas).prove(list(ob.hyps), ob.concl)
     except _Declined as exc:
         reason = str(exc)
     else:

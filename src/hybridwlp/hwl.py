@@ -9,8 +9,9 @@ One problem per file:
     pre P
     post P
     program HP
-    lemma ID: P & P => P
-    config key value, key value
+    lemma ID: P & P => P           (each lemma ID once)
+    config KEY NUM, KEY NUM, ...   (KEY one of seed, step, horizon, trials,
+                                    fuel, lemma_trials; each KEY once)
 
     HP ::= skip | abort | ID := E | ? P | HP ; HP | HP ++ HP
          | if P then HP else HP | loop HP inv P
@@ -36,7 +37,6 @@ Predicates P and terms E are read and printed through one operator table,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import inf
@@ -52,7 +52,7 @@ from .hprog import (
     Abort, Assign, Choice, Evolve, Flow, HybridProgram, IfThenElse, Loop, NONNEG, REALS, Seq,
     Skip, Test, TimeDomain, VectorField,
 )
-from .discharge import Lemma
+from .vcgen import Lemma, VerifySpec
 
 KEYWORDS = {
     "problem", "vars", "consts", "assume", "pre", "post", "program", "lemma",
@@ -61,6 +61,7 @@ KEYWORDS = {
     "exp", "inf",
 }
 RESERVED_NAMES = {"t", "tau"} | KEYWORDS
+CONFIG_KEYS = {"seed", "step", "horizon", "trials", "fuel", "lemma_trials"}
 
 # One match per token: the whitespace and comments before it are skipped
 # inside the match, and the group is the token's text.  A character no
@@ -106,36 +107,6 @@ def _position(text: str, index: int) -> tuple:
     """The 1-based (line, column) where token index of text starts."""
     start = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
-
-
-@dataclass
-class SpecFile:
-    """Parsed problem file: one verification spec plus lemmas and config."""
-
-    name: str
-    vars: tuple = ()
-    consts: tuple = ()
-    const_ranges: dict = field(default_factory=dict)
-    assumptions: tuple = ()
-    pre: Pred = TRUE
-    post: Pred = TRUE
-    program: HybridProgram = Skip()
-    lemmas: tuple = ()
-    config: dict = field(default_factory=dict)
-
-    def to_verify_spec(self):
-        from .vcgen import VerifySpec
-
-        return VerifySpec(
-            name=self.name,
-            vars=self.vars,
-            consts=self.consts,
-            assumptions=self.assumptions,
-            pre=self.pre,
-            post=self.post,
-            program=self.program,
-            const_ranges=self.const_ranges,
-        )
 
 
 class _Op(NamedTuple):
@@ -234,7 +205,7 @@ class _Parser:
 
     # -- file structure -----------------------------------------------------
 
-    def parse_spec(self) -> SpecFile:
+    def parse_spec(self) -> VerifySpec:
         self.expect("problem")
         name = self.ident("problem name")
         self.accept(";")
@@ -291,9 +262,12 @@ class _Parser:
         program = self.parse_program()
         self.accept(";")
 
-        lemmas = []
+        lemmas = {}  # by name, in declaration order
         while self.accept("lemma"):
+            at = self.pos
             lname = self.ident("lemma name")
+            if lname in lemmas:
+                self.error(f"repeated lemma name {lname!r}", at)
             self.expect(":")
             first = self.parse_pred()
             hyps: list = []
@@ -301,13 +275,18 @@ class _Parser:
             if self.accept("=>"):
                 hyps = flatten_conj([first])
                 body = self.parse_pred()
-            lemmas.append(Lemma(lname, tuple(hyps), body))
+            lemmas[lname] = Lemma(lname, tuple(hyps), body)
             self.accept(";")
 
         config = {}
         if self.accept("config"):
             while self.tok.isidentifier():
+                at = self.pos
                 key = self.ident("config key")
+                if key not in CONFIG_KEYS:
+                    self.error(f"unknown config key {key!r}", at)
+                if key in config:
+                    self.error(f"repeated config key {key!r}", at)
                 val = self.number()
                 # exact, so that fmt prints the value as written
                 config[key] = int(val) if val.denominator == 1 else val
@@ -316,16 +295,16 @@ class _Parser:
             self.accept(";")
 
         self.expect_end()
-        return SpecFile(
+        return VerifySpec(
             name=name,
             vars=self.vars,
             consts=self.consts,
-            const_ranges=ranges,
             assumptions=tuple(assumptions),
             pre=pre,
             post=post,
             program=program,
-            lemmas=tuple(lemmas),
+            const_ranges=ranges,
+            lemmas=tuple(lemmas.values()),
             config=config,
         )
 
@@ -523,10 +502,10 @@ class _Parser:
             self.next()
             if tok == "t":
                 if not self.allow_time:
-                    self.error("the time symbol 't' is only allowed in flow expressions")
+                    self.error("the time symbol 't' is only allowed in flow expressions", at)
                 return TimeVar()
             if tok == "tau":
-                self.error("'tau' is reserved")
+                self.error("'tau' is reserved", at)
             if tok in self._vars:
                 return Var(tok)
             if tok in self._consts:
@@ -560,7 +539,7 @@ def _literal(text: str) -> int | Fraction:
     return Fraction(int(whole + frac), 10 ** len(frac)) if dot else int(text)
 
 
-def parse_spec(text: str) -> SpecFile:
+def parse_spec(text: str) -> VerifySpec:
     """Parse one problem file; raises ParseError with line:col positions."""
     return _Parser(text).parse_spec()
 
@@ -717,7 +696,7 @@ def format_program(p: HybridProgram) -> str:
     raise TypeError(f"not a HybridProgram node: {p!r}")
 
 
-def format_spec(spec: SpecFile) -> str:
+def format_spec(spec: VerifySpec) -> str:
     lines = [f"problem {spec.name}", "vars " + " ".join(spec.vars)]
     if spec.consts:
         parts = []

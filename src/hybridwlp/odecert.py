@@ -56,7 +56,7 @@ from .hprog import (
 from .polynorm import NormalizeError, expr_eq, normalize
 from .sampling import sample_valuation
 from .vcgen import Obligation, VerifySpec
-from .discharge import DischargeBudget, LemmaDB, Verdict, discharge
+from .discharge import DischargeBudget, Verdict, discharge
 
 SUP_TOL_RK4 = 1e-6
 SUP_TOL_MONOID = 1e-9
@@ -534,7 +534,7 @@ def check_diff_invariant(
     field: VectorField,
     dom: TimeDomain = REALS,
     assumptions: tuple = (),
-    db: Optional[LemmaDB] = None,
+    lemmas: tuple = (),
     budget: DischargeBudget = DischargeBudget(),
 ) -> DiffInvariantReport:
     """Differential-invariance check by a walk over the negation normal
@@ -588,7 +588,7 @@ def check_diff_invariant(
             if same:
                 methods.append("lie-normalize")
                 continue
-            vd = discharge(_lie_obligation(a, op, b, field, tuple(assumptions)), db, budget)
+            vd = discharge(_lie_obligation(a, op, b, field, tuple(assumptions)), lemmas, budget)
             if not vd.proved:
                 rulings.append(AtomRuling(c, rule, Verdict("unknown", reason=failure)))
                 return False

@@ -21,7 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .expr import (
     Add,
@@ -50,9 +50,9 @@ from .expr import (
 _KIND_RANK = {"var": 0, "const": 1, "time": 2, "inv": 3, "sin": 4, "cos": 5, "exp": 6, "div": 7}
 
 
-@dataclass(frozen=True)
-class Atom:
-    """An indivisible factor of a monomial."""
+class Atom(NamedTuple):
+    """An indivisible factor of a monomial.  A tuple, so that its hash and
+    equality run in C."""
 
     kind: str
     name: str = ""

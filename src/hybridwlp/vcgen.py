@@ -91,8 +91,30 @@ class Obligation:
 
 
 @dataclass(frozen=True)
+class Lemma:
+    """A declared arithmetic fact hyps => concl.  Establishing it returns a
+    copy with its status; the declared value stays unvalidated."""
+
+    name: str
+    hyps: tuple
+    concl: Pred
+    status: str = "unvalidated"  # unvalidated | proved | accepted | rejected | inconclusive
+    trials: int = 0
+    witness: Optional[dict] = None
+    proof: str = ""  # the methods of an exact proof, joined by "+"
+
+    def to_json(self) -> dict:
+        out = {"name": self.name, "status": self.status}
+        if self.proof:
+            out["proof"] = self.proof
+        out["trials"] = self.trials
+        return out
+
+
+@dataclass(frozen=True)
 class VerifySpec:
-    """Partial-correctness problem: assumptions and pre imply post after program."""
+    """Partial-correctness problem: assumptions and pre imply post after
+    program.  The parser returns one, with the file's lemmas and config."""
 
     name: str
     vars: tuple
@@ -102,11 +124,14 @@ class VerifySpec:
     post: Pred = TRUE
     program: HybridProgram = Skip()
     const_ranges: Mapping[str, tuple] = field(default_factory=dict)
+    lemmas: tuple = ()
+    config: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "consts", tuple(self.consts))
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
+        object.__setattr__(self, "lemmas", tuple(self.lemmas))
         declared = set(self.vars) | set(self.consts)
         if TIME_NAME in declared:
             raise ValueError(f"{TIME_NAME!r} is reserved for the time symbol")
@@ -117,6 +142,10 @@ class VerifySpec:
         for c, (lo, hi) in self.const_ranges.items():
             if lo > hi:
                 raise ValueError(f"empty range for constant {c!r}: [{lo}, {hi}]")
+
+    def to_verify_spec(self) -> VerifySpec:
+        # the benchmark's search op (perfbench/run.py) still calls this
+        return self
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def test_criterion_09_mutation_detection(name):
     refuted = report["summary"]["refuted"] > 0
     cex = None
     if not refuted:
-        cex = falsify(spec.to_verify_spec(), FalsifyBudget())
+        cex = falsify(spec, FalsifyBudget())
     elapsed = time.perf_counter() - start
     assert refuted or cex is not None
     assert elapsed < 10.0

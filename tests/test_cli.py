@@ -7,9 +7,10 @@ import jsonschema
 import pytest
 
 from hybridwlp import expr
-from hybridwlp.cli import main
+from hybridwlp.cli import main, run_certify, run_verify
 from hybridwlp.expr import Cmp, SymConst, Var, const
 from hybridwlp.hwl import parse_spec
+from hybridwlp.odecert import FalsifyBudget, falsify
 from hybridwlp.polynorm import normalize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,6 +317,19 @@ class TestVerifyCommand:
             code, out, err = run(capsys, command, str(f))
             assert (code, out, err) == (2, "", "parse error: 1:31: empty range for constant 'c'\n")
 
+    @pytest.mark.parametrize("tail, message", [
+        ("lemma a: x >= 0 lemma a: x <= 0", "1:75: repeated lemma name 'a'"),
+        ("config seed 1, seed 2", "1:68: repeated config key 'seed'"),
+        ("config trails 9", "1:60: unknown config key 'trails'"),
+    ])
+    def test_header_mistake_is_a_parse_error(self, capsys, tmp_path, tail, message):
+        # each used to pass: two lemmas named a, only the last seed kept, a key ignored
+        f = tmp_path / "header.hwl"
+        f.write_text("problem p vars x pre x = 0 post x >= 0 program skip " + tail + "\n")
+        for command in ("verify", "fmt"):
+            code, out, err = run(capsys, command, str(f))
+            assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-file.hwl")
         assert code == 2
@@ -430,6 +444,23 @@ class TestGoldenReports:
                 for i in range(3000)]
         assert report.main() == 0 and capsys.readouterr().out == golden
         del kept
+
+
+class TestParsedSpecIsAValue:
+    def test_commands_leave_the_parsed_spec_as_parsed(self):
+        """verify, certify and falsify on one parsed problem neither change
+        it nor see each other's work: a lemma's status is reported, never
+        written into the spec."""
+        text = (PROBLEMS / "bouncing_ball.hwl").read_text()
+        spec = parse_spec(text)
+        first = run_verify(spec)
+        run_certify(spec)
+        # the benchmark's falsify budget (FALSIFY_BUDGET in perfbench/run.py)
+        falsify(spec, FalsifyBudget(trials=16, horizon=6.0, step=0.05, fuel=2))
+        assert run_verify(spec) == first
+        assert first["lemmas"][0]["status"] == "proved"
+        assert spec == parse_spec(text)
+        assert [lemma.status for lemma in spec.lemmas] == ["unvalidated"]
 
 
 CUBE = """problem cube

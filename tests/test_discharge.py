@@ -4,7 +4,6 @@ import math
 import operator
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +33,6 @@ from hybridwlp.expr import (
 from hybridwlp.discharge import (
     DischargeBudget,
     Lemma,
-    LemmaDB,
     canonical_cmp,
     discharge,
     establish_lemma,
@@ -409,7 +407,7 @@ class TestDischarge:
             seed=1,
         )
         assert lemma.status == "accepted"
-        db = LemmaDB([lemma])
+        lemmas = (lemma,)
         # a matching sequent with extra hypotheses still matches
         ob = arith(
             [
@@ -420,7 +418,7 @@ class TestDischarge:
             Cmp("<=", x, h),
             forall=("x", "v"),
         )
-        vd = discharge(ob, db)
+        vd = discharge(ob, lemmas)
         assert vd.proved
 
 
@@ -477,9 +475,7 @@ class TestValidateLemma:
         assert lem.status == "inconclusive"
 
     def test_unaccepted_lemmas_not_usable(self):
-        db = LemmaDB()
-        db.add(Lemma("raw", (), Cmp("=", const(0), const(0))))
-        assert db.usable() == []
+        assert dmod._Prover((Lemma("raw", (), Cmp("=", const(0), const(0))),)).lemma_keys == []
 
     def test_unevaluable_conclusion_is_not_accepted(self):
         # exp(exp(exp(x) + 10)) overflows at every sample, and exp is
@@ -487,8 +483,7 @@ class TestValidateLemma:
         concl = Cmp("<=", Exp(Exp(Exp(x) + 10)), const(0))
         lem = validate_lemma(Lemma("bad", (Cmp(">=", x, const(0)),), concl), trials=200)
         assert (lem.status, lem.trials) == ("inconclusive", 0)
-        db = LemmaDB([lem])
-        vd = discharge(arith([Cmp(">=", x, const(0))], concl, forall=("x",)), db)
+        vd = discharge(arith([Cmp(">=", x, const(0))], concl, forall=("x",)), (lem,))
         assert vd.kind == "unknown"
 
     def test_non_arithmetic_error_propagates(self, monkeypatch):
@@ -556,8 +551,8 @@ def _lemma_outcomes(*lemmas):
 class TestEstablishLemma:
     @pytest.mark.parametrize("case", sorted(LEMMA_CASES))
     def test_exact_proof_is_confirmed_by_sampling(self, case):
-        lemma = establish_lemma(replace(LEMMA_CASES[case]), LemmaDB())
-        sampled = validate_lemma(replace(LEMMA_CASES[case]), trials=2000)
+        lemma = establish_lemma(LEMMA_CASES[case])
+        sampled = validate_lemma(LEMMA_CASES[case], trials=2000)
         if lemma.status == "proved":
             assert (lemma.trials, lemma.witness) == (0, None) and lemma.proof
             assert (sampled.status, sampled.trials) == ("accepted", 2000)
@@ -567,7 +562,7 @@ class TestEstablishLemma:
             assert (lemma.status, lemma.trials) == (sampled.status, sampled.trials)
 
     def test_which_lemmas_are_proved(self):
-        proved = {case: establish_lemma(replace(lemma), LemmaDB()).proof
+        proved = {case: establish_lemma(lemma).proof
                   for case, lemma in LEMMA_CASES.items()}
         assert {c: p for c, p in proved.items() if c.startswith(("ball", "bouncing"))} == {
             "ball_flow_k1:energy_height_bound_1": "square-rule",
@@ -583,9 +578,9 @@ class TestEstablishLemma:
 
     def test_unsatisfiable_hypotheses_proved_though_sampling_is_inconclusive(self):
         void = Lemma("void", (Cmp("<", x, const(0)), Cmp(">", x, const(1))), Cmp("=", x, x))
-        lemma = establish_lemma(replace(void), LemmaDB())
+        lemma = establish_lemma(void)
         assert (lemma.status, lemma.proof, lemma.trials) == ("proved", "trivial", 0)
-        assert validate_lemma(replace(void), trials=50).status == "inconclusive"
+        assert validate_lemma(void, trials=50).status == "inconclusive"
 
     def test_earlier_proved_lemma_is_used(self):
         assert _lemma_outcomes(("narrow", "x >= 0 & y >= x => y >= 0"), ("wide", WIDE)) == [
@@ -600,9 +595,9 @@ class TestEstablishLemma:
             ("wide", "accepted", None), ("wide_again", "accepted", None)]
 
     def test_sampled_lemmas_stay_usable(self):
-        db = LemmaDB([Lemma("p", (), Cmp("=", x, x), status=s) for s in
-                      ("unvalidated", "proved", "accepted", "rejected", "inconclusive")])
-        assert [l.status for l in db.usable()] == ["proved", "accepted"]
+        lemmas = tuple(Lemma(s, (), Cmp("=", x, x), status=s) for s in
+                       ("unvalidated", "proved", "accepted", "rejected", "inconclusive"))
+        assert [name for name, _, _ in dmod._Prover(lemmas).lemma_keys] == ["proved", "accepted"]
 
 
 def test_package_attribute_is_the_submodule():
@@ -719,7 +714,7 @@ def per_goal_atomic(self, ctx, concl):
     """Reference for `_Prover.prove_atomic`: solve the equality hypotheses
     of the goal's list afresh, then prove it under the solved list."""
     rest, concl = per_goal_substituted(ctx.hyps, concl)
-    return PROVE_ATOMIC(dmod._Prover(self.db), dmod._Context().extend(rest), concl)
+    return PROVE_ATOMIC(dmod._Prover(self.lemmas), dmod._Context().extend(rest), concl)
 
 
 class TestSolvedHypothesisMemo:
@@ -737,8 +732,8 @@ class TestSolvedHypothesisMemo:
                 return per_goal_atomic(self, ctx, concl)
 
         ref, ref_calls = count_solves(
-            lambda: outcome(PerGoal(LemmaDB()), list(ob.hyps), ob.concl))
-        memo = dmod._Prover(LemmaDB())
+            lambda: outcome(PerGoal(), list(ob.hyps), ob.concl))
+        memo = dmod._Prover()
         got, calls = count_solves(lambda: outcome(memo, list(ob.hyps), ob.concl))
         assert got == ref
         assert isinstance(got, list) == (not off_by_one)
@@ -761,7 +756,7 @@ class TestSolvedHypothesisMemo:
         base = [Cmp("=", x, const(1)), Cmp("=", y, const(2))]
         branch = Or(Not(Cmp(">", x, const(0))), Cmp("=", y * x, const(2)))
         concl = And(Cmp(">=", x + y, const(3)), And(branch, Cmp("<=", x, y)))
-        prover = dmod._Prover(LemmaDB())
+        prover = dmod._Prover()
         assert outcome(prover, list(base), concl) == ["trivial"] * 3
         lists = sorted(prover.contexts, key=len)  # keyed by the hypothesis tuple
         # the two plain goals share the base list; the disjunct is proved
@@ -773,7 +768,7 @@ class TestSolvedHypothesisMemo:
     def test_equal_lists_share_one_context(self):
         first = [Cmp("=", x, const(1)), Cmp(">=", y, x)]
         second = [Cmp("=", Var("x"), const(1)), Cmp(">=", Var("y"), Var("x"))]
-        prover = dmod._Prover(LemmaDB())
+        prover = dmod._Prover()
         assert outcome(prover, first, Cmp(">=", y, const(1))) == ["hypothesis-match"]
         assert outcome(prover, second, Cmp(">=", y, const(0))) == ["simplex"]
         assert list(prover.contexts) == [tuple(first)]
@@ -793,7 +788,7 @@ class TestSolvedHypothesisMemo:
                  Cmp("<=", z, const(8)), Cmp(">=", y * y, const(0)), Cmp(">=", y, x)]
         reads = []  # keeps every read comparison alive, so ids stay distinct
         monkeypatch.setattr(dmod, "atom_form", lambda c: reads.append(c) or atom_form(c))
-        prover = dmod._Prover(LemmaDB())
+        prover = dmod._Prover()
         assert outcome(prover, list(hyps), pred_and(goals)) == [
             "simplex", "simplex", "simplex", "square-rule",
             "hypothesis-match"]
@@ -928,9 +923,9 @@ class TestContextPrefixTree:
         hyps = [Cmp("=", x, const(0)), Cmp(">=", x, const(1))]
         # each disjunct's negation, appended as a hypothesis, reads 1/x
         concl = Or(Cmp("<", const(1) / x, const(0)), Cmp(">=", const(1) / x, const(1)))
-        assert outcome(dmod._Prover(LemmaDB()), hyps, concl) == ["vacuous"]
+        assert outcome(dmod._Prover(), hyps, concl) == ["vacuous"]
         assert discharge(arith(hyps, concl)) == dmod.Verdict("proved", method="vacuous")
-        assert outcome(dmod._Prover(LemmaDB()), hyps[:1], concl) == (
+        assert outcome(dmod._Prover(), hyps[:1], concl) == (
             "hypothesis undefined at a solved point")
 
     def test_appended_equality_solves_an_earlier_one(self):
@@ -981,7 +976,7 @@ class TestContextPrefixTree:
         monkeypatch.setattr(dmod, "_read", counted("read", READ))
         monkeypatch.setattr(dmod, "_solve_poly_for_name",
                             counted("solve", dmod._solve_poly_for_name))
-        assert isinstance(outcome(Recording(LemmaDB()), list(ob.hyps), ob.concl), list)
+        assert isinstance(outcome(Recording(), list(ob.hyps), ob.concl), list)
         tree = dict(counts)
         counts.update(read=0, solve=0)
         for hyps in set(leaves):

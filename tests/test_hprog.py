@@ -699,7 +699,7 @@ class TestRk4StatesBitIdentity:
         for _ in range(2):
             spec = parse_spec(text)
             assert run_verify(spec)["summary"]["exit"] == 0
-            assert odecert.falsify(spec.to_verify_spec(), budget) is None
+            assert odecert.falsify(spec, budget) is None
             counts.append(len(built))
         assert counts[0] > 0 and counts[1] == counts[0]
 

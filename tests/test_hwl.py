@@ -98,6 +98,11 @@ class TestErrorPositions:
          "zero denominator"),
         (HEAD + "skip\nskip", 2, 1, "unexpected trailing input 'skip'"),
         (HEAD + "x := ", 1, 53, "expected expression, found ''"),
+        (HEAD + "x := t", 1, 53, "the time symbol 't' is only allowed in flow expressions"),
+        ("problem p vars x pre x = 0 post x >= tau program skip", 1, 38, "'tau' is reserved"),
+        (HEAD + "skip lemma a: x >= 0 lemma a: x <= 0", 1, 75, "repeated lemma name 'a'"),
+        (HEAD + "skip config seed 1, seed 2", 1, 68, "repeated config key 'seed'"),
+        (HEAD + "skip config trails 9", 1, 60, "unknown config key 'trails'"),
     ])
     def test_error_points_at_its_token(self, text, line, col, message):
         with pytest.raises(ParseError) as err:
@@ -260,11 +265,11 @@ class TestRoundTrip:
         # str(1e-10) is "1e-10", which the number syntax does not read
         spec = parse_spec(
             "problem p vars x pre x = 0 post x = 0 program skip\n"
-            "config step 1/10000000000, horizon 0.1, seed 7, lo -1/3"
+            "config step 1/10000000000, horizon 0.1, seed 7, fuel -1/3"
         )
         printed = format_spec(spec)
         assert parse_spec(printed).config == spec.config
-        assert "horizon 1/10, seed 7, lo -1/3\n" in printed
+        assert "horizon 1/10, seed 7, fuel -1/3\n" in printed
         assert format_spec(parse_spec(printed)) == printed
 
     @pytest.mark.parametrize(

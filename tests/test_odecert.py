@@ -793,7 +793,7 @@ class TestFalsify:
     def test_math_domain_error_rejects_the_start(self):
         # exp(c)*exp(c) overflows to inf and sin(inf) is a math domain
         # error: no start satisfies the assumption, so there is no witness
-        spec = parse_spec(DOMAIN_PROBE).to_verify_spec()
+        spec = parse_spec(DOMAIN_PROBE)
         assert falsify(spec, FalsifyBudget(trials=40)) is None
 
     @pytest.mark.parametrize("setting", [{"horizon": math.inf}, {"step": math.inf},
@@ -830,7 +830,7 @@ class TestFalsifyUndefined:
         ids=["post", "test", "branch", "assignment"],
     )
     def test_reported_at_the_reached_store(self, program, post):
-        spec = parse_spec(_undefined_probe(program, post)).to_verify_spec()
+        spec = parse_spec(_undefined_probe(program, post))
         cex = falsify(spec, FalsifyBudget(trials=5))
         assert cex is not None
         assert cex.undefined == "division by zero"
@@ -840,15 +840,15 @@ class TestFalsifyUndefined:
 
     def test_search_stops_at_the_first_undefined_run(self):
         # the first branch is undefined, the second would violate the post
-        spec = parse_spec(_undefined_probe("x := 1/x ++ x := x - 1")).to_verify_spec()
+        spec = parse_spec(_undefined_probe("x := 1/x ++ x := x - 1"))
         assert falsify(spec, FalsifyBudget(trials=5)).undefined == "division by zero"
 
     def test_runs_before_it_are_checked_first(self):
-        spec = parse_spec(_undefined_probe("x := x + 1 ++ x := 1/x")).to_verify_spec()
+        spec = parse_spec(_undefined_probe("x := x + 1 ++ x := 1/x"))
         cex = falsify(spec, FalsifyBudget(trials=5))
         assert cex.undefined == "division by zero" and cex.violating == {"x": 0.0}
 
     def test_violation_carries_no_undefined_key(self):
-        spec = parse_spec(_undefined_probe("x := x - 1")).to_verify_spec()
+        spec = parse_spec(_undefined_probe("x := x - 1"))
         cex = falsify(spec, FalsifyBudget(trials=5))
         assert cex.undefined is None and "undefined" not in cex.to_json()

@@ -24,6 +24,7 @@ from hybridwlp.expr import (
     swap_cmp,
 )
 from hybridwlp.polynorm import (
+    Atom,
     NormalizeError,
     _norm,
     atom_form,
@@ -74,6 +75,12 @@ class TestNormalize:
         assert normalize(Cos(const(0))) == normalize(const(1))
         assert normalize(Sin(x - x)).is_zero()
         assert normalize(Exp(const(0))) == normalize(const(1))
+
+    def test_atoms_hash_in_c(self):
+        # atoms key the power maps of every monomial product
+        assert Atom.__hash__ is tuple.__hash__
+        assert Atom("var", "x") == Atom("var", "x", ())
+        assert Atom("var", "x").sort_key() == (0, "x", ())
 
     def test_zero_denominator_raises(self):
         with pytest.raises(NormalizeError):
