@@ -348,11 +348,11 @@ _LEAVE = object()
 #
 # Every float value of a term comes from a generated Python function, a
 # kernel, written by a KernelWriter: evaluate and eval_pred run one per term
-# and bound names, and hprog's RK4 stepper and flow kernels, sampling's
-# attempt function, one per sampling plan, and odecert's flow-certificate
-# checks each run one over several terms.  Names reach a kernel only as
-# arguments: the locals given to expr map each bound name to the variable
-# that holds its value.  Each node becomes one statement, in the order of a
+# and bound names, and hprog's orbits, RK4 stepper and flow kernels,
+# sampling's attempt function, one per sampling plan, and odecert's
+# flow-certificate checks each run one over several terms.  Names reach a
+# kernel only as arguments: the locals given to expr map each bound name to
+# the variable that holds its value.  Each node becomes one statement, in the order of a
 # left-to-right tree walk: children left to right, a division's denominator
 # and zero check before its numerator, and each name load a statement of
 # its own with float() applied, or, for a name without a variable, a raise
@@ -1043,23 +1043,29 @@ def bound_names(term, binds) -> tuple:
     return tuple(filter(binds.__contains__, names))
 
 
-def expr_kernel(e: Expr, bound: tuple):
-    """f(valuation) -> the value of e, with the names bound read from the
-    valuation and any other name unbound."""
+def expr_kernel(e: Expr, *bounds: tuple):
+    """f(*valuations) -> the value of e, with the names of each of the
+    disjoint bounds read from the valuation in its place and any other name
+    unbound."""
     w = KernelWriter()
-    return w.function("v", w.expr(e, _reads(w, bound), {}))
+    params, local = _reads(w, bounds)
+    return w.function(params, w.expr(e, local, {}))
 
 
-def pred_kernel(p: Pred, bound: tuple):
-    """f(valuation, eq_tol) -> the truth of p, equality at eq_tol, with the
-    names bound read from the valuation and any other name unbound."""
+def pred_kernel(p: Pred, *bounds: tuple):
+    """f(*valuations, eq_tol) -> the truth of p, equality at eq_tol, with
+    the names read as expr_kernel reads them."""
     w = KernelWriter()
-    return w.function("v, eq_tol", w.pred(p, _reads(w, bound), "eq_tol"))
+    params, local = _reads(w, bounds)
+    return w.function(params + ", eq_tol", w.pred(p, local, "eq_tol"))
 
 
-def _reads(w: KernelWriter, bound: tuple) -> dict:
-    """The locals that read each name of bound from the parameter v."""
-    return {n: f"v[{w.bind(n)}]" for n in bound}
+def _reads(w: KernelWriter, bounds: tuple) -> tuple[str, dict]:
+    """The parameters v0, v1, ..., one per bound, and the locals that read
+    each name of a bound from its parameter."""
+    params = [f"v{i}" for i in range(len(bounds))]
+    return ", ".join(params), {n: f"{v}[{w.bind(n)}]" for v, bound in zip(params, bounds)
+                               for n in bound}
 
 
 def evaluate(e: Expr, valuation: Mapping[str, float]) -> float:

@@ -7,21 +7,23 @@ checks guards only at grid points, so it can falsify but never prove; the
 sound path goes through wlp generation and discharge.  An evolution
 command's orbit, from its flow when the flow solves its field exactly or
 it has no field, from RK4 on its field otherwise, is the longest prefix
-of grid points whose states evaluate, are finite and satisfy the guard.
+of grid points whose states evaluate, are finite and satisfy the guard;
+each orbit runs as one generated function (orbit_kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import filterfalse
+from functools import cached_property, partial
+from itertools import count, filterfalse, repeat, takewhile
 from math import inf, isfinite
+from operator import ge, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .expr import (
-    EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, diff, evaluate,
-    eval_pred, free_names, free_vars, memo_kernel, pred_kernel, substitute, uses_time,
+    EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, diff,
+    eval_pred, expr_kernel, free_names, free_vars, memo_kernel, pred_kernel, substitute, uses_time,
 )
 from .polynorm import NormalizeError, normalize
 
@@ -139,17 +141,17 @@ class TimeDomain:
 
     def grid(self, h: float, horizon: float) -> list[float]:
         """Forward grid {0, h, 2h, ...} clipped to the domain and the horizon."""
+        return list(self.times(h, horizon))
+
+    def times(self, h: float, horizon: float) -> Iterator[float]:
+        """The points k * h of grid(h, horizon), each computed when asked
+        for; a step that is not positive or an infinite top raises here."""
         if h <= 0:
             raise ValueError("grid step must be positive")
         top = min(horizon, self.hi)
         if not isfinite(top):
             raise ValueError("grid needs a finite horizon or upper bound")
-        out = []
-        k = 0
-        while k * h <= top + 1e-12:
-            out.append(k * h)
-            k += 1
-        return out
+        return takewhile(partial(ge, top + 1e-12), map(mul, count(), repeat(h)))
 
     def downset_grid(self, h: float, horizon: float) -> list[float]:
         """The grid in ascending order: the points -k*h down to lo (to
@@ -211,10 +213,7 @@ def flow_kernel(components: tuple, rest: tuple, bound: tuple):
     of the names bound, of its reads, then of rest (see expr.KernelWriter)."""
     w = KernelWriter()
     local = {**_unpack(w, (*bound, *rest)), TIME_NAME: "t"}
-    out = emit_flow(w, components, local)
-    out.update((x, w.expr(Var(x), local, {})) for x in rest)
-    state = ", ".join(f"{w.bind(x)}: {v}" for x, v in out.items())
-    return w.function("t, values", "{%s}" % state)
+    return w.function("t, values", _dict(w, _emit_flow_state(w, components, rest, local)))
 
 
 def emit_flow(w: KernelWriter, components: tuple, local: Mapping[str, str]) -> dict:
@@ -222,6 +221,19 @@ def emit_flow(w: KernelWriter, components: tuple, local: Mapping[str, str]) -> d
     variable's value identifier."""
     memo: dict = {}
     return {x: w.expr(e, local, memo) for x, e in components}
+
+
+def _emit_flow_state(w: KernelWriter, components: tuple, rest: tuple, local: Mapping[str, str]) -> dict:
+    """Emit the state of a flow: its component items, then the identity on
+    the store variables rest, and return each variable's value identifier."""
+    out = emit_flow(w, components, local)
+    out.update((x, w.expr(Var(x), local, {})) for x in rest)
+    return out
+
+
+def _dict(w: KernelWriter, values: Mapping[str, str]) -> str:
+    """The code of the dict of each name's value identifier, in order."""
+    return "{%s}" % ", ".join(f"{w.bind(x)}: {v}" for x, v in values.items())
 
 
 def flow_identities(field: dict, flow: dict) -> list:
@@ -340,25 +352,84 @@ def store_update(s: Store, var: str, e: Expr, consts: Mapping[str, float] = {}) 
     if var not in s:
         raise KeyError(f"unknown variable {var!r}")
     out = dict(s)
-    out[var] = evaluate(e, {**consts, **s})
+    out[var] = _reading(expr_kernel, e, s, consts)(s, consts)
     return out
 
 
-def _guarded_prefix(grid, states, guard: Pred, consts, eq_tol: float) -> list[tuple[float, Store]]:
-    """The orbit rule: the longest prefix of grid points whose states
-    evaluate, are finite and satisfy the guard."""
-    env = dict(consts)  # the states of one orbit share their keys
-    holds = None  # the guard's kernel, for the names env binds
+def _reading(write, term, s: Store, consts: Mapping[str, float]):
+    """write's kernel of term (expr_kernel or pred_kernel) that reads the
+    names s binds from s and the others from consts, so that the store wins
+    as in {**consts, **s}: f(s, consts) or f(s, consts, eq_tol)."""
+    return memo_kernel(write, term, bound_names(term, s),
+                       tuple(n for n in bound_names(term, consts) if n not in s))
+
+
+def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
+    """run(out, times, s, consts, eq_tol, h, half, sixth), which appends to
+    the empty list out the (t, state) pairs of the orbit rule for t in
+    times: the longest prefix of the points whose states evaluate, are
+    finite and satisfy the guard, equality at eq_tol.  The guard reads a
+    name of the state from the state and any other name from consts, which
+    holds in_consts; the source reads a name from the store s, whose keys
+    are keys, else from consts.  The source is one of
+      ("flow", items): the state at time t of the flow with the component
+        items, then the identity on the other store variables (flow_kernel);
+      ("rk4", items): s at the first time; after a point is kept, when a
+        next time exists, one RK4 step of size h of the field with the
+        component items (half = 0.5 * h, sixth = h / 6.0; rk4_states);
+      ("time", tau): {tau: t}.
+    An evaluation failure leaves run with the points kept so far in out."""
+    kind, items = source
+    w = KernelWriter()
+    store = {k: w.temp() for k in keys}
+    if store:
+        w.line(", ".join(store.values()) + ", = s.values()")
+    consts = {n: w.temp() for n in in_consts}
+    for n, c in consts.items():
+        w.line(f"{c} = consts[{w.bind(n)}]")
+    local = {**consts, **store}
+    w.line("append = out.append")
+    w.begin("for t in times:")
+    if kind == "flow":
+        named = dict(items)
+        rest = tuple(k for k in keys if k not in named)
+        state = _emit_flow_state(w, items, rest, {**local, TIME_NAME: "t"})
+        w.floats(*state.values())
+    elif kind == "rk4":
+        state = store
+        if items:
+            w.begin("if out:")  # the last point was kept: step from it
+            base = dict(store)
+            for x, _ in items:
+                if x not in base:  # raises KeyError, as the stepper's read does
+                    base[x] = w.temp()
+                    w.line(f"{base[x]} = s[{w.bind(x)}]")
+            new = emit_rk4_step(w, items, base, local)
+            w.line(", ".join(base[x] for x, _ in items) + ", = " + ", ".join(new) + ",")
+            w.end()
+    else:
+        state = {items: "t"}
+    if state:
+        finite = w.bind(isfinite)
+        w.line("if not (%s):" % " and ".join(f"{finite}({v})" for v in state.values()))
+        w.line("    return")
+    w.line(f"if not {w.pred(guard, {**consts, **state}, 'eq_tol')}:")
+    w.line("    return")
+    w.line(f"append((t, {_dict(w, state)}))")
+    w.end()
+    return w.function("out, times, s, consts, eq_tol, h, half, sixth", "None")
+
+
+def _orbit(source: tuple, reads: tuple, guard: Pred, times, s: Store,
+           consts: Mapping[str, float], eq_tol: float, h: float = 0.0) -> list[tuple[float, Store]]:
+    """The guarded orbit of the source (see orbit_kernel), whose terms read
+    the names reads, from the store s, as a list of (t, state) pairs."""
+    in_consts = tuple(n for n in dict.fromkeys((*reads, *bound_names(guard, consts)))
+                      if n in consts and n not in s)
+    run = memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard)
     out: list[tuple[float, Store]] = []
     try:
-        for t, state in zip(grid, states):
-            finite = all(map(isfinite, state.values()))
-            env.update(state)
-            if holds is None:
-                holds = memo_kernel(pred_kernel, guard, bound_names(guard, env))
-            if not (finite and holds(env, eq_tol)):
-                break
-            out.append((t, state))
+        run(out, times, s, consts, eq_tol, h, 0.5 * h, h / 6.0)
     except EVAL_FAILURES:
         pass
     return out
@@ -374,9 +445,10 @@ def guarded_orbit_flow(
     horizon: float = 10.0,
     eq_tol: float = 0.0,
 ) -> list[tuple[float, Store]]:
-    """Grid sample of the guarded orbit of a flow from s (see _guarded_prefix)."""
-    grid = dom.grid(h, horizon)
-    return _guarded_prefix(grid, flow.states(grid, s, consts), guard, consts, eq_tol)
+    """Grid sample of the guarded orbit of a flow from s (see orbit_kernel)."""
+    times = dom.times(h, horizon)
+    return _orbit(("flow", tuple(flow.components.items())), flow.reads, guard, times, s,
+                  consts, eq_tol)
 
 
 def rk4_states(
@@ -408,8 +480,9 @@ def guarded_orbit_field(
     eq_tol: float = 0.0,
 ) -> list[tuple[float, Store]]:
     """Same orbit rule as guarded_orbit_flow, integrating the field with RK4."""
-    grid = dom.grid(h, horizon)
-    return _guarded_prefix(grid, rk4_states(field, s, h, consts), guard, consts, eq_tol)
+    times = dom.times(h, horizon)
+    return _orbit(("rk4", tuple(field.components.items())), field.reads, guard, times, s,
+                  consts, eq_tol, h)
 
 
 @dataclass(frozen=True)
@@ -440,30 +513,31 @@ def _key(s: Store) -> tuple:
     return tuple(sorted(s.items()))
 
 
-def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[Optional[str], Store]]:
+def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[object, Store]]:
     """(label, store) successors of a leaf node from s; the label None marks
     a step that keeps the store (skip, a passed test), which a run does not
-    record.  The one place that picks an evolution command's orbit provider:
-    its flow if it has no field or the flow is exact (_solves_exactly,
-    memoized by value), else RK4 on the field."""
-    if isinstance(node, Skip):
-        return [(None, s)]
-    if isinstance(node, Abort):
-        return []
-    if isinstance(node, Assign):
-        return [(f"{node.var} := ...", store_update(s, node.var, node.expr, cfg.consts))]
-    if isinstance(node, Test):
-        return [(None, s)] if eval_pred(node.cond, {**cfg.consts, **s}, EQ_TOL) else []
-    if isinstance(node, Evolve):
+    record, and an orbit point's label is its time t, which a run shows as
+    "evolve t=...".  The one place that picks an evolution command's orbit
+    provider: its flow if it has no field or the flow is exact
+    (_solves_exactly, memoized by value), else RK4 on the field."""
+    kind = type(node)
+    if kind is Evolve:
         if node.flow is not None and (node.field is None or memo_kernel(
                 _solves_exactly, tuple(node.field.components.items()),
                 tuple(node.flow.components.items()))):
-            orbit = guarded_orbit_flow(node.flow, node.guard, node.dom, s, cfg.step,
-                                       cfg.consts, cfg.horizon, EQ_TOL)
-        else:
-            orbit = guarded_orbit_field(node.field, node.guard, node.dom, s, cfg.step,
-                                        cfg.consts, cfg.horizon, EQ_TOL)
-        return [(f"evolve t={t:.4g}", state) for t, state in orbit]
+            return guarded_orbit_flow(node.flow, node.guard, node.dom, s, cfg.step,
+                                      cfg.consts, cfg.horizon, EQ_TOL)
+        return guarded_orbit_field(node.field, node.guard, node.dom, s, cfg.step,
+                                   cfg.consts, cfg.horizon, EQ_TOL)
+    if kind is Assign:
+        return [(f"{node.var} := ...", store_update(s, node.var, node.expr, cfg.consts))]
+    if kind is Test:
+        return [(None, s)] if _reading(pred_kernel, node.cond, s, cfg.consts)(
+            s, cfg.consts, EQ_TOL) else []
+    if kind is Skip:
+        return [(None, s)]
+    if kind is Abort:
+        return []
     raise TypeError(f"not a HybridProgram node: {node!r}")
 
 
@@ -535,15 +609,15 @@ def find_violation(
     run before it, (step, run) down to None, and todo the nodes left, as
     (node, todo) pairs down to None, so no Python recursion limit applies.
     """
-    kernels: dict = {}  # the post and each branch condition -> its kernel
+    consts = cfg.consts
+    kernels: dict = {}  # the post, each branch condition and each test -> its kernel
 
     def holds(p: Pred, store: Store) -> bool:
         # the stores of a run have the keys of s, so one kernel serves each
-        env = {**cfg.consts, **store}
         kernel = kernels.get(p)
         if kernel is None:
-            kernel = kernels[p] = memo_kernel(pred_kernel, p, bound_names(p, env))
-        return kernel(env, EQ_TOL)
+            kernel = kernels[p] = _reading(pred_kernel, p, store, consts)
+        return kernel(store, consts, EQ_TOL)
 
     stack = [((("init", dict(s)), None), (p, None))]
     message = None
@@ -556,17 +630,21 @@ def find_violation(
                     break
                 continue
             node, rest = todo
-            if isinstance(node, Seq):
+            kind = type(node)
+            if kind is Seq:
                 for item in reversed(node.items):
                     rest = item, rest
                 stack.append((run, rest))
-            elif isinstance(node, Choice):
+            elif kind is Choice:
                 stack += [(run, (item, rest)) for item in reversed(node.items)]
-            elif isinstance(node, IfThenElse):
+            elif kind is IfThenElse:
                 stack.append((run, (node.then if holds(node.cond, store) else node.els, rest)))
-            elif isinstance(node, Loop):
+            elif kind is Test:
+                if holds(node.cond, store):
+                    stack.append((run, rest))
+            elif kind is Loop:
                 stack.append((run, (_LoopEnd(node.body, set(), cfg.fuel), rest)))
-            elif isinstance(node, _LoopEnd):
+            elif kind is _LoopEnd:
                 key = _key(store)
                 if key not in node.reached:
                     node.reached.add(key)
@@ -574,8 +652,8 @@ def find_violation(
                         stack.append((run, (node.body, (node._replace(fuel=node.fuel - 1), rest))))
                     stack.append((run, rest))
             else:
-                stack += [(run if label is None else ((label, nxt), run), rest)
-                          for label, nxt in reversed(_steps(node, store, cfg))]
+                stack += [(run if step[0] is None else (step, run), rest)
+                          for step in reversed(_steps(node, store, cfg))]
         except EVAL_FAILURES as exc:
             message = str(exc)
             break
@@ -583,6 +661,6 @@ def find_violation(
         return None
     path = []
     while run is not None:
-        step, run = run
-        path.append(step)
+        (label, store), run = run
+        path.append((label if type(label) is str else f"evolve t={label:.4g}", store))
     return path[::-1], message

@@ -52,7 +52,7 @@ from .hprog import (
     Abort, Assign, Choice, Evolve, Flow, HybridProgram, IfThenElse, Loop, NONNEG, REALS, Seq,
     Skip, Test, TimeDomain, VectorField,
 )
-from .vcgen import Lemma, VerifySpec
+from .vcgen import CONFIG_KEYS, Lemma, VerifySpec
 
 KEYWORDS = {
     "problem", "vars", "consts", "assume", "pre", "post", "program", "lemma",
@@ -61,7 +61,6 @@ KEYWORDS = {
     "exp", "inf",
 }
 RESERVED_NAMES = {"t", "tau"} | KEYWORDS
-CONFIG_KEYS = {"seed", "step", "horizon", "trials", "fuel", "lemma_trials"}
 
 # One match per token: the whitespace and comments before it are skipped
 # inside the match, and the group is the token's text.  A character no

@@ -55,7 +55,7 @@ from .hprog import (
     Skip,
     Test,
     TimeDomain,
-    _guarded_prefix,
+    _orbit,
 )
 
 
@@ -111,6 +111,10 @@ class Lemma:
         return out
 
 
+# the keys a problem's config may set, in .hwl and through the API alike
+CONFIG_KEYS = {"seed", "step", "horizon", "trials", "fuel", "lemma_trials"}
+
+
 @dataclass(frozen=True)
 class VerifySpec:
     """Partial-correctness problem: assumptions and pre imply post after
@@ -142,6 +146,14 @@ class VerifySpec:
         for c, (lo, hi) in self.const_ranges.items():
             if lo > hi:
                 raise ValueError(f"empty range for constant {c!r}: [{lo}, {hi}]")
+        names = set()
+        for lemma in self.lemmas:
+            if lemma.name in names:
+                raise ValueError(f"repeated lemma name {lemma.name!r}")
+            names.add(lemma.name)
+        for key in self.config:
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
 
     def to_verify_spec(self) -> VerifySpec:
         # the benchmark's search op (perfbench/run.py) still calls this
@@ -160,7 +172,7 @@ def eval_pred_ext(
     eq_tol: float = 0.0,
 ) -> bool:
     """Grid evaluation of extended predicates.  A TimeQuant follows the
-    orbit rule (hprog._guarded_prefix) over its domain's down-set grid: the
+    orbit rule (hprog.orbit_kernel) over its domain's down-set grid: the
     end times t reached are the grid points up to the first one where the
     prefix fails or cannot be evaluated, and the body must hold at each.
     A domain unbounded below has down-sets reaching past the grid, where a
@@ -180,7 +192,7 @@ def eval_pred_ext(
                 if q.dom.lo == -inf and not isinstance(q.prefix, TruePred):
                     raise EvalError("the down-sets of a domain unbounded below leave the grid")
                 ts = q.dom.downset_grid(step, horizon)
-                reached = _guarded_prefix(ts, ({q.tau_name: t} for t in ts), q.prefix, val, eq_tol)
+                reached = _orbit(("time", q.tau_name), (), q.prefix, ts, {}, val, eq_tol)
                 value = True
                 todo.append((iter(reached), q, val))
             else:

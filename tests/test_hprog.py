@@ -9,8 +9,8 @@ import pytest
 from hybridwlp import odecert, sampling
 from hybridwlp.cli import main, run_verify
 from hybridwlp.expr import (
-    EVAL_FAILURES, Add, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin, SymConst,
-    TimeVar, TRUE, Var, const, eval_pred, memo_kernel,
+    EVAL_FAILURES, Add, And, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin,
+    SymConst, TimeQuant, TimeVar, TRUE, Var, const, memo_kernel,
 )
 from hybridwlp.hprog import (
     Abort,
@@ -37,11 +37,17 @@ from hybridwlp.hprog import (
     run_sampled,
     store_update,
     _key,
+    _orbit,
     _steps,
 )
 from hybridwlp.hwl import parse_spec
-from hybridwlp.vcgen import _find_evolves
-from treewalk import ref_flow_at, ref_rk4_states, ref_rk4_step
+from hybridwlp.vcgen import _find_evolves, eval_pred_ext
+from test_hwl_reference import rand_expr, rand_pred
+from treepasses import ref_eval_pred_ext
+from treewalk import (
+    ref_eval_pred, ref_flow_at, ref_guarded_prefix, ref_orbit_field, ref_orbit_flow,
+    ref_rk4_states, ref_rk4_step, ref_steps,
+)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -229,9 +235,14 @@ class TestFlowOrRk4:
     def test_wrong_flow_integrates_the_field(self):
         ev = parse_spec(WRONG_FLOW.format("2*t")).program
         steps = _steps(ev, {"x": 0.0}, self.CFG)
-        assert len(steps) == 13 and steps[-1][0] == "evolve t=0.6"
+        assert len(steps) == 13
         assert steps == _steps(Evolve(ev.field, ev.guard, ev.dom), {"x": 0.0}, self.CFG)
         assert abs(steps[-1][1]["x"] - 0.6) < 1e-9  # the flow claims 1.2
+        # only the last point, at x = 0.6, violates x < 0.59
+        path, message = find_violation(ev, {"x": 0.0}, Cmp("<", x, const(Fraction(59, 100))),
+                                       self.CFG)
+        assert message is None and [label for label, _ in path] == ["init", "evolve t=0.6"]
+        assert path[-1][1] == steps[-1][1]
 
     def test_right_flow_and_field_free_flow_are_followed(self, monkeypatch):
         import hybridwlp.hprog as hprog
@@ -368,7 +379,7 @@ def reference_find_violation(p, s, post, cfg):
     recursion limit bounds it; keep it to small programs."""
 
     def holds(q, store):
-        return eval_pred(q, {**cfg.consts, **store}, EQ_TOL)
+        return ref_eval_pred(q, {**cfg.consts, **store}, EQ_TOL)
 
     def runs(node, path):
         try:
@@ -404,7 +415,7 @@ def reference_find_violation(p, s, post, cfg):
 
                 yield from unroll(path, cfg.fuel)
             else:
-                for step in _steps(node, path[-1][1], cfg):
+                for step in ref_steps(node, path[-1][1], cfg):
                     yield path if step[0] is None else path + [step]
         except EVAL_FAILURES as exc:
             # a failure from a nested run arrives here as _RefUndefined already
@@ -423,17 +434,30 @@ def reference_find_violation(p, s, post, cfg):
 
 
 DIV_LEAF = Assign("x", x / v)  # undefined where v = 0
-# up to three successors, at t = 0, 1, 2 under SEARCH_CFG's grid
-EVOL_LEAF = Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t}))
+# up to three successors each, at t = 0, 1, 2 under a step of 1 and a
+# horizon of 2, up to five under a step of 1/2 and six under 3/8, whose
+# labels show four digits (t=1.125)
+LOOPING_LEAVES = (
+    Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t})),
+    # RK4 on a field alone, and on the field of a flow that does not solve it
+    Evolve(VectorField({"x": v, "v": const(-1)}), Cmp(">=", x, const(-2)), NONNEG),
+    Evolve(VectorField({"x": const(1)}), Cmp("<=", x, const(3)), TimeDomain(0, Fraction(3, 2)),
+           flow=Flow({"x": x + 2 * t})),
+    # a guard that reads the constant c
+    Evolve(None, Cmp("<=", x * v, SymConst("c")), NONNEG, flow=Flow({"x": x + v * t})),
+    # a guard undefined where x reaches 1 mid-orbit, which ends the orbit there
+    Evolve(None, Cmp(">", const(1) / (x - const(1)), const(-9)), NONNEG, flow=Flow({"x": x + t})),
+    Test(Cmp("<=", v, SymConst("c"))),
+)
 
 
 def random_looping_program(rng: random.Random, depth: int = 3):
-    """random_discrete_program's programs, DIV_LEAF and EVOL_LEAF under Loop,
-    Seq and Choice, over stores x, v."""
+    """random_discrete_program's programs, DIV_LEAF and LOOPING_LEAVES under
+    Loop, Seq and Choice, over stores x, v and the constant c."""
     shape = rng.random()
     if depth <= 0 or shape < 0.3:
         leaf = rng.random()
-        return DIV_LEAF if leaf < 0.15 else EVOL_LEAF if leaf < 0.25 else (
+        return DIV_LEAF if leaf < 0.15 else rng.choice(LOOPING_LEAVES) if leaf < 0.4 else (
             random_discrete_program(rng, 2))
     if shape < 0.55:
         return Loop(random_looping_program(rng, depth - 1), TRUE)
@@ -448,11 +472,16 @@ class TestFindViolation:
         rng = random.Random(23)
         outcomes = {"violating": 0, "undefined": 0, "clean": 0}
         checked_reachable = 0
-        for _ in range(400):
+        labels = set()
+        for _ in range(600):
             prog = random_looping_program(rng)
             s = {"x": float(rng.randint(-2, 2)), "v": float(rng.randint(-2, 2))}
             post = rng.choice(self.POSTS)
-            cfg = RunConfig(fuel=rng.randint(0, 3), step=1.0, horizon=2.0)
+            consts = {"c": float(rng.randint(-1, 2))}
+            if rng.random() < 0.3:
+                consts["x"] = 9.0  # the store's x wins
+            cfg = RunConfig(fuel=rng.randint(0, 3), step=rng.choice((1.0, 0.5, 0.375)),
+                            horizon=2.0, consts=consts)
             found = find_violation(prog, s, post, cfg)
             assert found == reference_find_violation(prog, s, post, cfg)
             if found is None:
@@ -460,6 +489,7 @@ class TestFindViolation:
                 continue
             path, message = found
             assert path[0] == ("init", s)
+            labels.update(label for label, _ in path if label.startswith("evolve"))
             if message is not None:
                 outcomes["undefined"] += 1
                 continue
@@ -472,6 +502,7 @@ class TestFindViolation:
             checked_reachable += 1
         assert all(outcomes.values()), outcomes
         assert checked_reachable > 0
+        assert {"evolve t=0", "evolve t=0.5", "evolve t=1.125"} <= labels, labels
 
     def test_fuel_3000_loop_runs_every_iteration(self):
         # the recursive search took Python frames per iteration
@@ -740,6 +771,155 @@ class TestRk4StatesBitIdentity:
         ref = ref_rk4_states(BALL_FIELD, s, 0.05, {"g": -1.0})
         assert [st for _, st in orbit] == list(itertools.islice(ref, len(orbit)))
         assert 0 < len(orbit) < 121
+
+
+def _random_rat(rng):
+    return const(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))))
+
+
+def outcome(fn, *args):
+    """("value", repr of the result) or ("raise", type, message)."""
+    try:
+        return "value", repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return "raise", type(exc), str(exc)
+
+
+class TestOrbitKernelMatchesReference:
+    """An orbit is one generated function (hprog.orbit_kernel); the loop it
+    replaced, over the tree walk's flow states and RK4 steps, is the
+    reference (tests/treewalk.py).  Points, states, their key order and
+    every exception must agree."""
+
+    DOMAINS = (NONNEG, TimeDomain(0, Fraction(7, 10)), TimeDomain(0, 2))
+
+    @staticmethod
+    def store(rng):
+        values = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2), "p": rng.uniform(-2, 2)}
+        if rng.random() < 0.15:
+            values[rng.choice("xyp")] = rng.choice((math.inf, -math.inf, math.nan))
+        if rng.random() < 0.05:
+            values["p"] = None  # a pass-through value float() rejects: TypeError
+        keys = list(values)
+        rng.shuffle(keys)
+        return {k: values[k] for k in keys}
+
+    @staticmethod
+    def consts(rng):
+        consts = {"c": rng.uniform(-2, 2)}
+        if rng.random() < 0.3:
+            consts[rng.choice("xyp")] = rng.uniform(-2, 2)  # shadowed by the store
+        return consts
+
+    @staticmethod
+    def guard(rng):
+        kind = rng.random()
+        if kind < 0.1:
+            return Cmp("<=", SymConst("c"), const(rng.randint(-1, 1)))  # constants only
+        if kind < 0.15:
+            return Cmp(">=", x + Var("w"), const(0))  # w is unbound: no point is kept
+        if kind < 0.2:
+            return And(Cmp(">=", x, const(-2)), x)  # not a Pred: TypeError when reached
+        return rand_pred(rng, rng.randint(0, 2), time=False)
+
+    @staticmethod
+    def term(rng, time):
+        if rng.random() < 0.1:
+            return Exp(Mul(const(400), x))  # overflows where x > 1.8 or so
+        return rand_expr(rng, rng.randint(0, 3), time)
+
+    def test_random_flows_and_fields(self):
+        rng = random.Random(32)
+        seen = set()
+        for i in range(1500):
+            s, consts, guard = self.store(rng), self.consts(rng), self.guard(rng)
+            dom = rng.choice(self.DOMAINS)
+            h, horizon = rng.choice((0.1, 0.25, 0.5)), rng.choice((1.0, 3.0))
+            eq_tol = rng.choice((0.0, EQ_TOL))
+            if i % 2:
+                names = rng.sample(("x", "y"), 2)
+                field = VectorField({n: self.term(rng, False) for n in names})
+                got = outcome(guarded_orbit_field, field, guard, dom, s, h, consts, horizon, eq_tol)
+                want = outcome(ref_orbit_field, field, guard, dom, s, h, consts, horizon, eq_tol)
+            else:
+                names = rng.sample(("x", "y", "q"), rng.randint(1, 3))  # q is no store key
+                flow = Flow({n: self.term(rng, True) for n in names})
+                got = outcome(guarded_orbit_flow, flow, guard, dom, s, h, consts, horizon, eq_tol)
+                want = outcome(ref_orbit_flow, flow, guard, dom, s, h, consts, horizon, eq_tol)
+            assert got == want, (i, guard, s, consts)
+            if got[0] == "raise":
+                seen.add(got[1].__name__)
+            else:
+                points = got[1].count("(")  # one per kept point, one per "(t, {...})"
+                seen.add("empty" if points == 0 else f"{'field' if i % 2 else 'flow'} points")
+        assert seen == {"empty", "flow points", "field points", "TypeError"}
+
+    def test_fraction_top_and_shadowed_constant(self):
+        # 7/10 is no float: the grid compares k * h with float(7/10) + 1e-12
+        s, consts = {"x": 0.0, "v": 1.0}, {"x": 9.0, "g": -1.0}
+        dom = TimeDomain(0, Fraction(7, 10))
+        for h, points in ((0.1, 8), (0.07, 11), (Fraction(1, 10), 8)):
+            for guard in (Cmp("<=", x, const(1)), Cmp("<", g, const(0))):
+                got = guarded_orbit_flow(BALL_FLOW, guard, dom, s, h, consts, 5.0, EQ_TOL)
+                want = ref_orbit_flow(BALL_FLOW, guard, dom, s, h, consts, 5.0, EQ_TOL)
+                assert repr(got) == repr(want) and len(got) == points
+                got = guarded_orbit_field(BALL_FIELD, guard, dom, s, h, consts, 5.0, EQ_TOL)
+                want = ref_orbit_field(BALL_FIELD, guard, dom, s, h, consts, 5.0, EQ_TOL)
+                assert repr(got) == repr(want) and len(got) == points
+
+    def test_rk4_steps_only_after_a_kept_point_with_a_next_time(self):
+        # z is no store key: reading it for a step raises KeyError, as
+        # rk4_states does, which no orbit catches
+        field = VectorField({"x": const(1), "z": const(2)})
+        with pytest.raises(KeyError, match="'z'"):
+            guarded_orbit_field(field, TRUE, NONNEG, {"x": 0.0}, 0.5)
+        with pytest.raises(KeyError, match="'z'"):
+            list(itertools.islice(rk4_states(field, {"x": 0.0}, 0.5), 2))
+        assert guarded_orbit_field(field, FALSE, NONNEG, {"x": 0.0}, 0.5) == []
+        one_point = TimeDomain(0, 0)
+        assert guarded_orbit_field(field, TRUE, one_point, {"x": 0.0}, 0.5) == [(0.0, {"x": 0.0})]
+
+    def test_empty_states_and_fields(self):
+        for s in ({}, {"x": 1.0}):
+            args = (TRUE, NONNEG, s, 0.5, {}, 2.0, 0.0)
+            assert guarded_orbit_flow(Flow({}), *args) == ref_orbit_flow(Flow({}), *args)
+            assert guarded_orbit_field(VectorField({}), *args) == ref_orbit_field(
+                VectorField({}), *args)
+            assert len(guarded_orbit_flow(Flow({}), *args)) == 5
+
+    def test_grid_errors_raise_before_the_orbit(self):
+        for h, dom, horizon, message in ((0.0, NONNEG, 1.0, "step must be positive"),
+                                         (0.5, NONNEG, math.inf, "finite horizon")):
+            for orbit in (lambda: guarded_orbit_flow(BALL_FLOW, TRUE, dom, {}, h, {}, horizon),
+                          lambda: guarded_orbit_field(BALL_FIELD, TRUE, dom, {}, h, {}, horizon)):
+                with pytest.raises(ValueError, match=message):
+                    orbit()
+
+    def test_time_binder_orbits_on_down_set_grids(self):
+        rng = random.Random(33)
+        tau = Var("tau")
+        seen = set()
+        for _ in range(400):
+            lo = rng.choice((-3, -1, Fraction(-3, 4), Fraction(-1, 3)))
+            dom = TimeDomain(lo, rng.choice((0, Fraction(1, 2), 2, math.inf)))
+            prefix = Cmp(rng.choice(("<", "<=", ">", ">=")),
+                         _random_rat(rng) * tau + SymConst("c") * x, _random_rat(rng))
+            if rng.random() < 0.3:  # undefined where tau reaches the pole
+                prefix = And(prefix, Cmp(">", const(1) / (tau - _random_rat(rng)), const(-4)))
+            val = {"x": rng.uniform(-2, 2), "c": rng.uniform(-2, 2)}
+            if rng.random() < 0.2:
+                val["tau"] = 100.0  # the binder shadows it
+            step, horizon = rng.choice((0.25, 0.5)), rng.choice((2.0, 3.0))
+            ts = dom.downset_grid(step, horizon)
+            got = _orbit(("time", "tau"), (), prefix, ts, {}, val, EQ_TOL)
+            want = ref_guarded_prefix(ts, ({"tau": tt} for tt in ts), prefix, val, EQ_TOL)
+            assert repr(got) == repr(want)
+            body = Cmp("<=", Var("t") * _random_rat(rng), x)
+            quant = TimeQuant("t", "tau", dom, prefix, body)
+            assert outcome(eval_pred_ext, quant, val, step, horizon) == outcome(
+                ref_eval_pred_ext, quant, val, step, horizon)
+            seen.add(len(got) in (0, len(ts)))
+        assert seen == {True, False}
 
 
 class TestFlowStates:

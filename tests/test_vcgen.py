@@ -51,6 +51,8 @@ from hybridwlp.hprog import (
 from hybridwlp.hwl import format_pred, parse_spec
 from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
+    CONFIG_KEYS,
+    Lemma,
     Obligation,
     TimeQuant,
     VerifySpec,
@@ -288,6 +290,18 @@ class TestVerifyStructure:
             VerifySpec(name="bad", vars=("x",), consts=("c",), const_ranges={"c": (6.0, 1.0)})
         point = VerifySpec(name="ok", vars=("x",), consts=("c",), const_ranges={"c": (0.0, 0.0)})
         assert point.const_ranges == {"c": (0.0, 0.0)}
+
+    def test_header_rules_hold_through_the_api(self):
+        # the parser's header rules, for a spec built without the parser
+        square, cube = Cmp(">=", x * x, const(0)), Cmp(">=", x * x * x, const(0))
+        with pytest.raises(ValueError, match="^repeated lemma name 'a'$"):
+            VerifySpec("p", ("x",), lemmas=(Lemma("a", (), square), Lemma("a", (), cube)))
+        with pytest.raises(ValueError, match="^unknown config key 'trails'$"):
+            VerifySpec("p", ("x",), config={"trails": 0})
+        spec = VerifySpec("p", ("x",), lemmas=(Lemma("a", (), square), Lemma("b", (), cube)),
+                          config=dict.fromkeys(sorted(CONFIG_KEYS), 1))
+        assert [lemma.name for lemma in spec.lemmas] == ["a", "b"]
+        assert sorted(spec.config) == ["fuel", "horizon", "lemma_trials", "seed", "step", "trials"]
 
 
 class TestTimeQuantEvaluation:

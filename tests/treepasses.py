@@ -16,11 +16,11 @@ from hybridwlp.expr import (
     Or, Pow, Sin, Sub, SymConst, TimeQuant, TimeVar, TruePred, Var, const, eval_pred,
     is_zero_const, negate_cmp, ONE, TIME_NAME, ZERO,
 )
-from hybridwlp.hprog import _guarded_prefix
 from hybridwlp.hwl import _ATOM, _CMP, _FUNCTION_NAMES, _MUL, _OF_NODE, _fmt_rational, format_domain
 from hybridwlp.polynorm import (
     P_ONE, P_ZERO, Atom, NormalizeError, _invert_monomial, poly_atom, poly_const,
 )
+from treewalk import ref_guarded_prefix
 
 
 def ref_diff(e, wrt):
@@ -237,7 +237,7 @@ def ref_eval_pred_ext(p, valuation, step=0.1, horizon=6.0, eq_tol=0.0):
         if p.dom.lo == -inf and not isinstance(p.prefix, TruePred):
             raise EvalError("the down-sets of a domain unbounded below leave the grid")
         ts = p.dom.downset_grid(step, horizon)
-        reached = _guarded_prefix(ts, ({p.tau_name: t} for t in ts), p.prefix, valuation, eq_tol)
+        reached = ref_guarded_prefix(ts, ({p.tau_name: t} for t in ts), p.prefix, valuation, eq_tol)
         return all(
             ref_eval_pred_ext(p.body, {**valuation, p.t_name: t}, step, horizon, eq_tol)
             for t, _ in reached

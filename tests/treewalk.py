@@ -5,15 +5,18 @@ expr.KernelWriter).  These walks are written independently of them, one
 Python call per node, in the order the kernels must follow: children left
 to right, a division's denominator before its numerator, And and Or
 short-circuiting.  The tests compare the kernels' values, exceptions and
-subterms with theirs, so that no kernel is checked against another.
+subterms with theirs, so that no kernel is checked against another.  Over
+them run the loops the generated orbits replaced: the grid, the orbit rule
+and the leaf step of a run.
 """
 
 import math
 
 from hybridwlp.expr import (
-    Add, And, Cmp, Const, Cos, Div, EvalError, Exp, FalsePred, Mul, Neg, Not, Or, Pow, Sin,
-    Sub, SymConst, TimeVar, TruePred, Var,
+    EVAL_FAILURES, Add, And, Cmp, Const, Cos, Div, EvalError, Exp, FalsePred, Mul, Neg, Not, Or,
+    Pow, Sin, Sub, SymConst, TimeVar, TruePred, Var,
 )
+from hybridwlp.hprog import EQ_TOL, Abort, Assign, Evolve, Skip, Test, _solves_exactly
 
 
 def ref_evaluate(e, val):
@@ -127,3 +130,73 @@ def ref_flow_at(flow, t, s, consts):
     env = {**consts, **s, "t": t}
     rest = {x: Var(x) for x in s if x not in flow.components}
     return {x: ref_evaluate(e, env) for x, e in {**flow.components, **rest}.items()}
+
+
+# ---------------------------------------------------------------------------
+# Orbits and leaf steps as Python loops over the walk
+
+
+def ref_grid(dom, h, horizon):
+    """The forward grid {0, h, 2h, ...} up to min(horizon, dom.hi)."""
+    if h <= 0:
+        raise ValueError("grid step must be positive")
+    top = min(horizon, dom.hi)
+    if not math.isfinite(top):
+        raise ValueError("grid needs a finite horizon or upper bound")
+    out, k = [], 0
+    while k * h <= top + 1e-12:
+        out.append(k * h)
+        k += 1
+    return out
+
+
+def ref_guarded_prefix(grid, states, guard, consts, eq_tol):
+    """The orbit rule: the longest prefix of grid points whose states
+    evaluate, are finite and satisfy the guard."""
+    env = dict(consts)
+    out = []
+    try:
+        for t, state in zip(grid, states):
+            finite = all(map(math.isfinite, state.values()))
+            env.update(state)
+            if not (finite and ref_eval_pred(guard, env, eq_tol)):
+                break
+            out.append((t, state))
+    except EVAL_FAILURES:
+        pass
+    return out
+
+
+def ref_orbit_flow(flow, guard, dom, s, h, consts, horizon, eq_tol):
+    grid = ref_grid(dom, h, horizon)
+    states = (ref_flow_at(flow, t, s, consts) for t in grid)
+    return ref_guarded_prefix(grid, states, guard, consts, eq_tol)
+
+
+def ref_orbit_field(field, guard, dom, s, h, consts, horizon, eq_tol):
+    grid = ref_grid(dom, h, horizon)
+    return ref_guarded_prefix(grid, ref_rk4_states(field, s, h, consts), guard, consts, eq_tol)
+
+
+def ref_steps(node, s, cfg):
+    """(label, store) successors of a leaf node, each label formatted."""
+    if isinstance(node, Skip):
+        return [(None, s)]
+    if isinstance(node, Abort):
+        return []
+    if isinstance(node, Assign):
+        if node.var not in s:
+            raise KeyError(f"unknown variable {node.var!r}")
+        value = ref_evaluate(node.expr, {**cfg.consts, **s})
+        return [(f"{node.var} := ...", {**s, node.var: value})]
+    if isinstance(node, Test):
+        return [(None, s)] if ref_eval_pred(node.cond, {**cfg.consts, **s}, EQ_TOL) else []
+    if isinstance(node, Evolve):
+        args = (node.guard, node.dom, s, cfg.step, cfg.consts, cfg.horizon, EQ_TOL)
+        if node.flow is not None and (node.field is None or _solves_exactly(
+                tuple(node.field.components.items()), tuple(node.flow.components.items()))):
+            orbit = ref_orbit_flow(node.flow, *args)
+        else:
+            orbit = ref_orbit_field(node.field, *args)
+        return [(f"evolve t={t:.4g}", state) for t, state in orbit]
+    raise TypeError(f"not a HybridProgram node: {node!r}")
