@@ -8,7 +8,7 @@ Two errors per step h, against the exact flow from (1, 0):
 
 Exits 1 when a successive error ratio of either falls outside RATIO_BAND:
 halving the step of a fourth-order method divides its error by about
-2**4 = 16.
+2**4 = 16.  CI diffs the table against tests/golden/rk4_convergence.txt.
 """
 
 import math

@@ -348,7 +348,7 @@ _LEAVE = object()
 #
 # Every float value of a term comes from a generated Python function, a
 # kernel, written by a KernelWriter: evaluate and eval_pred run one per term
-# and bound names, and hprog's orbits, RK4 stepper and flow kernels,
+# and bound names, and hprog's orbits (odecert.rk4_integrate's too),
 # sampling's attempt function, one per sampling plan, and odecert's
 # flow-certificate checks each run one over several terms.  Names reach a
 # kernel only as arguments: the locals given to expr map each bound name to

@@ -8,7 +8,8 @@ sound path goes through wlp generation and discharge.  An evolution
 command's orbit, from its flow when the flow solves its field exactly or
 it has no field, from RK4 on its field otherwise, is the longest prefix
 of grid points whose states evaluate, are finite and satisfy the guard;
-each orbit runs as one generated function (orbit_kernel).
+each orbit runs as one generated function (orbit_kernel), and so does the
+numeric oracle odecert.rk4_integrate, as RK4's orbit under the guard true.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import count, filterfalse, repeat, takewhile
+from itertools import count, repeat, takewhile
 from math import inf, isfinite
 from operator import ge, mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .expr import (
     EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, diff,
@@ -56,31 +57,6 @@ class VectorField:
         """The sorted names the components read besides the variables."""
         return tuple(sorted(set().union(*map(free_names, self.components.values()))
                             - self.components.keys()))
-
-
-def rk4_step_kernel(components: tuple, bound: tuple):
-    """step(state, values, h, half, sixth) -> the store one classical RK4
-    step of size h after state (half = 0.5 * h, sixth = h / 6.0) of the
-    field with the component items, with its variables read from state and
-    the names bound, of its reads, from values (see expr.KernelWriter)."""
-    w = KernelWriter()
-    local = _unpack(w, bound)
-    base = {x: w.temp() for x, _ in components}
-    keys = [w.bind(x) for x in base]
-    for b, key in zip(base.values(), keys):
-        w.line(f"{b} = state[{key}]")
-    new = emit_rk4_step(w, components, base, local)
-    return w.function("state, values, h, half, sixth", "{**state, %s}" % (
-        ", ".join(f"{key}: {v}" for key, v in zip(keys, new))))
-
-
-def _unpack(w: KernelWriter, names: tuple) -> dict:
-    """Emit the unpacking of the kernel's parameter values, one per name,
-    and return the local variable of each name (of its last position)."""
-    temps = [w.temp() for _ in names]
-    if temps:
-        w.line(", ".join(temps) + ", = values")
-    return dict(zip(names, temps))
 
 
 def emit_rk4_step(
@@ -190,50 +166,12 @@ class Flow:
         return tuple(sorted(set().union(*map(free_names, self.components.values()))
                             - {TIME_NAME}))
 
-    def at(self, t: float, s: Store, consts: Mapping[str, float]) -> Store:
-        return next(self.states((t,), s, consts))
-
-    def states(
-        self, times: Iterable[float], s: Store, consts: Mapping[str, float]
-    ) -> Iterator[Store]:
-        """The states at(t, s, consts) for t in times, each computed when
-        asked for by the memo's flow_kernel over one environment {**consts, **s}."""
-        env = {**consts, **s}
-        rest = tuple(filterfalse(self.components.__contains__, s))
-        bound = tuple(filter(env.__contains__, self.reads))
-        f = memo_kernel(flow_kernel, tuple(self.components.items()), rest, bound)
-        values = tuple(map(env.__getitem__, (*bound, *rest)))
-        for t in times:
-            yield f(t, values)
-
-
-def flow_kernel(components: tuple, rest: tuple, bound: tuple):
-    """f(t, values) -> the state at time t of the flow with the component
-    items, then the identity on the store variables rest, with values those
-    of the names bound, of its reads, then of rest (see expr.KernelWriter)."""
-    w = KernelWriter()
-    local = {**_unpack(w, (*bound, *rest)), TIME_NAME: "t"}
-    return w.function("t, values", _dict(w, _emit_flow_state(w, components, rest, local)))
-
 
 def emit_flow(w: KernelWriter, components: tuple, local: Mapping[str, str]) -> dict:
     """Emit a flow's component items under local, in order, and return each
     variable's value identifier."""
     memo: dict = {}
     return {x: w.expr(e, local, memo) for x, e in components}
-
-
-def _emit_flow_state(w: KernelWriter, components: tuple, rest: tuple, local: Mapping[str, str]) -> dict:
-    """Emit the state of a flow: its component items, then the identity on
-    the store variables rest, and return each variable's value identifier."""
-    out = emit_flow(w, components, local)
-    out.update((x, w.expr(Var(x), local, {})) for x in rest)
-    return out
-
-
-def _dict(w: KernelWriter, values: Mapping[str, str]) -> str:
-    """The code of the dict of each name's value identifier, in order."""
-    return "{%s}" % ", ".join(f"{w.bind(x)}: {v}" for x, v in values.items())
 
 
 def flow_identities(field: dict, flow: dict) -> list:
@@ -373,12 +311,14 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
     holds in_consts; the source reads a name from the store s, whose keys
     are keys, else from consts.  The source is one of
       ("flow", items): the state at time t of the flow with the component
-        items, then the identity on the other store variables (flow_kernel);
+        items, then the identity on the other store variables;
       ("rk4", items): s at the first time; after a point is kept, when a
-        next time exists, one RK4 step of size h of the field with the
-        component items (half = 0.5 * h, sixth = h / 6.0; rk4_states);
+        next time exists, one classical RK4 step of size h of the field
+        with the component items (half = 0.5 * h, sixth = h / 6.0), the
+        other store variables passing through;
       ("time", tau): {tau: t}.
-    An evaluation failure leaves run with the points kept so far in out."""
+    An evaluation failure, or the KeyError of a field variable that is no
+    key of s, raises from run with the points kept so far in out."""
     kind, items = source
     w = KernelWriter()
     store = {k: w.temp() for k in keys}
@@ -393,7 +333,9 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
     if kind == "flow":
         named = dict(items)
         rest = tuple(k for k in keys if k not in named)
-        state = _emit_flow_state(w, items, rest, {**local, TIME_NAME: "t"})
+        at = {**local, TIME_NAME: "t"}
+        state = emit_flow(w, items, at)
+        state.update((x, w.expr(Var(x), at, {})) for x in rest)
         w.floats(*state.values())
     elif kind == "rk4":
         state = store
@@ -401,7 +343,7 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
             w.begin("if out:")  # the last point was kept: step from it
             base = dict(store)
             for x, _ in items:
-                if x not in base:  # raises KeyError, as the stepper's read does
+                if x not in base:  # no key of s: raises KeyError
                     base[x] = w.temp()
                     w.line(f"{base[x]} = s[{w.bind(x)}]")
             new = emit_rk4_step(w, items, base, local)
@@ -415,18 +357,24 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
         w.line("    return")
     w.line(f"if not {w.pred(guard, {**consts, **state}, 'eq_tol')}:")
     w.line("    return")
-    w.line(f"append((t, {_dict(w, state)}))")
+    w.line("append((t, {%s}))" % ", ".join(f"{w.bind(x)}: {v}" for x, v in state.items()))
     w.end()
     return w.function("out, times, s, consts, eq_tol, h, half, sixth", "None")
 
 
-def _orbit(source: tuple, reads: tuple, guard: Pred, times, s: Store,
-           consts: Mapping[str, float], eq_tol: float, h: float = 0.0) -> list[tuple[float, Store]]:
-    """The guarded orbit of the source (see orbit_kernel), whose terms read
-    the names reads, from the store s, as a list of (t, state) pairs."""
+def _orbit_run(source: tuple, reads: tuple, guard: Pred, s: Store, consts: Mapping[str, float]):
+    """The memo's orbit_kernel of the source, whose terms read the names
+    reads, under the guard, for runs from stores with the keys of s."""
     in_consts = tuple(n for n in dict.fromkeys((*reads, *bound_names(guard, consts)))
                       if n in consts and n not in s)
-    run = memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard)
+    return memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard)
+
+
+def _orbit(source: tuple, reads: tuple, guard: Pred, times, s: Store,
+           consts: Mapping[str, float], eq_tol: float, h: float = 0.0) -> list[tuple[float, Store]]:
+    """The guarded orbit of the source (see orbit_kernel) from the store s,
+    as a list of (t, state) pairs, ended by an evaluation failure."""
+    run = _orbit_run(source, reads, guard, s, consts)
     out: list[tuple[float, Store]] = []
     try:
         run(out, times, s, consts, eq_tol, h, 0.5 * h, h / 6.0)
@@ -449,24 +397,6 @@ def guarded_orbit_flow(
     times = dom.times(h, horizon)
     return _orbit(("flow", tuple(flow.components.items())), flow.reads, guard, times, s,
                   consts, eq_tol)
-
-
-def rk4_states(
-    field: VectorField, s: Store, h: float, consts: Mapping[str, float] = {}
-) -> Iterator[Store]:
-    """Classical fixed-step RK4 states at times 0, h, 2h, ... without end;
-    each step is taken only when its state is asked for, by the field's
-    generated stepper, one per value of the field and the bound names (see
-    expr.memo_kernel); other store variables pass through."""
-    env = {**consts, **s}
-    bound = tuple(filter(env.__contains__, field.reads))
-    step = memo_kernel(rk4_step_kernel, tuple(field.components.items()), bound)
-    values = tuple(map(env.__getitem__, bound))
-    half, sixth = 0.5 * h, h / 6.0
-    state = dict(s)
-    while True:
-        yield state
-        state = step(state, values, h, half, sixth)
 
 
 def guarded_orbit_field(

@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Sequence
 from .expr import (
     EVAL_FAILURES,
     TIME_NAME,
+    TRUE,
     And,
     Cmp,
     Div,
@@ -51,7 +52,7 @@ from .hprog import (
     emit_rk4_step,
     find_violation,
     flow_identities,
-    rk4_states,
+    _orbit_run,
 )
 from .polynorm import NormalizeError, expr_eq, normalize
 from .sampling import sample_valuation
@@ -75,16 +76,16 @@ def rk4_integrate(
     n: int,
     consts: Mapping[str, float] = {},
 ) -> tuple[list, bool]:
-    """Classical fixed-step RK4 trajectory [(t, store)] of n steps; the flag
-    reports divergence (non-finite values truncate the trajectory)."""
+    """Classical fixed-step RK4 trajectory [(k * h, store)] for k = 0..n, the
+    orbit of the field under the guard true (see hprog.orbit_kernel); the
+    flag reports divergence (non-finite values truncate the trajectory).
+    An evaluation failure raises."""
     if h <= 0:
         raise ValueError("step must be positive")
-    out = []
-    for k, state in zip(range(n + 1), rk4_states(field, s0, h, consts)):
-        if not all(map(math.isfinite, state.values())):
-            return out, True
-        out.append((k * h, state))
-    return out, False
+    run = _orbit_run(("rk4", tuple(field.components.items())), field.reads, TRUE, s0, consts)
+    out: list = []
+    run(out, [k * h for k in range(n + 1)], s0, consts, 0.0, h, 0.5 * h, h / 6.0)
+    return out, len(out) < n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,8 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
 # a constant loads with float() where a left-to-right tree walk would
 # first read it, and a name that is neither a variable nor bound raises the
 # walk's unbound-name EvalError there.  So every value and failure, and
-# their order, is the one of rk4_integrate, Flow.states and Flow.at.  A NaN
+# their order, is the one of the orbit writer's kernels (hprog.orbit_kernel):
+# of rk4_integrate for the field and of a flow's orbit for the flow.  A NaN
 # deviation is the largest: it sticks to the running maximum, which then
 # fails its check.
 

@@ -143,6 +143,7 @@ class VerifySpec:
             extra = pred_free_names(pred) - declared
             if extra:
                 raise ValueError(f"{label} reads undeclared names {sorted(extra)}")
+        _check_program_names(self.program, set(self.vars), declared)
         for c, (lo, hi) in self.const_ranges.items():
             if lo > hi:
                 raise ValueError(f"empty range for constant {c!r}: [{lo}, {hi}]")
@@ -158,6 +159,44 @@ class VerifySpec:
     def to_verify_spec(self) -> VerifySpec:
         # the benchmark's search op (perfbench/run.py) still calls this
         return self
+
+
+def _check_program_names(program: HybridProgram, vars: set, declared: set) -> None:
+    """Raise ValueError unless every variable the program writes (an
+    assignment's target, a field's or a flow's) is in vars and every name
+    it reads, besides the time symbol, is declared.  The first offence in
+    program order names the error; an explicit stack, not recursion."""
+    allowed = declared | {TIME_NAME}
+    todo = [program]
+    while todo:
+        p = todo.pop()
+        todo += [sub for _, sub in reversed(_subprograms(p))]
+        kind = type(p)
+        # (what reads the term, the variable it writes or None, the term)
+        if kind is Assign:
+            parts = [("assignment to", p.var, p.expr)]
+        elif kind is Test:
+            parts = [("test", None, p.cond)]
+        elif kind is IfThenElse:
+            parts = [("branch condition", None, p.cond)]
+        elif kind is Loop:
+            parts = [("loop invariant", None, p.inv)]
+        elif kind is Evolve:
+            parts = [("guard", None, p.guard)]
+            if p.dinv is not None:
+                parts.append(("dinv", None, p.dinv))
+            for what, comps in (("field of", p.field), ("flow of", p.flow)):
+                if comps is not None:
+                    parts += [(what, x, e) for x, e in comps.components.items()]
+        else:
+            continue
+        for what, x, term in parts:
+            if x is not None and x not in vars:
+                raise ValueError(f"{what} undeclared variable {x!r}")
+            names = free_names(term) if isinstance(term, Expr) else pred_free_names(term)
+            if not names <= allowed:
+                where = what if x is None else f"{what} {x!r}"
+                raise ValueError(f"{where} reads undeclared names {sorted(names - allowed)}")
 
 
 # ---------------------------------------------------------------------------

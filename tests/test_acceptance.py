@@ -19,6 +19,7 @@ from hybridwlp.expr import (
     EvalError,
     Sin,
     SymConst,
+    TRUE,
     TimeVar,
     Var,
     const,
@@ -29,7 +30,9 @@ from hybridwlp.expr import (
     free_vars,
     uses_time,
 )
-from hybridwlp.hprog import NONNEG, REALS, Flow, RunConfig, VectorField, run_sampled
+from hybridwlp.hprog import (
+    NONNEG, REALS, Flow, RunConfig, VectorField, guarded_orbit_flow, run_sampled,
+)
 from hybridwlp.hwl import format_pred, parse_spec
 from hybridwlp.odecert import (
     FalsifyBudget,
@@ -230,9 +233,10 @@ def test_criterion_08_numeric_cross_checks():
         s0 = {k: rng.uniform(-1.5, 1.5) for k in field.components}
         traj, divergent = rk4_integrate(field, s0, 1e-3, 1000, consts)
         assert not divergent
+        orbit = guarded_orbit_flow(flow, TRUE, NONNEG, s0, 1e-3, consts, horizon=1.0)
+        assert [tt for tt, _ in orbit] == [tt for tt, _ in traj]
         worst = 0.0
-        for tt, st in traj:
-            target = flow.at(tt, s0, consts)
+        for (_, st), (_, target) in zip(traj, orbit):
             worst = max(worst, max(abs(target[k] - st[k]) for k in st))
         assert worst <= 1e-6
 

@@ -1,13 +1,17 @@
 """The package stays standard-library only: every module that
-src/hybridwlp imports is part of the package or of the standard library."""
+src/hybridwlp imports is part of the package or of the standard library.
+And every package function the benchmark's tracer (perfbench/spans.py)
+swaps for a timed wrapper exists, so that no deletion breaks a traced run."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hybridwlp"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hybridwlp"
 
 
 def _imported_modules(path: Path):
@@ -33,3 +37,20 @@ def test_imports_are_intra_package_or_stdlib(name):
 def test_scan_sees_every_kind_of_import():
     found = {m for p in PACKAGE.glob("*.py") for _, m in _imported_modules(p)}
     assert {None, "__future__", "dataclasses"} <= found
+
+
+def _traced_targets():
+    """(module, name) of each r("hybridwlp.<module>", "<name>", ...) call in
+    the tracer's source, read with ast and not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    return [tuple(arg.value for arg in node.args[:2]) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "r" and all(isinstance(arg, ast.Constant) for arg in node.args[:2])]
+
+
+def test_every_traced_target_is_a_package_function():
+    targets = _traced_targets()
+    assert len(targets) >= 20 and ("hybridwlp.odecert", "rk4_integrate") in targets
+    for module, name in targets:
+        assert module.startswith("hybridwlp.")
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

@@ -29,18 +29,18 @@ from hybridwlp.hprog import (
     TimeDomain,
     VectorField,
     find_violation,
-    flow_kernel,
     guarded_orbit_field,
     guarded_orbit_flow,
-    rk4_states,
-    rk4_step_kernel,
+    orbit_kernel,
     run_sampled,
     store_update,
     _key,
     _orbit,
+    _orbit_run,
     _steps,
 )
 from hybridwlp.hwl import parse_spec
+from hybridwlp.odecert import rk4_integrate
 from hybridwlp.vcgen import _find_evolves, eval_pred_ext
 from test_hwl_reference import rand_expr, rand_pred
 from treepasses import ref_eval_pred_ext
@@ -52,14 +52,16 @@ from treewalk import (
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
-def step_of(field, bound):
-    """The RK4 step kernel of field for the bound names, from the memo."""
-    return memo_kernel(rk4_step_kernel, tuple(field.components.items()), bound)
+def field_orbit_kernel(field, keys, in_consts, guard=TRUE):
+    """The orbit kernel of RK4 on field, from the memo (see orbit_kernel)."""
+    return memo_kernel(orbit_kernel, ("rk4", tuple(field.components.items())), keys, in_consts,
+                       guard)
 
 
-def flow_of(flow, rest, bound):
-    """The flow function of flow for rest and the bound names, from the memo."""
-    return memo_kernel(flow_kernel, tuple(flow.components.items()), rest, bound)
+def flow_orbit_kernel(flow, keys, in_consts, guard=TRUE):
+    """The orbit kernel of flow, from the memo (see orbit_kernel)."""
+    return memo_kernel(orbit_kernel, ("flow", tuple(flow.components.items())), keys, in_consts,
+                       guard)
 
 
 x, v, y = Var("x"), Var("v"), Var("y")
@@ -515,30 +517,48 @@ class TestFindViolation:
 
 
 # ---------------------------------------------------------------------------
-# The generated RK4 stepper and flow kernels must match the tree walk's RK4
-# step and flow states (tests/treewalk.py) bit for bit, failures included.
+# The orbit writer (hprog.orbit_kernel) must match the tree walk's RK4
+# states and flow states (tests/treewalk.py) bit for bit, failures
+# included: through rk4_integrate, which raises what the writer raises, and
+# through guarded_orbit_flow under the guard true, or the writer's flow
+# kernel itself where the failure is the point.
 
 
-def failure(states, n):
-    """The exception that ends the first n states early, or None."""
+def ref_rk4_integrate(field, s, h, n, consts):
+    """The reference states as rk4_integrate keeps them: the first n + 1,
+    cut at the first that is not finite, with the flag set there."""
+    traj = []
+    for k, st in zip(range(n + 1), ref_rk4_states(field, s, h, consts)):
+        if not all(map(math.isfinite, st.values())):
+            return traj, True
+        traj.append((k * h, st))
+    return traj, False
+
+
+def rk4_result(field, s, h, n, consts={}):
+    """outcome of rk4_integrate, asserted equal to the reference's."""
+    got = outcome(rk4_integrate, field, s, h, n, consts)
+    assert got == outcome(ref_rk4_integrate, field, s, h, n, consts)
+    return got
+
+
+def flow_orbit(flow, s, h, horizon, consts={}):
+    """guarded_orbit_flow of flow under the guard true, from time 0 to the
+    horizon, asserted equal in repr to the tree walk's orbit."""
+    got = guarded_orbit_flow(flow, TRUE, NONNEG, s, h, consts, horizon)
+    assert repr(got) == repr(ref_orbit_flow(flow, TRUE, NONNEG, s, h, consts, horizon, 0.0))
+    return got
+
+
+def flow_failure(flow, times, s, consts={}):
+    """The exception that the orbit writer's kernel of flow under the guard
+    true raises at times (guarded_orbit_flow ends the orbit there), or None."""
+    run = _orbit_run(("flow", tuple(flow.components.items())), flow.reads, TRUE, s, consts)
     try:
-        for _ in itertools.islice(states, n):
-            pass
+        run([], times, s, consts, 0.0, 0.0, 0.0, 0.0)
     except Exception as exc:  # noqa: BLE001 - compared, not swallowed
         return exc
     return None
-
-
-def take(states, n):
-    """The first n states as reprs (exact for floats, ints stay ints), and
-    the (type, message) of the exception that ended them early, if any."""
-    out = []
-    try:
-        for s in itertools.islice(states, n):
-            out.append({k: repr(val) for k, val in s.items()})
-    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
-        return out, (type(exc), str(exc))
-    return out, None
 
 
 def random_expr(rng, names, consts, depth):
@@ -572,21 +592,55 @@ class TestRk4StatesBitIdentity:
             # n and w are store variables outside the field
             s = {**{n: rng.uniform(-2, 2) for n in names}, "n": 7, "w": 0.5}
             h = rng.choice([0.1, 0.05, 0.125])
-            got = take(rk4_states(field, s, h, cv), 40)
-            assert got == take(ref_rk4_states(field, s, h, cv), 40)
-            assert all(st["n"] == "7" and st["w"] == "0.5" for st in got[0])
+            got = rk4_result(field, s, h, 39, cv)
+            if got[0] == "value":
+                traj, _ = rk4_integrate(field, s, h, 39, cv)
+                assert all(st["n"] == 7 and type(st["n"]) is int and st["w"] == 0.5
+                           for _, st in traj)
+
+    def test_seeded_property(self):
+        # fields over sin, exp, division and blow-ups, with constants bound,
+        # unbound and shadowed by the store, pass-through store variables
+        # and, now and then, a field variable the store lacks
+        rng = random.Random(33)
+        seen = set()
+        for _ in range(300):
+            names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
+            comps = {}
+            for n in names:
+                e = rand_expr(rng, rng.randint(0, 3), False)
+                pick = rng.random()
+                if pick < 0.15:
+                    e = Exp(e * Var(rng.choice(names)))
+                elif pick < 0.3:
+                    e = e / (Var(rng.choice(names)) - _random_rat(rng))
+                elif pick < 0.4:
+                    e = e * SymConst(rng.choice(["c", "p", "u"]))  # p is a store key
+                elif pick < 0.5:
+                    e = const(8) * Var(n) * Var(n)  # blows up to inf
+                comps[n] = e
+            try:
+                field = VectorField(comps)
+            except ValueError:  # reads a variable it does not declare
+                continue
+            s = {n: rng.uniform(-2, 2) for n in names if rng.random() < 0.95}
+            s["p"] = rng.choice((3, 0.5))
+            consts = {"c": rng.uniform(-2, 2)}
+            if rng.random() < 0.3:
+                consts[rng.choice(names)] = 9.0  # shadowed by the store
+            got = rk4_result(field, s, rng.choice((0.05, 0.1, 0.5)), 30, consts)
+            seen.add(got[1].__name__ if got[0] == "raise" else got[1].endswith("True)"))
+        assert {True, False, "EvalError", "KeyError", "OverflowError"} <= seen
 
     def test_blow_up_matches_reference(self):
-        # x' = x*x from 5 overflows to inf, then inf - inf gives nan; sin of
-        # an infinity raises ValueError at the stage that first reads it
+        # x' = x*x from 5 overflows to inf, which ends the trajectory; sin
+        # of an infinity raises ValueError at the stage that first reads it
         square = VectorField({"x": x * x})
         with_sin = VectorField({"x": x * x, "y": Sin(x)})
-        a = take(rk4_states(square, {"x": 5.0}, 0.5), 60)
-        b = take(rk4_states(with_sin, {"x": 5.0, "y": 0.0}, 0.5), 60)
-        assert a == take(ref_rk4_states(square, {"x": 5.0}, 0.5, {}), 60)
-        assert b == take(ref_rk4_states(with_sin, {"x": 5.0, "y": 0.0}, 0.5, {}), 60)
-        assert a[1] is None and any(st["x"] in ("inf", "nan") for st in a[0])
-        assert b[1] == (ValueError, "math domain error")
+        a = rk4_result(square, {"x": 5.0}, 0.5, 59)
+        b = rk4_result(with_sin, {"x": 5.0, "y": 0.0}, 0.5, 59)
+        assert a[0] == "value" and a[1].endswith("True)")
+        assert b == ("raise", ValueError, "math domain error", None)
 
     @pytest.mark.usefixtures("fresh_kernels")
     @pytest.mark.parametrize("pole", [1.25, 1.3125, 1.65625], ids=["stage2", "stage3", "stage4"])
@@ -595,10 +649,9 @@ class TestRk4StatesBitIdentity:
         # the four stages of the first step, so y' = 1/(x - pole) fails at one
         field = VectorField({"x": x, "y": const(1) / (x - const(Fraction(pole)))})
         s = {"x": 1.0, "y": 0.0}
-        got = take(rk4_states(field, s, 0.5), 5)
-        assert got == take(ref_rk4_states(field, s, 0.5, {}), 5)
-        assert got == ([{"x": "1.0", "y": "0.0"}], (EvalError, "division by zero"))
-        assert failure(rk4_states(field, s, 0.5), 5).subterm is field.components["y"]
+        assert rk4_result(field, s, 0.5, 4) == (
+            "raise", EvalError, "division by zero", field.components["y"])
+        assert rk4_result(field, s, 0.5, 0) == ("value", repr(([(0.0, s)], False)))
         orbit = guarded_orbit_field(field, TRUE, NONNEG, s, 0.5, horizon=2)
         assert orbit == [(0.0, s)]
 
@@ -618,13 +671,9 @@ class TestRk4StatesBitIdentity:
     def test_failure_at_the_second_state_names_the_same_subterm(self, comps, subterm):
         field = VectorField(comps)
         s = {"x": 1.0, "y": 0.0}
-        got = take(rk4_states(field, s, 0.5), 5)
-        assert got == take(ref_rk4_states(field, s, 0.5, {}), 5)
-        assert got[0] == [{"x": "1.0", "y": "0.0"}] and got[1] is not None
-        exc = failure(rk4_states(field, s, 0.5), 5)
-        assert getattr(exc, "subterm", None) is subterm(comps)
-        assert getattr(failure(ref_rk4_states(field, s, 0.5, {}), 5), "subterm", None) \
-            is subterm(comps)
+        got = rk4_result(field, s, 0.5, 4)
+        assert got[0] == "raise" and got[3] is subterm(comps)
+        assert rk4_result(field, s, 0.5, 0) == ("value", repr(([(0.0, s)], False)))
 
     def test_names_that_are_not_python_identifiers(self):
         # names reach the generated code only through its globals
@@ -635,14 +684,10 @@ class TestRk4StatesBitIdentity:
             field = VectorField({n: random_expr(rng, names, consts, 3) for n in names})
             cv = {c: rng.uniform(-2, 2) for c in consts}
             s = {**{n: rng.uniform(-1, 1) for n in names}, "None": 1}
-            got = take(rk4_states(field, s, 0.05), 30)  # unbound constants
-            assert got == take(ref_rk4_states(field, s, 0.05, {}), 30)
-            got = take(rk4_states(field, s, 0.05, cv), 30)
-            assert got == take(ref_rk4_states(field, s, 0.05, cv), 30)
+            rk4_result(field, s, 0.05, 29)  # unbound constants
+            rk4_result(field, s, 0.05, 29, cv)
             flow = Flow({n: e * t + Var(n) for n, e in field.components.items()})
-            times = [0.1 * k for k in range(10)]
-            want = [ref_flow_at(flow, tt, s, cv) for tt in times]
-            assert take(flow.states(times, s, cv), 10) == take(want, 10)
+            flow_orbit(flow, s, 0.1, 0.9, cv)
 
     def test_deep_chain_and_shared_subterms(self):
         chain = x
@@ -653,26 +698,25 @@ class TestRk4StatesBitIdentity:
             dag = Sin(dag + dag)
         field = VectorField({"x": chain, "y": dag * x, "z": dag + chain})
         s = {"x": 0.5, "y": 0.25, "z": 0.0}
-        got = take(rk4_states(field, s, 0.01), 20)
-        assert got == take(ref_rk4_states(field, s, 0.01, {}), 20)
+        assert rk4_result(field, s, 0.01, 19)[0] == "value"
         flow = Flow({"x": chain * t + dag, "y": dag})
-        times = [0.25 * k for k in range(8)]
-        want = [ref_flow_at(flow, tt, s, {}) for tt in times]
-        assert take(flow.states(times, s, {}), 8) == take(want, 8)
+        assert len(flow_orbit(flow, s, 0.25, 1.75)) == 8
 
     def test_kernels_are_cached_outside_equality(self):
         field = VectorField({"x": v, "v": g})
         assert field.reads == ("g",)
-        step = step_of(field, ("g",))
-        assert step_of(field, ("g",)) is step and step_of(field, ()) is not step
+        keys = ("x", "v")
+        run = field_orbit_kernel(field, keys, ("g",))
+        assert field_orbit_kernel(field, keys, ("g",)) is run
+        assert field_orbit_kernel(field, keys, ()) is not run
         assert field == VectorField({"x": v, "v": g})
         assert repr(field) == repr(VectorField({"x": v, "v": g}))
         flow = Flow({"x": x + v * t})
         assert flow.reads == ("v", "x")
-        f = flow_of(flow, ("v",), ("v", "x"))
-        assert flow_of(flow, ("v",), ("v", "x")) is f  # same pass-through and bound names
-        assert flow_of(flow, ("v", "w"), ("v", "x")) is not f
-        assert flow_of(flow, ("v",), ("x",)) is not f
+        run = flow_orbit_kernel(flow, keys, ())
+        assert flow_orbit_kernel(flow, keys, ()) is run  # same store keys and constants
+        assert flow_orbit_kernel(flow, ("x", "v", "w"), ()) is not run
+        assert flow_orbit_kernel(flow, ("x",), ("v",)) is not run
         assert flow == Flow({"x": x + v * t}) and repr(flow) == repr(Flow({"x": x + v * t}))
 
     def test_kernels_of_one_shape_share_code(self):
@@ -683,30 +727,37 @@ class TestRk4StatesBitIdentity:
         text = (PROBLEMS / "bouncing_ball.hwl").read_text()
         first, second = evolve(text), evolve(text)
         assert first.field is not second.field
-        bound = first.field.reads
-        assert step_of(first.field, bound).__code__ is step_of(second.field, bound).__code__
-        s = {"x": 1.0, "v": 0.0}
-        bound = first.flow.reads
-        assert flow_of(first.flow, (), bound).__code__ is flow_of(second.flow, (), bound).__code__
+        keys, bound = ("x", "v"), first.field.reads
+        assert field_orbit_kernel(first.field, keys, bound).__code__ is field_orbit_kernel(
+            second.field, keys, bound).__code__
+        assert flow_orbit_kernel(first.flow, keys, bound).__code__ is flow_orbit_kernel(
+            second.flow, keys, bound).__code__
         # kernels of one shape with different constants keep their own values
-        step2, step3 = (step_of(VectorField({"x": v, "v": const(c)}), ()) for c in (2, 3))
-        assert step2 is not step3 and step2.__code__ is step3.__code__
-        assert step2(s, (), 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
-            VectorField({"x": v, "v": const(2)}), s, 0.5, {})
-        assert step3(s, (), 0.5, 0.25, 0.5 / 6.0) == ref_rk4_step(
-            VectorField({"x": v, "v": const(3)}), s, 0.5, {})
-        assert step2(s, (), 0.5, 0.25, 0.5 / 6.0) != step3(s, (), 0.5, 0.25, 0.5 / 6.0)
+        s = {"x": 1.0, "v": 0.0}
+        fields = [VectorField({"x": v, "v": const(c)}) for c in (2, 3)]
+        run2, run3 = (field_orbit_kernel(f, keys, ()) for f in fields)
+        assert run2 is not run3 and run2.__code__ is run3.__code__
+        for f in fields:
+            [_, (_, got)], _ = rk4_integrate(f, s, 0.5, 1)
+            assert got == ref_rk4_step(f, s, 0.5, {})
+        assert rk4_integrate(fields[0], s, 0.5, 1) != rk4_integrate(fields[1], s, 0.5, 1)
         flows = [Flow({"x": x + const(c) * t}) for c in (2, 3)]
-        assert flow_of(flows[0], ("v",), ("x",)).__code__ is flow_of(flows[1], ("v",), ("x",)).__code__
-        assert [f.at(1.0, s, {}) for f in flows] == [{"x": 3.0, "v": 0.0}, {"x": 4.0, "v": 0.0}]
+        codes = {flow_orbit_kernel(f, keys, ()).__code__ for f in flows}
+        assert len(codes) == 1
+        assert [flow_orbit(f, s, 1.0, 1.0)[1][1] for f in flows] == [
+            {"x": 3.0, "v": 0.0}, {"x": 4.0, "v": 0.0}]
 
     def test_two_parses_share_every_kernel(self):
         text = (PROBLEMS / "bouncing_ball.hwl").read_text()
         specs = [parse_spec(text) for _ in range(2)]
         (_, first), (_, second) = (next(_find_evolves(s.program)) for s in specs)
         assert first.field is not second.field and first.field == second.field
-        assert step_of(first.field, ("g",)) is step_of(second.field, ("g",))
-        assert flow_of(first.flow, ("h",), ("g",)) is flow_of(second.flow, ("h",), ("g",))
+        assert first.guard is second.guard  # two parses give one term
+        keys = ("x", "v")
+        assert field_orbit_kernel(first.field, keys, ("g",), first.guard) is field_orbit_kernel(
+            second.field, keys, ("g",), second.guard)
+        assert flow_orbit_kernel(first.flow, keys, ("g",), first.guard) is flow_orbit_kernel(
+            second.flow, keys, ("g",), second.guard)
         monoids, checks = [], []
         for ev in (first, second):
             field, flow = tuple(ev.field.components.items()), tuple(ev.flow.components.items())
@@ -737,11 +788,13 @@ class TestRk4StatesBitIdentity:
     def test_equal_fields_share_one_kernel(self):
         a = VectorField({"x": v, "v": g * x})
         b = VectorField({"x": Var("v"), "v": SymConst("g") * Var("x")})
-        assert step_of(a, ("g",)) is step_of(b, ("g",))
-        assert step_of(a, ()) is not step_of(a, ("g",))
+        keys = ("x", "v")
+        assert field_orbit_kernel(a, keys, ("g",)) is field_orbit_kernel(b, keys, ("g",))
+        assert field_orbit_kernel(a, keys, ()) is not field_orbit_kernel(a, keys, ("g",))
         # the field's order is part of its value: it orders the kernel's statements
         c = VectorField({"v": g * x, "x": v})
-        assert c == a and step_of(c, ("g",)) is not step_of(a, ("g",))
+        assert c == a
+        assert field_orbit_kernel(c, keys, ("g",)) is not field_orbit_kernel(a, keys, ("g",))
 
     @pytest.mark.usefixtures("fresh_kernels")
     @pytest.mark.parametrize("bound_first", [True, False], ids=["bound-first", "unbound-first"])
@@ -750,19 +803,15 @@ class TestRk4StatesBitIdentity:
         field, flow = VectorField({"x": v, "v": g}), Flow({"x": x + g * t})
         s, times = {"x": 1.0, "v": 0.5}, [0.0, 0.5, 1.0]
         for consts in ([{"g": -2.0}, {}] if bound_first else [{}, {"g": -2.0}]):
-            for ours, ref in [
-                (lambda: rk4_states(field, s, 0.5, consts),
-                 lambda: ref_rk4_states(field, s, 0.5, consts)),
-                (lambda: flow.states(times, s, consts),
-                 lambda: (ref_flow_at(flow, tt, s, consts) for tt in times)),
-            ]:
-                assert take(ours(), 4) == take(ref(), 4)
-                exc, want = failure(ours(), 4), failure(ref(), 4)
-                if consts:
-                    assert exc is None and want is None
-                else:
-                    assert type(exc) is EvalError and str(exc) == "unbound name 'g'"
-                    assert exc.subterm is g and want.subterm is g
+            got = rk4_result(field, s, 0.5, 3, consts)
+            orbit = flow_orbit(flow, s, 0.5, 1.0, consts)
+            exc = flow_failure(flow, times, s, consts)
+            if consts:
+                assert got[0] == "value" and len(orbit) == 3 and exc is None
+            else:
+                assert got == ("raise", EvalError, "unbound name 'g'", g)
+                assert orbit == [] and type(exc) is EvalError
+                assert str(exc) == "unbound name 'g'" and exc.subterm is g
 
     def test_orbit_matches_reference_points(self):
         guard = Cmp(">=", x, const(0))
@@ -778,11 +827,12 @@ def _random_rat(rng):
 
 
 def outcome(fn, *args):
-    """("value", repr of the result) or ("raise", type, message)."""
+    """("value", repr of the result: exact for floats, ints stay ints, keys
+    in order) or ("raise", type, message, subterm) of fn's exception."""
     try:
         return "value", repr(fn(*args))
     except Exception as exc:  # noqa: BLE001 - compared, not swallowed
-        return "raise", type(exc), str(exc)
+        return "raise", type(exc), str(exc), getattr(exc, "subterm", None)
 
 
 class TestOrbitKernelMatchesReference:
@@ -868,13 +918,13 @@ class TestOrbitKernelMatchesReference:
                 assert repr(got) == repr(want) and len(got) == points
 
     def test_rk4_steps_only_after_a_kept_point_with_a_next_time(self):
-        # z is no store key: reading it for a step raises KeyError, as
-        # rk4_states does, which no orbit catches
+        # z is no store key: reading it for a step raises KeyError, which
+        # no orbit catches and rk4_integrate passes on
         field = VectorField({"x": const(1), "z": const(2)})
         with pytest.raises(KeyError, match="'z'"):
             guarded_orbit_field(field, TRUE, NONNEG, {"x": 0.0}, 0.5)
-        with pytest.raises(KeyError, match="'z'"):
-            list(itertools.islice(rk4_states(field, {"x": 0.0}, 0.5), 2))
+        assert rk4_result(field, {"x": 0.0}, 0.5, 1) == ("raise", KeyError, "'z'", None)
+        assert rk4_result(field, {"x": 0.0}, 0.5, 0) == ("value", "([(0.0, {'x': 0.0})], False)")
         assert guarded_orbit_field(field, FALSE, NONNEG, {"x": 0.0}, 0.5) == []
         one_point = TimeDomain(0, 0)
         assert guarded_orbit_field(field, TRUE, one_point, {"x": 0.0}, 0.5) == [(0.0, {"x": 0.0})]
@@ -935,32 +985,31 @@ class TestFlowStates:
                 s = {"x": rng.uniform(-2, 2), "v": rng.uniform(-2, 2),
                      "y": rng.uniform(-2, 2), "n": 3}
                 cv = {"g": rng.uniform(-2, 2)}
-                times = [0.05 * k for k in range(50)]
-                got = list(flow.states(times, s, cv))
-                want = [flow.at(tt, s, cv) for tt in times]
-                assert take(got, 50) == take(want, 50)
-                ref = [ref_flow_at(flow, tt, s, cv) for tt in times]
-                assert take(want, 50) == take(ref, 50)
+                got = flow_orbit(flow, s, 0.05, 2.45, cv)
+                assert [tt for tt, _ in got] == [k * 0.05 for k in range(50)]
+                want = [ref_flow_at(flow, tt, s, cv) for tt, _ in got]
+                assert repr([st for _, st in got]) == repr(want)
                 # a variable the flow does not name keeps its value
-                assert all(st[k] == s[k] for st in got for k in set(s) - set(flow.components))
+                assert all(st[k] == s[k] for _, st in got for k in set(s) - set(flow.components))
 
     def test_constant_denominators(self):
         # a (nonzero) constant denominator needs no zero check
         halves = Flow({"x": x / const(2) + t / const(Fraction(1, 3))})
-        assert halves.at(1.5, {"x": 3.0}, {}) == ref_flow_at(halves, 1.5, {"x": 3.0}, {})
+        assert flow_orbit(halves, {"x": 3.0}, 1.5, 1.5)[1] == (
+            1.5, ref_flow_at(halves, 1.5, {"x": 3.0}, {}))
 
     @pytest.mark.usefixtures("fresh_kernels")
     def test_error_at_a_later_time_raises_on_that_element(self):
         flow = Flow({"x": x + const(1) / (t - const(1))})
-        times = [0.0, 0.5, 1.0, 1.5]
-        states = flow.states(times, {"x": 2.0}, {})
-        assert next(states) == flow.at(0.0, {"x": 2.0}, {})
-        assert next(states) == flow.at(0.5, {"x": 2.0}, {})
-        with pytest.raises(EvalError, match="division by zero") as raised:
-            next(states)
-        assert raised.value.subterm is flow.components["x"].rhs
-        assert flow.at(1.5, {"x": 2.0}, {}) == {"x": 4.0}
+        s = {"x": 2.0}
+        orbit = flow_orbit(flow, s, 0.5, 1.5)
+        assert orbit == [(tt, ref_flow_at(flow, tt, s, {})) for tt in (0.0, 0.5)]
+        exc = flow_failure(flow, [0.0, 0.5, 1.0, 1.5], s)
+        assert type(exc) is EvalError and str(exc) == "division by zero"
+        assert exc.subterm is flow.components["x"].rhs
+        assert guarded_orbit_flow(flow, TRUE, TimeDomain(Fraction(-3, 2), Fraction(3, 2)), s, 1.5,
+                                  {}, 1.5) == [(0.0, {"x": 1.0}), (1.5, {"x": 4.0})]
         unbound = Flow({"x": x + g * t})
-        with pytest.raises(EvalError, match="unbound name 'g'") as raised:
-            unbound.at(1.0, {"x": 2.0}, {})
-        assert raised.value.subterm is g
+        assert flow_orbit(unbound, s, 1.0, 1.0) == []
+        exc = flow_failure(unbound, [1.0], s)
+        assert type(exc) is EvalError and str(exc) == "unbound name 'g'" and exc.subterm is g

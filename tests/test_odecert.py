@@ -34,7 +34,6 @@ from hybridwlp.hprog import (
     Skip,
     TimeDomain,
     VectorField,
-    rk4_states,
 )
 from hybridwlp.hwl import format_pred, parse_spec
 from hybridwlp.odecert import (
@@ -110,7 +109,8 @@ class TestRk4:
         assert divergent and 0 < len(traj) < 61
         assert [tt for tt, _ in traj] == [0.5 * k for k in range(len(traj))]
         assert all(math.isfinite(s["x"]) and s["n"] == 3 for _, s in traj)
-        nxt = list(itertools.islice(rk4_states(field, {"x": 5.0, "n": 3}, 0.5), len(traj) + 1))
+        nxt = list(itertools.islice(ref_rk4_states(field, {"x": 5.0, "n": 3}, 0.5, {}),
+                                    len(traj) + 1))
         assert nxt[:-1] == [s for _, s in traj] and not math.isfinite(nxt[-1]["x"])
 
     def test_convergence_order(self):
@@ -264,9 +264,9 @@ class TestCertifyFlow:
 
 
 # ---------------------------------------------------------------------------
-# Reference numeric cross-checks: the certificate's monoid and RK4 loops as
-# they ran over Flow.at, rk4_integrate and Flow.states, here over the tree
-# walk's flow states and RK4 steps (tests/treewalk.py), except that a NaN
+# Reference numeric cross-checks: the certificate's monoid and RK4 loops
+# over the tree walk's flow states and RK4 steps (tests/treewalk.py), RK4
+# cut where rk4_integrate cuts its trajectory, except that a NaN
 # deviation wins every maximum (nan_max).  The generated check kernels must
 # give the same CheckResult, residual bit for bit, and leave the random
 # draws where the references leave them.
@@ -432,7 +432,7 @@ class TestCheckKernelsBitIdentity:
 
     def test_names_that_are_not_python_identifiers(self):
         # names reach the generated code only through its globals; a
-        # variable named t is the time symbol inside a flow, as in Flow.at
+        # variable named t is the time symbol inside a flow, as in an orbit
         names = ["class", "t", "worst", "ferr", "_v1"]
         consts = ["k", "steps", "h"]
         rng = random.Random(17)
@@ -458,7 +458,7 @@ class TestCheckKernelsBitIdentity:
     def test_field_division_by_zero_partway(self):
         # y' = 1/(x - p) with p the RK4 state's x after 5 steps
         s = {"x": 0.25, "y": 0.0}
-        p = list(itertools.islice(rk4_states(VectorField({"x": const(1)}), s, RK4_STEP), 6))[5]["x"]
+        p = rk4_integrate(VectorField({"x": const(1)}), s, RK4_STEP, 5)[0][5][1]["x"]
         field = VectorField({"x": const(1), "y": const(1) / (x - const(Fraction(p)))})
         flow = Flow({"x": x + t, "y": y})
         got = both_rk4(field, flow, [[0.25, 0.0]], [{}])
@@ -480,9 +480,9 @@ class TestCheckKernelsBitIdentity:
         elif pole == "blow-up":
             field = VectorField({"x": x * x * const(8), "y": const(0)})
         else:
-            p = list(itertools.islice(
-                rk4_states(VectorField({"x": const(1)}), {"x": 0.25}, RK4_STEP), pole + 1))[pole]
-            field = VectorField({"x": const(1), "y": const(1) / (x - const(Fraction(p["x"])))})
+            traj, _ = rk4_integrate(VectorField({"x": const(1)}), {"x": 0.25}, RK4_STEP, pole)
+            p = traj[pole][1]["x"]
+            field = VectorField({"x": const(1), "y": const(1) / (x - const(Fraction(p)))})
         flow = Flow({"x": x + t, "y": y + const(0) * Exp(const(1000000) * t)})
         assert both_rk4(field, flow, [s], [{}]).detail == want
 

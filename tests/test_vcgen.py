@@ -43,6 +43,7 @@ from hybridwlp.hprog import (
     RunConfig,
     Seq,
     Skip,
+    Test,
     TimeDomain,
     VectorField,
     guarded_orbit_flow,
@@ -71,6 +72,7 @@ from hybridwlp.vcgen import (
 from test_hprog import random_discrete_program
 from test_hwl_reference import rand_pred
 from treepasses import outcome as call_outcome, ref_eval_pred_ext
+from treewalk import ref_flow_at
 
 x, v, y = Var("x"), Var("v"), Var("y")
 t = TimeVar()
@@ -342,7 +344,7 @@ class TestTimeQuantEvaluation:
             want = all(eval_pred(q, {**consts, **st}) for _, st in orbit)
             assert got == want
             if len(orbit) < len(grid):
-                stop = BALL_FLOW.at(grid[len(orbit)], store, consts)
+                stop = ref_flow_at(BALL_FLOW, grid[len(orbit)], store, consts)
                 try:
                     eval_pred(guard, {**consts, **stop})
                 except EVAL_FAILURES:
@@ -765,7 +767,7 @@ class TestBinderHygiene:
         assert _verdict_kinds(spec) == _expected_kinds(case)
 
     def test_time_symbol_reserved_in_api(self):
-        # Flow.at binds t to the time, so a store variable t would be
+        # a flow binds t to the time, so a store variable t would be
         # silently replaced along every orbit
         tv = Var("t")
         with pytest.raises(ValueError, match="reserved"):
@@ -781,6 +783,66 @@ class TestBinderHygiene:
             )
         with pytest.raises(ValueError, match="reserved"):
             VerifySpec(name="reserved", vars=("x",), consts=("t",))
+
+
+class TestApiProgramNames:
+    """Through the API, as through the parser, a program writes only
+    declared variables and reads only declared names (and the time symbol),
+    so every store of a run has the keys of the start store."""
+
+    c = SymConst("c")
+
+    @pytest.mark.parametrize("program, message", [
+        # a flow of an undeclared y made falsify's stores gain a key y mid-run
+        (Seq((Evolve(None, TRUE, TimeDomain(0, 1), flow=Flow({"y": x + t})),
+              IfThenElse(Cmp(">", y, const(0)), Assign("x", const(-1)), Skip()))),
+         "flow of undeclared variable 'y'"),
+        (Assign("z", Var("w")), "assignment to undeclared variable 'z'"),
+        (Assign("x", Var("w")), r"assignment to 'x' reads undeclared names \['w'\]"),
+        (Assign("c", const(1)), "assignment to undeclared variable 'c'"),  # a constant
+        (Test(Cmp(">", y, const(0))), r"test reads undeclared names \['y'\]"),
+        (IfThenElse(Cmp(">", SymConst("k"), x), Skip(), Skip()),
+         r"branch condition reads undeclared names \['k'\]"),
+        (Loop(Skip(), Cmp(">=", y, const(0))), r"loop invariant reads undeclared names \['y'\]"),
+        (Evolve(VectorField({"x": const(1)}), Cmp(">=", y, const(0)), NONNEG),
+         r"guard reads undeclared names \['y'\]"),
+        (Evolve(VectorField({"x": const(1), "y": x}), TRUE, NONNEG),
+         "field of undeclared variable 'y'"),
+        (Evolve(VectorField({"x": SymConst("k")}), TRUE, NONNEG),
+         r"field of 'x' reads undeclared names \['k'\]"),
+        (Evolve(VectorField({"x": const(1)}), TRUE, NONNEG,
+                flow=Flow({"x": x + SymConst("k") * t})),
+         r"flow of 'x' reads undeclared names \['k'\]"),
+        (Evolve(VectorField({"x": const(1)}), TRUE, NONNEG, dinv=Cmp(">=", x, Var("w"))),
+         r"dinv reads undeclared names \['w'\]"),
+        # nested under a choice and a loop body, found without recursion
+        (Choice((Skip(), Loop(Seq((Skip(), Assign("w", x))), TRUE))),
+         "assignment to undeclared variable 'w'"),
+    ], ids=["flow-writes", "assign-writes", "assign-reads", "assign-to-constant", "test",
+            "branch", "invariant", "guard", "field-writes", "field-reads", "flow-reads", "dinv",
+            "nested"])
+    def test_undeclared_names_are_rejected(self, program, message):
+        with pytest.raises(ValueError, match=message):
+            VerifySpec(name="p", vars=("x",), consts=("c",), pre=Cmp("=", x, const(0)),
+                       post=Cmp(">=", x, const(0)), program=program)
+
+    def test_declared_names_and_the_time_symbol_are_accepted(self):
+        program = Seq((
+            Assign("x", x + self.c + t),
+            Evolve(VectorField({"x": self.c}), Cmp(">=", x, const(0)), NONNEG,
+                   flow=Flow({"x": x + self.c * t})),
+            Loop(Test(Cmp("<=", x, self.c)), Cmp(">=", x, const(0))),
+        ))
+        spec = VerifySpec(name="p", vars=("x",), consts=("c",), program=program)
+        assert spec.program is program
+
+    def test_a_chain_deeper_than_the_recursion_limit_is_checked(self):
+        program = Seq((Assign("x", x + const(1)),))
+        for _ in range(3000):
+            program = Seq((program, Skip()))
+        VerifySpec(name="p", vars=("x",), program=program)
+        with pytest.raises(ValueError, match="undeclared variable 'y'"):
+            VerifySpec(name="p", vars=("x",), program=Seq((program, Assign("y", x))))
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,13 @@ def ref_eval_pred(p, val, eq_tol):
 
 def ref_rk4_step(field, s, h, consts):
     names = list(field.components)
+    for x in names:  # a field variable the store lacks: KeyError before any stage
+        s[x]
 
     def deriv(state):
-        env = {**consts, **state}
+        # a stage state holds the field's variables; the store's others
+        # keep their values along the step, and shadow constants as in s
+        env = {**consts, **s, **state}
         return {x: ref_evaluate(field.components[x], env) for x in names}
 
     k1 = deriv(s)
