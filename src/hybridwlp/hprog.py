@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import count, repeat, takewhile
 from math import inf, isfinite
-from operator import ge, mul
+from operator import ge, itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .expr import (
@@ -538,52 +538,66 @@ def find_violation(
     One stack holds (run, todo) entries: run is its last step linked to the
     run before it, (step, run) down to None, and todo the nodes left, as
     (node, todo) pairs down to None, so no Python recursion limit applies.
+    A popped entry's run is followed in place through every step with one
+    successor; a branch point pushes its other successors, the first on top.
+    The stores of a run share the keys of s (a VerifySpec's program writes
+    only declared variables), so one kernel per predicate serves the search
+    and a loop keys the stores it reached by their values in key order.
     """
     consts = cfg.consts
+    names = sorted(s)
+    key = itemgetter(*names) if names else tuple  # tuple({}) == ()
     kernels: dict = {}  # the post, each branch condition and each test -> its kernel
-
-    def holds(p: Pred, store: Store) -> bool:
-        # the stores of a run have the keys of s, so one kernel serves each
-        kernel = kernels.get(p)
-        if kernel is None:
-            kernel = kernels[p] = _reading(pred_kernel, p, store, consts)
-        return kernel(store, consts, EQ_TOL)
-
     stack = [((("init", dict(s)), None), (p, None))]
     message = None
     while stack:
         run, todo = stack.pop()
         store = run[0][1]
         try:
-            if todo is None:
-                if not holds(post, store):
-                    break
-                continue
-            node, rest = todo
-            kind = type(node)
-            if kind is Seq:
-                for item in reversed(node.items):
-                    rest = item, rest
-                stack.append((run, rest))
-            elif kind is Choice:
-                stack += [(run, (item, rest)) for item in reversed(node.items)]
-            elif kind is IfThenElse:
-                stack.append((run, (node.then if holds(node.cond, store) else node.els, rest)))
-            elif kind is Test:
-                if holds(node.cond, store):
-                    stack.append((run, rest))
-            elif kind is Loop:
-                stack.append((run, (_LoopEnd(node.body, set(), cfg.fuel), rest)))
-            elif kind is _LoopEnd:
-                key = _key(store)
-                if key not in node.reached:
-                    node.reached.add(key)
+            while todo is not None:  # a break ends the run at a dead end
+                node, todo = todo
+                kind = type(node)
+                if kind is Seq:
+                    for item in reversed(node.items):
+                        todo = item, todo
+                elif kind is IfThenElse or kind is Test:
+                    kernel = kernels.get(node.cond)
+                    if kernel is None:
+                        kernel = kernels[node.cond] = _reading(pred_kernel, node.cond, store, consts)
+                    if kind is IfThenElse:
+                        todo = (node.then if kernel(store, consts, EQ_TOL) else node.els), todo
+                    elif not kernel(store, consts, EQ_TOL):
+                        break
+                elif kind is Choice:
+                    if not node.items:
+                        break
+                    stack += [(run, (item, todo)) for item in node.items[:0:-1]]
+                    todo = node.items[0], todo
+                elif kind is Loop:
+                    todo = _LoopEnd(node.body, set(), cfg.fuel), todo
+                elif kind is _LoopEnd:
+                    k = key(store)
+                    if k in node.reached:
+                        break
+                    node.reached.add(k)
                     if node.fuel > 0:
-                        stack.append((run, (node.body, (node._replace(fuel=node.fuel - 1), rest))))
-                    stack.append((run, rest))
-            else:
-                stack += [(run if step[0] is None else (step, run), rest)
-                          for step in reversed(_steps(node, store, cfg))]
+                        stack.append((run, (node.body, (
+                            _LoopEnd(node.body, node.reached, node.fuel - 1), todo))))
+                else:
+                    steps = _steps(node, store, cfg)
+                    if len(steps) != 1:
+                        if not steps:
+                            break
+                        stack += [((step, run), todo) for step in steps[:0:-1]]
+                    step = steps[0]
+                    if step[0] is not None:
+                        run, store = (step, run), step[1]
+            else:  # the run ends: a break here leaves the search
+                kernel = kernels.get(post)
+                if kernel is None:
+                    kernel = kernels[post] = _reading(pred_kernel, post, store, consts)
+                if not kernel(store, consts, EQ_TOL):
+                    break
         except EVAL_FAILURES as exc:
             message = str(exc)
             break

@@ -52,14 +52,8 @@ from .hprog import (
     Abort, Assign, Choice, Evolve, Flow, HybridProgram, IfThenElse, Loop, NONNEG, REALS, Seq,
     Skip, Test, TimeDomain, VectorField,
 )
-from .vcgen import CONFIG_KEYS, Lemma, VerifySpec
+from .vcgen import CONFIG_KEYS, KEYWORDS, Lemma, VerifySpec
 
-KEYWORDS = {
-    "problem", "vars", "consts", "assume", "pre", "post", "program", "lemma",
-    "config", "skip", "abort", "if", "then", "else", "loop", "inv", "evolve",
-    "evol", "flow", "dinv", "on", "in", "R", "true", "false", "sin", "cos",
-    "exp", "inf",
-}
 RESERVED_NAMES = {"t", "tau"} | KEYWORDS
 
 # One match per token: the whitespace and comments before it are skipped

@@ -113,6 +113,13 @@ class Lemma:
 
 # the keys a problem's config may set, in .hwl and through the API alike
 CONFIG_KEYS = {"seed", "step", "horizon", "trials", "fuel", "lemma_trials"}
+# the input language's keywords: no variable or constant may take one
+KEYWORDS = {
+    "problem", "vars", "consts", "assume", "pre", "post", "program", "lemma",
+    "config", "skip", "abort", "if", "then", "else", "loop", "inv", "evolve",
+    "evol", "flow", "dinv", "on", "in", "R", "true", "false", "sin", "cos",
+    "exp", "inf",
+}
 
 
 @dataclass(frozen=True)
@@ -136,15 +143,23 @@ class VerifySpec:
         object.__setattr__(self, "consts", tuple(self.consts))
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
         object.__setattr__(self, "lemmas", tuple(self.lemmas))
-        declared = set(self.vars) | set(self.consts)
-        if TIME_NAME in declared:
-            raise ValueError(f"{TIME_NAME!r} is reserved for the time symbol")
+        # the parser's header rules, but tau is free: wlp's time binders avoid declared names
+        declared = set()
+        for what, names in (("variable", self.vars), ("constant", self.consts)):
+            for name in names:
+                if name == TIME_NAME:
+                    raise ValueError(f"{TIME_NAME!r} is reserved for the time symbol")
+                if name in KEYWORDS or name in declared:
+                    raise ValueError(f"bad {what} name {name!r}")
+                declared.add(name)
         for label, pred in (("pre", self.pre), ("post", self.post)):
             extra = pred_free_names(pred) - declared
             if extra:
                 raise ValueError(f"{label} reads undeclared names {sorted(extra)}")
         _check_program_names(self.program, set(self.vars), declared)
         for c, (lo, hi) in self.const_ranges.items():
+            if c not in self.consts:
+                raise ValueError(f"range for undeclared constant {c!r}")
             if lo > hi:
                 raise ValueError(f"empty range for constant {c!r}: [{lo}, {hi}]")
         names = set()

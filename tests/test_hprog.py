@@ -453,17 +453,21 @@ LOOPING_LEAVES = (
 )
 
 
-def random_looping_program(rng: random.Random, depth: int = 3):
+def random_looping_program(rng: random.Random, depth: int = 3, leaves=None):
     """random_discrete_program's programs, DIV_LEAF and LOOPING_LEAVES under
-    Loop, Seq and Choice, over stores x, v and the constant c."""
+    Loop, Seq and Choice, over stores x, v and the constant c; or, given
+    leaves, the same shapes over those leaves alone."""
     shape = rng.random()
     if depth <= 0 or shape < 0.3:
+        if leaves is not None:
+            return rng.choice(leaves)
         leaf = rng.random()
         return DIV_LEAF if leaf < 0.15 else rng.choice(LOOPING_LEAVES) if leaf < 0.4 else (
             random_discrete_program(rng, 2))
     if shape < 0.55:
-        return Loop(random_looping_program(rng, depth - 1), TRUE)
-    items = tuple(random_looping_program(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+        return Loop(random_looping_program(rng, depth - 1, leaves), TRUE)
+    items = tuple(random_looping_program(rng, depth - 1, leaves)
+                  for _ in range(rng.randint(1, 3)))
     return Seq(items) if shape < 0.8 else Choice(items)
 
 
@@ -514,6 +518,53 @@ class TestFindViolation:
         assert message is None and len(path) == 3001
         assert path[-1] == ("x := ...", {"x": 3000.0})
         assert find_violation(Loop(body, TRUE), {"x": 0.0}, Cmp("<=", x, const(3000)), cfg) is None
+
+    @pytest.mark.parametrize("leaves, store, posts", [
+        # one variable: a loop keys the stores it reached by x alone
+        ((Skip(), Abort(), Assign("x", x + 1), Assign("x", -x), Assign("x", x / SymConst("c")),
+          Test(Cmp("<=", x, const(1))), Test(Cmp("=", x, const(0))),
+          IfThenElse(Cmp("<", x, SymConst("c")), Assign("x", x + 2), Skip()),
+          Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t})),
+          Evolve(VectorField({"x": const(-1)}), Cmp(">=", x, const(-2)), NONNEG)),
+         {"x": 0.0}, (Cmp("<=", x, const(2)), Cmp(">=", const(1) / (x - const(1)), const(-2)))),
+        # no variable: every store is the empty one, a new one at each orbit point
+        ((Skip(), Abort(), Test(Cmp("<=", SymConst("c"), const(1))),
+          IfThenElse(Cmp(">", SymConst("c"), const(0)), Abort(), Skip()),
+          Evolve(None, Cmp(">=", SymConst("c"), const(0)), TimeDomain(0, 1), flow=Flow({}))),
+         {}, (Cmp("<=", SymConst("c"), const(1)), Cmp(">", const(1) / SymConst("c"), const(0)))),
+    ], ids=["one-variable", "empty-store"])
+    def test_small_stores_agree_with_recursive_reference(self, leaves, store, posts):
+        rng = random.Random(41)
+        outcomes = {"violating": 0, "undefined": 0, "clean": 0}
+        for _ in range(300):
+            prog, post = random_looping_program(rng, 4, leaves), rng.choice(posts)
+            cfg = RunConfig(fuel=rng.randint(0, 3), step=rng.choice((1.0, 0.5)), horizon=2.0,
+                            consts={"c": float(rng.randint(-1, 2))})
+            found = find_violation(prog, store, post, cfg)
+            assert found == reference_find_violation(prog, store, post, cfg)
+            outcomes["clean" if found is None else "violating" if found[1] is None
+                     else "undefined"] += 1
+        assert all(outcomes.values()), outcomes
+
+    def test_fuel_2_loop_over_a_5000_step_straight_line(self):
+        # assignments, passed tests, skips and ifs, each run on in place;
+        # the if raises v to x + 1 at every odd x
+        items = []
+        for _ in range(1250):
+            items += [Assign("x", x + 1), Test(Cmp(">=", x, v - const(2))), Skip(),
+                      IfThenElse(Cmp(">", x, v), Assign("v", v + 2), Skip())]
+        prog, s, cfg = Loop(Seq(items), TRUE), {"x": 0.0, "v": 0.0}, RunConfig(fuel=2)
+        path, message = find_violation(prog, s, Cmp("<=", x, const(2499)), cfg)
+        want, store = [("init", s)], s
+        for k in range(1, 2501):
+            store = {**store, "x": float(k)}
+            want.append(("x := ...", store))
+            if k % 2:
+                store = {**store, "v": k + 1.0}
+                want.append(("v := ...", store))
+        assert message is None and path == want
+        assert len(path) == 3751 and path[-1] == ("x := ...", {"x": 2500.0, "v": 2500.0})
+        assert find_violation(prog, s, Cmp("<=", x, const(2500)), cfg) is None
 
 
 # ---------------------------------------------------------------------------

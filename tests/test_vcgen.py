@@ -49,7 +49,7 @@ from hybridwlp.hprog import (
     guarded_orbit_flow,
     run_sampled,
 )
-from hybridwlp.hwl import format_pred, parse_spec
+from hybridwlp.hwl import ParseError, format_pred, parse_spec
 from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
     CONFIG_KEYS,
@@ -304,6 +304,34 @@ class TestVerifyStructure:
                           config=dict.fromkeys(sorted(CONFIG_KEYS), 1))
         assert [lemma.name for lemma in spec.lemmas] == ["a", "b"]
         assert sorted(spec.config) == ["fuel", "horizon", "lemma_trials", "seed", "step", "trials"]
+
+    @pytest.mark.parametrize("header, kwargs, message", [
+        ("vars x x", dict(vars=("x", "x")), "bad variable name 'x'"),
+        ("vars x x consts x", dict(vars=("x", "x"), consts=("x",)), "bad variable name 'x'"),
+        ("vars x consts x", dict(vars=("x",), consts=("x",)), "bad constant name 'x'"),
+        ("vars x consts c, c", dict(vars=("x",), consts=("c", "c")), "bad constant name 'c'"),
+        # the parser reads a keyword as no name at all
+        (None, dict(vars=("x", "skip")), "bad variable name 'skip'"),
+        (None, dict(vars=("x",), consts=("inf",)), "bad constant name 'inf'"),
+    ])
+    def test_bad_names_rejected_in_the_parsers_words(self, header, kwargs, message):
+        # a name that repeats, is a keyword, or is both a variable and a
+        # constant; the program reads x as a constant where x is one
+        program = Assign("x", SymConst("x") if "x" in kwargs.get("consts", ()) else x)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VerifySpec("p", pre=Cmp("=", x, const(0)), post=Cmp(">=", x, const(0)),
+                       program=program, **kwargs)
+        if header is not None:
+            with pytest.raises(ParseError, match=f": {message}$"):
+                parse_spec(f"problem p {header} pre x = 0 post x >= 0 program x := x")
+
+    def test_range_for_undeclared_constant_rejected(self):
+        with pytest.raises(ValueError, match="^range for undeclared constant 'zz'$"):
+            VerifySpec("p", ("x",), const_ranges={"zz": (0, 1)})
+        with pytest.raises(ValueError, match="^range for undeclared constant 'zz'$"):
+            VerifySpec("p", ("x",), consts=("c",), const_ranges={"c": (0, 1), "zz": (0, 1)})
+        spec = VerifySpec("p", ("x",), consts=("c", "zz"), const_ranges={"zz": (0, 1)})
+        assert spec.const_ranges == {"zz": (0, 1)}
 
 
 class TestTimeQuantEvaluation:
