@@ -40,7 +40,7 @@ from .expr import (
     substitute,
     substitute_pred,
 )
-from .polynorm import NormalForm, expr_eq, normalize
+from .polynorm import expr_eq, normalize
 from .hprog import (
     Abort,
     Assign,

@@ -58,8 +58,8 @@ from .polynorm import (
     rational_combination,
     solve_linear_system,
 )
-from .hprog import RunConfig
-from .sampling import check_valuation, sample_valuation
+from .hprog import EQ_TOL, RunConfig
+from .sampling import EQ_CHECK_TOL, sample_valuation
 from .vcgen import Lemma, Obligation, eval_pred_ext
 
 
@@ -96,11 +96,6 @@ class DischargeBudget:
         RunConfig(step=self.grid_step, horizon=self.grid_horizon)  # rejects a grid it cannot run
 
 
-# refutation treats = atoms with this relative tolerance, so float
-# noise along sampled trajectories cannot masquerade as a violation
-REFUTE_EQ_TOL = 1e-6
-
-
 # ---------------------------------------------------------------------------
 # Lemmas
 
@@ -130,7 +125,7 @@ def validate_lemma(lemma: Lemma, trials: int = 2000, seed: int = 0) -> Lemma:
         if v is None:
             continue
         try:
-            holds = eval_pred(lemma.concl, v, eq_tol=1e-7)
+            holds = eval_pred(lemma.concl, v, eq_tol=EQ_CHECK_TOL)
         except EVAL_FAILURES:
             continue
         found += 1
@@ -726,7 +721,7 @@ def _refute(
         try:
             return not eval_pred_ext(
                 ob.concl, v, step=budget.grid_step, horizon=budget.grid_horizon,
-                eq_tol=REFUTE_EQ_TOL,
+                eq_tol=EQ_TOL,
             )
         except EVAL_FAILURES:
             return False
@@ -734,12 +729,7 @@ def _refute(
     flat_hyps = flatten_conj(ob.hyps)
     for _ in range(budget.refute_trials):
         v = sample_valuation(names, flat_hyps, rng, ranges=ranges, attempts=12)
-        if v is None:
-            continue
-        if not concl_false(v):
-            continue
-        # re-check the witness before returning it
-        if check_valuation(flat_hyps, v) and concl_false(v):
+        if v is not None and concl_false(v):
             return v
     return None
 

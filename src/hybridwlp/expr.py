@@ -8,6 +8,7 @@ hash-consed: equal terms are one object (see _file).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -384,20 +385,11 @@ _LEAVE = object()
 # memo_kernel, keyed by the values they are written from: a term equal to an
 # earlier one is that term (see _file), so it gets the earlier kernel.
 
-_KERNELS: dict = {}  # (writer, its arguments) -> kernel or code object
-
-
+@functools.lru_cache(maxsize=512)
 def memo_kernel(write, *args):
     """write(*args), the kernel written from args alone, built once per
-    value of write and args while among the 512 last used (None is rebuilt)."""
-    key = (write, args)
-    kernel = _KERNELS.pop(key, None)
-    if kernel is None:
-        if len(_KERNELS) >= 512:
-            del _KERNELS[next(iter(_KERNELS))]
-        kernel = write(*args)
-    _KERNELS[key] = kernel  # the last used last
-    return kernel
+    value of write and args while among the 512 last used."""
+    return write(*args)
 
 
 class KernelWriter:

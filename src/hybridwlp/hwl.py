@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 
 from .expr import (
     Add, And, Cmp, Const, Cos, Div, Exp, Expr, FalsePred, Mul, Neg, Not, Or, Pow, Pred, Sin,
-    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, Var, ZERO, children,
+    Sub, SymConst, TimeQuant, TimeVar, TruePred, TRUE, FALSE, TIME_NAME, Var, ZERO, children,
     flatten_conj,
 )
 from .hprog import (
@@ -53,8 +53,6 @@ from .hprog import (
     Skip, Test, TimeDomain, VectorField,
 )
 from .vcgen import CONFIG_KEYS, KEYWORDS, Lemma, VerifySpec
-
-RESERVED_NAMES = {"t", "tau"} | KEYWORDS
 
 # One match per token: the whitespace and comments before it are skipped
 # inside the match, and the group is the token's text.  A character no
@@ -207,7 +205,7 @@ class _Parser:
         while self.at_name():
             at = self.pos
             v = self.next()
-            if v in RESERVED_NAMES or v in var_names:
+            if v == TIME_NAME or v in var_names:
                 self.error(f"bad variable name {v!r}", at)
             var_names[v] = None
         if not var_names:
@@ -220,7 +218,7 @@ class _Parser:
             while self.at_name():
                 at = self.pos
                 c = self.next()
-                if c in RESERVED_NAMES or c in var_names or c in const_names:
+                if c == TIME_NAME or c in var_names or c in const_names:
                     self.error(f"bad constant name {c!r}", at)
                 const_names[c] = None
                 if self.accept("in"):
@@ -497,8 +495,6 @@ class _Parser:
                 if not self.allow_time:
                     self.error("the time symbol 't' is only allowed in flow expressions", at)
                 return TimeVar()
-            if tok == "tau":
-                self.error("'tau' is reserved", at)
             if tok in self._vars:
                 return Var(tok)
             if tok in self._consts:

@@ -108,7 +108,7 @@ def _affine_jacobian(field: VectorField) -> Optional[dict]:
         if any(isinstance(s, Div) and free_names(s.den) for s in subterms(e)):
             return None
         try:
-            poly = normalize(e).poly
+            poly = normalize(e)
         except NormalizeError:
             return None
         row: dict[str, Fraction] = {}

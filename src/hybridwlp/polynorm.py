@@ -11,7 +11,7 @@ expansion:
 
 Division by anything other than a nonzero monomial of rational and
 symbolic-constant factors does not participate in the arithmetic; such
-quotients become opaque atoms and the normal form is flagged.
+quotients become opaque atoms.
 """
 
 from __future__ import annotations
@@ -242,20 +242,6 @@ class NormalizeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Normalization result: the canonical polynomial plus an opacity flag."""
-
-    poly: Poly
-    has_opaque_div: bool = False
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def to_expr(self) -> Expr:
-        return poly_to_expr(self.poly)
-
-
 def _invert_monomial(p: Poly) -> Optional[Poly]:
     """Inverse of a single-monomial polynomial of constant-like atoms, or None."""
     if len(p.terms) != 1:
@@ -275,48 +261,44 @@ def _invert_monomial(p: Poly) -> Optional[Poly]:
 
 
 @functools.lru_cache(maxsize=8192)
-def normalize(e: Expr) -> NormalForm:
+def normalize(e: Expr) -> Poly:
     """Canonical multivariate polynomial form of an expression.
 
     Expression trees are immutable, so results are memoized.
     """
-    poly, opaque = fold(e, _norm)
-    return NormalForm(_reduce(poly), opaque)
+    return _reduce(fold(e, _norm))
 
 
-def _norm(e: Expr, args: list) -> tuple[Poly, bool]:
-    """The polynomial of e and whether it is opaque, from its children's."""
+def _norm(e: Expr, args: list) -> Poly:
+    """The polynomial of e from its children's."""
     kind = type(e)
     if kind is Const:
-        return poly_const(e.value), False
+        return poly_const(e.value)
     if kind is SymConst:
-        return poly_atom(Atom("const", e.name)), False
+        return poly_atom(Atom("const", e.name))
     if kind is Var:
-        return poly_atom(Atom("var", e.name)), False
+        return poly_atom(Atom("var", e.name))
     if kind is TimeVar:
-        return poly_atom(Atom("time", TIME_NAME)), False
+        return poly_atom(Atom("time", TIME_NAME))
     if kind is Neg:
-        (p, o), = args
-        return p.neg(), o
+        return args[0].neg()
     if kind is Add or kind is Sub or kind is Mul:
-        (p1, o1), (p2, o2) = args
-        return _ARITH[kind](p1, p2), o1 or o2
+        return _ARITH[kind](*args)
     if kind is Pow:
-        (p, o), = args
-        return p.pow(e.exp), o
+        return args[0].pow(e.exp)
     if kind is Sin or kind is Cos or kind is Exp:
-        (p, o), = args
+        p, = args
         if p.is_zero():
-            return (P_ZERO if kind is Sin else P_ONE), o
-        return poly_atom(Atom(_FUNCTION_KINDS[kind], args=(p,))), o
+            return P_ZERO if kind is Sin else P_ONE
+        return poly_atom(Atom(_FUNCTION_KINDS[kind], args=(p,)))
     if kind is Div:
-        (pn, on), (pd, od) = args
+        pn, pd = args
         if pd.is_zero():
             raise NormalizeError("denominator normalizes to zero")
         inv = _invert_monomial(pd)
         if inv is not None:
-            return pn.mul(inv), on or od
-        return poly_atom(Atom("div", args=(pn, pd))), True
+            return pn.mul(inv)
+        return poly_atom(Atom("div", args=(pn, pd)))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -336,7 +318,7 @@ def atom_form(c: Cmp) -> Optional[tuple[Poly, str]]:
     """
     diff = Sub(c.rhs, c.lhs) if c.op in ("<", "<=") else Sub(c.lhs, c.rhs)
     try:
-        return normalize(diff).poly, _ATOM_REL[c.op]
+        return normalize(diff), _ATOM_REL[c.op]
     except NormalizeError:
         return None
 
@@ -417,12 +399,10 @@ def expr_eq(
     a witness valuation.
     """
     try:
-        nf = normalize(Sub(a, b))
-        if nf.is_zero():
+        if normalize(Sub(a, b)).is_zero():
             return EqResult("equal")
-    except NormalizeError as exc:
-        nf = None
-        note = f"normalize failed: {exc}"
+    except NormalizeError:
+        pass
     names = sorted(free_names(a) | free_names(b))
     rng = random.Random(seed)
     agreed = 0

@@ -15,13 +15,11 @@ from typing import Mapping, Optional, Sequence
 
 from .expr import (
     Cmp,
-    EVAL_FAILURES,
     FalsePred,
     KernelWriter,
     Pred,
     Sub,
     bound_names,
-    eval_pred,
     flatten_conj,
     memo_kernel,
     pred_free_names,
@@ -75,14 +73,6 @@ def _solve_bisect(residual, values: tuple, width: float) -> Optional[float]:
             return 0.5 * (lo + hi)
         prev_x, prev_r = x, r
     return None
-
-
-def check_valuation(hyps: Sequence[Pred], valuation: Mapping[str, float],
-                    eq_tol: float = EQ_CHECK_TOL) -> bool:
-    try:
-        return all(eval_pred(h, valuation, eq_tol) for h in hyps)
-    except EVAL_FAILURES:
-        return False
 
 
 def _build_plan(names: tuple, hyps: tuple) -> Optional[tuple]:

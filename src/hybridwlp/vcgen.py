@@ -143,13 +143,11 @@ class VerifySpec:
         object.__setattr__(self, "consts", tuple(self.consts))
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
         object.__setattr__(self, "lemmas", tuple(self.lemmas))
-        # the parser's header rules, but tau is free: wlp's time binders avoid declared names
+        # the parser's header rules; it never reads a keyword as a name
         declared = set()
         for what, names in (("variable", self.vars), ("constant", self.consts)):
             for name in names:
-                if name == TIME_NAME:
-                    raise ValueError(f"{TIME_NAME!r} is reserved for the time symbol")
-                if name in KEYWORDS or name in declared:
+                if name == TIME_NAME or name in KEYWORDS or name in declared:
                     raise ValueError(f"bad {what} name {name!r}")
                 declared.add(name)
         for label, pred in (("pre", self.pre), ("post", self.post)):

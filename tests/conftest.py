@@ -7,4 +7,4 @@ from hybridwlp import expr
 def fresh_kernels():
     """Empty the kernel memo, so that every kernel the test uses is built
     from the test's own terms and its EvalErrors name those subterms."""
-    expr._KERNELS.clear()
+    expr.memo_kernel.cache_clear()

@@ -224,8 +224,6 @@ class RefParser:
                 if not self.allow_time:
                     self.error("the time symbol 't' is only allowed in flow expressions")
                 return TimeVar()
-            if tok.text == "tau":
-                self.error("'tau' is reserved")
             if tok.text in self.vars:
                 return Var(tok.text)
             if tok.text in self.consts:

@@ -1,7 +1,9 @@
 """The package stays standard-library only: every module that
 src/hybridwlp imports is part of the package or of the standard library.
-And every package function the benchmark's tracer (perfbench/spans.py)
-swaps for a timed wrapper exists, so that no deletion breaks a traced run."""
+Every name a module imports is read in it (__init__.py re-exports, so it
+is exempt).  And every package function the benchmark's tracer
+(perfbench/spans.py) swaps for a timed wrapper exists, so that no
+deletion breaks a traced run."""
 
 import ast
 import importlib
@@ -37,6 +39,31 @@ def test_imports_are_intra_package_or_stdlib(name):
 def test_scan_sees_every_kind_of_import():
     found = {m for p in PACKAGE.glob("*.py") for _, m in _imported_modules(p)}
     assert {None, "__future__", "dataclasses"} <= found
+
+
+def _unread_imports(source: str):
+    """(line, name) of each name an import binds that the source never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_every_imported_name_is_read(name):
+    assert _unread_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def test_unread_import_scan_flags_what_it_should():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b as c, d\nc(d.e)\n"
+    assert _unread_imports(source) == [(2, "os")]
 
 
 def _traced_targets():

@@ -24,6 +24,7 @@ from hybridwlp.hwl import (
     tokenize,
     _position,
 )
+from hybridwlp.vcgen import VerifySpec
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -99,7 +100,7 @@ class TestErrorPositions:
         (HEAD + "skip\nskip", 2, 1, "unexpected trailing input 'skip'"),
         (HEAD + "x := ", 1, 53, "expected expression, found ''"),
         (HEAD + "x := t", 1, 53, "the time symbol 't' is only allowed in flow expressions"),
-        ("problem p vars x pre x = 0 post x >= tau program skip", 1, 38, "'tau' is reserved"),
+        ("problem p vars x pre x = 0 post x >= tau program skip", 1, 38, "unknown identifier 'tau'"),
         (HEAD + "skip lemma a: x >= 0 lemma a: x <= 0", 1, 75, "repeated lemma name 'a'"),
         (HEAD + "skip config seed 1, seed 2", 1, 68, "repeated config key 'seed'"),
         (HEAD + "skip config trails 9", 1, 60, "unknown config key 'trails'"),
@@ -260,6 +261,12 @@ class TestRoundTrip:
             assert (a.name, a.hyps, a.concl) == (b.name, b.hyps, b.concl)
         # printing is a fixpoint
         assert format_spec(spec2) == printed
+
+    @pytest.mark.parametrize("vars, consts", [(("tau",), ()), (("x",), ("tau",))])
+    def test_api_spec_with_a_name_tau_round_trips(self, vars, consts):
+        # fmt printed tau as written and the parser rejected it as reserved
+        spec = VerifySpec("p", vars, consts)
+        assert parse_spec(format_spec(spec)) == spec
 
     def test_config_values_re_parse(self):
         # str(1e-10) is "1e-10", which the number syntax does not read

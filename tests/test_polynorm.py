@@ -59,17 +59,11 @@ class TestNormalize:
 
     def test_idempotent(self):
         for e in (x * y + x ** 2, (x + y) ** 3, Sin(x) ** 2 + Cos(x) ** 2):
-            nf = normalize(e)
-            assert normalize(nf.to_expr()) == nf
+            p = normalize(e)
+            assert normalize(poly_to_expr(p)) == p
 
     def test_symconst_reciprocal_cancels(self):
         assert normalize(Sub(Div(c, c * c), Div(const(1), c))).is_zero()
-
-    def test_opaque_division_flagged(self):
-        nf = normalize(x / (x + 1))
-        assert nf.has_opaque_div
-        nf2 = normalize(x / c)
-        assert not nf2.has_opaque_div
 
     def test_trig_at_zero_folds(self):
         assert normalize(Cos(const(0))) == normalize(const(1))
@@ -95,7 +89,7 @@ class TestNormalize:
             x * y / c + Exp(x) * Sin(y),
         ]
         for e in exprs:
-            back = normalize(e).to_expr()
+            back = poly_to_expr(normalize(e))
             names = sorted(free_names(e))
             done = 0
             while done < 1000:
@@ -160,7 +154,7 @@ class TestNormalizeProperty:
     @settings(max_examples=80, deadline=None)
     def test_normalize_preserves_value(self, e):
         rng = random.Random(0)
-        back = normalize(e).to_expr()
+        back = poly_to_expr(normalize(e))
         names = sorted(free_names(e))
         for _ in range(5):
             valuation = {n: rng.uniform(-2, 2) for n in names}
@@ -181,17 +175,17 @@ class TestLinearAlgebra:
         assert solve_linear_system(rows, rhs) is None
 
     def test_rational_combination_ball_energy(self):
-        hyp = normalize(const(2) * g * x - const(2) * g * h - v * v).poly
+        hyp = normalize(const(2) * g * x - const(2) * g * h - v * v)
         target = normalize(
             const(2) * g * (g * t ** 2 / const(2) + v * t + x)
             - const(2) * g * h
             - (g * t + v) ** 2
-        ).poly
+        )
         assert rational_combination(target, [hyp]) == [Fraction(1)]
 
     def test_rational_combination_fails_cleanly(self):
-        hyp = normalize(x + y).poly
-        target = normalize(x * y).poly
+        hyp = normalize(x + y)
+        target = normalize(x * y)
         assert rational_combination(target, [hyp]) is None
 
 
@@ -221,7 +215,7 @@ class TestAtomForm:
         ("!=", x - const(1), "!="),
     ])
     def test_orientation_table(self, op, diff, rel):
-        assert atom_form(Cmp(op, x, const(1))) == (normalize(diff).poly, rel)
+        assert atom_form(Cmp(op, x, const(1))) == (normalize(diff), rel)
 
     def test_normalization_failure_is_none(self):
         assert atom_form(Cmp("<", x / (x - x), const(0))) is None
@@ -275,7 +269,7 @@ class TestAtomFormCache:
                 assert fresh[1] is NormalizeError and form is None
                 failed += 1
             else:
-                assert form[0] == fresh[1].poly and form[0].key() == fresh[1].poly.key()
+                assert form[0] == fresh[1] and form[0].key() == fresh[1].key()
                 assert form[1] == {"<": ">", "<=": ">="}.get(op, op)
         assert failed  # a denominator that normalizes to zero
 
@@ -292,7 +286,7 @@ class TestNormLoopMatchesRecursiveReference:
                  else _random_shared_expr(rng, rng.randint(0, 4), []))
             got = outcome(fold, e, _norm)
             assert got == outcome(ref_norm, e), e
-            opaque += got[0] == "value" and got[1][1]
+            opaque += got[0] == "value" and any(a.kind == "div" for a in got[1].atoms())
             raised += got[0] == "raise"
         assert opaque and raised  # a Div atom; a denominator that normalizes to zero
 

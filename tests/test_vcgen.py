@@ -313,6 +313,9 @@ class TestVerifyStructure:
         # the parser reads a keyword as no name at all
         (None, dict(vars=("x", "skip")), "bad variable name 'skip'"),
         (None, dict(vars=("x",), consts=("inf",)), "bad constant name 'inf'"),
+        # the time symbol, in the parser's words too
+        ("vars x t", dict(vars=("x", "t")), "bad variable name 't'"),
+        ("vars x consts t", dict(vars=("x",), consts=("t",)), "bad constant name 't'"),
     ])
     def test_bad_names_rejected_in_the_parsers_words(self, header, kwargs, message):
         # a name that repeats, is a keyword, or is both a variable and a
@@ -798,7 +801,7 @@ class TestBinderHygiene:
         # a flow binds t to the time, so a store variable t would be
         # silently replaced along every orbit
         tv = Var("t")
-        with pytest.raises(ValueError, match="reserved"):
+        with pytest.raises(ValueError, match="bad variable name 't'"):
             VerifySpec(
                 name="reserved",
                 vars=("x", "t"),
@@ -809,7 +812,7 @@ class TestBinderHygiene:
                     flow=Flow({"x": x + t, "t": tv}),
                 ),
             )
-        with pytest.raises(ValueError, match="reserved"):
+        with pytest.raises(ValueError, match="bad constant name 't'"):
             VerifySpec(name="reserved", vars=("x",), consts=("t",))
 
 

@@ -57,57 +57,49 @@ def ref_diff(e, wrt):
 
 
 def ref_norm(e):
-    """fold(e, polynorm._norm): the polynomial of e and whether it is opaque."""
+    """fold(e, polynorm._norm): the polynomial of e."""
     if isinstance(e, Const):
-        return poly_const(e.value), False
+        return poly_const(e.value)
     if isinstance(e, SymConst):
-        return poly_atom(Atom("const", e.name)), False
+        return poly_atom(Atom("const", e.name))
     if isinstance(e, Var):
-        return poly_atom(Atom("var", e.name)), False
+        return poly_atom(Atom("var", e.name))
     if isinstance(e, TimeVar):
-        return poly_atom(Atom("time", TIME_NAME)), False
+        return poly_atom(Atom("time", TIME_NAME))
     if isinstance(e, Neg):
-        p, o = ref_norm(e.arg)
-        return p.neg(), o
+        return ref_norm(e.arg).neg()
     if isinstance(e, Add):
-        p1, o1 = ref_norm(e.lhs)
-        p2, o2 = ref_norm(e.rhs)
-        return p1.add(p2), o1 or o2
+        return ref_norm(e.lhs).add(ref_norm(e.rhs))
     if isinstance(e, Sub):
-        p1, o1 = ref_norm(e.lhs)
-        p2, o2 = ref_norm(e.rhs)
-        return p1.sub(p2), o1 or o2
+        return ref_norm(e.lhs).sub(ref_norm(e.rhs))
     if isinstance(e, Mul):
-        p1, o1 = ref_norm(e.lhs)
-        p2, o2 = ref_norm(e.rhs)
-        return p1.mul(p2), o1 or o2
+        return ref_norm(e.lhs).mul(ref_norm(e.rhs))
     if isinstance(e, Pow):
-        p, o = ref_norm(e.base)
-        return p.pow(e.exp), o
+        return ref_norm(e.base).pow(e.exp)
     if isinstance(e, Sin):
-        p, o = ref_norm(e.arg)
+        p = ref_norm(e.arg)
         if p.is_zero():
-            return P_ZERO, o
-        return poly_atom(Atom("sin", args=(p,))), o
+            return P_ZERO
+        return poly_atom(Atom("sin", args=(p,)))
     if isinstance(e, Cos):
-        p, o = ref_norm(e.arg)
+        p = ref_norm(e.arg)
         if p.is_zero():
-            return P_ONE, o
-        return poly_atom(Atom("cos", args=(p,))), o
+            return P_ONE
+        return poly_atom(Atom("cos", args=(p,)))
     if isinstance(e, Exp):
-        p, o = ref_norm(e.arg)
+        p = ref_norm(e.arg)
         if p.is_zero():
-            return P_ONE, o
-        return poly_atom(Atom("exp", args=(p,))), o
+            return P_ONE
+        return poly_atom(Atom("exp", args=(p,)))
     if isinstance(e, Div):
-        pn, on = ref_norm(e.num)
-        pd, od = ref_norm(e.den)
+        pn = ref_norm(e.num)
+        pd = ref_norm(e.den)
         if pd.is_zero():
             raise NormalizeError("denominator normalizes to zero")
         inv = _invert_monomial(pd)
         if inv is not None:
-            return pn.mul(inv), on or od
-        return poly_atom(Atom("div", args=(pn, pd))), True
+            return pn.mul(inv)
+        return poly_atom(Atom("div", args=(pn, pd)))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
