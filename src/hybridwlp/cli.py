@@ -274,6 +274,8 @@ def cmd_falsify(args) -> int:
                 print(f"{spec.name}: counterexample found")
             print(f"  consts  {cex.consts}")
             print(f"  initial {cex.initial}")
+            if len(cex.steps) > 4:  # the full run is in the --json report
+                print(f"  ... ({len(cex.steps) - 4} earlier steps)")
             for label, store in cex.steps[-4:]:
                 print(f"  {label:<16} {store}")
     if cex is None:

@@ -10,6 +10,7 @@ it has no field, from RK4 on its field otherwise, is the longest prefix
 of grid points whose states evaluate, are finite and satisfy the guard;
 each orbit runs as one generated function (orbit_kernel), and so does the
 numeric oracle odecert.rk4_integrate, as RK4's orbit under the guard true.
+An orbit that ends find_violation's run decides the post in its function.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property, partial
 from itertools import count, repeat, takewhile
 from math import inf, isfinite
 from operator import ge, itemgetter, mul
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .expr import (
     EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, diff,
@@ -47,6 +48,20 @@ class VectorField:
                 raise ValueError(
                     f"field component {name!r} reads undeclared variables {sorted(extra)}"
                 )
+
+    @cached_property
+    def component_items(self) -> tuple:
+        """The component items in order: the field's value, which fixes the
+        order of its orbits' statements."""
+        return tuple(self.components.items())
+
+    def __eq__(self, other):
+        if type(other) is not VectorField:
+            return NotImplemented
+        return self.component_items == other.component_items
+
+    def __hash__(self):
+        return hash(self.component_items)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -159,6 +174,20 @@ class Flow:
 
     def __post_init__(self):
         object.__setattr__(self, "components", dict(self.components))
+
+    @cached_property
+    def component_items(self) -> tuple:
+        """The component items in order, which fix the order of the keys of
+        its orbits' states; with the domain, the flow's value."""
+        return tuple(self.components.items())
+
+    def __eq__(self, other):
+        if type(other) is not Flow:
+            return NotImplemented
+        return (self.component_items, self.domain) == (other.component_items, other.domain)
+
+    def __hash__(self):
+        return hash((self.component_items, self.domain))
 
     @cached_property
     def reads(self) -> tuple[str, ...]:
@@ -277,6 +306,15 @@ class Evolve(HybridProgram):
         if self.flow is not None and self.dinv is not None:
             raise ValueError("evolution command cannot carry both a flow and a dinv")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once: find_violation looks each
+        evolution command's orbit up by value."""
+        return hash((self.field, self.guard, self.dom, self.flow, self.dinv))
+
 
 # ---------------------------------------------------------------------------
 # Executable semantics
@@ -302,14 +340,15 @@ def _reading(write, term, s: Store, consts: Mapping[str, float]):
                        tuple(n for n in bound_names(term, consts) if n not in s))
 
 
-def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
+def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred,
+                 post: Optional[Pred] = None):
     """run(out, times, s, consts, eq_tol, h, half, sixth), which appends to
-    the empty list out the (t, state) pairs of the orbit rule for t in
-    times: the longest prefix of the points whose states evaluate, are
-    finite and satisfy the guard, equality at eq_tol.  The guard reads a
-    name of the state from the state and any other name from consts, which
-    holds in_consts; the source reads a name from the store s, whose keys
-    are keys, else from consts.  The source is one of
+    the list out the (t, state) pairs of the orbit rule for t in times: the
+    longest prefix of the points whose states evaluate, are finite and
+    satisfy the guard, equality at eq_tol.  The guard reads a name of the
+    state from the state and any other name from consts, which holds
+    in_consts; the source reads a name from the store s, whose keys are
+    keys, else from consts.  The source is one of
       ("flow", items): the state at time t of the flow with the component
         items, then the identity on the other store variables;
       ("rk4", items): s at the first time; after a point is kept, when a
@@ -318,7 +357,11 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
         other store variables passing through;
       ("time", tau): {tau: t}.
     An evaluation failure, or the KeyError of a field variable that is no
-    key of s, raises from run with the points kept so far in out."""
+    key of s, raises from run with the points kept so far in out.
+    With a post, run decides the post at each point it keeps, inline, as
+    the guard reads names and at eq_tol, in place of appending it: it
+    returns False at the first point where the post is false and True when
+    the orbit ends, builds no state and ignores out."""
     kind, items = source
     w = KernelWriter()
     store = {k: w.temp() for k in keys}
@@ -328,7 +371,12 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
     for n, c in consts.items():
         w.line(f"{c} = consts[{w.bind(n)}]")
     local = {**consts, **store}
-    w.line("append = out.append")
+    end = "return" if post is None else "return True"
+    if post is None:
+        w.line("append = out.append")
+    stepping = kind == "rk4" and items
+    if stepping:
+        w.line("kept = False")
     w.begin("for t in times:")
     if kind == "flow":
         named = dict(items)
@@ -339,8 +387,8 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
         w.floats(*state.values())
     elif kind == "rk4":
         state = store
-        if items:
-            w.begin("if out:")  # the last point was kept: step from it
+        if stepping:
+            w.begin("if kept:")  # the last point was kept: step from it
             base = dict(store)
             for x, _ in items:
                 if x not in base:  # no key of s: raises KeyError
@@ -354,20 +402,30 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred):
     if state:
         finite = w.bind(isfinite)
         w.line("if not (%s):" % " and ".join(f"{finite}({v})" for v in state.values()))
-        w.line("    return")
+        w.line(f"    {end}")
     w.line(f"if not {w.pred(guard, {**consts, **state}, 'eq_tol')}:")
-    w.line("    return")
-    w.line("append((t, {%s}))" % ", ".join(f"{w.bind(x)}: {v}" for x, v in state.items()))
+    w.line(f"    {end}")
+    if post is None:
+        w.line("append((t, {%s}))" % ", ".join(f"{w.bind(x)}: {v}" for x, v in state.items()))
+    else:
+        w.line(f"if not {w.pred(post, {**consts, **state}, 'eq_tol')}:")
+        w.line("    return False")
+    if stepping:
+        w.line("kept = True")
     w.end()
-    return w.function("out, times, s, consts, eq_tol, h, half, sixth", "None")
+    return w.function("out, times, s, consts, eq_tol, h, half, sixth",
+                      "None" if post is None else "True")
 
 
-def _orbit_run(source: tuple, reads: tuple, guard: Pred, s: Store, consts: Mapping[str, float]):
+def _orbit_run(source: tuple, reads: tuple, guard: Pred, s: Store, consts: Mapping[str, float],
+               post: Optional[Pred] = None):
     """The memo's orbit_kernel of the source, whose terms read the names
-    reads, under the guard, for runs from stores with the keys of s."""
-    in_consts = tuple(n for n in dict.fromkeys((*reads, *bound_names(guard, consts)))
-                      if n in consts and n not in s)
-    return memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard)
+    reads, under the guard, for runs from stores with the keys of s; with
+    a post, the kernel that decides it at each point."""
+    decided = (guard,) if post is None else (guard, post)
+    names = dict.fromkeys((*reads, *(n for p in decided for n in bound_names(p, consts))))
+    in_consts = tuple(n for n in names if n in consts and n not in s)
+    return memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard, post)
 
 
 def _orbit(source: tuple, reads: tuple, guard: Pred, times, s: Store,
@@ -395,8 +453,7 @@ def guarded_orbit_flow(
 ) -> list[tuple[float, Store]]:
     """Grid sample of the guarded orbit of a flow from s (see orbit_kernel)."""
     times = dom.times(h, horizon)
-    return _orbit(("flow", tuple(flow.components.items())), flow.reads, guard, times, s,
-                  consts, eq_tol)
+    return _orbit(("flow", flow.component_items), flow.reads, guard, times, s, consts, eq_tol)
 
 
 def guarded_orbit_field(
@@ -411,8 +468,7 @@ def guarded_orbit_field(
 ) -> list[tuple[float, Store]]:
     """Same orbit rule as guarded_orbit_flow, integrating the field with RK4."""
     times = dom.times(h, horizon)
-    return _orbit(("rk4", tuple(field.components.items())), field.reads, guard, times, s,
-                  consts, eq_tol, h)
+    return _orbit(("rk4", field.component_items), field.reads, guard, times, s, consts, eq_tol, h)
 
 
 @dataclass(frozen=True)
@@ -443,22 +499,27 @@ def _key(s: Store) -> tuple:
     return tuple(sorted(s.items()))
 
 
+def _orbit_source(node: Evolve) -> tuple[tuple, tuple]:
+    """(source, reads) of an evolution command's orbit (see orbit_kernel):
+    its flow if it has no field or the flow is exact (_solves_exactly,
+    memoized by value), else RK4 on its field.  The one place that picks
+    the orbit provider, for _steps and find_violation alike."""
+    flow, field = node.flow, node.field
+    if flow is not None and (field is None or memo_kernel(
+            _solves_exactly, field.component_items, flow.component_items)):
+        return ("flow", flow.component_items), flow.reads
+    return ("rk4", field.component_items), field.reads
+
+
 def _steps(node: HybridProgram, s: Store, cfg: RunConfig) -> list[tuple[object, Store]]:
-    """(label, store) successors of a leaf node from s; the label None marks
-    a step that keeps the store (skip, a passed test), which a run does not
-    record, and an orbit point's label is its time t, which a run shows as
-    "evolve t=...".  The one place that picks an evolution command's orbit
-    provider: its flow if it has no field or the flow is exact
-    (_solves_exactly, memoized by value), else RK4 on the field."""
+    """(label, store) successors of a leaf node from s, for run_sampled; the
+    label None marks a step that keeps the store (skip, a passed test),
+    which a run does not record, and an orbit point's label is its time t,
+    which a run shows as "evolve t=..."."""
     kind = type(node)
     if kind is Evolve:
-        if node.flow is not None and (node.field is None or memo_kernel(
-                _solves_exactly, tuple(node.field.components.items()),
-                tuple(node.flow.components.items()))):
-            return guarded_orbit_flow(node.flow, node.guard, node.dom, s, cfg.step,
-                                      cfg.consts, cfg.horizon, EQ_TOL)
-        return guarded_orbit_field(node.field, node.guard, node.dom, s, cfg.step,
-                                   cfg.consts, cfg.horizon, EQ_TOL)
+        return _orbit(*_orbit_source(node), node.guard, node.dom.times(cfg.step, cfg.horizon), s,
+                      cfg.consts, EQ_TOL, cfg.step)
     if kind is Assign:
         return [(f"{node.var} := ...", store_update(s, node.var, node.expr, cfg.consts))]
     if kind is Test:
@@ -518,9 +579,12 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
     return RunResult([dict(k) for k in sorted(final)], complete)
 
 
-# find_violation's mark for the end of a loop body's iteration (of none on
-# entry): the body, the keys of the stores the loop reached, the iterations left
-_LoopEnd = NamedTuple("_LoopEnd", [("body", HybridProgram), ("reached", set), ("fuel", int)])
+def _orbit_step(node: Evolve, s: Store, cfg: RunConfig, post: Optional[Pred] = None):
+    """(run, grid): the kernel of node's orbit (see orbit_kernel) for runs
+    from stores with the keys of s, deciding the post if one is given, and
+    its grid of times as a list."""
+    run = _orbit_run(*_orbit_source(node), node.guard, s, cfg.consts, post)
+    return run, node.dom.grid(cfg.step, cfg.horizon)
 
 
 def find_violation(
@@ -537,17 +601,29 @@ def find_violation(
 
     One stack holds (run, todo) entries: run is its last step linked to the
     run before it, (step, run) down to None, and todo the nodes left, as
-    (node, todo) pairs down to None, so no Python recursion limit applies.
+    (node, todo) pairs down to None, so no Python recursion limit applies;
+    a loop body's iteration ends at the plain tuple (body, reached, fuel),
+    the keys of the stores the loop reached and the iterations left.
     A popped entry's run is followed in place through every step with one
     successor; a branch point pushes its other successors, the first on top.
     The stores of a run share the keys of s (a VerifySpec's program writes
-    only declared variables), so one kernel per predicate serves the search
-    and a loop keys the stores it reached by their values in key order.
+    only declared variables), so one kernel per predicate, assigned term
+    and evolution command serves the search, fetched the first time it is
+    reached, and a loop keys the stores it reached by their values in key
+    order.  An orbit with nothing left after it ends a run at each of its
+    points, so its post-mode kernel decides the post there first; when the
+    post holds at every point, no point needs a run of its own.  Otherwise
+    the orbit's points are pushed as usual, and the search meets the first
+    point where the post is false or undefined in the same order.
     """
     consts = cfg.consts
     names = sorted(s)
     key = itemgetter(*names) if names else tuple  # tuple({}) == ()
-    kernels: dict = {}  # the post, each branch condition and each test -> its kernel
+    h, half, sixth = cfg.step, 0.5 * cfg.step, cfg.step / 6.0
+    # the post, each branch condition, test and assigned term -> its kernel,
+    # each evolution command -> its orbit step (see _orbit_step)
+    kernels: dict = {}
+    ends: dict = {}  # each evolution command that ends a run -> its post-deciding step
     stack = [((("init", dict(s)), None), (p, None))]
     message = None
     while stack:
@@ -560,6 +636,14 @@ def find_violation(
                 if kind is Seq:
                     for item in reversed(node.items):
                         todo = item, todo
+                elif kind is Assign:
+                    if node.var not in store:
+                        raise KeyError(f"unknown variable {node.var!r}")
+                    kernel = kernels.get(node.expr)
+                    if kernel is None:
+                        kernel = kernels[node.expr] = _reading(expr_kernel, node.expr, store, consts)
+                    store = {**store, node.var: kernel(store, consts)}
+                    run = (f"{node.var} := ...", store), run
                 elif kind is IfThenElse or kind is Test:
                     kernel = kernels.get(node.cond)
                     if kernel is None:
@@ -568,30 +652,48 @@ def find_violation(
                         todo = (node.then if kernel(store, consts, EQ_TOL) else node.els), todo
                     elif not kernel(store, consts, EQ_TOL):
                         break
+                elif kind is Evolve:
+                    if todo is None:  # each orbit point ends a run: decide the post in the kernel
+                        decide = ends.get(node)
+                        if decide is None:
+                            decide = ends[node] = _orbit_step(node, store, cfg, post)
+                        try:
+                            if decide[0](None, decide[1], store, consts, EQ_TOL, h, half, sixth):
+                                break  # the post holds at every point: no run is left
+                        except EVAL_FAILURES:
+                            pass  # the points below meet the failure in order
+                    step = kernels.get(node)
+                    if step is None:
+                        step = kernels[node] = _orbit_step(node, store, cfg)
+                    points: list = []
+                    try:
+                        step[0](points, step[1], store, consts, EQ_TOL, h, half, sixth)
+                    except EVAL_FAILURES:
+                        pass  # the orbit ends at the failure
+                    if len(points) != 1:
+                        if not points:
+                            break
+                        stack += [((point, run), todo) for point in points[:0:-1]]
+                    run, store = (points[0], run), points[0][1]
                 elif kind is Choice:
                     if not node.items:
                         break
                     stack += [(run, (item, todo)) for item in node.items[:0:-1]]
                     todo = node.items[0], todo
                 elif kind is Loop:
-                    todo = _LoopEnd(node.body, set(), cfg.fuel), todo
-                elif kind is _LoopEnd:
+                    todo = (node.body, set(), cfg.fuel), todo
+                elif kind is tuple:  # a loop body's iteration ends
+                    body, reached, fuel = node
                     k = key(store)
-                    if k in node.reached:
+                    if k in reached:
                         break
-                    node.reached.add(k)
-                    if node.fuel > 0:
-                        stack.append((run, (node.body, (
-                            _LoopEnd(node.body, node.reached, node.fuel - 1), todo))))
-                else:
-                    steps = _steps(node, store, cfg)
-                    if len(steps) != 1:
-                        if not steps:
-                            break
-                        stack += [((step, run), todo) for step in steps[:0:-1]]
-                    step = steps[0]
-                    if step[0] is not None:
-                        run, store = (step, run), step[1]
+                    reached.add(k)
+                    if fuel > 0:
+                        stack.append((run, (body, ((body, reached, fuel - 1), todo))))
+                elif kind is Abort:
+                    break
+                elif kind is not Skip:
+                    raise TypeError(f"not a HybridProgram node: {node!r}")
             else:  # the run ends: a break here leaves the search
                 kernel = kernels.get(post)
                 if kernel is None:

@@ -659,6 +659,17 @@ class TestFalsifyCommand:
         assert code == 2
         assert "counterexample found" in out
 
+    def test_dropped_steps_are_marked(self, capsys):
+        # the text output shows a counterexample's last four steps and says
+        # how many earlier ones the --json report holds
+        code, out, _ = run(capsys, "falsify", str(PROBLEMS / "mutant_ball_no_flip.hwl"))
+        _, out_json, _ = run(capsys, "falsify", str(PROBLEMS / "mutant_ball_no_flip.hwl"), "--json")
+        steps = json.loads(out_json)["counterexample"]["steps"]
+        lines = out.splitlines()
+        assert code == 2 and len(steps) == 13
+        assert lines[3] == "  ... (9 earlier steps)"
+        assert lines[4:] == [f"  {s['label']:<16} {s['store']}" for s in steps[-4:]]
+
     def test_valid_pendulum_none(self, capsys):
         code, out, _ = run(
             capsys, "falsify", str(PROBLEMS / "pendulum.hwl"), "--trials", "300"

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from hybridwlp import odecert, sampling
+from hybridwlp import hprog, odecert, sampling
 from hybridwlp.cli import main, run_verify
 from hybridwlp.expr import (
     EVAL_FAILURES, Add, And, Cmp, Const, Cos, EvalError, Exp, FALSE, KernelWriter, Mul, Sin,
-    SymConst, TimeQuant, TimeVar, TRUE, Var, const, memo_kernel,
+    SymConst, TimeQuant, TimeVar, TRUE, Var, const, eval_pred, memo_kernel,
 )
 from hybridwlp.hprog import (
     Abort,
@@ -37,6 +37,7 @@ from hybridwlp.hprog import (
     _key,
     _orbit,
     _orbit_run,
+    _orbit_source,
     _steps,
 )
 from hybridwlp.hwl import parse_spec
@@ -510,6 +511,98 @@ class TestFindViolation:
         assert checked_reachable > 0
         assert {"evolve t=0", "evolve t=0.5", "evolve t=1.125"} <= labels, labels
 
+    # evolution commands that end a program, so each orbit point ends a run
+    # and find_violation decides the post in the orbit's kernel first
+    ENDS = (
+        # flow and RK4 orbits that the guard ends early
+        Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t})),
+        Evolve(VectorField({"x": v, "v": const(-1)}), Cmp(">=", x, const(-2)), NONNEG),
+        # RK4 on the field of a flow that does not solve it, on a bounded domain
+        Evolve(VectorField({"x": const(1)}), Cmp("<=", x, const(3)), TimeDomain(0, Fraction(3, 2)),
+               flow=Flow({"x": x + 2 * t})),
+        # orbits cut by an evaluation failure: the flow at t = 1, the field's
+        # stage where x reaches 1, the guard where x reaches 1
+        Evolve(None, TRUE, NONNEG, flow=Flow({"x": x + const(1) / (const(1) - t)})),
+        Evolve(VectorField({"x": const(1), "v": const(1) / (x - const(1))}), TRUE, NONNEG),
+        Evolve(None, Cmp(">", const(1) / (x - const(1)), const(-9)), NONNEG, flow=Flow({"x": x + t})),
+    )
+    # false mid-orbit, undefined where x crosses 0, reading the constant c
+    END_POSTS = (Cmp("<=", x, const(2)), Cmp("<=", const(1) / x, const(9)),
+                 Cmp("<=", x * v, SymConst("c")), Cmp(">=", v, x - const(3)))
+
+    def test_run_ending_orbits_agree_with_recursive_reference(self):
+        rng = random.Random(36)
+        outcomes = {"violating": 0, "undefined": 0, "clean": 0}
+        mid_orbit = {"violating": 0, "undefined": 0}
+        sources = set()
+        for _ in range(600):
+            end = rng.choice(self.ENDS)
+            if rng.random() < 0.3:
+                end = Choice((end, rng.choice(self.ENDS)))
+            prog = Seq((random_looping_program(rng, 2), end))
+            s = {"x": float(rng.randint(-2, 2)), "v": float(rng.randint(-2, 2))}
+            post = rng.choice(self.END_POSTS)
+            consts = {"c": float(rng.randint(-1, 2))}
+            if rng.random() < 0.3:
+                consts["x"] = 9.0  # the store's x wins
+            cfg = RunConfig(fuel=rng.randint(0, 2), step=rng.choice((1.0, 0.5, 0.375)),
+                            horizon=2.0, consts=consts)
+            found = find_violation(prog, s, post, cfg)
+            assert found == reference_find_violation(prog, s, post, cfg)
+            if type(end) is Evolve:
+                sources.add(_orbit_source(end)[0][0])
+            if found is None:
+                outcomes["clean"] += 1
+                continue
+            path, message = found
+            kind = "violating" if message is None else "undefined"
+            outcomes[kind] += 1
+            if path[-1][0].startswith("evolve") and path[-1][0] != "evolve t=0":
+                mid_orbit[kind] += 1
+        assert all(outcomes.values()) and all(mid_orbit.values()), (outcomes, mid_orbit)
+        assert sources == {"flow", "rk4"}
+
+    @pytest.mark.parametrize("build", [
+        lambda: Evolve(VectorField({"x": v, "v": const(-1)}), Cmp(">=", x, const(-2)), NONNEG),
+        lambda: Evolve(VectorField({"x": v, "v": const(-1)}), Cmp(">=", x, const(-2)), NONNEG,
+                       dinv=Cmp(">=", v, const(-9))),
+        lambda: Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t})),
+        lambda: Evolve(VectorField({"x": const(1)}), TRUE, NONNEG, flow=Flow({"x": x + t})),
+    ], ids=["field", "field-dinv", "flow", "field-flow"])
+    def test_equal_evolution_commands_share_one_step(self, monkeypatch, build):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        fetched = []
+        fetch = hprog._orbit_step
+        monkeypatch.setattr(hprog, "_orbit_step",
+                            lambda node, *args: fetched.append(node) or fetch(node, *args))
+        # a and b each run inside the program and at its end, once per point
+        prog = Seq((a, b, Choice((a, b))))
+        cfg = RunConfig(step=0.5, horizon=1.0)
+        assert find_violation(prog, {"x": 0.0, "v": 1.0}, TRUE, cfg) is None
+        assert fetched == [a, a]  # one orbit step, one post-mode step
+
+    def test_evolution_commands_hash_by_value(self):
+        # a field's or flow's value is its component items in order, and a
+        # flow's domain; equal values hash equal
+        ball = {"x": v, "v": g}
+        assert VectorField(ball) == VectorField(dict(ball)) != VectorField({"v": g, "x": v})
+        assert hash(VectorField(ball)) == hash(VectorField(dict(ball)))
+        assert Flow({"x": x + t}) != Flow({"x": x + t}, NONNEG)
+        assert hash(Flow({"x": x + t}, NONNEG)) == hash(Flow({"x": x + t}, TimeDomain(0)))
+        guard = Cmp(">=", x, const(0))
+        field, flow = VectorField(ball), Flow(BALL_FLOW.components)
+        variants = [Evolve(field, guard, NONNEG), Evolve(field, guard, NONNEG, dinv=guard),
+                    Evolve(field, guard, NONNEG, flow=flow), Evolve(None, guard, NONNEG, flow=flow),
+                    Evolve(field, guard, TimeDomain(0, 1)), Evolve(field, TRUE, NONNEG)]
+        assert len(set(variants)) == len(variants)
+        assert set(variants) == {Evolve(VectorField(ball), guard, NONNEG),
+                                 Evolve(field, guard, TimeDomain(0), dinv=guard),
+                                 Evolve(field, guard, NONNEG, flow=Flow(dict(BALL_FLOW.components))),
+                                 Evolve(None, guard, NONNEG, flow=flow),
+                                 Evolve(field, guard, TimeDomain(0, Fraction(1))),
+                                 Evolve(VectorField(ball), TRUE, TimeDomain(0))}
+
     def test_fuel_3000_loop_runs_every_iteration(self):
         # the recursive search took Python frames per iteration
         body = Assign("x", x + 1)
@@ -844,7 +937,7 @@ class TestRk4StatesBitIdentity:
         assert field_orbit_kernel(a, keys, ()) is not field_orbit_kernel(a, keys, ("g",))
         # the field's order is part of its value: it orders the kernel's statements
         c = VectorField({"v": g * x, "x": v})
-        assert c == a
+        assert c != a and c == VectorField({"v": g * x, "x": v})
         assert field_orbit_kernel(c, keys, ("g",)) is not field_orbit_kernel(a, keys, ("g",))
 
     @pytest.mark.usefixtures("fresh_kernels")
@@ -954,6 +1047,41 @@ class TestOrbitKernelMatchesReference:
                 points = got[1].count("(")  # one per kept point, one per "(t, {...})"
                 seen.add("empty" if points == 0 else f"{'field' if i % 2 else 'flow'} points")
         assert seen == {"empty", "flow points", "field points", "TypeError"}
+
+    def test_post_mode_decides_the_post_at_each_kept_point(self):
+        # the plain kernel's points, each decided by eval_pred in order, then
+        # the plain kernel's own outcome (True where it returns)
+        rng = random.Random(37)
+        seen = set()
+        for i in range(1500):
+            s, consts, guard = self.store(rng), self.consts(rng), self.guard(rng)
+            post = Cmp("<", Exp(Mul(const(400), y)), const(9)) if rng.random() < 0.1 else (
+                self.guard(rng))  # the exp overflows where y > 1.8 or so
+            h, horizon = rng.choice((0.1, 0.25, 0.5)), rng.choice((1.0, 3.0))
+            times = rng.choice(self.DOMAINS).grid(h, horizon)
+            eq_tol = rng.choice((0.0, EQ_TOL))
+            if i % 2:
+                field = VectorField({n: self.term(rng, False) for n in rng.sample(("x", "y"), 2)})
+                source, reads = ("rk4", field.component_items), field.reads
+            else:
+                names = rng.sample(("x", "y", "q"), rng.randint(1, 3))  # q is no store key
+                flow = Flow({n: self.term(rng, True) for n in names})
+                source, reads = ("flow", flow.component_items), flow.reads
+            args = (times, s, consts, eq_tol, h, 0.5 * h, h / 6.0)
+            got = outcome(_orbit_run(source, reads, guard, s, consts, post), None, *args)
+            points: list = []
+            want = outcome(_orbit_run(source, reads, guard, s, consts), points, *args)
+            for _, state in points:
+                decided = outcome(eval_pred, post, {**consts, **state}, eq_tol)
+                if decided != ("value", "True"):
+                    want = decided
+                    break
+            else:
+                if want == ("value", "None"):
+                    want = ("value", "True")
+            assert got == want, (i, guard, post, s, consts)
+            seen.add(got[1] if got[0] == "value" else got[1].__name__)
+        assert {"True", "False", "EvalError", "TypeError"} <= seen, seen
 
     def test_fraction_top_and_shadowed_constant(self):
         # 7/10 is no float: the grid compares k * h with float(7/10) + 1e-12
