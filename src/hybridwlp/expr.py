@@ -376,7 +376,10 @@ _LEAVE = object()
 # that follow in the body of a loop or an if, whose body is straight-line
 # on each pass: a value loaded inside the body is reused only inside it,
 # and a local variable declared with floats, which holds a float whenever
-# it is read, is read in place of a load.  Identifiers are synthesized:
+# it is read, is read in place of a load.  Inside a loop opened at the top
+# level, a float +, -, * or unary - of values fixed before the loop is
+# computed once, just before it (see invariant): it cannot raise, so no
+# failure moves.  Identifiers are synthesized:
 # names, dictionary keys, constants, exponents and nodes reach the code
 # only through the function's globals.  So every kernel of one shape has
 # the same source, and function compiles each distinct source once per
@@ -404,6 +407,10 @@ class KernelWriter:
         self._blocks: list = []  # the loads made before each open compound statement
         self._loaded: dict = {}  # load key -> identifier of its value
         self._temps = 0
+        self._consts: dict = {}  # Const node -> identifier of its float among the globals
+        self._fixed: set = set()  # identifiers and literals that hold one float (see fixed)
+        self._values: dict = {}  # code of an operation on fixed values -> its identifier
+        self._hoist_at = None  # index of the open top-level loop's header in _lines
 
     def bind(self, value) -> str:
         """An identifier for value among the function's globals."""
@@ -431,6 +438,8 @@ class KernelWriter:
         statements that follow, up to the matching end, in its body."""
         if self._guard is not None:
             raise ValueError("a compound statement cannot start inside a guarded region")
+        if not self._blocks and header.startswith(("for ", "while ")):
+            self._hoist_at = len(self._lines)
         self.line(header)
         self._indent += "    "
         self._blocks.append(dict(self._loaded))
@@ -438,12 +447,39 @@ class KernelWriter:
     def end(self) -> None:
         self._indent = self._indent[:-4]
         self._loaded = self._blocks.pop()
+        if not self._blocks:
+            self._hoist_at = None
 
     def floats(self, *names: str) -> None:
         """Declare local variables that hold a float whenever a load reads
         them, so the load reads the variable itself."""
         for n in names:
             self._loaded[("local", n)] = n
+
+    def fixed(self, *names: str) -> None:
+        """Declare identifiers that hold one float for the whole call
+        (parameters the code never assigns) and float literals."""
+        self._fixed.update(names)
+
+    def invariant(self, form: str, *args: str) -> "str | None":
+        """While a loop opened at the top level is open: when every one of
+        args is fixed, the identifier of form.format(*args), a float +, -,
+        * or unary - (which cannot raise), computed just before that loop,
+        in the order first asked for, and shared by every later request for
+        the same code; else None, and the caller computes it in place.
+        Fixed are the identifiers declared with fixed, the constants, the
+        loads made at the top level outside a guarded region, and the
+        values computed here."""
+        if self._hoist_at is None or not all(map(self._fixed.__contains__, args)):
+            return None
+        code = form.format(*args)
+        v = self._values.get(code)
+        if v is None:
+            v = self._values[code] = self.temp()
+            self._fixed.add(v)
+            self._lines.insert(self._hoist_at, ("    ", None, None, f"{v} = {code}"))
+            self._hoist_at += 1
+        return v
 
     def expr(self, e: Expr, local: Mapping[str, str], memo: dict) -> str:
         """Emit the statements that compute e and return the identifier of
@@ -479,7 +515,11 @@ class KernelWriter:
 
     def _const(self, e: Const, handler) -> str:
         try:
-            return self.bind(float(e.value))
+            v = self._consts.get(e)
+            if v is None:
+                v = self._consts[e] = self.bind(float(e.value))
+                self._fixed.add(v)
+            return v
         except OverflowError:
             # out of float range: raise when reached, as the walk does
             v = self.temp()
@@ -497,6 +537,8 @@ class KernelWriter:
             v = self._loaded[key] = self.temp()
             if name in local:
                 self.line(f"{v} = float({local[name]})", handler)
+                if not self._blocks and self._guard is None:
+                    self._fixed.add(v)
             else:
                 self.line(f"raise EvalError({self.bind(message)}, {self.bind(e)})", handler)
         return v
@@ -510,7 +552,11 @@ class KernelWriter:
 
     def _op(self, e: Expr, handler, local, memo, stack) -> None:
         args = [memo[id(c)] for c in children(e)]
-        if isinstance(e, Pow):
+        if type(e) in _FLOAT_OPS:  # cannot raise: a loop computes it once when it can
+            v = memo[id(e)] = self.invariant(_KERNEL_OPS[type(e)], *args)
+            if v is not None:
+                return
+        elif isinstance(e, Pow):
             args.append(self.bind(e.exp))
         v = memo[id(e)] = self.temp()
         self.line(f"{v} = " + _KERNEL_OPS[type(e)].format(*args), handler)
@@ -608,6 +654,8 @@ _KERNEL_OPS = {
     Cos: "_cos({0})",
     Exp: "_exp({0})",
 }
+# the operations that cannot raise on floats, which invariant may move
+_FLOAT_OPS = frozenset((Neg, Add, Sub, Mul))
 
 
 def is_zero_const(e: Expr) -> bool:

@@ -83,9 +83,20 @@ def emit_rk4_step(
     The first stage reads the field's variables from base, the others from
     the intermediate states b + half * k1, b + half * k2 and b + h * k3;
     other names load through local.  The generated code must bind h,
-    half = 0.5 * h and sixth = h / 6.0.  An intermediate value of a
-    variable that no component reads is not computed, and one equal to an
-    earlier one of the step is reused."""
+    half = 0.5 * h and sixth = h / 6.0 as parameters it never assigns (h a
+    number whose product with a float is a float).  An intermediate value
+    of a variable that no component reads is not computed, and one equal
+    to an earlier one of the step is reused.  A product, sum or negation of
+    values fixed before the step loop is computed once, before it (see
+    KernelWriter.invariant), such as each stage of a component that reads
+    no variable, and a k3 that is k2 is doubled once."""
+    w.fixed("h", "half", "sixth", "2.0")
+
+    def value(form: str, *args: str) -> str:
+        """form at args: a fixed value's identifier, else the code in place."""
+        v = w.invariant(form, *args)
+        return f"({form.format(*args)})" if v is None else v
+
     read = [x for x, _ in components if any(x in free_names(e) for _, e in components)]
     state, stages = base, []
     made: dict = {}  # (variable, coefficient, stage value) -> intermediate value
@@ -98,14 +109,23 @@ def emit_rk4_step(
             for (x, _), k in zip(components, ks):
                 if x in read:
                     y = made.get((x, coef, k))
-                    if y is None:  # k repeats only when loaded once for the step
+                    if y is None:  # k repeats only when loaded or computed once for the step
                         y = made[x, coef, k] = w.temp()
                         w.floats(y)
-                        w.line(f"{y} = {base[x]} + {coef} * {k}")
+                        w.line(f"{y} = {base[x]} + {value('{0} * {1}', coef, k)}")
                     state[x] = y
     # 2.0 * k is the product 2 * k, without converting the int on each step
-    return [f"{base[x]} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
-            for (x, _), k1, k2, k3, k4 in zip(components, *stages)]
+    out = []
+    for (x, _), k1, k2, k3, k4 in zip(components, *stages):
+        two = w.invariant("2.0 * {0}", k2)
+        if two is None and k3 == k2:
+            two = w.temp()
+            w.line(f"{two} = 2.0 * {k2}")
+        two = two or f"(2.0 * {k2})"
+        total = value("{0} + {1}", value("{0} + {1}", k1, two),
+                      two if k3 == k2 else value("2.0 * {0}", k3))
+        out.append(f"{base[x]} + {value('sixth * {0}', value('{0} + {1}', total, k4))}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -588,7 +608,7 @@ def _orbit_step(node: Evolve, s: Store, cfg: RunConfig, post: Optional[Pred] = N
 
 
 def find_violation(
-    p: HybridProgram, s: Store, post: Pred, cfg: RunConfig
+    p: HybridProgram, s: Store, post: Pred, cfg: RunConfig, kernels: Optional[dict] = None
 ) -> Optional[tuple[list[tuple[str, Store]], Optional[str]]]:
     """Depth-first search for a run whose end store violates the postcondition.
 
@@ -608,22 +628,31 @@ def find_violation(
     successor; a branch point pushes its other successors, the first on top.
     The stores of a run share the keys of s (a VerifySpec's program writes
     only declared variables), so one kernel per predicate, assigned term
-    and evolution command serves the search, fetched the first time it is
-    reached, and a loop keys the stores it reached by their values in key
-    order.  An orbit with nothing left after it ends a run at each of its
-    points, so its post-mode kernel decides the post there first; when the
-    post holds at every point, no point needs a run of its own.  Otherwise
-    the orbit's points are pushed as usual, and the search meets the first
-    point where the post is false or undefined in the same order.
+    and evolution command serves the search, fetched into the table
+    kernels the first time it is reached, and a loop keys the stores it
+    reached by their values in key order.  An orbit with nothing left after
+    it ends a run at each of its points, so its post-mode kernel decides
+    the post there first; when the post holds at every point, no point
+    needs a run of its own.  Otherwise the orbit's points are pushed as
+    usual, and the search meets the first point where the post is false or
+    undefined in the same order.
+
+    kernels is that table, filled in place: each predicate and assigned
+    term -> its kernel, each (evolution command, store keys in order) -> its
+    orbit step and each (command, keys, post) -> its post-deciding step
+    (see _orbit_step); the keys' order counts, since an orbit of a flow
+    that names the variables in another order gives its states that order.
+    The entries depend only on their keys, the names that s and cfg.consts
+    bind, and cfg's step and horizon, so searches that agree on those may
+    share one table, as falsify's trials do; by default each search fills
+    a new one.
     """
     consts = cfg.consts
     names = sorted(s)
     key = itemgetter(*names) if names else tuple  # tuple({}) == ()
     h, half, sixth = cfg.step, 0.5 * cfg.step, cfg.step / 6.0
-    # the post, each branch condition, test and assigned term -> its kernel,
-    # each evolution command -> its orbit step (see _orbit_step)
-    kernels: dict = {}
-    ends: dict = {}  # each evolution command that ends a run -> its post-deciding step
+    if kernels is None:
+        kernels = {}
     stack = [((("init", dict(s)), None), (p, None))]
     message = None
     while stack:
@@ -653,18 +682,21 @@ def find_violation(
                     elif not kernel(store, consts, EQ_TOL):
                         break
                 elif kind is Evolve:
+                    # an orbit kernel unpacks the store in its key order, which
+                    # a flow's orbit may change: one kernel per order
+                    keys = tuple(store)
                     if todo is None:  # each orbit point ends a run: decide the post in the kernel
-                        decide = ends.get(node)
+                        decide = kernels.get((node, keys, post))
                         if decide is None:
-                            decide = ends[node] = _orbit_step(node, store, cfg, post)
+                            decide = kernels[node, keys, post] = _orbit_step(node, store, cfg, post)
                         try:
                             if decide[0](None, decide[1], store, consts, EQ_TOL, h, half, sixth):
                                 break  # the post holds at every point: no run is left
                         except EVAL_FAILURES:
                             pass  # the points below meet the failure in order
-                    step = kernels.get(node)
+                    step = kernels.get((node, keys))
                     if step is None:
-                        step = kernels[node] = _orbit_step(node, store, cfg)
+                        step = kernels[node, keys] = _orbit_step(node, store, cfg)
                     points: list = []
                     try:
                         step[0](points, step[1], store, consts, EQ_TOL, h, half, sixth)

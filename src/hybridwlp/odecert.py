@@ -244,7 +244,10 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
 # their order, is the one of the orbit writer's kernels (hprog.orbit_kernel):
 # of rk4_integrate for the field and of a flow's orbit for the flow.  A NaN
 # deviation is the largest: it sticks to the running maximum, which then
-# fails its check.
+# fails its check.  A float +, -, * or unary - of values fixed before a
+# check's loop is computed once, before it (see KernelWriter.invariant):
+# such an operation cannot raise, so no failure moves, and it gives the
+# same float wherever it is computed.
 
 
 def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
@@ -260,22 +263,48 @@ def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
     return dev
 
 
-def _monoid_kernel(flow: tuple, names: tuple, bound: tuple):
-    """residual(t1, t2, *start, *consts) -> the largest deviation over names,
-    in order, between flow(t1 + t2) and flow(t1) after flow(t2), from the
-    start values of names with the constants bound; flow holds the flow's
+def _monoid_kernel(flow: tuple, names: tuple, bounds: tuple):
+    """check(randrange, uniform, lo, values, samples) -> the largest residual
+    of the monoid action over that many draws, each as _monoid_check
+    describes it: the index i of a valuation (randrange), a start value per
+    name in order in [-2, 2] and t1, t2 in [lo, 1] (uniform), then the
+    deviation over names, in order, between flow(t1 + t2) and flow(t1)
+    after flow(t2) from the start, with the constants bounds[i] bound to
+    values[i].  Valuations that bind the same names share one branch of the
+    loop body.  The first failure of a draw raises; flow holds the flow's
     component items."""
     w = KernelWriter()
     start = {x: w.temp() for x in names}
-    consts = {c: w.temp() for c in bound}
     w.floats("t1", "t2", "t12", *start.values())
+    groups = tuple(dict.fromkeys(bounds))  # the bound names of each branch
+    w.line("residual = 0.0")
+    w.begin("for _ in range(samples):")
+    w.line(f"i = randrange({len(bounds)})")
+    for s in start.values():
+        w.line(f"{s} = uniform(-2.0, 2.0)")
+    w.line("t1 = uniform(lo, 1.0)")
+    w.line("t2 = uniform(lo, 1.0)")
     w.line("t12 = t1 + t2")
-    one = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t12"})
-    inner = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t2"})
-    w.floats(*inner.values())
-    two = emit_flow(w, flow, {**consts, **inner, TIME_NAME: "t1"})
-    dev = _sup_deviation(w, [one[x] for x in names], [two[x] for x in names])
-    return w.function(", ".join(["t1", "t2", *start.values(), *consts.values()]), dev)
+    branches = len(groups) > 1
+    if branches:
+        w.line(f"group = {w.bind(tuple(map(groups.index, bounds)))}[i]")
+    for j, bound in enumerate(groups):
+        if branches:
+            w.begin(f"{'el' if j else ''}if group == {j}:")
+        consts = {c: w.temp() for c in bound}
+        if consts:
+            w.line(f"{', '.join(consts.values())}, = values[i]")
+        one = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t12"})
+        inner = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t2"})
+        w.floats(*inner.values())
+        two = emit_flow(w, flow, {**consts, **inner, TIME_NAME: "t1"})
+        dev = _sup_deviation(w, [one[x] for x in names], [two[x] for x in names])
+        w.line(f"if {dev} > residual or {dev} != {dev}:")  # max, but NaN sticks
+        w.line(f"    residual = {dev}")
+        if branches:
+            w.end()
+    w.end()
+    return w.function("randrange, uniform, lo, values, samples", "residual")
 
 
 def _rk4_check_kernel(field: tuple, flow: tuple, names: tuple, bound: tuple):
@@ -285,6 +314,9 @@ def _rk4_check_kernel(field: tuple, flow: tuple, names: tuple, bound: tuple):
     (rk4_integrate's); None at the first state that is not finite.  A field
     failure at any step raises, then the flow's first EVAL_FAILURES in
     time, as when the whole orbit is integrated before the flow is read.
+    The constants the field reads load before the step loop, so each stage
+    term on constants alone, its products with h and half and its share
+    of the step's increment are computed once there (see emit_rk4_step).
     field and flow hold the component items."""
     w = KernelWriter()
     start = {x: w.temp() for x in names}
@@ -310,7 +342,8 @@ def _rk4_check_kernel(field: tuple, flow: tuple, names: tuple, bound: tuple):
         w.line(f"{state[x]} = {start[x]}")
     check_state()
     # the first stage of the first step, for its failures and so that each
-    # constant it reads loads here, where every step then reuses it
+    # constant it reads loads here, where every step then reuses it, with
+    # its operations on constants alone
     memo: dict = {}
     for _, e in field:
         w.expr(e, {**consts, **start}, memo)
@@ -336,25 +369,18 @@ def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Rand
                   negative: bool) -> CheckResult:
     """The monoid action's largest residual over MONOID_SAMPLES draws of a
     valuation, a start in [-2, 2] per name and two times in [0, 1] (in
-    [-1, 1] when negative)."""
-    items, calls = tuple(flow.components.items()), []
-    for cv in valuations:
-        bound = tuple(filter(cv.__contains__, flow.reads))
-        kernel = memo_kernel(_monoid_kernel, items, tuple(names), bound)
-        calls.append((kernel, tuple(map(cv.__getitem__, bound))))
-    lo = -1.0 if negative else 0.0
-    randrange, uniform = rng.randrange, rng.uniform
-    residual = 0.0
-    for _ in range(MONOID_SAMPLES):
-        kernel, consts = calls[randrange(len(calls))]
-        s = [uniform(-2.0, 2.0) for _ in names]
-        t1, t2 = uniform(lo, 1.0), uniform(lo, 1.0)
-        try:
-            dev = kernel(t1, t2, *s, *consts)
-        except EVAL_FAILURES as exc:
-            return CheckResult(False, f"evaluation failed: {exc}")
-        if dev > residual or dev != dev:  # max(residual, dev), but NaN sticks
-            residual = dev
+    [-1, 1] when negative), all made and checked in one generated loop
+    (_monoid_kernel): a NaN residual is the largest, and the first
+    evaluation failure fails the check.  valuations must not be empty
+    (certify_flow checks), or the draw of an index would fail as one."""
+    bounds = tuple(tuple(filter(cv.__contains__, flow.reads)) for cv in valuations)
+    kernel = memo_kernel(_monoid_kernel, flow.component_items, tuple(names), bounds)
+    values = [tuple(map(cv.__getitem__, bound)) for cv, bound in zip(valuations, bounds)]
+    try:
+        residual = kernel(rng.randrange, rng.uniform, -1.0 if negative else 0.0, values,
+                          MONOID_SAMPLES)
+    except EVAL_FAILURES as exc:
+        return CheckResult(False, f"evaluation failed: {exc}")
     return CheckResult(residual <= SUP_TOL_MONOID, f"max residual {residual:.3e}", residual)
 
 
@@ -666,9 +692,13 @@ def falsify(spec: VerifySpec, budget: FalsifyBudget = FalsifyBudget()) -> Option
     rng = random.Random(budget.seed)
     names = list(spec.consts) + list(spec.vars)
     hyps = tuple(spec.assumptions) + (spec.pre,)
+    ranges = dict(spec.const_ranges)
     searched = set()  # the exact bits of each start searched, so -0.0 is not 0.0
+    # every trial searches the same program and post from stores and
+    # constants with the same keys, on the same grid: one table serves all
+    kernels: dict = {}
     for _ in range(budget.trials):
-        v = sample_valuation(names, hyps, rng, ranges=dict(spec.const_ranges), attempts=12)
+        v = sample_valuation(names, hyps, rng, ranges=ranges, attempts=12)
         # the search is deterministic and a hit ends the run, so a repeated
         # start can only find nothing again; it still draws its sample
         if v is None or (key := tuple(float.hex(v[n]) for n in names)) in searched:
@@ -682,7 +712,7 @@ def falsify(spec: VerifySpec, budget: FalsifyBudget = FalsifyBudget()) -> Option
             horizon=budget.horizon,
             consts=consts,
         )
-        found = find_violation(spec.program, store, spec.post, cfg)
+        found = find_violation(spec.program, store, spec.post, cfg, kernels)
         if found is not None:
             trace, undefined = found
             return CounterexampleTrace(consts, store, trace, trace[-1][1], undefined)

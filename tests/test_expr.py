@@ -25,6 +25,7 @@ from hybridwlp.expr import (
     Exp,
     Expr,
     FalsePred,
+    KernelWriter,
     Mul,
     Neg,
     Not,
@@ -565,6 +566,65 @@ def _chain_atoms(n, holds):
             atoms.append(Not(Cmp("<" if holds else ">=", Exp(x) * const(k), const(-1))))
     atoms.append(Cmp(">", const(1) / (x - y), const(0)))
     return atoms
+
+
+class _Counted(float):
+    """A float that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return float(self) * other
+
+    __rmul__ = __mul__
+
+
+class TestLoopInvariants:
+    """KernelWriter.invariant: a float +, -, * or unary - of fixed values,
+    asked for inside a loop opened at the top level, is computed once
+    before that loop, in the order first asked for, and shared."""
+
+    def test_computed_once_before_the_loop_and_shared(self):
+        w = KernelWriter()
+        w.fixed("h")
+        c = w.expr(SymConst("c"), {"c": "cv"}, {})  # a top-level load: fixed
+        assert w.invariant("{0} * {1}", "h", c) is None  # no loop is open
+        w.line("acc = 0.0")
+        w.begin("for _ in range(n):")
+        p = w.invariant("{0} * {1}", "h", c)
+        assert p is not None and w.invariant("{0} * {1}", "h", c) == p
+        q = w.invariant("{0} - {1}", p, c)  # on a value computed here
+        assert w.invariant("{0} + {1}", "acc", q) is None  # acc changes in the loop
+        # the terms' products on c alone are computed here too: 3 * c is
+        # one product for every stage's memo, with the 3 bound once
+        r1 = w.expr(Mul(const(3), SymConst("c")), {"c": "cv"}, {})
+        r2 = w.expr(Mul(const(3), SymConst("c")), {"c": "cv"}, {})
+        assert r1 == r2
+        w.line(f"acc = acc + {q} + {r1}")
+        w.end()
+        kernel = w.function("cv, h, n", "acc")
+        _Counted.products = 0
+        assert kernel(2.0, _Counted(0.5), 4) == 4 * (0.5 * 2.0 - 2.0 + 3.0 * 2.0)
+        assert _Counted.products == 1
+
+    def test_values_that_may_change_or_go_unassigned_stay_put(self):
+        # a load in a guarded region, or inside a block, is not fixed: the
+        # region may fail, the block may not run
+        w = KernelWriter()
+        w.guard("return None")
+        a = w.expr(SymConst("a"), {"a": "av"}, {})
+        w.guard(None)
+        w.begin("if flag:")
+        b = w.expr(SymConst("b"), {"b": "bv"}, {})
+        w.end()
+        w.fixed("h")
+        w.begin("for _ in range(1):")
+        assert w.invariant("{0} * {1}", "h", a) is None
+        assert w.invariant("{0} * {1}", "h", b) is None
+        assert w.invariant("{0} * {1}", "h", "h") is not None
+        w.end()
+        assert w.invariant("{0} * {1}", "h", "h") is None  # the loop has ended
 
 
 class TestDeepPredicates:

@@ -603,6 +603,20 @@ class TestFindViolation:
                                  Evolve(field, guard, TimeDomain(0, Fraction(1))),
                                  Evolve(VectorField(ball), TRUE, TimeDomain(0))}
 
+    def test_orbit_that_reorders_the_store_keys(self):
+        # the flow names x before v, so the stores after its orbit have the
+        # keys in that order, unlike the start store; the next pass through
+        # the loop reads them in their own order (one kernel shared by both
+        # orders swapped x and v and missed the violation at v = 7)
+        evol = Evolve(None, TRUE, TimeDomain(0, 1), flow=Flow({"x": x + t, "v": v + 1}))
+        prog = Loop(Seq((evol, Assign("x", x))), TRUE)
+        s, post = {"v": 5.0, "x": 1.0}, Cmp("<=", v, const(Fraction(13, 2)))
+        for step in (0.5, 1.0):
+            cfg = RunConfig(fuel=2, step=step, horizon=1.0)
+            found = find_violation(prog, s, post, cfg)
+            assert found == reference_find_violation(prog, s, post, cfg)
+            assert found[0][-1] == ("x := ...", {"x": 1.0, "v": 7.0})
+
     def test_fuel_3000_loop_runs_every_iteration(self):
         # the recursive search took Python frames per iteration
         body = Assign("x", x + 1)
@@ -1082,6 +1096,34 @@ class TestOrbitKernelMatchesReference:
             assert got == want, (i, guard, post, s, consts)
             seen.add(got[1] if got[0] == "value" else got[1].__name__)
         assert {"True", "False", "EvalError", "TypeError"} <= seen, seen
+
+    # fields whose step doubles one stage value twice (k3 is k2 for x when
+    # v's stage is one value) or has stages on literals alone, which the
+    # orbit computes once before its loop; c loads inside the loop
+    STAGE_SHAPES = (
+        VectorField({"x": v, "v": SymConst("c")}),
+        VectorField({"x": v, "v": const(-1)}),
+        VectorField({"x": v * const(2), "v": const(3) * const(Fraction(1, 4)) - const(2)}),
+        VectorField({"y": const(2), "x": y + v, "v": -SymConst("c")}),
+        VectorField({"x": const(1), "v": const(1) / (x - const(1))}),
+    )
+
+    def test_rk4_stage_shapes_match_reference(self):
+        rng = random.Random(38)
+        seen = set()
+        for i in range(300):
+            field = rng.choice(self.STAGE_SHAPES)
+            s = {"x": float(rng.randint(-2, 2)), "y": rng.uniform(-2, 2), "v": rng.uniform(-2, 2)}
+            consts = {"c": rng.uniform(-2, 2)}
+            guard = rng.choice((TRUE, Cmp(">=", x, const(-2)), Cmp("<=", v * SymConst("c"), x)))
+            h = rng.choice((0.1, 0.25, 0.5, Fraction(1, 4)))
+            eq_tol = rng.choice((0.0, EQ_TOL))
+            args = (field, guard, NONNEG, s, h, consts, 2.0, eq_tol)
+            got = outcome(guarded_orbit_field, *args)
+            assert got == outcome(ref_orbit_field, *args), (i, field, guard)
+            if type(h) is float:  # the division raises from rk4_integrate
+                seen.add(rk4_result(field, s, h, 8, consts)[0])
+        assert seen == {"value", "raise"}
 
     def test_fraction_top_and_shadowed_constant(self):
         # 7/10 is no float: the grid compares k * h with float(7/10) + 1e-12

@@ -3,10 +3,11 @@ import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hybridwlp import odecert
+from hybridwlp import hprog, odecert
 from hybridwlp.expr import (
     EVAL_FAILURES,
     And,
@@ -53,7 +54,10 @@ from hybridwlp.odecert import (
     rk4_integrate,
 )
 from hybridwlp.vcgen import VerifySpec
+from test_hprog import random_discrete_program, random_looping_program
 from treewalk import ref_flow_at, ref_rk4_states
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 x, y, v, z = Var("x"), Var("y"), Var("v"), Var("z")
 x_a, x_b = Var("a"), Var("b")
@@ -380,9 +384,10 @@ def random_term(rng, names, consts, depth, time=False):
 def random_case(rng):
     """(field, flow, valuations): a solvable family with its flow, right or
     perturbed, or a random field with a random flow; a valuation now and
-    then leaves a constant unbound."""
+    then leaves a constant unbound.  Some families have stages on constants
+    alone, which the RK4 check computes once before its step loop."""
     consts = rng.sample(["a", "b"], rng.randint(0, 2))
-    kind = rng.randrange(4)
+    kind = rng.randrange(7)
     a = SymConst(consts[0]) if consts else const(Fraction(rng.randint(-5, 5), 2))
     w = const(Fraction(rng.randint(1, 6), 2))
     if kind == 0:  # constant acceleration
@@ -394,11 +399,22 @@ def random_case(rng):
     elif kind == 2:  # exponential decay beside a drift
         field = VectorField({"x": -x, "y": a})
         flow = {"x": x * Exp(-t), "y": y + a * t}
-    else:
+    elif kind == 3:
         names = rng.sample(["x", "y", "z"], rng.randint(1, 3))
         field = VectorField({n: random_term(rng, names, consts, 3) for n in names})
         flow = {n: random_term(rng, names, consts, 3, time=True) for n in names}
-    if kind < 3 and rng.random() < 0.5:  # a wrong flow
+    elif kind == 4:  # a field on a constant alone
+        field = VectorField({"x": const(2) * a})
+        flow = {"x": x + const(2) * a * t}
+    elif kind == 5:  # components sharing one constant, one of them on it alone
+        field = VectorField({"x": a * w, "y": y - a})
+        flow = {"x": x + a * w * t, "y": (y - a) * Exp(t) + a}
+    else:  # a product on a constant beside z/z, undefined where RK4 drives z
+        # to 0.0: each step scales z by 0.375, which underflows to 0 after
+        # about 760 steps
+        field = VectorField({"y": const(2) * a + z / z, "z": const(-1000) * z})
+        flow = {"y": y + (const(2) * a + const(1)) * t, "z": z * Exp(const(-1000) * t)}
+    if kind != 3 and rng.random() < 0.5:  # a wrong flow
         n = rng.choice(sorted(flow))
         flow[n] = flow[n] + random_term(rng, sorted(flow), consts, 2, time=True) * t
     valuations = [{c: rng.uniform(-2, 2) for c in consts} for _ in range(rng.randint(1, 3))]
@@ -499,6 +515,58 @@ class TestCheckKernelsBitIdentity:
         flow = Flow({"x": x if flow_extra is None else x + const(0) * flow_extra})
         got = both_rk4(VectorField(comps), flow, [[0.25]], [{"b": 1.0}])
         assert got.detail == "evaluation failed: " + want
+
+    def test_field_on_a_constant_alone(self):
+        # every stage is 2*c, computed once before the step loop
+        c = SymConst("c")
+        field, flow = VectorField({"x": const(2) * c}), Flow({"x": x + const(2) * c * t})
+        valuations = [{"c": 0.75}, {"c": -1.25}, {"c": 1e-3}]
+        got = both_rk4(field, flow, [[0.25], [-1.0], [1.5]], valuations)
+        assert got.passed and got.detail.startswith("max deviation")
+        want = ref_monoid_check(flow, ["x"], valuations, random.Random(5), True)
+        assert exact(_monoid_check(flow, ["x"], valuations, random.Random(5), True)) == exact(want)
+
+    def test_components_sharing_one_constant(self):
+        # c loads once before the loop for x, y and z; x's and y's stages are
+        # computed once there, z's intermediate states read x's
+        c = SymConst("c")
+        field = VectorField({"x": c, "y": -c, "z": x + c})
+        flow = Flow({"x": x + c * t, "y": y - c * t,
+                     "z": z + x * t + c * t * t / const(2) + c * t})
+        got = both_rk4(field, flow, [[0.5, -0.25, 1.0], [1.0, 0.0, -1.5]],
+                       [{"c": 1.5}, {"c": -0.5}])
+        assert got.passed
+
+    def test_hoisted_product_beside_a_later_division_by_zero(self):
+        # 2*c is computed before the loop; the division still fails at the
+        # step where x reaches p, and the other start never meets it
+        s = {"x": 0.25}
+        p = rk4_integrate(VectorField({"x": const(1)}), s, RK4_STEP, 5)[0][5][1]["x"]
+        c = SymConst("c")
+        field = VectorField({"x": const(1),
+                             "y": const(2) * c + const(1) / (x - const(Fraction(p)))})
+        flow = Flow({"x": x + t, "y": y + const(2) * c * t})
+        got = both_rk4(field, flow, [[0.25, 0.0]], [{"c": 0.5}])
+        assert got.detail == "evaluation failed: division by zero"
+        assert both_rk4(field, flow, [[0.5, 0.0]], [{"c": 0.5}]).detail.startswith("max deviation")
+
+    @pytest.mark.parametrize("valuations, want", [
+        ([{"a": 1.0, "b": 2.0}, {"a": 3.0}], "unbound name 'b'"),
+        ([{"a": 1.0}, {"b": 2.0}, {"a": 0.5, "b": 0.5}], "unbound name"),
+        ([{"b": 2.0, "a": 1.0, "c": 5.0}, {"a": 0.5, "b": -0.5}], "max residual"),
+    ], ids=["one-short", "each-short", "same-names"])
+    def test_monoid_valuations_binding_different_names(self, valuations, want):
+        # one generated loop makes every draw; a valuation binding other
+        # names takes a branch of its own and fails at its first draw
+        a, b = SymConst("a"), SymConst("b")
+        flow = Flow({"x": x + a * t, "y": y + b * t})
+        for seed in range(3):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = _monoid_check(flow, ["x", "y"], valuations, got_rng, seed == 1)
+            assert exact(got) == exact(ref_monoid_check(flow, ["x", "y"], valuations,
+                                                        want_rng, seed == 1))
+            assert got_rng.getstate() == want_rng.getstate()
+            assert got.detail.startswith(("evaluation failed: " + want, want))
 
     @pytest.mark.parametrize("nan_first", [True, False])
     def test_nan_deviation(self, nan_first):
@@ -809,6 +877,61 @@ class TestFalsify:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.initial == b.initial and a.consts == b.consts
+
+
+def _fresh_table(p, s, post, cfg, kernels=None):
+    """find_violation with a new table for the search, as if falsify
+    shared none across its trials."""
+    return hprog.find_violation(p, s, post, cfg)
+
+
+def _shared_and_fresh(spec, budget, monkeypatch):
+    """falsify's outcome, as JSON, with one table for all trials and with a
+    fresh table per trial."""
+    shared = falsify(spec, budget)
+    with monkeypatch.context() as m:
+        m.setattr(odecert, "find_violation", _fresh_table)
+        fresh = falsify(spec, budget)
+    return [None if cex is None else cex.to_json() for cex in (shared, fresh)]
+
+
+class TestFalsifySharesOneTable:
+    """falsify fills one table of kernels and orbit steps for all its
+    trials (see hprog.find_violation); a search per trial with a table of
+    its own must find the same outcome."""
+
+    # a flow that names v before x, so that its states change the key
+    # order of the stores that reach later orbits
+    REORDER = Evolve(None, Cmp("<=", v, const(3)), NONNEG, flow=Flow({"v": v + t, "x": x - v * t}))
+    # the last post is undefined where exp overflows, from x = 1.78 or so
+    POSTS = (Cmp("<=", x, const(2)), Cmp(">=", v, x - const(3)),
+             Cmp("<=", x * v, SymConst("c")), Cmp(">", Exp(const(400) * x), const(0)))
+
+    def test_random_programs(self, monkeypatch):
+        rng = random.Random(88)
+        seen = set()
+        for i in range(240):
+            pick = i % 3
+            prog = (random_discrete_program(rng) if pick == 0 else random_looping_program(rng)
+                    if pick == 1 else Loop(Seq((random_looping_program(rng, 2), self.REORDER)), TRUE))
+            spec = VerifySpec(name="p", vars=("x", "v"), consts=("c",),
+                              pre=Cmp("<=", x * x + v * v, const(8)),
+                              post=rng.choice(self.POSTS), program=prog,
+                              const_ranges={"c": (-1.0, 2.0)})
+            budget = FalsifyBudget(trials=12, horizon=2.0, step=rng.choice((1.0, 0.5)),
+                                   fuel=rng.randint(0, 3), seed=i)
+            shared, fresh = _shared_and_fresh(spec, budget, monkeypatch)
+            assert shared == fresh, i
+            seen.add("none" if shared is None else "undefined" if "undefined" in shared
+                     else "violating")
+        assert seen == {"none", "undefined", "violating"}
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.hwl")))
+    def test_shipped_problems(self, name, monkeypatch):
+        spec = parse_spec((PROBLEMS / f"{name}.hwl").read_text())
+        budget = FalsifyBudget(trials=10, horizon=3.0, step=0.1, fuel=3)
+        shared, fresh = _shared_and_fresh(spec, budget, monkeypatch)
+        assert shared == fresh
 
 
 def _undefined_probe(program: str, post: str = "x >= 0") -> str:
