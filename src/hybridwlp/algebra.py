@@ -7,15 +7,18 @@ tuple of n successor row masks; a predicate is an n-bit mask.  Operations
 are bit arithmetic over at most n rows and build in-range masks, so only
 the builders rel, sta and fpred validate.  sta_of_rel and rel_of_sta split
 and join rows.  The law harness checks the axioms either exhaustively over
-small carriers or on seeded random samples, reporting a counterexample.
+small carriers or on seeded random samples, reporting a counterexample;
+an exhaustive check reads the model's operations from tables filled on
+first use, one set per model and carrier size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 # ---------------------------------------------------------------------------
@@ -716,6 +719,61 @@ def _space_size(signature: str, n: int) -> int:
     return size
 
 
+# ---------------------------------------------------------------------------
+# Operation tables.  An exhaustive check meets each operand tuple many times
+# (at n = 2 a three-element law has 4,096 cases over 256 element pairs), so
+# it reads each operation the law checkers call, bar eq, leq and to_pred,
+# from a table keyed by the operands' encodings.  The model's own functions
+# fill a table on first use, so it holds no tuple that no check reached.
+
+# The field that encodes an element of each model; a predicate's is bits.
+_ENCODINGS = {"rel": "bits", "sta": "rows"}
+
+
+def _table(op: Callable, *fields: str) -> Callable:
+    """op read from a table keyed by the given field of each operand, or by
+    the operand itself where the field is empty.  The function is generated
+    so that a hit costs attribute loads and one dict lookup; a key built
+    through operator.attrgetter makes an exhaustive pass about a fifth
+    slower."""
+    params = ", ".join(f"x{i}" for i in range(len(fields)))
+    key = ", ".join(f"x{i}.{f}" if f else f"x{i}" for i, f in enumerate(fields))
+    scope = {"op": op, "table": {}}
+    exec(
+        f"def tabled({params}):\n"
+        f"    k = {key}\n"
+        f"    try:\n"
+        f"        return table[k]\n"
+        f"    except KeyError:\n"
+        f"        out = table[k] = op({params})\n"
+        f"        return out\n",
+        scope,
+    )
+    return scope["tabled"]
+
+
+@functools.lru_cache(maxsize=len(_ENCODINGS) * (EXHAUSTIVE_MAX_N + 1))
+def _tabled_model(model_name: str, n: int) -> Model:
+    """MODELS[model_name] reading its operations from tables, one set per
+    model and n, shared by every exhaustive check in the process.  zero
+    and unit are keyed by n, so each is computed once."""
+    model, elem = MODELS[model_name], _ENCODINGS[model_name]
+    return replace(
+        model,
+        zero=_table(model.zero, ""),
+        unit=_table(model.unit, ""),
+        union=_table(model.union, elem, elem),
+        compose=_table(model.compose, elem, elem),
+        star=_table(model.star, elem),
+        antidomain=_table(model.antidomain, elem),
+        fbox=_table(model.fbox, elem, "bits"),
+        fdia=_table(model.fdia, elem, "bits"),
+        bbox=_table(model.bbox, elem, "bits"),
+        bdia=_table(model.bdia, elem, "bits"),
+        from_pred=_table(model.from_pred, "bits"),
+    )
+
+
 def check_law(
     model_name: str,
     n: int,
@@ -727,7 +785,11 @@ def check_law(
     if law_name not in LAWS:
         raise KeyError(f"unknown law identifier {law_name!r}")
     law = LAWS[law_name]
+    if model_name not in MODELS:
+        raise KeyError(f"unknown model {model_name!r}")
     model = MODELS[model_name]
+    if not isinstance(n, int):
+        raise TypeError(f"state count n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"state count n must be non-negative, got {n}")
     if mode == "exhaustive":
@@ -735,6 +797,7 @@ def check_law(
             raise ValueError(
                 f"exhaustive mode too large for law {law_name!r} at n={n}"
             )
+        model = _tabled_model(model_name, n)
         pools = [
             list(model.all_elements(n)) if ch == "a" else list(_all_preds(n))
             for ch in law.signature

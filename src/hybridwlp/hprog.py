@@ -24,8 +24,9 @@ from operator import ge, itemgetter, mul
 from typing import Iterator, Mapping, Optional, Union
 
 from .expr import (
-    EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, diff,
-    eval_pred, expr_kernel, free_names, free_vars, memo_kernel, pred_kernel, substitute, uses_time,
+    EVAL_FAILURES, TIME_NAME, ZERO, Expr, KernelWriter, Pred, Sub, Var, bound_names, children,
+    diff, eval_pred, expr_kernel, free_names, free_vars, memo_kernel, pred_kernel, substitute,
+    uses_time,
 )
 from .polynorm import NormalizeError, normalize
 
@@ -89,7 +90,9 @@ def emit_rk4_step(
     to an earlier one of the step is reused.  A product, sum or negation of
     values fixed before the step loop is computed once, before it (see
     KernelWriter.invariant), such as each stage of a component that reads
-    no variable, and a k3 that is k2 is doubled once."""
+    no variable, and a k3 that is k2 is doubled once.  Any other node that
+    reads no name of base has one value in every stage: the later stages
+    take the first stage's identifier, whose statements raise first."""
     w.fixed("h", "half", "sixth", "2.0")
 
     def value(form: str, *args: str) -> str:
@@ -100,9 +103,12 @@ def emit_rk4_step(
     read = [x for x, _ in components if any(x in free_names(e) for _, e in components)]
     state, stages = base, []
     made: dict = {}  # (variable, coefficient, stage value) -> intermediate value
+    first: dict = {}  # id(node) -> its value, for the nodes that read no name of base
     for coef in ("half", "half", "h", None):
-        memo: dict = {}
+        memo = dict(first)
         ks = [w.expr(e, {**local, **state}, memo) for _, e in components]
+        if not stages:
+            first = _unmoved(components, base, memo)
         stages.append(ks)
         if coef is not None:
             state = {}
@@ -125,6 +131,25 @@ def emit_rk4_step(
         total = value("{0} + {1}", value("{0} + {1}", k1, two),
                       two if k3 == k2 else value("2.0 * {0}", k3))
         out.append(f"{base[x]} + {value('sixth * {0}', value('{0} + {1}', total, k4))}")
+    return out
+
+
+def _unmoved(components: tuple, names: Mapping, memo: dict) -> dict:
+    """The entries of memo for the outermost nodes of the components that
+    read none of names; a walk that meets one reads its value from memo
+    and never goes below it.  Each node is visited once, however shared."""
+    out: dict = {}
+    seen: set = set()
+    todo = [e for _, e in components]
+    while todo:
+        e = todo.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if free_names(e).isdisjoint(names):
+            out[id(e)] = memo[id(e)]
+        else:
+            todo += children(e)
     return out
 
 

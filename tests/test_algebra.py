@@ -1,7 +1,8 @@
+import collections
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import pytest
@@ -320,6 +321,17 @@ class TestCheckLawArguments:
     def test_random_mode_needs_a_trial(self, trials):
         with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
             check_law("sta", 2, "box-seq", mode="random", trials=trials)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_unknown_model_rejected(self, mode):
+        with pytest.raises(KeyError, match="unknown model 'foo'"):
+            check_law("foo", 2, "union-idem", mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("n", [2.0, "2", None])
+    def test_non_integer_n_rejected(self, mode, n):
+        with pytest.raises(TypeError, match=f"state count n must be an int, got {n!r}"):
+            check_law("rel", n, "union-idem", mode=mode)
 
     def test_empty_carrier_is_checked(self):
         assert check_law("rel", 0, "box-cond").to_json() == {
@@ -668,14 +680,19 @@ def ref_describe(operand):
     return f"pred{sorted(operand.members)}"
 
 
+def _admitted(law, n):
+    """Whether the exhaustive gate admits law at n."""
+    size = 1
+    for ch in LAWS[law].signature:
+        size *= (1 << (n * n)) if ch == "a" else (1 << n)
+    return n <= EXHAUSTIVE_MAX_N and size <= EXHAUSTIVE_MAX_COMBINATIONS
+
+
 def ref_check_law(model_name, n, law_name, mode="exhaustive", seed=0, trials=1000):
     signature, check = LAWS[law_name].signature, REF_LAWS[law_name]
     model = REF_MODELS[model_name]
     if mode == "exhaustive":
-        size = 1
-        for ch in signature:
-            size *= (1 << (n * n)) if ch == "a" else (1 << n)
-        assert n <= EXHAUSTIVE_MAX_N and size <= EXHAUSTIVE_MAX_COMBINATIONS
+        assert _admitted(law_name, n)
         pools = [list(model.all_elements(n)) if ch == "a" else list(ref_all_preds(n))
                  for ch in signature]
         cases = itertools.product(*pools)
@@ -778,10 +795,51 @@ def test_readbacks_reject_what_the_reference_rejects():
         algebra.sta_to_pred(sta(2, [{0, 1}, set()]))
 
 
+EXHAUSTIVE_CASES = [(law, n) for n in range(EXHAUSTIVE_MAX_N + 1) for law in sorted(LAWS)
+                    if _admitted(law, n)]
+
+
 @pytest.mark.parametrize("model", ["rel", "sta"])
-@pytest.mark.parametrize("law", sorted(LAWS))
-def test_exhaustive_report_matches_reference(model, law):
-    assert check_law(model, 2, law) == ref_check_law(model, 2, law)
+@pytest.mark.parametrize("law, n", EXHAUSTIVE_CASES)
+def test_exhaustive_report_matches_reference(model, law, n):
+    assert check_law(model, n, law) == ref_check_law(model, n, law)
+
+
+# The operations that an exhaustive check reads from its tables.
+TABLED = ("zero", "unit", "union", "compose", "star", "antidomain",
+          "fbox", "fdia", "bbox", "bdia", "from_pred")
+
+
+def test_each_operation_runs_once_per_operand_tuple(monkeypatch):
+    """Every model operation an exhaustive check tables runs at most once
+    per (model, operation, operand tuple) in a process, across laws, n and
+    repeated batches, which report the same."""
+    calls = collections.Counter()
+
+    def counted(model_name, op_name, op):
+        def run(*args):
+            calls[model_name, op_name, args] += 1
+            return op(*args)
+        return run
+
+    for name, model in algebra.MODELS.items():
+        monkeypatch.setitem(algebra.MODELS, name, replace(
+            model, **{op: counted(name, op, getattr(model, op)) for op in TABLED}))
+    algebra._tabled_model.cache_clear()
+    cases = [(model, n, law) for model in ("rel", "sta") for law, n in EXHAUSTIVE_CASES
+             if n < 3 or LAWS[law].signature in ("a", "ap")]
+    try:
+        first = [check_law(*case) for case in cases]
+        assert [check_law(*case) for case in cases] == first
+    finally:
+        algebra._tabled_model.cache_clear()
+    # no law reads bdia
+    assert {op for _, op, _ in calls} == set(TABLED) - {"bdia"}
+    assert max(calls.values()) == 1
+    # random mode reads no table: a law's operations run on every draw
+    calls.clear()
+    check_law("rel", 2, "union-idem", mode="random", trials=50)
+    assert sum(calls.values()) == 50
 
 
 @pytest.mark.parametrize("model, n", [("rel", 3), ("sta", 4)])

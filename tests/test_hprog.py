@@ -1125,6 +1125,20 @@ class TestOrbitKernelMatchesReference:
                 seen.add(rk4_result(field, s, h, 8, consts)[0])
         assert seen == {"value", "raise"}
 
+    def test_stages_share_a_term_on_constants_alone(self, monkeypatch):
+        # sin(c) reads no field variable, so the four stages of a step take
+        # the first stage's value: one sine per step, not four
+        field = VectorField({"y": const(2), "x": y + v, "v": Sin(SymConst("c"))})
+        s, consts = {"x": 0.5, "y": -1.0, "v": 0.25}, {"c": 0.7}
+        args = (field, TRUE, NONNEG, s, 0.1, consts, 0.5, EQ_TOL)
+        assert repr(guarded_orbit_field(*args)) == repr(ref_orbit_field(*args))
+        kernel = field_orbit_kernel(field, tuple(s), ("c",))
+        sines = []
+        monkeypatch.setitem(kernel.__globals__, "_sin", lambda a: sines.append(a) or math.sin(a))
+        out = []
+        kernel(out, [k * 0.1 for k in range(6)], s, consts, EQ_TOL, 0.1, 0.05, 0.1 / 6.0)
+        assert len(out) == 6 and sines == [0.7] * 5
+
     def test_fraction_top_and_shadowed_constant(self):
         # 7/10 is no float: the grid compares k * h with float(7/10) + 1e-12
         s, consts = {"x": 0.0, "v": 1.0}, {"x": 9.0, "g": -1.0}
