@@ -566,6 +566,11 @@ def _law_adjunction(m, a, p, q):
     return _within(m.fdia(a, p), q) == _within(p, m.bbox(a, q))
 
 
+def _law_bdia_adjunction(m, a, p, q):
+    # <a|p <= q  iff  p <= |a]q
+    return _within(m.bdia(a, p), q) == _within(p, m.fbox(a, q))
+
+
 def _law_invariant_meet_join(m, a, p, q):
     # invariants are closed under union and intersection
     def invariant(r):
@@ -658,6 +663,7 @@ _register("box-cond", "box", "aapp", _law_box_cond)
 _register("box-star-induction", "box", "ap", _law_box_star_induction)
 _register("dia-box-adjunction", "adjunction", "app", _law_adjunction)
 _register("invariant-meet-join", "invariants", "app", _law_invariant_meet_join)
+_register("bdia-fbox-adjunction", "backward", "app", _law_bdia_adjunction)
 _register("iso-roundtrip", "functor", "a", _law_iso_roundtrip)
 _register("iso-union", "functor", "aa", _law_iso_union)
 _register("iso-compose", "functor", "aa", _law_iso_compose)

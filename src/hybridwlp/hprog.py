@@ -90,9 +90,12 @@ def emit_rk4_step(
     to an earlier one of the step is reused.  A product, sum or negation of
     values fixed before the step loop is computed once, before it (see
     KernelWriter.invariant), such as each stage of a component that reads
-    no variable, and a k3 that is k2 is doubled once.  Any other node that
-    reads no name of base has one value in every stage: the later stages
-    take the first stage's identifier, whose statements raise first."""
+    no variable, and a k3 that is k2 is doubled once.  Any other node whose
+    names a stage loads from the same identifiers as an earlier stage has
+    that stage's value: the later stage takes the earlier identifier, whose
+    statements raise first.  So a node that reads no name of base is
+    computed in the first stage alone, and one that reads only variables
+    whose stage-2 and stage-3 states are one value, in stage 2 alone."""
     w.fixed("h", "half", "sixth", "2.0")
 
     def value(form: str, *args: str) -> str:
@@ -103,12 +106,15 @@ def emit_rk4_step(
     read = [x for x, _ in components if any(x in free_names(e) for _, e in components)]
     state, stages = base, []
     made: dict = {}  # (variable, coefficient, stage value) -> intermediate value
-    first: dict = {}  # id(node) -> its value, for the nodes that read no name of base
+    earlier: list = []  # per stage so far, (the identifiers its names load from, its memo)
     for coef in ("half", "half", "h", None):
-        memo = dict(first)
-        ks = [w.expr(e, {**local, **state}, memo) for _, e in components]
-        if not stages:
-            first = _unmoved(components, base, memo)
+        at, memo = {**local, **state}, {}
+        for loads, values in earlier:
+            moved = {n for n in loads.keys() | at.keys() if loads.get(n) != at.get(n)}
+            for node, v in _unmoved(components, moved, values).items():
+                memo.setdefault(node, v)
+        ks = [w.expr(e, at, memo) for _, e in components]
+        earlier.append((at, memo))
         stages.append(ks)
         if coef is not None:
             state = {}
@@ -134,10 +140,12 @@ def emit_rk4_step(
     return out
 
 
-def _unmoved(components: tuple, names: Mapping, memo: dict) -> dict:
+def _unmoved(components: tuple, names: set, memo: dict) -> dict:
     """The entries of memo for the outermost nodes of the components that
-    read none of names; a walk that meets one reads its value from memo
-    and never goes below it.  Each node is visited once, however shared."""
+    read none of names and have one; a walk that meets one reads its value
+    from memo and never goes below it.  A node without an entry lies below
+    a node the stage of memo took from an earlier one.  Each node is
+    visited once, however shared."""
     out: dict = {}
     seen: set = set()
     todo = [e for _, e in components]
@@ -146,7 +154,7 @@ def _unmoved(components: tuple, names: Mapping, memo: dict) -> dict:
         if id(e) in seen:
             continue
         seen.add(id(e))
-        if free_names(e).isdisjoint(names):
+        if id(e) in memo and free_names(e).isdisjoint(names):
             out[id(e)] = memo[id(e)]
         else:
             todo += children(e)
@@ -386,7 +394,7 @@ def _reading(write, term, s: Store, consts: Mapping[str, float]):
 
 
 def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred,
-                 post: Optional[Pred] = None):
+                 post: Optional[Pred] = None, tail: tuple = ()):
     """run(out, times, s, consts, eq_tol, h, half, sixth), which appends to
     the list out the (t, state) pairs of the orbit rule for t in times: the
     longest prefix of the points whose states evaluate, are finite and
@@ -403,10 +411,17 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred,
       ("time", tau): {tau: t}.
     An evaluation failure, or the KeyError of a field variable that is no
     key of s, raises from run with the points kept so far in out.
-    With a post, run decides the post at each point it keeps, inline, as
-    the guard reads names and at eq_tol, in place of appending it: it
-    returns False at the first point where the post is false and True when
-    the orbit ends, builds no state and ignores out."""
+    With a post, run follows each point it keeps, inline and in point
+    order, through the tail and then decides the post there, names read
+    as the guard reads them and equality at eq_tol, in place of appending
+    the point; it builds no state.  The tail is a straight-line program
+    (see _straight_line) in run order, None marking a loop end with no
+    iterations left, and out holds the reached-key sets of those loop
+    ends, in order.  A failed test, an abort or a loop end at a store whose
+    key (see _emit_tail) its set holds or an earlier point added leaves
+    the point for the next one.  run returns False at the first point
+    where the post is false, adding nothing to the sets, and True when the
+    orbit ends, after adding each loop end's new keys to its set."""
     kind, items = source
     w = KernelWriter()
     store = {k: w.temp() for k in keys}
@@ -416,7 +431,12 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred,
     for n, c in consts.items():
         w.line(f"{c} = consts[{w.bind(n)}]")
     local = {**consts, **store}
-    end = "return" if post is None else "return True"
+    # per loop end of the tail, its reached set and the keys this call adds
+    ends = [(w.temp(), w.temp()) for node in tail if node is None]
+    if ends:
+        w.line(", ".join(r for r, _ in ends) + ", = out")
+        for _, new in ends:
+            w.line(f"{new} = set()")
     if post is None:
         w.line("append = out.append")
     stepping = kind == "rk4" and items
@@ -447,30 +467,110 @@ def orbit_kernel(source: tuple, keys: tuple, in_consts: tuple, guard: Pred,
     if state:
         finite = w.bind(isfinite)
         w.line("if not (%s):" % " and ".join(f"{finite}({v})" for v in state.values()))
-        w.line(f"    {end}")
+        w.line("    break")
     w.line(f"if not {w.pred(guard, {**consts, **state}, 'eq_tol')}:")
-    w.line(f"    {end}")
+    w.line("    break")
+    if stepping:
+        w.line("kept = True")  # before the tail, whose dead ends leave the pass
     if post is None:
         w.line("append((t, {%s}))" % ", ".join(f"{w.bind(x)}: {v}" for x, v in state.items()))
     else:
-        w.line(f"if not {w.pred(post, {**consts, **state}, 'eq_tol')}:")
-        w.line("    return False")
-    if stepping:
-        w.line("kept = True")
+        at = _emit_tail(w, tail, {**consts, **state}, sorted(keys), iter(ends))
+        if at is not None:
+            w.line(f"if not {w.pred(post, at, 'eq_tol')}:")
+            w.line("    return False")
     w.end()
+    for reached, new in ends:
+        w.line(f"{reached} |= {new}")
     return w.function("out, times, s, consts, eq_tol, h, half, sixth",
                       "None" if post is None else "True")
 
 
+def _emit_tail(w: KernelWriter, tail, local: dict, names: list, ends: Iterator) -> Optional[dict]:
+    """Emit the straight-line nodes of tail in run order inside the orbit's
+    loop, names loading through local, and return the locals at its end,
+    or None where no path reaches it.  A dead end leaves the pass with
+    continue.  An assignment maps its variable to its value's identifier
+    and writes no identifier of the state, an if joins each variable
+    either branch assigns into a new identifier, and a loop end (None)
+    builds the store's key as find_violation does, its values in the
+    order of names, the bare value for one name, () for none, and takes
+    the next (reached, new) identifier pair from ends."""
+    todo = list(reversed(tail))
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Seq:
+            todo += reversed(node.items)
+        elif kind is Assign:
+            value = w.expr(node.expr, local, {})
+            w.floats(value)
+            local = {**local, node.var: value}
+        elif kind is Test:
+            w.line(f"if not {w.pred(node.cond, local, 'eq_tol')}:")
+            w.line("    continue")
+        elif kind is IfThenElse:
+            cond = w.pred(node.cond, local, "eq_tol")
+            joins = {x: w.temp() for x in sorted({
+                n.var for n, _ in _tail_nodes((node.then, node.els)) if type(n) is Assign})}
+            live = False
+            for header, branch in ((f"if {cond}:", node.then), ("else:", node.els)):
+                w.begin(header)
+                if not joins and all(type(n) in (Seq, Skip) for n, _ in _tail_nodes((branch,))):
+                    w.line("pass")  # the branch emits no statement
+                out = _emit_tail(w, (branch,), local, names, ends)
+                if out is not None:
+                    live = True
+                    for x, j in joins.items():
+                        w.line(f"{j} = {out[x]}")
+                w.end()
+            if not live:
+                return None
+            local = {**local, **joins}
+        elif kind is Abort:
+            w.line("continue")
+            return None
+        elif node is None:
+            reached, new = next(ends)
+            values = [local[n] for n in names]
+            if len(values) == 1:
+                k = values[0]
+            else:
+                k = w.temp()
+                w.line(f"{k} = ({''.join(v + ', ' for v in values)})")
+            w.line(f"if {k} in {reached} or {k} in {new}:")
+            w.line("    continue")
+            w.line(f"{new}.add({k})")
+    return local
+
+
+def _tail_nodes(nodes) -> Iterator[tuple[HybridProgram, int]]:
+    """Each node of the program nodes (loop ends, None, aside), of the
+    sequences and of both branches of the ifs among them, with the number
+    of ifs it lies in."""
+    todo = [(node, 0) for node in nodes if node is not None]
+    while todo:
+        node, depth = todo.pop()
+        yield node, depth
+        if type(node) is Seq:
+            todo += [(item, depth) for item in node.items]
+        elif type(node) is IfThenElse:
+            todo += [(node.then, depth + 1), (node.els, depth + 1)]
+
+
 def _orbit_run(source: tuple, reads: tuple, guard: Pred, s: Store, consts: Mapping[str, float],
-               post: Optional[Pred] = None):
+               post: Optional[Pred] = None, tail: tuple = ()):
     """The memo's orbit_kernel of the source, whose terms read the names
     reads, under the guard, for runs from stores with the keys of s; with
-    a post, the kernel that decides it at each point."""
-    decided = (guard,) if post is None else (guard, post)
-    names = dict.fromkeys((*reads, *(n for p in decided for n in bound_names(p, consts))))
+    a post, the kernel that runs the tail and decides the post at each
+    point."""
+    terms = [guard] if post is None else [guard, post, *(
+        n.expr if type(n) is Assign else n.cond for n, _ in _tail_nodes(tail)
+        if type(n) is Assign or type(n) is Test or type(n) is IfThenElse)]
+    names = dict.fromkeys((*reads, *(n for p in terms for n in bound_names(p, consts))))
     in_consts = tuple(n for n in names if n in consts and n not in s)
-    return memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard, post)
+    return memo_kernel(orbit_kernel, source, tuple(s), in_consts, guard, post, tail)
+
 
 
 def _orbit(source: tuple, reads: tuple, guard: Pred, times, s: Store,
@@ -624,12 +724,27 @@ def run_sampled(p: HybridProgram, s: Store, cfg: RunConfig) -> RunResult:
     return RunResult([dict(k) for k in sorted(final)], complete)
 
 
-def _orbit_step(node: Evolve, s: Store, cfg: RunConfig, post: Optional[Pred] = None):
+def _orbit_step(node: Evolve, s: Store, cfg: RunConfig, post: Optional[Pred] = None,
+                tail: tuple = ()):
     """(run, grid): the kernel of node's orbit (see orbit_kernel) for runs
-    from stores with the keys of s, deciding the post if one is given, and
-    its grid of times as a list."""
-    run = _orbit_run(*_orbit_source(node), node.guard, s, cfg.consts, post)
+    from stores with the keys of s, running the tail and deciding the post
+    if one is given, and its grid of times as a list."""
+    run = _orbit_run(*_orbit_source(node), node.guard, s, cfg.consts, post, tail)
     return run, node.dom.grid(cfg.step, cfg.horizon)
+
+
+# the nodes of a straight-line tail (see _straight_line), besides loop ends
+_STRAIGHT = frozenset((Assign, Test, Skip, Abort, Seq, IfThenElse))
+_TAIL_DEPTH = 16  # the most ifs an orbit kernel nests, well inside Python's block limits
+
+
+def _straight_line(tail: tuple, keys: tuple) -> bool:
+    """Whether an orbit kernel runs the tail (see orbit_kernel) from
+    stores with the keys: its nodes are assignments to keys, tests, skip,
+    abort, sequences and ifs, in at most _TAIL_DEPTH ifs, and loop ends
+    (None)."""
+    return all(type(n) in _STRAIGHT and depth <= _TAIL_DEPTH
+               and (type(n) is not Assign or n.var in keys) for n, depth in _tail_nodes(tail))
 
 
 def find_violation(
@@ -655,18 +770,26 @@ def find_violation(
     only declared variables), so one kernel per predicate, assigned term
     and evolution command serves the search, fetched into the table
     kernels the first time it is reached, and a loop keys the stores it
-    reached by their values in key order.  An orbit with nothing left after
-    it ends a run at each of its points, so its post-mode kernel decides
-    the post there first; when the post holds at every point, no point
-    needs a run of its own.  Otherwise the orbit's points are pushed as
-    usual, and the search meets the first point where the post is false or
-    undefined in the same order.
+    reached by their values in sorted-name order.
+
+    An orbit whose points each run straight to the run's end, through a
+    tail of assignments, tests, skips, aborts, sequences, ifs over those
+    and loop ends with no iterations left (see _straight_line), runs that
+    tail and decides the post in its kernel first, point by point, with
+    the keys its loop ends add kept aside.  When no point's run violates
+    the post or fails, the kernel adds those keys to their loops' sets,
+    and no point needs a run of its own: the runs the search would follow
+    end the same way.  Otherwise nothing is added, the orbit's points are
+    pushed as usual, and the search meets the first point whose run
+    violates the post or fails in the same order, with the same path.
 
     kernels is that table, filled in place: each predicate and assigned
     term -> its kernel, each (evolution command, store keys in order) -> its
-    orbit step and each (command, keys, post) -> its post-deciding step
-    (see _orbit_step); the keys' order counts, since an orbit of a flow
-    that names the variables in another order gives its states that order.
+    orbit step and each (command, keys, post, tail) -> its step that runs
+    the tail, the tail's nodes in order with None for each loop end, or
+    False where no kernel runs that tail (see _orbit_step); the keys'
+    order counts, since an orbit of a flow that names the variables in
+    another order gives its states that order.
     The entries depend only on their keys, the names that s and cfg.consts
     bind, and cfg's step and horizon, so searches that agree on those may
     share one table, as falsify's trials do; by default each search fills
@@ -710,15 +833,33 @@ def find_violation(
                     # an orbit kernel unpacks the store in its key order, which
                     # a flow's orbit may change: one kernel per order
                     keys = tuple(store)
-                    if todo is None:  # each orbit point ends a run: decide the post in the kernel
-                        decide = kernels.get((node, keys, post))
+                    # the nodes left, when each point runs them straight to
+                    # the run's end: the kernel runs them and decides the post
+                    tail, ends, rest = [], [], todo
+                    while rest is not None:
+                        item, rest = rest
+                        if type(item) is tuple:  # a loop end
+                            if item[2]:
+                                break  # iterations are left: the run branches
+                            tail.append(None)
+                            ends.append(item[1])
+                        elif type(item) in _STRAIGHT:
+                            tail.append(item)
+                        else:
+                            break
+                    else:
+                        tail = tuple(tail)
+                        decide = kernels.get((node, keys, post, tail))
                         if decide is None:
-                            decide = kernels[node, keys, post] = _orbit_step(node, store, cfg, post)
-                        try:
-                            if decide[0](None, decide[1], store, consts, EQ_TOL, h, half, sixth):
-                                break  # the post holds at every point: no run is left
-                        except EVAL_FAILURES:
-                            pass  # the points below meet the failure in order
+                            decide = kernels[node, keys, post, tail] = (
+                                sorted(keys) == names and _straight_line(tail, keys)
+                                and _orbit_step(node, store, cfg, post, tail))
+                        if decide:
+                            try:
+                                if decide[0](ends, decide[1], store, consts, EQ_TOL, h, half, sixth):
+                                    break  # no point's run violates the post: none is left
+                            except EVAL_FAILURES:
+                                pass  # the points below meet the failure in order
                     step = kernels.get((node, keys))
                     if step is None:
                         step = kernels[node, keys] = _orbit_step(node, store, cfg)

@@ -673,6 +673,165 @@ class TestFindViolation:
         assert len(path) == 3751 and path[-1] == ("x := ...", {"x": 2500.0, "v": 2500.0})
         assert find_violation(prog, s, Cmp("<=", x, const(2500)), cfg) is None
 
+    # the straight-line tails an orbit kernel runs at each point before it
+    # decides the post (hprog._straight_line), per store shape: the orbits,
+    # the tail leaves, the if conditions and the posts; the leaves and
+    # conditions include terms undefined at some points (1/(x - 1), v/x)
+    TAIL_SHAPES = {
+        "two-variables": (
+            tuple(leaf for leaf in LOOPING_LEAVES if type(leaf) is Evolve),
+            (Assign("x", x + 1), Assign("v", -v), Assign("v", v / x), Assign("x", x * v),
+             Test(Cmp("<=", x, const(2))), Test(Cmp(">", const(1) / (x - const(1)), const(-9))),
+             Skip(), Abort()),
+            (Cmp("<", x, v), Cmp("=", x, const(0)), Cmp(">=", const(1) / (x - const(1)), const(0))),
+            {"x": 0.0, "v": 1.0},
+            (Cmp("<=", x, const(2)), Cmp("<=", const(1) / x, const(9)),
+             Cmp("<=", x * v, SymConst("c")), Cmp(">=", v, x - const(3)))),
+        "one-variable": (
+            (Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t})),
+             Evolve(VectorField({"x": const(-1)}), Cmp(">=", x, const(-2)), NONNEG)),
+            (Assign("x", x + 1), Assign("x", -x), Assign("x", SymConst("c") / x),
+             Test(Cmp("<=", x, const(1))), Skip(), Abort()),
+            (Cmp("<", x, SymConst("c")), Cmp(">", const(1) / (x - const(1)), const(0))),
+            {"x": 0.0},
+            (Cmp("<=", x, const(2)), Cmp(">=", const(1) / (x - const(1)), const(-2)))),
+        "empty-store": (
+            (Evolve(None, Cmp(">=", SymConst("c"), const(0)), TimeDomain(0, 1), flow=Flow({})),),
+            (Test(Cmp("<=", SymConst("c"), const(1))), Skip(), Abort()),
+            (Cmp(">", SymConst("c"), const(0)), Cmp(">", const(1) / SymConst("c"), const(0))),
+            {},
+            (Cmp("<=", SymConst("c"), const(1)), Cmp(">", const(1) / SymConst("c"), const(0)))),
+    }
+
+    @staticmethod
+    def random_tail(rng, leaves, conds, depth=2):
+        shape = rng.random()
+        if depth <= 0 or shape < 0.4:
+            return rng.choice(leaves)
+        if shape < 0.7:
+            return Seq(tuple(TestFindViolation.random_tail(rng, leaves, conds, depth - 1)
+                             for _ in range(rng.randint(1, 3))))
+        return IfThenElse(rng.choice(conds),
+                          TestFindViolation.random_tail(rng, leaves, conds, depth - 1),
+                          TestFindViolation.random_tail(rng, leaves, conds, depth - 1))
+
+    @pytest.mark.parametrize("shape", TAIL_SHAPES)
+    def test_orbits_with_tails_agree_with_recursive_reference(self, monkeypatch, shape):
+        evolves, leaves, conds, start, posts = self.TAIL_SHAPES[shape]
+        rng = random.Random(39)
+        # what each tail kernel returned, or the name of what it raised
+        ran = []
+        fetch = hprog._orbit_step
+
+        def step(node, store, cfg, post=None, tail=()):
+            run, grid = fetch(node, store, cfg, post, tail)
+            if not tail:
+                return run, grid
+
+            def record(*args):
+                try:
+                    ran.append(run(*args))
+                except EVAL_FAILURES as exc:
+                    ran.append(type(exc).__name__)
+                    raise
+                return ran[-1]
+            return record, grid
+
+        monkeypatch.setattr(hprog, "_orbit_step", step)
+
+        def body():
+            return Seq((rng.choice(evolves), self.random_tail(rng, leaves, conds)))
+
+        outcomes = {"violating": 0, "undefined": 0, "clean": 0}
+        for i in range(500):
+            tail = self.random_tail(rng, leaves, conds)
+            pick = i % 5
+            if pick == 0:  # one loop, then a tail
+                prog = Seq((Loop(body(), TRUE), tail))
+            elif pick == 1:  # two loops in sequence
+                prog = Seq((Loop(body(), TRUE), Loop(body(), TRUE)))
+            elif pick == 2:  # a loop inside a loop
+                prog = Loop(Seq((Loop(body(), TRUE), tail)), TRUE)
+            elif pick == 3:  # no loop: the tail ends the program
+                prog = Seq((tail, body()))
+            else:
+                prog = Loop(body(), TRUE)
+            store = {k: float(rng.randint(-2, 2)) for k in start}
+            consts = {"c": float(rng.randint(-1, 2))}
+            cfg = RunConfig(fuel=rng.randint(0, 2 if pick == 2 else 3),
+                            step=rng.choice((1.0, 0.5)), horizon=2.0, consts=consts)
+            post = rng.choice(posts)
+            found = find_violation(prog, store, post, cfg)
+            assert found == reference_find_violation(prog, store, post, cfg), (i, prog)
+            outcomes["clean" if found is None else "violating" if found[1] is None
+                     else "undefined"] += 1
+        assert all(outcomes.values()), outcomes
+        # the kernels ran tails to the end of the orbit, stopped at an
+        # undefined point and, where the post reads a variable, at a violating one
+        assert set(ran) == {True, "EvalError"} | ({False} if start else set()), set(ran)
+
+    def test_ball_loop_fetches_one_tail_step(self, monkeypatch):
+        # at fuel 2 only the third iteration's orbits run straight to the
+        # end: the if, then the loop end with no iterations left
+        def ball():
+            evol = Evolve(BALL_FIELD, Cmp(">=", x, const(0)), NONNEG, flow=BALL_FLOW)
+            flip = IfThenElse(Cmp("=", x, const(0)), Assign("v", -v), Skip())
+            return Loop(Seq((evol, flip)), TRUE), evol, flip
+
+        fetched = []
+        fetch = hprog._orbit_step
+        monkeypatch.setattr(hprog, "_orbit_step", lambda node, store, cfg, *rest: (
+            fetched.append((node, tuple(store), rest)) or fetch(node, store, cfg, *rest)))
+        post = And(Cmp("<=", const(0), x), Cmp("<=", x, SymConst("h")))
+        kernels: dict = {}
+        for height in (1.0, 2.0, 5.0):
+            prog, evol, flip = ball()  # equal programs, built anew
+            cfg = RunConfig(fuel=2, step=0.1, horizon=3.0, consts={"g": -9.81, "h": height})
+            s = {"x": height, "v": 0.0}
+            assert find_violation(prog, s, post, cfg, kernels) is None
+            assert find_violation(prog, s, post, cfg, kernels) == reference_find_violation(
+                prog, s, post, cfg)
+        assert fetched == [(evol, ("x", "v"), ()), (evol, ("x", "v"), (post, (flip, None)))]
+        assert set(kernels) >= {(evol, ("x", "v")), (evol, ("x", "v"), post, (flip, None))}
+
+    def test_ifs_nested_deeper_than_the_kernel_nests_run_point_by_point(self):
+        # generated code nests one block per if, and Python bounds the
+        # nesting: a tail in more than _TAIL_DEPTH ifs gets no kernel
+        evol = Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t}))
+        for depth in (hprog._TAIL_DEPTH, hprog._TAIL_DEPTH + 1, 60):
+            tail = Assign("v", v + 1)
+            for i in range(depth):
+                tail = IfThenElse(And(Cmp(">=", x, const(0)), Cmp("<=", v, const(i))), tail,
+                                  Assign("v", v - 1))
+            prog, s = Loop(Seq((evol, tail)), TRUE), {"x": 0.0, "v": 0.0}
+            cfg = RunConfig(fuel=1, step=0.5, horizon=2.0)
+            for post in (Cmp("<=", v, const(1)), Cmp("<=", x, const(9))):
+                kernels: dict = {}
+                found = find_violation(prog, s, post, cfg, kernels)
+                assert found == reference_find_violation(prog, s, post, cfg)
+                assert bool(kernels[evol, ("x", "v"), post, (tail, None)]) is (
+                    depth <= hprog._TAIL_DEPTH)
+
+    def test_a_kernel_that_returns_false_adds_no_key(self):
+        evol = Evolve(None, Cmp("<=", x, const(3)), NONNEG, flow=Flow({"x": x + t}))
+        tail = (Assign("v", v + x), None)
+        cfg = RunConfig(step=0.5, horizon=2.0, consts={"c": 9.0})
+        s = {"x": 0.0, "v": 0.0}
+        args = (s, cfg.consts, EQ_TOL, cfg.step, 0.5 * cfg.step, cfg.step / 6.0)
+        # the post fails at x = 1.5, and is undefined at x = 1, after the
+        # points before have new stores
+        for post in (Cmp("<=", x, const(1)), Cmp("<=", const(1) / (x - const(1)), const(9))):
+            run, grid = hprog._orbit_step(evol, s, cfg, post, tail)
+            reached = {(0.0, 0.0)}
+            assert outcome(run, [reached], grid, *args)[0] in ("value", "raise")
+            assert reached == {(0.0, 0.0)}
+        # the loop has reached the store (v, x) = (1, 1): the run from x = 1
+        # ends at the loop end, before the post, which only x = 1 violates
+        run, grid = hprog._orbit_step(evol, s, cfg, Cmp("!=", x, const(1)), tail)
+        reached = {(1.0, 1.0)}
+        assert run([reached], grid, *args) is True
+        assert reached == {(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.5, 1.5), (2.0, 2.0)}
+
 
 # ---------------------------------------------------------------------------
 # The orbit writer (hprog.orbit_kernel) must match the tree walk's RK4
@@ -1105,6 +1264,7 @@ class TestOrbitKernelMatchesReference:
         VectorField({"x": v, "v": const(-1)}),
         VectorField({"x": v * const(2), "v": const(3) * const(Fraction(1, 4)) - const(2)}),
         VectorField({"y": const(2), "x": y + v, "v": -SymConst("c")}),
+        VectorField({"y": const(2), "x": Sin(y + v), "v": -SymConst("c")}),
         VectorField({"x": const(1), "v": const(1) / (x - const(1))}),
     )
 
@@ -1138,6 +1298,20 @@ class TestOrbitKernelMatchesReference:
         out = []
         kernel(out, [k * 0.1 for k in range(6)], s, consts, EQ_TOL, 0.1, 0.05, 0.1 / 6.0)
         assert len(out) == 6 and sines == [0.7] * 5
+
+    def test_stages_on_one_state_share_their_values(self, monkeypatch):
+        # y' = 2 and v' = -c move y and v alike in stages 2 and 3, which so
+        # load the same identifiers: sin(y + v) three times per step, not four
+        field = VectorField({"y": const(2), "x": Sin(y + v), "v": -SymConst("c")})
+        s, consts = {"x": 0.5, "y": -1.0, "v": 0.25}, {"c": 0.7}
+        args = (field, TRUE, NONNEG, s, 0.1, consts, 0.5, EQ_TOL)
+        assert repr(guarded_orbit_field(*args)) == repr(ref_orbit_field(*args))
+        kernel = field_orbit_kernel(field, tuple(s), ("c",))
+        sines = []
+        monkeypatch.setitem(kernel.__globals__, "_sin", lambda a: sines.append(a) or math.sin(a))
+        out = []
+        kernel(out, [k * 0.1 for k in range(6)], s, consts, EQ_TOL, 0.1, 0.05, 0.1 / 6.0)
+        assert len(out) == 6 and len(sines) == 15
 
     def test_fraction_top_and_shadowed_constant(self):
         # 7/10 is no float: the grid compares k * h with float(7/10) + 1e-12
