@@ -957,13 +957,14 @@ def _not_a_node(node):
 
 
 def pred_and(parts: list[Pred]) -> Pred:
+    """The conjunction of parts, left to right, with every true left out,
+    as a balanced tree: substituting into one conjunct rebuilds only the
+    short spine above it."""
     parts = [p for p in parts if not isinstance(p, TruePred)]
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    while len(parts) > 1:
+        parts = [And(*parts[k:k + 2]) if k + 1 < len(parts) else parts[k]
+                 for k in range(0, len(parts), 2)]
+    return parts[0] if parts else TRUE
 
 
 def flatten_conj(preds) -> list[Pred]:

@@ -29,6 +29,7 @@ from .expr import (
     TruePred,
     Var,
     eval_pred,
+    flatten_conj,
     free_consts,
     free_names,
     free_vars,
@@ -304,13 +305,13 @@ class _WlpPass:
                         q = self.wlp(item, q, f"{path}.{i}")
             return q
         if isinstance(p, Choice):
-            return pred_and(
-                [self.wlp(item, q, f"{path}.{i}") for i, item in enumerate(p.items)]
-            )
+            # a conjunct that several branches share is stated once, where
+            # it first appears, so the rest are read in their old order
+            branches = [self.wlp(item, q, f"{path}.{i}") for i, item in enumerate(p.items)]
+            return pred_and(list(dict.fromkeys(flatten_conj(branches))))
         if isinstance(p, IfThenElse):
-            wt = self.wlp(p.then, q, f"{path}.then")
-            we = self.wlp(p.els, q, f"{path}.else")
-            return And(implies(p.cond, wt), implies(Not(p.cond), we))
+            return self.if_wlp(p.cond, self.wlp(p.then, q, f"{path}.then"),
+                               self.wlp(p.els, q, f"{path}.else"))
         if isinstance(p, Loop):
             body_pre = self.wlp(p.body, p.inv, f"{path}.body")
             self.emit([p.inv], body_pre, f"loop-preserve@{path}")
@@ -333,6 +334,41 @@ class _WlpPass:
                       payload="evolution command carries no flow or invariant")
             return TRUE
         raise TypeError(f"not a HybridProgram node: {p!r}")
+
+    def if_wlp(self, c: Pred, wt: Pred, we: Pred) -> Pred:
+        """(c -> wt) & (!c -> we), with conjuncts that both branches hold
+        (one interned node), in the same order, stated once, between the
+        implications of what each branch holds before and after them:
+        (c -> a1) & (!c -> b1) & s & (c -> a2) & (!c -> b2) for a1 & s & a2
+        and b1 & s & b2.  Under either value of c the conjuncts are read
+        in that branch's order, as in the formula that copies s into both.
+        An implication is stated only where its branch has conjuncts, and
+        c -> true first where neither branch has any before the first
+        shared conjunct, so c is read before any conjunct.  With nothing
+        shared, the two implications are stated as they are."""
+        then_parts = list(dict.fromkeys(flatten_conj([wt])))
+        else_parts = list(dict.fromkeys(flatten_conj([we])))
+        # (i, j) of each shared node along then_parts that else_parts
+        # holds past the one taken before it
+        where = {node: j for j, node in enumerate(else_parts)}
+        shared, last = [], -1
+        for i, node in enumerate(then_parts):
+            if where.get(node, -1) > last:
+                last = where[node]
+                shared.append((i, last))
+        if not shared:
+            return And(implies(c, wt), implies(Not(c), we))
+        out, i0, j0, not_c = [], 0, 0, Not(c)
+        for i, j in shared + [(len(then_parts), len(else_parts))]:
+            if i > i0:
+                out.append(implies(c, pred_and(then_parts[i0:i])))
+            if j > j0:
+                out.append(implies(not_c, pred_and(else_parts[j0:j])))
+            if not out:
+                out.append(implies(c, TRUE))
+            out += then_parts[i:i + 1]
+            i0, j0 = i + 1, j + 1
+        return pred_and(out)
 
     def assign_run(self, run, q: Pred, path: str) -> Pred:
         """wlp of x1 := e1; ...; xk := ek, starting at path, as one

@@ -740,14 +740,17 @@ class TestSolvedHypothesisMemo:
         distinct = set(lists)  # equal lists share one context
         assert distinct <= set(memo.contexts) and len(lists) >= 8
         # one context per node of the prefix tree, rooted at the pre list.
-        # Proved: each `if` doubles the leaf lists, and every inner node
-        # is the list of both branches' `Or`s.  Refuted: the prover stops at
-        # the last goal under the then-branches, then each `Or` on the way
-        # up tries its other disjunct under one more list, with one leaf.
-        if off_by_one:
-            assert (len(distinct), len(memo.contexts)) == (n_ifs + 1, 2 * n_ifs + 1)
-        else:
-            assert (len(distinct), len(memo.contexts)) == (2 ** n_ifs, 2 ** (n_ifs + 1) - 1)
+        # Proved: each `if` doubles the leaf lists (8 at 3 ifs), and the
+        # goals that the inner `if`s' branches share, stated once outside
+        # their implications, are proved under the lists of the outer
+        # `if`'s two branches, which hold no inner guard: 10 lists, on the
+        # 15 nodes of the full tree.  Refuted: the goal that fails is such a
+        # shared goal under the outer then-branch, proved after the 4 leaf
+        # lists beneath it; then the outer `Or` tries its other disjunct
+        # under one more list, with one goal: 6 lists, on the root, the 7
+        # nodes of the then-branch's subtree and that last list
+        want = {(0, False): (1, 1), (3, False): (10, 15), (0, True): (1, 1), (3, True): (6, 9)}
+        assert (len(distinct), len(memo.contexts)) == want[n_ifs, off_by_one]
         # the pre list is solved once, and no `if` guard is an equality
         once = count_solves(lambda: per_goal_substituted(flatten_conj(ob.hyps), TRUE))[1]
         assert 0 < calls == once < ref_calls
@@ -951,11 +954,14 @@ class TestContextPrefixTree:
         """The benchmark's 200-statement discrete program with 5 nested
         `if`s: the 8 `pre` equalities are solved once (7 + 6 + ... + 1 = 28
         reads of the equalities left), and each guard is read once per path
-        prefix that is not already false.  The `pre` pins every variable, so
-        each guard is a constant and one of its two branches is false; only
-        the other is extended (2 reads per level, 5 * 2 = 10), not every
-        prefix (2 + 4 + ... + 32 = 62) nor every leaf list (32 lists of 28
-        + 5 reads each, 1,056)."""
+        prefix that is not already false.  The `pre` pins every variable,
+        so each guard is a constant and one of its two branches is false.
+        The conjuncts that an `if`'s branches share are stated once,
+        outside its implications, so guards also sit at the root of the
+        tree, beside the outer ones: of the 41 prefixes the prover builds,
+        7 are not false, and extending them reads 12 guards, not one per
+        prefix (41) nor every leaf list (29 lists of 28 reads each, and 96
+        guard reads among them: 908)."""
         inp = _perfbench_gen().discrete(1, 200, False)
         ob, = [ob for ob in verify(parse_spec(inp.text)) if ob.kind == "arith"]
         leaves = []
@@ -976,15 +982,17 @@ class TestContextPrefixTree:
         monkeypatch.setattr(dmod, "_read", counted("read", READ))
         monkeypatch.setattr(dmod, "_solve_poly_for_name",
                             counted("solve", dmod._solve_poly_for_name))
-        assert isinstance(outcome(Recording(), list(ob.hyps), ob.concl), list)
+        prover = Recording()
+        assert isinstance(outcome(prover, list(ob.hyps), ob.concl), list)
         tree = dict(counts)
         counts.update(read=0, solve=0)
         for hyps in set(leaves):
             dmod._Context().extend(list(hyps))
         per_list = dict(counts)
-        assert len(set(leaves)) == 32
-        assert tree == {"read": 28 + 10, "solve": 8}
-        assert per_list == {"read": 32 * (28 + 5), "solve": 32 * 8}
+        assert len(set(leaves)) == 29 and len(prover.contexts) == 41
+        assert sum(not ctx.false for ctx in prover.contexts.values()) == 7
+        assert tree == {"read": 28 + 12, "solve": 8}
+        assert per_list == {"read": 29 * 28 + 96, "solve": 29 * 8}
 
 
 def reference_key(form):

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hybridwlp.cli as cli_module
 import hybridwlp.expr as expr_module
 from hybridwlp.cli import run_verify
 from hybridwlp.discharge import discharge
@@ -27,8 +29,12 @@ from hybridwlp.expr import (
     TimeVar,
     TRUE,
     Var,
+    children,
     const,
     eval_pred,
+    flatten_conj,
+    implies,
+    pred_and,
     substitute_pred,
 )
 from hybridwlp.hprog import (
@@ -49,7 +55,7 @@ from hybridwlp.hprog import (
     guarded_orbit_flow,
     run_sampled,
 )
-from hybridwlp.hwl import ParseError, format_pred, parse_spec
+from hybridwlp.hwl import ParseError, format_pred, parse_pred, parse_spec
 from hybridwlp.odecert import certify_flow, falsify
 from hybridwlp.vcgen import (
     CONFIG_KEYS,
@@ -215,13 +221,85 @@ def _dag_and_tree_size(root):
     return len(sizes), tree
 
 
+def _pred_tree_size(root):
+    """Predicate nodes counting every occurrence, each comparison one leaf
+    whatever its terms."""
+    size, todo = 0, [root]
+    while todo:
+        p = todo.pop()
+        size += 1
+        if not isinstance(p, Cmp):
+            todo += children(p)
+    return size
+
+
+class _ReferenceWlp(_WlpPass):
+    """The paper's rules read literally: a choice is the conjunction of its
+    branches' wlps, and a conditional (c -> wt) & (!c -> we), each branch
+    with its own copy of every conjunct, shared or not."""
+
+    def wlp(self, p, q, path):
+        if isinstance(p, Choice):
+            return pred_and([self.wlp(item, q, f"{path}.{i}") for i, item in enumerate(p.items)])
+        if isinstance(p, IfThenElse):
+            wt = self.wlp(p.then, q, f"{path}.then")
+            we = self.wlp(p.els, q, f"{path}.else")
+            return And(implies(p.cond, wt), implies(Not(p.cond), we))
+        return super().wlp(p, q, path)
+
+
+def _reference_verify(spec):
+    run = _ReferenceWlp(set(spec.vars) | set(spec.consts))
+    pred = run.wlp(spec.program, spec.post, "program")
+    main = Obligation("ob0", (), (spec.pre,), pred, "pre-implies-wlp@program")
+    return [_with_context(ob, spec) for ob in [main] + run.obligations]
+
+
+def _random_term(rng):
+    """A term over x and v: linear, a product or a quotient by a name."""
+    c = const(rng.randint(-2, 2))
+    return rng.choice([x, v, x + c, v - x, x * v, x * x + c, x / v, (v + c) / x, c])
+
+
+def _random_cmp(rng):
+    return Cmp(rng.choice(["<", "<=", "=", "!=", ">=", ">"]), _random_term(rng),
+               _random_term(rng))
+
+
+def _random_branching_program(rng, depth=3):
+    """random_discrete_program's programs under ifs on random comparisons,
+    some of which divide by a name, choices and sequences."""
+    shape = rng.random()
+    if depth <= 0 or shape < 0.25:
+        return random_discrete_program(rng, 1)
+    if shape < 0.6:
+        return IfThenElse(_random_cmp(rng), _random_branching_program(rng, depth - 1),
+                          _random_branching_program(rng, depth - 1))
+    items = tuple(_random_branching_program(rng, depth - 1) for _ in range(2))
+    return Choice(items) if shape < 0.75 else Seq(items)
+
+
+def _random_branching_spec(rng):
+    """A problem over x and v whose pre and post are conjunctions of
+    random, often nonlinear, comparisons."""
+    pre = pred_and([_random_cmp(rng) for _ in range(rng.randint(0, 2))])
+    post = pred_and([_random_cmp(rng) for _ in range(rng.randint(1, 4))])
+    return VerifySpec(name="branching", vars=("x", "v"), pre=pre, post=post,
+                      program=_random_branching_program(rng))
+
+
 class TestWlpSharing:
     def test_sequential_ifs_build_a_linear_dag(self):
-        # each if doubles the tree; its branches differ only under z, and
-        # the assignments to x reach the shared copies once
+        # every if assigns z, so the ifs before the last see a formula
+        # without z: their branches leave it as it is and share every
+        # conjunct.  Each adds only c -> true, which reads its condition
+        # first, so the predicate tree grows by 5 nodes and 1 conjunct per
+        # if, where copying q into both branches doubled it.  Only the terms
+        # x + 1 + ... + 1, one 1 longer per if, make the full tree grow by
+        # 2 more nodes per if than the if before
         z = Var("z")
         q = And(Cmp(">=", x, const(0)), Cmp(">=", z, const(0)))
-        counts = []
+        dag, tree, preds, conjuncts = [], [], [], []
         for k in range(1, 11):
             items = []
             for i in range(k):
@@ -229,12 +307,111 @@ class TestWlpSharing:
                           IfThenElse(Cmp(">", x, const(i)), Assign("z", x), Assign("z", -x))]
             pred, obs = wlp(Seq(tuple(items)), q)
             assert obs == []
-            counts.append(_dag_and_tree_size(pred))
-        dag = [d for d, _ in counts]
-        # a bounded number of new nodes per two statements: 9 at most, and
-        # fewer where equal subterms of the branches are one node
-        assert all(0 < b - a <= 9 for a, b in zip(dag, dag[1:]))
-        assert all(b >= 2 * a for (_, a), (_, b) in zip(counts, counts[1:]))  # 2^k
+            distinct, whole = _dag_and_tree_size(pred)
+            dag.append(distinct)
+            tree.append(whole)
+            preds.append(_pred_tree_size(pred))
+            conjuncts.append(len(flatten_conj([pred])))
+        assert dag == [15, 20, 26, 32, 38, 44, 50, 56, 62, 68]
+        assert tree == [29, 46, 65, 86, 109, 134, 161, 190, 221, 254]
+        assert preds == [5 * k + 7 for k in range(1, 11)]
+        assert conjuncts == [k + 2 for k in range(1, 11)]
+
+    @pytest.mark.parametrize("post, want", [
+        # shared last: (c -> a) & (!c -> b) & s
+        (["v >= 1", "v <= x", "x >= 0"],
+         ["c -> -v >= 1 & -v <= x", "!c -> v >= 1 & v <= x", "x >= 0"]),
+        # shared between: each branch's conjuncts before it, then after it
+        (["v >= 1", "x >= 0", "v <= x"],
+         ["c -> -v >= 1", "!c -> v >= 1", "x >= 0", "c -> -v <= x", "!c -> v <= x"]),
+        # shared first: c -> true reads c before it
+        (["x >= 0", "v >= 1"], ["c -> true", "x >= 0", "c -> -v >= 1", "!c -> v >= 1"]),
+        # a conjunct that each branch holds twice is stated once
+        (["x >= 0", "v >= 1", "x >= 0"], ["c -> true", "x >= 0", "c -> -v >= 1", "!c -> v >= 1"]),
+    ])
+    def test_shared_conjuncts_sit_between_the_implications(self, post, want):
+        # v := -v leaves x >= 0 as it is, so both branches share it; each
+        # branch keeps its other conjuncts in their order
+        c = Cmp(">", x, const(0))
+
+        def read(text):
+            head, arrow, body = text.rpartition(" -> ")
+            body = pred_and([parse_pred(part, ("x", "v"), ()) for part in body.split(" & ")])
+            return implies({"c": c, "!c": Not(c)}[head], body) if arrow else body
+
+        q = pred_and([parse_pred(part, ("x", "v"), ()) for part in post])
+        pred, _ = wlp(IfThenElse(c, Assign("v", -v), Skip()), q)
+        assert flatten_conj([pred]) == [read(part) for part in want]
+
+    def test_condition_is_read_before_a_shared_conjunct(self):
+        # both branches share every conjunct, so only c -> true is left of
+        # the implications, and it fails to evaluate where c does
+        c = Cmp(">", const(1) / v, x)
+        q = And(Cmp(">=", x, const(0)), Cmp("<=", v, x))
+        pred, _ = wlp(IfThenElse(c, Skip(), Assign("v", v)), q)
+        assert flatten_conj([pred]) == [implies(c, TRUE), *flatten_conj([q])]
+        with pytest.raises(EvalError):
+            eval_pred(pred, {"x": -1.0, "v": 0.0})  # x >= 0 alone is false there
+
+    def test_choice_states_each_shared_conjunct_once(self):
+        # where it first appears, so the conjuncts are read in their old order
+        q = And(Cmp(">=", x, const(0)), Cmp(">=", v, const(0)))
+        pred, _ = wlp(Choice((Assign("v", v + x), Skip(), Assign("x", x * v))), q)
+        assert flatten_conj([pred]) == [
+            Cmp(">=", x, const(0)), Cmp(">=", v + x, const(0)), Cmp(">=", v, const(0)),
+            Cmp(">=", x * v, const(0))]
+
+    @pytest.mark.parametrize("n", [8, 20, 200])
+    def test_ifs_on_distinct_variables_are_decided(self, n):
+        """Each if writes its own variable, so the conjuncts of the others
+        pass it once: proved at every n, n = 200 in well under a second,
+        where copying them into both branches gave `unknown` from n = 8 on
+        and did not finish at n = 20.  The twin that asks x1 >= 2 is
+        refuted."""
+        def problem(first):
+            names = [f"x{i}" for i in range(1, n + 1)]
+            post = [first] + [f"{nm} >= 0" for nm in names[1:]]
+            return parse_spec(
+                f"problem distinct_ifs vars {' '.join(names)}\n"
+                f"pre {' & '.join(nm + ' = 0' for nm in names)}\n"
+                f"post {' & '.join(post)}\n"
+                "program " + "; ".join(f"if {nm} >= 1 then {nm} := {nm} - 1 else {nm} := {nm} + 1"
+                                       for nm in names) + "\n")
+
+        start = time.perf_counter()
+        report = run_verify(problem("x1 >= 0"))
+        elapsed = time.perf_counter() - start
+        assert [ob["verdict"]["status"] for ob in report["obligations"]] == ["proved"]
+        assert elapsed < 1.0
+        twin = run_verify(problem("x1 >= 2"))
+        assert [ob["verdict"]["status"] for ob in twin["obligations"]] == ["refuted"]
+
+    def test_matches_the_reference_rule(self, monkeypatch):
+        """On random branching programs, the wlp that states shared
+        conjuncts once and the reference rule that copies them agree: at
+        every sampled store both are true, both false or both undefined,
+        and run_verify gives every obligation the same verdict kind."""
+        rng = random.Random(40)
+        seen, differ = set(), 0
+        for i in range(300):
+            spec = _random_branching_spec(rng)
+            got, want = verify(spec), _reference_verify(spec)
+            assert [ob.provenance for ob in got] == [ob.provenance for ob in want]
+            differ += got[0].concl is not want[0].concl
+            for _ in range(20):
+                store = {"x": float(rng.randint(-2, 2)), "v": float(rng.randint(-2, 2))}
+                outcome = call_outcome(eval_pred, got[0].concl, store)
+                ref = call_outcome(eval_pred, want[0].concl, store)
+                assert outcome[:2] == ref[:2], (i, spec, store)
+                seen.add(outcome[1] if outcome[0] == "value" else outcome[1].__name__)
+            if i % 2 == 0:
+                kinds = [ob["verdict"]["status"] for ob in run_verify(spec)["obligations"]]
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli_module, "verify", _reference_verify)
+                    report = run_verify(spec)
+                assert kinds == [ob["verdict"]["status"] for ob in report["obligations"]], (
+                    i, spec)
+        assert seen >= {True, False, "EvalError"} and differ > 150
 
 
 class TestVerifyStructure:
