@@ -3,8 +3,9 @@
 
 Two errors per step h, against the exact flow from (1, 0):
 - the error of odecert.rk4_integrate at t = 1;
-- the sup deviation on [0, 1] that the flow certificate's RK4 check
-  kernel reports (odecert._rk4_check_kernel), over the grid k * h.
+- the sup deviation on [0, 1], over the grid k * h, between the
+  trajectory of rk4_integrate and the flow's orbit
+  (hprog.guarded_orbit_flow), as acceptance criterion 08(b) compares them.
 
 Exits 1 when a successive error ratio of either falls outside RATIO_BAND:
 halving the step of a fourth-order method divides its error by about
@@ -17,27 +18,29 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hybridwlp.expr import Cos, Sin, TimeVar, Var, memo_kernel
-from hybridwlp.hprog import Flow, VectorField
-from hybridwlp.odecert import _rk4_check_kernel, rk4_integrate
+from hybridwlp.expr import TRUE, Cos, Sin, TimeVar, Var
+from hybridwlp.hprog import NONNEG, Flow, VectorField, guarded_orbit_flow
+from hybridwlp.odecert import rk4_integrate
 
 x, y, t = Var("x"), Var("y"), TimeVar()
 FIELD = VectorField({"x": y, "y": -x})
 FLOW = Flow({"x": x * Cos(t) + y * Sin(t), "y": y * Cos(t) - x * Sin(t)})
+START = {"x": 1.0, "y": 0.0}
 RATIO_BAND = (14.0, 18.0)
 
 
 def error_at(step: float) -> float:
     n = int(round(1.0 / step))
-    traj, _ = rk4_integrate(FIELD, {"x": 1.0, "y": 0.0}, step, n)
+    traj, _ = rk4_integrate(FIELD, START, step, n)
     _, final = traj[-1]
     return max(abs(final["x"] - math.cos(1.0)), abs(final["y"] + math.sin(1.0)))
 
 
 def sup_deviation_at(step: float) -> float:
-    check = memo_kernel(_rk4_check_kernel, tuple(FIELD.components.items()),
-                        tuple(FLOW.components.items()), ("x", "y"), ())
-    return check(1.0, 0.0, int(round(1.0 / step)), step, 0.5 * step, step / 6.0, 0.0)
+    traj, _ = rk4_integrate(FIELD, START, step, int(round(1.0 / step)))
+    orbit = guarded_orbit_flow(FLOW, TRUE, NONNEG, START, step, horizon=1.0)
+    assert [tt for tt, _ in orbit] == [tt for tt, _ in traj]
+    return max(abs(at[v] - st[v]) for (_, st), (_, at) in zip(traj, orbit) for v in ("x", "y"))
 
 
 def main() -> int:

@@ -100,7 +100,7 @@ def _route(ob: Obligation, spec: VerifySpec, lemmas: tuple, budget: DischargeBud
         cert = certify_flow(
             ev.field, ev.flow, ev.dom,
             const_valuations=_const_valuations(spec, budget.seed),
-            seed=budget.seed,
+            seed=budget.seed, assumptions=spec.assumptions,
         )
         if cert.issued:
             return Verdict("proved", method="flow-certificate"), cert.to_json()

@@ -14,7 +14,10 @@ hypotheses), an exact simplex on the linear fragment (any number of
 names), a square-nonnegativity rule with positive multipliers, and
 lemma lookup.  It returns the methods used or declines with a reason; it
 also declines a goal or hypothesis that a solved equality leaves
-dividing by zero, since that is undefined there.  Randomized refutation
+dividing by zero, since that is undefined there.  A denominator d is
+nonzero when the prover proves d != 0 under the goal's hypotheses; a goal
+cancels c * (1/c) only for a constant c so proved, and is proved only when
+every denominator in it is nonzero.  Randomized refutation
 runs only after a decline.  A lemma is a theorem when the same prover
 proves it from the lemmas proved before it; only a lemma it declines is
 validated by sampling.  Unknown is an acceptable verdict; Proved and
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -33,13 +36,18 @@ from .expr import (
     EVAL_FAILURES,
     And,
     Cmp,
+    Const,
+    Div,
+    Expr,
     FalsePred,
     Not,
     Or,
     Pred,
+    SymConst,
     TimeQuant,
     TruePred,
     Var,
+    ZERO,
     const as econst,
     eval_pred,
     flatten_conj,
@@ -48,12 +56,16 @@ from .expr import (
     pred_free_names,
     substitute,
     substitute_pred,
+    subterms,
 )
+from .hwl import format_expr
 from .polynorm import (
     P_ONE,
     mono_key,
     Poly,
     atom_form,
+    cancel_inverses,
+    inverse_pairs,
     poly_to_expr,
     rational_combination,
     solve_linear_system,
@@ -611,14 +623,21 @@ class _Prover:
             except TypeError:
                 continue
             try:
-                return self.prove_in(ctx, flatten_conj([extra]), second, depth + 1)
+                methods = self.prove_in(ctx, flatten_conj([extra]), second, depth + 1)
+                # evaluation reads the left disjunct first, so it must be
+                # defined wherever the goal is; the right one is, under the
+                # left one's negation, when it is the goal proved
+                self.defined(ctx, dict.fromkeys((concl.lhs, first)))
+                return methods
             except _Declined as exc:
                 reason = str(exc)
         raise _Declined(reason)
 
     def prove_atomic(self, ctx: _Context, concl: Pred) -> list:
         """A comparison, or `false`, under ctx's hypotheses by the first
-        method that applies."""
+        method that applies, with c * (1/c) cancelled for each constant c
+        proved nonzero, and only when every denominator in it is proved
+        nonzero; a goal that keeps such a pair checks that first."""
         # contradictory hypotheses prove anything
         if ctx.false:
             return ["vacuous"]
@@ -628,9 +647,39 @@ class _Prover:
             if simplex(ctx.lins) is not None:
                 raise _Declined("hypotheses not refutable by the linear route")
             return ["simplex"]
-        form = atom_form(_under(concl, ctx.sigma, "conclusion", ctx.memo))
+        concl = _under(concl, ctx.sigma, "conclusion", ctx.memo)
+        form = atom_form(concl)
         if form is None:
             raise _Declined("no proof method applies")
+        pairs = inverse_pairs(form[0])
+        nonzero = [c for c in pairs if self.nonzero(ctx, SymConst(c))]
+        if len(nonzero) < len(pairs):
+            self.defined(ctx, [concl])
+        methods = self.decide(ctx, (cancel_inverses(form[0], nonzero), form[1]))
+        self.defined(ctx, [concl])
+        return methods
+
+    def defined(self, ctx: _Context, terms: list) -> None:
+        """Decline with the first denominator of terms, in order, that is
+        not proved nonzero under ctx's hypotheses."""
+        for term in terms:
+            for d in denominators(term):
+                if not self.nonzero(ctx, d):
+                    raise _Declined(may_be_zero(d))
+
+    def nonzero(self, ctx: _Context, d: Expr) -> bool:
+        """Whether a method proves d != 0 under ctx's hypotheses."""
+        if ctx.false or ctx.absurd:
+            return True
+        try:
+            form = atom_form(_under(Cmp("!=", d, ZERO), ctx.sigma, "conclusion", ctx.memo))
+            return form is not None and bool(self.decide(ctx, form))
+        except _Declined:
+            return False
+
+    def decide(self, ctx: _Context, form: tuple) -> list:
+        """The atom form of a conclusion under ctx's hypotheses by the
+        first method that applies."""
         if _constant_truth(form):
             return ["trivial"]
         key = _key(form)
@@ -660,6 +709,24 @@ class _Prover:
             for lemma in self.lemmas
             if lemma.status in ("proved", "accepted") and isinstance(lemma.concl, Cmp)
         ]
+
+
+@lru_cache(maxsize=4096)
+def denominators(term) -> tuple:
+    """The distinct denominators of a term or comparison that are not
+    rational constants, in walk order (outer before inner)."""
+    return tuple(dict.fromkeys(s.den for s in subterms(term)
+                               if type(s) is Div and type(s.den) is not Const))
+
+
+def may_be_zero(d: Expr) -> str:
+    return f"denominator `{format_expr(d)}` may be zero"
+
+
+def nonzero_under(hyps: Sequence[Pred]):
+    """d -> whether the prover proves d != 0 under hyps (_Prover.nonzero)."""
+    prover = _Prover()
+    return partial(prover.nonzero, prover.context(_Context(), flatten_conj(list(hyps))))
 
 
 def _read(c: Cmp, binding: dict, memo: dict, known: Optional[tuple] = None) -> tuple:

@@ -467,9 +467,8 @@ class KernelWriter:
         * or unary - (which cannot raise), computed just before that loop,
         in the order first asked for, and shared by every later request for
         the same code; else None, and the caller computes it in place.
-        Fixed are the identifiers declared with fixed, the constants, the
-        loads made at the top level outside a guarded region, and the
-        values computed here."""
+        Fixed are the identifiers declared with fixed, the constants and
+        the values computed here."""
         if self._hoist_at is None or not all(map(self._fixed.__contains__, args)):
             return None
         code = form.format(*args)
@@ -537,8 +536,6 @@ class KernelWriter:
             v = self._loaded[key] = self.temp()
             if name in local:
                 self.line(f"{v} = float({local[name]})", handler)
-                if not self._blocks and self._guard is None:
-                    self._fixed.add(v)
             else:
                 self.line(f"raise EvalError({self.bind(message)}, {self.bind(e)})", handler)
         return v

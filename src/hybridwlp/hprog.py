@@ -89,8 +89,8 @@ def emit_rk4_step(
     of a variable that no component reads is not computed, and one equal
     to an earlier one of the step is reused.  A product, sum or negation of
     values fixed before the step loop is computed once, before it (see
-    KernelWriter.invariant), such as each stage of a component that reads
-    no variable, and a k3 that is k2 is doubled once.  Any other node whose
+    KernelWriter.invariant), such as each stage of a component on literals
+    alone, and a k3 that is k2 is doubled once.  Any other node whose
     names a stage loads from the same identifiers as an earlier stage has
     that stage's value: the later stage takes the earlier identifier, whose
     statements raise first.  So a node that reads no name of base is

@@ -1,8 +1,10 @@
 """Side-condition certification for evolution commands.
 
-Flow certificates check, symbolically, that a user-supplied flow solves
-the vector field and starts at the identity, then cross-check numerically
-(monoid action, RK4 agreement) as defense in depth.  Differential
+Flow certificates check exactly that a user-supplied flow solves the
+vector field and starts at the identity, that the query domain lies in
+the flow's, and that every denominator of the field and the flow is
+proved nonzero under the problem's assumptions; then the monoid action is
+cross-checked numerically as defense in depth.  Differential
 invariants are checked by the Lie-derivative rules, recursing through
 conjunction and disjunction.  A fixed-step RK4 integrator serves as the
 numeric oracle, and a sampling falsifier searches for specification
@@ -30,6 +32,7 @@ from .expr import (
     Or,
     Pred,
     Sub,
+    SymConst,
     TruePred,
     evaluate,
     free_consts,
@@ -49,7 +52,6 @@ from .hprog import (
     TimeDomain,
     VectorField,
     emit_flow,
-    emit_rk4_step,
     find_violation,
     flow_identities,
     _orbit_run,
@@ -57,12 +59,12 @@ from .hprog import (
 from .polynorm import NormalizeError, expr_eq, normalize
 from .sampling import sample_valuation
 from .vcgen import Obligation, VerifySpec
-from .discharge import DischargeBudget, Verdict, discharge
+from .discharge import (
+    DischargeBudget, Verdict, denominators, discharge, may_be_zero, nonzero_under,
+)
 
-SUP_TOL_RK4 = 1e-6
 SUP_TOL_MONOID = 1e-9
 MONOID_SAMPLES = 200
-RK4_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +103,8 @@ class LipschitzEstimate:
 def _affine_jacobian(field: VectorField) -> Optional[dict]:
     """Rational Jacobian rows when every component is affine in the
     variables with rational coefficients; None otherwise, and None for a
-    component that divides by a term with a name in it, which normalize may
-    cancel (c/c is 1) although the field is undefined where it vanishes."""
+    component that divides by a term with a name in it, since the field is
+    undefined where that term vanishes."""
     rows: dict[str, dict[str, Fraction]] = {}
     for comp, e in field.components.items():
         if any(isinstance(s, Div) and free_names(s.den) for s in subterms(e)):
@@ -235,32 +237,15 @@ def default_const_valuations(names: Sequence[str], seed: int = 0, k: int = 3) ->
 
 
 # ---------------------------------------------------------------------------
-# The flow certificate's numeric cross-checks, as generated kernels (see
-# expr.KernelWriter), one per value of the field, the flow, the names and
-# the bound constants (see expr.memo_kernel).  The start values are floats;
-# a constant loads with float() where a left-to-right tree walk would
-# first read it, and a name that is neither a variable nor bound raises the
+# The flow certificate's numeric cross-check, as a generated kernel (see
+# expr.KernelWriter), one per value of the flow, the names and the bound
+# constants (see expr.memo_kernel).  The start values are floats; a
+# constant loads with float() where a left-to-right tree walk would first
+# read it, and a name that is neither a variable nor bound raises the
 # walk's unbound-name EvalError there.  So every value and failure, and
-# their order, is the one of the orbit writer's kernels (hprog.orbit_kernel):
-# of rk4_integrate for the field and of a flow's orbit for the flow.  A NaN
+# their order, is the one of a flow's orbit (hprog.orbit_kernel).  A NaN
 # deviation is the largest: it sticks to the running maximum, which then
-# fails its check.  A float +, -, * or unary - of values fixed before a
-# check's loop is computed once, before it (see KernelWriter.invariant):
-# such an operation cannot raise, so no failure moves, and it gives the
-# same float wherever it is computed.
-
-
-def _sup_deviation(w: KernelWriter, a: Sequence[str], b: Sequence[str]) -> str:
-    """Emit max(abs(x - y) for x, y in zip(a, b)), compared in that order
-    as max compares except that a NaN deviation wins and stays, and return
-    the identifier of its value."""
-    dev, d = w.temp(), w.temp()
-    w.line(f"{dev} = abs({a[0]} - {b[0]})")
-    for x, y in zip(a[1:], b[1:]):
-        w.line(f"{d} = abs({x} - {y})")
-        w.line(f"if {d} > {dev} or {d} != {d}:")
-        w.line(f"    {dev} = {d}")
-    return dev
+# fails its check.
 
 
 def _monoid_kernel(flow: tuple, names: tuple, bounds: tuple):
@@ -298,71 +283,14 @@ def _monoid_kernel(flow: tuple, names: tuple, bounds: tuple):
         inner = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t2"})
         w.floats(*inner.values())
         two = emit_flow(w, flow, {**consts, **inner, TIME_NAME: "t1"})
-        dev = _sup_deviation(w, [one[x] for x in names], [two[x] for x in names])
-        w.line(f"if {dev} > residual or {dev} != {dev}:")  # max, but NaN sticks
-        w.line(f"    residual = {dev}")
+        for x in names:
+            w.line(f"dev = abs({one[x]} - {two[x]})")
+            w.line("if dev > residual or dev != dev:")  # max, but NaN sticks
+            w.line("    residual = dev")
         if branches:
             w.end()
     w.end()
     return w.function("randrange, uniform, lo, values, samples", "residual")
-
-
-def _rk4_check_kernel(field: tuple, flow: tuple, names: tuple, bound: tuple):
-    """check(*start, *consts, steps, h, half, sixth, worst) -> the largest of
-    worst and, at each t = k * h for k = 0..steps, the deviation over names,
-    in order, between the flow at t from the start and the t-th RK4 state
-    (rk4_integrate's); None at the first state that is not finite.  A field
-    failure at any step raises, then the flow's first EVAL_FAILURES in
-    time, as when the whole orbit is integrated before the flow is read.
-    The constants the field reads load before the step loop, so each stage
-    term on constants alone, its products with h and half and its share
-    of the step's increment are computed once there (see emit_rk4_step).
-    field and flow hold the component items."""
-    w = KernelWriter()
-    start = {x: w.temp() for x in names}
-    consts = {c: w.temp() for c in bound}
-    state = {x: w.temp() for x in names}
-    w.floats("t", *start.values(), *state.values())
-    finite = w.bind(math.isfinite)
-
-    def check_state():
-        w.line("if not (%s):" % " and ".join(f"{finite}({state[x]})" for x in names))
-        w.line("    return None")
-
-    def compare_flow():
-        w.guard("ferr = _exc")
-        w.line("t = k * h")
-        at = emit_flow(w, flow, {**consts, **start, TIME_NAME: "t"})
-        dev = _sup_deviation(w, [at[x] for x in names], [state[x] for x in names])
-        w.line(f"if {dev} > worst or {dev} != {dev}:")
-        w.line(f"    worst = {dev}")
-        w.guard(None)
-
-    for x in names:
-        w.line(f"{state[x]} = {start[x]}")
-    check_state()
-    # the first stage of the first step, for its failures and so that each
-    # constant it reads loads here, where every step then reuses it, with
-    # its operations on constants alone
-    memo: dict = {}
-    for _, e in field:
-        w.expr(e, {**consts, **start}, memo)
-    w.line("ferr = None")
-    w.line("k = 0")
-    compare_flow()  # the flow's constants load here, reused while ferr is None
-    w.begin("for k in range(1, steps + 1):")
-    # one assignment: a stage value may be a state variable itself
-    new = emit_rk4_step(w, field, state, consts)
-    w.line(f"{', '.join(state[x] for x, _ in field)} = {', '.join(new)}")
-    check_state()
-    w.begin("if ferr is None:")
-    compare_flow()
-    w.end()
-    w.end()
-    w.line("if ferr is not None:")
-    w.line("    raise ferr")
-    params = [*start.values(), *consts.values(), "steps", "h", "half", "sixth", "worst"]
-    return w.function(", ".join(params), "worst")
 
 
 def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Random,
@@ -384,44 +312,27 @@ def _monoid_check(flow: Flow, names: Sequence[str], valuations, rng: random.Rand
     return CheckResult(residual <= SUP_TOL_MONOID, f"max residual {residual:.3e}", residual)
 
 
-def _rk4_check(field: VectorField, flow: Flow, names: Sequence[str], valuations,
-               rng: random.Random, horizon: float) -> CheckResult:
-    """The largest deviation between the flow and RK4 at step RK4_STEP on
-    [0, horizon], from a start in [-1.5, 1.5] per name for each valuation."""
-    reads = sorted({*field.reads, *flow.reads})
-    steps = max(1, int(round(horizon / RK4_STEP)))
-    h = RK4_STEP
-    worst = 0.0
-    items = tuple(field.components.items()), tuple(flow.components.items())
-    for cv in valuations:
-        bound = tuple(filter(cv.__contains__, reads))
-        kernel = memo_kernel(_rk4_check_kernel, *items, tuple(names), bound)
-        s = [rng.uniform(-1.5, 1.5) for _ in names]
-        try:
-            worst = kernel(*s, *map(cv.__getitem__, bound), steps, h, 0.5 * h, h / 6.0, worst)
-        except EVAL_FAILURES as exc:
-            return CheckResult(False, f"evaluation failed: {exc}")
-        if worst is None:
-            return CheckResult(False, "integrator diverged")
-    return CheckResult(worst <= SUP_TOL_RK4, f"max deviation {worst:.3e} on [0,{horizon}]", worst)
-
-
 def certify_flow(
     field: VectorField,
     flow: Flow,
     dom: TimeDomain,
     const_valuations: Optional[Sequence[Mapping[str, float]]] = None,
     seed: int = 0,
+    assumptions: tuple = (),
 ) -> FlowCertificate:
     """Certify a flow against a vector field.
 
-    Symbolic checks: the time derivative of each flow component equals the
+    Exact checks: the time derivative of each flow component equals the
     field composed with the flow, and the flow at time zero is the
-    identity; each one holds, fails with a counterexample, or is undecided
-    (`passed` None) when normalization cannot settle it and sampling finds
-    no counterexample.  Numeric checks: monoid action residual and RK4
-    agreement.  The certificate is refused unless every symbolic check
-    holds.
+    identity, with c * (1/c) cancelled for each constant c that the prover
+    proves nonzero under the assumptions; each one holds, fails with a
+    counterexample, or is undecided (`passed` None) when normalization
+    cannot settle it and sampling finds no counterexample.  The query
+    domain must lie in the flow's.  Definedness: every denominator of the
+    field and the flow must be proved nonzero under the assumptions, since
+    a range is no evidence.  The certificate is refused, with the first
+    failing check's reason, unless all of these hold and then the monoid
+    action's numeric residual, drawn over const_valuations, is small.
     """
     if set(field.components) != set(flow.components):
         raise ValueError("field and flow must share the variable set")
@@ -433,9 +344,16 @@ def certify_flow(
     checks: dict[str, CheckResult] = {}
     refusal = ""
     refusal_witness: Optional[dict] = None
+    terms = (*field.components.values(), *flow.components.values())
+    dens = tuple(dict.fromkeys(d for e in terms for d in denominators(e)))
+    nonzero = nonzero_under(assumptions) if dens else None
+    undefined = next((may_be_zero(d) for d in dens if not nonzero(d)), "")
+    cancel = frozenset(c for c in sorted(set().union(*map(free_consts, dens)))
+                       if nonzero(SymConst(c)))
 
     for check, v, lhs, rhs in flow_identities(field.components, flow.components):
-        res, name, derivative = expr_eq(lhs, rhs, seed=seed), f"{check}[{v}]", check == "derivative"
+        res = expr_eq(lhs, rhs, seed=seed, nonzero=cancel)
+        name, derivative = f"{check}[{v}]", check == "derivative"
         what = "derivative" if derivative else "initial-value"
         if res.is_equal:
             checks[name] = CheckResult(True, "symbolic identity" if derivative
@@ -454,11 +372,10 @@ def certify_flow(
     checks["domain"] = CheckResult(dom_ok, "query domain within interval of existence" if dom_ok else "query domain exceeds the flow's interval of existence")
     if not dom_ok:
         refusal = refusal or "domain check failed"
+    checks["definedness"] = CheckResult(not undefined, undefined or "every denominator is nonzero")
+    refusal = refusal or undefined
 
-    sym_names = sorted(
-        set().union(*(free_consts(e) for e in flow.components.values()))
-        | set().union(*(free_consts(e) for e in field.components.values()))
-    )
+    sym_names = sorted(set().union(*map(free_consts, terms)))
     if const_valuations is None:
         const_valuations = default_const_valuations(sym_names, seed=seed) if sym_names else [{}]
 
@@ -469,12 +386,6 @@ def certify_flow(
         if not monoid.passed:
             refusal = ("monoid-action check failed" if monoid.residual is None
                        else "monoid-action residual too large")
-
-    if not refusal:
-        horizon = float(min(1.0, dom.hi))
-        checks["rk4"] = rk4 = _rk4_check(field, flow, names, const_valuations, rng, horizon)
-        if not rk4.passed:
-            refusal = "rk4 cross-check failed"
 
     lip = None
     try:

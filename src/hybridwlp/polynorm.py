@@ -3,15 +3,12 @@
 Expressions are normalized to multivariate polynomials over atoms:
 variables, symbolic constants, the time symbol, reciprocals of symbolic
 constants, and opaque transcendental subterms (sin/cos/exp keyed by their
-normalized arguments).  Two ideal reductions are applied on top of plain
-expansion:
-
-  * sin(u)^2 -> 1 - cos(u)^2  for every atom argument u,
-  * c * (1/c) -> 1            for every symbolic constant c.
-
-Division by anything other than a nonzero monomial of rational and
-symbolic-constant factors does not participate in the arithmetic; such
-quotients become opaque atoms.
+normalized arguments).  One ideal reduction, sin(u)^2 -> 1 - cos(u)^2, is
+applied on top of plain expansion.  A quotient by a nonzero monomial of
+rational and symbolic-constant factors multiplies by its inverse (1/c is
+the atom inv(c)); any other quotient is an opaque atom.  So normal forms
+hold under total division (1/0 = 0) with no context; c * inv(c) = 1 needs
+c != 0, and only cancel_inverses takes it.
 """
 
 from __future__ import annotations
@@ -200,7 +197,7 @@ def poly_atom(atom: Atom, power: int = 1) -> Poly:
 
 
 def _reduce(p: Poly) -> Poly:
-    """Apply the sin^2 and c*(1/c) reductions to a fixpoint."""
+    """Apply the sin^2 reduction to a fixpoint."""
     changed = True
     while changed:
         changed = False
@@ -218,24 +215,42 @@ def _reduce(p: Poly) -> Poly:
 
 
 def _reduce_mono(m: Mono, coeff: Fraction) -> Optional[Poly]:
-    powers = dict(m)
-    # c * inv(c) cancellation
-    for atom, k in m:
-        if atom.kind == "const":
-            inv = Atom("inv", atom.name)
-            if inv in powers and powers[inv] > 0 and powers[atom] > 0:
-                cancel = min(powers[atom], powers[inv])
-                powers[atom] -= cancel
-                powers[inv] -= cancel
-                return Poly({_mono_sorted(powers): coeff})
-    # sin(u)^2 -> 1 - cos(u)^2
+    """coeff * m with sin(u)^2 -> 1 - cos(u)^2 at its first sin atom of
+    power 2 or more; None when it has none."""
     for atom, k in m:
         if atom.kind == "sin" and k >= 2:
+            powers = dict(m)
             powers[atom] = k - 2
             rest = Poly({_mono_sorted(powers): coeff})
             cos_sq = poly_atom(Atom("cos", args=atom.args), 2)
             return rest.mul(P_ONE.sub(cos_sq))
     return None
+
+
+def inverse_pairs(p: Poly) -> list[str]:
+    """The sorted constants c that a monomial of p holds with inv(c)."""
+    return sorted({a.name for m in p.terms for a, _ in m
+                   if a.kind == "inv" and any(b == Atom("const", a.name) for b, _ in m)})
+
+
+def cancel_inverses(p: Poly, nonzero) -> Poly:
+    """p with c^a * inv(c)^b cancelled in each monomial for each constant c
+    in nonzero, which must hold only constants proved nonzero under the
+    hypotheses p is read under."""
+    if not nonzero:
+        return p
+    terms: dict[Mono, Fraction] = {}
+    for m, coeff in p.terms.items():
+        powers = dict(m)
+        for atom, k in m:
+            if atom.kind == "inv" and atom.name in nonzero:
+                base = Atom("const", atom.name)
+                cancel = min(k, powers.get(base, 0))
+                powers[atom] -= cancel
+                powers[base] = powers.get(base, 0) - cancel
+        m = _mono_sorted(powers)
+        terms[m] = terms.get(m, Fraction(0)) + coeff
+    return Poly(terms)
 
 
 class NormalizeError(Exception):
@@ -390,16 +405,17 @@ def expr_eq(
     seed: int = 0,
     samples: int = EQ_SAMPLE_POINTS,
     rel_tol: float = EQ_REL_TOL,
+    nonzero=(),
 ) -> EqResult:
     """Decide equality in the polynomial fragment; otherwise sample numerically.
 
-    Returns Equal iff the normalized difference is identically zero.  Outside
-    the fragment (or when the ideal reductions do not apply) the verdict is
-    Unknown("likely-equal") when sampling agrees everywhere, or NotEqual with
-    a witness valuation.
+    Returns Equal iff the normalized difference, cancel_inverses applied
+    for nonzero, is identically zero.  Outside the fragment (or when the
+    ideal reductions do not apply) the verdict is Unknown("likely-equal")
+    when sampling agrees everywhere, or NotEqual with a witness valuation.
     """
     try:
-        if normalize(Sub(a, b)).is_zero():
+        if cancel_inverses(normalize(Sub(a, b)), nonzero).is_zero():
             return EqResult("equal")
     except NormalizeError:
         pass

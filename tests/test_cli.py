@@ -338,15 +338,43 @@ class TestVerifyCommand:
         assert [ob["verdict"]["status"] for ob in report["obligations"]] == ["proved", "proved"]
         assert report["obligations"][0]["forall"] == ["x", "tau", "t2", "tau2"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 6: normalize cancels c*(1/c) to 1 without proving c != 0, so verify "
-        "proves (trivial) a post undefined at c = 0, where falsify reports division by zero"))
-    def test_division_by_a_constant_that_may_be_zero(self, capsys, tmp_path):
-        f = tmp_path / "divz.hwl"
-        f.write_text("problem divz vars x consts c in [-1, 1] pre c = 0\n"
-                     "post c*(1/c) = 1 program skip\n")
-        code, _, _ = run(capsys, "verify", str(f))
-        assert code != 0
+    # ROADMAP item 6: a goal or a flow certificate is proved only when every
+    # denominator in it is proved nonzero from the hypotheses; a range is no
+    # evidence.  Each probe: (variable, text, statuses of its obligations)
+    DIVISION_PROBES = {
+        # c * (1/c) cancels only for a c proved nonzero, and pre c = 0 is not
+        "divz": ("x", "consts c in [-1, 1] pre c = 0 post c*(1/c) = 1 program skip",
+                 ["unknown"]),
+        # true under total division, but undefined at c = 0
+        "recip": ("x", "consts c in [-1, 1] pre x = 0 post 1/c = 1/c program skip",
+                  ["unknown"]),
+        # the flow solves its field, which is undefined at c = 0
+        "field": ("y", "consts c in [-1, 1] pre y = 0 post y >= 0 | y <= 0 program "
+                  "evolve y' = 1/c & true on [0,inf) flow y = y + t/c", ["unknown", "unknown"]),
+        # 0/c normalizes to 0, and is undefined at the one c of the range
+        "zero": ("y", "consts c in [0, 0] pre y = 0 post y >= 0 program "
+                 "evolve y' = 1 + 0/c & true on [0,inf) flow y = y + t", ["proved", "unknown"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIVISION_PROBES))
+    def test_division_by_a_constant_that_may_be_zero(self, capsys, tmp_path, name):
+        var, text, statuses = self.DIVISION_PROBES[name]
+        f = tmp_path / f"{name}.hwl"
+        f.write_text(f"problem {name} vars {var} {text}\n")
+        code, out, err = run(capsys, "verify", str(f), "--json")
+        assert (code, err) == (1, "")
+        verdicts = [e["verdict"] for e in json.loads(out)["obligations"]]
+        assert [v["status"] for v in verdicts] == statuses
+        for v in verdicts:
+            if v["status"] == "unknown":
+                assert v["reason"] == "denominator `c` may be zero"
+
+    def test_division_by_a_constant_proved_nonzero(self, capsys, tmp_path):
+        f = tmp_path / "pos.hwl"
+        f.write_text("problem pos vars x consts c assume c > 0 pre x = 0\n"
+                     "post c*(1/c) = 1 & (x + c)/c = x/c + 1 program skip\n")
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 0 and "proved   pre-implies-wlp@program" in out
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-file.hwl")
@@ -554,8 +582,10 @@ class TestCertifyCommand:
         assert code == 1
 
     def test_unevaluable_rk4_comparison_refuses(self, capsys, tmp_path):
-        # c/c normalizes to 1, so the symbolic and monoid checks pass; at the
-        # sampled c = 0 the RK4 trajectory divides by zero in its first stage
+        # c/c is c * (1/c), which cancels only for a c proved nonzero, and
+        # the range [0, 0] is no such proof: the derivative check is
+        # undecided, so it refuses first, and the definedness check fails;
+        # no numeric check runs
         f = tmp_path / "divfield.hwl"
         f.write_text(
             "problem divfield\nvars y\nconsts c in [0, 0]\npre y = 0\npost y >= 0\n"
@@ -564,16 +594,17 @@ class TestCertifyCommand:
         code, out, err = run(capsys, "certify", str(f), "--json")
         assert code == 1 and err == ""
         (entry,) = json.loads(out)["certificates"]
-        assert entry["report"]["refusal"] == "rk4 cross-check failed"
-        assert entry["report"]["checks"]["monoid"]["pass"] is True
-        assert entry["report"]["checks"]["rk4"] == {
-            "pass": False, "detail": "evaluation failed: division by zero"}
+        checks = entry["report"]["checks"]
+        assert entry["report"]["refusal"] == "derivative check undecided for 'y'"
+        assert checks["derivative[y]"] == {"pass": None, "detail": "undecided: likely-equal"}
+        assert checks["definedness"] == {"pass": False, "detail": "denominator `c` may be zero"}
+        assert "monoid" not in checks and "rk4" not in checks
         # no Lipschitz evidence either: c/c is no affine component, and the
         # field evaluates at no sampled pair
-        assert entry["report"]["checks"]["lipschitz"]["pass"] is False
+        assert checks["lipschitz"]["pass"] is False
         code, out, err = run(capsys, "verify", str(f))
         assert code == 1 and err == ""
-        assert "unknown  flow-cert@program" in out and "rk4 cross-check failed" in out
+        assert "unknown  flow-cert@program" in out and "derivative check undecided for 'y'" in out
 
     def test_undecided_symbolic_checks_are_not_failures(self, capsys, tmp_path):
         # 1/(1/x - t) solves x' = x*x where it is defined, but the derivative

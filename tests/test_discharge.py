@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import itertools
 import math
@@ -10,14 +11,19 @@ from pathlib import Path
 import pytest
 
 from hybridwlp.expr import (
+    Add,
     And,
     Cmp,
     Cos,
     Exp,
     FALSE,
+    Mul,
+    Neg,
     Or,
     Not,
+    Pow,
     Sin,
+    Sub,
     SymConst,
     TimeQuant,
     TimeVar,
@@ -47,7 +53,7 @@ import hybridwlp.discharge as dmod
 from hybridwlp.cli import run_verify
 from hybridwlp.hprog import NONNEG, Assign, IfThenElse, Seq
 from hybridwlp.hwl import parse_spec
-from hybridwlp.polynorm import atom_form, mono_key, normalize
+from hybridwlp.polynorm import atom_form, cancel_inverses, mono_key, normalize
 from hybridwlp.vcgen import Obligation, VerifySpec, verify
 from test_hwl_reference import rand_expr, rand_pred
 from treepasses import outcome as call_outcome, ref_split_goals
@@ -1114,3 +1120,136 @@ class TestConstantTruth:
             assert vd == dmod.Verdict("proved", method="trivial")
         else:
             assert not vd.proved
+
+
+# ---------------------------------------------------------------------------
+# The division rule (ROADMAP item 6): a goal is proved only when every
+# denominator in it is proved nonzero, and c * (1/c) cancels only for a c
+# so proved.
+
+
+DIV_CONSTS = ("a", "b", "c")
+
+
+def exact_value(e, val):
+    """The value of a rational term of constants in Fraction arithmetic;
+    ZeroDivisionError where a denominator is zero."""
+    kind = type(e)
+    if kind is dmod.Const:
+        return e.value
+    if kind is SymConst:
+        return val[e.name]
+    if kind is dmod.Div:
+        return exact_value(e.num, val) / exact_value(e.den, val)
+    if kind is Neg:
+        return -exact_value(e.arg, val)
+    if kind is Pow:
+        return exact_value(e.base, val) ** e.exp
+    lhs, rhs = exact_value(e.lhs, val), exact_value(e.rhs, val)
+    return {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[kind](lhs, rhs)
+
+
+def random_rational(rng, depth):
+    """A random rational function of the constants DIV_CONSTS."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.7:
+            return SymConst(rng.choice(DIV_CONSTS))
+        return const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    a, b = random_rational(rng, depth - 1), random_rational(rng, depth - 1)
+    op = rng.randrange(6)
+    if op == 0:
+        return a + b
+    if op == 1:
+        return a - b
+    if op == 2:
+        return -a
+    if op == 3:
+        return a ** 2
+    if op == 4 or b == const(0):
+        return a * b
+    return a / b
+
+
+def equal_twin(rng, a):
+    """A term that equals a wherever both are defined, most of the time: a
+    rewritten by an identity that may divide by a constant, or a itself."""
+    k = SymConst(rng.choice(DIV_CONSTS))
+    twins = [a * k / k, (a * k) * (const(1) / k), a + k / k - const(1), a * (k / (k * k)) * k,
+             k * (const(1) / k) * a, a, random_rational(rng, 2)]
+    return rng.choice(twins)
+
+
+DIV_HYPS = [lambda c: Cmp(">", c, const(0)), lambda c: Cmp("<", c, const(0)),
+            lambda c: Cmp("!=", c, const(0)), lambda c: Cmp("=", c, const(0)),
+            lambda c: Cmp(">=", c, const(0)), lambda c: Cmp("<=", c, const(1))]
+POINT_VALUES = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]
+
+
+class TestDivisionRule:
+    def test_seeded_property(self, monkeypatch):
+        """Whenever trivial or poly-identity proves a = b, both sides are
+        equal in Fraction at every point where the hypotheses hold and both
+        are defined, and each constant that cancel_inverses removed is one
+        the prover proves nonzero from the hypotheses."""
+        cancelled = []
+
+        def recording(p, nonzero):
+            out = cancel_inverses(p, nonzero)
+            cancelled.extend(c for c in nonzero if out != cancel_inverses(p, set(nonzero) - {c}))
+            return out
+
+        monkeypatch.setattr(dmod, "cancel_inverses", recording)
+        rng = random.Random(2024)
+        methods, points = collections.Counter(), 0
+        for case in range(400):
+            lhs = random_rational(rng, 3)
+            rhs = equal_twin(rng, lhs)
+            hyps = [rng.choice(DIV_HYPS)(SymConst(c)) for c in rng.sample(DIV_CONSTS, 2)]
+            cancelled.clear()
+            vd = discharge(arith(hyps, Cmp("=", lhs, rhs), forall=()), budget=DischargeBudget(
+                refute_trials=0))
+            methods[vd.method or vd.reason] += 1
+            if vd.method not in ("trivial", "poly-identity"):
+                assert not vd.proved or not cancelled, case
+                continue
+            for c in set(cancelled):
+                assert discharge(arith(hyps, Cmp("!=", SymConst(c), const(0)), forall=())).proved
+            for values in itertools.product(POINT_VALUES[::3], repeat=len(DIV_CONSTS)):
+                val = dict(zip(DIV_CONSTS, values))
+                if not all(eval_pred(hh, {n: float(q) for n, q in val.items()}) for hh in hyps):
+                    continue
+                try:
+                    left, right = exact_value(lhs, val), exact_value(rhs, val)
+                except ZeroDivisionError:
+                    continue
+                assert left == right, (case, lhs, rhs, val)
+                points += 1
+        # the identities were met, cancelled and refused alike
+        assert methods["trivial"] > 20 and methods["denominator `a` may be zero"] > 5
+        assert points > 1000
+
+    def test_cancellation_needs_a_nonzero_constant(self):
+        c = SymConst("c")
+        goal = Cmp("=", c * (const(1) / c), const(1))
+        for hyp, proved in ((Cmp(">", c, const(0)), True), (Cmp("<", c, const(0)), True),
+                            (Cmp("!=", c, const(0)), True), (Cmp(">=", c, const(0)), False),
+                            (Cmp("=", c, const(0)), False)):
+            vd = discharge(arith([hyp], goal, forall=()))
+            assert vd.proved == proved, hyp
+            if not proved:
+                assert vd == dmod.Verdict("unknown", reason="denominator `c` may be zero")
+
+    def test_a_denominator_must_be_nonzero_even_when_no_pair_cancels(self):
+        c, d = SymConst("c"), SymConst("d")
+        goal = Cmp("=", const(1) / (c + d), const(1) / (d + c))
+        assert discharge(arith([], goal, forall=())).reason == "denominator `c + d` may be zero"
+        assert discharge(arith([Cmp(">", c + d, const(0))], goal, forall=())) == dmod.Verdict(
+            "proved", method="trivial")
+
+    def test_a_disjunct_assumed_false_must_be_defined(self):
+        # x = x proves the disjunction whatever 1/c is, but at c = 0 its left
+        # disjunct, evaluated first, is undefined
+        c = SymConst("c")
+        concl = Or(Cmp(">", const(1) / c, const(0)), Cmp("=", x, x))
+        assert discharge(arith([], concl)).reason == "denominator `c` may be zero"
+        assert discharge(arith([Cmp("!=", c, const(0))], concl)).proved

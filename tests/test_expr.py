@@ -587,19 +587,18 @@ class TestLoopInvariants:
 
     def test_computed_once_before_the_loop_and_shared(self):
         w = KernelWriter()
-        w.fixed("h")
-        c = w.expr(SymConst("c"), {"c": "cv"}, {})  # a top-level load: fixed
-        assert w.invariant("{0} * {1}", "h", c) is None  # no loop is open
+        w.fixed("h", "cv")
+        assert w.invariant("{0} * {1}", "h", "cv") is None  # no loop is open
         w.line("acc = 0.0")
         w.begin("for _ in range(n):")
-        p = w.invariant("{0} * {1}", "h", c)
-        assert p is not None and w.invariant("{0} * {1}", "h", c) == p
-        q = w.invariant("{0} - {1}", p, c)  # on a value computed here
+        p = w.invariant("{0} * {1}", "h", "cv")
+        assert p is not None and w.invariant("{0} * {1}", "h", "cv") == p
+        q = w.invariant("{0} - {1}", p, "cv")  # on a value computed here
         assert w.invariant("{0} + {1}", "acc", q) is None  # acc changes in the loop
-        # the terms' products on c alone are computed here too: 3 * c is
-        # one product for every stage's memo, with the 3 bound once
-        r1 = w.expr(Mul(const(3), SymConst("c")), {"c": "cv"}, {})
-        r2 = w.expr(Mul(const(3), SymConst("c")), {"c": "cv"}, {})
+        # a term's products on literals alone are computed here too: 3 * 2
+        # is one product for every memo, with each literal bound once
+        r1 = w.expr(Mul(const(3), const(2)), {}, {})
+        r2 = w.expr(Mul(const(3), const(2)), {}, {})
         assert r1 == r2
         w.line(f"acc = acc + {q} + {r1}")
         w.end()
@@ -609,9 +608,10 @@ class TestLoopInvariants:
         assert _Counted.products == 1
 
     def test_values_that_may_change_or_go_unassigned_stay_put(self):
-        # a load in a guarded region, or inside a block, is not fixed: the
-        # region may fail, the block may not run
+        # a load is not fixed, at the top level or in a guarded region,
+        # which may fail, or inside a block, which may not run
         w = KernelWriter()
+        c = w.expr(SymConst("c"), {"c": "cv"}, {})
         w.guard("return None")
         a = w.expr(SymConst("a"), {"a": "av"}, {})
         w.guard(None)
@@ -620,8 +620,8 @@ class TestLoopInvariants:
         w.end()
         w.fixed("h")
         w.begin("for _ in range(1):")
-        assert w.invariant("{0} * {1}", "h", a) is None
-        assert w.invariant("{0} * {1}", "h", b) is None
+        for loaded in (a, b, c):
+            assert w.invariant("{0} * {1}", "h", loaded) is None
         assert w.invariant("{0} * {1}", "h", "h") is not None
         w.end()
         assert w.invariant("{0} * {1}", "h", "h") is None  # the loop has ended

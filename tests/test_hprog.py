@@ -1075,12 +1075,9 @@ class TestRk4StatesBitIdentity:
             second.field, keys, ("g",), second.guard)
         assert flow_orbit_kernel(first.flow, keys, ("g",), first.guard) is flow_orbit_kernel(
             second.flow, keys, ("g",), second.guard)
-        monoids, checks = [], []
-        for ev in (first, second):
-            field, flow = tuple(ev.field.components.items()), tuple(ev.flow.components.items())
-            monoids.append(memo_kernel(odecert._monoid_kernel, flow, ("v", "x"), ("g",)))
-            checks.append(memo_kernel(odecert._rk4_check_kernel, field, flow, ("v", "x"), ("g",)))
-        assert monoids[0] is monoids[1] and checks[0] is checks[1]
+        monoids = [memo_kernel(odecert._monoid_kernel, ev.flow.component_items, ("v", "x"), ("g",))
+                   for ev in (first, second)]
+        assert monoids[0] is monoids[1]
         hyps = [(*s.assumptions, s.pre) for s in specs]
         assert hyps[0][0] is hyps[1][0]  # two parses give one term
         plans = [memo_kernel(sampling._attempt_kernel, ("g", "x", "v"), h) for h in hyps]

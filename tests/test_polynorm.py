@@ -28,7 +28,9 @@ from hybridwlp.polynorm import (
     NormalizeError,
     _norm,
     atom_form,
+    cancel_inverses,
     expr_eq,
+    inverse_pairs,
     normalize,
     poly_to_expr,
     rational_combination,
@@ -63,7 +65,16 @@ class TestNormalize:
             assert normalize(poly_to_expr(p)) == p
 
     def test_symconst_reciprocal_cancels(self):
-        assert normalize(Sub(Div(c, c * c), Div(const(1), c))).is_zero()
+        # c/(c*c) - 1/c is c*inv(c)^2 - inv(c): zero only where c != 0, so
+        # normalize keeps the pair and cancel_inverses cancels it for a c
+        # proved nonzero, and only for such a c
+        p = normalize(Sub(Div(c, c * c), Div(const(1), c)))
+        assert not p.is_zero() and inverse_pairs(p) == ["c"]
+        assert cancel_inverses(p, {"c"}).is_zero()
+        assert cancel_inverses(p, set()) is p and cancel_inverses(p, {"d"}) == p
+        # c^3 * inv(c) and c * inv(c)^3 leave c^2 and inv(c)^2
+        assert cancel_inverses(normalize(c * c * c / c), {"c"}) == normalize(c * c)
+        assert cancel_inverses(normalize(c / (c * c * c)), {"c"}) == normalize(const(1) / (c * c))
 
     def test_trig_at_zero_folds(self):
         assert normalize(Cos(const(0))) == normalize(const(1))
